@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dsl, harness, nondim, pigroups, units
-from .core import DimSystem, DimVector, Quantity
+from .core import DimSystem, DimVector, Quantity, format_magnitude
 from .errors import DimensionError, ParseError, PiforgeError, SpecError
 
 DEFAULT_TRIALS = 1000
@@ -178,7 +178,7 @@ def cmd_consistent(args) -> int:
                 if witness is None
                 else {
                     "exponents": [_rat(c) for c in witness.combo.exponents],
-                    "clash_factor": _fmt(witness.clash_factor),
+                    "clash_factor": format_magnitude(witness.log_clash_factor),
                 },
             }
         )
@@ -186,7 +186,7 @@ def cmd_consistent(args) -> int:
         print(f"consistent: {' '.join(args.units)}")
     else:
         combo = _monomial(args.units, report.witness.combo.exponents)
-        print(f"clash: {combo} = {_fmt(report.witness.clash_factor)}")
+        print(f"clash: {combo} = {format_magnitude(report.witness.log_clash_factor)}")
     return 0 if report.consistent else 1
 
 
@@ -351,8 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", DEFAULT_TOL) <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    tol = getattr(args, "tol", DEFAULT_TOL)
+    if not (math.isfinite(tol) and tol > 0):
+        print("error: --tol must be a finite number greater than 0", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -15,6 +15,7 @@ dimensions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -259,6 +260,24 @@ def coordinate(x: Quantity, s: Quantity) -> float:
     if x.dim != s.dim:
         raise DimensionMismatchError(f"coordinate needs equal dimensions: {x.dim} vs {s.dim}")
     return math.exp(x.log_magnitude - s.log_magnitude)
+
+
+def format_magnitude(log_magnitude: float) -> str:
+    """exp(log_magnitude) with 15 significant digits, as format(x, ".15g")
+    prints a float, also where the value lies outside the normal float range
+    (then from its base-10 logarithm, e.g. "1e+400")."""
+    try:
+        value = math.exp(log_magnitude)
+    except OverflowError:
+        value = math.inf
+    if sys.float_info.min <= value < math.inf:
+        return format(value, ".15g")
+    exponent10 = log_magnitude / math.log(10)
+    exponent = math.floor(exponent10)
+    mantissa = format(10 ** (exponent10 - exponent), ".15g")
+    if mantissa == "10":
+        mantissa, exponent = "1", exponent + 1
+    return f"{mantissa}e{exponent:+d}"
 
 
 def dimension_matrix(system: DimSystem, ws) -> QMatrix:

@@ -4,6 +4,14 @@ Scalars are `fractions.Fraction`, so every result here is exact: no pivots by
 magnitude, no tolerances, no floating point anywhere. Matrices are immutable
 row-major tuples sized for desk-scale work (a dozen columns, not thousands).
 
+Elimination runs on integer rows. `rref` scales each row by the lcm of its
+denominators, eliminates with Python ints (fraction-free, each updated row
+divided by the gcd of its entries to keep the integers small; Bareiss,
+Math. Comp. 22, 1968), and divides each pivot row by its pivot once at the
+end. The RREF is unique, so the result equals that of a Fraction
+Gauss-Jordan loop entry for entry, at a fraction of the cost. `kernel_basis`,
+`solve` and `invert` all read off one such elimination.
+
 The one piece of policy lives in `kernel_basis`: kernel vectors come from the
 standard RREF free-variable construction, ordered by increasing free column,
 and are rescaled to primitive integer vectors. The rescale factor is always
@@ -98,14 +106,15 @@ class QMatrix:
         )
 
     def matmul(self, other: "QMatrix") -> "QMatrix":
+        """Exact product; zero entries contribute no terms."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} != {other.rows}")
+        columns = [other.col(j) for j in range(other.cols)]
         flat = []
         for i in range(self.rows):
-            for j in range(other.cols):
-                flat.append(
-                    sum((self.at(i, k) * other.at(k, j) for k in range(self.cols)), _ZERO)
-                )
+            terms = [(k, v) for k, v in enumerate(self.row(i)) if v]
+            for column in columns:
+                flat.append(sum((v * column[k] for k, v in terms if column[k]), _ZERO))
         return QMatrix(self.rows, other.cols, tuple(flat))
 
     def __str__(self) -> str:
@@ -114,58 +123,80 @@ class QMatrix:
         )
 
 
+def _integer_row(row) -> list[int]:
+    """The row scaled by a positive factor to coprime integers."""
+    scale = math.lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (scale // v.denominator) for v in row]
+    common = math.gcd(*ints)
+    return [v // common for v in ints] if common > 1 else ints
+
+
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     """Reduced row echelon form of m.
 
     Returns (reduced, pivot_cols, rank). Pivoting takes the first nonzero
     entry in each column — exact arithmetic needs no magnitude heuristics.
+    Rows are eliminated as integers; each row is divided by its pivot only
+    once, at the end.
     """
-    work = m.to_rows()
     nrows, ncols = m.rows, m.cols
+    work = [_integer_row(m.row(i)) for i in range(nrows)]
     pivot_cols: list[int] = []
     piv_row = 0
     for col in range(ncols):
         if piv_row >= nrows:
             break
-        sel = None
-        for r in range(piv_row, nrows):
-            if work[r][col] != 0:
-                sel = r
-                break
+        sel = next((r for r in range(piv_row, nrows) if work[r][col]), None)
         if sel is None:
             continue
-        if sel != piv_row:
-            work[piv_row], work[sel] = work[sel], work[piv_row]
-        pivot = work[piv_row][col]
-        if pivot != 1:
-            work[piv_row] = [v / pivot for v in work[piv_row]]
+        work[piv_row], work[sel] = work[sel], work[piv_row]
+        pivot_row = work[piv_row]
+        pivot = pivot_row[col]
         for r in range(nrows):
-            if r == piv_row:
-                continue
             factor = work[r][col]
-            if factor != 0:
-                work[r] = [a - factor * b for a, b in zip(work[r], work[piv_row])]
+            if r == piv_row or not factor:
+                continue
+            # pivot * row - factor * pivot_row clears the column and scales
+            # the row by a nonzero integer, which leaves the row space alone.
+            row = [pivot * a - factor * b for a, b in zip(work[r], pivot_row)]
+            common = math.gcd(*row)
+            work[r] = [v // common for v in row] if common > 1 else row
         pivot_cols.append(col)
         piv_row += 1
-    reduced = QMatrix.from_rows(work) if nrows else QMatrix.zero(0, ncols)
-    return reduced, tuple(pivot_cols), len(pivot_cols)
+    flat = []
+    for i, row in enumerate(work):
+        if i < piv_row:
+            pivot = row[pivot_cols[i]]
+            flat.extend(Fraction(v, pivot) if v else _ZERO for v in row)
+        else:
+            flat.extend((_ZERO,) * ncols)
+    return QMatrix(nrows, ncols, tuple(flat)), tuple(pivot_cols), piv_row
 
 
 def rank(m: QMatrix) -> int:
     return rref(m)[2]
 
 
-def _primitive(vec: list[Fraction]) -> tuple[Fraction, ...]:
+def _primitive(vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Scale a rational vector by a positive factor to coprime integers."""
-    denoms = [v.denominator for v in vec if v != 0]
-    if not denoms:
-        return tuple(vec)
-    scale = math.lcm(*denoms)
-    ints = [v * scale for v in vec]
-    common = math.gcd(*(abs(int(v)) for v in ints if v != 0))
-    if common > 1:
-        ints = [v / common for v in ints]
-    return tuple(ints)
+    return tuple(Fraction(v) for v in _integer_row(vec))
+
+
+def free_kernel(reduced: QMatrix, pivot_cols) -> list[tuple[Fraction, ...]]:
+    """The unscaled RREF free-variable kernel basis, read off an `rref` result.
+
+    One vector per free column, by increasing column: 1 at the free column,
+    -reduced[row][free] at each pivot column, 0 elsewhere.
+    """
+    free_cols = [c for c in range(reduced.cols) if c not in pivot_cols]
+    basis = []
+    for free in free_cols:
+        vec = [_ZERO] * reduced.cols
+        vec[free] = _ONE
+        for row_idx, pc in enumerate(pivot_cols):
+            vec[pc] = -reduced.at(row_idx, free)
+        basis.append(tuple(vec))
+    return basis
 
 
 def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
@@ -175,16 +206,40 @@ def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
     primitive integers (positive scale factor, so the free-column entry
     stays +).
     """
-    reduced, pivot_cols, rk = rref(m)
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vec = [_ZERO] * m.cols
-        vec[free] = _ONE
-        for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -reduced.at(row_idx, free)
-        basis.append(_primitive(vec))
-    return basis
+    reduced, pivot_cols, _ = rref(m)
+    return [_primitive(vec) for vec in free_kernel(reduced, pivot_cols)]
+
+
+def solve_many(a: QMatrix, bs) -> list[tuple[Fraction, ...]]:
+    """Exact solutions of a x = b for every b in bs, free variables pinned
+    to zero, from one elimination of [a | b1 ... bk].
+
+    Raises NoSolutionError when some b is outside the column space of a.
+    """
+    bs = [[_as_rational(v) for v in b] for b in bs]
+    for b in bs:
+        if len(b) != a.rows:
+            raise ValueError(f"right-hand side length {len(b)} != rows {a.rows}")
+    if a.rows == 0:
+        return [(_ZERO,) * a.cols for _ in bs]
+    k = len(bs)
+    flat = tuple(
+        v for i in range(a.rows) for v in (*a.row(i), *(b[i] for b in bs))
+    )
+    reduced, pivot_cols, _ = rref(QMatrix(a.rows, a.cols + k, flat))
+    # The first rank(a) rows reduce a; every b is in the column space iff
+    # the rows below them are zero in its column.
+    a_pivots = [pc for pc in pivot_cols if pc < a.cols]
+    for i in range(len(a_pivots), a.rows):
+        if any(reduced.at(i, a.cols + j) for j in range(k)):
+            raise NoSolutionError("right-hand side is outside the column space")
+    solutions = []
+    for j in range(k):
+        x = [_ZERO] * a.cols
+        for row_idx, pc in enumerate(a_pivots):
+            x[pc] = reduced.at(row_idx, a.cols + j)
+        solutions.append(tuple(x))
+    return solutions
 
 
 def solve(a: QMatrix, b) -> tuple[Fraction, ...]:
@@ -192,21 +247,7 @@ def solve(a: QMatrix, b) -> tuple[Fraction, ...]:
 
     Raises NoSolutionError when b is outside the column space of a.
     """
-    bb = [_as_rational(v) for v in b]
-    if len(bb) != a.rows:
-        raise ValueError(f"right-hand side length {len(bb)} != rows {a.rows}")
-    if a.rows == 0:
-        return (_ZERO,) * a.cols
-    augmented = QMatrix.from_rows(
-        [list(a.row(i)) + [bb[i]] for i in range(a.rows)]
-    )
-    reduced, pivot_cols, rk = rref(augmented)
-    if a.cols in pivot_cols:
-        raise NoSolutionError("right-hand side is outside the column space")
-    x = [_ZERO] * a.cols
-    for row_idx, pc in enumerate(pivot_cols):
-        x[pc] = reduced.at(row_idx, a.cols)
-    return tuple(x)
+    return solve_many(a, [b])[0]
 
 
 def invert(m: QMatrix) -> QMatrix:
@@ -216,13 +257,13 @@ def invert(m: QMatrix) -> QMatrix:
     n = m.rows
     if n == 0:
         return m
-    augmented = QMatrix.from_rows(
-        [list(m.row(i)) + [(_ONE if i == j else _ZERO) for j in range(n)] for i in range(n)]
+    flat = tuple(
+        v for i in range(n) for v in (*m.row(i), *(_ONE if i == j else _ZERO for j in range(n)))
     )
-    reduced, pivot_cols, rk = rref(augmented)
+    reduced, pivot_cols, _ = rref(QMatrix(n, 2 * n, flat))
     # [m | I] always has full row rank; m is invertible iff the first n
     # pivots land in the left block.
-    if pivot_cols[:n] != tuple(range(n)):
-        raise SingularMatrixError(f"matrix of rank {rank(m)} < {n} has no inverse")
-    flat = tuple(reduced.at(i, n + j) for i in range(n) for j in range(n))
-    return QMatrix(n, n, flat)
+    if pivot_cols != tuple(range(n)):
+        rk = sum(1 for pc in pivot_cols if pc < n)
+        raise SingularMatrixError(f"matrix of rank {rk} < {n} has no inverse")
+    return QMatrix(n, n, tuple(reduced.at(i, n + j) for i in range(n) for j in range(n)))

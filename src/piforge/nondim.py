@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .core import Quantity, coordinate, qty_combine
+from .core import Quantity, coordinate, format_magnitude, qty_combine
 from .errors import (
     DimensionMismatchError,
     InconsistentReferenceError,
@@ -84,7 +84,7 @@ def strip_units(s: Sequence[Quantity], xs: Sequence[Quantity], tol: float = DEFA
     report = is_consistent(s, tol=tol)
     if not report.consistent:
         raise InconsistentUnitsError(
-            f"unit list clashes by factor {report.witness.clash_factor:.15g}"
+            f"unit list clashes by factor {format_magnitude(report.witness.log_clash_factor)}"
         )
     if len(s) != len(xs):
         raise DimensionMismatchError(f"{len(xs)} values for {len(s)} units")
@@ -128,7 +128,7 @@ def _check_reference(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float):
     report = is_consistent(list(ref), tol=tol)
     if not report.consistent:
         raise InconsistentReferenceError(
-            f"reference list clashes by factor {report.witness.clash_factor:.15g}"
+            f"reference list clashes by factor {format_magnitude(report.witness.log_clash_factor)}"
         )
 
 

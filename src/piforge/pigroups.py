@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .core import DimVector, Monomial, dim_combine, dimension_matrix
 from .errors import NotABasisError
-from .exactlin import QMatrix, invert, kernel_basis, rref, solve
+from .exactlin import QMatrix, free_kernel, invert, kernel_basis, rref, solve_many
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -107,27 +107,17 @@ def pi_basis(dims) -> PiBasis:
 def special_basis(dims) -> SpecialPiBasis:
     """The special basis over the first maximal independent subfamily of dims.
 
-    Pivot slots are the RREF pivot columns of the dimension matrix; the group
-    for each free slot l puts coefficient 1 at l and solves the pivot
-    exponents exactly so the combination is dimensionless.
+    Pivot slots are the RREF pivot columns of the dimension matrix. The group
+    for free slot l is the unscaled free-variable kernel vector of that one
+    RREF: coefficient 1 at l, minus the RREF entry in column l at each pivot
+    slot, which are the exact pivot exponents that make the combination
+    dimensionless.
     """
     dims = tuple(dims)
-    matrix = _dimension_matrix_of(dims)
-    _, pivot_cols, _ = rref(matrix)
+    reduced, pivot_cols, _ = rref(_dimension_matrix_of(dims))
     free_cols = tuple(i for i in range(len(dims)) if i not in pivot_cols)
-    pivot_matrix = QMatrix.from_rows(
-        [[matrix.at(i, j) for j in pivot_cols] for i in range(matrix.rows)]
-    )
-    groups = []
-    for free in free_cols:
-        # w_free = product of pivot dims^lambda; the group divides x_free by it.
-        lambdas = solve(pivot_matrix, matrix.col(free))
-        coeffs = [_ZERO] * len(dims)
-        coeffs[free] = _ONE
-        for pc, lam in zip(pivot_cols, lambdas):
-            coeffs[pc] = -lam
-        groups.append(Monomial(tuple(coeffs)))
-    base = PiBasis(dims=dims, groups=tuple(groups))
+    groups = tuple(Monomial(vec) for vec in free_kernel(reduced, pivot_cols))
+    base = PiBasis(dims=dims, groups=groups)
     return SpecialPiBasis(base=base, pivot_indices=pivot_cols, free_indices=free_cols)
 
 
@@ -143,27 +133,17 @@ def transition(psi: PiBasis, pi: PiBasis) -> Transition:
     if r == 0:
         identity = QMatrix.identity(0)
         return Transition(matrix=identity, inverse=identity)
-    # Columns are psi's exponent vectors; solving against each pi group is
-    # exact because both span the same kernel.
+    # Columns are psi's exponent vectors; solving against all pi groups at
+    # once is exact because both span the same kernel.
     columns = _exponent_matrix(psi.groups).transpose()
-    rows = [list(solve(columns, pi.groups[i].exponents)) for i in range(r)]
-    matrix = QMatrix.from_rows(rows)
+    matrix = QMatrix.from_rows(solve_many(columns, [g.exponents for g in pi.groups]))
     return Transition(matrix=matrix, inverse=invert(matrix))
 
 
 def is_pi_basis(candidate, dims) -> bool:
     """True iff the candidate groups form a basis of the annihilator space."""
-    dims = tuple(dims)
-    candidate = tuple(candidate)
-    n = len(dims)
-    if any(g.arity != n for g in candidate):
+    try:
+        PiBasis(dims=tuple(dims), groups=tuple(candidate))
+    except NotABasisError:
         return False
-    matrix = _dimension_matrix_of(dims)
-    expected_r = n - rref(matrix)[2]
-    if len(candidate) != expected_r:
-        return False
-    if any(not dim_combine(g, dims).is_zero() for g in candidate):
-        return False
-    if not candidate:
-        return True
-    return rref(_exponent_matrix(candidate))[2] == len(candidate)
+    return True

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsl
-from .core import DimSystem, Monomial, Quantity, dimension_matrix, qty_combine
+from .core import DimSystem, Monomial, Quantity, dimension_matrix, format_magnitude, qty_combine
 from .errors import (
     DependentBaseError,
     EmptyListError,
@@ -33,10 +33,23 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ClashWitness:
-    """A product of powers of the units that is dimensionless but not 1."""
+    """A product of powers of the units that is dimensionless but not 1.
+
+    The factor it comes to is kept as its natural log, which stays finite
+    where the factor itself lies beyond the float range; print it with
+    `format_magnitude(log_clash_factor)`.
+    """
 
     combo: Monomial
-    clash_factor: float
+    log_clash_factor: float
+
+    @property
+    def clash_factor(self) -> float:
+        """The factor as a float: inf or 0.0 beyond the float range."""
+        try:
+            return math.exp(self.log_clash_factor)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -113,7 +126,7 @@ def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
         combo = Monomial(vec)
         value = qty_combine(combo, units)
         if abs(value.log_magnitude) > tol:
-            witness = ClashWitness(combo, math.exp(value.log_magnitude))
+            witness = ClashWitness(combo, value.log_magnitude)
             return ConsistencyReport(consistent=False, witness=witness)
     return ConsistencyReport(consistent=True, witness=None)
 
@@ -129,7 +142,7 @@ def fundamental_basis(units, tol: float = DEFAULT_TOL) -> list[Quantity]:
     report = is_consistent(units, tol=tol)
     if not report.consistent:
         raise InconsistentUnitsError(
-            f"unit list clashes by factor {report.witness.clash_factor:.15g}"
+            f"unit list clashes by factor {format_magnitude(report.witness.log_clash_factor)}"
         )
     system = units[0].dim.system
     matrix = dimension_matrix(system, [u.dim for u in units])
@@ -168,7 +181,7 @@ def express(base, targets, tol: float = DEFAULT_TOL) -> list[Monomial]:
             raise NoSolutionError(
                 "no base combination reaches the target: the unique dimension-matched "
                 f"combination differs in magnitude by factor "
-                f"{math.exp(reproduced.log_magnitude - target.log_magnitude):.15g}"
+                f"{format_magnitude(reproduced.log_magnitude - target.log_magnitude)}"
             )
         results.append(combo)
     return results

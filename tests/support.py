@@ -10,7 +10,8 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from piforge.core import DimSystem, DimVector, Quantity
+from piforge.core import DimSystem, DimVector, Quantity, dimension_matrix
+from piforge.errors import NoSolutionError, SingularMatrixError
 from piforge.exactlin import QMatrix, rref
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -43,6 +44,44 @@ def random_dims(rng: random.Random, max_n=8, max_d=4, lo=-3, hi=3, min_n=1):
     return system, dims
 
 
+def random_rational_dims(rng: random.Random, d: int, n: int):
+    """A d-fundamental system and n dimensions with rational exponents.
+
+    Some fundamentals go unused (zero rows of the dimension matrix) and some
+    variables are dimensionless (zero columns), about half of the remaining
+    entries are zero, and the rest are p/q with |p| <= 3 and q in 1..3.
+    """
+    system = DimSystem(tuple(f"D{i}" for i in range(d)))
+    unused = {i for i in range(d) if rng.random() < 0.15}
+    dims = []
+    for _ in range(n):
+        dimensionless = rng.random() < 0.1
+        exps = tuple(
+            Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+            if not dimensionless and i not in unused and rng.random() < 0.5
+            else Fraction(0)
+            for i in range(d)
+        )
+        dims.append(DimVector(system, exps))
+    return system, tuple(dims)
+
+
+def seeded_systems(count: int = 500, seed: int = 2024):
+    """`count` seeded rational systems for the Fraction-reference checks: the
+    first of the 10x48 shape, every 50th after it 7x24, the rest up to 5x12
+    (so r = 0 occurs among them). One Fraction transition at 10x48 costs
+    seconds, so the large shapes are few."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i == 0:
+            d, n = 10, 48
+        elif i % 50 == 0:
+            d, n = 7, 24
+        else:
+            d, n = rng.randint(1, 5), rng.randint(1, 12)
+        yield random_rational_dims(rng, d, n)
+
+
 def random_quantities(rng: random.Random, dims, lo=1e-3, hi=1e3):
     import math
 
@@ -62,6 +101,107 @@ def random_invertible(rng: random.Random, n: int, lo=-2, hi=2) -> QMatrix:
         m = random_matrix(rng, n, n, lo, hi)
         if rref(m)[2] == n:
             return m
+
+
+# --- Fraction references ---------------------------------------------------
+#
+# The straightforward Fraction versions of the exact algebra: Gauss-Jordan on
+# Fraction rows, one solve per right-hand side. The library's integer-row
+# elimination and single-elimination builders must agree with them entry for
+# entry.
+
+
+def reference_rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
+    """Fraction Gauss-Jordan elimination, first nonzero entry as pivot."""
+    work = m.to_rows()
+    nrows, ncols = m.rows, m.cols
+    pivot_cols: list[int] = []
+    piv_row = 0
+    for col in range(ncols):
+        if piv_row >= nrows:
+            break
+        sel = None
+        for r in range(piv_row, nrows):
+            if work[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        if sel != piv_row:
+            work[piv_row], work[sel] = work[sel], work[piv_row]
+        pivot = work[piv_row][col]
+        if pivot != 1:
+            work[piv_row] = [v / pivot for v in work[piv_row]]
+        for r in range(nrows):
+            if r == piv_row:
+                continue
+            factor = work[r][col]
+            if factor != 0:
+                work[r] = [a - factor * b for a, b in zip(work[r], work[piv_row])]
+        pivot_cols.append(col)
+        piv_row += 1
+    reduced = QMatrix.from_rows(work) if nrows else QMatrix.zero(0, ncols)
+    return reduced, tuple(pivot_cols), len(pivot_cols)
+
+
+def reference_solve(a: QMatrix, b) -> tuple[Fraction, ...]:
+    """a x = b by one Fraction elimination of [a | b], free variables at 0."""
+    if a.rows == 0:
+        return (Fraction(0),) * a.cols
+    augmented = QMatrix.from_rows([list(a.row(i)) + [b[i]] for i in range(a.rows)])
+    reduced, pivot_cols, _ = reference_rref(augmented)
+    if a.cols in pivot_cols:
+        raise NoSolutionError("right-hand side is outside the column space")
+    x = [Fraction(0)] * a.cols
+    for row_idx, pc in enumerate(pivot_cols):
+        x[pc] = reduced.at(row_idx, a.cols)
+    return tuple(x)
+
+
+def reference_invert(m: QMatrix) -> QMatrix:
+    """Inverse by Fraction elimination of [m | I]."""
+    n = m.rows
+    if n == 0:
+        return m
+    augmented = QMatrix.from_rows(
+        [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    )
+    reduced, pivot_cols, _ = reference_rref(augmented)
+    if pivot_cols[:n] != tuple(range(n)):
+        raise SingularMatrixError("singular")
+    return QMatrix.from_rows([[reduced.at(i, n + j) for j in range(n)] for i in range(n)])
+
+
+def reference_special_basis(dims):
+    """(pivot_cols, free_cols, groups) with one solve per free column: the
+    group for free slot l is x_l divided by the pivot combination of w_l."""
+    matrix = dimension_matrix(dims[0].system, dims)
+    _, pivot_cols, _ = reference_rref(matrix)
+    free_cols = tuple(i for i in range(len(dims)) if i not in pivot_cols)
+    pivot_matrix = QMatrix.from_rows(
+        [[matrix.at(i, j) for j in pivot_cols] for i in range(matrix.rows)]
+    )
+    groups = []
+    for free in free_cols:
+        lambdas = reference_solve(pivot_matrix, matrix.col(free))
+        coeffs = [Fraction(0)] * len(dims)
+        coeffs[free] = Fraction(1)
+        for pc, lam in zip(pivot_cols, lambdas):
+            coeffs[pc] = -lam
+        groups.append(tuple(coeffs))
+    return pivot_cols, free_cols, tuple(groups)
+
+
+def reference_transition(psi_groups, pi_groups) -> tuple[QMatrix, QMatrix]:
+    """(matrix, inverse) with one solve per target group: row i holds the
+    coefficients of pi_groups[i] over psi_groups."""
+    if not psi_groups:
+        return QMatrix.identity(0), QMatrix.identity(0)
+    columns = QMatrix.from_rows([list(g.exponents) for g in psi_groups]).transpose()
+    matrix = QMatrix.from_rows(
+        [list(reference_solve(columns, g.exponents)) for g in pi_groups]
+    )
+    return matrix, reference_invert(matrix)
 
 
 def apply_change_of_basis(matrix: QMatrix, groups):

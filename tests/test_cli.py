@@ -65,6 +65,41 @@ class TestExitCodes:
         proc = run_cli("pi", "--spec", "fixtures/mass_spring.json", "--tol", "-1")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # hidden_constant is violated: a tolerance that let it pass would be unsound
+        proc = run_cli("verify", "--spec", "fixtures/hidden_constant.json", "--tol", tol)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"--tol" in proc.stderr
+
+
+class TestClashBeyondFloatRange:
+    @pytest.fixture
+    def wide_registry(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "system": ["L"],
+            "units": {
+                "a": {"magnitude": "1e-200", "dim": "L"},
+                "b": {"magnitude": "1e200", "dim": "L"},
+            },
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "names,factor",
+        [(("a", "b"), "1e+400"), (("b", "a"), "1e-400")],
+    )
+    def test_factor_printed_from_its_log(self, wide_registry, names, factor):
+        proc = run_cli("consistent", *names, "--registry", wide_registry)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+        assert proc.stdout == f"clash: {names[0]}^-1 * {names[1]} = {factor}\n".encode()
+        proc = run_cli("consistent", *names, "--registry", wide_registry, "--json")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["witness"]["clash_factor"] == factor
+
 
 class TestEquivCommand:
     def test_identical_bindings(self):

@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from piforge.core import dimension_matrix
 from piforge.errors import NoSolutionError, SingularMatrixError
-from piforge.exactlin import QMatrix, invert, kernel_basis, rank, rref, solve
+from piforge.exactlin import QMatrix, invert, kernel_basis, rank, rref, solve, solve_many
 
-from support import random_matrix
+from support import (
+    random_matrix,
+    reference_invert,
+    reference_rref,
+    reference_solve,
+    seeded_systems,
+)
 
 
 def F(*args):
@@ -143,3 +150,75 @@ class TestInvert:
             else:
                 with pytest.raises(SingularMatrixError):
                     invert(m)
+
+
+class TestSolveMany:
+    def test_zero_rows(self):
+        assert solve(QMatrix.zero(0, 3), []) == (F(0), F(0), F(0))
+        assert solve_many(QMatrix.zero(0, 2), [[], []]) == [(F(0), F(0))] * 2
+
+    def test_one_inconsistent_right_hand_side_fails_the_call(self):
+        m = QMatrix.from_rows([[1, 1], [2, 2], [0, 1]])
+        assert solve_many(m, [[1, 2, 0], [2, 4, 1]]) == [(F(1), F(0)), (F(1), F(1))]
+        with pytest.raises(NoSolutionError):
+            solve_many(m, [[1, 2, 0], [1, 1, 0]])
+        # dependent inconsistent right-hand sides share one pivot column
+        with pytest.raises(NoSolutionError):
+            solve_many(m, [[1, 1, 0], [2, 2, 0]])
+
+    def test_rhs_length_checked(self):
+        with pytest.raises(ValueError):
+            solve_many(QMatrix.identity(2), [[1, 2], [1]])
+
+    def test_equals_one_solve_per_right_hand_side(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+            bs = [
+                m.mul_vec([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.cols)])
+                for _ in range(rng.randint(0, 4))
+            ]
+            assert solve_many(m, bs) == [reference_solve(m, b) for b in bs]
+
+
+class TestFractionReference:
+    """The integer-row elimination against Fraction Gauss-Jordan."""
+
+    def test_rref_matches_on_seeded_systems(self):
+        for system, dims in seeded_systems():
+            m = dimension_matrix(system, dims)
+            for matrix in (m, m.transpose()):
+                got = rref(matrix)
+                assert got == reference_rref(matrix)
+                assert all(type(v) is Fraction for v in got[0].entries)
+
+    def test_rref_of_empty_shapes(self):
+        for rows, cols in ((0, 0), (0, 3), (3, 0)):
+            m = QMatrix.zero(rows, cols)
+            assert rref(m) == reference_rref(m)
+
+    def test_solve_and_invert_match_on_rational_matrices(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            m = QMatrix.from_rows(
+                [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+            )
+            b = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+            try:
+                expected = reference_solve(m, b)
+            except NoSolutionError:
+                with pytest.raises(NoSolutionError):
+                    solve(m, b)
+            else:
+                assert solve(m, b) == expected
+            try:
+                expected_inverse = reference_invert(m)
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError):
+                    invert(m)
+            else:
+                assert invert(m) == expected_inverse
+
+    def test_invert_empty(self):
+        assert invert(QMatrix.identity(0)) == QMatrix.identity(0)

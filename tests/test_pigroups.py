@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from piforge import exactlin, pigroups
 from piforge.core import DimSystem, DimVector, Monomial, dim_combine, dimension_matrix
 from piforge.errors import NotABasisError
 from piforge.exactlin import QMatrix, rref
@@ -20,6 +21,9 @@ from support import (
     mass_spring_dims,
     random_dims,
     random_invertible,
+    reference_special_basis,
+    reference_transition,
+    seeded_systems,
 )
 
 
@@ -206,3 +210,83 @@ class TestIsPiBasis:
     def test_wrong_arity_rejected(self):
         _, dims = mass_spring_dims()
         assert not is_pi_basis([Monomial.of(-1, 1)], dims)
+
+    def test_empty_dims_is_not_a_basis(self):
+        assert not is_pi_basis([], [])
+
+
+class TestFractionReference:
+    """The single-elimination builders against one Fraction solve per
+    column (special_basis) and per target group (transition)."""
+
+    def test_special_basis_matches_per_column_solve(self):
+        rs = set()
+        for _, dims in seeded_systems():
+            sb = special_basis(dims)
+            pivots, free, groups = reference_special_basis(dims)
+            assert (sb.pivot_indices, sb.free_indices) == (pivots, free)
+            assert tuple(g.exponents for g in sb.base.groups) == groups
+            rs.add(len(groups))
+        assert 0 in rs and max(rs) >= 30
+
+    def test_transition_matches_per_group_solve(self):
+        rng = random.Random(29)
+        for _, dims in seeded_systems():
+            canonical = pi_basis(dims)
+            pairs = [(canonical, special_basis(dims).base)]
+            if 0 < canonical.r <= 6:
+                changed = _apply_change(random_invertible(rng, canonical.r), canonical.groups)
+                pairs.append((canonical, PiBasis(dims=dims, groups=changed)))
+            for psi, pi in pairs:
+                t = transition(psi, pi)
+                assert (t.matrix, t.inverse) == reference_transition(psi.groups, pi.groups)
+
+
+def _ladder_dims(rng, d, n):
+    """The benchmark ladder's problem shape: exponents from -2, -1, 1, 2 at
+    density 1/2, every variable with some dimension."""
+    system = DimSystem(tuple(f"D{i}" for i in range(d)))
+    dims = []
+    while len(dims) < n:
+        exps = tuple(
+            Fraction(rng.choice((-2, -1, 1, 2))) if rng.random() < 0.5 else Fraction(0)
+            for _ in range(d)
+        )
+        if any(exps):
+            dims.append(DimVector(system, exps))
+    return tuple(dims)
+
+
+class TestEliminationCount:
+    """Deterministic guard on the number of eliminations per call."""
+
+    @pytest.fixture
+    def rref_calls(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append((m.rows, m.cols))
+            return rref(m)
+
+        monkeypatch.setattr(exactlin, "rref", counting)
+        monkeypatch.setattr(pigroups, "rref", counting)
+        return calls
+
+    def test_special_basis_eliminates_once_besides_validation(self, rref_calls):
+        dims = _ladder_dims(random.Random(31), 10, 48)
+        sb = special_basis(dims)
+        built = len(rref_calls)
+        PiBasis(dims=dims, groups=sb.base.groups)
+        validation = len(rref_calls) - built
+        assert built - validation == 1
+
+    def test_transition_eliminates_at_most_twice(self, rref_calls):
+        rng = random.Random(37)
+        for d, n in ((10, 48), (7, 24), (4, 12), (3, 6), (3, 3)):
+            dims = _ladder_dims(rng, d, n)
+            canonical = pi_basis(dims)
+            special = special_basis(dims).base
+            for psi, pi in ((canonical, special), (special, canonical)):
+                del rref_calls[:]
+                transition(psi, pi)
+                assert len(rref_calls) <= 2, (d, n, canonical.r)

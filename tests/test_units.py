@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from piforge.core import DimSystem, DimVector, Monomial, Quantity, dimension_matrix, qty_combine
+from piforge.core import (
+    DimSystem,
+    DimVector,
+    Monomial,
+    Quantity,
+    dimension_matrix,
+    format_magnitude,
+    qty_combine,
+)
 from piforge.errors import (
     DependentBaseError,
     EmptyListError,
@@ -90,6 +98,44 @@ class TestIsConsistent:
                 combo = Monomial(tuple(Fraction(rng.randint(-2, 2)) for _ in base))
                 units.append(qty_combine(combo, base))
             assert is_consistent(units).consistent
+
+
+class TestClashBeyondFloatRange:
+    """A clash factor outside the float range stays exact in log space."""
+
+    @pytest.fixture
+    def wide(self):
+        return UnitRegistry.from_dict({
+            "system": ["L"],
+            "units": {
+                "a": {"magnitude": "1e-200", "dim": "L"},
+                "b": {"magnitude": "1e200", "dim": "L"},
+            },
+        })
+
+    @pytest.mark.parametrize("names,sign,text", [(("a", "b"), 1, "1e+400"), (("b", "a"), -1, "1e-400")])
+    def test_witness_keeps_the_log(self, wide, names, sign, text):
+        report = is_consistent([wide.quantity(n) for n in names])
+        assert not report.consistent
+        witness = report.witness
+        assert witness.combo.exponents == (Fraction(-1), Fraction(1))
+        assert witness.log_clash_factor == pytest.approx(sign * 400 * math.log(10), rel=1e-12)
+        assert witness.clash_factor == (math.inf if sign > 0 else 0.0)
+        assert format_magnitude(witness.log_clash_factor) == text
+
+    def test_express_mismatch_beyond_float_range_is_no_solution(self, wide):
+        with pytest.raises(NoSolutionError, match=r"1e\+400"):
+            express([wide.quantity("b")], [wide.quantity("a")])
+
+    def test_fundamental_basis_error_names_the_factor(self, wide):
+        with pytest.raises(InconsistentUnitsError, match=r"1e\+400"):
+            fundamental_basis([wide.quantity("a"), wide.quantity("b")])
+
+    def test_format_matches_float_format_in_range(self):
+        rng = random.Random(59)
+        for _ in range(500):
+            log = rng.uniform(-700, 700)
+            assert format_magnitude(log) == format(math.exp(log), ".15g")
 
 
 def _units_for(rng, system, dims, clash: bool):
