@@ -19,35 +19,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dsl, harness, nondim, pigroups, units
-from .core import DimSystem, DimVector, Quantity, format_magnitude
-from .errors import DimensionError, ParseError, PiforgeError, SpecError
+from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity, format_magnitude, monomial_text
+from .errors import DimensionError, ParseError, PiforgeError
 
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 0
-DEFAULT_TOL = 1e-9
 REGISTRY_ENV = "PIFORGE_REGISTRY"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")
-
-
-def _rat(q: Fraction) -> str:
-    return str(q)
-
-
-def _monomial(names, exponents) -> str:
-    parts = []
-    for name, c in zip(names, exponents):
-        if c == 0:
-            continue
-        if c == 1:
-            parts.append(name)
-        elif c.denominator == 1:
-            parts.append(f"{name}^{c}")
-        else:
-            parts.append(f"{name}^({c})")
-    return " * ".join(parts) if parts else "1"
 
 
 def _emit_json(obj) -> None:
@@ -97,8 +74,10 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> dict[str, Quantity]
             raise ParseError(f"bindings {path}: missing variable {name!r}")
         value = raw[name]
         if isinstance(value, (int, float)):
-            if value <= 0:
-                raise ParseError(f"bindings {path}: {name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ParseError(
+                    f"bindings {path}: {name} must be finite and positive, got {value}"
+                )
             out[name] = Quantity(math.log(value), dim)
         elif isinstance(value, str):
             if registry is None:
@@ -136,12 +115,12 @@ def cmd_pi(args) -> int:
                 "m": m,
                 "r": r,
                 "variables": list(names),
-                "canonical": [[_rat(c) for c in g.exponents] for g in basis.groups],
+                "canonical": [[str(c) for c in g.exponents] for g in basis.groups],
                 "special": {
                     "pivot_indices": list(special.pivot_indices),
                     "free_indices": list(special.free_indices),
                     "groups": [
-                        [_rat(c) for c in g.exponents] for g in special.base.groups
+                        [str(c) for c in g.exponents] for g in special.base.groups
                     ],
                 },
             }
@@ -153,12 +132,12 @@ def cmd_pi(args) -> int:
     print(f"n = {n}, m = {m}, r = {r}")
     print("canonical pi basis:")
     for i, g in enumerate(basis.groups, start=1):
-        print(f"  pi_{i} = {_monomial(names, g.exponents)}")
+        print(f"  pi_{i} = {monomial_text(names, g.exponents, ' * ')}")
     pivots = ", ".join(names[i] for i in special.pivot_indices)
     free = ", ".join(names[i] for i in special.free_indices)
     print(f"special pi basis (pivots: {pivots}; free: {free}):")
     for i, g in enumerate(special.base.groups, start=1):
-        print(f"  psi_{i} = {_monomial(names, g.exponents)}")
+        print(f"  psi_{i} = {monomial_text(names, g.exponents, ' * ')}")
     return 0
 
 
@@ -177,7 +156,7 @@ def cmd_consistent(args) -> int:
                 "witness": None
                 if witness is None
                 else {
-                    "exponents": [_rat(c) for c in witness.combo.exponents],
+                    "exponents": [str(c) for c in witness.combo.exponents],
                     "clash_factor": format_magnitude(witness.log_clash_factor),
                 },
             }
@@ -185,7 +164,7 @@ def cmd_consistent(args) -> int:
     elif report.consistent:
         print(f"consistent: {' '.join(args.units)}")
     else:
-        combo = _monomial(args.units, report.witness.combo.exponents)
+        combo = monomial_text(args.units, report.witness.combo.exponents, " * ")
         print(f"clash: {combo} = {format_magnitude(report.witness.log_clash_factor)}")
     return 0 if report.consistent else 1
 
@@ -193,19 +172,20 @@ def cmd_consistent(args) -> int:
 def cmd_verify(args) -> int:
     spec = dsl.load_problem_spec(args.spec)
     report = harness.fuzz_invariance(spec, trials=args.trials, seed=args.seed, tol=args.tol)
+    payload = harness.report_to_dict(report)
     if args.json:
-        _emit_json(harness.report_to_dict(report, float_fmt=_fmt))
+        _emit_json(payload)
     else:
-        print(f"trials: {report.trials}, passed: {report.passed}")
-        ce = report.counterexample
+        print(f"trials: {payload['trials']}, passed: {payload['passed']}")
+        ce = payload["counterexample"]
         if ce is None:
             print("no violation found (passes are evidence of invariance, not proof)")
         else:
-            print(f"counterexample at trial {ce.trial_index}:")
-            print("  bindings: " + ", ".join(f"{k} = {_fmt(v)}" for k, v in ce.bindings.items()))
-            print("  factors: " + ", ".join(f"{k} = {_fmt(v)}" for k, v in ce.factors.items()))
-            before = "TRUE" if ce.before else "FALSE"
-            after = "TRUE" if ce.after else "FALSE"
+            print(f"counterexample at trial {report.counterexample.trial_index}:")
+            print("  bindings: " + ", ".join(f"{k} = {v}" for k, v in ce["bindings"].items()))
+            print("  factors: " + ", ".join(f"{k} = {v}" for k, v in ce["factors"].items()))
+            before = "TRUE" if ce["before"] else "FALSE"
+            after = "TRUE" if ce["after"] else "FALSE"
             print(f"  before: {before}, after: {after}")
     return 0 if report.counterexample is None else 1
 
@@ -227,8 +207,8 @@ def cmd_equiv(args) -> int:
                 "equivalent": verdict.equivalent,
                 "reason": verdict.reason.value,
                 "mismatch_index": verdict.mismatch_index,
-                "pi_values_a": [_fmt(v) for v in pa.values],
-                "pi_values_b": None if pb is None else [_fmt(v) for v in pb.values],
+                "pi_values_a": [format_magnitude(v) for v in pa.log_values],
+                "pi_values_b": None if pb is None else [format_magnitude(v) for v in pb.log_values],
             }
         )
     elif verdict.equivalent:
@@ -239,7 +219,7 @@ def cmd_equiv(args) -> int:
         i = verdict.mismatch_index
         print(
             f"not equivalent: pi group {i} differs "
-            f"({_fmt(pa.values[i])} vs {_fmt(pb.values[i])})"
+            f"({format_magnitude(pa.log_values[i])} vs {format_magnitude(pb.log_values[i])})"
         )
     return 0 if verdict.equivalent else 1
 
@@ -257,20 +237,21 @@ def cmd_nondim(args) -> int:
     if args.json:
         _emit_json(
             {
-                "pi_values": [_fmt(v) for v in values.values],
+                "pi_values": [format_magnitude(v) for v in values.log_values],
                 "canonical_representative": {
-                    name: _fmt(q.magnitude) for name, q in zip(spec.variable_names, rep)
+                    name: format_magnitude(q.log_magnitude)
+                    for name, q in zip(spec.variable_names, rep)
                 },
             }
         )
     else:
         if values.log_values:
-            print("pi values: " + ", ".join(_fmt(v) for v in values.values))
+            print("pi values: " + ", ".join(format_magnitude(v) for v in values.log_values))
         else:
             print("pi values: none (r = 0)")
         print("canonical representative (pivot slots at reference):")
         for name, q in zip(spec.variable_names, rep):
-            print(f"  {name} = {_fmt(q.magnitude)}")
+            print(f"  {name} = {format_magnitude(q.log_magnitude)}")
     return 0
 
 
@@ -355,13 +336,17 @@ def main(argv=None) -> int:
     if not (math.isfinite(tol) and tol > 0):
         print("error: --tol must be a finite number greater than 0", file=sys.stderr)
         return 2
+    if getattr(args, "trials", DEFAULT_TRIALS) < 1:
+        print("error: --trials must be at least 1", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
-    except (SpecError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PiforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # 1 is a verdict; a failure the library did not foresee is not one
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -24,7 +24,9 @@ from .errors import (
     DimensionMismatchError,
     SystemMismatchError,
 )
-from .exactlin import QMatrix
+from .exactlin import QMatrix, as_rational
+
+DEFAULT_TOL = 1e-9
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -55,12 +57,19 @@ class DimSystem:
             raise KeyError(f"unknown fundamental {name!r}") from None
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"dimension exponents must be exact rationals, got {type(value).__name__}")
+def monomial_text(names, exponents, sep: str) -> str:
+    """name^e factors joined by sep, zero exponents left out, "1" if none."""
+    parts = []
+    for name, e in zip(names, exponents):
+        if e == 0:
+            continue
+        if e == 1:
+            parts.append(name)
+        elif e.denominator == 1:
+            parts.append(f"{name}^{e}")
+        else:
+            parts.append(f"{name}^({e})")
+    return sep.join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,7 @@ class DimVector:
     def of(cls, system: DimSystem, **exponents) -> "DimVector":
         vec = [_ZERO] * system.size
         for name, value in exponents.items():
-            vec[system.axis(name)] = _as_fraction(value)
+            vec[system.axis(name)] = as_rational(value)
         return cls(system, tuple(vec))
 
     def _check_system(self, other: "DimVector"):
@@ -107,24 +116,14 @@ class DimVector:
         return DimVector(self.system, tuple(a - b for a, b in zip(self.exponents, other.exponents)))
 
     def __pow__(self, exponent) -> "DimVector":
-        e = _as_fraction(exponent)
+        e = as_rational(exponent)
         return DimVector(self.system, tuple(a * e for a in self.exponents))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
     def __str__(self) -> str:
-        parts = []
-        for name, e in zip(self.system.names, self.exponents):
-            if e == 0:
-                continue
-            if e == 1:
-                parts.append(name)
-            elif e.denominator == 1:
-                parts.append(f"{name}^{e}")
-            else:
-                parts.append(f"{name}^({e})")
-        return "*".join(parts) if parts else "1"
+        return monomial_text(self.system.names, self.exponents, "*")
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ class Quantity:
     def magnitude(self) -> float:
         return math.exp(self.log_magnitude)
 
-    def close_to(self, other: "Quantity", tol: float = 1e-9) -> bool:
+    def close_to(self, other: "Quantity", tol: float = DEFAULT_TOL) -> bool:
         """Equal dimension and log magnitudes within an absolute tolerance.
 
         Dimensions compare exactly; only the magnitude side is tolerant
@@ -168,11 +167,11 @@ class Quantity:
         return Quantity(self.log_magnitude - other.log_magnitude, self.dim / other.dim)
 
     def __pow__(self, exponent) -> "Quantity":
-        e = _as_fraction(exponent)
+        e = as_rational(exponent)
         return Quantity(self.log_magnitude * float(e), self.dim**e)
 
     def __str__(self) -> str:
-        return f"{self.magnitude:.15g} [{self.dim}]"
+        return f"{format_magnitude(self.log_magnitude)} [{self.dim}]"
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ class Monomial:
 
     @classmethod
     def of(cls, *exponents) -> "Monomial":
-        return cls(tuple(_as_fraction(e) for e in exponents))
+        return cls(tuple(as_rational(e) for e in exponents))
 
     @classmethod
     def projection(cls, index: int, arity: int) -> "Monomial":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .core import DimSystem, DimVector, Quantity
+from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity
 from .errors import (
     DimensionError,
     EvaluationError,
@@ -34,8 +34,6 @@ from .errors import (
     SpecError,
     UnknownFundamentalError,
 )
-
-DEFAULT_TOL = 1e-9
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "is_pos_int")
 _DIMENSIONLESS_ONLY = ("exp", "log", "sin", "cos", "is_pos_int")
@@ -246,11 +244,6 @@ def _dim_term(ts: _TokenStream, system: DimSystem) -> DimVector:
         ts.next()
         vec = vec ** _parse_rational(ts)
     return vec
-
-
-def print_dimension(vec: DimVector) -> str:
-    """Normalized dimension text; parse(print(v)) == v."""
-    return str(vec)
 
 
 # --- quantity literals --------------------------------------------------
@@ -656,7 +649,6 @@ class ProblemSpec:
     variable_dims: tuple[DimVector, ...]
     relation: Node
     relation_text: str
-    registry_path: str | None = None
 
     @property
     def env(self) -> dict[str, DimVector]:
@@ -667,7 +659,7 @@ def load_problem_spec(path) -> ProblemSpec:
     """Load and parse a problem-spec JSON file.
 
     Schema: { "system": [names...], "variables": {name: dim-expr},
-              "relation": text, "registry": optional path }.
+              "relation": text }; other keys are ignored.
     Raises SpecError for anything unreadable or malformed.
     """
     try:
@@ -707,5 +699,4 @@ def problem_spec_from_dict(raw: dict, source: str = "<dict>") -> ProblemSpec:
         variable_dims=dims,
         relation=relation,
         relation_text=raw["relation"],
-        registry_path=raw.get("registry"),
     )

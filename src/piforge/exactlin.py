@@ -33,10 +33,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _as_rational(value) -> Fraction:
+def as_rational(value) -> Fraction:
+    """An int, a "p/q" string or a Fraction as a Fraction; floats are refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) or isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -61,7 +62,7 @@ class QMatrix:
     def from_rows(cls, rows) -> "QMatrix":
         """Build from an iterable of equal-length rows; entries may be int,
         str ("2/3"), or Fraction."""
-        materialized = [[_as_rational(v) for v in row] for row in rows]
+        materialized = [[as_rational(v) for v in row] for row in rows]
         nrows = len(materialized)
         ncols = len(materialized[0]) if materialized else 0
         if any(len(r) != ncols for r in materialized):
@@ -99,7 +100,7 @@ class QMatrix:
     def mul_vec(self, v) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        vv = [_as_rational(x) for x in v]
+        vv = [as_rational(x) for x in v]
         return tuple(
             sum((self.at(i, j) * vv[j] for j in range(self.cols)), _ZERO)
             for i in range(self.rows)
@@ -216,7 +217,7 @@ def solve_many(a: QMatrix, bs) -> list[tuple[Fraction, ...]]:
 
     Raises NoSolutionError when some b is outside the column space of a.
     """
-    bs = [[_as_rational(v) for v in b] for b in bs]
+    bs = [[as_rational(v) for v in b] for b in bs]
     for b in bs:
         if len(b) != a.rows:
             raise ValueError(f"right-hand side length {len(b)} != rows {a.rows}")

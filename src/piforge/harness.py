@@ -18,13 +18,10 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .core import DimSystem, Quantity, dimension_matrix
+from .core import DEFAULT_TOL, DimSystem, Quantity
 from .dsl import (
     BOOL,
     Compare,
-    DEFAULT_TOL,
     ProblemSpec,
     Var,
     evaluate,
@@ -37,7 +34,6 @@ from .errors import (
     EvaluationError,
     SpecError,
 )
-from .exactlin import rref
 
 _LOG_MAG_RANGE = (math.log(1e-3), math.log(1e3))
 _LOG_FACTOR_RANGE = (math.log(1e-2), math.log(1e2))
@@ -214,8 +210,12 @@ def _shrink(spec, bindings, rescaling, before, tol) -> Rescaling:
     return Rescaling(spec.system, tuple(log_factors))
 
 
-def report_to_dict(report: InvarianceReport, float_fmt=lambda x: f"{x:.15g}") -> dict:
-    """The report JSON shape: trials, passed, seed, counterexample | null."""
+def report_to_dict(report: InvarianceReport) -> dict:
+    """The report JSON shape: trials, passed, seed, counterexample | null.
+
+    Counterexample magnitudes and factors are decimals with 15 significant
+    digits.
+    """
     ce = report.counterexample
     return {
         "trials": report.trials,
@@ -224,36 +224,9 @@ def report_to_dict(report: InvarianceReport, float_fmt=lambda x: f"{x:.15g}") ->
         "counterexample": None
         if ce is None
         else {
-            "bindings": {k: float_fmt(v) for k, v in ce.bindings.items()},
-            "factors": {k: float_fmt(v) for k, v in ce.factors.items()},
+            "bindings": {k: f"{v:.15g}" for k, v in ce.bindings.items()},
+            "factors": {k: f"{v:.15g}" for k, v in ce.factors.items()},
             "before": ce.before,
             "after": ce.after,
         },
     }
-
-
-def oracle_equivalent(
-    xs: Sequence[Quantity], ys: Sequence[Quantity], tol: float = DEFAULT_TOL
-) -> bool:
-    """Independent equivalence test: the log-ratio vector must lie in the row
-    space of the dimension matrix.
-
-    The row-space basis is exact (RREF over rationals); only the final
-    projection uses floating point.
-    """
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys) or any(x.dim != y.dim for x, y in zip(xs, ys)):
-        raise DimensionMismatchError("oracle needs slotwise equal dimensions")
-    system = xs[0].dim.system
-    matrix = dimension_matrix(system, [x.dim for x in xs])
-    reduced, _, rank = rref(matrix)
-    delta = np.array([y.log_magnitude - x.log_magnitude for x, y in zip(xs, ys)])
-    if rank == 0:
-        return bool(np.linalg.norm(delta) <= tol)
-    rows = np.array(
-        [[float(v) for v in reduced.row(i)] for i in range(rank)], dtype=float
-    )
-    coeffs, *_ = np.linalg.lstsq(rows.T, delta, rcond=None)
-    residual = delta - rows.T @ coeffs
-    return bool(np.linalg.norm(residual) <= tol)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .core import Quantity, coordinate, format_magnitude, qty_combine
+from .core import DEFAULT_TOL, Quantity, coordinate, format_magnitude, qty_combine
 from .errors import (
     DimensionMismatchError,
     InconsistentReferenceError,
@@ -26,8 +26,6 @@ from .errors import (
 )
 from .pigroups import PiBasis, SpecialPiBasis
 from .units import is_consistent
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsl
-from .core import DimSystem, Monomial, Quantity, dimension_matrix, format_magnitude, qty_combine
+from .core import (
+    DEFAULT_TOL,
+    DimSystem,
+    Monomial,
+    Quantity,
+    dimension_matrix,
+    format_magnitude,
+    qty_combine,
+)
 from .errors import (
     DependentBaseError,
     EmptyListError,
@@ -27,8 +35,6 @@ from .errors import (
     UnknownUnitError,
 )
 from .exactlin import kernel_basis, rref, solve
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,9 +98,14 @@ class UnitRegistry:
         system = DimSystem(tuple(raw["system"]))
         entries: dict[str, Quantity] = {}
         for name, spec in raw["units"].items():
-            magnitude = float(spec["magnitude"])
-            if magnitude <= 0:
-                raise ParseError(f"registry {source}: unit {name!r} has non-positive magnitude")
+            try:
+                magnitude = float(spec["magnitude"])
+            except (KeyError, TypeError, ValueError):
+                magnitude = math.nan
+            if not 0 < magnitude < math.inf:
+                raise ParseError(
+                    f"registry {source}: unit {name!r} needs a finite positive 'magnitude'"
+                )
             dim = dsl.parse_dimension(spec["dim"], system)
             entries[name] = Quantity(math.log(magnitude), dim)
         return cls(system, entries)

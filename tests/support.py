@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -10,8 +11,8 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from piforge.core import DimSystem, DimVector, Quantity, dimension_matrix
-from piforge.errors import NoSolutionError, SingularMatrixError
+from piforge.core import DEFAULT_TOL, DimSystem, DimVector, Quantity, dimension_matrix
+from piforge.errors import DimensionMismatchError, NoSolutionError, SingularMatrixError
 from piforge.exactlin import QMatrix, rref
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -83,8 +84,6 @@ def seeded_systems(count: int = 500, seed: int = 2024):
 
 
 def random_quantities(rng: random.Random, dims, lo=1e-3, hi=1e3):
-    import math
-
     return [
         Quantity(rng.uniform(math.log(lo), math.log(hi)), dim) for dim in dims
     ]
@@ -202,6 +201,40 @@ def reference_transition(psi_groups, pi_groups) -> tuple[QMatrix, QMatrix]:
         [list(reference_solve(columns, g.exponents)) for g in pi_groups]
     )
     return matrix, reference_invert(matrix)
+
+
+def _dot(u, v) -> float:
+    return math.fsum(a * b for a, b in zip(u, v))
+
+
+def oracle_equivalent(xs, ys, tol: float = DEFAULT_TOL) -> bool:
+    """Independent equivalence test: the log-ratio vector must lie in the row
+    space of the dimension matrix.
+
+    The row-space basis is exact (`reference_rref`, at most d rows); only
+    the final projection uses floating point. The rows are orthonormalized
+    by modified Gram-Schmidt and the log-ratio vector loses its component
+    along each, which leaves the least-squares residual.
+    """
+    xs = list(xs)
+    ys = list(ys)
+    if len(xs) != len(ys) or any(x.dim != y.dim for x, y in zip(xs, ys)):
+        raise DimensionMismatchError("oracle needs slotwise equal dimensions")
+    matrix = dimension_matrix(xs[0].dim.system, [x.dim for x in xs])
+    reduced, _, rank = reference_rref(matrix)
+    orthonormal = []
+    for i in range(rank):
+        row = [float(v) for v in reduced.row(i)]
+        for u in orthonormal:
+            c = _dot(row, u)
+            row = [a - c * b for a, b in zip(row, u)]
+        norm = math.sqrt(_dot(row, row))
+        orthonormal.append([a / norm for a in row])
+    residual = [y.log_magnitude - x.log_magnitude for x, y in zip(xs, ys)]
+    for u in orthonormal:
+        c = _dot(residual, u)
+        residual = [a - c * b for a, b in zip(residual, u)]
+    return math.sqrt(_dot(residual, residual)) <= tol
 
 
 def apply_change_of_basis(matrix: QMatrix, groups):

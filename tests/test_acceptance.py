@@ -12,7 +12,7 @@ import pytest
 from piforge import dsl
 from piforge.core import Quantity, dimension_matrix
 from piforge.exactlin import QMatrix, rref
-from piforge.harness import Rescaling, fuzz_invariance, oracle_equivalent, rescale
+from piforge.harness import Rescaling, fuzz_invariance, rescale
 from piforge.nondim import (
     VerdictReason,
     equivalent,
@@ -35,6 +35,7 @@ from support import (
     apply_change_of_basis,
     brute_force_integer_kernel,
     mass_spring_dims,
+    oracle_equivalent,
     random_dims,
     random_invertible,
     random_quantities,

@@ -1,10 +1,15 @@
 """CLI contract: byte-identical golden outputs and documented exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from support import FIXTURES, GOLDENS, GOLDEN_CASES, run_cli
+from piforge import dsl, nondim, pigroups
+from piforge.core import Quantity, format_magnitude
+
+from support import FIXTURES, GOLDENS, GOLDEN_CASES, ROOT, run_cli
 
 
 @pytest.mark.parametrize("golden,argv,expected_exit", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
@@ -72,6 +77,41 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert b"--tol" in proc.stderr
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_must_be_at_least_one(self, trials):
+        proc = run_cli("verify", "--spec", "fixtures/newton.json", "--trials", trials)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"--trials" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "magnitude", [{"magnitude": "abc"}, {}, {"magnitude": "nan"}, {"magnitude": "inf"}],
+        ids=["not-a-number", "missing", "nan", "inf"],
+    )
+    def test_bad_registry_magnitude_is_usage_failure(self, tmp_path, magnitude):
+        registry = tmp_path / "reg.json"
+        registry.write_text(json.dumps(
+            {"system": ["L"], "units": {"u": {**magnitude, "dim": "L"}}}
+        ))
+        proc = run_cli("consistent", "u", "--registry", str(registry))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: registry ")
+        assert b"Traceback" not in proc.stderr
+
+    def test_unforeseen_exception_is_usage_failure(self, tmp_path):
+        # a power this large overflows inside evaluate, outside PiforgeError;
+        # exit 1 would read as "violated"
+        spec = tmp_path / "pow.json"
+        spec.write_text(json.dumps(
+            {"system": ["L"], "variables": {"x": "L"}, "relation": "x^1000000 = x^1000000"}
+        ))
+        proc = run_cli("verify", "--spec", str(spec), "--trials", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ")
+        assert b"Traceback" not in proc.stderr
 
 
 class TestClashBeyondFloatRange:
@@ -146,6 +186,17 @@ class TestEquivCommand:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "0"])
+    def test_non_finite_or_non_positive_binding_is_usage_failure(self, tmp_path, value):
+        a = tmp_path / "a.json"
+        a.write_text(f'{{"m": {value}, "k": 8, "t": 3}}')
+        proc = run_cli(
+            "equiv", "--spec", "fixtures/mass_spring.json",
+            str(a), "fixtures/mass_spring_bindings.json",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: bindings ")
+
     def test_missing_binding_is_usage_failure(self, tmp_path):
         a = tmp_path / "a.json"
         a.write_text('{"m": 2, "k": 8}')
@@ -154,6 +205,40 @@ class TestEquivCommand:
             str(a), "fixtures/mass_spring_bindings.json",
         )
         assert proc.returncode == 2
+
+
+class TestPiValuesBeyondFloatRange:
+    # k t^2 / m = 9e600 lies beyond the float range; its log does not
+    @pytest.fixture
+    def wide_bindings(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text('{"m": 1e-300, "k": 1e300, "t": 3}')
+        return str(path)
+
+    @staticmethod
+    def _pi_text():
+        spec = dsl.load_problem_spec(FIXTURES / "mass_spring.json")
+        xs = [Quantity.from_magnitude(v, d) for v, d in zip((1e-300, 1e300, 3), spec.variable_dims)]
+        (log_pi,) = nondim.pi_values(pigroups.pi_basis(spec.variable_dims), xs).log_values
+        return format_magnitude(log_pi)
+
+    def test_nondim_prints_the_value_from_its_log(self, wide_bindings):
+        proc = run_cli("nondim", "--spec", "fixtures/mass_spring.json", wide_bindings)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout.splitlines()[0] == f"pi values: {self._pi_text()}".encode()
+        assert self._pi_text().endswith("e+600")
+
+    def test_equiv_reports_the_differing_group(self, wide_bindings):
+        proc = run_cli(
+            "equiv", "--spec", "fixtures/mass_spring.json",
+            wide_bindings, "fixtures/mass_spring_bindings.json",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+        assert proc.stdout == (
+            f"not equivalent: pi group 0 differs ({self._pi_text()} vs 36)\n".encode()
+        )
 
 
 def test_verify_json_schema_keys():
@@ -171,3 +256,12 @@ def test_installed_console_script_matches_module():
 
     assert callable(cli.main)
     assert cli.main(["pi", "--spec", str(FIXTURES / "mass_spring.json")]) == 0
+
+
+def test_import_does_not_load_numpy():
+    # piforge has no runtime dependency; keep numpy from creeping back in
+    code = "import sys, piforge, piforge.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, capture_output=True, check=True
+    )
+    assert proc.stdout == b"False\n"

@@ -12,6 +12,7 @@ from piforge.core import (
     coordinate,
     dim_combine,
     dimension_matrix,
+    format_magnitude,
     project,
     qty_combine,
 )
@@ -82,6 +83,14 @@ def test_close_to_uses_log_space_tolerance(mlt):
     assert not a.close_to(Quantity(a.log_magnitude + 5e-9, dim))
     assert not a.close_to(Quantity(a.log_magnitude, DimVector.unit(mlt, "T")))
     assert a.close_to(Quantity(a.log_magnitude + 5e-9, dim), tol=1e-8)
+
+
+def test_quantity_str_prints_the_magnitude_from_its_log(mlt):
+    speed = DimVector.of(mlt, L=1, T=-1)
+    assert str(Quantity.from_magnitude(2.5, speed)) == "2.5 [L*T^-1]"
+    # exp(2000) overflows a float; the log still prints
+    assert str(Quantity(2000.0, speed)) == f"{format_magnitude(2000.0)} [L*T^-1]"
+    assert format_magnitude(2000.0).startswith("3.88118")
 
 
 def test_magnitude_round_trip_15_digits(mlt):

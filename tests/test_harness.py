@@ -9,7 +9,6 @@ from piforge.errors import DimensionMismatchError, SpecError
 from piforge.harness import (
     Rescaling,
     fuzz_invariance,
-    oracle_equivalent,
     report_to_dict,
     rescale,
 )
@@ -17,7 +16,13 @@ from piforge.nondim import equivalent
 from piforge.pigroups import pi_basis
 from piforge.units import is_consistent
 
-from support import FIXTURES, mass_spring_dims, random_dims, random_quantities
+from support import (
+    FIXTURES,
+    mass_spring_dims,
+    oracle_equivalent,
+    random_dims,
+    random_quantities,
+)
 
 
 def _spec(name):

@@ -282,3 +282,19 @@ class TestRegistry:
         bad.write_text('{"system": ["M"], "units": {"u": {"magnitude": "-1", "dim": "M"}}}')
         with pytest.raises(ParseError):
             UnitRegistry.load(bad)
+
+    @pytest.mark.parametrize(
+        "unit",
+        [
+            {"magnitude": "abc", "dim": "M"},
+            {"dim": "M"},
+            {"magnitude": "nan", "dim": "M"},
+            {"magnitude": "inf", "dim": "M"},
+        ],
+        ids=["not-a-number", "missing", "nan", "inf"],
+    )
+    def test_bad_magnitude_is_parse_error(self, unit):
+        from piforge.errors import ParseError
+
+        with pytest.raises(ParseError, match="'u'"):
+            UnitRegistry.from_dict({"system": ["M"], "units": {"u": unit}})
