@@ -73,7 +73,7 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> dict[str, Quantity]
         if name not in raw:
             raise ParseError(f"bindings {path}: missing variable {name!r}")
         value = raw[name]
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             if not 0 < value < math.inf:
                 raise ParseError(
                     f"bindings {path}: {name} must be finite and positive, got {value}"

@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     ArityMismatchError,
@@ -194,6 +195,19 @@ class Monomial:
     def arity(self) -> int:
         return len(self.exponents)
 
+    @cached_property
+    def _float_terms(self) -> tuple[tuple[int, float], ...]:
+        return tuple((j, float(e)) for j, e in enumerate(self.exponents) if e != 0)
+
+    def log_combine(self, logs) -> float:
+        """The log magnitude of the combination at the given log magnitudes:
+        float(e_j) * logs[j] summed over the nonzero exponents in index order,
+        starting at 0.0. `logs` must hold at least `arity` entries."""
+        total = 0.0
+        for j, e in self._float_terms:
+            total += e * logs[j]
+        return total
+
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.exponents) + ")"
 
@@ -245,11 +259,7 @@ def qty_combine(p: Monomial, xs, system: DimSystem | None = None) -> Quantity:
     if p.arity != len(xs):
         raise ArityMismatchError(f"{p.arity}-input combination applied to {len(xs)} quantities")
     sys_ = _shared_system(xs, system, "quantity")
-    log_mag = 0.0
-    for coeff, x in zip(p.exponents, xs):
-        if coeff == 0:
-            continue
-        log_mag += float(coeff) * x.log_magnitude
+    log_mag = p.log_combine([x.log_magnitude for x in xs])
     dim = dim_combine(p, [x.dim for x in xs], system=sys_)
     return Quantity(log_mag, dim)
 
@@ -261,14 +271,19 @@ def coordinate(x: Quantity, s: Quantity) -> float:
     return math.exp(x.log_magnitude - s.log_magnitude)
 
 
+def magnitude_or_limit(log_magnitude: float) -> float:
+    """exp(log_magnitude) as a float: inf above the float range, 0.0 below it."""
+    try:
+        return math.exp(log_magnitude)
+    except OverflowError:
+        return math.inf
+
+
 def format_magnitude(log_magnitude: float) -> str:
     """exp(log_magnitude) with 15 significant digits, as format(x, ".15g")
     prints a float, also where the value lies outside the normal float range
     (then from its base-10 logarithm, e.g. "1e+400")."""
-    try:
-        value = math.exp(log_magnitude)
-    except OverflowError:
-        value = math.inf
+    value = magnitude_or_limit(log_magnitude)
     if sys.float_info.min <= value < math.inf:
         return format(value, ".15g")
     exponent10 = log_magnitude / math.log(10)

@@ -205,6 +205,20 @@ def _parse_signed_int(ts: _TokenStream) -> int:
 # --- dimension expressions ----------------------------------------------
 
 
+def parse_system(names) -> DimSystem:
+    """A dimension system from a list of fundamental names, as JSON gives it.
+
+    A string is rejected rather than split into letters: "MLT" is not
+    ["M", "L", "T"].
+    """
+    if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+        raise ParseError(f"expected a list of fundamental names, got {names!r}")
+    try:
+        return DimSystem(tuple(names))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def parse_dimension(text: str, system: DimSystem) -> DimVector:
     """Parse a dimension expression over the system's fundamentals."""
     ts = _TokenStream(text)
@@ -678,8 +692,8 @@ def problem_spec_from_dict(raw: dict, source: str = "<dict>") -> ProblemSpec:
         if key not in raw:
             raise SpecError(f"spec {source}: missing key {key!r}")
     try:
-        system = DimSystem(tuple(raw["system"]))
-    except (TypeError, ValueError) as exc:
+        system = parse_system(raw["system"])
+    except ParseError as exc:
         raise SpecError(f"spec {source}: bad system: {exc}") from exc
     variables = raw["variables"]
     if not isinstance(variables, dict) or not variables:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DEFAULT_TOL, DimSystem, Quantity
+from .core import DEFAULT_TOL, DimSystem, Quantity, format_magnitude, magnitude_or_limit
 from .dsl import (
     BOOL,
     Compare,
@@ -83,11 +83,19 @@ def rescale(xs: Sequence[Quantity], r: Rescaling) -> list[Quantity]:
 
 @dataclass(frozen=True)
 class Counterexample:
+    """A failing trial. Each binding is kept as its log magnitude, which stays
+    finite where the magnitude lies beyond the float range."""
+
     trial_index: int
-    bindings: dict[str, float]
+    log_bindings: dict[str, float]
     factors: dict[str, float]
     before: bool
     after: bool
+
+    @property
+    def bindings(self) -> dict[str, float]:
+        """The binding magnitudes as floats: inf or 0.0 beyond the float range."""
+        return {name: magnitude_or_limit(v) for name, v in self.log_bindings.items()}
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,7 @@ def fuzz_invariance(
             shrunk = _shrink(spec, bindings, rescaling, before, tol)
             counterexample = Counterexample(
                 trial_index=trial,
-                bindings={n: bindings[n].magnitude for n in names},
+                log_bindings={n: bindings[n].log_magnitude for n in names},
                 factors=dict(zip(spec.system.names, shrunk.factors)),
                 before=before,
                 after=_evaluate_rescaled(spec, bindings, shrunk, tol),
@@ -214,7 +222,8 @@ def report_to_dict(report: InvarianceReport) -> dict:
     """The report JSON shape: trials, passed, seed, counterexample | null.
 
     Counterexample magnitudes and factors are decimals with 15 significant
-    digits.
+    digits; a binding magnitude beyond the float range is printed from its
+    log (`format_magnitude`).
     """
     ce = report.counterexample
     return {
@@ -224,7 +233,7 @@ def report_to_dict(report: InvarianceReport) -> dict:
         "counterexample": None
         if ce is None
         else {
-            "bindings": {k: f"{v:.15g}" for k, v in ce.bindings.items()},
+            "bindings": {k: format_magnitude(v) for k, v in ce.log_bindings.items()},
             "factors": {k: f"{v:.15g}" for k, v in ce.factors.items()},
             "before": ce.before,
             "after": ce.after,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .core import DEFAULT_TOL, Quantity, coordinate, format_magnitude, qty_combine
+from .core import DEFAULT_TOL, Quantity, coordinate, format_magnitude, magnitude_or_limit
 from .errors import (
     DimensionMismatchError,
     InconsistentReferenceError,
@@ -36,7 +36,8 @@ class PiValues:
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(math.exp(v) for v in self.log_values)
+        """The magnitudes as floats: inf or 0.0 beyond the float range."""
+        return tuple(magnitude_or_limit(v) for v in self.log_values)
 
     def __len__(self) -> int:
         return len(self.log_values)
@@ -70,9 +71,14 @@ def _check_dims_against_basis(basis: PiBasis, xs: Sequence[Quantity], label: str
 
 
 def pi_values(basis: PiBasis, xs: Sequence[Quantity]) -> PiValues:
-    """Evaluate every group of the basis at xs; each result is dimensionless."""
+    """Evaluate every group of the basis at xs; each result is dimensionless.
+
+    Once xs carries the basis dimensions slot for slot, every group is
+    dimensionless by construction, so only the log magnitudes are combined.
+    """
     _check_dims_against_basis(basis, xs, "xs")
-    return PiValues(tuple(qty_combine(g, xs).log_magnitude for g in basis.groups))
+    logs = [x.log_magnitude for x in xs]
+    return PiValues(tuple(g.log_combine(logs) for g in basis.groups))
 
 
 def strip_units(s: Sequence[Quantity], xs: Sequence[Quantity], tol: float = DEFAULT_TOL) -> list[float]:
@@ -117,8 +123,10 @@ def equivalent(
 
 
 def _reference_free_slot_values(sb: SpecialPiBasis, ref: Sequence[Quantity]) -> list[float]:
-    """log of u_i = psi_i(ref) for each free slot's group."""
-    return [qty_combine(g, ref).log_magnitude for g in sb.base.groups]
+    """log of u_i = psi_i(ref) for each free slot's group; ref must already
+    carry the basis dimensions."""
+    logs = [q.log_magnitude for q in ref]
+    return [g.log_combine(logs) for g in sb.base.groups]
 
 
 def _check_reference(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float):

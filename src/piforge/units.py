@@ -23,6 +23,7 @@ from .core import (
     Quantity,
     dimension_matrix,
     format_magnitude,
+    magnitude_or_limit,
     qty_combine,
 )
 from .errors import (
@@ -52,10 +53,7 @@ class ClashWitness:
     @property
     def clash_factor(self) -> float:
         """The factor as a float: inf or 0.0 beyond the float range."""
-        try:
-            return math.exp(self.log_clash_factor)
-        except OverflowError:
-            return math.inf
+        return magnitude_or_limit(self.log_clash_factor)
 
 
 @dataclass(frozen=True)
@@ -92,20 +90,32 @@ class UnitRegistry:
 
     @classmethod
     def from_dict(cls, raw: dict, source: str = "<dict>") -> "UnitRegistry":
+        if not isinstance(raw, dict):
+            raise ParseError(f"registry {source}: expected a JSON object")
         for key in ("system", "units"):
             if key not in raw:
                 raise ParseError(f"registry {source}: missing key {key!r}")
-        system = DimSystem(tuple(raw["system"]))
+        try:
+            system = dsl.parse_system(raw["system"])
+        except ParseError as exc:
+            raise ParseError(f"registry {source}: bad system: {exc}") from exc
+        if not isinstance(raw["units"], dict):
+            raise ParseError(f"registry {source}: 'units' must be an object")
         entries: dict[str, Quantity] = {}
         for name, spec in raw["units"].items():
+            if not isinstance(spec, dict):
+                raise ParseError(f"registry {source}: unit {name!r} must be an object")
+            magnitude = spec.get("magnitude")
             try:
-                magnitude = float(spec["magnitude"])
-            except (KeyError, TypeError, ValueError):
+                magnitude = math.nan if isinstance(magnitude, bool) else float(magnitude)
+            except (TypeError, ValueError):
                 magnitude = math.nan
             if not 0 < magnitude < math.inf:
                 raise ParseError(
                     f"registry {source}: unit {name!r} needs a finite positive 'magnitude'"
                 )
+            if not isinstance(spec.get("dim"), str):
+                raise ParseError(f"registry {source}: unit {name!r} needs a 'dim' string")
             dim = dsl.parse_dimension(spec["dim"], system)
             entries[name] = Quantity(math.log(magnitude), dim)
         return cls(system, entries)
@@ -126,19 +136,23 @@ def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
 
     Every kernel vector of the dimension matrix gives a dimensionless product
     of powers of the units; the list is consistent iff all of them have
-    magnitude 1 (|log| <= tol). The first violator becomes the witness.
+    magnitude 1. Only the canonical kernel *basis* vectors (primitive integer
+    rows, `exactlin.kernel_basis`) are tested, each against |log| <= tol, and
+    the first violator becomes the witness. So tol bounds the log of each
+    basis product, not of every dimensionless product: a basis vector scaled
+    by k comes to k times its log, and a sum of them to the sum of theirs.
     """
     units = list(units)
     if not units:
         raise EmptyListError("consistency is defined for nonempty unit lists")
     system = units[0].dim.system
     matrix = dimension_matrix(system, [u.dim for u in units])
+    logs = [u.log_magnitude for u in units]
     for vec in kernel_basis(matrix):
         combo = Monomial(vec)
-        value = qty_combine(combo, units)
-        if abs(value.log_magnitude) > tol:
-            witness = ClashWitness(combo, value.log_magnitude)
-            return ConsistencyReport(consistent=False, witness=witness)
+        log_clash = combo.log_combine(logs)
+        if abs(log_clash) > tol:
+            return ConsistencyReport(consistent=False, witness=ClashWitness(combo, log_clash))
     return ConsistencyReport(consistent=True, witness=None)
 
 

@@ -335,3 +335,17 @@ GOLDEN_CASES = [
         0,
     ),
 ]
+
+
+# --- Float reference --------------------------------------------------------
+
+
+def reference_log_combine(exponents, logs) -> float:
+    """The log magnitude of a product of powers, summed term by term: from
+    0.0, float(e) * log for each nonzero exponent in index order. The float
+    path must match it bit for bit."""
+    total = 0.0
+    for e, log in zip(exponents, logs):
+        if e != 0:
+            total += float(e) * log
+    return total

@@ -100,6 +100,20 @@ class TestExitCodes:
         assert proc.stderr.startswith(b"error: registry ")
         assert b"Traceback" not in proc.stderr
 
+    def test_system_string_is_spec_error(self, tmp_path):
+        spec = tmp_path / "mlt.json"
+        spec.write_text(json.dumps({"system": "MLT", "variables": {"x": "L"}, "relation": "x = x"}))
+        proc = run_cli("check", "--spec", str(spec))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: spec {spec}: bad system".encode())
+
+    def test_registry_unit_without_dim_is_named(self, tmp_path):
+        registry = tmp_path / "reg.json"
+        registry.write_text(json.dumps({"system": ["L"], "units": {"m": {"magnitude": 1}}}))
+        proc = run_cli("consistent", "m", "--registry", str(registry))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: registry {registry}: unit 'm' needs a 'dim' string\n".encode()
+
     def test_unforeseen_exception_is_usage_failure(self, tmp_path):
         # a power this large overflows inside evaluate, outside PiforgeError;
         # exit 1 would read as "violated"
@@ -196,6 +210,18 @@ class TestEquivCommand:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error: bindings ")
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_boolean_binding_is_usage_failure(self, tmp_path, value):
+        a = tmp_path / "a.json"
+        a.write_text(f'{{"m": {value}, "k": 8, "t": 3}}')
+        proc = run_cli(
+            "equiv", "--spec", "fixtures/mass_spring.json",
+            str(a), "fixtures/mass_spring_bindings.json",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: bindings ")
+        assert b"must be a number or a quantity literal" in proc.stderr
 
     def test_missing_binding_is_usage_failure(self, tmp_path):
         a = tmp_path / "a.json"

@@ -364,3 +364,10 @@ class TestProblemSpec:
     def test_unreadable(self, tmp_path):
         with pytest.raises(SpecError):
             dsl.load_problem_spec(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("system", ['"MLT"', '["M", 1]', '[]'], ids=["string", "non-string-name", "empty"])
+    def test_system_must_be_a_list_of_names(self, tmp_path, system):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"system": {system}, "variables": {{"m": "M"}}, "relation": "m = m"}}')
+        with pytest.raises(SpecError, match="bad system"):
+            dsl.load_problem_spec(bad)

@@ -290,11 +290,31 @@ class TestRegistry:
             {"dim": "M"},
             {"magnitude": "nan", "dim": "M"},
             {"magnitude": "inf", "dim": "M"},
+            {"magnitude": True, "dim": "M"},
         ],
-        ids=["not-a-number", "missing", "nan", "inf"],
+        ids=["not-a-number", "missing", "nan", "inf", "boolean"],
     )
     def test_bad_magnitude_is_parse_error(self, unit):
         from piforge.errors import ParseError
 
         with pytest.raises(ParseError, match="'u'"):
             UnitRegistry.from_dict({"system": ["M"], "units": {"u": unit}})
+
+    @pytest.mark.parametrize(
+        "raw,match",
+        [
+            ({"system": ["L"], "units": {"m": {"magnitude": 1}}}, "unit 'm' needs a 'dim' string"),
+            ({"system": ["L"], "units": {"m": {"magnitude": 1, "dim": 1}}}, "unit 'm' needs a 'dim' string"),
+            ({"system": ["L"], "units": {"m": 1}}, "unit 'm' must be an object"),
+            ({"system": ["L"], "units": ["m"]}, "'units' must be an object"),
+            ({"system": "MLT", "units": {}}, "bad system"),
+            (["system", "units"], "expected a JSON object"),
+        ],
+        ids=["dim-missing", "dim-not-a-string", "unit-not-an-object", "units-not-an-object",
+             "system-a-string", "not-an-object"],
+    )
+    def test_malformed_registry_names_registry_and_unit(self, raw, match):
+        from piforge.errors import ParseError
+
+        with pytest.raises(ParseError, match=f"^registry reg.json: .*{match}"):
+            UnitRegistry.from_dict(raw, source="reg.json")
