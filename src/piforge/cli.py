@@ -176,7 +176,11 @@ def cmd_verify(args) -> int:
     if args.json:
         _emit_json(payload)
     else:
-        print(f"trials: {payload['trials']}, passed: {payload['passed']}")
+        inapplicable = payload.get("inapplicable")
+        print(
+            f"trials: {payload['trials']}, passed: {payload['passed']}"
+            + (f", inapplicable: {inapplicable}" if inapplicable else "")
+        )
         ce = payload["counterexample"]
         if ce is None:
             print("no violation found (passes are evidence of invariance, not proof)")

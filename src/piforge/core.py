@@ -73,8 +73,29 @@ def monomial_text(names, exponents, sep: str) -> str:
     return sep.join(parts) if parts else "1"
 
 
+class _ExponentVector:
+    """The float form of an `exponents` tuple, for sums over log magnitudes;
+    shared by DimVector and Monomial."""
+
+    @cached_property
+    def _float_terms(self) -> tuple[tuple[int, float], ...]:
+        return tuple((j, float(e)) for j, e in enumerate(self.exponents) if e != 0)
+
+    def log_combine(self, logs) -> float:
+        """float(e_j) * logs[j] summed over the nonzero exponents in index
+        order, starting at 0.0; `logs` holds an entry per exponent. For a
+        Monomial, the log magnitude of the combination at the given log
+        magnitudes; for a DimVector, the log of the factor by which a
+        quantity of that dimension scales when fundamental j scales by
+        exp(logs[j])."""
+        total = 0.0
+        for j, e in self._float_terms:
+            total += e * logs[j]
+        return total
+
+
 @dataclass(frozen=True)
-class DimVector:
+class DimVector(_ExponentVector):
     """Exact exponent vector over a DimSystem; the zero vector is dimensionless."""
 
     system: DimSystem
@@ -176,7 +197,7 @@ class Quantity:
 
 
 @dataclass(frozen=True)
-class Monomial:
+class Monomial(_ExponentVector):
     """A monomial map x1^e1 * ... * xk^ek, identified with its exponent vector."""
 
     exponents: tuple[Fraction, ...]
@@ -194,19 +215,6 @@ class Monomial:
     @property
     def arity(self) -> int:
         return len(self.exponents)
-
-    @cached_property
-    def _float_terms(self) -> tuple[tuple[int, float], ...]:
-        return tuple((j, float(e)) for j, e in enumerate(self.exponents) if e != 0)
-
-    def log_combine(self, logs) -> float:
-        """The log magnitude of the combination at the given log magnitudes:
-        float(e_j) * logs[j] summed over the nonzero exponents in index order,
-        starting at 0.0. `logs` must hold at least `arity` entries."""
-        total = 0.0
-        for j, e in self._float_terms:
-            total += e * logs[j]
-        return total
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.exponents) + ")"

@@ -11,10 +11,20 @@ Three small languages share one tokenizer:
 Relations are parsed to an immutable AST, dimension-checked by `typecheck`
 (add/sub/compare demand equal dimensions; exp/log/sin/cos and is_pos_int
 demand dimensionless operands; pow takes a rational literal; sqrt halves any
-dimension), and run by `evaluate`. Evaluation keeps multiplicative chains in
-log space and drops to linear space only where sums, transcendentals, or
-comparisons force it; non-positive intermediates are legal there and only
-there.
+dimension), and run by `evaluate`. The names `pi`, the six functions and
+and/or/not are reserved: no spec variable may take them. Numeric literals
+must be positive and within the float range.
+
+`evaluate` compiles a relation once, on first use, into float closures kept
+on the AST node; later calls run only float arithmetic, with no dimension
+work. Multiplicative chains (variables, constants, *, /, ^, sqrt) stay in
+log space; sums, exp/log/sin/cos work in linear space, where non-positive
+values are legal, and only there. A comparison whose two sides are both in
+log space compares their logs, so magnitudes beyond the float range compare
+correctly; equality within relative tolerance tol becomes
+|log a - log b| <= -log1p(-tol), the same rule as |a - b| <= tol*max(a, b).
+A value that leaves the domain (a non-positive value in a product or under
+log) raises EvaluationError.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity
@@ -36,58 +47,69 @@ from .errors import (
 )
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "is_pos_int")
-_DIMENSIONLESS_ONLY = ("exp", "log", "sin", "cos", "is_pos_int")
+KEYWORDS = ("and", "or", "not")
+# Names a relation reads as something other than a variable.
+RESERVED = ("pi",) + FUNCTIONS + KEYWORDS
 
 
 # --- AST ---------------------------------------------------------------
 
 
+class _Compiled:
+    """Every AST node keeps its compiled evaluator (see `evaluate`), built on
+    first use."""
+
+    @cached_property
+    def _lowered(self):
+        return _lower(self)
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Compiled):
     name: str
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Compiled):
     value: float
     symbol: str | None = None  # "pi" prints by name
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Compiled):
     op: str  # + - * /
     left: "Node"
     right: "Node"
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Compiled):
     base: "Node"
     exponent: Fraction
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Compiled):
     func: str
     arg: "Node"
 
 
 @dataclass(frozen=True)
-class Compare:
+class Compare(_Compiled):
     op: str  # = < <=
     left: "Node"
     right: "Node"
 
 
 @dataclass(frozen=True)
-class BoolOp:
+class BoolOp(_Compiled):
     op: str  # and or
     left: "Node"
     right: "Node"
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Compiled):
     operand: "Node"
 
 
@@ -202,6 +224,19 @@ def _parse_signed_int(ts: _TokenStream) -> int:
     return sign * int(tok.text)
 
 
+def _positive_literal(text: str, what: str) -> float:
+    """A decimal literal as a positive float. Zero is rejected, and so is a
+    nonzero literal that rounds to 0.0 or to inf."""
+    value = float(text)
+    if 0 < value < math.inf:
+        return value
+    if float(re.split("[eE]", text)[0]) == 0:
+        raise ParseError(f"{what} must be positive, got {text}")
+    raise ParseError(
+        f"{what} must lie in the float range, about 5e-324 to 1.8e+308, got {text}"
+    )
+
+
 # --- dimension expressions ----------------------------------------------
 
 
@@ -273,9 +308,7 @@ def parse_quantity(text: str, registry) -> Quantity:
     tok = ts.next()
     if tok.kind != "number":
         raise ParseError(f"a quantity literal starts with a decimal magnitude: {text!r}")
-    magnitude = float(tok.text)
-    if magnitude <= 0:
-        raise ParseError(f"quantity magnitudes must be positive, got {tok.text}")
+    magnitude = _positive_literal(tok.text, "quantity magnitudes")
     unit = _unit_expr(ts, registry)
     if not ts.at_end():
         raise ParseError(f"trailing input {ts.peek().text!r} in quantity {text!r}")
@@ -384,10 +417,7 @@ def _primary(ts: _TokenStream) -> Node:
         ts.expect(")")
         return node
     if tok.kind == "number":
-        value = float(tok.text)
-        if value <= 0:
-            raise ParseError(f"constants must be positive, got {tok.text}")
-        return Const(value)
+        return Const(_positive_literal(tok.text, "constants"))
     if tok.kind == "name":
         if tok.text == "pi":
             return Const(math.pi, "pi")
@@ -400,7 +430,7 @@ def _primary(ts: _TokenStream) -> Node:
             arg = _or_expr(ts)
             ts.expect(")")
             return Call(tok.text, arg)
-        if tok.text in ("and", "or", "not"):
+        if tok.text in KEYWORDS:
             raise ParseError(f"{tok.text!r} is a keyword, not a variable")
         return Var(tok.text)
     raise ParseError(f"unexpected {tok.text or 'end of input'!r} in relation")
@@ -557,98 +587,160 @@ def _need_dim(node: Node, t):
 
 
 # --- evaluate ------------------------------------------------------------
+#
+# Each node lowers to (space, run), run(bindings, tol) giving its value in
+# that space: a log magnitude, a plain float, or a truth value. The
+# conversions between spaces are put in here, once per node.
+
+_LOG, _LINEAR, _TRUTH = "log", "linear", "truth"
+_LINEAR_FUNCTIONS = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
 
 
-@dataclass(frozen=True)
-class _Linear:
-    """A linear-space intermediate that may be non-positive (sums, sin/cos).
-
-    It can flow into comparisons as-is; re-entering a multiplicative context
-    requires a positive value.
-    """
-
-    value: float
-    dim: DimVector
+def _log_eq_bound(tol: float) -> float:
+    """The log-space form of the relative equality test: for positive a and
+    b, |a - b| <= tol*max(a, b) exactly when |log a - log b| <= this bound.
+    From tol 1 on, the linear test holds for every positive pair."""
+    return -math.log1p(-tol) if tol < 1 else math.inf
 
 
-def _to_quantity(v, node: Node) -> Quantity:
-    if isinstance(v, Quantity):
-        return v
-    if isinstance(v, _Linear):
-        if v.value > 0 and math.isfinite(v.value):
-            return Quantity(math.log(v.value), v.dim)
+def _lower(node: Node):
+    """(space, run) for a node: run(bindings, tol) gives its value in that space."""
+    match node:
+        case Var(name):
+            return _LOG, lambda b, tol: b[name].log_magnitude
+        case Const(value, _):
+            log_value = math.log(value)
+            return _LOG, lambda b, tol: log_value
+        case BinOp(op, left, right):
+            if op in ("*", "/"):
+                lf, rf = _in_log(left), _in_log(right)
+                if op == "*":
+                    return _LOG, lambda b, tol: lf(b, tol) + rf(b, tol)
+                return _LOG, lambda b, tol: lf(b, tol) - rf(b, tol)
+            lf, rf = _in_linear(left), _in_linear(right)
+            if op == "+":
+                return _LINEAR, lambda b, tol: lf(b, tol) + rf(b, tol)
+            return _LINEAR, lambda b, tol: lf(b, tol) - rf(b, tol)
+        case Pow(base, exponent):
+            bf, e = _in_log(base), float(exponent)
+            return _LOG, lambda b, tol: bf(b, tol) * e
+        case Call("sqrt", arg):
+            af = _in_log(arg)
+            return _LOG, lambda b, tol: af(b, tol) * 0.5
+        case Call("is_pos_int", arg):
+            af = _in_linear(arg)
+
+            def is_pos_int(b, tol):
+                v = af(b, tol)
+                nearest = round(v)
+                return abs(v - nearest) <= tol and nearest >= 1
+
+            return _TRUTH, is_pos_int
+        case Call("log", arg):
+            af = _in_linear(arg)
+
+            def log(b, tol):
+                v = af(b, tol)
+                if v <= 0:
+                    raise EvaluationError(f"log of non-positive value {v!r}")
+                return math.log(v)
+
+            return _LINEAR, log
+        case Call(func, arg):
+            af, f = _in_linear(arg), _LINEAR_FUNCTIONS[func]
+            return _LINEAR, lambda b, tol: f(af(b, tol))
+        case Compare(op, left, right):
+            return _TRUTH, _lower_compare(op, left, right)
+        case BoolOp(op, left, right):
+            lf, rf = _in_truth(left), _in_truth(right)
+            if op == "and":
+                return _TRUTH, lambda b, tol: lf(b, tol) and rf(b, tol)
+            return _TRUTH, lambda b, tol: lf(b, tol) or rf(b, tol)
+        case Not(operand):
+            of = _in_truth(operand)
+            return _TRUTH, lambda b, tol: not of(b, tol)
+    raise TypeError(f"not a relation node: {node!r}")
+
+
+def _lower_compare(op: str, left: Node, right: Node):
+    """Two positive sides compare in log space; otherwise both go linear."""
+    if left._lowered[0] is _LOG and right._lowered[0] is _LOG:
+        lf, rf = _in_log(left), _in_log(right)
+        if op == "=":
+            return lambda b, tol: abs(lf(b, tol) - rf(b, tol)) <= _log_eq_bound(tol)
+    else:
+        lf, rf = _in_linear(left), _in_linear(right)
+        if op == "=":
+
+            def equal(b, tol):
+                x, y = lf(b, tol), rf(b, tol)
+                return abs(x - y) <= tol * max(abs(x), abs(y))
+
+            return equal
+    if op == "<":
+        return lambda b, tol: lf(b, tol) < rf(b, tol)
+    return lambda b, tol: lf(b, tol) <= rf(b, tol)
+
+
+def _in_log(node: Node):
+    """run(bindings, tol) -> the node's value as a log magnitude."""
+    space, run = node._lowered
+    if space is _LOG:
+        return run
+    if space is _TRUTH:
+        raise EvaluationError(f"boolean used as a quantity in {print_relation(node)}")
+
+    def checked_log(b, tol):
+        v = run(b, tol)
+        if v > 0 and math.isfinite(v):
+            return math.log(v)
         raise EvaluationError(
-            f"non-positive value {v.value!r} in multiplicative context: {print_relation(node)}"
+            f"non-positive value {v!r} in multiplicative context: {print_relation(node)}"
         )
-    raise EvaluationError(f"boolean used as a quantity in {print_relation(node)}")
+
+    return checked_log
 
 
-def _to_linear(v) -> _Linear:
-    if isinstance(v, Quantity):
-        return _Linear(v.magnitude, v.dim)
-    return v
+def _in_linear(node: Node):
+    """run(bindings, tol) -> the node's value as a plain float."""
+    space, run = node._lowered
+    if space is _LINEAR:
+        return run
+    if space is _TRUTH:
+        raise EvaluationError(f"boolean used as a quantity in {print_relation(node)}")
+    return lambda b, tol: math.exp(run(b, tol))
+
+
+def _in_truth(node: Node):
+    space, run = node._lowered
+    if space is not _TRUTH:
+        raise EvaluationError(f"quantity used as a truth value in {print_relation(node)}")
+    return run
+
+
+def log_magnitude(node: Node, bindings: dict[str, Quantity]) -> float:
+    """The log magnitude of a quantity-valued node, as `evaluate` gives it,
+    without working out its dimension. No quantity-valued node holds a
+    truth-valued one, so the tolerance is never read."""
+    return _in_log(node)(bindings, DEFAULT_TOL)
 
 
 def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
     """Evaluate a typechecked relation against quantity bindings.
 
     Returns a bool for predicates, a Quantity otherwise. Equality compares
-    with relative tolerance tol; is_pos_int accepts values within tol of a
-    positive integer.
+    with relative tolerance tol, |a - b| <= tol*max(|a|, |b|); where both
+    sides are products of powers, it and < and <= compare their logs, so
+    magnitudes beyond the float range compare correctly. is_pos_int accepts
+    values within tol of a positive integer. A value outside the relation's
+    domain (a non-positive value in a product or under log) raises
+    EvaluationError. The node keeps its compiled form for the next call.
     """
-    system = next(iter(bindings.values())).dim.system if bindings else None
-
-    def run(n: Node):
-        match n:
-            case Var(name):
-                return bindings[name]
-            case Const(value, _):
-                return Quantity(math.log(value), DimVector.zero(system))
-            case BinOp(op, left, right):
-                if op in ("*", "/"):
-                    lq = _to_quantity(run(left), left)
-                    rq = _to_quantity(run(right), right)
-                    return lq * rq if op == "*" else lq / rq
-                lv, rv = _to_linear(run(left)), _to_linear(run(right))
-                value = lv.value + rv.value if op == "+" else lv.value - rv.value
-                return _Linear(value, lv.dim)
-            case Pow(base, exponent):
-                return _to_quantity(run(base), base) ** exponent
-            case Call(func, arg):
-                if func == "sqrt":
-                    return _to_quantity(run(arg), arg) ** Fraction(1, 2)
-                av = _to_linear(run(arg)).value
-                if func == "is_pos_int":
-                    nearest = round(av)
-                    return abs(av - nearest) <= tol and nearest >= 1
-                if func == "exp":
-                    return _Linear(math.exp(av), DimVector.zero(system))
-                if func == "log":
-                    if av <= 0:
-                        raise EvaluationError(f"log of non-positive value {av!r}")
-                    return _Linear(math.log(av), DimVector.zero(system))
-                if func == "sin":
-                    return _Linear(math.sin(av), DimVector.zero(system))
-                return _Linear(math.cos(av), DimVector.zero(system))
-            case Compare(op, left, right):
-                lv, rv = _to_linear(run(left)), _to_linear(run(right))
-                if op == "=":
-                    return abs(lv.value - rv.value) <= tol * max(abs(lv.value), abs(rv.value))
-                if op == "<":
-                    return lv.value < rv.value
-                return lv.value <= rv.value
-            case BoolOp(op, left, right):
-                if op == "and":
-                    return run(left) and run(right)
-                return run(left) or run(right)
-            case Not(operand):
-                return not run(operand)
-        raise TypeError(f"not a relation node: {n!r}")
-
-    result = run(node)
-    if isinstance(result, _Linear):
-        return _to_quantity(result, node)
-    return result
+    space, run = node._lowered
+    if space is _TRUTH:
+        return run(bindings, tol)
+    log_mag = log_magnitude(node, bindings)
+    return Quantity(log_mag, typecheck(node, {n: q.dim for n, q in bindings.items()}))
 
 
 # --- problem specs --------------------------------------------------------
@@ -699,6 +791,12 @@ def problem_spec_from_dict(raw: dict, source: str = "<dict>") -> ProblemSpec:
     if not isinstance(variables, dict) or not variables:
         raise SpecError(f"spec {source}: 'variables' must be a nonempty object")
     names = tuple(variables.keys())
+    reserved = [name for name in names if name in RESERVED]
+    if reserved:
+        raise SpecError(
+            f"spec {source}: variable name {reserved[0]!r} is reserved "
+            f"(reserved: {', '.join(RESERVED)})"
+        )
     try:
         dims = tuple(parse_dimension(expr, system) for expr in variables.values())
         relation = parse_relation(raw["relation"])

@@ -26,6 +26,7 @@ from .dsl import (
     Var,
     evaluate,
     free_variables,
+    log_magnitude,
     typecheck,
 )
 from .errors import (
@@ -50,7 +51,7 @@ class Rescaling:
     def __post_init__(self):
         if len(self.log_factors) != self.system.size:
             raise ValueError("one factor per fundamental dimension required")
-        if any(not math.isfinite(f) for f in self.log_factors):
+        if not all(map(math.isfinite, self.log_factors)):
             raise ValueError("rescaling factors must be finite and nonzero")
 
     @classmethod
@@ -71,13 +72,12 @@ class Rescaling:
 def rescale(xs: Sequence[Quantity], r: Rescaling) -> list[Quantity]:
     """Multiply each quantity by prod_j factor_j^(exponent of fundamental j)."""
     out = []
+    system, log_factors = r.system, r.log_factors
     for x in xs:
-        if x.dim.system != r.system:
+        dim = x.dim
+        if dim.system is not system and dim.system != system:
             raise DimensionMismatchError("rescaling and quantities use different systems")
-        shift = sum(
-            float(e) * lf for e, lf in zip(x.dim.exponents, r.log_factors) if e != 0
-        )
-        out.append(Quantity(x.log_magnitude + shift, x.dim))
+        out.append(Quantity(x.log_magnitude + dim.log_combine(log_factors), dim))
     return out
 
 
@@ -100,13 +100,18 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class InvarianceReport:
+    """`inapplicable` counts the trials whose bindings (drawn or rescaled)
+    fell outside the relation's domain; they neither pass nor fail."""
+
     trials: int
     passed: int
     seed: int
     counterexample: Counterexample | None
+    inapplicable: int = 0
 
     def __post_init__(self):
-        if (self.counterexample is None) != (self.passed == self.trials):
+        failed = self.passed + self.inapplicable < self.trials
+        if (self.counterexample is None) == failed:
             raise ValueError("counterexample must be present exactly when a trial failed")
 
 
@@ -139,8 +144,11 @@ def fuzz_invariance(
 
     Per trial: draw log-uniform magnitudes in [1e-3, 1e3] per variable and a
     log-uniform rescaling factor in [1e-2, 1e2] per fundamental; pass iff the
-    relation's truth value survives the rescaling. The first failing trial is
-    shrunk (factor bisection toward 1) and reported.
+    relation's truth value survives the rescaling. A trial on which either
+    evaluation leaves the relation's domain (EvaluationError) is counted as
+    inapplicable; if every trial is, EvaluationError is raised, since no
+    trial tested the relation. The first failing trial is shrunk (factor
+    bisection toward 1) and reported.
     """
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -155,7 +163,7 @@ def fuzz_invariance(
     dims = spec.variable_dims
     seed_target = _equality_seed_target(spec)
 
-    passed = 0
+    passed = inapplicable = 0
     counterexample: Counterexample | None = None
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -166,8 +174,7 @@ def fuzz_invariance(
         if seed_target is not None:
             vname, other = seed_target
             try:
-                value = evaluate(other, bindings, tol=tol)
-                bindings[vname] = Quantity(value.log_magnitude, spec.env[vname])
+                bindings[vname] = Quantity(log_magnitude(other, bindings), bindings[vname].dim)
             except EvaluationError:
                 pass
         log_factors = tuple(
@@ -175,8 +182,13 @@ def fuzz_invariance(
         )
         rescaling = Rescaling(spec.system, log_factors)
 
-        before = evaluate(spec.relation, bindings, tol=tol)
-        after = _evaluate_rescaled(spec, bindings, rescaling, tol)
+        try:
+            before = evaluate(spec.relation, bindings, tol=tol)
+            after = _evaluate_rescaled(spec, bindings, rescaling, tol)
+        except EvaluationError as exc:
+            inapplicable += 1
+            out_of_domain = exc
+            continue
         if before == after:
             passed += 1
         elif counterexample is None:
@@ -188,8 +200,17 @@ def fuzz_invariance(
                 before=before,
                 after=_evaluate_rescaled(spec, bindings, shrunk, tol),
             )
+    if inapplicable == trials:
+        raise EvaluationError(
+            f"relation is undefined on all {trials} trials, so nothing was tested "
+            f"(last: {out_of_domain})"
+        )
     return InvarianceReport(
-        trials=trials, passed=passed, seed=seed, counterexample=counterexample
+        trials=trials,
+        passed=passed,
+        seed=seed,
+        counterexample=counterexample,
+        inapplicable=inapplicable,
     )
 
 
@@ -200,7 +221,8 @@ def _evaluate_rescaled(spec, bindings, rescaling, tol) -> bool:
 
 
 def _shrink(spec, bindings, rescaling, before, tol) -> Rescaling:
-    """Bisect each factor toward 1 while the violation persists."""
+    """Bisect each factor toward 1 while the violation persists. A candidate
+    that takes the bindings outside the relation's domain does not violate."""
     log_factors = list(rescaling.log_factors)
     for _ in range(_SHRINK_ROUNDS):
         improved = False
@@ -210,7 +232,11 @@ def _shrink(spec, bindings, rescaling, before, tol) -> Rescaling:
             candidate = log_factors.copy()
             candidate[j] /= 2
             trial = Rescaling(spec.system, tuple(candidate))
-            if _evaluate_rescaled(spec, bindings, trial, tol) != before:
+            try:
+                violates = _evaluate_rescaled(spec, bindings, trial, tol) != before
+            except EvaluationError:
+                violates = False
+            if violates:
                 log_factors = candidate
                 improved = True
         if not improved:
@@ -219,16 +245,19 @@ def _shrink(spec, bindings, rescaling, before, tol) -> Rescaling:
 
 
 def report_to_dict(report: InvarianceReport) -> dict:
-    """The report JSON shape: trials, passed, seed, counterexample | null.
+    """The report JSON shape: trials, passed, inapplicable (only when
+    nonzero), seed, counterexample | null.
 
     Counterexample magnitudes and factors are decimals with 15 significant
     digits; a binding magnitude beyond the float range is printed from its
     log (`format_magnitude`).
     """
     ce = report.counterexample
+    inapplicable = {"inapplicable": report.inapplicable} if report.inapplicable else {}
     return {
         "trials": report.trials,
         "passed": report.passed,
+        **inapplicable,
         "seed": report.seed,
         "counterexample": None
         if ce is None

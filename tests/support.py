@@ -12,7 +12,13 @@ from itertools import product
 from pathlib import Path
 
 from piforge.core import DEFAULT_TOL, DimSystem, DimVector, Quantity, dimension_matrix
-from piforge.errors import DimensionMismatchError, NoSolutionError, SingularMatrixError
+from piforge.dsl import BinOp, BoolOp, Call, Compare, Const, Not, Pow, Var, print_relation
+from piforge.errors import (
+    DimensionMismatchError,
+    EvaluationError,
+    NoSolutionError,
+    SingularMatrixError,
+)
 from piforge.exactlin import QMatrix, rref
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -349,3 +355,92 @@ def reference_log_combine(exponents, logs) -> float:
         if e != 0:
             total += float(e) * log
     return total
+
+
+# --- Tree-walking evaluator -------------------------------------------------
+
+
+class _Linear:
+    """A linear-space intermediate that may be non-positive (sums, sin/cos)."""
+
+    def __init__(self, value: float, dim: DimVector):
+        self.value = value
+        self.dim = dim
+
+
+def _to_quantity(v, node) -> Quantity:
+    if isinstance(v, Quantity):
+        return v
+    if isinstance(v, _Linear):
+        if v.value > 0 and math.isfinite(v.value):
+            return Quantity(math.log(v.value), v.dim)
+        raise EvaluationError(
+            f"non-positive value {v.value!r} in multiplicative context: {print_relation(node)}"
+        )
+    raise EvaluationError(f"boolean used as a quantity in {print_relation(node)}")
+
+
+def _to_linear(v) -> _Linear:
+    if isinstance(v, Quantity):
+        return _Linear(v.magnitude, v.dim)
+    return v
+
+
+def reference_evaluate(node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
+    """The relation evaluator as a walk over the AST through Quantity and
+    exact dimensions, comparing every pair of sides in linear space. The
+    compiled `dsl.evaluate` must give the same verdicts, and bit-identical
+    Quantity results, wherever this one does not overflow."""
+    system = next(iter(bindings.values())).dim.system if bindings else None
+
+    def run(n):
+        match n:
+            case Var(name):
+                return bindings[name]
+            case Const(value, _):
+                return Quantity(math.log(value), DimVector.zero(system))
+            case BinOp(op, left, right):
+                if op in ("*", "/"):
+                    lq = _to_quantity(run(left), left)
+                    rq = _to_quantity(run(right), right)
+                    return lq * rq if op == "*" else lq / rq
+                lv, rv = _to_linear(run(left)), _to_linear(run(right))
+                value = lv.value + rv.value if op == "+" else lv.value - rv.value
+                return _Linear(value, lv.dim)
+            case Pow(base, exponent):
+                return _to_quantity(run(base), base) ** exponent
+            case Call(func, arg):
+                if func == "sqrt":
+                    return _to_quantity(run(arg), arg) ** Fraction(1, 2)
+                av = _to_linear(run(arg)).value
+                if func == "is_pos_int":
+                    nearest = round(av)
+                    return abs(av - nearest) <= tol and nearest >= 1
+                if func == "exp":
+                    return _Linear(math.exp(av), DimVector.zero(system))
+                if func == "log":
+                    if av <= 0:
+                        raise EvaluationError(f"log of non-positive value {av!r}")
+                    return _Linear(math.log(av), DimVector.zero(system))
+                if func == "sin":
+                    return _Linear(math.sin(av), DimVector.zero(system))
+                return _Linear(math.cos(av), DimVector.zero(system))
+            case Compare(op, left, right):
+                lv, rv = _to_linear(run(left)), _to_linear(run(right))
+                if op == "=":
+                    return abs(lv.value - rv.value) <= tol * max(abs(lv.value), abs(rv.value))
+                if op == "<":
+                    return lv.value < rv.value
+                return lv.value <= rv.value
+            case BoolOp(op, left, right):
+                if op == "and":
+                    return run(left) and run(right)
+                return run(left) or run(right)
+            case Not(operand):
+                return not run(operand)
+        raise TypeError(f"not a relation node: {n!r}")
+
+    result = run(node)
+    if isinstance(result, _Linear):
+        return _to_quantity(result, node)
+    return result

@@ -115,17 +115,77 @@ class TestExitCodes:
         assert proc.stderr == f"error: registry {registry}: unit 'm' needs a 'dim' string\n".encode()
 
     def test_unforeseen_exception_is_usage_failure(self, tmp_path):
-        # a power this large overflows inside evaluate, outside PiforgeError;
-        # exit 1 would read as "violated"
+        # a sum leaves log space, and one of these powers overflows there
+        # whatever the sign of log x: outside PiforgeError; exit 1 would read
+        # as "violated"
         spec = tmp_path / "pow.json"
-        spec.write_text(json.dumps(
-            {"system": ["L"], "variables": {"x": "L"}, "relation": "x^1000000 = x^1000000"}
-        ))
+        spec.write_text(json.dumps({
+            "system": ["L"],
+            "variables": {"x": "L"},
+            "relation": "x^1000000 + x^(-1000000) = x^1000000",
+        }))
         proc = run_cli("verify", "--spec", str(spec), "--trials", "1")
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"error: ")
         assert b"Traceback" not in proc.stderr
+
+
+def _write_spec(tmp_path, variables, relation):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"system": ["L"], "variables": variables, "relation": relation}))
+    return str(path)
+
+
+class TestVerifyDomainAndRange:
+    @pytest.mark.parametrize("relation", ["log(x/y - 1) < 1", "(x - y)*x < y*y"])
+    def test_out_of_domain_trials_do_not_abort(self, tmp_path, relation):
+        spec = _write_spec(tmp_path, {"x": "L", "y": "L"}, relation)
+        proc = run_cli("verify", "--spec", spec)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        assert b", inapplicable: " in proc.stdout.splitlines()[0]
+        payload = json.loads(run_cli("verify", "--spec", spec, "--json").stdout)
+        assert payload["passed"] + payload["inapplicable"] == payload["trials"]
+
+    def test_relation_undefined_on_every_trial_is_usage_failure(self, tmp_path):
+        # no trial tested the relation, so exit 0 would read as invariance
+        spec = _write_spec(tmp_path, {"x": "L", "y": "L"}, "log(x/x - 1) < 1")
+        proc = run_cli("verify", "--spec", spec)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: relation is undefined on all 1000 trials")
+        assert b"log of non-positive value" in proc.stderr
+
+    def test_power_beyond_the_float_range_is_violated(self, tmp_path):
+        spec = _write_spec(tmp_path, {"x": "L", "y": "L^299"}, "y = x^300")
+        proc = run_cli("verify", "--spec", spec)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == b""
+        assert b"counterexample at trial 0:" in proc.stdout
+
+    def test_equal_huge_powers_pass(self, tmp_path):
+        spec = _write_spec(tmp_path, {"x": "L"}, "x^1000000 = x^1000000")
+        proc = run_cli("verify", "--spec", spec)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(b"trials: 1000, passed: 1000\n")
+
+    @pytest.mark.parametrize("command", ["verify", "check"])
+    def test_reserved_variable_name_is_spec_error(self, tmp_path, command):
+        spec = _write_spec(tmp_path, {"pi": "L", "y": "L"}, "pi < y")
+        proc = run_cli(command, "--spec", spec)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"variable name 'pi' is reserved" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "check"])
+    def test_constant_beyond_the_float_range_is_parse_error(self, tmp_path, command):
+        spec = _write_spec(tmp_path, {"x": "L"}, "x < 1e400*x")
+        proc = run_cli(command, "--spec", spec)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"float range" in proc.stderr
+        assert b"ValueError" not in proc.stderr
 
 
 class TestClashBeyondFloatRange:

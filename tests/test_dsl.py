@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -90,6 +91,11 @@ class TestQuantityParsing:
         assert q.dim.is_zero()
         assert q.magnitude == pytest.approx(42.0, rel=1e-12)
 
+    def test_magnitude_beyond_the_float_range(self, registry):
+        for text in ("1e400 kg", "1e-400 kg"):
+            with pytest.raises(ParseError, match="float range"):
+                parse_quantity(text, registry)
+
     def test_rejects_nonpositive_and_unknown(self, registry):
         with pytest.raises(ParseError):
             parse_quantity("0 kg", registry)
@@ -123,6 +129,19 @@ class TestRelationParsing:
     def test_keywords_are_not_variables(self):
         with pytest.raises(ParseError):
             parse_relation("and = x")
+
+    @pytest.mark.parametrize("literal", ["1e400", "1e-400", "9" * 400])
+    def test_constant_beyond_the_float_range(self, literal):
+        with pytest.raises(ParseError, match="float range"):
+            parse_relation(f"x < {literal}*x")
+
+    @pytest.mark.parametrize("literal", ["0", "0.0", "0e400"])
+    def test_zero_constant(self, literal):
+        with pytest.raises(ParseError, match="must be positive"):
+            parse_relation(f"x < {literal}*x")
+
+    def test_small_constant_inside_the_float_range(self):
+        assert parse_relation("x < 1e-320*x").right.left == Const(1e-320)
 
     def test_free_variables(self):
         node = parse_relation("is_pos_int(t/(2*pi) * (k/m)^(1/2))")
@@ -364,6 +383,15 @@ class TestProblemSpec:
     def test_unreadable(self, tmp_path):
         with pytest.raises(SpecError):
             dsl.load_problem_spec(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("name", dsl.RESERVED)
+    def test_reserved_variable_names(self, tmp_path, name):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            {"system": ["L"], "variables": {name: "L", "y": "L"}, "relation": "y < y"}
+        ))
+        with pytest.raises(SpecError, match=f"variable name '{name}' is reserved"):
+            dsl.load_problem_spec(bad)
 
     @pytest.mark.parametrize("system", ['"MLT"', '["M", 1]', '[]'], ids=["string", "non-string-name", "empty"])
     def test_system_must_be_a_list_of_names(self, tmp_path, system):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,8 +6,10 @@ import pytest
 
 from piforge import dsl
 from piforge.core import DimSystem, DimVector, Quantity
-from piforge.errors import DimensionMismatchError, SpecError
+from piforge import harness
+from piforge.errors import DimensionMismatchError, EvaluationError, SpecError
 from piforge.harness import (
+    InvarianceReport,
     Rescaling,
     fuzz_invariance,
     report_to_dict,
@@ -22,6 +25,8 @@ from support import (
     oracle_equivalent,
     random_dims,
     random_quantities,
+    random_rational_dims,
+    reference_log_combine,
 )
 
 
@@ -51,6 +56,18 @@ class TestRescale:
         x = Quantity(0.7, DimVector.zero(system))
         r = Rescaling.from_factors(system, [17.0, 0.03])
         assert rescale([x], r) == [x]
+
+    def test_shift_summed_term_by_term(self):
+        # float(e) * f added from 0.0 for each nonzero e in index order, bit for bit
+        rng = random.Random(149)
+        for _ in range(200):
+            system, dims = random_rational_dims(rng, rng.randint(1, 6), rng.randint(1, 8))
+            xs = random_quantities(rng, dims)
+            r = Rescaling(system, tuple(rng.uniform(-5, 5) for _ in system.names))
+            for x, y in zip(xs, rescale(xs, r)):
+                shift = reference_log_combine(x.dim.exponents, r.log_factors)
+                assert y.log_magnitude == x.log_magnitude + shift
+                assert y.dim == x.dim
 
     def test_consistency_survives_rescaling(self, registry):
         rng = random.Random(127)
@@ -144,6 +161,74 @@ class TestFuzzInvariance:
         payload = report_to_dict(report)
         assert set(payload) == {"trials", "passed", "seed", "counterexample"}
         assert set(payload["counterexample"]) == {"bindings", "factors", "before", "after"}
+
+
+def _spec_text(tmp_path, variables, relation, system=("L",)):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"system": list(system), "variables": variables, "relation": relation}
+    ))
+    return dsl.load_problem_spec(path)
+
+
+class TestInapplicableTrials:
+    @pytest.mark.parametrize("relation", ["log(x/y - 1) < 1", "(x - y)*x < y*y"])
+    def test_out_of_domain_trials_are_counted_not_raised(self, tmp_path, relation):
+        spec = _spec_text(tmp_path, {"x": "L", "y": "L"}, relation)
+        report = fuzz_invariance(spec, trials=200, seed=0)
+        assert report.counterexample is None
+        assert 0 < report.inapplicable < 200
+        assert report.passed + report.inapplicable == 200
+        assert report_to_dict(report)["inapplicable"] == report.inapplicable
+
+    def test_every_trial_out_of_domain(self, tmp_path, monkeypatch):
+        def out_of_domain(*args, **kwargs):
+            raise EvaluationError("outside the domain")
+
+        monkeypatch.setattr(harness, "evaluate", out_of_domain)
+        with pytest.raises(EvaluationError, match="undefined on all 5 trials.*outside the domain"):
+            fuzz_invariance(_spec("hidden_constant"), trials=5, seed=0)
+
+    def test_shrink_skips_out_of_domain_candidates(self, monkeypatch):
+        spec = _spec("hidden_constant")
+        report = fuzz_invariance(spec, trials=1, seed=0)
+        ce = report.counterexample
+        bindings = {
+            n: Quantity(ce.log_bindings[n], d) for n, d in zip(spec.variable_names, spec.variable_dims)
+        }
+        rescaling = Rescaling(spec.system, (2.0, -3.0))
+
+        def out_of_domain(*args, **kwargs):
+            raise EvaluationError("outside the domain")
+
+        monkeypatch.setattr(harness, "evaluate", out_of_domain)
+        assert harness._shrink(spec, bindings, rescaling, ce.before, 1e-9) == rescaling
+
+    def test_report_invariant(self):
+        with pytest.raises(ValueError):
+            InvarianceReport(trials=3, passed=2, seed=0, counterexample=None)
+        assert InvarianceReport(trials=3, passed=2, seed=0, counterexample=None, inapplicable=1)
+        ce = fuzz_invariance(_spec("hidden_constant"), trials=1, seed=0).counterexample
+        with pytest.raises(ValueError):
+            InvarianceReport(trials=3, passed=2, seed=0, counterexample=ce, inapplicable=1)
+        assert InvarianceReport(trials=3, passed=1, seed=0, counterexample=ce, inapplicable=1)
+
+    def test_zero_count_stays_out_of_the_report(self):
+        payload = report_to_dict(fuzz_invariance(_spec("newton"), trials=3, seed=0))
+        assert "inapplicable" not in payload
+
+
+class TestBeyondTheFloatRange:
+    def test_power_mismatch_yields_a_counterexample(self, tmp_path):
+        spec = _spec_text(tmp_path, {"x": "L", "y": "L^299"}, "y = x^300")
+        report = fuzz_invariance(spec, trials=20, seed=0)
+        ce = report.counterexample
+        assert ce is not None and ce.before is True and ce.after is False
+
+    def test_huge_equal_powers_pass(self, tmp_path):
+        spec = _spec_text(tmp_path, {"x": "L"}, "x^1000000 = x^1000000")
+        report = fuzz_invariance(spec, trials=50, seed=0)
+        assert report.passed == 50
 
 
 class TestOracleEquivalent:
