@@ -24,7 +24,7 @@ log space compares their logs, so magnitudes beyond the float range compare
 correctly; equality within relative tolerance tol becomes
 |log a - log b| <= -log1p(-tol), the same rule as |a - b| <= tol*max(a, b).
 A value that leaves the domain (a non-positive value in a product or under
-log) raises EvaluationError.
+log, or a linear value beyond the float range) raises EvaluationError.
 """
 
 from __future__ import annotations
@@ -256,43 +256,47 @@ def parse_system(names) -> DimSystem:
 
 def parse_dimension(text: str, system: DimSystem) -> DimVector:
     """Parse a dimension expression over the system's fundamentals."""
+
+    def fundamental(name: str) -> DimVector:
+        if name not in system.names:
+            raise UnknownFundamentalError(
+                f"unknown fundamental {name!r} (system: {', '.join(system.names)})"
+            )
+        return DimVector.unit(system, name)
+
     ts = _TokenStream(text)
-    vec = _dim_expr(ts, system)
+    vec = _product(ts, "dimension", DimVector.zero(system), fundamental)
     if not ts.at_end():
         raise ParseError(f"trailing input {ts.peek().text!r} in dimension {text!r}")
     return vec
 
 
-def _dim_expr(ts: _TokenStream, system: DimSystem) -> DimVector:
-    vec = _dim_term(ts, system)
-    while ts.peek().text in ("*", "/"):
+def _product(ts: _TokenStream, what: str, one, atom):
+    """A product/quotient of powered terms, the grammar the dimension and
+    unit languages share: atom(name) gives a name's value and one that of
+    the numeric term 1; what ("dimension" or "unit") names the language in
+    errors."""
+    value, op = None, None
+    while True:
+        tok = ts.next()
+        if tok.text == "(":
+            term = _product(ts, what, one, atom)
+            ts.expect(")")
+        elif tok.kind == "number":
+            if tok.text != "1":
+                raise ParseError(f"the only numeric {what} term is 1, got {tok.text!r}")
+            term = one
+        elif tok.kind == "name":
+            term = atom(tok.text)
+        else:
+            raise ParseError(f"unexpected {tok.text or 'end of input'!r} in {what} expression")
+        while ts.peek().text == "^":
+            ts.next()
+            term = term ** _parse_rational(ts)
+        value = term if op is None else value * term if op == "*" else value / term
+        if ts.peek().text not in ("*", "/"):
+            return value
         op = ts.next().text
-        rhs = _dim_term(ts, system)
-        vec = vec * rhs if op == "*" else vec / rhs
-    return vec
-
-
-def _dim_term(ts: _TokenStream, system: DimSystem) -> DimVector:
-    tok = ts.next()
-    if tok.text == "(":
-        vec = _dim_expr(ts, system)
-        ts.expect(")")
-    elif tok.kind == "number":
-        if tok.text != "1":
-            raise ParseError(f"the only numeric dimension term is 1, got {tok.text!r}")
-        vec = DimVector.zero(system)
-    elif tok.kind == "name":
-        if tok.text not in system.names:
-            raise UnknownFundamentalError(
-                f"unknown fundamental {tok.text!r} (system: {', '.join(system.names)})"
-            )
-        vec = DimVector.unit(system, tok.text)
-    else:
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r} in dimension expression")
-    while ts.peek().text == "^":
-        ts.next()
-        vec = vec ** _parse_rational(ts)
-    return vec
 
 
 # --- quantity literals --------------------------------------------------
@@ -309,38 +313,10 @@ def parse_quantity(text: str, registry) -> Quantity:
     if tok.kind != "number":
         raise ParseError(f"a quantity literal starts with a decimal magnitude: {text!r}")
     magnitude = _positive_literal(tok.text, "quantity magnitudes")
-    unit = _unit_expr(ts, registry)
+    unit = _product(ts, "unit", Quantity.one(registry.system), registry.quantity)
     if not ts.at_end():
         raise ParseError(f"trailing input {ts.peek().text!r} in quantity {text!r}")
     return Quantity(math.log(magnitude) + unit.log_magnitude, unit.dim)
-
-
-def _unit_expr(ts: _TokenStream, registry) -> Quantity:
-    q = _unit_term(ts, registry)
-    while ts.peek().text in ("*", "/"):
-        op = ts.next().text
-        rhs = _unit_term(ts, registry)
-        q = q * rhs if op == "*" else q / rhs
-    return q
-
-
-def _unit_term(ts: _TokenStream, registry) -> Quantity:
-    tok = ts.next()
-    if tok.text == "(":
-        q = _unit_expr(ts, registry)
-        ts.expect(")")
-    elif tok.kind == "number":
-        if tok.text != "1":
-            raise ParseError(f"the only numeric unit term is 1, got {tok.text!r}")
-        q = Quantity.one(registry.system)
-    elif tok.kind == "name":
-        q = registry.quantity(tok.text)
-    else:
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r} in unit expression")
-    while ts.peek().text == "^":
-        ts.next()
-        q = q ** _parse_rational(ts)
-    return q
 
 
 # --- relation expressions -----------------------------------------------
@@ -718,11 +694,19 @@ def _in_truth(node: Node):
     return run
 
 
+def _run(run, bindings: dict[str, Quantity], tol: float):
+    """run(bindings, tol), where a float overflow leaves the domain."""
+    try:
+        return run(bindings, tol)
+    except OverflowError:
+        raise EvaluationError("a value overflows the float range, about 1.8e+308") from None
+
+
 def log_magnitude(node: Node, bindings: dict[str, Quantity]) -> float:
     """The log magnitude of a quantity-valued node, as `evaluate` gives it,
     without working out its dimension. No quantity-valued node holds a
     truth-valued one, so the tolerance is never read."""
-    return _in_log(node)(bindings, DEFAULT_TOL)
+    return _run(_in_log(node), bindings, DEFAULT_TOL)
 
 
 def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
@@ -733,12 +717,13 @@ def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL
     sides are products of powers, it and < and <= compare their logs, so
     magnitudes beyond the float range compare correctly. is_pos_int accepts
     values within tol of a positive integer. A value outside the relation's
-    domain (a non-positive value in a product or under log) raises
-    EvaluationError. The node keeps its compiled form for the next call.
+    domain (a non-positive value in a product or under log, or a linear
+    value that overflows the float range) raises EvaluationError. The node
+    keeps its compiled form for the next call.
     """
     space, run = node._lowered
     if space is _TRUTH:
-        return run(bindings, tol)
+        return _run(run, bindings, tol)
     log_mag = log_magnitude(node, bindings)
     return Quantity(log_mag, typecheck(node, {n: q.dim for n, q in bindings.items()}))
 

@@ -18,14 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .core import DEFAULT_TOL, Quantity, coordinate, format_magnitude, magnitude_or_limit
-from .errors import (
-    DimensionMismatchError,
-    InconsistentReferenceError,
-    InconsistentUnitsError,
-)
+from .core import DEFAULT_TOL, Quantity, coordinate, magnitude_or_limit
+from .errors import DimensionMismatchError, InconsistentReferenceError
 from .pigroups import PiBasis, SpecialPiBasis
-from .units import is_consistent
+from .units import require_consistent
 
 
 @dataclass(frozen=True)
@@ -85,11 +81,7 @@ def strip_units(s: Sequence[Quantity], xs: Sequence[Quantity], tol: float = DEFA
     """Coordinates of xs relative to a consistent unit list s (the unit-ignoring map)."""
     s = list(s)
     xs = list(xs)
-    report = is_consistent(s, tol=tol)
-    if not report.consistent:
-        raise InconsistentUnitsError(
-            f"unit list clashes by factor {format_magnitude(report.witness.log_clash_factor)}"
-        )
+    require_consistent(s, tol)
     if len(s) != len(xs):
         raise DimensionMismatchError(f"{len(xs)} values for {len(s)} units")
     for i, (unit, x) in enumerate(zip(s, xs)):
@@ -131,11 +123,16 @@ def _reference_free_slot_values(sb: SpecialPiBasis, ref: Sequence[Quantity]) -> 
 
 def _check_reference(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float):
     _check_dims_against_basis(sb.base, ref, "ref")
-    report = is_consistent(list(ref), tol=tol)
-    if not report.consistent:
-        raise InconsistentReferenceError(
-            f"reference list clashes by factor {format_magnitude(report.witness.log_clash_factor)}"
-        )
+    require_consistent(list(ref), tol, InconsistentReferenceError, "reference list")
+
+
+def _place_free_slots(sb: SpecialPiBasis, ref, log_u, log_values) -> list[Quantity]:
+    """ref with free slot l_i carrying (v_i / psi_i(ref)) * ref[l_i], for
+    log v_i in log_values and log psi_i(ref) in log_u."""
+    xs = list(ref)
+    for i, free in enumerate(sb.free_indices):
+        xs[free] = Quantity(log_values[i] - log_u[i] + ref[free].log_magnitude, ref[free].dim)
+    return xs
 
 
 def preimage(
@@ -152,12 +149,7 @@ def preimage(
     _check_reference(sb, ref, tol)
     if len(log_values) != sb.base.r:
         raise DimensionMismatchError(f"{len(log_values)} pi-values for r = {sb.base.r}")
-    log_u = _reference_free_slot_values(sb, ref)
-    result = list(ref)
-    for i, free in enumerate(sb.free_indices):
-        shifted = log_values[i] - log_u[i] + ref[free].log_magnitude
-        result[free] = Quantity(shifted, ref[free].dim)
-    return result
+    return _place_free_slots(sb, ref, _reference_free_slot_values(sb, ref), log_values)
 
 
 def canonical_rep(
@@ -167,7 +159,6 @@ def canonical_rep(
     tol: float = DEFAULT_TOL,
 ) -> list[Quantity]:
     """The member of xs's class whose pivot coordinates relative to ref are 1."""
-    _check_dims_against_basis(sb.base, xs, "xs")
     values = pi_values(sb.base, xs)
     return preimage(sb, ref, values.log_values, tol=tol)
 
@@ -188,17 +179,13 @@ def nondimensionalize(
     _check_reference(sb, ref, tol)
     log_u = _reference_free_slot_values(sb, ref)
     ref = list(ref)
-    free_indices = sb.free_indices
 
     def g(*values: float) -> bool:
         if len(values) != sb.base.r:
             raise DimensionMismatchError(f"{len(values)} pi-values for r = {sb.base.r}")
-        xs = list(ref)
-        for i, free in enumerate(free_indices):
-            if values[i] <= 0:
-                raise ValueError(f"pi-values are positive reals, got {values[i]!r}")
-            shifted = math.log(values[i]) - log_u[i] + ref[free].log_magnitude
-            xs[free] = Quantity(shifted, ref[free].dim)
-        return f(xs)
+        for v in values:
+            if v <= 0:
+                raise ValueError(f"pi-values are positive reals, got {v!r}")
+        return f(_place_free_slots(sb, ref, log_u, [math.log(v) for v in values]))
 
     return g

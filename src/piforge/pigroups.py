@@ -6,6 +6,11 @@ form an r = n - m dimensional space. `pi_basis` returns its canonical basis
 the basis in which each group carries exactly one "free" variable to the
 first power, the rest drawn from a fixed pivot set; `transition` computes the
 exact invertible change of basis between any two bases.
+
+The public constructors `PiBasis`, `SpecialPiBasis` and `Transition`, and
+`is_pi_basis`, validate the groups a caller hands them. The three builders
+read their results off exact eliminations, correct by construction, and
+return them through `_built` without checking them again.
 """
 
 from __future__ import annotations
@@ -30,9 +35,20 @@ def _exponent_matrix(groups) -> QMatrix:
     return QMatrix.from_rows([list(g.exponents) for g in groups])
 
 
+def _built(cls, **fields):
+    """A frozen cls instance with these fields, skipping cls's validation,
+    for results this module has just built exactly. Not a subclass, so it
+    compares and hashes equal to the same object built publicly."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class PiBasis:
-    """A basis of the annihilator space over fixed dims; validated on construction."""
+    """A basis of the annihilator space over fixed dims. The constructor
+    validates the groups; the builders below skip that for their own."""
 
     dims: tuple[DimVector, ...]
     groups: tuple[Monomial, ...]
@@ -101,7 +117,7 @@ def pi_basis(dims) -> PiBasis:
     """Canonical basis of the annihilator space of dims (may be empty, r = 0)."""
     dims = tuple(dims)
     groups = tuple(Monomial(vec) for vec in kernel_basis(_dimension_matrix_of(dims)))
-    return PiBasis(dims=dims, groups=groups)
+    return _built(PiBasis, dims=dims, groups=groups)
 
 
 def special_basis(dims) -> SpecialPiBasis:
@@ -117,8 +133,8 @@ def special_basis(dims) -> SpecialPiBasis:
     reduced, pivot_cols, _ = rref(_dimension_matrix_of(dims))
     free_cols = tuple(i for i in range(len(dims)) if i not in pivot_cols)
     groups = tuple(Monomial(vec) for vec in free_kernel(reduced, pivot_cols))
-    base = PiBasis(dims=dims, groups=groups)
-    return SpecialPiBasis(base=base, pivot_indices=pivot_cols, free_indices=free_cols)
+    base = _built(PiBasis, dims=dims, groups=groups)
+    return _built(SpecialPiBasis, base=base, pivot_indices=pivot_cols, free_indices=free_cols)
 
 
 def transition(psi: PiBasis, pi: PiBasis) -> Transition:
@@ -132,12 +148,12 @@ def transition(psi: PiBasis, pi: PiBasis) -> Transition:
     r = psi.r
     if r == 0:
         identity = QMatrix.identity(0)
-        return Transition(matrix=identity, inverse=identity)
+        return _built(Transition, matrix=identity, inverse=identity)
     # Columns are psi's exponent vectors; solving against all pi groups at
     # once is exact because both span the same kernel.
     columns = _exponent_matrix(psi.groups).transpose()
     matrix = QMatrix.from_rows(solve_many(columns, [g.exponents for g in pi.groups]))
-    return Transition(matrix=matrix, inverse=invert(matrix))
+    return _built(Transition, matrix=matrix, inverse=invert(matrix))
 
 
 def is_pi_basis(candidate, dims) -> bool:

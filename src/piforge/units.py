@@ -156,6 +156,13 @@ def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
     return ConsistencyReport(consistent=True, witness=None)
 
 
+def require_consistent(units, tol: float, error=InconsistentUnitsError, what="unit list"):
+    """Raise error, naming the clash factor, unless the unit list is consistent."""
+    report = is_consistent(units, tol=tol)
+    if not report.consistent:
+        raise error(f"{what} clashes by factor {format_magnitude(report.witness.log_clash_factor)}")
+
+
 def fundamental_basis(units, tol: float = DEFAULT_TOL) -> list[Quantity]:
     """A maximal sub-list with linearly independent dimensions.
 
@@ -164,11 +171,7 @@ def fundamental_basis(units, tol: float = DEFAULT_TOL) -> list[Quantity]:
     combination of the result. Requires a consistent input list.
     """
     units = list(units)
-    report = is_consistent(units, tol=tol)
-    if not report.consistent:
-        raise InconsistentUnitsError(
-            f"unit list clashes by factor {format_magnitude(report.witness.log_clash_factor)}"
-        )
+    require_consistent(units, tol)
     system = units[0].dim.system
     matrix = dimension_matrix(system, [u.dim for u in units])
     _, pivot_cols, _ = rref(matrix)

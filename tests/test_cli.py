@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from piforge import dsl, nondim, pigroups
+from piforge import cli, dsl, nondim, pigroups
 from piforge.core import Quantity, format_magnitude
 
 from support import FIXTURES, GOLDENS, GOLDEN_CASES, ROOT, run_cli
@@ -115,9 +115,10 @@ class TestExitCodes:
         assert proc.stderr == f"error: registry {registry}: unit 'm' needs a 'dim' string\n".encode()
 
     def test_unforeseen_exception_is_usage_failure(self, tmp_path):
-        # a sum leaves log space, and one of these powers overflows there
-        # whatever the sign of log x: outside PiforgeError; exit 1 would read
-        # as "violated"
+        # '+' of L^1000000 and L^-1000000 is ill-typed, so verify refuses the
+        # spec (exit 2) before any trial; exit 1 would read as "violated".
+        # test_exception_outside_piforge_is_usage_failure covers the guard
+        # for exceptions outside PiforgeError
         spec = tmp_path / "pow.json"
         spec.write_text(json.dumps({
             "system": ["L"],
@@ -129,6 +130,16 @@ class TestExitCodes:
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"error: ")
         assert b"Traceback" not in proc.stderr
+
+    def test_exception_outside_piforge_is_usage_failure(self, monkeypatch, capsys):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_check", crash)
+        assert cli.main(["check", "--spec", str(FIXTURES / "newton.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: RuntimeError: boom\n"
 
 
 def _write_spec(tmp_path, variables, relation):
@@ -163,6 +174,27 @@ class TestVerifyDomainAndRange:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == b""
         assert b"counterexample at trial 0:" in proc.stdout
+
+    @pytest.mark.parametrize("variables,relation,expected_exit", [
+        ({"x": "L"}, "x^1000 + x^1000 < x^1001", 1),
+        ({"x": "L", "y": "L"}, "exp(x^3/y^3) < 2", 0),
+    ])
+    def test_overflow_in_linear_space_is_inapplicable(self, tmp_path, variables, relation, expected_exit):
+        spec = _write_spec(tmp_path, variables, relation)
+        proc = run_cli("verify", "--spec", spec)
+        assert proc.returncode == expected_exit, proc.stderr
+        assert proc.stderr == b""
+        assert b", inapplicable: " in proc.stdout.splitlines()[0]
+
+    def test_overflow_on_every_trial_is_usage_failure(self, tmp_path):
+        spec = _write_spec(tmp_path, {"x": "L"}, "exp(1000*x/x) < 2")
+        proc = run_cli("verify", "--spec", spec)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"error: relation is undefined on all 1000 trials, so nothing was tested "
+            b"(last: a value overflows the float range, about 1.8e+308)\n"
+        )
 
     def test_equal_huge_powers_pass(self, tmp_path):
         spec = _write_spec(tmp_path, {"x": "L"}, "x^1000000 = x^1000000")

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from piforge import exactlin, pigroups
+from piforge import cli, exactlin, pigroups
 from piforge.core import DimSystem, DimVector, Monomial, dim_combine, dimension_matrix
 from piforge.errors import NotABasisError
 from piforge.exactlin import QMatrix, rref
 from piforge.pigroups import (
     PiBasis,
+    SpecialPiBasis,
+    Transition,
     is_pi_basis,
     pi_basis,
     special_basis,
@@ -16,6 +18,7 @@ from piforge.pigroups import (
 )
 
 from support import (
+    FIXTURES,
     apply_change_of_basis as _apply_change,
     kinematics_dims,
     mass_spring_dims,
@@ -278,7 +281,21 @@ class TestEliminationCount:
         built = len(rref_calls)
         PiBasis(dims=dims, groups=sb.base.groups)
         validation = len(rref_calls) - built
-        assert built - validation == 1
+        assert built == 1
+        assert validation == 2
+
+    @pytest.mark.parametrize("builder", [pi_basis, special_basis])
+    def test_builders_eliminate_once(self, rref_calls, builder):
+        rng = random.Random(41)
+        for d, n in ((10, 48), (7, 24), (4, 12), (3, 6), (3, 3)):
+            dims = _ladder_dims(rng, d, n)
+            del rref_calls[:]
+            builder(dims)
+            assert len(rref_calls) == 1, (d, n)
+
+    def test_cli_pi_eliminates_once_per_basis(self, rref_calls, capsys):
+        assert cli.main(["pi", "--spec", str(FIXTURES / "electronics.json")]) == 0
+        assert len(rref_calls) == 2
 
     def test_transition_eliminates_at_most_twice(self, rref_calls):
         rng = random.Random(37)
@@ -290,3 +307,36 @@ class TestEliminationCount:
                 del rref_calls[:]
                 transition(psi, pi)
                 assert len(rref_calls) <= 2, (d, n, canonical.r)
+
+
+class TestBuiltBasesPassPublicValidation:
+    """The builders skip the public constructors' validation; every result
+    they build must still pass it and equal the publicly built object."""
+
+    @staticmethod
+    def _same_as_public(built, public):
+        assert public == built
+        assert hash(public) == hash(built)
+
+    def _round_trip(self, dims):
+        canonical = pi_basis(dims)
+        special = special_basis(dims)
+        for basis in (canonical, special.base):
+            public = PiBasis(dims=basis.dims, groups=basis.groups)
+            self._same_as_public(basis, public)
+        self._same_as_public(special, SpecialPiBasis(
+            base=public, pivot_indices=special.pivot_indices, free_indices=special.free_indices,
+        ))
+        for psi, pi in ((canonical, special.base), (special.base, canonical)):
+            t = transition(psi, pi)
+            self._same_as_public(t, Transition(matrix=t.matrix, inverse=t.inverse))
+
+    def test_seeded_systems(self):
+        for _, dims in seeded_systems():
+            self._round_trip(dims)
+
+    def test_ladder_sizes(self):
+        rng = random.Random(43)
+        for d, n in ((3, 6), (4, 12), (7, 24), (10, 48)):
+            for _ in range(3):
+                self._round_trip(_ladder_dims(rng, d, n))
