@@ -297,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help=f"unit registry JSON file (default: ${REGISTRY_ENV})",
             )
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="log-space tolerance")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="log distance from the rescaling orbit; relative gap for '=' in verify")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p = sub.add_parser("pi", help="print pi-group bases for a problem spec")

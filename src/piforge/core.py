@@ -25,7 +25,7 @@ from .errors import (
     DimensionMismatchError,
     SystemMismatchError,
 )
-from .exactlin import QMatrix, as_rational
+from .exactlin import QMatrix, as_rational, rref
 
 DEFAULT_TOL = 1e-9
 
@@ -311,3 +311,30 @@ def dimension_matrix(system: DimSystem, ws) -> QMatrix:
     d, n = system.size, len(ws)
     flat = tuple(ws[i].exponents[j] for j in range(d) for i in range(n))
     return QMatrix(d, n, flat)
+
+
+def _residual(vec, rows) -> list[float]:
+    """vec less its component along each orthonormal row in turn."""
+    for u in rows:
+        c = math.fsum(a * b for a, b in zip(vec, u))
+        vec = [a - c * b for a, b in zip(vec, u)]
+    return vec
+
+
+def row_space(ws) -> tuple[tuple[float, ...], ...]:
+    """Orthonormal rows spanning lambda^T D, the log shifts of the nonempty
+    sequence ws under rescalings (D its dimension matrix): modified
+    Gram-Schmidt on the nonzero RREF rows of D, which hold the identity at
+    their pivots and so are well conditioned."""
+    reduced, _, rank = rref(dimension_matrix(ws[0].system, ws))
+    rows = []
+    for i in range(rank):
+        row = _residual([float(v) for v in reduced.row(i)], rows)
+        norm = math.hypot(*row)
+        rows.append(tuple(a / norm for a in row))
+    return tuple(rows)
+
+
+def orbit_gap(rows, logs) -> float:
+    """The distance of the log vector from the span of `row_space` rows."""
+    return math.hypot(*_residual(logs, rows))

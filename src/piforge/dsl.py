@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -594,9 +595,15 @@ def _lower(node: Node):
                     return _LOG, lambda b, tol: lf(b, tol) + rf(b, tol)
                 return _LOG, lambda b, tol: lf(b, tol) - rf(b, tol)
             lf, rf = _in_linear(left), _in_linear(right)
-            if op == "+":
-                return _LINEAR, lambda b, tol: lf(b, tol) + rf(b, tol)
-            return _LINEAR, lambda b, tol: lf(b, tol) - rf(b, tol)
+            combine = operator.add if op == "+" else operator.sub
+
+            def linear_sum(b, tol):
+                v = combine(lf(b, tol), rf(b, tol))
+                if math.isfinite(v):
+                    return v
+                raise OverflowError  # finite terms summed past the float range; `_run` reports it
+
+            return _LINEAR, linear_sum
         case Pow(base, exponent):
             bf, e = _in_log(base), float(exponent)
             return _LOG, lambda b, tol: bf(b, tol) * e

@@ -1,11 +1,12 @@
 """Pi-values, the rescaling equivalence, and constructive nondimensionalization.
 
 Two variable tuples over the same dimensions are equivalent when one is a
-fundamental-rescaling image of the other; equivalently (this module's working
-form) when all their pi-values agree. `canonical_rep` picks the unique member
-of an equivalence class whose pivot-slot coordinates relative to a chosen
-reference list are 1, and `nondimensionalize` turns any dimensionally
-invariant predicate over n quantities into a predicate over the r pi-values.
+fundamental-rescaling image of the other, so all their pi-values agree;
+`equivalent` tests how far their log difference lies from that orbit.
+`canonical_rep` picks the unique member of an equivalence class whose
+pivot-slot coordinates relative to a chosen reference list are 1, and
+`nondimensionalize` turns any dimensionally invariant predicate over n
+quantities into a predicate over the r pi-values.
 
 Equivalence classes and invariant sets are uncountable, so they are only ever
 represented intensionally — as verdicts and predicates, never enumerated.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .core import DEFAULT_TOL, Quantity, coordinate, magnitude_or_limit
+from .core import DEFAULT_TOL, Quantity, coordinate, magnitude_or_limit, orbit_gap
 from .errors import DimensionMismatchError, InconsistentReferenceError
 from .pigroups import PiBasis, SpecialPiBasis
 from .units import require_consistent
@@ -98,20 +99,18 @@ def equivalent(
     ys: Sequence[Quantity],
     tol: float = DEFAULT_TOL,
 ) -> EquivalenceVerdict:
-    """Decide xs ~ ys: same dimensions slotwise and equal pi-values.
-
-    Slotwise dimension disagreement between xs and ys is a verdict, not an
-    error; xs must still conform to the basis dimensions.
-    """
+    """Decide xs ~ ys: equal dimensions slotwise (else a DIM_MISMATCH verdict,
+    not an error; xs must conform to the basis) and log xs - log ys within tol
+    of the row space of the dimension matrix, whatever the basis. On a pi
+    mismatch, mismatch_index names the group whose log differs most."""
     _check_dims_against_basis(basis, xs, "xs")
     if len(ys) != len(xs) or any(x.dim != y.dim for x, y in zip(xs, ys)):
         return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
-    px = pi_values(basis, xs)
-    py = pi_values(basis, ys)
-    for i, (a, b) in enumerate(zip(px.log_values, py.log_values)):
-        if abs(a - b) > tol:
-            return EquivalenceVerdict(False, VerdictReason.PI_MISMATCH, mismatch_index=i)
-    return EquivalenceVerdict(True, VerdictReason.EQUIVALENT)
+    delta = [x.log_magnitude - y.log_magnitude for x, y in zip(xs, ys)]
+    if basis.r == 0 or orbit_gap(basis.row_space, delta) <= tol:
+        return EquivalenceVerdict(True, VerdictReason.EQUIVALENT)
+    worst = max(range(basis.r), key=lambda i: abs(basis.groups[i].log_combine(delta)))
+    return EquivalenceVerdict(False, VerdictReason.PI_MISMATCH, mismatch_index=worst)
 
 
 def _reference_free_slot_values(sb: SpecialPiBasis, ref: Sequence[Quantity]) -> list[float]:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .core import DimVector, Monomial, dim_combine, dimension_matrix
+from .core import DimVector, Monomial, dim_combine, dimension_matrix, row_space
 from .errors import NotABasisError
 from .exactlin import QMatrix, free_kernel, invert, kernel_basis, rref, solve_many
 
@@ -75,6 +76,11 @@ class PiBasis:
     @property
     def r(self) -> int:
         return len(self.groups)
+
+    @cached_property
+    def row_space(self) -> tuple[tuple[float, ...], ...]:
+        """`core.row_space(dims)`: the log shifts no group's value sees."""
+        return row_space(self.dims)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 A registry stores named units as Quantity values in an implicit coherent
 reference system (whatever the registry file declares; there is no hidden SI
 assumption). A list of units is *consistent* when no product of powers of
-them is dimensionless yet different from 1 — `is_consistent` searches the
-kernel of the dimension matrix for such a clash and reports the first one
-found, e.g. cm/hr/knot clashing by a factor of 185200.
+them is dimensionless yet different from 1 — `is_consistent` decides it by
+the distance of the units' logs from the rescaling orbit and names a clash,
+e.g. cm/hr/knot clashing by a factor of 185200.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from .core import (
     dimension_matrix,
     format_magnitude,
     magnitude_or_limit,
+    orbit_gap,
     qty_combine,
+    row_space,
 )
 from .errors import (
     DependentBaseError,
@@ -134,26 +136,22 @@ class UnitRegistry:
 def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
     """Decide consistency of a unit list.
 
-    Every kernel vector of the dimension matrix gives a dimensionless product
-    of powers of the units; the list is consistent iff all of them have
-    magnitude 1. Only the canonical kernel *basis* vectors (primitive integer
-    rows, `exactlin.kernel_basis`) are tested, each against |log| <= tol, and
-    the first violator becomes the witness. So tol bounds the log of each
-    basis product, not of every dimensionless product: a basis vector scaled
-    by k comes to k times its log, and a sum of them to the sum of theirs.
+    Every dimensionless product of powers of the units is 1 iff their log
+    vector lies in the row space of the dimension matrix; tol bounds its
+    distance from there (`core.orbit_gap`), whatever the basis or slot order.
+    A clash's witness is the canonical kernel vector with the largest |log|.
     """
     units = list(units)
     if not units:
         raise EmptyListError("consistency is defined for nonempty unit lists")
-    system = units[0].dim.system
-    matrix = dimension_matrix(system, [u.dim for u in units])
+    dims = [u.dim for u in units]
     logs = [u.log_magnitude for u in units]
-    for vec in kernel_basis(matrix):
-        combo = Monomial(vec)
-        log_clash = combo.log_combine(logs)
-        if abs(log_clash) > tol:
-            return ConsistencyReport(consistent=False, witness=ClashWitness(combo, log_clash))
-    return ConsistencyReport(consistent=True, witness=None)
+    rows = row_space(dims)
+    if len(rows) == len(dims) or orbit_gap(rows, logs) <= tol:
+        return ConsistencyReport(consistent=True, witness=None)
+    matrix = dimension_matrix(dims[0].system, dims)
+    combo = max(map(Monomial, kernel_basis(matrix)), key=lambda c: abs(c.log_combine(logs)))
+    return ConsistencyReport(consistent=False, witness=ClashWitness(combo, combo.log_combine(logs)))
 
 
 def require_consistent(units, tol: float, error=InconsistentUnitsError, what="unit list"):

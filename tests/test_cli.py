@@ -196,6 +196,23 @@ class TestVerifyDomainAndRange:
             b"(last: a value overflows the float range, about 1.8e+308)\n"
         )
 
+    @pytest.mark.parametrize("relation", [
+        "sin(1e308*x/x + 1e308*x/x) < 2",
+        "(1e308*x/x + 1e308*x/x) - (1e308*x/x + 1e308*x/x) < 1",
+        "log(1e308*x/x + 1e308*x/x) < 1",
+    ])
+    def test_sum_beyond_the_float_range_is_out_of_domain(self, tmp_path, relation):
+        # finite terms whose sum rounds to inf: neither a ValueError from sin
+        # nor a nan comparison that passes every trial
+        spec = _write_spec(tmp_path, {"x": "L"}, relation)
+        proc = run_cli("verify", "--spec", spec)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"error: relation is undefined on all 1000 trials, so nothing was tested "
+            b"(last: a value overflows the float range, about 1.8e+308)\n"
+        )
+
     def test_equal_huge_powers_pass(self, tmp_path):
         spec = _write_spec(tmp_path, {"x": "L"}, "x^1000000 = x^1000000")
         proc = run_cli("verify", "--spec", spec)

@@ -204,6 +204,14 @@ class TestLogSpaceComparisons:
         with pytest.raises(EvaluationError, match="float range"):
             evaluate(parse_relation("x^1000 + x^1000 = x^1000"), bindings)
 
+    @pytest.mark.parametrize("text", [
+        "sin(x + x) < 2", "(x + x) - (x + x) < 1", "log(x + x) < 1",
+    ])
+    def test_a_sum_beyond_the_float_range_is_out_of_domain(self, text):
+        bindings = {"x": self._q(math.log(1.5e308))}
+        with pytest.raises(EvaluationError, match="float range"):
+            evaluate(parse_relation(text), bindings)
+
     @pytest.mark.parametrize("tol", [1e-9, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-12, 1.5, 2.5, 1e6])
     def test_equality_rule_matches_the_linear_rule(self, tol, ratio):

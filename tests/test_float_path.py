@@ -16,12 +16,9 @@ from piforge.nondim import canonical_rep, equivalent, pi_values
 from piforge.pigroups import PiBasis, pi_basis, special_basis
 from piforge.units import is_consistent
 
-from support import mass_spring_dims, reference_log_combine, seeded_systems
+from support import mass_spring_dims, oracle_equivalent, reference_log_combine, seeded_systems
 
 SYSTEMS = 200
-# Kernel vectors of rational systems have large primitive integer entries, so
-# a float-built coherent list can miss 1 by more than DEFAULT_TOL.
-TOL = 1e-6
 
 
 def _logs(rng, n):
@@ -45,15 +42,16 @@ def _expected(group, xs):
     return log
 
 
-def _reference_is_consistent(units, tol=TOL):
-    """(verdict, combo, log clash factor) from qty_combine per kernel vector."""
+def _reference_is_consistent(units):
+    """(verdict, combo, log clash factor): the verdict from the oracle's row
+    space test (`reference_rref` and Gram-Schmidt) on the units' logs, the
+    witness the kernel vector whose product has the largest |log|."""
+    origin = [Quantity(0.0, u.dim) for u in units]
+    if oracle_equivalent(origin, units):
+        return True, None, None
     matrix = dimension_matrix(units[0].dim.system, [u.dim for u in units])
-    for vec in kernel_basis(matrix):
-        combo = Monomial(vec)
-        log = _expected(combo, units)
-        if abs(log) > tol:
-            return False, combo, log
-    return True, None, None
+    combo = max(map(Monomial, kernel_basis(matrix)), key=lambda c: abs(_expected(c, units)))
+    return False, combo, _expected(combo, units)
 
 
 class TestBitForBit:
@@ -83,7 +81,7 @@ class TestBitForBit:
             for group, free in zip(sb.base.groups, sb.free_indices):
                 shifted = _expected(group, xs) - _expected(group, ref) + ref[free].log_magnitude
                 expected[free] = Quantity(shifted, dims[free])
-            assert canonical_rep(sb, ref, xs, tol=TOL) == expected
+            assert canonical_rep(sb, ref, xs) == expected
 
     @pytest.mark.parametrize("clash", [False, True], ids=["consistent", "inconsistent"])
     def test_is_consistent(self, clash):
@@ -95,7 +93,7 @@ class TestBitForBit:
                 slot = rng.randrange(len(units))
                 units[slot] = Quantity(units[slot].log_magnitude + rng.uniform(0.1, 3.0), dims[slot])
             verdict, combo, log = _reference_is_consistent(units)
-            report = is_consistent(units, tol=TOL)
+            report = is_consistent(units)
             assert report.consistent == verdict
             if not verdict:
                 assert report.witness.combo == combo
@@ -138,7 +136,7 @@ class TestNoExactDimensionPerRecord:
         for basis, sb, ref, xs, ys in records:
             pi_values(basis, xs)
             equivalent(basis, xs, ys)
-            canonical_rep(sb, ref, xs, tol=TOL)
+            canonical_rep(sb, ref, xs)
         assert calls[0] == built
 
     def test_inconsistent_reference_message(self, registry):
