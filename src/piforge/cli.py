@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import dsl, harness, nondim, pigroups, units
 from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity, format_magnitude, monomial_text
@@ -60,12 +59,7 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> dict[str, Quantity]
     """Bindings file: JSON object, one entry per spec variable; values are
     positive numbers (magnitudes in the coherent reference system) or quantity
     literals resolved against the registry."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read bindings {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bindings {path} is not valid JSON: {exc}") from exc
+    raw = dsl.read_json(path, "bindings", ParseError)
     if not isinstance(raw, dict):
         raise ParseError(f"bindings {path} must be a JSON object")
     out: dict[str, Quantity] = {}

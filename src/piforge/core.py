@@ -225,16 +225,14 @@ def project(x: Quantity) -> DimVector:
     return x.dim
 
 
-def _shared_system(values, system: DimSystem | None, kind: str) -> DimSystem:
-    if values:
-        found = values[0].system if isinstance(values[0], DimVector) else values[0].dim.system
-        for v in values[1:]:
-            s = v.system if isinstance(v, DimVector) else v.dim.system
-            if s != found:
-                raise SystemMismatchError(f"{kind} span multiple dimension systems")
+def _shared_system(ws, system: DimSystem | None) -> DimSystem:
+    if ws:
+        found = ws[0].system
+        if any(w.system != found for w in ws[1:]):
+            raise SystemMismatchError("dimension span multiple dimension systems")
         return found
     if system is None:
-        raise ValueError(f"an empty {kind} list needs an explicit dimension system")
+        raise ValueError("an empty dimension list needs an explicit dimension system")
     return system
 
 
@@ -247,7 +245,7 @@ def dim_combine(p: Monomial, ws, system: DimSystem | None = None) -> DimVector:
     ws = list(ws)
     if p.arity != len(ws):
         raise ArityMismatchError(f"{p.arity}-input combination applied to {len(ws)} dimensions")
-    sys_ = _shared_system(ws, system, "dimension")
+    sys_ = _shared_system(ws, system)
     exps = [_ZERO] * sys_.size
     for coeff, w in zip(p.exponents, ws):
         if coeff == 0:
@@ -264,12 +262,8 @@ def qty_combine(p: Monomial, xs, system: DimSystem | None = None) -> Quantity:
     exact. The 0-input combination returns the identity quantity 1.
     """
     xs = list(xs)
-    if p.arity != len(xs):
-        raise ArityMismatchError(f"{p.arity}-input combination applied to {len(xs)} quantities")
-    sys_ = _shared_system(xs, system, "quantity")
-    log_mag = p.log_combine([x.log_magnitude for x in xs])
-    dim = dim_combine(p, [x.dim for x in xs], system=sys_)
-    return Quantity(log_mag, dim)
+    dim = dim_combine(p, [x.dim for x in xs], system)
+    return Quantity(p.log_combine([x.log_magnitude for x in xs]), dim)
 
 
 def coordinate(x: Quantity, s: Quantity) -> float:

@@ -24,14 +24,14 @@ log space compares their logs, so magnitudes beyond the float range compare
 correctly; equality within relative tolerance tol becomes
 |log a - log b| <= -log1p(-tol), the same rule as |a - b| <= tol*max(a, b).
 A value that leaves the domain (a non-positive value in a product or under
-log, or a linear value beyond the float range) raises EvaluationError.
+log, or a value, linear or log, beyond the float range) raises
+EvaluationError.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,14 +118,8 @@ Node = Var | Const | BinOp | Pow | Call | Compare | BoolOp | Not
 
 
 class BoolType:
-    """Singleton type of predicates, distinct from every DimVector."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The type of predicates, distinct from every DimVector; `BOOL` is its
+    one instance."""
 
     def __repr__(self):
         return "BoolType"
@@ -314,7 +308,10 @@ def parse_quantity(text: str, registry) -> Quantity:
     if tok.kind != "number":
         raise ParseError(f"a quantity literal starts with a decimal magnitude: {text!r}")
     magnitude = _positive_literal(tok.text, "quantity magnitudes")
-    unit = _product(ts, "unit", Quantity.one(registry.system), registry.quantity)
+    try:
+        unit = _product(ts, "unit", Quantity.one(registry.system), registry.quantity)
+    except (OverflowError, ValueError):  # an exponent or a log magnitude past the float range
+        raise ParseError(f"the unit of {text!r} leaves the float range, about 1.8e+308") from None
     if not ts.at_end():
         raise ParseError(f"trailing input {ts.peek().text!r} in quantity {text!r}")
     return Quantity(math.log(magnitude) + unit.log_magnitude, unit.dim)
@@ -331,20 +328,20 @@ def parse_relation(text: str) -> Node:
     return node
 
 
-def _or_expr(ts: _TokenStream) -> Node:
-    node = _and_expr(ts)
-    while ts.peek().text == "or":
-        ts.next()
-        node = BoolOp("or", node, _and_expr(ts))
+def _left_assoc(ts: _TokenStream, ops, operand, node_type) -> Node:
+    """operand (op operand)*, for op in ops, grouped from the left."""
+    node = operand(ts)
+    while ts.peek().text in ops:
+        node = node_type(ts.next().text, node, operand(ts))
     return node
+
+
+def _or_expr(ts: _TokenStream) -> Node:
+    return _left_assoc(ts, ("or",), _and_expr, BoolOp)
 
 
 def _and_expr(ts: _TokenStream) -> Node:
-    node = _not_expr(ts)
-    while ts.peek().text == "and":
-        ts.next()
-        node = BoolOp("and", node, _not_expr(ts))
-    return node
+    return _left_assoc(ts, ("and",), _not_expr, BoolOp)
 
 
 def _not_expr(ts: _TokenStream) -> Node:
@@ -364,26 +361,25 @@ def _comparison(ts: _TokenStream) -> Node:
 
 
 def _additive(ts: _TokenStream) -> Node:
-    node = _multiplicative(ts)
-    while ts.peek().text in ("+", "-"):
-        op = ts.next().text
-        node = BinOp(op, node, _multiplicative(ts))
-    return node
+    return _left_assoc(ts, ("+", "-"), _multiplicative, BinOp)
 
 
 def _multiplicative(ts: _TokenStream) -> Node:
-    node = _power(ts)
-    while ts.peek().text in ("*", "/"):
-        op = ts.next().text
-        node = BinOp(op, node, _power(ts))
-    return node
+    return _left_assoc(ts, ("*", "/"), _power, BinOp)
 
 
 def _power(ts: _TokenStream) -> Node:
     node = _primary(ts)
     while ts.peek().text == "^":
         ts.next()
-        node = Pow(node, _parse_rational(ts))
+        exponent = _parse_rational(ts)
+        try:
+            float(exponent)  # the evaluator runs on the float exponent
+        except OverflowError:
+            raise ParseError(
+                f"exponent {exponent} lies beyond the float range, about 1.8e+308"
+            ) from None
+        node = Pow(node, exponent)
     return node
 
 
@@ -465,9 +461,11 @@ def print_relation(node: Node) -> str:
             return name
         case Const(value, symbol):
             return symbol if symbol else repr(value)
-        case BinOp(op, left, right):
-            p = _PRECEDENCE[op]
-            return f"{_wrap(left, p)} {op} {_wrap(right, p, right_side=True)}"
+        case BinOp(op, left, right) | Compare(op, left, right) | BoolOp(op, left, right):
+            p = _prec(node)
+            # comparisons do not chain, so a comparison operand is wrapped on either side
+            left_text = _wrap(left, p, right_side=isinstance(node, Compare))
+            return f"{left_text} {op} {_wrap(right, p, right_side=True)}"
         case Pow(base, exponent):
             if exponent.denominator == 1 and exponent >= 0:
                 etext = str(exponent)
@@ -476,12 +474,6 @@ def print_relation(node: Node) -> str:
             return f"{_wrap(base, _PRECEDENCE['pow'], right_side=True)}^{etext}"
         case Call(func, arg):
             return f"{func}({print_relation(arg)})"
-        case Compare(op, left, right):
-            p = _PRECEDENCE["cmp"]
-            return f"{_wrap(left, p)} {op} {_wrap(right, p, right_side=True)}"
-        case BoolOp(op, left, right):
-            p = _PRECEDENCE[op]
-            return f"{_wrap(left, p)} {op} {_wrap(right, p, right_side=True)}"
         case Not(operand):
             return f"not {_wrap(operand, _PRECEDENCE['not'])}"
     raise TypeError(f"not a relation node: {node!r}")
@@ -580,6 +572,13 @@ def _log_eq_bound(tol: float) -> float:
     return -math.log1p(-tol) if tol < 1 else math.inf
 
 
+def _finite(v: float) -> float:
+    """v, or OverflowError (which `_run` reports) where it is inf or nan."""
+    if math.isfinite(v):
+        return v
+    raise OverflowError
+
+
 def _lower(node: Node):
     """(space, run) for a node: run(bindings, tol) gives its value in that space."""
     match node:
@@ -592,21 +591,15 @@ def _lower(node: Node):
             if op in ("*", "/"):
                 lf, rf = _in_log(left), _in_log(right)
                 if op == "*":
-                    return _LOG, lambda b, tol: lf(b, tol) + rf(b, tol)
-                return _LOG, lambda b, tol: lf(b, tol) - rf(b, tol)
+                    return _LOG, lambda b, tol: _finite(lf(b, tol) + rf(b, tol))
+                return _LOG, lambda b, tol: _finite(lf(b, tol) - rf(b, tol))
             lf, rf = _in_linear(left), _in_linear(right)
-            combine = operator.add if op == "+" else operator.sub
-
-            def linear_sum(b, tol):
-                v = combine(lf(b, tol), rf(b, tol))
-                if math.isfinite(v):
-                    return v
-                raise OverflowError  # finite terms summed past the float range; `_run` reports it
-
-            return _LINEAR, linear_sum
+            if op == "+":
+                return _LINEAR, lambda b, tol: _finite(lf(b, tol) + rf(b, tol))
+            return _LINEAR, lambda b, tol: _finite(lf(b, tol) - rf(b, tol))
         case Pow(base, exponent):
             bf, e = _in_log(base), float(exponent)
-            return _LOG, lambda b, tol: bf(b, tol) * e
+            return _LOG, lambda b, tol: _finite(bf(b, tol) * e)
         case Call("sqrt", arg):
             af = _in_log(arg)
             return _LOG, lambda b, tol: af(b, tol) * 0.5
@@ -675,7 +668,7 @@ def _in_log(node: Node):
 
     def checked_log(b, tol):
         v = run(b, tol)
-        if v > 0 and math.isfinite(v):
+        if v > 0:
             return math.log(v)
         raise EvaluationError(
             f"non-positive value {v!r} in multiplicative context: {print_relation(node)}"
@@ -724,9 +717,9 @@ def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL
     sides are products of powers, it and < and <= compare their logs, so
     magnitudes beyond the float range compare correctly. is_pos_int accepts
     values within tol of a positive integer. A value outside the relation's
-    domain (a non-positive value in a product or under log, or a linear
-    value that overflows the float range) raises EvaluationError. The node
-    keeps its compiled form for the next call.
+    domain (a non-positive value in a product or under log, or a value,
+    linear or log, that overflows the float range) raises EvaluationError.
+    The node keeps its compiled form for the next call.
     """
     space, run = node._lowered
     if space is _TRUTH:
@@ -736,6 +729,17 @@ def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL
 
 
 # --- problem specs --------------------------------------------------------
+
+
+def read_json(path, what: str, error):
+    """The JSON value in the file at path; error names the file as `what`
+    ("spec", "registry", "bindings") when it is unreadable or not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -760,13 +764,7 @@ def load_problem_spec(path) -> ProblemSpec:
               "relation": text }; other keys are ignored.
     Raises SpecError for anything unreadable or malformed.
     """
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise SpecError(f"cannot read spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"spec {path} is not valid JSON: {exc}") from exc
-    return problem_spec_from_dict(raw, source=str(path))
+    return problem_spec_from_dict(read_json(path, "spec", SpecError), source=str(path))
 
 
 def problem_spec_from_dict(raw: dict, source: str = "<dict>") -> ProblemSpec:

@@ -252,19 +252,11 @@ def solve(a: QMatrix, b) -> tuple[Fraction, ...]:
 
 
 def invert(m: QMatrix) -> QMatrix:
-    """Exact inverse; raises SingularMatrixError when rank < n."""
+    """Exact inverse; raises SingularMatrixError when rank < n. Row i of the
+    inverse solves m^T y = e_i, and one elimination serves every row."""
     if m.rows != m.cols:
         raise ValueError("inversion requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return m
-    flat = tuple(
-        v for i in range(n) for v in (*m.row(i), *(_ONE if i == j else _ZERO for j in range(n)))
-    )
-    reduced, pivot_cols, _ = rref(QMatrix(n, 2 * n, flat))
-    # [m | I] always has full row rank; m is invertible iff the first n
-    # pivots land in the left block.
-    if pivot_cols != tuple(range(n)):
-        rk = sum(1 for pc in pivot_cols if pc < n)
-        raise SingularMatrixError(f"matrix of rank {rk} < {n} has no inverse")
-    return QMatrix(n, n, tuple(reduced.at(i, n + j) for i in range(n) for j in range(n)))
+    try:
+        return QMatrix.from_rows(solve_many(m.transpose(), QMatrix.identity(m.rows).to_rows()))
+    except NoSolutionError:
+        raise SingularMatrixError(f"matrix of rank {rank(m)} < {m.rows} has no inverse") from None

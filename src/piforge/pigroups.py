@@ -151,10 +151,6 @@ def transition(psi: PiBasis, pi: PiBasis) -> Transition:
     """
     if psi.dims != pi.dims:
         raise NotABasisError("transition requires bases over identical dimensions")
-    r = psi.r
-    if r == 0:
-        identity = QMatrix.identity(0)
-        return _built(Transition, matrix=identity, inverse=identity)
     # Columns are psi's exponent vectors; solving against all pi groups at
     # once is exact because both span the same kernel.
     columns = _exponent_matrix(psi.groups).transpose()

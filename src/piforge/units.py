@@ -10,10 +10,8 @@ e.g. cm/hr/knot clashing by a factor of 185200.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import dsl
 from .core import (
@@ -124,13 +122,7 @@ class UnitRegistry:
 
     @classmethod
     def load(cls, path) -> "UnitRegistry":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ParseError(f"cannot read registry {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"registry {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw, source=str(path))
+        return cls.from_dict(dsl.read_json(path, "registry", ParseError), source=str(path))
 
 
 def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:

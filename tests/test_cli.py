@@ -213,6 +213,23 @@ class TestVerifyDomainAndRange:
             b"(last: a value overflows the float range, about 1.8e+308)\n"
         )
 
+    @pytest.mark.parametrize("variables,relation,passed", [
+        ({"x": "L", "y": "L"}, f"x^{10**308}/x^{10**308} < y/y*2", 107),
+        ({"x": "L", "y": "L"}, f"x^{10**308} = x^{10**308}", 107),
+        ({"x": "L", "y": "L"}, f"sin(x^{10**308}/y^{10**308}) < 2", 5),
+        ({"x": "L", "y": "1"}, f"y = x^{10**308}/x^{10**308}", 107),
+    ], ids=["ratio-order", "equality", "sin", "seeded-equality"])
+    def test_log_beyond_the_float_range_is_out_of_domain(self, tmp_path, variables, relation, passed):
+        # inf - inf in log space is no counterexample, no math domain error,
+        # and no non-finite magnitude from the equality seeder
+        spec = _write_spec(tmp_path, variables, relation)
+        proc = run_cli("verify", "--spec", spec)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        assert proc.stdout.splitlines()[0] == (
+            f"trials: 1000, passed: {passed}, inapplicable: {1000 - passed}".encode()
+        )
+
     def test_equal_huge_powers_pass(self, tmp_path):
         spec = _write_spec(tmp_path, {"x": "L"}, "x^1000000 = x^1000000")
         proc = run_cli("verify", "--spec", spec)
@@ -235,6 +252,15 @@ class TestVerifyDomainAndRange:
         assert proc.stdout == b""
         assert b"float range" in proc.stderr
         assert b"ValueError" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "check"])
+    def test_exponent_beyond_the_float_range_is_parse_error(self, tmp_path, command):
+        spec = _write_spec(tmp_path, {"x": "L", "y": "L"}, f"x^{10**309} < y^{10**309}")
+        proc = run_cli(command, "--spec", spec)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"float range" in proc.stderr
+        assert b"OverflowError" not in proc.stderr
 
 
 class TestClashBeyondFloatRange:

@@ -64,6 +64,9 @@ class TestDimensionParsing:
             with pytest.raises(ParseError):
                 parse_dimension(bad, mt)
 
+    def test_exponent_beyond_the_float_range_stays_exact(self, mt):
+        assert parse_dimension(f"M^{10**309}", mt).exponents == (Fraction(10**309), Fraction(0))
+
     def test_round_trip(self, mt):
         corpus = ["M*T^-2", "1", "M", "T^(1/2)", "M^3*T^(-5/2)"]
         for text in corpus:
@@ -95,6 +98,12 @@ class TestQuantityParsing:
         for text in ("1e400 kg", "1e-400 kg"):
             with pytest.raises(ParseError, match="float range"):
                 parse_quantity(text, registry)
+
+    @pytest.mark.parametrize("text", [f"2 cm^{10**309}", f"2 cm^{10**308}", f"2 cm^(-{10**308})"],
+                             ids=["1e309", "1e308", "-1e308"])
+    def test_exponent_beyond_the_float_range(self, registry, text):
+        with pytest.raises(ParseError, match="float range"):
+            parse_quantity(text, registry)
 
     def test_rejects_nonpositive_and_unknown(self, registry):
         with pytest.raises(ParseError):
@@ -135,6 +144,12 @@ class TestRelationParsing:
         with pytest.raises(ParseError, match="float range"):
             parse_relation(f"x < {literal}*x")
 
+    @pytest.mark.parametrize("text", [f"x^{10**309} < y^{10**309}", f"x^(-{10**309}) < y", f"x^({10**309}/3) < y"],
+                             ids=["1e309", "-1e309", "1e309/3"])
+    def test_exponent_beyond_the_float_range(self, text):
+        with pytest.raises(ParseError, match="float range"):
+            parse_relation(text)
+
     @pytest.mark.parametrize("literal", ["0", "0.0", "0e400"])
     def test_zero_constant(self, literal):
         with pytest.raises(ParseError, match="must be positive"):
@@ -159,6 +174,30 @@ class TestRelationParsing:
         ]
         for text in corpus:
             node = parse_relation(text)
+            assert parse_relation(print_relation(node)) == node
+
+    @pytest.mark.parametrize("text,expected", [
+        ("a - b - c", BinOp("-", BinOp("-", Var("a"), Var("b")), Var("c"))),
+        ("a / b / c", BinOp("/", BinOp("/", Var("a"), Var("b")), Var("c"))),
+        ("a or b or c", dsl.BoolOp("or", dsl.BoolOp("or", Var("a"), Var("b")), Var("c"))),
+        ("a and b and c", dsl.BoolOp("and", dsl.BoolOp("and", Var("a"), Var("b")), Var("c"))),
+    ])
+    def test_chains_group_from_the_left(self, text, expected):
+        assert parse_relation(text) == expected
+
+    def test_comparisons_do_not_chain(self):
+        with pytest.raises(ParseError, match="trailing input '<'"):
+            parse_relation("a < b < c")
+
+    @pytest.mark.parametrize("text", ["a - (b - c)", "a / (b * c)", "(a < b) < c", "a = (b = c)"])
+    def test_operand_keeps_its_parentheses(self, text):
+        # printing gives the text back, so the round trip holds too
+        assert print_relation(parse_relation(text)) == text
+
+    def test_generated_round_trip(self):
+        rng = random.Random(47)
+        for _ in range(500):
+            node = _any_predicate(rng, ["a", "b", "c"], depth=rng.randint(0, 4))
             assert parse_relation(print_relation(node)) == node
 
 
@@ -343,6 +382,37 @@ def _random_predicate(rng, names, depth):
         _random_predicate(rng, names, depth - 1),
         _random_predicate(rng, names, depth - 1),
     )
+
+
+def _any_term(rng, names, depth):
+    """Any operand node, mostly quantity-valued; types are not checked."""
+    kind = rng.randrange(6) if depth > 0 else rng.randrange(2)
+    if kind == 0:
+        return Var(rng.choice(names))
+    if kind == 1:
+        return rng.choice([Const(0.5), Const(2.0), Const(1e-05), Const(3e20), Const(math.pi, "pi")])
+    if kind == 2:
+        op = rng.choice(["+", "-", "*", "/"])
+        return BinOp(op, _any_term(rng, names, depth - 1), _any_term(rng, names, depth - 1))
+    if kind == 3:
+        return Pow(_any_term(rng, names, depth - 1), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    if kind == 4:
+        return Call(rng.choice(["exp", "log", "sin", "cos", "sqrt"]), _any_term(rng, names, depth - 1))
+    return _any_predicate(rng, names, depth - 1)
+
+
+def _any_predicate(rng, names, depth):
+    """Any truth-valued node, drawn over every node type."""
+    kind = rng.randrange(4) if depth > 0 else 0
+    if kind == 0:
+        op = rng.choice(["=", "<", "<="])
+        return Compare(op, _any_term(rng, names, depth - 1), _any_term(rng, names, depth - 1))
+    if kind == 1:
+        op = rng.choice(["and", "or"])
+        return dsl.BoolOp(op, _any_predicate(rng, names, depth - 1), _any_predicate(rng, names, depth - 1))
+    if kind == 2:
+        return dsl.Not(_any_predicate(rng, names, depth - 1))
+    return Call("is_pos_int", _any_term(rng, names, depth - 1))
 
 
 def _random_term(rng, names, depth):

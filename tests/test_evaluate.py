@@ -212,6 +212,16 @@ class TestLogSpaceComparisons:
         with pytest.raises(EvaluationError, match="float range"):
             evaluate(parse_relation(text), bindings)
 
+    @pytest.mark.parametrize("text", [
+        f"x^{10**308}/x^{10**308} < 2*x/x", f"x^{10**308} = x^{10**308}", "x*x < x",
+    ], ids=["power-ratio", "power-equality", "product"])
+    def test_a_log_beyond_the_float_range_is_out_of_domain(self, text):
+        # a log magnitude that rounds to inf: no nan from inf - inf reaches
+        # the comparison
+        bindings = {"x": self._q(1e308)}
+        with pytest.raises(EvaluationError, match="float range"):
+            evaluate(parse_relation(text), bindings)
+
     @pytest.mark.parametrize("tol", [1e-9, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-12, 1.5, 2.5, 1e6])
     def test_equality_rule_matches_the_linear_rule(self, tol, ratio):

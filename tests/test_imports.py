@@ -1,0 +1,46 @@
+"""Every name a piforge module imports is used in that module.
+
+No linter ships with the project, so this stands in for one check of it: a
+fold that moves code between modules must not leave its imports behind. A
+name counts as used when the module reads it (as a name, or as the base of
+an attribute), or when the module lists it in `__all__` to re-export it.
+"""
+
+import ast
+
+import pytest
+
+from support import ROOT
+
+MODULES = sorted((ROOT / "src" / "piforge").glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name the module binds by an import, with its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Every name the module reads, and every name its `__all__` lists."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = {name: line for name, line in _imported(tree).items() if name not in _used(tree)}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
