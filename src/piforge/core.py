@@ -33,6 +33,13 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def check_tol(tol: float) -> None:
+    """Reject a NaN tolerance: every comparison with it is false, so a
+    verdict read off one would be wrong without any error."""
+    if math.isnan(tol):
+        raise ValueError("tol must be a number, got nan")
+
+
 @dataclass(frozen=True)
 class DimSystem:
     """Ordered, distinct fundamental dimension names, e.g. ("M", "L", "T")."""

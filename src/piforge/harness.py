@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DEFAULT_TOL, DimSystem, Quantity, format_magnitude, magnitude_or_limit
+from .core import DEFAULT_TOL, DimSystem, Quantity, check_tol, format_magnitude, magnitude_or_limit
 from .dsl import (
     BOOL,
     Compare,
@@ -152,6 +152,7 @@ def fuzz_invariance(
     """
     if trials < 1:
         raise ValueError("at least one trial required")
+    check_tol(tol)
     try:
         result_type = typecheck(spec.relation, spec.env, allow_mixed_comparisons=True)
     except DimensionError as exc:

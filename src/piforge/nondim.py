@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .core import DEFAULT_TOL, Quantity, coordinate, magnitude_or_limit, orbit_gap
+from .core import DEFAULT_TOL, Quantity, check_tol, coordinate, magnitude_or_limit, orbit_gap
 from .errors import DimensionMismatchError, InconsistentReferenceError
 from .pigroups import PiBasis, SpecialPiBasis
 from .units import require_consistent
@@ -103,6 +103,7 @@ def equivalent(
     not an error; xs must conform to the basis) and log xs - log ys within tol
     of the row space of the dimension matrix, whatever the basis. On a pi
     mismatch, mismatch_index names the group whose log differs most."""
+    check_tol(tol)
     _check_dims_against_basis(basis, xs, "xs")
     if len(ys) != len(xs) or any(x.dim != y.dim for x, y in zip(xs, ys)):
         return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
@@ -121,8 +122,10 @@ def _reference_free_slot_values(sb: SpecialPiBasis, ref: Sequence[Quantity]) -> 
 
 
 def _check_reference(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float):
+    """ref must carry the basis dimensions and be consistent; once it does,
+    the basis's cached row space decides the latter with no elimination."""
     _check_dims_against_basis(sb.base, ref, "ref")
-    require_consistent(list(ref), tol, InconsistentReferenceError, "reference list")
+    require_consistent(ref, tol, InconsistentReferenceError, "reference list", basis=sb.base)
 
 
 def _place_free_slots(sb: SpecialPiBasis, ref, log_u, log_values) -> list[Quantity]:
@@ -183,7 +186,7 @@ def nondimensionalize(
         if len(values) != sb.base.r:
             raise DimensionMismatchError(f"{len(values)} pi-values for r = {sb.base.r}")
         for v in values:
-            if v <= 0:
+            if isinstance(v, bool) or not 0 < v < math.inf:
                 raise ValueError(f"pi-values are positive reals, got {v!r}")
         return f(_place_free_slots(sb, ref, log_u, [math.log(v) for v in values]))
 

@@ -19,6 +19,7 @@ from .core import (
     DimSystem,
     Monomial,
     Quantity,
+    check_tol,
     dimension_matrix,
     format_magnitude,
     magnitude_or_limit,
@@ -28,6 +29,7 @@ from .core import (
 )
 from .errors import (
     DependentBaseError,
+    DimensionMismatchError,
     EmptyListError,
     InconsistentUnitsError,
     NoSolutionError,
@@ -125,20 +127,30 @@ class UnitRegistry:
         return cls.from_dict(dsl.read_json(path, "registry", ParseError), source=str(path))
 
 
-def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
+def is_consistent(units, tol: float = DEFAULT_TOL, *, basis=None) -> ConsistencyReport:
     """Decide consistency of a unit list.
 
     Every dimensionless product of powers of the units is 1 iff their log
     vector lies in the row space of the dimension matrix; tol bounds its
     distance from there (`core.orbit_gap`), whatever the basis or slot order.
     A clash's witness is the canonical kernel vector with the largest |log|.
+
+    A `PiBasis` over the units' dimensions, slot for slot, lends its cached
+    `row_space`, so no elimination is made while the list is consistent; a
+    basis over other dimensions raises DimensionMismatchError.
     """
+    check_tol(tol)
     units = list(units)
     if not units:
         raise EmptyListError("consistency is defined for nonempty unit lists")
     dims = [u.dim for u in units]
     logs = [u.log_magnitude for u in units]
-    rows = row_space(dims)
+    if basis is None:
+        rows = row_space(dims)
+    elif tuple(dims) == basis.dims:
+        rows = basis.row_space
+    else:
+        raise DimensionMismatchError("the basis is not over the units' dimensions, slot for slot")
     if len(rows) == len(dims) or orbit_gap(rows, logs) <= tol:
         return ConsistencyReport(consistent=True, witness=None)
     matrix = dimension_matrix(dims[0].system, dims)
@@ -146,9 +158,12 @@ def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
     return ConsistencyReport(consistent=False, witness=ClashWitness(combo, combo.log_combine(logs)))
 
 
-def require_consistent(units, tol: float, error=InconsistentUnitsError, what="unit list"):
-    """Raise error, naming the clash factor, unless the unit list is consistent."""
-    report = is_consistent(units, tol=tol)
+def require_consistent(
+    units, tol: float, error=InconsistentUnitsError, what="unit list", *, basis=None
+):
+    """Raise error, naming the clash factor, unless the unit list is consistent
+    (`basis` as in `is_consistent`)."""
+    report = is_consistent(units, tol=tol, basis=basis)
     if not report.consistent:
         raise error(f"{what} clashes by factor {format_magnitude(report.witness.log_clash_factor)}")
 
@@ -176,6 +191,7 @@ def express(base, targets, tol: float = DEFAULT_TOL) -> list[Monomial]:
     the base equals the target (target dimension outside the span, or the
     magnitudes disagree beyond tol in log space).
     """
+    check_tol(tol)
     base = list(base)
     targets = list(targets)
     if not base:

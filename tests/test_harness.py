@@ -129,6 +129,11 @@ class TestFuzzInvariance:
         with pytest.raises(SpecError):
             fuzz_invariance(dsl.load_problem_spec(bad), trials=1, seed=0)
 
+    def test_nan_tol_rejected(self):
+        # every `=` would be false on both sides, so hidden_constant would pass
+        with pytest.raises(ValueError, match="tol must be a number"):
+            fuzz_invariance(_spec("hidden_constant"), trials=10, seed=0, tol=math.nan)
+
     def test_invariant_composites_pass(self):
         # g(pi(...)) relations are dimensionally invariant by construction
         spec = _spec("mass_spring")

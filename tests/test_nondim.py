@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from piforge.core import DimSystem, DimVector, Quantity, coordinate
+from piforge import core, exactlin, pigroups, units
+from piforge.core import DimSystem, DimVector, Quantity, coordinate, format_magnitude
 from piforge.errors import (
     DimensionMismatchError,
     InconsistentReferenceError,
@@ -16,6 +17,7 @@ from piforge.nondim import (
     equivalent,
     nondimensionalize,
     pi_values,
+    preimage,
     strip_units,
 )
 from piforge.pigroups import PiBasis, pi_basis, special_basis
@@ -26,6 +28,7 @@ from support import (
     random_dims,
     random_invertible,
     random_quantities,
+    seeded_systems,
 )
 
 
@@ -362,3 +365,95 @@ class TestNondimensionalize:
         sb = special_basis(dims)
         with pytest.raises(InconsistentReferenceError):
             nondimensionalize(lambda values: True, sb, units)
+
+
+class TestGRejectsWhatIsNotAPositiveReal:
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf, True, False, 0, -1.0])
+    def test_rejected(self, spring, value):
+        _, dims, _, _, ref = spring
+        g = nondimensionalize(lambda values: True, special_basis(dims), ref)
+        with pytest.raises(ValueError, match=r"^pi-values are positive reals, got "):
+            g(value)
+
+
+# The three functions that anchor at a reference list, each called on a
+# special basis sb and a reference ref (keyword arguments pass through).
+REFERENCE_USERS = {
+    "preimage": lambda sb, ref, **kw: preimage(sb, ref, [0.0] * sb.base.r, **kw),
+    "canonical_rep": lambda sb, ref, **kw: canonical_rep(sb, ref, ref, **kw),
+    "nondimensionalize": lambda sb, ref, **kw: nondimensionalize(lambda v: True, sb, ref, **kw),
+}
+
+
+class TestAnchoredReference:
+    """preimage, canonical_rep and nondimensionalize check the reference
+    against the special basis's cached row space."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_USERS))
+    def test_clash_message(self, registry, name):
+        ref = [registry.quantity(n) for n in ("cm", "hr", "knot")]
+        sb = special_basis(tuple(u.dim for u in ref))
+        with pytest.raises(InconsistentReferenceError) as info:
+            REFERENCE_USERS[name](sb, ref)
+        assert str(info.value) == "reference list clashes by factor 185200"
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_USERS))
+    def test_verdict_and_message_match_the_unanchored_check(self, name):
+        rng = random.Random(127)
+        make = REFERENCE_USERS[name]
+        seen = set()
+        for system, dims in seeded_systems(200):
+            sb = special_basis(dims)
+            ref = _consistent_list(rng, system, dims)
+            if rng.random() < 0.5:
+                slot = rng.randrange(len(ref))
+                ref[slot] = Quantity(ref[slot].log_magnitude + rng.uniform(0.1, 3.0), dims[slot])
+            report = units.is_consistent(ref)
+            seen.add(report.consistent)
+            if report.consistent:
+                make(sb, ref)
+                continue
+            with pytest.raises(InconsistentReferenceError) as info:
+                make(sb, ref)
+            factor = format_magnitude(report.witness.log_clash_factor)
+            assert str(info.value) == f"reference list clashes by factor {factor}"
+        assert seen == {True, False}
+
+    @pytest.fixture
+    def rref_calls(self, monkeypatch):
+        calls = []
+        original = exactlin.rref
+
+        def counting(m):
+            calls.append((m.rows, m.cols))
+            return original(m)
+
+        for module in (exactlin, core, units, pigroups):
+            monkeypatch.setattr(module, "rref", counting)
+        return calls
+
+    def test_a_stream_of_records_eliminates_once(self, rref_calls):
+        rng = random.Random(131)
+        system, dims = next(seeded_systems(1))
+        sb = special_basis(dims)
+        ref = _consistent_list(rng, system, dims)
+        del rref_calls[:]
+        for _ in range(50):
+            canonical_rep(sb, ref, random_quantities(rng, dims))
+        assert len(rref_calls) == 1
+        for use in REFERENCE_USERS.values():
+            use(sb, ref)
+        assert len(rref_calls) == 1
+
+
+class TestNanTolerance:
+    def test_equivalent(self, spring):
+        _, _, basis, xs, _ = spring
+        with pytest.raises(ValueError, match="tol must be a number"):
+            equivalent(basis, xs, xs, tol=math.nan)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_USERS))
+    def test_reference_users(self, spring, name):
+        _, dims, _, _, ref = spring
+        with pytest.raises(ValueError, match="tol must be a number"):
+            REFERENCE_USERS[name](special_basis(dims), ref, tol=math.nan)

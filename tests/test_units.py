@@ -15,14 +15,16 @@ from piforge.core import (
 )
 from piforge.errors import (
     DependentBaseError,
+    DimensionMismatchError,
     EmptyListError,
     InconsistentUnitsError,
     NoSolutionError,
 )
 from piforge.exactlin import QMatrix
+from piforge.pigroups import pi_basis, special_basis
 from piforge.units import UnitRegistry, express, fundamental_basis, is_consistent
 
-from support import brute_force_integer_kernel, random_dims
+from support import brute_force_integer_kernel, random_dims, seeded_systems
 
 
 def electronics(registry):
@@ -136,6 +138,50 @@ class TestClashBeyondFloatRange:
         for _ in range(500):
             log = rng.uniform(-700, 700)
             assert format_magnitude(log) == format(math.exp(log), ".15g")
+
+
+class TestAnchoredToABasis:
+    """`is_consistent(units, basis=b)` reads b's cached row space in place of
+    eliminating the units' dimension matrix, with the same report."""
+
+    @pytest.mark.parametrize("clash", [False, True], ids=["consistent", "inconsistent"])
+    def test_same_report_as_without_a_basis(self, clash):
+        rng = random.Random(61 + clash)
+        seen = set()
+        for system, dims in seeded_systems(200):
+            units = _units_for(rng, system, dims, clash=clash)
+            expected = is_consistent(units)
+            for basis in (pi_basis(dims), special_basis(dims).base):
+                assert is_consistent(units, basis=basis) == expected
+            seen.add(expected.consistent)
+        assert seen == ({True} if not clash else {True, False})
+
+    def test_basis_over_other_dimensions_is_rejected(self, registry):
+        units = electronics(registry)
+        dims = [u.dim for u in units]
+        for other in (dims[:-1], dims[1:] + dims[:1], dims + dims[:1]):
+            with pytest.raises(DimensionMismatchError, match="not over the units' dimensions"):
+                is_consistent(units, basis=pi_basis(other))
+
+
+class TestNanTolerance:
+    """A NaN tol makes every comparison false; it is refused, not obeyed."""
+
+    def test_is_consistent(self, registry):
+        units = electronics(registry)
+        for basis in (None, pi_basis([u.dim for u in units])):
+            with pytest.raises(ValueError, match="tol must be a number"):
+                is_consistent(units, tol=math.nan, basis=basis)
+
+    def test_express(self, registry):
+        with pytest.raises(ValueError, match="tol must be a number"):
+            express([registry.quantity("V")], [registry.quantity("V")], tol=math.nan)
+
+    def test_other_tolerances_are_kept(self, registry):
+        clash = [registry.quantity(n) for n in ("cm", "hr", "knot")]
+        assert is_consistent(clash, tol=math.inf).consistent
+        for tol in (1e-300, 0.0, -1.0):
+            assert not is_consistent(clash, tol=tol).consistent
 
 
 def _units_for(rng, system, dims, clash: bool):
