@@ -97,8 +97,9 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> dict[str, Quantity]
 def cmd_pi(args) -> int:
     spec = dsl.load_problem_spec(args.spec)
     names = spec.variable_names
-    basis = pigroups.pi_basis(spec.variable_dims)
     special = pigroups.special_basis(spec.variable_dims)
+    # pi_basis(dims), read off the special basis's one elimination.
+    basis = pigroups._canonical(special.base)
     n = len(names)
     r = basis.r
     m = n - r

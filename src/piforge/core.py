@@ -187,6 +187,7 @@ class Quantity:
         Dimensions compare exactly; only the magnitude side is tolerant
         (decimal literals cannot hit exact logs).
         """
+        check_tol(tol)
         return self.dim == other.dim and abs(self.log_magnitude - other.log_magnitude) <= tol
 
     def __mul__(self, other: "Quantity") -> "Quantity":
@@ -324,10 +325,17 @@ def _residual(vec, rows) -> list[float]:
 
 def row_space(ws) -> tuple[tuple[float, ...], ...]:
     """Orthonormal rows spanning lambda^T D, the log shifts of the nonempty
-    sequence ws under rescalings (D its dimension matrix): modified
-    Gram-Schmidt on the nonzero RREF rows of D, which hold the identity at
-    their pivots and so are well conditioned."""
-    reduced, _, rank = rref(dimension_matrix(ws[0].system, ws))
+    sequence ws under rescalings (D its dimension matrix): `reduced_row_space`
+    of one exact `rref` of D."""
+    return reduced_row_space(rref(dimension_matrix(ws[0].system, ws)))
+
+
+def reduced_row_space(reduction) -> tuple[tuple[float, ...], ...]:
+    """Orthonormal rows spanning the row space of a matrix, from its `rref`
+    result (reduced, pivot_cols, rank): modified Gram-Schmidt on the nonzero
+    RREF rows, which hold the identity at their pivots and so are well
+    conditioned. Makes no elimination of its own."""
+    reduced, _, rank = reduction
     rows = []
     for i in range(rank):
         row = _residual([float(v) for v in reduced.row(i)], rows)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity
+from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity, check_tol
 from .errors import (
     DimensionError,
     EvaluationError,
@@ -721,6 +721,7 @@ def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL
     linear or log, that overflows the float range) raises EvaluationError.
     The node keeps its compiled form for the next call.
     """
+    check_tol(tol)
     space, run = node._lowered
     if space is _TRUTH:
         return _run(run, bindings, tol)

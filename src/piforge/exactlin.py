@@ -180,7 +180,7 @@ def rank(m: QMatrix) -> int:
 
 def _primitive(vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Scale a rational vector by a positive factor to coprime integers."""
-    return tuple(Fraction(v) for v in _integer_row(vec))
+    return tuple(Fraction(v) if v else _ZERO for v in _integer_row(vec))
 
 
 def free_kernel(reduced: QMatrix, pivot_cols) -> list[tuple[Fraction, ...]]:

@@ -7,10 +7,17 @@ the basis in which each group carries exactly one "free" variable to the
 first power, the rest drawn from a fixed pivot set; `transition` computes the
 exact invertible change of basis between any two bases.
 
+Every basis keeps the one exact RREF of its dimension matrix that built or
+validated it. The free slots are the non-pivot columns of that RREF, and a
+dimensionless product is fixed by its exponents there, so a basis's r x r
+free-slot block holds its coordinates in the special basis. `transition`
+reads its matrices off two such blocks, with no elimination of the n-slot
+groups, and `row_space` reads the same reduction.
+
 The public constructors `PiBasis`, `SpecialPiBasis` and `Transition`, and
-`is_pi_basis`, validate the groups a caller hands them. The three builders
-read their results off exact eliminations, correct by construction, and
-return them through `_built` without checking them again.
+`is_pi_basis`, validate the groups a caller hands them. The builders read
+their results off one exact elimination of the dimension matrix, correct by
+construction, and return them through `_built` without checking them again.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import DimVector, Monomial, dim_combine, dimension_matrix, row_space
+from .core import DimVector, Monomial, dim_combine, dimension_matrix, reduced_row_space
 from .errors import NotABasisError
-from .exactlin import QMatrix, free_kernel, invert, kernel_basis, rref, solve_many
+from .exactlin import QMatrix, _primitive, free_kernel, rref, solve_many
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -49,7 +56,13 @@ def _built(cls, **fields):
 @dataclass(frozen=True)
 class PiBasis:
     """A basis of the annihilator space over fixed dims. The constructor
-    validates the groups; the builders below skip that for their own."""
+    validates the groups; the builders below skip that for their own.
+
+    `reduction` is the `rref` result (reduced, pivot_cols, rank) of the dims'
+    dimension matrix: the constructor keeps the one it validates with, the
+    builders the one they build from. It is an attribute, not a field, so it
+    takes no part in ==, hash or repr.
+    """
 
     dims: tuple[DimVector, ...]
     groups: tuple[Monomial, ...]
@@ -58,8 +71,8 @@ class PiBasis:
         if not self.dims:
             raise NotABasisError("a pi basis needs at least one dimension slot")
         n = len(self.dims)
-        matrix = _dimension_matrix_of(self.dims)
-        expected_r = n - rref(matrix)[2]
+        reduction = rref(_dimension_matrix_of(self.dims))
+        expected_r = n - reduction[2]
         if len(self.groups) != expected_r:
             raise NotABasisError(
                 f"{len(self.groups)} groups for a kernel of dimension {expected_r}"
@@ -72,6 +85,7 @@ class PiBasis:
         if self.groups:
             if rref(_exponent_matrix(self.groups))[2] != len(self.groups):
                 raise NotABasisError("groups are linearly dependent")
+        object.__setattr__(self, "reduction", reduction)
 
     @property
     def r(self) -> int:
@@ -79,8 +93,9 @@ class PiBasis:
 
     @cached_property
     def row_space(self) -> tuple[tuple[float, ...], ...]:
-        """`core.row_space(dims)`: the log shifts no group's value sees."""
-        return row_space(self.dims)
+        """`core.row_space(dims)`, the log shifts no group's value sees,
+        read off the kept reduction."""
+        return reduced_row_space(self.reduction)
 
 
 @dataclass(frozen=True)
@@ -119,11 +134,29 @@ class Transition:
             raise NotABasisError("transition matrix and inverse do not multiply to identity")
 
 
+def _special(dims, reduction) -> SpecialPiBasis:
+    """The special basis over dims, read off the `rref` result of their
+    dimension matrix."""
+    reduced, pivot_cols, _ = reduction
+    free_cols = tuple(i for i in range(len(dims)) if i not in pivot_cols)
+    groups = tuple(Monomial(vec) for vec in free_kernel(reduced, pivot_cols))
+    base = _built(PiBasis, dims=dims, groups=groups, reduction=reduction)
+    return _built(SpecialPiBasis, base=base, pivot_indices=pivot_cols, free_indices=free_cols)
+
+
+def _canonical(special: PiBasis) -> PiBasis:
+    """`pi_basis` over the dims of a special basis's `base`, with no further
+    elimination: group i is special group i scaled to primitive integers."""
+    groups = tuple(Monomial(_primitive(g.exponents)) for g in special.groups)
+    return _built(PiBasis, dims=special.dims, groups=groups, reduction=special.reduction)
+
+
 def pi_basis(dims) -> PiBasis:
-    """Canonical basis of the annihilator space of dims (may be empty, r = 0)."""
+    """Canonical basis of the annihilator space of dims (may be empty, r = 0):
+    the RREF free-variable kernel scaled to primitive integers, as
+    `exactlin.kernel_basis` of the dimension matrix gives it."""
     dims = tuple(dims)
-    groups = tuple(Monomial(vec) for vec in kernel_basis(_dimension_matrix_of(dims)))
-    return _built(PiBasis, dims=dims, groups=groups)
+    return _canonical(_special(dims, rref(_dimension_matrix_of(dims))).base)
 
 
 def special_basis(dims) -> SpecialPiBasis:
@@ -136,11 +169,41 @@ def special_basis(dims) -> SpecialPiBasis:
     dimensionless.
     """
     dims = tuple(dims)
-    reduced, pivot_cols, _ = rref(_dimension_matrix_of(dims))
-    free_cols = tuple(i for i in range(len(dims)) if i not in pivot_cols)
-    groups = tuple(Monomial(vec) for vec in free_kernel(reduced, pivot_cols))
-    base = _built(PiBasis, dims=dims, groups=groups)
-    return _built(SpecialPiBasis, base=base, pivot_indices=pivot_cols, free_indices=free_cols)
+    return _special(dims, rref(_dimension_matrix_of(dims)))
+
+
+def _free_block(basis: PiBasis, free_cols) -> list[list[tuple[int, Fraction]]]:
+    """The basis's r x r free-slot block, which holds its groups' coordinates
+    in the special basis: row i lists group i's nonzero exponents at the
+    free slots as (column, value) pairs."""
+    return [
+        [(j, e) for j, e in enumerate([g.exponents[c] for c in free_cols]) if e]
+        for g in basis.groups
+    ]
+
+
+def _dense(block) -> list[list[Fraction]]:
+    rows = [[_ZERO] * len(block) for _ in block]
+    for row, terms in zip(rows, block):
+        for j, v in terms:
+            row[j] = v
+    return rows
+
+
+def _right_divide(x, a) -> QMatrix:
+    """x a^-1, exact, for r x r `_free_block`s with a invertible. A diagonal
+    a divides column j of x by a[j][j], touching only x's nonzero entries;
+    any other a takes one `solve_many` of a^T against the rows of x, since
+    y a = x iff a^T y^T = x^T."""
+    r = len(a)
+    if all(len(terms) == 1 and terms[0][0] == i for i, terms in enumerate(a)):
+        flat = [_ZERO] * (r * r)
+        for i, terms in enumerate(x):
+            for j, v in terms:
+                flat[i * r + j] = v / a[j][0][1]
+        return QMatrix(r, r, tuple(flat))
+    a_t = QMatrix.from_rows(_dense(a)).transpose()
+    return QMatrix.from_rows(solve_many(a_t, _dense(x)))
 
 
 def transition(psi: PiBasis, pi: PiBasis) -> Transition:
@@ -148,14 +211,20 @@ def transition(psi: PiBasis, pi: PiBasis) -> Transition:
 
     Row i of the matrix holds the unique coefficients with
     pi.groups[i] = sum_j M[i][j] * psi.groups[j].
+
+    With A and B the free-slot blocks of psi and pi, psi = A s and pi = B s
+    over the special basis s, so M = B A^-1 and its inverse is A B^-1. Every
+    builder's block is diagonal (the special basis's is I, the canonical
+    basis's diag(c_i) with each c_i > 0), so a builder pair needs no
+    elimination at all.
     """
     if psi.dims != pi.dims:
         raise NotABasisError("transition requires bases over identical dimensions")
-    # Columns are psi's exponent vectors; solving against all pi groups at
-    # once is exact because both span the same kernel.
-    columns = _exponent_matrix(psi.groups).transpose()
-    matrix = QMatrix.from_rows(solve_many(columns, [g.exponents for g in pi.groups]))
-    return _built(Transition, matrix=matrix, inverse=invert(matrix))
+    pivot_cols = psi.reduction[1]
+    free_cols = [c for c in range(len(psi.dims)) if c not in pivot_cols]
+    a = _free_block(psi, free_cols)
+    b = _free_block(pi, free_cols)
+    return _built(Transition, matrix=_right_divide(b, a), inverse=_right_divide(a, b))
 
 
 def is_pi_basis(candidate, dims) -> bool:

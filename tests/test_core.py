@@ -85,6 +85,14 @@ def test_close_to_uses_log_space_tolerance(mlt):
     assert a.close_to(Quantity(a.log_magnitude + 5e-9, dim), tol=1e-8)
 
 
+def test_close_to_refuses_a_nan_tol(mlt):
+    """A NaN tol would make every quantity, itself included, not close."""
+    q = Quantity.from_magnitude(2.0, DimVector.unit(mlt, "L"))
+    assert q.close_to(q)
+    with pytest.raises(ValueError, match="tol must be a number"):
+        q.close_to(q, tol=math.nan)
+
+
 def test_quantity_str_prints_the_magnitude_from_its_log(mlt):
     speed = DimVector.of(mlt, L=1, T=-1)
     assert str(Quantity.from_magnitude(2.5, speed)) == "2.5 [L*T^-1]"

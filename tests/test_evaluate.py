@@ -184,6 +184,14 @@ class TestLogSpaceComparisons:
         with pytest.raises(OverflowError):
             reference_evaluate(node, {"x": x, "y": self._q(1500.0, 300)})
 
+    def test_nan_tol_is_refused(self):
+        """A NaN tol would make log-space `=` hold for any two values."""
+        node = parse_relation("x = y")
+        bindings = {"x": self._q(0.0), "y": self._q(math.log(5.0))}
+        assert evaluate(node, bindings) is False
+        with pytest.raises(ValueError, match="tol must be a number"):
+            evaluate(node, bindings, tol=math.nan)
+
     def test_order_beyond_the_float_range(self):
         bindings = {"x": self._q(2.0)}
         assert evaluate(parse_relation("x^1000 < x^1001"), bindings) is True

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from piforge import cli, exactlin, pigroups
-from piforge.core import DimSystem, DimVector, Monomial, dim_combine, dimension_matrix
+from piforge import cli, core, exactlin, pigroups, units
+from piforge.core import DimSystem, DimVector, Monomial, Quantity, dim_combine, dimension_matrix, row_space
 from piforge.errors import NotABasisError
 from piforge.exactlin import QMatrix, rref
 from piforge.pigroups import (
@@ -190,6 +190,27 @@ class TestTransition:
             assert tr.matrix.matmul(tr.inverse) == QMatrix.identity(basis.r)
             done += 1
 
+    @pytest.mark.parametrize("d,n", [(7, 24), (10, 48)])
+    def test_non_diagonal_blocks_at_ladder_sizes(self, d, n):
+        """A unit-triangular integer change of the canonical basis has a
+        non-diagonal free-slot block, so each direction takes the r x r
+        solve one way and the entrywise division the other."""
+        rng = random.Random(47 + d)
+        dims = _ladder_dims(rng, d, n)
+        canonical = pi_basis(dims)
+        r = canonical.r
+        change = QMatrix.from_rows(
+            [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(r)] for i in range(r)]
+        )
+        changed = PiBasis(dims=dims, groups=_apply_change(change, canonical.groups))
+        special = special_basis(dims).base
+        for diagonal in (canonical, special):
+            for psi, pi in ((diagonal, changed), (changed, diagonal)):
+                t = transition(psi, pi)
+                assert t.matrix.matmul(_exponents(psi)) == _exponents(pi)
+                assert t.matrix.matmul(t.inverse) == QMatrix.identity(r)
+        assert transition(canonical, changed).matrix == change
+
 
 class TestIsPiBasis:
     def test_pi_basis_output_is_a_basis(self):
@@ -245,6 +266,10 @@ class TestFractionReference:
                 assert (t.matrix, t.inverse) == reference_transition(psi.groups, pi.groups)
 
 
+def _exponents(basis) -> QMatrix:
+    return QMatrix.from_rows([g.exponents for g in basis.groups])
+
+
 def _ladder_dims(rng, d, n):
     """The benchmark ladder's problem shape: exponents from -2, -1, 1, 2 at
     density 1/2, every variable with some dimension."""
@@ -271,8 +296,8 @@ class TestEliminationCount:
             calls.append((m.rows, m.cols))
             return rref(m)
 
-        monkeypatch.setattr(exactlin, "rref", counting)
-        monkeypatch.setattr(pigroups, "rref", counting)
+        for module in (exactlin, core, units, pigroups):
+            monkeypatch.setattr(module, "rref", counting)
         return calls
 
     def test_special_basis_eliminates_once_besides_validation(self, rref_calls):
@@ -294,10 +319,12 @@ class TestEliminationCount:
             assert len(rref_calls) == 1, (d, n)
 
     def test_cli_pi_eliminates_once_per_basis(self, rref_calls, capsys):
+        """Both bases come off one elimination."""
         assert cli.main(["pi", "--spec", str(FIXTURES / "electronics.json")]) == 0
-        assert len(rref_calls) == 2
+        assert len(rref_calls) == 1
 
     def test_transition_eliminates_at_most_twice(self, rref_calls):
+        """Builder pairs have diagonal free-slot blocks: no elimination."""
         rng = random.Random(37)
         for d, n in ((10, 48), (7, 24), (4, 12), (3, 6), (3, 3)):
             dims = _ladder_dims(rng, d, n)
@@ -306,7 +333,20 @@ class TestEliminationCount:
             for psi, pi in ((canonical, special), (special, canonical)):
                 del rref_calls[:]
                 transition(psi, pi)
-                assert len(rref_calls) <= 2, (d, n, canonical.r)
+                assert len(rref_calls) == 0, (d, n, canonical.r)
+
+    def test_ladder_problem_eliminates_three_times(self, rref_calls):
+        """One basis-ladder problem: one elimination in each builder and one
+        in `is_consistent`, none in `transition`."""
+        rng = random.Random(53)
+        for d, n in ((3, 6), (4, 12), (7, 24), (10, 48)):
+            dims = _ladder_dims(rng, d, n)
+            del rref_calls[:]
+            canonical = pi_basis(dims)
+            special = special_basis(dims)
+            transition(canonical, special.base)
+            assert units.is_consistent([Quantity(0.0, w) for w in dims]).consistent
+            assert len(rref_calls) == 3, (d, n)
 
 
 class TestBuiltBasesPassPublicValidation:
@@ -317,6 +357,7 @@ class TestBuiltBasesPassPublicValidation:
     def _same_as_public(built, public):
         assert public == built
         assert hash(public) == hash(built)
+        assert repr(public) == repr(built)
 
     def _round_trip(self, dims):
         canonical = pi_basis(dims)
@@ -324,6 +365,7 @@ class TestBuiltBasesPassPublicValidation:
         for basis in (canonical, special.base):
             public = PiBasis(dims=basis.dims, groups=basis.groups)
             self._same_as_public(basis, public)
+            assert public.row_space == basis.row_space == row_space(dims)
         self._same_as_public(special, SpecialPiBasis(
             base=public, pivot_indices=special.pivot_indices, free_indices=special.free_indices,
         ))
