@@ -98,8 +98,7 @@ def cmd_pi(args) -> int:
     spec = dsl.load_problem_spec(args.spec)
     names = spec.variable_names
     special = pigroups.special_basis(spec.variable_dims)
-    # pi_basis(dims), read off the special basis's one elimination.
-    basis = pigroups._canonical(special.base)
+    basis = special.canonical
     n = len(names)
     r = basis.r
     m = n - r
@@ -228,10 +227,9 @@ def cmd_nondim(args) -> int:
     registry = _registry_from(args)
     bindings = _load_bindings(args.bindings, spec, registry)
     xs = [bindings[n] for n in spec.variable_names]
-    basis = pigroups.pi_basis(spec.variable_dims)
     special = pigroups.special_basis(spec.variable_dims)
     ref = [Quantity(0.0, dim) for dim in spec.variable_dims]
-    values = nondim.pi_values(basis, xs)
+    values = nondim.pi_values(special.canonical, xs)
     rep = nondim.canonical_rep(special, ref, xs, tol=args.tol)
     if args.json:
         _emit_json(

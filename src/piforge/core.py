@@ -9,7 +9,8 @@ always exact.
 
 A `Monomial` is a product-of-powers map x1^e1 * ... * xk^ek identified with
 its exponent vector; `qty_combine` / `dim_combine` apply one to quantities or
-dimensions.
+dimensions. `reduce_dims` makes the one exact RREF of a dimension list's
+matrix D that pi bases, `row_space` and the orbit test (`orbit_gap`) read.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from functools import cached_property
 from .errors import (
     ArityMismatchError,
     DimensionMismatchError,
+    NotABasisError,
     SystemMismatchError,
 )
 from .exactlin import QMatrix, as_rational, rref
@@ -323,18 +325,20 @@ def _residual(vec, rows) -> list[float]:
     return vec
 
 
-def row_space(ws) -> tuple[tuple[float, ...], ...]:
-    """Orthonormal rows spanning lambda^T D, the log shifts of the nonempty
-    sequence ws under rescalings (D its dimension matrix): `reduced_row_space`
-    of one exact `rref` of D."""
-    return reduced_row_space(rref(dimension_matrix(ws[0].system, ws)))
+def reduce_dims(ws) -> tuple[QMatrix, tuple[int, ...], int]:
+    """The one exact `rref` (reduced, pivot_cols, rank) of the dimension
+    matrix D of the nonempty sequence ws. Pivots, free slots, the canonical
+    kernel (`exactlin.canonical_kernel`) and `row_space` all read off it."""
+    if not ws:
+        raise NotABasisError("a pi basis needs at least one dimension slot")
+    return rref(dimension_matrix(ws[0].system, ws))
 
 
-def reduced_row_space(reduction) -> tuple[tuple[float, ...], ...]:
-    """Orthonormal rows spanning the row space of a matrix, from its `rref`
-    result (reduced, pivot_cols, rank): modified Gram-Schmidt on the nonzero
-    RREF rows, which hold the identity at their pivots and so are well
-    conditioned. Makes no elimination of its own."""
+def row_space(reduction) -> tuple[tuple[float, ...], ...]:
+    """Orthonormal rows spanning lambda^T D, the log shifts of ws under
+    rescalings, read off `reduce_dims(ws)` with no elimination: modified
+    Gram-Schmidt on the nonzero RREF rows, which hold the identity at their
+    pivots and so are well conditioned."""
     reduced, _, rank = reduction
     rows = []
     for i in range(rank):

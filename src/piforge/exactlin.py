@@ -12,7 +12,8 @@ end. The RREF is unique, so the result equals that of a Fraction
 Gauss-Jordan loop entry for entry, at a fraction of the cost. `kernel_basis`,
 `solve` and `invert` all read off one such elimination.
 
-The one piece of policy lives in `kernel_basis`: kernel vectors come from the
+The one piece of policy lives in `canonical_kernel`, which reads the kernel
+off an `rref` result, as `kernel_basis` does: kernel vectors come from the
 standard RREF free-variable construction, ordered by increasing free column,
 and are rescaled to primitive integer vectors. The rescale factor is always
 positive, so the +1 the construction places at the free column stays positive;
@@ -183,15 +184,21 @@ def _primitive(vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) if v else _ZERO for v in _integer_row(vec))
 
 
-def free_kernel(reduced: QMatrix, pivot_cols) -> list[tuple[Fraction, ...]]:
+def free_columns(reduction) -> tuple[int, ...]:
+    """The non-pivot columns of an `rref` result, in increasing order."""
+    reduced, pivot_cols, _ = reduction
+    return tuple(c for c in range(reduced.cols) if c not in pivot_cols)
+
+
+def free_kernel(reduction) -> list[tuple[Fraction, ...]]:
     """The unscaled RREF free-variable kernel basis, read off an `rref` result.
 
     One vector per free column, by increasing column: 1 at the free column,
     -reduced[row][free] at each pivot column, 0 elsewhere.
     """
-    free_cols = [c for c in range(reduced.cols) if c not in pivot_cols]
+    reduced, pivot_cols, _ = reduction
     basis = []
-    for free in free_cols:
+    for free in free_columns(reduction):
         vec = [_ZERO] * reduced.cols
         vec[free] = _ONE
         for row_idx, pc in enumerate(pivot_cols):
@@ -200,15 +207,20 @@ def free_kernel(reduced: QMatrix, pivot_cols) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : m v = 0}, one vector per free column.
+def canonical_kernel(reduction) -> list[tuple[Fraction, ...]]:
+    """Basis of {v : m v = 0}, one vector per free column, read off m's `rref`
+    result with no elimination of its own.
 
     Vectors are ordered by increasing free-column index and scaled to
     primitive integers (positive scale factor, so the free-column entry
     stays +).
     """
-    reduced, pivot_cols, _ = rref(m)
-    return [_primitive(vec) for vec in free_kernel(reduced, pivot_cols)]
+    return [_primitive(vec) for vec in free_kernel(reduction)]
+
+
+def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
+    """Basis of {v : m v = 0}: `canonical_kernel` of one `rref` of m."""
+    return canonical_kernel(rref(m))
 
 
 def solve_many(a: QMatrix, bs) -> list[tuple[Fraction, ...]]:

@@ -7,12 +7,11 @@ the basis in which each group carries exactly one "free" variable to the
 first power, the rest drawn from a fixed pivot set; `transition` computes the
 exact invertible change of basis between any two bases.
 
-Every basis keeps the one exact RREF of its dimension matrix that built or
-validated it. The free slots are the non-pivot columns of that RREF, and a
-dimensionless product is fixed by its exponents there, so a basis's r x r
-free-slot block holds its coordinates in the special basis. `transition`
-reads its matrices off two such blocks, with no elimination of the n-slot
-groups, and `row_space` reads the same reduction.
+Every basis keeps the one `core.reduce_dims` that built or validated it. The
+free slots are the non-pivot columns of that RREF, and a dimensionless
+product is fixed by its exponents there, so a basis's r x r free-slot block
+holds its coordinates in the special basis. `transition` reads two such
+blocks; `row_space` and a special basis's `canonical` basis read the RREF.
 
 The public constructors `PiBasis`, `SpecialPiBasis` and `Transition`, and
 `is_pi_basis`, validate the groups a caller hands them. The builders read
@@ -26,21 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import DimVector, Monomial, dim_combine, dimension_matrix, reduced_row_space
+from .core import DimVector, Monomial, dim_combine, reduce_dims, row_space
 from .errors import NotABasisError
-from .exactlin import QMatrix, _primitive, free_kernel, rref, solve_many
+from .exactlin import QMatrix, canonical_kernel, free_columns, free_kernel, rref, solve_many
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _dimension_matrix_of(dims) -> QMatrix:
-    return dimension_matrix(dims[0].system, dims)
-
-
-def _exponent_matrix(groups) -> QMatrix:
-    """Stack the groups' exponent vectors as rows (r x n)."""
-    return QMatrix.from_rows([list(g.exponents) for g in groups])
 
 
 def _built(cls, **fields):
@@ -58,8 +48,8 @@ class PiBasis:
     """A basis of the annihilator space over fixed dims. The constructor
     validates the groups; the builders below skip that for their own.
 
-    `reduction` is the `rref` result (reduced, pivot_cols, rank) of the dims'
-    dimension matrix: the constructor keeps the one it validates with, the
+    `reduction` is `core.reduce_dims(dims)`, the `rref` result (reduced,
+    pivot_cols, rank): the constructor keeps the one it validates with, the
     builders the one they build from. It is an attribute, not a field, so it
     takes no part in ==, hash or repr.
     """
@@ -68,10 +58,8 @@ class PiBasis:
     groups: tuple[Monomial, ...]
 
     def __post_init__(self):
-        if not self.dims:
-            raise NotABasisError("a pi basis needs at least one dimension slot")
         n = len(self.dims)
-        reduction = rref(_dimension_matrix_of(self.dims))
+        reduction = reduce_dims(self.dims)
         expected_r = n - reduction[2]
         if len(self.groups) != expected_r:
             raise NotABasisError(
@@ -82,9 +70,9 @@ class PiBasis:
                 raise NotABasisError(f"group arity {g.arity} != {n}")
             if not dim_combine(g, self.dims).is_zero():
                 raise NotABasisError(f"group {g} does not annihilate the dimensions")
-        if self.groups:
-            if rref(_exponent_matrix(self.groups))[2] != len(self.groups):
-                raise NotABasisError("groups are linearly dependent")
+        exponents = QMatrix.from_rows([g.exponents for g in self.groups])
+        if self.groups and rref(exponents)[2] != len(self.groups):
+            raise NotABasisError("groups are linearly dependent")
         object.__setattr__(self, "reduction", reduction)
 
     @property
@@ -93,9 +81,8 @@ class PiBasis:
 
     @cached_property
     def row_space(self) -> tuple[tuple[float, ...], ...]:
-        """`core.row_space(dims)`, the log shifts no group's value sees,
-        read off the kept reduction."""
-        return reduced_row_space(self.reduction)
+        """The log shifts no group's value sees: `core.row_space`."""
+        return row_space(self.reduction)
 
 
 @dataclass(frozen=True)
@@ -119,6 +106,11 @@ class SpecialPiBasis:
                         f"{group.exponents[other]} at free slot {other}"
                     )
 
+    @cached_property
+    def canonical(self) -> PiBasis:
+        """`pi_basis(base.dims)`, read off the base's kept reduction."""
+        return _canonical(self.base.dims, self.base.reduction)
+
 
 @dataclass(frozen=True)
 class Transition:
@@ -135,20 +127,17 @@ class Transition:
 
 
 def _special(dims, reduction) -> SpecialPiBasis:
-    """The special basis over dims, read off the `rref` result of their
-    dimension matrix."""
-    reduced, pivot_cols, _ = reduction
-    free_cols = tuple(i for i in range(len(dims)) if i not in pivot_cols)
-    groups = tuple(Monomial(vec) for vec in free_kernel(reduced, pivot_cols))
+    """The special basis over dims, read off `reduce_dims(dims)`."""
+    groups = tuple(Monomial(vec) for vec in free_kernel(reduction))
     base = _built(PiBasis, dims=dims, groups=groups, reduction=reduction)
-    return _built(SpecialPiBasis, base=base, pivot_indices=pivot_cols, free_indices=free_cols)
+    free = free_columns(reduction)
+    return _built(SpecialPiBasis, base=base, pivot_indices=reduction[1], free_indices=free)
 
 
-def _canonical(special: PiBasis) -> PiBasis:
-    """`pi_basis` over the dims of a special basis's `base`, with no further
-    elimination: group i is special group i scaled to primitive integers."""
-    groups = tuple(Monomial(_primitive(g.exponents)) for g in special.groups)
-    return _built(PiBasis, dims=special.dims, groups=groups, reduction=special.reduction)
+def _canonical(dims, reduction) -> PiBasis:
+    """The canonical basis over dims, read off `reduce_dims(dims)`."""
+    groups = tuple(Monomial(vec) for vec in canonical_kernel(reduction))
+    return _built(PiBasis, dims=dims, groups=groups, reduction=reduction)
 
 
 def pi_basis(dims) -> PiBasis:
@@ -156,7 +145,7 @@ def pi_basis(dims) -> PiBasis:
     the RREF free-variable kernel scaled to primitive integers, as
     `exactlin.kernel_basis` of the dimension matrix gives it."""
     dims = tuple(dims)
-    return _canonical(_special(dims, rref(_dimension_matrix_of(dims))).base)
+    return _canonical(dims, reduce_dims(dims))
 
 
 def special_basis(dims) -> SpecialPiBasis:
@@ -166,16 +155,17 @@ def special_basis(dims) -> SpecialPiBasis:
     for free slot l is the unscaled free-variable kernel vector of that one
     RREF: coefficient 1 at l, minus the RREF entry in column l at each pivot
     slot, which are the exact pivot exponents that make the combination
-    dimensionless.
+    dimensionless. Its `canonical` is `pi_basis(dims)`, off the same RREF.
     """
     dims = tuple(dims)
-    return _special(dims, rref(_dimension_matrix_of(dims)))
+    return _special(dims, reduce_dims(dims))
 
 
-def _free_block(basis: PiBasis, free_cols) -> list[list[tuple[int, Fraction]]]:
+def _free_block(basis: PiBasis) -> list[list[tuple[int, Fraction]]]:
     """The basis's r x r free-slot block, which holds its groups' coordinates
     in the special basis: row i lists group i's nonzero exponents at the
     free slots as (column, value) pairs."""
+    free_cols = free_columns(basis.reduction)
     return [
         [(j, e) for j, e in enumerate([g.exponents[c] for c in free_cols]) if e]
         for g in basis.groups
@@ -220,10 +210,7 @@ def transition(psi: PiBasis, pi: PiBasis) -> Transition:
     """
     if psi.dims != pi.dims:
         raise NotABasisError("transition requires bases over identical dimensions")
-    pivot_cols = psi.reduction[1]
-    free_cols = [c for c in range(len(psi.dims)) if c not in pivot_cols]
-    a = _free_block(psi, free_cols)
-    b = _free_block(pi, free_cols)
+    a, b = _free_block(psi), _free_block(pi)
     return _built(Transition, matrix=_right_divide(b, a), inverse=_right_divide(a, b))
 
 

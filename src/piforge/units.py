@@ -4,8 +4,8 @@ A registry stores named units as Quantity values in an implicit coherent
 reference system (whatever the registry file declares; there is no hidden SI
 assumption). A list of units is *consistent* when no product of powers of
 them is dimensionless yet different from 1 — `is_consistent` decides it by
-the distance of the units' logs from the rescaling orbit and names a clash,
-e.g. cm/hr/knot clashing by a factor of 185200.
+the distance of the units' logs from the rescaling orbit, and names a clash
+(e.g. cm/hr/knot, by a factor of 185200), off one `core.reduce_dims`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .core import (
     magnitude_or_limit,
     orbit_gap,
     qty_combine,
+    reduce_dims,
     row_space,
 )
 from .errors import (
@@ -37,7 +38,7 @@ from .errors import (
     SystemMismatchError,
     UnknownUnitError,
 )
-from .exactlin import kernel_basis, rref, solve
+from .exactlin import canonical_kernel, rref, solve
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,9 @@ def is_consistent(units, tol: float = DEFAULT_TOL, *, basis=None) -> Consistency
     distance from there (`core.orbit_gap`), whatever the basis or slot order.
     A clash's witness is the canonical kernel vector with the largest |log|.
 
-    A `PiBasis` over the units' dimensions, slot for slot, lends its cached
-    `row_space`, so no elimination is made while the list is consistent; a
+    Row space and witness read off one `core.reduce_dims` of the units'
+    dimensions. A `PiBasis` over those dimensions, slot for slot, lends its
+    kept reduction and cached `row_space`, so no elimination is made; a
     basis over other dimensions raises DimensionMismatchError.
     """
     check_tol(tol)
@@ -145,16 +147,13 @@ def is_consistent(units, tol: float = DEFAULT_TOL, *, basis=None) -> Consistency
         raise EmptyListError("consistency is defined for nonempty unit lists")
     dims = [u.dim for u in units]
     logs = [u.log_magnitude for u in units]
-    if basis is None:
-        rows = row_space(dims)
-    elif tuple(dims) == basis.dims:
-        rows = basis.row_space
-    else:
+    if basis is not None and tuple(dims) != basis.dims:
         raise DimensionMismatchError("the basis is not over the units' dimensions, slot for slot")
+    reduction = reduce_dims(dims) if basis is None else basis.reduction
+    rows = row_space(reduction) if basis is None else basis.row_space
     if len(rows) == len(dims) or orbit_gap(rows, logs) <= tol:
         return ConsistencyReport(consistent=True, witness=None)
-    matrix = dimension_matrix(dims[0].system, dims)
-    combo = max(map(Monomial, kernel_basis(matrix)), key=lambda c: abs(c.log_combine(logs)))
+    combo = max(map(Monomial, canonical_kernel(reduction)), key=lambda c: abs(c.log_combine(logs)))
     return ConsistencyReport(consistent=False, witness=ClashWitness(combo, combo.log_combine(logs)))
 
 
@@ -177,9 +176,7 @@ def fundamental_basis(units, tol: float = DEFAULT_TOL) -> list[Quantity]:
     """
     units = list(units)
     require_consistent(units, tol)
-    system = units[0].dim.system
-    matrix = dimension_matrix(system, [u.dim for u in units])
-    _, pivot_cols, _ = rref(matrix)
+    _, pivot_cols, _ = reduce_dims([u.dim for u in units])
     return [units[i] for i in pivot_cols]
 
 
@@ -189,7 +186,8 @@ def express(base, targets, tol: float = DEFAULT_TOL) -> list[Monomial]:
     The base dimensions must be linearly independent, so each coefficient
     vector is unique once it exists; NoSolutionError means no combination of
     the base equals the target (target dimension outside the span, or the
-    magnitudes disagree beyond tol in log space).
+    magnitudes disagree beyond tol in log space). A target over another
+    dimension system raises SystemMismatchError.
     """
     check_tol(tol)
     base = list(base)
@@ -198,11 +196,12 @@ def express(base, targets, tol: float = DEFAULT_TOL) -> list[Monomial]:
         raise DependentBaseError("an empty base spans nothing")
     system = base[0].dim.system
     matrix = dimension_matrix(system, [u.dim for u in base])
-    _, _, rk = rref(matrix)
-    if rk < len(base):
+    if rref(matrix)[2] < len(base):
         raise DependentBaseError("base dimensions are linearly dependent")
     results = []
     for target in targets:
+        if target.dim.system != system:
+            raise SystemMismatchError(f"target {target.dim} is not over {system.names}")
         try:
             coeffs = solve(matrix, target.dim.exponents)
         except NoSolutionError:

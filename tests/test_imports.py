@@ -1,9 +1,11 @@
-"""Every name a piforge module imports is used in that module.
+"""Every name a piforge module imports is used in that module, and no module
+reaches into another's private names.
 
-No linter ships with the project, so this stands in for one check of it: a
-fold that moves code between modules must not leave its imports behind. A
-name counts as used when the module reads it (as a name, or as the base of
-an attribute), or when the module lists it in `__all__` to re-export it.
+No linter ships with the project, so this stands in for two checks of one: a
+fold that moves code between modules must not leave its imports behind, nor
+leave one module reading a leading-underscore helper of another. A name
+counts as used when the module reads it (as a name, or as the base of an
+attribute), or when the module lists it in `__all__` to re-export it.
 """
 
 import ast
@@ -44,3 +46,32 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = {name: line for name, line in _imported(tree).items() if name not in _used(tree)}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each leading-underscore name the module imports from another piforge
+    module, or reads as an attribute of one it imported, with its line."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("piforge")):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((alias.name, node.lineno))
+                elif node.module in (None, "piforge"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            if _private(node.attr):
+                found.append((f"{node.value.id}.{node.attr}", node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_name_of_another_module(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _private_reads(tree)
+    assert not found, f"{path.name} reads private names of other piforge modules: {found}"

@@ -238,6 +238,11 @@ class TestIsPiBasis:
     def test_empty_dims_is_not_a_basis(self):
         assert not is_pi_basis([], [])
 
+    @pytest.mark.parametrize("builder", [pi_basis, special_basis])
+    def test_builders_reject_empty_dims(self, builder):
+        with pytest.raises(NotABasisError, match="at least one dimension slot"):
+            builder([])
+
 
 class TestFractionReference:
     """The single-elimination builders against one Fraction solve per
@@ -335,6 +340,29 @@ class TestEliminationCount:
                 transition(psi, pi)
                 assert len(rref_calls) == 0, (d, n, canonical.r)
 
+    def test_is_consistent_on_a_clash_eliminates_once(self, rref_calls, registry):
+        """Rows and witness come off one reduction, and off the basis's kept
+        one when a basis is given."""
+        clash = [registry.quantity(n) for n in ("cm", "hr", "knot")]
+        assert not units.is_consistent(clash).consistent
+        assert len(rref_calls) == 1
+        basis = pi_basis([u.dim for u in clash])
+        del rref_calls[:]
+        assert not units.is_consistent(clash, basis=basis).consistent
+        assert len(rref_calls) == 0
+
+    def test_cli_nondim_eliminates_once(self, rref_calls, capsys):
+        """Both bases come off one elimination, and the reference check reads
+        the special basis's kept reduction."""
+        spec, bindings = FIXTURES / "mass_spring.json", FIXTURES / "mass_spring_bindings.json"
+        assert cli.main(["nondim", "--spec", str(spec), str(bindings)]) == 0
+        assert len(rref_calls) == 1
+
+    def test_cli_consistent_clash_eliminates_once(self, rref_calls, capsys):
+        registry = str(FIXTURES / "registry.json")
+        assert cli.main(["consistent", "cm", "hr", "knot", "--registry", registry]) == 1
+        assert len(rref_calls) == 1
+
     def test_ladder_problem_eliminates_three_times(self, rref_calls):
         """One basis-ladder problem: one elimination in each builder and one
         in `is_consistent`, none in `transition`."""
@@ -347,6 +375,30 @@ class TestEliminationCount:
             transition(canonical, special.base)
             assert units.is_consistent([Quantity(0.0, w) for w in dims]).consistent
             assert len(rref_calls) == 3, (d, n)
+
+
+class TestCanonicalOfSpecial:
+    def test_canonical_is_pi_basis(self):
+        for _, dims in seeded_systems(200):
+            canonical = special_basis(dims).canonical
+            expected = pi_basis(dims)
+            assert canonical == expected
+            assert hash(canonical) == hash(expected)
+            assert repr(canonical) == repr(expected)
+            assert canonical.row_space == expected.row_space
+
+    def test_public_special_basis_over_other_pivots(self):
+        """A special basis on another pivot set still has the RREF's
+        canonical basis, not its own groups scaled to integers."""
+        system = DimSystem(("L", "T"))
+        length, time = DimVector.unit(system, "L"), DimVector.unit(system, "T")
+        dims = (length, time, length / time, length * time)
+        groups = (Monomial.of(1, 0, "-1/2", "-1/2"), Monomial.of(0, 1, "1/2", "-1/2"))
+        public = SpecialPiBasis(base=PiBasis(dims=dims, groups=groups),
+                                pivot_indices=(2, 3), free_indices=(0, 1))
+        assert special_basis(dims).pivot_indices == (0, 1)
+        assert public.canonical.groups == (Monomial.of(-1, 1, 1, 0), Monomial.of(-1, -1, 0, 1))
+        assert public.canonical == pi_basis(dims)
 
 
 class TestBuiltBasesPassPublicValidation:
@@ -365,7 +417,7 @@ class TestBuiltBasesPassPublicValidation:
         for basis in (canonical, special.base):
             public = PiBasis(dims=basis.dims, groups=basis.groups)
             self._same_as_public(basis, public)
-            assert public.row_space == basis.row_space == row_space(dims)
+            assert public.row_space == basis.row_space == row_space(rref(dimension_matrix(dims[0].system, dims)))
         self._same_as_public(special, SpecialPiBasis(
             base=public, pivot_indices=special.pivot_indices, free_indices=special.free_indices,
         ))

@@ -19,6 +19,7 @@ from piforge.errors import (
     EmptyListError,
     InconsistentUnitsError,
     NoSolutionError,
+    SystemMismatchError,
 )
 from piforge.exactlin import QMatrix
 from piforge.pigroups import pi_basis, special_basis
@@ -261,6 +262,15 @@ class TestExpress:
         kg = registry.quantity("kg")
         with pytest.raises(DependentBaseError):
             express([kg, kg * kg], [kg])
+
+    @pytest.mark.parametrize("names", [("X", "Y", "Z"), ("X", "Y", "Z", "W")])
+    def test_target_over_another_system_is_rejected(self, names):
+        """Not read as a target over the base's system, whatever the sizes."""
+        mlt = DimSystem(("M", "L", "T"))
+        base = [Quantity(0.0, DimVector.unit(mlt, n)) for n in mlt.names]
+        target = Quantity(0.0, DimVector.unit(DimSystem(names), "X"))
+        with pytest.raises(SystemMismatchError, match="not over"):
+            express(base, [target])
 
     def test_magnitude_clash_is_no_solution(self, registry):
         # dimension solvable, but cm is not reachable from m by any combination
