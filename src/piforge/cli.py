@@ -17,7 +17,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import dsl, harness, nondim, pigroups, units
+# units, harness and nondim are imported by the commands that use them, so
+# a call loads only the modules it runs.
+from . import dsl, pigroups
 from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity, format_magnitude, monomial_text
 from .errors import DimensionError, ParseError, PiforgeError
 
@@ -30,10 +32,13 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _registry_from(args) -> units.UnitRegistry | None:
+def _registry_from(args):
+    """The unit registry named by --registry or $PIFORGE_REGISTRY, or None."""
     path = args.registry or os.environ.get(REGISTRY_ENV)
     if path is None:
         return None
+    from . import units
+
     return units.UnitRegistry.load(path)
 
 
@@ -136,6 +141,8 @@ def cmd_pi(args) -> int:
 
 
 def cmd_consistent(args) -> int:
+    from . import units
+
     registry = _registry_from(args)
     if registry is None:
         raise ParseError(f"a registry is required (--registry or ${REGISTRY_ENV})")
@@ -164,6 +171,8 @@ def cmd_consistent(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import harness
+
     spec = dsl.load_problem_spec(args.spec)
     report = harness.fuzz_invariance(spec, trials=args.trials, seed=args.seed, tol=args.tol)
     payload = harness.report_to_dict(report)
@@ -189,6 +198,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from . import nondim
+
     spec = dsl.load_problem_spec(args.spec)
     registry = _registry_from(args)
     xs_map = _load_bindings(args.bindings_a, spec, registry)
@@ -223,6 +234,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_nondim(args) -> int:
+    from . import nondim
+
     spec = dsl.load_problem_spec(args.spec)
     registry = _registry_from(args)
     bindings = _load_bindings(args.bindings, spec, registry)

@@ -223,11 +223,10 @@ def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
     return canonical_kernel(rref(m))
 
 
-def solve_many(a: QMatrix, bs) -> list[tuple[Fraction, ...]]:
+def solve_each(a: QMatrix, bs) -> list[tuple[Fraction, ...] | None]:
     """Exact solutions of a x = b for every b in bs, free variables pinned
-    to zero, from one elimination of [a | b1 ... bk].
-
-    Raises NoSolutionError when some b is outside the column space of a.
+    to zero, from one elimination of [a | b1 ... bk]; None for each b
+    outside the column space of a.
     """
     bs = [[as_rational(v) for v in b] for b in bs]
     for b in bs:
@@ -240,18 +239,27 @@ def solve_many(a: QMatrix, bs) -> list[tuple[Fraction, ...]]:
         v for i in range(a.rows) for v in (*a.row(i), *(b[i] for b in bs))
     )
     reduced, pivot_cols, _ = rref(QMatrix(a.rows, a.cols + k, flat))
-    # The first rank(a) rows reduce a; every b is in the column space iff
-    # the rows below them are zero in its column.
+    # The first rank(a) rows reduce a; a b is in the column space iff the
+    # rows below them are zero in its column.
     a_pivots = [pc for pc in pivot_cols if pc < a.cols]
-    for i in range(len(a_pivots), a.rows):
-        if any(reduced.at(i, a.cols + j) for j in range(k)):
-            raise NoSolutionError("right-hand side is outside the column space")
     solutions = []
     for j in range(k):
+        if any(reduced.at(i, a.cols + j) for i in range(len(a_pivots), a.rows)):
+            solutions.append(None)
+            continue
         x = [_ZERO] * a.cols
         for row_idx, pc in enumerate(a_pivots):
             x[pc] = reduced.at(row_idx, a.cols + j)
         solutions.append(tuple(x))
+    return solutions
+
+
+def solve_many(a: QMatrix, bs) -> list[tuple[Fraction, ...]]:
+    """`solve_each`, raising NoSolutionError when some b is outside the
+    column space of a."""
+    solutions = solve_each(a, bs)
+    if None in solutions:
+        raise NoSolutionError("right-hand side is outside the column space")
     return solutions
 
 

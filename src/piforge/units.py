@@ -38,7 +38,7 @@ from .errors import (
     SystemMismatchError,
     UnknownUnitError,
 )
-from .exactlin import canonical_kernel, rref, solve
+from .exactlin import canonical_kernel, rref, solve_each
 
 
 @dataclass(frozen=True)
@@ -198,16 +198,14 @@ def express(base, targets, tol: float = DEFAULT_TOL) -> list[Monomial]:
     matrix = dimension_matrix(system, [u.dim for u in base])
     if rref(matrix)[2] < len(base):
         raise DependentBaseError("base dimensions are linearly dependent")
+    # One elimination solves every target before the first one over another
+    # system; the targets are then checked in order, that one last.
+    over = next((i for i, t in enumerate(targets) if t.dim.system != system), len(targets))
+    solutions = solve_each(matrix, [t.dim.exponents for t in targets[:over]])
     results = []
-    for target in targets:
-        if target.dim.system != system:
-            raise SystemMismatchError(f"target {target.dim} is not over {system.names}")
-        try:
-            coeffs = solve(matrix, target.dim.exponents)
-        except NoSolutionError:
-            raise NoSolutionError(
-                f"target dimension {target.dim} is outside the span of the base"
-            ) from None
+    for target, coeffs in zip(targets, solutions):
+        if coeffs is None:
+            raise NoSolutionError(f"target dimension {target.dim} is outside the span of the base")
         combo = Monomial(coeffs)
         reproduced = qty_combine(combo, base)
         if abs(reproduced.log_magnitude - target.log_magnitude) > tol:
@@ -217,4 +215,6 @@ def express(base, targets, tol: float = DEFAULT_TOL) -> list[Monomial]:
                 f"{format_magnitude(reproduced.log_magnitude - target.log_magnitude)}"
             )
         results.append(combo)
+    if over < len(targets):
+        raise SystemMismatchError(f"target {targets[over].dim} is not over {system.names}")
     return results

@@ -420,9 +420,46 @@ def test_installed_console_script_matches_module():
 
 
 def test_import_does_not_load_numpy():
-    # piforge has no runtime dependency; keep numpy from creeping back in
-    code = "import sys, piforge, piforge.cli; print('numpy' in sys.modules)"
+    # piforge has no runtime dependency; keep numpy from creeping back in.
+    # `import piforge` loads no module, so the star import reaches them all.
+    code = "import sys, piforge.cli; from piforge import *; print('numpy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, capture_output=True, check=True
     )
     assert proc.stdout == b"False\n"
+
+
+def _loaded_after(code):
+    """The piforge modules and hashlib a fresh interpreter holds after code."""
+    code += (
+        "\nimport sys; print(' '.join(sorted(m for m in sys.modules"
+        " if m.startswith('piforge.') or m == 'hashlib')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, check=True
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestStartupLoadsOnlyWhatRuns:
+    """A CLI call imports the modules its command uses and no other."""
+
+    def test_bare_import_loads_no_module(self):
+        assert _loaded_after("import piforge") == set()
+
+    @pytest.mark.parametrize("command", ["pi", "check"])
+    def test_pi_and_check(self, command):
+        loaded = _loaded_after(
+            "from piforge import cli; "
+            f"cli.main([{command!r}, '--spec', 'fixtures/mass_spring.json'])"
+        )
+        assert "piforge.pigroups" in loaded
+        assert not loaded & {"piforge.harness", "piforge.nondim", "piforge.units", "hashlib"}
+
+    def test_verify(self):
+        loaded = _loaded_after(
+            "from piforge import cli; "
+            "cli.main(['verify', '--spec', 'fixtures/mass_spring.json', '--trials', '5'])"
+        )
+        assert "piforge.harness" in loaded
+        assert "piforge.nondim" not in loaded

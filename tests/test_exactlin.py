@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from piforge.core import dimension_matrix
 from piforge.errors import NoSolutionError, SingularMatrixError
-from piforge.exactlin import QMatrix, invert, kernel_basis, rank, rref, solve, solve_many
+from piforge.exactlin import QMatrix, invert, kernel_basis, rank, rref, solve, solve_each, solve_many
 
 from support import (
     random_matrix,
@@ -165,6 +165,8 @@ class TestSolveMany:
         # dependent inconsistent right-hand sides share one pivot column
         with pytest.raises(NoSolutionError):
             solve_many(m, [[1, 1, 0], [2, 2, 0]])
+        # solve_each marks each one apart and solves the rest
+        assert solve_each(m, [[1, 1, 0], [1, 2, 0], [2, 2, 0]]) == [None, (F(1), F(0)), None]
 
     def test_rhs_length_checked(self):
         with pytest.raises(ValueError):

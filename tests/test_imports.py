@@ -5,12 +5,16 @@ No linter ships with the project, so this stands in for two checks of one: a
 fold that moves code between modules must not leave its imports behind, nor
 leave one module reading a leading-underscore helper of another. A name
 counts as used when the module reads it (as a name, or as the base of an
-attribute), or when the module lists it in `__all__` to re-export it.
+attribute). The package file re-exports nothing by import: it resolves its
+public names on first use, so no module imports a name only to list it.
 """
 
 import ast
+import importlib
 
 import pytest
+
+import piforge
 
 from support import ROOT
 
@@ -31,14 +35,8 @@ def _imported(tree: ast.Module) -> dict[str, int]:
 
 
 def _used(tree: ast.Module) -> set[str]:
-    """Every name the module reads, and every name its `__all__` lists."""
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return used
+    """Every name the module reads."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -75,3 +73,29 @@ def test_no_private_name_of_another_module(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = _private_reads(tree)
     assert not found, f"{path.name} reads private names of other piforge modules: {found}"
+
+
+class TestPackageNamespace:
+    """`import piforge` binds its public names lazily, each to the object its
+    defining module holds."""
+
+    def test_every_public_name_is_its_modules_object(self):
+        for name in set(piforge.__all__) - {"__version__"}:
+            value = getattr(piforge, name)
+            binders = [vars(m) for m in _submodules() if name in vars(m)]
+            assert binders and all(b[name] is value for b in binders), name
+
+    def test_star_import_and_dir(self):
+        namespace = {}
+        exec("from piforge import *", namespace)
+        assert set(piforge.__all__) <= namespace.keys()
+        assert set(piforge.__all__) <= set(dir(piforge))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            piforge.no_such_name
+        assert not hasattr(piforge, "no_such_name")
+
+
+def _submodules():
+    return [importlib.import_module(f"piforge.{p.stem}") for p in MODULES if p.stem != "__init__"]

@@ -351,6 +351,16 @@ class TestEliminationCount:
         assert not units.is_consistent(clash, basis=basis).consistent
         assert len(rref_calls) == 0
 
+    def test_express_eliminates_at_most_twice(self, rref_calls, registry):
+        """One elimination for the base's rank, one for every target."""
+        base = [registry.quantity(n) for n in ("V", "A", "s")]
+        names = ("ohm", "F", "V", "A", "s")
+        for k in (1, len(names), 40):
+            targets = [registry.quantity(names[i % len(names)]) for i in range(k)]
+            del rref_calls[:]
+            units.express(base, targets)
+            assert len(rref_calls) <= 2, k
+
     def test_cli_nondim_eliminates_once(self, rref_calls, capsys):
         """Both bases come off one elimination, and the reference check reads
         the special basis's kept reduction."""

@@ -277,6 +277,35 @@ class TestExpress:
         with pytest.raises(NoSolutionError):
             express([registry.quantity("m")], [registry.quantity("cm")])
 
+    def test_out_of_span_message_names_the_target(self, registry):
+        base = [registry.quantity(n) for n in ("V", "A", "s")]
+        targets = [registry.quantity(n) for n in ("ohm", "kg", "F")]
+        with pytest.raises(NoSolutionError, match=r"target dimension M\b.* outside the span"):
+            express(base, targets)
+
+    def test_a_list_is_its_targets_one_by_one(self, registry):
+        """Same coefficients as one call per target; a list with bad targets
+        raises what its first bad target raises alone."""
+        rng = random.Random(67)
+        base = [registry.quantity(n) for n in ("m", "s")]
+        other = Quantity(0.0, DimVector.unit(DimSystem(("X",)), "X"))
+        pool = [registry.quantity(n) for n in ("knot", "m", "s", "kg", "cm", "hr")]
+        for _ in range(300):
+            targets = rng.sample(pool + [other], rng.randint(1, 5))
+            singles = []
+            for t in targets:
+                try:
+                    singles.append(express(base, [t])[0])
+                except (NoSolutionError, SystemMismatchError) as exc:
+                    singles.append(exc)
+            first_bad = next((s for s in singles if isinstance(s, Exception)), None)
+            if first_bad is None:
+                assert express(base, targets) == singles
+            else:
+                with pytest.raises(type(first_bad)) as info:
+                    express(base, targets)
+                assert str(info.value) == str(first_bad)
+
     def test_unique_coordinates_match_substitution_solver(self, registry):
         # two independent solve paths must agree exactly on the coefficients
         rng = random.Random(59)
