@@ -17,9 +17,12 @@ must be positive and within the float range.
 
 `evaluate` compiles a relation once, on first use, into float closures kept
 on the AST node; later calls run only float arithmetic, with no dimension
-work. Multiplicative chains (variables, constants, *, /, ^, sqrt) stay in
-log space; sums, exp/log/sin/cos work in linear space, where non-positive
-values are legal, and only there. A comparison whose two sides are both in
+work. The closures read each variable's log magnitude from a plain dict;
+`holds` and `log_magnitude` take that dict directly, so a caller that keeps
+its values as floats (the invariance fuzzer) builds no Quantity.
+Multiplicative chains (variables, constants, *, /, ^, sqrt) stay in log
+space; sums, exp/log/sin/cos work in linear space, where non-positive values
+are legal, and only there. A comparison whose two sides are both in
 log space compares their logs, so magnitudes beyond the float range compare
 correctly; equality within relative tolerance tol becomes
 |log a - log b| <= -log1p(-tol), the same rule as |a - b| <= tol*max(a, b).
@@ -557,9 +560,10 @@ def _need_dim(node: Node, t):
 
 # --- evaluate ------------------------------------------------------------
 #
-# Each node lowers to (space, run), run(bindings, tol) giving its value in
-# that space: a log magnitude, a plain float, or a truth value. The
-# conversions between spaces are put in here, once per node.
+# Each node lowers to (space, run), run(logs, tol) giving its value in that
+# space: a log magnitude, a plain float, or a truth value. `logs` maps each
+# variable to its log magnitude as a plain float. The conversions between
+# spaces are put in here, once per node.
 
 _LOG, _LINEAR, _TRUTH = "log", "linear", "truth"
 _LINEAR_FUNCTIONS = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
@@ -580,10 +584,10 @@ def _finite(v: float) -> float:
 
 
 def _lower(node: Node):
-    """(space, run) for a node: run(bindings, tol) gives its value in that space."""
+    """(space, run) for a node: run(logs, tol) gives its value in that space."""
     match node:
         case Var(name):
-            return _LOG, lambda b, tol: b[name].log_magnitude
+            return _LOG, lambda b, tol: b[name]
         case Const(value, _):
             log_value = math.log(value)
             return _LOG, lambda b, tol: log_value
@@ -659,7 +663,7 @@ def _lower_compare(op: str, left: Node, right: Node):
 
 
 def _in_log(node: Node):
-    """run(bindings, tol) -> the node's value as a log magnitude."""
+    """run(logs, tol) -> the node's value as a log magnitude."""
     space, run = node._lowered
     if space is _LOG:
         return run
@@ -678,7 +682,7 @@ def _in_log(node: Node):
 
 
 def _in_linear(node: Node):
-    """run(bindings, tol) -> the node's value as a plain float."""
+    """run(logs, tol) -> the node's value as a plain float."""
     space, run = node._lowered
     if space is _LINEAR:
         return run
@@ -694,19 +698,27 @@ def _in_truth(node: Node):
     return run
 
 
-def _run(run, bindings: dict[str, Quantity], tol: float):
-    """run(bindings, tol), where a float overflow leaves the domain."""
+def _run(run, logs: dict[str, float], tol: float):
+    """run(logs, tol), where a float overflow leaves the domain."""
     try:
-        return run(bindings, tol)
+        return run(logs, tol)
     except OverflowError:
         raise EvaluationError("a value overflows the float range, about 1.8e+308") from None
 
 
-def log_magnitude(node: Node, bindings: dict[str, Quantity]) -> float:
+def log_magnitude(node: Node, logs: dict[str, float]) -> float:
     """The log magnitude of a quantity-valued node, as `evaluate` gives it,
-    without working out its dimension. No quantity-valued node holds a
-    truth-valued one, so the tolerance is never read."""
-    return _run(_in_log(node), bindings, DEFAULT_TOL)
+    from each variable's log magnitude, without working out its dimension.
+    No quantity-valued node holds a truth-valued one, so the tolerance is
+    never read."""
+    return _run(_in_log(node), logs, DEFAULT_TOL)
+
+
+def holds(node: Node, logs: dict[str, float], tol: float) -> bool:
+    """The truth value of a predicate, as `evaluate` gives it, from each
+    variable's log magnitude. tol is not checked here: the caller has done
+    so (see `core.check_tol`)."""
+    return _run(_in_truth(node), logs, tol)
 
 
 def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
@@ -722,10 +734,11 @@ def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL
     The node keeps its compiled form for the next call.
     """
     check_tol(tol)
+    logs = {name: q.log_magnitude for name, q in bindings.items()}
     space, run = node._lowered
     if space is _TRUTH:
-        return _run(run, bindings, tol)
-    log_mag = log_magnitude(node, bindings)
+        return _run(run, logs, tol)
+    log_mag = log_magnitude(node, logs)
     return Quantity(log_mag, typecheck(node, {n: q.dim for n, q in bindings.items()}))
 
 

@@ -26,6 +26,7 @@ from .dsl import (
     Var,
     evaluate,
     free_variables,
+    holds,
     log_magnitude,
     typecheck,
 )
@@ -148,7 +149,11 @@ def fuzz_invariance(
     evaluation leaves the relation's domain (EvaluationError) is counted as
     inapplicable; if every trial is, EvaluationError is raised, since no
     trial tested the relation. The first failing trial is shrunk (factor
-    bisection toward 1) and reported.
+    bisection toward 1) and reported; its `after` is worked out again through
+    `rescale` and `evaluate` from the report's own bindings.
+
+    The trials run on log magnitudes held as plain floats, shifted exactly as
+    `rescale` shifts them, so every check on the spec is made once, here.
     """
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -159,33 +164,27 @@ def fuzz_invariance(
         raise SpecError(f"relation is ill-typed: {exc}") from exc
     if result_type is not BOOL:
         raise SpecError("relation does not evaluate to a truth value")
+    _check_dims(spec)
 
-    names = spec.variable_names
-    dims = spec.variable_dims
+    relation, names, system = spec.relation, spec.variable_names, spec.system
     seed_target = _equality_seed_target(spec)
 
     passed = inapplicable = 0
     counterexample: Counterexample | None = None
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
-        bindings = {
-            name: Quantity(rng.uniform(*_LOG_MAG_RANGE), dim)
-            for name, dim in zip(names, dims)
-        }
+        logs = {name: rng.uniform(*_LOG_MAG_RANGE) for name in names}
         if seed_target is not None:
             vname, other = seed_target
             try:
-                bindings[vname] = Quantity(log_magnitude(other, bindings), bindings[vname].dim)
+                logs[vname] = log_magnitude(other, logs)
             except EvaluationError:
                 pass
-        log_factors = tuple(
-            rng.uniform(*_LOG_FACTOR_RANGE) for _ in range(spec.system.size)
-        )
-        rescaling = Rescaling(spec.system, log_factors)
+        log_factors = [rng.uniform(*_LOG_FACTOR_RANGE) for _ in range(system.size)]
 
         try:
-            before = evaluate(spec.relation, bindings, tol=tol)
-            after = _evaluate_rescaled(spec, bindings, rescaling, tol)
+            before = holds(relation, logs, tol)
+            after = holds(relation, _rescaled(spec, logs, log_factors), tol)
         except EvaluationError as exc:
             inapplicable += 1
             out_of_domain = exc
@@ -193,13 +192,15 @@ def fuzz_invariance(
         if before == after:
             passed += 1
         elif counterexample is None:
-            shrunk = _shrink(spec, bindings, rescaling, before, tol)
+            shrunk = Rescaling(system, tuple(_shrink(spec, logs, log_factors, before, tol)))
+            bindings = {n: Quantity(logs[n], d) for n, d in zip(names, spec.variable_dims)}
+            rescaled = rescale(bindings.values(), shrunk)
             counterexample = Counterexample(
                 trial_index=trial,
-                log_bindings={n: bindings[n].log_magnitude for n in names},
-                factors=dict(zip(spec.system.names, shrunk.factors)),
+                log_bindings=logs,
+                factors=dict(zip(system.names, shrunk.factors)),
                 before=before,
-                after=_evaluate_rescaled(spec, bindings, shrunk, tol),
+                after=evaluate(relation, dict(zip(names, rescaled)), tol=tol),
             )
     if inapplicable == trials:
         raise EvaluationError(
@@ -215,16 +216,41 @@ def fuzz_invariance(
     )
 
 
-def _evaluate_rescaled(spec, bindings, rescaling, tol) -> bool:
-    values = [bindings[n] for n in spec.variable_names]
-    rescaled = rescale(values, rescaling)
-    return evaluate(spec.relation, dict(zip(spec.variable_names, rescaled)), tol=tol)
+def _check_dims(spec: ProblemSpec) -> None:
+    """What `rescale` would find on a spec's variables, found before any
+    trial: each dimension is over the spec's system, and each exponent has a
+    float form for the shift."""
+    for name, dim in zip(spec.variable_names, spec.variable_dims):
+        if dim.system is not spec.system and dim.system != spec.system:
+            raise DimensionMismatchError("rescaling and quantities use different systems")
+        try:
+            dim.log_combine((0.0,) * spec.system.size)
+        except OverflowError:
+            raise SpecError(
+                f"variable {name!r} has a dimension exponent beyond the float range, "
+                "about 1.8e+308"
+            ) from None
 
 
-def _shrink(spec, bindings, rescaling, before, tol) -> Rescaling:
-    """Bisect each factor toward 1 while the violation persists. A candidate
-    that takes the bindings outside the relation's domain does not violate."""
-    log_factors = list(rescaling.log_factors)
+def _rescaled(spec: ProblemSpec, logs: dict[str, float], log_factors) -> dict[str, float]:
+    """The log magnitudes after the rescaling, bit for bit as `rescale` gives
+    them. A shift that carries one beyond the float range raises ValueError,
+    as the Quantity that `rescale` builds does."""
+    out = {
+        name: logs[name] + dim.log_combine(log_factors)
+        for name, dim in zip(spec.variable_names, spec.variable_dims)
+    }
+    # one sum in the common case; the exact test only where the sum is not finite
+    if not math.isfinite(sum(out.values())) and not all(map(math.isfinite, out.values())):
+        raise ValueError("quantity magnitudes must be finite and strictly positive")
+    return out
+
+
+def _shrink(spec, logs, log_factors, before, tol) -> list[float]:
+    """Bisect each log factor toward 0 while the violation persists. A
+    candidate that takes the bindings outside the relation's domain does not
+    violate."""
+    log_factors = list(log_factors)
     for _ in range(_SHRINK_ROUNDS):
         improved = False
         for j in range(len(log_factors)):
@@ -232,9 +258,8 @@ def _shrink(spec, bindings, rescaling, before, tol) -> Rescaling:
                 continue
             candidate = log_factors.copy()
             candidate[j] /= 2
-            trial = Rescaling(spec.system, tuple(candidate))
             try:
-                violates = _evaluate_rescaled(spec, bindings, trial, tol) != before
+                violates = holds(spec.relation, _rescaled(spec, logs, candidate), tol) != before
             except EvaluationError:
                 violates = False
             if violates:
@@ -242,7 +267,7 @@ def _shrink(spec, bindings, rescaling, before, tol) -> Rescaling:
                 improved = True
         if not improved:
             break
-    return Rescaling(spec.system, tuple(log_factors))
+    return log_factors
 
 
 def report_to_dict(report: InvarianceReport) -> dict:

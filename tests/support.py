@@ -11,13 +11,30 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from piforge.core import DEFAULT_TOL, DimSystem, DimVector, Quantity, dimension_matrix
-from piforge.dsl import BinOp, BoolOp, Call, Compare, Const, Not, Pow, Var, print_relation
+from piforge import harness
+from piforge.core import DEFAULT_TOL, DimSystem, DimVector, Quantity, check_tol, dimension_matrix
+from piforge.dsl import (
+    BOOL,
+    BinOp,
+    BoolOp,
+    Call,
+    Compare,
+    Const,
+    Not,
+    Pow,
+    Var,
+    evaluate,
+    log_magnitude,
+    print_relation,
+    typecheck,
+)
 from piforge.errors import (
+    DimensionError,
     DimensionMismatchError,
     EvaluationError,
     NoSolutionError,
     SingularMatrixError,
+    SpecError,
 )
 from piforge.exactlin import QMatrix, rref
 
@@ -343,6 +360,59 @@ GOLDEN_CASES = [
 ]
 
 
+# --- Fuzz-corpus relation shapes ------------------------------------------
+#
+# The relation shapes of the benchmark's fuzz corpus, rewritten here, not
+# imported from the benchmark.
+
+CORPUS_SYSTEM = DimSystem(("M", "L", "T"))
+CORPUS_TEMPLATES = (
+    "power_lt", "seeded_eq", "sum_le", "log_sin", "bool_mix", "hidden_constant", "mixed_lt",
+)
+
+
+def corpus_dim(rng: random.Random) -> DimVector:
+    """A nonzero dimension over CORPUS_SYSTEM, exponents in -2..2."""
+    while True:
+        exps = tuple(Fraction(rng.randint(-2, 2)) for _ in CORPUS_SYSTEM.names)
+        if any(exps):
+            return DimVector(CORPUS_SYSTEM, exps)
+
+
+def _corpus_mismatch(rng: random.Random) -> DimVector:
+    exps = [Fraction(0)] * CORPUS_SYSTEM.size
+    for axis in rng.sample(range(CORPUS_SYSTEM.size), 2):
+        exps[axis] = Fraction(rng.choice((-2, 2)))
+    return DimVector(CORPUS_SYSTEM, tuple(exps))
+
+
+def corpus_relation(rng: random.Random, template: str):
+    """(relation text, {variable: dimension}) in one of the corpus shapes."""
+    p, q = rng.randint(1, 3), rng.randint(1, 2)
+    k = round(rng.uniform(0.5, 20.0), 3)
+    d1, d2, d4 = corpus_dim(rng), corpus_dim(rng), corpus_dim(rng)
+    if template == "power_lt":
+        return f"x1^{p}*x2^{q} < x3", {"x1": d1, "x2": d2, "x3": d1**p * d2**q}
+    if template == "seeded_eq":
+        return f"x3 = {k}*x1^{p}/x2^{q}", {"x1": d1, "x2": d2, "x3": d1**p / d2**q}
+    if template == "sum_le":
+        d12 = d1 * d2
+        dims = {"x1": d1, "x2": d2, "x3": d12, "x4": d4, "x5": d12 / d4}
+        return "x1*x2 + x3 <= x4*x5", dims
+    if template == "log_sin":
+        dims = {"x1": d1, "x2": d2, "x3": d1**p * d2, "x4": d4, "x5": d4}
+        return f"log(x1^{p}*x2/x3) < sin(x4/x5)", dims
+    if template == "bool_mix":
+        dims = {"x1": d1, "x2": d1, "x3": d2, "x4": d4, "x5": d2 * d4}
+        return "x1 < x2 and not x3*x4 <= x5", dims
+    if template == "hidden_constant":
+        dims = {"x1": d1, "x2": d2, "x3": d1**p * d2 * _corpus_mismatch(rng)}
+        return f"x3 = {k}*x1^{p}*x2", dims
+    if template == "mixed_lt":
+        return "x1*x2 < x3", {"x1": d1, "x2": d2, "x3": d1 * d2 * _corpus_mismatch(rng)}
+    raise ValueError(template)
+
+
 # --- Float reference --------------------------------------------------------
 
 
@@ -444,3 +514,103 @@ def reference_evaluate(node, bindings: dict[str, Quantity], tol: float = DEFAULT
     if isinstance(result, _Linear):
         return _to_quantity(result, node)
     return result
+
+
+# --- Quantity-based fuzzer ----------------------------------------------------
+
+
+def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
+    """The invariance fuzzer's trial loop over Quantity bindings: each trial
+    builds its bindings and one Rescaling, checks tol, and rescales through
+    `rescale`; the shrinker bisects Rescaling objects. It shares only the
+    draws (the per-trial generator, the ranges) and the seeding target with
+    `harness`. `fuzz_invariance` must give an equal report, float for float,
+    and raise what this raises."""
+    if trials < 1:
+        raise ValueError("at least one trial required")
+    check_tol(tol)
+    try:
+        result_type = typecheck(spec.relation, spec.env, allow_mixed_comparisons=True)
+    except DimensionError as exc:
+        raise SpecError(f"relation is ill-typed: {exc}") from exc
+    if result_type is not BOOL:
+        raise SpecError("relation does not evaluate to a truth value")
+
+    names, dims = spec.variable_names, spec.variable_dims
+    seed_target = harness._equality_seed_target(spec)
+
+    def evaluate_rescaled(bindings, rescaling):
+        rescaled = harness.rescale([bindings[n] for n in names], rescaling)
+        return evaluate(spec.relation, dict(zip(names, rescaled)), tol=tol)
+
+    def shrink(bindings, rescaling, before):
+        log_factors = list(rescaling.log_factors)
+        for _ in range(harness._SHRINK_ROUNDS):
+            improved = False
+            for j in range(len(log_factors)):
+                if log_factors[j] == 0.0:
+                    continue
+                candidate = log_factors.copy()
+                candidate[j] /= 2
+                try:
+                    violates = evaluate_rescaled(
+                        bindings, harness.Rescaling(spec.system, tuple(candidate))
+                    ) != before
+                except EvaluationError:
+                    violates = False
+                if violates:
+                    log_factors = candidate
+                    improved = True
+            if not improved:
+                break
+        return harness.Rescaling(spec.system, tuple(log_factors))
+
+    passed = inapplicable = 0
+    counterexample = None
+    for trial in range(trials):
+        rng = harness._trial_rng(seed, trial)
+        bindings = {
+            name: Quantity(rng.uniform(*harness._LOG_MAG_RANGE), dim)
+            for name, dim in zip(names, dims)
+        }
+        if seed_target is not None:
+            vname, other = seed_target
+            logs = {n: q.log_magnitude for n, q in bindings.items()}
+            try:
+                bindings[vname] = Quantity(log_magnitude(other, logs), bindings[vname].dim)
+            except EvaluationError:
+                pass
+        rescaling = harness.Rescaling(
+            spec.system,
+            tuple(rng.uniform(*harness._LOG_FACTOR_RANGE) for _ in range(spec.system.size)),
+        )
+        try:
+            before = evaluate(spec.relation, bindings, tol=tol)
+            after = evaluate_rescaled(bindings, rescaling)
+        except EvaluationError as exc:
+            inapplicable += 1
+            out_of_domain = exc
+            continue
+        if before == after:
+            passed += 1
+        elif counterexample is None:
+            shrunk = shrink(bindings, rescaling, before)
+            counterexample = harness.Counterexample(
+                trial_index=trial,
+                log_bindings={n: bindings[n].log_magnitude for n in names},
+                factors=dict(zip(spec.system.names, shrunk.factors)),
+                before=before,
+                after=evaluate_rescaled(bindings, shrunk),
+            )
+    if inapplicable == trials:
+        raise EvaluationError(
+            f"relation is undefined on all {trials} trials, so nothing was tested "
+            f"(last: {out_of_domain})"
+        )
+    return harness.InvarianceReport(
+        trials=trials,
+        passed=passed,
+        seed=seed,
+        counterexample=counterexample,
+        inapplicable=inapplicable,
+    )

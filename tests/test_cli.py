@@ -262,6 +262,20 @@ class TestVerifyDomainAndRange:
         assert b"float range" in proc.stderr
         assert b"OverflowError" not in proc.stderr
 
+    def test_dimension_exponent_beyond_the_float_range(self, tmp_path):
+        # the fuzzer shifts log magnitudes by float(exponent), so verify
+        # refuses the spec; the exact algebra of pi has no such limit
+        spec = _write_spec(tmp_path, {"x": f"L^{10**310}", "y": "L"}, "x < y")
+        proc = run_cli("verify", "--spec", spec)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"variable 'x'" in proc.stderr
+        assert b"beyond the float range" in proc.stderr
+        assert b"OverflowError" not in proc.stderr
+        proc = run_cli("pi", "--spec", spec)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+
 
 class TestClashBeyondFloatRange:
     @pytest.fixture

@@ -1,7 +1,7 @@
 """The compiled evaluator against the tree-walking reference.
 
 Relations come from the fixtures and from the relation shapes of the
-benchmark's fuzz corpus (rewritten here, not imported), plus a few that use
+benchmark's fuzz corpus (rewritten in support.py, not imported), plus a few that use
 subtraction and logs of sums. Bindings are drawn as the fuzzer draws them and
 then rescaled. Wherever the reference does not overflow, the verdicts must be
 identical and every quantity-valued subexpression bit-identical.
@@ -19,54 +19,10 @@ from piforge.dsl import BinOp, BoolOp, Call, Compare, Not, Pow, evaluate, parse_
 from piforge.errors import EvaluationError
 from piforge.harness import Rescaling, rescale
 
-from support import FIXTURES, reference_evaluate
+from support import CORPUS_TEMPLATES, FIXTURES, corpus_dim, corpus_relation, reference_evaluate
 
-SYSTEM = DimSystem(("M", "L", "T"))
 LOG_MAG = (math.log(1e-3), math.log(1e3))
 LOG_FACTOR = (math.log(1e-2), math.log(1e2))
-
-
-def _dim(rng):
-    while True:
-        exps = tuple(Fraction(rng.randint(-2, 2)) for _ in SYSTEM.names)
-        if any(exps):
-            return DimVector(SYSTEM, exps)
-
-
-def _mismatch(rng):
-    exps = [Fraction(0)] * SYSTEM.size
-    for axis in rng.sample(range(SYSTEM.size), 2):
-        exps[axis] = Fraction(rng.choice((-2, 2)))
-    return DimVector(SYSTEM, tuple(exps))
-
-
-def corpus_relation(rng, template):
-    """(relation text, {variable: dimension}) in one of the corpus shapes."""
-    p, q = rng.randint(1, 3), rng.randint(1, 2)
-    k = round(rng.uniform(0.5, 20.0), 3)
-    d1, d2, d4 = _dim(rng), _dim(rng), _dim(rng)
-    if template == "power_lt":
-        return f"x1^{p}*x2^{q} < x3", {"x1": d1, "x2": d2, "x3": d1**p * d2**q}
-    if template == "seeded_eq":
-        return f"x3 = {k}*x1^{p}/x2^{q}", {"x1": d1, "x2": d2, "x3": d1**p / d2**q}
-    if template == "sum_le":
-        d12 = d1 * d2
-        dims = {"x1": d1, "x2": d2, "x3": d12, "x4": d4, "x5": d12 / d4}
-        return "x1*x2 + x3 <= x4*x5", dims
-    if template == "log_sin":
-        dims = {"x1": d1, "x2": d2, "x3": d1**p * d2, "x4": d4, "x5": d4}
-        return f"log(x1^{p}*x2/x3) < sin(x4/x5)", dims
-    if template == "bool_mix":
-        dims = {"x1": d1, "x2": d1, "x3": d2, "x4": d4, "x5": d2 * d4}
-        return "x1 < x2 and not x3*x4 <= x5", dims
-    if template == "hidden_constant":
-        return f"x3 = {k}*x1^{p}*x2", {"x1": d1, "x2": d2, "x3": d1**p * d2 * _mismatch(rng)}
-    if template == "mixed_lt":
-        return "x1*x2 < x3", {"x1": d1, "x2": d2, "x3": d1 * d2 * _mismatch(rng)}
-    raise ValueError(template)
-
-
-TEMPLATES = ("power_lt", "seeded_eq", "sum_le", "log_sin", "bool_mix", "hidden_constant", "mixed_lt")
 
 # Outside the corpus: subtraction, logs of sums, exp, cos and sqrt, some of
 # them undefined on part of the draws.
@@ -86,12 +42,12 @@ def _relations():
                  "mass_spring", "hidden_constant"):
         spec = dsl.load_problem_spec(FIXTURES / f"{name}.json")
         out.append((spec.relation, spec.env))
-    for template in TEMPLATES:
+    for template in CORPUS_TEMPLATES:
         for _ in range(6):
             text, env = corpus_relation(rng, template)
             out.append((parse_relation(text), env))
     for text in EXTRA:
-        dim = _dim(rng)
+        dim = corpus_dim(rng)
         out.append((parse_relation(text), {"x1": dim, "x2": dim}))
     return out
 
@@ -165,8 +121,9 @@ def test_equality_seeded_from_the_compiled_other_side_holds():
     for _ in range(20):
         text, env = corpus_relation(rng, "hidden_constant")
         node = parse_relation(text)
-        bindings = {n: Quantity(rng.uniform(*LOG_MAG), d) for n, d in env.items()}
-        bindings["x3"] = Quantity(dsl.log_magnitude(node.right, bindings), env["x3"])
+        logs = {n: rng.uniform(*LOG_MAG) for n in env}
+        logs["x3"] = dsl.log_magnitude(node.right, logs)
+        bindings = {n: Quantity(logs[n], d) for n, d in env.items()}
         assert evaluate(node, bindings) is reference_evaluate(node, bindings) is True
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,12 +22,16 @@ from piforge.pigroups import pi_basis
 from piforge.units import is_consistent
 
 from support import (
+    CORPUS_SYSTEM,
+    CORPUS_TEMPLATES,
     FIXTURES,
+    corpus_relation,
     mass_spring_dims,
     oracle_equivalent,
     random_dims,
     random_quantities,
     random_rational_dims,
+    reference_fuzz,
     reference_log_combine,
 )
 
@@ -190,7 +196,7 @@ class TestInapplicableTrials:
         def out_of_domain(*args, **kwargs):
             raise EvaluationError("outside the domain")
 
-        monkeypatch.setattr(harness, "evaluate", out_of_domain)
+        monkeypatch.setattr(harness, "holds", out_of_domain)
         with pytest.raises(EvaluationError, match="undefined on all 5 trials.*outside the domain"):
             fuzz_invariance(_spec("hidden_constant"), trials=5, seed=0)
 
@@ -198,16 +204,12 @@ class TestInapplicableTrials:
         spec = _spec("hidden_constant")
         report = fuzz_invariance(spec, trials=1, seed=0)
         ce = report.counterexample
-        bindings = {
-            n: Quantity(ce.log_bindings[n], d) for n, d in zip(spec.variable_names, spec.variable_dims)
-        }
-        rescaling = Rescaling(spec.system, (2.0, -3.0))
 
         def out_of_domain(*args, **kwargs):
             raise EvaluationError("outside the domain")
 
-        monkeypatch.setattr(harness, "evaluate", out_of_domain)
-        assert harness._shrink(spec, bindings, rescaling, ce.before, 1e-9) == rescaling
+        monkeypatch.setattr(harness, "holds", out_of_domain)
+        assert harness._shrink(spec, ce.log_bindings, [2.0, -3.0], ce.before, 1e-9) == [2.0, -3.0]
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):
@@ -234,6 +236,137 @@ class TestBeyondTheFloatRange:
         spec = _spec_text(tmp_path, {"x": "L"}, "x^1000000 = x^1000000")
         report = fuzz_invariance(spec, trials=50, seed=0)
         assert report.passed == 50
+
+
+def _oracle_specs():
+    """(id, spec): the fixtures, each corpus shape twice, relations that
+    leave their domain or the float range on some draws, and dimensions whose
+    rescaling shift can leave the float range."""
+    out = [(name, _spec(name)) for name in (
+        "newton", "light_three_var", "electronics", "independent_dims", "mass_spring",
+        "hidden_constant",
+    )]
+    rng = random.Random(151)
+    for template in CORPUS_TEMPLATES:
+        for i in range(2):
+            text, env = corpus_relation(rng, template)
+            out.append((f"{template}#{i}", dsl.ProblemSpec(
+                CORPUS_SYSTEM, tuple(env), tuple(env.values()), dsl.parse_relation(text), text,
+            )))
+    system = DimSystem(("L",))
+    length = DimVector.unit(system, "L")
+    for text, dims in (
+        ("log(x/y - 1) < 1", {"x": length, "y": length}),
+        ("log(x/x - 1) < 1", {"x": length}),
+        ("(x - y)*x < y*y", {"x": length, "y": length}),
+        ("y = x^300", {"x": length, "y": length**299}),
+        ("x^1000000 = x^1000000", {"x": length}),
+    ):
+        spec = dsl.ProblemSpec(system, tuple(dims), tuple(dims.values()), dsl.parse_relation(text), text)
+        out.append((text, spec))
+    # shifts that leave the float range: inf, and inf - inf
+    huge = Fraction(10**308)
+    system = DimSystem(("L", "T"))
+    for label, exponents in (("shift-inf", (huge, Fraction(0))), ("shift-nan", (huge, -huge))):
+        dims = (DimVector(system, exponents), DimVector.unit(system, "L"))
+        out.append((label, dsl.ProblemSpec(system, ("x", "y"), dims, dsl.parse_relation("x < y"), "x < y")))
+    return out
+
+
+def _fingerprint(fuzz, spec, trials, seed, tol):
+    """A report field by field, every float as float.hex; or what was raised."""
+    try:
+        report = fuzz(spec, trials, seed=seed, tol=tol)
+    except (EvaluationError, SpecError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+    ce = report.counterexample
+    found = None if ce is None else (
+        ce.trial_index,
+        tuple((n, v.hex()) for n, v in ce.log_bindings.items()),
+        tuple((n, v.hex()) for n, v in ce.factors.items()),
+        ce.before,
+        ce.after,
+    )
+    return (report.trials, report.passed, report.inapplicable, report.seed, found)
+
+
+ORACLE_SPECS = _oracle_specs()
+
+
+class TestAgainstQuantityReference:
+    """The float trial loop against the Quantity-based one it replaced."""
+
+    @pytest.mark.parametrize("spec", [s for _, s in ORACLE_SPECS], ids=[n for n, _ in ORACLE_SPECS])
+    def test_reports_equal_float_for_float(self, spec):
+        runs = [(1000, 0, 1e-9)] + [
+            (trials, seed, tol)
+            for trials in (1, 50) for seed in (1, 9, 42) for tol in (1e-9, 0.5)
+        ]
+        for trials, seed, tol in runs:
+            expected = _fingerprint(reference_fuzz, spec, trials, seed, tol)
+            assert _fingerprint(fuzz_invariance, spec, trials, seed, tol) == expected, (trials, seed, tol)
+
+    def test_rescaled_logs_are_rescale_bit_for_bit(self):
+        # a shift off by one ulp would rarely flip a verdict, so it is
+        # compared here directly
+        rng = random.Random(157)
+        for _ in range(300):
+            system, dims = random_rational_dims(rng, rng.randint(1, 6), rng.randint(1, 8))
+            names = tuple(f"x{i}" for i in range(len(dims)))
+            spec = dsl.ProblemSpec(system, names, dims, dsl.parse_relation("x0 < x0"), "x0 < x0")
+            logs = {n: rng.uniform(-7, 7) for n in names}
+            log_factors = [rng.uniform(-5, 5) for _ in system.names]
+            quantities = [Quantity(logs[n], d) for n, d in zip(names, dims)]
+            expected = rescale(quantities, Rescaling(system, tuple(log_factors)))
+            got = harness._rescaled(spec, logs, log_factors)
+            assert [got[n].hex() for n in names] == [q.log_magnitude.hex() for q in expected]
+
+    def test_the_cases_reach_every_outcome(self):
+        outcomes = set()
+        for _, spec in ORACLE_SPECS:
+            for trials in (1, 50):
+                fp = _fingerprint(reference_fuzz, spec, trials, 9, 1e-9)
+                if fp[0] == "raised":
+                    outcomes.add(fp[1])
+                    continue
+                outcomes.add("counterexample" if fp[4] else "passed")
+                if fp[2]:
+                    outcomes.add("inapplicable")
+        expected = {"passed", "counterexample", "inapplicable", EvaluationError, ValueError}
+        assert outcomes == expected, outcomes
+
+
+class TestChecksBeforeTheFirstTrial:
+    """What `rescale` found on the first trial is found at entry, with the
+    same error, and no trial runs."""
+
+    def _no_trials(self, monkeypatch):
+        def trial_rng(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_trial_rng", trial_rng)
+
+    def test_dimensions_over_another_system(self, monkeypatch):
+        spec = _spec("hidden_constant")
+        other = DimSystem(spec.system.names + ("M",))
+        dims = tuple(DimVector(other, d.exponents + (Fraction(0),)) for d in spec.variable_dims)
+        moved = dataclasses.replace(spec, variable_dims=dims)
+        self._no_trials(monkeypatch)
+        with pytest.raises(DimensionMismatchError, match="different systems"):
+            fuzz_invariance(moved, trials=10, seed=0)
+
+    def test_system_swapped(self, monkeypatch):
+        spec = _spec("newton")
+        swapped = dataclasses.replace(spec, system=DimSystem(("L", "T", "M", "K")))
+        self._no_trials(monkeypatch)
+        with pytest.raises(DimensionMismatchError, match="different systems"):
+            fuzz_invariance(swapped, trials=10, seed=0)
+
+    def test_exponent_beyond_the_float_range(self, tmp_path, monkeypatch):
+        spec = _spec_text(tmp_path, {"x": f"L^{10**310}", "y": "L"}, "x < y")
+        self._no_trials(monkeypatch)
+        with pytest.raises(SpecError, match="variable 'x' .*beyond the float range"):
+            fuzz_invariance(spec, trials=10, seed=0)
 
 
 class TestOracleEquivalent:
