@@ -11,11 +11,15 @@ A `Monomial` is a product-of-powers map x1^e1 * ... * xk^ek identified with
 its exponent vector; `qty_combine` / `dim_combine` apply one to quantities or
 dimensions. `reduce_dims` makes the one exact RREF of a dimension list's
 matrix D that pi bases, `row_space` and the orbit test (`orbit_gap`) read.
+It keeps the last list it reduced with that reduction, so a later call on
+the very same `DimVector` objects, slot for slot, makes no new elimination;
+an equal list built from other objects reduces again.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -325,13 +329,29 @@ def _residual(vec, rows) -> list[float]:
     return vec
 
 
+# (ws, reduction) of the last `reduce_dims` call; read once, replaced whole
+_last_reduction: tuple[tuple, tuple | None] = ((), None)
+
+
 def reduce_dims(ws) -> tuple[QMatrix, tuple[int, ...], int]:
     """The one exact `rref` (reduced, pivot_cols, rank) of the dimension
     matrix D of the nonempty sequence ws. Pivots, free slots, the canonical
-    kernel (`exactlin.canonical_kernel`) and `row_space` all read off it."""
+    kernel (`exactlin.canonical_kernel`) and `row_space` all read off it.
+
+    The last list reduced is kept with its reduction. A call whose ws holds
+    the very same DimVector objects, slot for slot (`is`, not ==), gets that
+    reduction back with no new elimination; dimensions and reductions are
+    immutable, so it is what a fresh `rref` would give. An equal list built
+    from other objects reduces again."""
+    global _last_reduction
     if not ws:
         raise NotABasisError("a pi basis needs at least one dimension slot")
-    return rref(dimension_matrix(ws[0].system, ws))
+    kept_ws, kept = _last_reduction
+    if len(kept_ws) == len(ws) and all(map(operator.is_, kept_ws, ws)):
+        return kept
+    reduction = rref(dimension_matrix(ws[0].system, ws))
+    _last_reduction = (tuple(ws), reduction)
+    return reduction
 
 
 def row_space(reduction) -> tuple[tuple[float, ...], ...]:

@@ -146,7 +146,8 @@ def fuzz_invariance(
     Per trial: draw log-uniform magnitudes in [1e-3, 1e3] per variable and a
     log-uniform rescaling factor in [1e-2, 1e2] per fundamental; pass iff the
     relation's truth value survives the rescaling. A trial on which either
-    evaluation leaves the relation's domain (EvaluationError) is counted as
+    evaluation leaves the relation's domain (EvaluationError), or the
+    rescaling carries a log magnitude beyond the float range, is counted as
     inapplicable; if every trial is, EvaluationError is raised, since no
     trial tested the relation. The first failing trial is shrunk (factor
     bisection toward 1) and reported; its `after` is worked out again through
@@ -234,15 +235,21 @@ def _check_dims(spec: ProblemSpec) -> None:
 
 def _rescaled(spec: ProblemSpec, logs: dict[str, float], log_factors) -> dict[str, float]:
     """The log magnitudes after the rescaling, bit for bit as `rescale` gives
-    them. A shift that carries one beyond the float range raises ValueError,
-    as the Quantity that `rescale` builds does."""
+    them. A shift that carries one beyond the float range, where `rescale`
+    could build no Quantity, leaves the relation's domain: EvaluationError
+    names the first such variable."""
     out = {
         name: logs[name] + dim.log_combine(log_factors)
         for name, dim in zip(spec.variable_names, spec.variable_dims)
     }
     # one sum in the common case; the exact test only where the sum is not finite
-    if not math.isfinite(sum(out.values())) and not all(map(math.isfinite, out.values())):
-        raise ValueError("quantity magnitudes must be finite and strictly positive")
+    if not math.isfinite(sum(out.values())):
+        for name, value in out.items():
+            if not math.isfinite(value):
+                raise EvaluationError(
+                    f"the rescaling takes the log magnitude of {name!r} beyond the "
+                    "float range, about 1.8e+308"
+                )
     return out
 
 

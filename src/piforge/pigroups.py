@@ -7,10 +7,13 @@ the basis in which each group carries exactly one "free" variable to the
 first power, the rest drawn from a fixed pivot set; `transition` computes the
 exact invertible change of basis between any two bases.
 
-Every basis keeps the one `core.reduce_dims` that built or validated it. The
-free slots are the non-pivot columns of that RREF, and a dimensionless
-product is fixed by its exponents there, so a basis's r x r free-slot block
-holds its coordinates in the special basis. `transition` reads two such
+Every basis keeps the one `core.reduce_dims` that built or validated it.
+`reduce_dims` keeps the last list it reduced, so `pi_basis`, `special_basis`,
+a `PiBasis` constructor and `units.is_consistent` called in turn on the same
+DimVector objects share one elimination; an equal list of other objects
+reduces again. The free slots are the non-pivot columns of that RREF, and a
+dimensionless product is fixed by its exponents there, so a basis's r x r
+free-slot block holds its coordinates in the special basis. `transition` reads two such
 blocks; `row_space` and a special basis's `canonical` basis read the RREF.
 
 The public constructors `PiBasis`, `SpecialPiBasis` and `Transition`, and

@@ -540,8 +540,18 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
     seed_target = harness._equality_seed_target(spec)
 
     def evaluate_rescaled(bindings, rescaling):
-        rescaled = harness.rescale([bindings[n] for n in names], rescaling)
-        return evaluate(spec.relation, dict(zip(names, rescaled)), tol=tol)
+        # a rescaled log beyond the float range, where `rescale` builds no
+        # Quantity, is outside the relation's domain
+        rescaled = {}
+        for n in names:
+            try:
+                [rescaled[n]] = harness.rescale([bindings[n]], rescaling)
+            except ValueError:
+                raise EvaluationError(
+                    f"the rescaling takes the log magnitude of {n!r} beyond the "
+                    "float range, about 1.8e+308"
+                ) from None
+        return evaluate(spec.relation, rescaled, tol=tol)
 
     def shrink(bindings, rescaling, before):
         log_factors = list(rescaling.log_factors)

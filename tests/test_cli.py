@@ -276,6 +276,21 @@ class TestVerifyDomainAndRange:
         assert proc.returncode == 0
         assert proc.stderr == b""
 
+    def test_rescaling_beyond_the_float_range(self, tmp_path):
+        # float(exponent) is finite, but most rescalings carry x's log
+        # magnitude past the float range: those trials are inapplicable
+        spec = _write_spec(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
+        proc = run_cli("verify", "--spec", spec)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.startswith(b"trials: 1000, passed: 194, inapplicable: 621\n")
+        proc = run_cli("verify", "--spec", spec, "--trials", "1", "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"error: relation is undefined on all 1 trials, so nothing was tested (last: the "
+            b"rescaling takes the log magnitude of 'x' beyond the float range, about 1.8e+308)\n"
+        )
+
 
 class TestClashBeyondFloatRange:
     @pytest.fixture

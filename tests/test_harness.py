@@ -332,8 +332,58 @@ class TestAgainstQuantityReference:
                 outcomes.add("counterexample" if fp[4] else "passed")
                 if fp[2]:
                     outcomes.add("inapplicable")
-        expected = {"passed", "counterexample", "inapplicable", EvaluationError, ValueError}
+        expected = {"passed", "counterexample", "inapplicable", EvaluationError}
         assert outcomes == expected, outcomes
+
+
+
+class TestRescalingBeyondTheFloatRange:
+    """A rescaling that carries a log magnitude past the float range leaves
+    the relation's domain: the trial is inapplicable, and the error names
+    the variable."""
+
+    _BEYOND = "the rescaling takes the log magnitude of 'x' beyond the float range"
+
+    def test_rescaled_names_the_variable(self, tmp_path):
+        spec = _spec_text(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
+        with pytest.raises(EvaluationError, match=self._BEYOND):
+            harness._rescaled(spec, {"x": 0.0, "y": 0.0}, [2.0])
+        assert harness._rescaled(spec, {"x": 0.0, "y": 0.0}, [1.0]) == {"x": 1e308, "y": 1.0}
+
+    def test_overflowing_trials_are_inapplicable(self, tmp_path):
+        spec = _spec_text(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
+        report = fuzz_invariance(spec, trials=1000, seed=0)
+        assert (report.passed, report.inapplicable) == (194, 621)
+        # x < y compares a length with L^(1e308): a real counterexample
+        assert report.counterexample is not None
+
+    def test_every_trial_overflowing_names_the_cause(self, tmp_path):
+        spec = _spec_text(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
+        with pytest.raises(EvaluationError, match=f"undefined on all 1 trials.*{self._BEYOND}"):
+            fuzz_invariance(spec, trials=1, seed=1)
+
+    def test_shrink_skips_an_overflowing_candidate(self, tmp_path, monkeypatch):
+        # halving the first factor turns -1e308 + 1.5e308 + 1.2e308, finite,
+        # into -0.5e308 + 1.5e308 + 1.2e308, beyond the float range
+        exponent = 10**308
+        spec = _spec_text(
+            tmp_path, {"x": f"L^{exponent}*M^{exponent}*T^{exponent}", "y": "1"}, "x < y",
+            system=("L", "M", "T"),
+        )
+        logs = {"x": 0.0, "y": 1.0}
+        candidates = []
+        rescaled = harness._rescaled
+
+        def recording(spec, logs, log_factors):
+            candidates.append(list(log_factors))
+            return rescaled(spec, logs, log_factors)
+
+        monkeypatch.setattr(harness, "_rescaled", recording)
+        shrunk = harness._shrink(spec, logs, [-1.0, 1.5, 1.2], True, 1e-9)
+        assert candidates[0] == [-0.5, 1.5, 1.2]
+        with pytest.raises(EvaluationError, match=self._BEYOND):
+            rescaled(spec, logs, candidates[0])
+        assert not harness.holds(spec.relation, rescaled(spec, logs, shrunk), 1e-9)
 
 
 class TestChecksBeforeTheFirstTrial:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -290,29 +292,34 @@ def _ladder_dims(rng, d, n):
     return tuple(dims)
 
 
+@pytest.fixture
+def rref_calls(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return rref(m)
+
+    for module in (exactlin, core, units, pigroups):
+        monkeypatch.setattr(module, "rref", counting)
+    # an empty reduction slot, so no count depends on the tests before
+    monkeypatch.setattr(core, "_last_reduction", ((), None))
+    return calls
+
+
 class TestEliminationCount:
     """Deterministic guard on the number of eliminations per call."""
 
-    @pytest.fixture
-    def rref_calls(self, monkeypatch):
-        calls = []
-
-        def counting(m):
-            calls.append((m.rows, m.cols))
-            return rref(m)
-
-        for module in (exactlin, core, units, pigroups):
-            monkeypatch.setattr(module, "rref", counting)
-        return calls
-
     def test_special_basis_eliminates_once_besides_validation(self, rref_calls):
+        """The constructor reuses the builder's reduction of the same dims;
+        its one elimination is the groups' independence check."""
         dims = _ladder_dims(random.Random(31), 10, 48)
         sb = special_basis(dims)
         built = len(rref_calls)
         PiBasis(dims=dims, groups=sb.base.groups)
         validation = len(rref_calls) - built
         assert built == 1
-        assert validation == 2
+        assert validation == 1
 
     @pytest.mark.parametrize("builder", [pi_basis, special_basis])
     def test_builders_eliminate_once(self, rref_calls, builder):
@@ -373,9 +380,10 @@ class TestEliminationCount:
         assert cli.main(["consistent", "cm", "hr", "knot", "--registry", registry]) == 1
         assert len(rref_calls) == 1
 
-    def test_ladder_problem_eliminates_three_times(self, rref_calls):
-        """One basis-ladder problem: one elimination in each builder and one
-        in `is_consistent`, none in `transition`."""
+    def test_ladder_problem_eliminates_once(self, rref_calls):
+        """One basis-ladder problem: `pi_basis` reduces the dims, and
+        `special_basis` and `is_consistent`, over the same DimVector
+        objects, reuse that reduction; `transition` needs none."""
         rng = random.Random(53)
         for d, n in ((3, 6), (4, 12), (7, 24), (10, 48)):
             dims = _ladder_dims(rng, d, n)
@@ -384,7 +392,130 @@ class TestEliminationCount:
             special = special_basis(dims)
             transition(canonical, special.base)
             assert units.is_consistent([Quantity(0.0, w) for w in dims]).consistent
-            assert len(rref_calls) == 3, (d, n)
+            assert len(rref_calls) == 1, (d, n)
+
+
+
+def _copies(dims):
+    """Equal DimVectors, each a distinct object."""
+    return tuple(DimVector(w.system, tuple(w.exponents)) for w in dims)
+
+
+def _fresh_reduction(dims):
+    return rref(dimension_matrix(dims[0].system, dims))
+
+
+class TestReductionCache:
+    """`core.reduce_dims` keeps the last list it reduced: the same DimVector
+    objects, slot for slot, reuse its reduction; anything else reduces."""
+
+    def test_hit_returns_the_same_reduction(self, rref_calls):
+        dims = _ladder_dims(random.Random(61), 4, 12)
+        first = core.reduce_dims(dims)
+        assert core.reduce_dims(list(dims)) is first
+        assert core.reduce_dims(tuple(dims)) is first
+        assert len(rref_calls) == 1
+
+    def test_equal_copies_reduce_again_to_an_equal_result(self, rref_calls):
+        dims = _ladder_dims(random.Random(67), 7, 24)
+        first = core.reduce_dims(dims)
+        copies = _copies(dims)
+        assert copies == dims and all(a is not b for a, b in zip(copies, dims))
+        again = core.reduce_dims(copies)
+        assert again is not first
+        assert len(rref_calls) == 2
+        assert again == first
+        reduced, pivots, rank = again
+        assert reduced.entries == first[0].entries
+        assert all(type(v) is Fraction for v in reduced.entries)
+        assert (pivots, rank) == first[1:]
+
+    @staticmethod
+    def _problem(dims):
+        canonical = pi_basis(dims)
+        special = special_basis(dims)
+        consistency = units.is_consistent([Quantity(0.0, w) for w in dims])
+        return canonical, special, transition(canonical, special.base), consistency
+
+    def _warm_equals_cold(self, dims):
+        core._last_reduction = ((), None)
+        cold = self._problem(_copies(dims))
+        core.reduce_dims(dims)
+        warm = self._problem(dims)
+        for a, b in zip(warm, cold):
+            assert a == b
+            assert hash(a) == hash(b)
+            assert repr(a) == repr(b)
+        assert warm[0].reduction is warm[1].base.reduction
+        assert warm[0].reduction == cold[0].reduction
+        assert warm[0].row_space == cold[0].row_space
+
+    def test_warm_and_cold_bases_agree(self, rref_calls):
+        for _, dims in seeded_systems():
+            self._warm_equals_cold(dims)
+        rng = random.Random(71)
+        for d, n in ((3, 6), (4, 12), (7, 24), (10, 48)):
+            self._warm_equals_cold(_ladder_dims(rng, d, n))
+
+    def test_other_lists_miss(self, rref_calls):
+        rng = random.Random(73)
+        dims = _ladder_dims(rng, 4, 12)
+        extra = _ladder_dims(rng, 4, 12)[0]
+        swapped = list(dims)
+        swapped[3] = extra
+        variants = {
+            "reordered": dims[1:] + dims[:1],
+            "one longer": dims + (extra,),
+            "one shorter": dims[:-1],
+            "one slot other": tuple(swapped),
+        }
+        for name, variant in variants.items():
+            core.reduce_dims(dims)
+            del rref_calls[:]
+            assert core.reduce_dims(variant) == _fresh_reduction(variant), name
+            assert len(rref_calls) == 1, name
+
+    def test_each_call_gets_its_own_lists_reduction(self, rref_calls):
+        rng = random.Random(79)
+        a, b = _ladder_dims(rng, 3, 6), _ladder_dims(rng, 4, 12)
+        first = core.reduce_dims(a)
+        assert core.reduce_dims(b) == _fresh_reduction(b)
+        assert core.reduce_dims(a) == first == _fresh_reduction(a)
+        assert len(rref_calls) == 3
+
+    def test_threads_alternating_two_lists(self):
+        rng = random.Random(83)
+        lists = (_ladder_dims(rng, 3, 6), _ladder_dims(rng, 4, 12))
+        expected = [_fresh_reduction(ws) for ws in lists]
+        assert expected[0] != expected[1]
+        wrong = []
+
+        def work(offset):
+            for i in range(300):
+                k = (i + offset) % 2
+                if core.reduce_dims(lists[k]) != expected[k]:
+                    wrong.append((offset, i))
+
+        # more threads than cores, switching as often as the interpreter can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_fundamental_basis_eliminates_once(self, rref_calls, registry):
+        quantities = [registry.quantity(n) for n in ("ohm", "F", "V", "A", "s")]
+        basis = units.fundamental_basis(quantities)
+        assert len(rref_calls) == 1
+        assert [q.dim for q in basis] == [quantities[i].dim for i in _fresh_reduction(
+            [q.dim for q in quantities])[1]]
 
 
 class TestCanonicalOfSpecial:
