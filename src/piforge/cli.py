@@ -3,9 +3,9 @@
 Subcommands: pi, consistent, verify, equiv, nondim, check. Exit codes follow
 one contract everywhere: 0 success/pass, 1 domain negative (inconsistent
 units, invariance violation, not equivalent, type error), 2 usage or parse
-failure. Output is deterministic for identical inputs and flags; --json emits
-exact rationals as "p/q" strings and magnitudes as decimals with 15
-significant digits.
+failure, 141 stdout closed by its reader (128 + SIGPIPE). Output is
+deterministic for identical inputs and flags; --json emits exact rationals
+as "p/q" strings and magnitudes as decimals with 15 significant digits.
 """
 
 from __future__ import annotations
@@ -351,7 +351,15 @@ def main(argv=None) -> int:
         print("error: --trials must be at least 1", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: 128 + SIGPIPE, and no exit flush into it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except PiforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,8 @@ always exact.
 
 A `Monomial` is a product-of-powers map x1^e1 * ... * xk^ek identified with
 its exponent vector; `qty_combine` / `dim_combine` apply one to quantities or
-dimensions. `reduce_dims` makes the one exact RREF of a dimension list's
-matrix D that pi bases, `row_space` and the orbit test (`orbit_gap`) read.
+dimensions. `reduce_dims` makes the one exact `exactlin.Reduction` of a
+dimension list's matrix D that pi bases, `row_space` and `orbit_gap` read.
 It keeps the last list it reduced with that reduction, so a later call on
 the very same `DimVector` objects, slot for slot, makes no new elimination;
 an equal list built from other objects reduces again.
@@ -31,7 +31,7 @@ from .errors import (
     NotABasisError,
     SystemMismatchError,
 )
-from .exactlin import QMatrix, as_rational, rref
+from .exactlin import QMatrix, Reduction, as_rational, eliminate
 
 DEFAULT_TOL = 1e-9
 
@@ -330,39 +330,39 @@ def _residual(vec, rows) -> list[float]:
 
 
 # (ws, reduction) of the last `reduce_dims` call; read once, replaced whole
-_last_reduction: tuple[tuple, tuple | None] = ((), None)
+_last_reduction: tuple[tuple, Reduction | None] = ((), None)
 
 
-def reduce_dims(ws) -> tuple[QMatrix, tuple[int, ...], int]:
-    """The one exact `rref` (reduced, pivot_cols, rank) of the dimension
-    matrix D of the nonempty sequence ws. Pivots, free slots, the canonical
-    kernel (`exactlin.canonical_kernel`) and `row_space` all read off it.
+def reduce_dims(ws) -> Reduction:
+    """The one exact `exactlin.Reduction` (integer RREF rows, pivot columns,
+    rank) of the dimension matrix D of the nonempty sequence ws. Pivots, free
+    slots, `exactlin.canonical_kernel` and `row_space` all read off it.
 
     The last list reduced is kept with its reduction. A call whose ws holds
     the very same DimVector objects, slot for slot (`is`, not ==), gets that
     reduction back with no new elimination; dimensions and reductions are
-    immutable, so it is what a fresh `rref` would give. An equal list built
-    from other objects reduces again."""
+    immutable, so it is what a fresh `eliminate` would give. An equal list
+    built from other objects reduces again."""
     global _last_reduction
     if not ws:
         raise NotABasisError("a pi basis needs at least one dimension slot")
     kept_ws, kept = _last_reduction
     if len(kept_ws) == len(ws) and all(map(operator.is_, kept_ws, ws)):
         return kept
-    reduction = rref(dimension_matrix(ws[0].system, ws))
+    reduction = eliminate(dimension_matrix(ws[0].system, ws))
     _last_reduction = (tuple(ws), reduction)
     return reduction
 
 
-def row_space(reduction) -> tuple[tuple[float, ...], ...]:
+def row_space(reduction: Reduction) -> tuple[tuple[float, ...], ...]:
     """Orthonormal rows spanning lambda^T D, the log shifts of ws under
     rescalings, read off `reduce_dims(ws)` with no elimination: modified
     Gram-Schmidt on the nonzero RREF rows, which hold the identity at their
-    pivots and so are well conditioned."""
-    reduced, _, rank = reduction
+    pivots and so are well conditioned; `v / pivot` on the integer rows is
+    correctly rounded, as `float(Fraction)` is."""
     rows = []
-    for i in range(rank):
-        row = _residual([float(v) for v in reduced.row(i)], rows)
+    for row, pc in zip(reduction.int_rows, reduction.pivot_cols):
+        row = _residual([v / row[pc] for v in row], rows)
         norm = math.hypot(*row)
         rows.append(tuple(a / norm for a in row))
     return tuple(rows)

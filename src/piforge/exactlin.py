@@ -4,27 +4,28 @@ Scalars are `fractions.Fraction`, so every result here is exact: no pivots by
 magnitude, no tolerances, no floating point anywhere. Matrices are immutable
 row-major tuples sized for desk-scale work (a dozen columns, not thousands).
 
-Elimination runs on integer rows. `rref` scales each row by the lcm of its
-denominators, eliminates with Python ints (fraction-free, each updated row
-divided by the gcd of its entries to keep the integers small; Bareiss,
-Math. Comp. 22, 1968), and divides each pivot row by its pivot once at the
-end. The RREF is unique, so the result equals that of a Fraction
-Gauss-Jordan loop entry for entry, at a fraction of the cost. `kernel_basis`,
-`solve` and `invert` all read off one such elimination.
+Elimination runs on integer rows. `eliminate` scales each row by the lcm of
+its denominators and eliminates with Python ints (fraction-free, each updated
+row divided by the gcd of its entries; Bareiss, Math. Comp. 22, 1968). Its
+`Reduction` keeps the nonzero RREF rows as coprime integers, pivot positive,
+and builds the Fraction RREF that `rref` returns only when it is read. The
+RREF is unique, so it equals that of a Fraction Gauss-Jordan loop entry for
+entry. `kernel_basis`, `solve` and `invert` all read off one elimination.
 
 The one piece of policy lives in `canonical_kernel`, which reads the kernel
-off an `rref` result, as `kernel_basis` does: kernel vectors come from the
-standard RREF free-variable construction, ordered by increasing free column,
-and are rescaled to primitive integer vectors. The rescale factor is always
-positive, so the +1 the construction places at the free column stays positive;
-this makes the output reproducible and directly comparable across runs.
-"""
+off the integer rows of a `Reduction`, as `kernel_basis` does: kernel vectors
+come from the standard RREF free-variable construction, ordered by increasing
+free column, and are rescaled to primitive integer vectors. The rescale
+factor is always positive, so the +1 the construction places at the free
+column stays positive; this makes the output reproducible and directly
+comparable across runs."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NoSolutionError, SingularMatrixError
 
@@ -133,14 +134,28 @@ def _integer_row(row) -> list[int]:
     return [v // common for v in ints] if common > 1 else ints
 
 
-def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
-    """Reduced row echelon form of m.
+@dataclass(frozen=True)
+class Reduction:
+    """A matrix's RREF as integers: int_rows[i] is nonzero RREF row i scaled
+    to coprime integers, its pivot at pivot_cols[i] positive. `reduced`, the
+    Fraction RREF of shape rows x cols, is built on first read."""
 
-    Returns (reduced, pivot_cols, rank). Pivoting takes the first nonzero
-    entry in each column — exact arithmetic needs no magnitude heuristics.
-    Rows are eliminated as integers; each row is divided by its pivot only
-    once, at the end.
-    """
+    shape: tuple[int, int]
+    int_rows: tuple[tuple[int, ...], ...]
+    pivot_cols: tuple[int, ...]
+    rank: int
+
+    @cached_property
+    def reduced(self) -> QMatrix:
+        nrows, ncols = self.shape
+        flat = [Fraction(v, row[pc]) if v else _ZERO
+                for row, pc in zip(self.int_rows, self.pivot_cols) for v in row]
+        return QMatrix(nrows, ncols, (*flat, *(_ZERO,) * ((nrows - self.rank) * ncols)))
+
+
+def eliminate(m: QMatrix) -> Reduction:
+    """The `Reduction` of m. Pivoting takes the first nonzero entry in each
+    column — exact arithmetic needs no magnitude heuristics."""
     nrows, ncols = m.rows, m.cols
     work = [_integer_row(m.row(i)) for i in range(nrows)]
     pivot_cols: list[int] = []
@@ -165,62 +180,60 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
             work[r] = [v // common for v in row] if common > 1 else row
         pivot_cols.append(col)
         piv_row += 1
-    flat = []
-    for i, row in enumerate(work):
-        if i < piv_row:
-            pivot = row[pivot_cols[i]]
-            flat.extend(Fraction(v, pivot) if v else _ZERO for v in row)
-        else:
-            flat.extend((_ZERO,) * ncols)
-    return QMatrix(nrows, ncols, tuple(flat)), tuple(pivot_cols), piv_row
+    rows = tuple(tuple(v if row[pc] > 0 else -v for v in row) for row, pc in zip(work, pivot_cols))
+    return Reduction((nrows, ncols), rows, tuple(pivot_cols), piv_row)
+
+
+def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
+    """Reduced row echelon form of m: (reduced, pivot_cols, rank)."""
+    reduction = eliminate(m)
+    return reduction.reduced, reduction.pivot_cols, reduction.rank
 
 
 def rank(m: QMatrix) -> int:
-    return rref(m)[2]
+    return eliminate(m).rank
 
 
-def _primitive(vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Scale a rational vector by a positive factor to coprime integers."""
-    return tuple(Fraction(v) if v else _ZERO for v in _integer_row(vec))
+def free_columns(reduction: Reduction) -> tuple[int, ...]:
+    """The non-pivot columns of a `Reduction`, in increasing order."""
+    return tuple(c for c in range(reduction.shape[1]) if c not in reduction.pivot_cols)
 
 
-def free_columns(reduction) -> tuple[int, ...]:
-    """The non-pivot columns of an `rref` result, in increasing order."""
-    reduced, pivot_cols, _ = reduction
-    return tuple(c for c in range(reduced.cols) if c not in pivot_cols)
-
-
-def free_kernel(reduction) -> list[tuple[Fraction, ...]]:
-    """The unscaled RREF free-variable kernel basis, read off an `rref` result.
-
-    One vector per free column, by increasing column: 1 at the free column,
-    -reduced[row][free] at each pivot column, 0 elsewhere.
-    """
-    reduced, pivot_cols, _ = reduction
+def free_kernel(reduction: Reduction) -> list[tuple[Fraction, ...]]:
+    """The unscaled RREF free-variable kernel basis of a `Reduction`, one
+    vector per free column, by increasing column: 1 at the free column,
+    -reduced[row][free] at each pivot column, 0 elsewhere."""
     basis = []
     for free in free_columns(reduction):
-        vec = [_ZERO] * reduced.cols
+        vec = [_ZERO] * reduction.shape[1]
         vec[free] = _ONE
-        for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -reduced.at(row_idx, free)
+        for row, pc in zip(reduction.int_rows, reduction.pivot_cols):
+            if row[free]:
+                vec[pc] = Fraction(-row[free], row[pc])
         basis.append(tuple(vec))
     return basis
 
 
-def canonical_kernel(reduction) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : m v = 0}, one vector per free column, read off m's `rref`
-    result with no elimination of its own.
-
-    Vectors are ordered by increasing free-column index and scaled to
-    primitive integers (positive scale factor, so the free-column entry
-    stays +).
-    """
-    return [_primitive(vec) for vec in free_kernel(reduction)]
+def canonical_kernel(reduction: Reduction) -> list[tuple[Fraction, ...]]:
+    """Basis of {v : m v = 0} read off m's `Reduction`, with no elimination of
+    its own: `free_kernel` scaled to primitive integers, times the lcm of the
+    pivots over one gcd (positive, so the free-column entry stays +)."""
+    rows, pivots = reduction.int_rows, reduction.pivot_cols
+    scale = math.lcm(*(row[pc] for row, pc in zip(rows, pivots)))
+    basis = []
+    for free in free_columns(reduction):
+        vec = [0] * reduction.shape[1]
+        vec[free] = scale
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[free] * scale // row[pc]
+        common = math.gcd(*vec)
+        basis.append(tuple(Fraction(v // common) if v else _ZERO for v in vec))
+    return basis
 
 
 def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : m v = 0}: `canonical_kernel` of one `rref` of m."""
-    return canonical_kernel(rref(m))
+    """Basis of {v : m v = 0}: `canonical_kernel` of one `eliminate` of m."""
+    return canonical_kernel(eliminate(m))
 
 
 def solve_each(a: QMatrix, bs) -> list[tuple[Fraction, ...] | None]:

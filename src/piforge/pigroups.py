@@ -11,10 +11,10 @@ Every basis keeps the one `core.reduce_dims` that built or validated it.
 `reduce_dims` keeps the last list it reduced, so `pi_basis`, `special_basis`,
 a `PiBasis` constructor and `units.is_consistent` called in turn on the same
 DimVector objects share one elimination; an equal list of other objects
-reduces again. The free slots are the non-pivot columns of that RREF, and a
-dimensionless product is fixed by its exponents there, so a basis's r x r
-free-slot block holds its coordinates in the special basis. `transition` reads two such
-blocks; `row_space` and a special basis's `canonical` basis read the RREF.
+reduces again. The groups and `row_space` read that `exactlin.Reduction`'s
+integer RREF rows. Its free slots are the non-pivot columns. A dimensionless
+product is fixed by its exponents there, so a basis's r x r free-slot block
+holds its coordinates in the special basis; `transition` reads two blocks.
 
 The public constructors `PiBasis`, `SpecialPiBasis` and `Transition`, and
 `is_pi_basis`, validate the groups a caller hands them. The builders read
@@ -30,7 +30,7 @@ from functools import cached_property
 
 from .core import DimVector, Monomial, dim_combine, reduce_dims, row_space
 from .errors import NotABasisError
-from .exactlin import QMatrix, canonical_kernel, free_columns, free_kernel, rref, solve_many
+from .exactlin import QMatrix, canonical_kernel, free_columns, free_kernel, rank, solve_many
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -51,10 +51,10 @@ class PiBasis:
     """A basis of the annihilator space over fixed dims. The constructor
     validates the groups; the builders below skip that for their own.
 
-    `reduction` is `core.reduce_dims(dims)`, the `rref` result (reduced,
-    pivot_cols, rank): the constructor keeps the one it validates with, the
-    builders the one they build from. It is an attribute, not a field, so it
-    takes no part in ==, hash or repr.
+    `reduction` is `core.reduce_dims(dims)`, an `exactlin.Reduction`: the
+    constructor keeps the one it validates with, the builders the one they
+    build from. It is an attribute, not a field, so it takes no part in ==,
+    hash or repr.
     """
 
     dims: tuple[DimVector, ...]
@@ -63,7 +63,7 @@ class PiBasis:
     def __post_init__(self):
         n = len(self.dims)
         reduction = reduce_dims(self.dims)
-        expected_r = n - reduction[2]
+        expected_r = n - reduction.rank
         if len(self.groups) != expected_r:
             raise NotABasisError(
                 f"{len(self.groups)} groups for a kernel of dimension {expected_r}"
@@ -74,7 +74,7 @@ class PiBasis:
             if not dim_combine(g, self.dims).is_zero():
                 raise NotABasisError(f"group {g} does not annihilate the dimensions")
         exponents = QMatrix.from_rows([g.exponents for g in self.groups])
-        if self.groups and rref(exponents)[2] != len(self.groups):
+        if self.groups and rank(exponents) != len(self.groups):
             raise NotABasisError("groups are linearly dependent")
         object.__setattr__(self, "reduction", reduction)
 
@@ -134,7 +134,7 @@ def _special(dims, reduction) -> SpecialPiBasis:
     groups = tuple(Monomial(vec) for vec in free_kernel(reduction))
     base = _built(PiBasis, dims=dims, groups=groups, reduction=reduction)
     free = free_columns(reduction)
-    return _built(SpecialPiBasis, base=base, pivot_indices=reduction[1], free_indices=free)
+    return _built(SpecialPiBasis, base=base, pivot_indices=reduction.pivot_cols, free_indices=free)
 
 
 def _canonical(dims, reduction) -> PiBasis:

@@ -38,7 +38,7 @@ from .errors import (
     SystemMismatchError,
     UnknownUnitError,
 )
-from .exactlin import canonical_kernel, rref, solve_each
+from .exactlin import canonical_kernel, rank, solve_each
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,7 @@ def fundamental_basis(units, tol: float = DEFAULT_TOL) -> list[Quantity]:
     """
     units = list(units)
     require_consistent(units, tol)
-    _, pivot_cols, _ = reduce_dims([u.dim for u in units])
-    return [units[i] for i in pivot_cols]
+    return [units[i] for i in reduce_dims([u.dim for u in units]).pivot_cols]
 
 
 def express(base, targets, tol: float = DEFAULT_TOL) -> list[Monomial]:
@@ -196,7 +195,7 @@ def express(base, targets, tol: float = DEFAULT_TOL) -> list[Monomial]:
         raise DependentBaseError("an empty base spans nothing")
     system = base[0].dim.system
     matrix = dimension_matrix(system, [u.dim for u in base])
-    if rref(matrix)[2] < len(base):
+    if rank(matrix) < len(base):
         raise DependentBaseError("base dimensions are linearly dependent")
     # One elimination solves every target before the first one over another
     # system; the targets are then checked in order, that one last.

@@ -90,6 +90,24 @@ def random_rational_dims(rng: random.Random, d: int, n: int):
     return system, tuple(dims)
 
 
+def ladder_dims(rng: random.Random, d: int, n: int):
+    """The benchmark ladder's problem shape: exponents from -2, -1, 1, 2 at
+    density 1/2, every variable with some dimension."""
+    system = DimSystem(tuple(f"D{i}" for i in range(d)))
+    dims = []
+    while len(dims) < n:
+        exps = tuple(
+            Fraction(rng.choice((-2, -1, 1, 2))) if rng.random() < 0.5 else Fraction(0)
+            for _ in range(d)
+        )
+        if any(exps):
+            dims.append(DimVector(system, exps))
+    return tuple(dims)
+
+
+LADDER_SIZES = ((3, 6), (4, 12), (7, 24), (10, 48))
+
+
 def seeded_systems(count: int = 500, seed: int = 2024):
     """`count` seeded rational systems for the Fraction-reference checks: the
     first of the 10x48 shape, every 50th after it 7x24, the rest up to 5x12
@@ -292,8 +310,9 @@ def brute_force_integer_kernel(matrix: QMatrix, bound: int):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*argv, env_extra=None):
-    """Run the CLI as a subprocess from the repo root, registry env cleared."""
+def run_cli(*argv, env_extra=None, stdout=subprocess.PIPE):
+    """Run the CLI as a subprocess from the repo root, registry env cleared;
+    stdout is captured unless another file descriptor is given."""
     env = os.environ.copy()
     env.pop("PIFORGE_REGISTRY", None)
     if env_extra:
@@ -301,7 +320,8 @@ def run_cli(*argv, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "piforge.cli", *argv],
         cwd=ROOT,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         env=env,
     )
 

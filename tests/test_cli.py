@@ -1,6 +1,7 @@
 """CLI contract: byte-identical golden outputs and documented exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -77,6 +78,21 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert b"--tol" in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("command", ["pi", "verify"])
+    def test_stdout_closed_by_its_reader_exits_141(self, command, unbuffered):
+        """A reader that closes the pipe first (`| head -0`) is none of 0, 1
+        or 2: 128 + SIGPIPE, with no error line, buffered output or not."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_cli(command, "--spec", "fixtures/newton.json",
+                           env_extra={"PYTHONUNBUFFERED": unbuffered}, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_must_be_at_least_one(self, trials):

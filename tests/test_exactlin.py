@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,12 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piforge.core import dimension_matrix
+from piforge.core import dimension_matrix, row_space
 from piforge.errors import NoSolutionError, SingularMatrixError
-from piforge.exactlin import QMatrix, invert, kernel_basis, rank, rref, solve, solve_each, solve_many
+from piforge.exactlin import (
+    QMatrix,
+    canonical_kernel,
+    eliminate,
+    free_kernel,
+    invert,
+    kernel_basis,
+    rank,
+    rref,
+    solve,
+    solve_each,
+    solve_many,
+)
 
 from support import (
+    LADDER_SIZES,
+    ladder_dims,
     random_matrix,
+    random_rational_dims,
     reference_invert,
     reference_rref,
     reference_solve,
@@ -224,3 +240,90 @@ class TestFractionReference:
 
     def test_invert_empty(self):
         assert invert(QMatrix.identity(0)) == QMatrix.identity(0)
+
+
+def _reduction_cases():
+    """Dimension matrices from `seeded_systems`, 400 `random_rational_dims`
+    systems (zero rows, zero columns, r = 0) and the four ladder sizes, plus
+    the empty shapes."""
+    for system, dims in seeded_systems():
+        yield dimension_matrix(system, dims)
+    rng = random.Random(97)
+    for _ in range(400):
+        system, dims = random_rational_dims(rng, rng.randint(1, 5), rng.randint(1, 9))
+        yield dimension_matrix(system, dims)
+    for d, n in LADDER_SIZES:
+        for _ in range(3):
+            dims = ladder_dims(rng, d, n)
+            yield dimension_matrix(dims[0].system, dims)
+    for rows, cols in ((0, 0), (0, 3), (3, 0)):
+        yield QMatrix.zero(rows, cols)
+
+
+def _reference_free_kernel(m):
+    reduced, pivots, _ = reference_rref(m)
+    kernel = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        vec = [F(0)] * m.cols
+        vec[free] = F(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -reduced.at(i, free)
+        kernel.append(tuple(vec))
+    return kernel
+
+
+def _primitive_scaling(vec):
+    scale = math.lcm(*(v.denominator for v in vec))
+    ints = [v * scale for v in vec]
+    return tuple(v / math.gcd(*(int(x) for x in ints)) for v in ints)
+
+
+def _reference_row_space(m):
+    """Modified Gram-Schmidt, as `core.row_space` runs it, over
+    `float(Fraction)` of the reference RREF rows."""
+    reduced, _, rank_ = reference_rref(m)
+    rows = []
+    for i in range(rank_):
+        row = [float(v) for v in reduced.row(i)]
+        for u in rows:
+            c = math.fsum(a * b for a, b in zip(row, u))
+            row = [a - c * b for a, b in zip(row, u)]
+        norm = math.hypot(*row)
+        rows.append(tuple(a / norm for a in row))
+    return tuple(rows)
+
+
+class TestReduction:
+    """`eliminate`'s integer rows against the Fraction references."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(m, eliminate(m)) for m in _reduction_cases()]
+
+    def test_reduced_pivots_and_rank_match_the_reference(self, cases):
+        for m, reduction in cases:
+            assert (reduction.reduced, reduction.pivot_cols, reduction.rank) == reference_rref(m)
+            assert rref(m) == reference_rref(m)
+            assert rank(m) == reduction.rank == len(reduction.int_rows)
+            assert reduction.shape == (m.rows, m.cols)
+            assert reduction.reduced is reduction.reduced
+
+    def test_entries_are_fractions_and_pivots_positive(self, cases):
+        for _, reduction in cases:
+            assert all(type(v) is Fraction for v in reduction.reduced.entries)
+            for row, pc in zip(reduction.int_rows, reduction.pivot_cols):
+                assert all(type(v) is int for v in row)
+                assert row[pc] > 0
+                assert math.gcd(*row) == 1
+
+    def test_kernels_match_the_reference(self, cases):
+        for m, reduction in cases:
+            reference = _reference_free_kernel(m)
+            assert free_kernel(reduction) == reference
+            canonical = canonical_kernel(reduction)
+            assert canonical == [_primitive_scaling(vec) for vec in reference] == kernel_basis(m)
+            assert all(type(v) is Fraction for vec in canonical for v in vec)
+
+    def test_row_space_float_for_float(self, cases):
+        for m, reduction in cases:
+            assert row_space(reduction) == _reference_row_space(m)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from piforge import cli, core, exactlin, pigroups, units
+from piforge import cli, core, exactlin, units
 from piforge.core import DimSystem, DimVector, Monomial, Quantity, dim_combine, dimension_matrix, row_space
 from piforge.errors import NotABasisError
-from piforge.exactlin import QMatrix, rref
+from piforge.exactlin import QMatrix, eliminate, rref
 from piforge.pigroups import (
     PiBasis,
     SpecialPiBasis,
@@ -23,6 +23,7 @@ from support import (
     FIXTURES,
     apply_change_of_basis as _apply_change,
     kinematics_dims,
+    ladder_dims as _ladder_dims,
     mass_spring_dims,
     random_dims,
     random_invertible,
@@ -277,31 +278,16 @@ def _exponents(basis) -> QMatrix:
     return QMatrix.from_rows([g.exponents for g in basis.groups])
 
 
-def _ladder_dims(rng, d, n):
-    """The benchmark ladder's problem shape: exponents from -2, -1, 1, 2 at
-    density 1/2, every variable with some dimension."""
-    system = DimSystem(tuple(f"D{i}" for i in range(d)))
-    dims = []
-    while len(dims) < n:
-        exps = tuple(
-            Fraction(rng.choice((-2, -1, 1, 2))) if rng.random() < 0.5 else Fraction(0)
-            for _ in range(d)
-        )
-        if any(exps):
-            dims.append(DimVector(system, exps))
-    return tuple(dims)
-
-
 @pytest.fixture
 def rref_calls(monkeypatch):
     calls = []
 
     def counting(m):
         calls.append((m.rows, m.cols))
-        return rref(m)
+        return eliminate(m)
 
-    for module in (exactlin, core, units, pigroups):
-        monkeypatch.setattr(module, "rref", counting)
+    for module in (exactlin, core):
+        monkeypatch.setattr(module, "eliminate", counting)
     # an empty reduction slot, so no count depends on the tests before
     monkeypatch.setattr(core, "_last_reduction", ((), None))
     return calls
@@ -402,7 +388,7 @@ def _copies(dims):
 
 
 def _fresh_reduction(dims):
-    return rref(dimension_matrix(dims[0].system, dims))
+    return eliminate(dimension_matrix(dims[0].system, dims))
 
 
 class TestReductionCache:
@@ -425,10 +411,10 @@ class TestReductionCache:
         assert again is not first
         assert len(rref_calls) == 2
         assert again == first
-        reduced, pivots, rank = again
-        assert reduced.entries == first[0].entries
+        reduced, pivots, rank = again.reduced, again.pivot_cols, again.rank
+        assert reduced.entries == first.reduced.entries
         assert all(type(v) is Fraction for v in reduced.entries)
-        assert (pivots, rank) == first[1:]
+        assert (pivots, rank) == (first.pivot_cols, first.rank)
 
     @staticmethod
     def _problem(dims):
@@ -515,7 +501,7 @@ class TestReductionCache:
         basis = units.fundamental_basis(quantities)
         assert len(rref_calls) == 1
         assert [q.dim for q in basis] == [quantities[i].dim for i in _fresh_reduction(
-            [q.dim for q in quantities])[1]]
+            [q.dim for q in quantities]).pivot_cols]
 
 
 class TestCanonicalOfSpecial:
@@ -558,7 +544,7 @@ class TestBuiltBasesPassPublicValidation:
         for basis in (canonical, special.base):
             public = PiBasis(dims=basis.dims, groups=basis.groups)
             self._same_as_public(basis, public)
-            assert public.row_space == basis.row_space == row_space(rref(dimension_matrix(dims[0].system, dims)))
+            assert public.row_space == basis.row_space == row_space(eliminate(dimension_matrix(dims[0].system, dims)))
         self._same_as_public(special, SpecialPiBasis(
             base=public, pivot_indices=special.pivot_indices, free_indices=special.free_indices,
         ))
