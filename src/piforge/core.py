@@ -40,10 +40,13 @@ _ONE = Fraction(1)
 
 
 def check_tol(tol: float) -> None:
-    """Reject a NaN tolerance: every comparison with it is false, so a
-    verdict read off one would be wrong without any error."""
+    """Reject a NaN or a negative tolerance: every comparison with NaN is
+    false, and no distance is below a negative bound, so a verdict read off
+    either would be wrong without any error. 0 and inf are valid."""
     if math.isnan(tol):
         raise ValueError("tol must be a number, got nan")
+    if tol < 0:
+        raise ValueError(f"tol must be at least 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -322,9 +325,12 @@ def dimension_matrix(system: DimSystem, ws) -> QMatrix:
 
 
 def _residual(vec, rows) -> list[float]:
-    """vec less its component along each orthonormal row in turn."""
+    """vec less its component along each orthonormal row in turn. Each dot
+    product hands `math.fsum` the products a * b in slot order through
+    `map`, with no generator frame per slot; fsum rounds once, so every
+    float is the one a term-by-term sum of the same products gives."""
     for u in rows:
-        c = math.fsum(a * b for a, b in zip(vec, u))
+        c = math.fsum(map(operator.mul, vec, u))
         vec = [a - c * b for a, b in zip(vec, u)]
     return vec
 

@@ -8,6 +8,10 @@ pivot-slot coordinates relative to a chosen reference list are 1, and
 `nondimensionalize` turns any dimensionally invariant predicate over n
 quantities into a predicate over the r pi-values.
 
+Once a basis is built, a record costs float work only: a binding built over
+the basis's own DimVector objects passes its dimension check on identity,
+with no dataclass compare (`_check_dims_against_basis`).
+
 Equivalence classes and invariant sets are uncountable, so they are only ever
 represented intensionally — as verdicts and predicates, never enumerated.
 """
@@ -58,6 +62,15 @@ class EquivalenceVerdict:
 
 
 def _check_dims_against_basis(basis: PiBasis, xs: Sequence[Quantity], label: str):
+    """xs must carry the basis dimensions, slot for slot.
+
+    One tuple comparison decides it. It tests identity before ==, so xs
+    built over the basis's own DimVector objects costs no dataclass
+    compare. Only a list that differs somewhere, or that holds equal copies
+    (quantity literals, for instance), goes on to the slot-by-slot loop,
+    which names the first wrong slot."""
+    if tuple([x.dim for x in xs]) == basis.dims:
+        return
     if len(xs) != len(basis.dims):
         raise DimensionMismatchError(
             f"{label} has {len(xs)} slots for {len(basis.dims)} dimensions"
@@ -105,7 +118,7 @@ def equivalent(
     mismatch, mismatch_index names the group whose log differs most."""
     check_tol(tol)
     _check_dims_against_basis(basis, xs, "xs")
-    if len(ys) != len(xs) or any(x.dim != y.dim for x, y in zip(xs, ys)):
+    if [y.dim for y in ys] != [x.dim for x in xs]:
         return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
     delta = [x.log_magnitude - y.log_magnitude for x, y in zip(xs, ys)]
     if basis.r == 0 or orbit_gap(basis.row_space, delta) <= tol:

@@ -248,6 +248,29 @@ def _dot(u, v) -> float:
     return math.fsum(a * b for a, b in zip(u, v))
 
 
+def reference_residual(vec, rows) -> list[float]:
+    """`core._residual` with its dot product as a generator over zip."""
+    for u in rows:
+        c = _dot(vec, u)
+        vec = [a - c * b for a, b in zip(vec, u)]
+    return vec
+
+
+def reference_row_space(reduction) -> tuple[tuple[float, ...], ...]:
+    """`core.row_space` over `reference_residual`."""
+    rows = []
+    for row, pc in zip(reduction.int_rows, reduction.pivot_cols):
+        row = reference_residual([v / row[pc] for v in row], rows)
+        norm = math.hypot(*row)
+        rows.append(tuple(a / norm for a in row))
+    return tuple(rows)
+
+
+def reference_orbit_gap(rows, logs) -> float:
+    """`core.orbit_gap` over `reference_residual`."""
+    return math.hypot(*reference_residual(logs, rows))
+
+
 def oracle_equivalent(xs, ys, tol: float = DEFAULT_TOL) -> bool:
     """Independent equivalence test: the log-ratio vector must lie in the row
     space of the dimension matrix.

@@ -93,6 +93,14 @@ def test_close_to_refuses_a_nan_tol(mlt):
         q.close_to(q, tol=math.nan)
 
 
+def test_close_to_refuses_a_negative_tol(mlt):
+    """No quantity, itself included, is within a negative tol."""
+    q = Quantity.from_magnitude(2.0, DimVector.unit(mlt, "L"))
+    assert q.close_to(q, tol=0.0)
+    with pytest.raises(ValueError, match="tol must be at least 0"):
+        q.close_to(q, tol=-1.0)
+
+
 def test_quantity_str_prints_the_magnitude_from_its_log(mlt):
     speed = DimVector.of(mlt, L=1, T=-1)
     assert str(Quantity.from_magnitude(2.5, speed)) == "2.5 [L*T^-1]"

@@ -149,6 +149,14 @@ class TestLogSpaceComparisons:
         with pytest.raises(ValueError, match="tol must be a number"):
             evaluate(node, bindings, tol=math.nan)
 
+    def test_negative_tol_is_refused(self):
+        """A negative tol would make `=` false for a value and itself."""
+        node = parse_relation("x = x")
+        bindings = {"x": self._q(math.log(5.0))}
+        assert evaluate(node, bindings, tol=0.0) is True
+        with pytest.raises(ValueError, match="tol must be at least 0"):
+            evaluate(node, bindings, tol=-1.0)
+
     def test_order_beyond_the_float_range(self):
         bindings = {"x": self._q(2.0)}
         assert evaluate(parse_relation("x^1000 < x^1001"), bindings) is True

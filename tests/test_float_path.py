@@ -8,7 +8,14 @@ import random
 import pytest
 
 from piforge import core
-from piforge.core import Monomial, Quantity, dimension_matrix, format_magnitude, qty_combine
+from piforge.core import (
+    DimVector,
+    Monomial,
+    Quantity,
+    dimension_matrix,
+    format_magnitude,
+    qty_combine,
+)
 from piforge.errors import InconsistentReferenceError
 from piforge.exactlin import kernel_basis
 from piforge.harness import Counterexample, InvarianceReport, report_to_dict
@@ -16,7 +23,16 @@ from piforge.nondim import canonical_rep, equivalent, pi_values
 from piforge.pigroups import PiBasis, pi_basis, special_basis
 from piforge.units import is_consistent
 
-from support import mass_spring_dims, oracle_equivalent, reference_log_combine, seeded_systems
+from support import (
+    LADDER_SIZES,
+    ladder_dims,
+    mass_spring_dims,
+    oracle_equivalent,
+    reference_log_combine,
+    reference_orbit_gap,
+    reference_row_space,
+    seeded_systems,
+)
 
 SYSTEMS = 200
 
@@ -82,6 +98,22 @@ class TestBitForBit:
                 shifted = _expected(group, xs) - _expected(group, ref) + ref[free].log_magnitude
                 expected[free] = Quantity(shifted, dims[free])
             assert canonical_rep(sb, ref, xs) == expected
+
+    def test_row_space_and_orbit_gap(self):
+        """The projection's dot products sum the same products in the same
+        order as the generator form, so every float is the same."""
+        rng = random.Random(139)
+        problems = list(seeded_systems(SYSTEMS))
+        for d, n in LADDER_SIZES:
+            system = core.DimSystem(tuple(f"D{i}" for i in range(d)))
+            problems += [(system, ladder_dims(rng, d, n)) for _ in range(5)]
+        for system, dims in problems:
+            reduction = core.reduce_dims(dims)
+            rows = core.row_space(reduction)
+            assert rows == reference_row_space(reduction)
+            along = [q.log_magnitude for q in _coherent(rng, system, dims)]
+            for logs in (along, _logs(rng, len(dims))):
+                assert core.orbit_gap(rows, logs) == reference_orbit_gap(rows, logs)
 
     @pytest.mark.parametrize("clash", [False, True], ids=["consistent", "inconsistent"])
     def test_is_consistent(self, clash):
@@ -149,6 +181,46 @@ class TestNoExactDimensionPerRecord:
             canonical_rep(sb, units, units)
         assert str(info.value) == message
         assert message == "reference list clashes by factor 185200"
+
+
+class TestNoDimensionComparePerRecord:
+    """Bindings over the basis's own DimVector objects pass every dimension
+    check on identity alone, with no DimVector.__eq__ call."""
+
+    @pytest.fixture
+    def compares(self, monkeypatch):
+        counter = [0]
+        original = DimVector.__eq__
+
+        def counted(self, other):
+            counter[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(DimVector, "__eq__", counted)
+        return counter
+
+    def test_pi_values_equivalent_canonical_rep(self, compares):
+        rng = random.Random(157)
+        records = []
+        for system, dims in seeded_systems(60):
+            basis, sb = pi_basis(dims), special_basis(dims)
+            xs = [Quantity(v, w) for v, w in zip(_logs(rng, len(dims)), basis.dims)]
+            shift = [q.log_magnitude for q in _coherent(rng, system, basis.dims)]
+            ys = [Quantity(x.log_magnitude + s, x.dim) for x, s in zip(xs, shift)]
+            zs = [Quantity(v, w) for v, w in zip(_logs(rng, len(dims)), basis.dims)]
+            records.append((basis, sb, _coherent(rng, system, basis.dims), xs, ys, zs))
+        before = compares[0]
+        for basis, sb, ref, xs, ys, zs in records:
+            pi_values(basis, xs)
+            assert equivalent(basis, xs, ys).equivalent
+            equivalent(basis, xs, zs)
+            canonical_rep(sb, ref, xs)
+        assert compares[0] == before
+        # the counter is wired: equal copies are compared slot by slot
+        basis, _, _, xs, _, _ = records[0]
+        copies = [Quantity(x.log_magnitude, DimVector(x.dim.system, x.dim.exponents)) for x in xs]
+        pi_values(basis, copies)
+        assert compares[0] > before
 
 
 class TestBeyondFloatRange:

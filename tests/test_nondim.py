@@ -462,3 +462,106 @@ class TestNanTolerance:
         _, dims, _, _, ref = spring
         with pytest.raises(ValueError, match="tol must be a number"):
             REFERENCE_USERS[name](special_basis(dims), ref, tol=math.nan)
+
+
+class TestNegativeTolerance:
+    """No gap is below a negative tol, so a list would not be equivalent to
+    itself; the tol is refused, not obeyed."""
+
+    def test_equivalent(self, spring):
+        _, _, basis, xs, _ = spring
+        with pytest.raises(ValueError, match="tol must be at least 0, got -1.0"):
+            equivalent(basis, xs, xs, tol=-1.0)
+
+    def test_equivalent_with_no_groups(self):
+        # r = 0 answers without a gap; the tol is refused all the same
+        system = DimSystem(("L", "T"))
+        dims = (DimVector.unit(system, "L"), DimVector.unit(system, "T"))
+        xs = [Quantity(0.0, w) for w in dims]
+        assert equivalent(pi_basis(dims), xs, xs, tol=0.0).equivalent
+        with pytest.raises(ValueError, match="tol must be at least 0"):
+            equivalent(pi_basis(dims), xs, xs, tol=-1.0)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_USERS))
+    def test_reference_users(self, spring, name):
+        _, dims, _, _, ref = spring
+        with pytest.raises(ValueError, match="tol must be at least 0"):
+            REFERENCE_USERS[name](special_basis(dims), ref, tol=-1.0)
+
+    def test_zero_and_infinite_tol_are_kept(self, spring):
+        _, _, basis, xs, _ = spring
+        far = [Quantity(x.log_magnitude + 1.0, x.dim) for x in xs]
+        assert equivalent(basis, xs, xs, tol=0.0).equivalent
+        assert not equivalent(basis, xs, far, tol=0.0).equivalent
+        assert equivalent(basis, xs, far, tol=math.inf).equivalent
+
+
+def _copy(w: DimVector) -> DimVector:
+    """An equal DimVector that is another object, as a quantity literal's is."""
+    copy = DimVector(w.system, tuple(w.exponents))
+    assert copy == w and copy is not w
+    return copy
+
+
+def _other(w: DimVector) -> DimVector:
+    """A dimension that differs from w in its first fundamental."""
+    return DimVector(w.system, (w.exponents[0] + 1,) + tuple(w.exponents[1:]))
+
+
+class TestEqualCopiesOfTheBasisDims:
+    """Bindings over equal copies of the basis dimensions take the
+    slot-by-slot path and get the answers the basis's own objects get."""
+
+    def test_same_results(self):
+        rng = random.Random(173)
+        reasons = set()
+        for system, dims in seeded_systems(120):
+            basis, sb = pi_basis(dims), special_basis(dims)
+            copies = [_copy(w) for w in dims]
+            ref = _consistent_list(rng, system, dims)
+            logs = [rng.uniform(-5.0, 5.0) for _ in dims]
+            shift = [q.log_magnitude for q in _consistent_list(rng, system, dims)]
+            bumped = list(logs)
+            bumped[rng.randrange(len(dims))] += rng.uniform(0.1, 1.0)
+            k = rng.randrange(len(dims))
+            dims_off = [_other(w) if i == k else w for i, w in enumerate(dims)]
+            cases = {
+                "same": [a + b for a, b in zip(logs, shift)],
+                "bumped": bumped,
+                "short": logs[:-1],
+            }
+            xs, xc = ([Quantity(v, w) for v, w in zip(logs, ws)] for ws in (dims, copies))
+            assert pi_values(basis, xc) == pi_values(basis, xs)
+            ref_copies = [Quantity(q.log_magnitude, w) for q, w in zip(ref, copies)]
+            assert canonical_rep(sb, ref_copies, xc) == canonical_rep(sb, ref, xs)
+            assert canonical_rep(sb, ref_copies, xs) == canonical_rep(sb, ref, xc)
+            for name, ys_logs in cases.items():
+                for ws in (dims, copies, dims_off):
+                    ys = [Quantity(v, w) for v, w in zip(ys_logs, ws)]
+                    expected = equivalent(basis, xs, ys)
+                    assert equivalent(basis, xc, ys) == expected
+                    ys_copied = [Quantity(y.log_magnitude, _copy(y.dim)) for y in ys]
+                    assert equivalent(basis, xs, ys_copied) == expected
+                    reasons.add(expected.reason)
+        assert reasons == set(VerdictReason)
+
+    def test_wrong_slot_is_named(self):
+        rng = random.Random(179)
+        for system, dims in seeded_systems(60):
+            sb = special_basis(dims)
+            ref = _consistent_list(rng, system, dims)
+            for ws in (dims, [_copy(w) for w in dims]):
+                for k in range(len(dims)):
+                    wrong = _other(dims[k])
+                    bad = [Quantity(0.0, wrong if i == k else w) for i, w in enumerate(ws)]
+                    for label, call in (
+                        ("xs", lambda: pi_values(sb.base, bad)),
+                        ("xs", lambda: equivalent(sb.base, bad, bad)),
+                        ("xs", lambda: canonical_rep(sb, ref, bad)),
+                        ("ref", lambda: canonical_rep(sb, bad, ref)),
+                    ):
+                        with pytest.raises(DimensionMismatchError) as info:
+                            call()
+                        assert str(info.value) == (
+                            f"{label}[{k}] has dimension {wrong}, expected {dims[k]}"
+                        )

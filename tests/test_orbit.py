@@ -81,7 +81,7 @@ class TestRowSpace:
         for dims in full_rank:
             xs = [Quantity(rng.uniform(-700.0, 700.0), w) for w in dims]
             ys = [Quantity(rng.uniform(-700.0, 700.0), w) for w in dims]
-            for tol in (1e-300, -1.0):
+            for tol in (1e-300, 0.0):
                 assert is_consistent(xs, tol=tol).consistent
                 assert equivalent(pi_basis(dims), xs, ys, tol=tol).equivalent
 

@@ -181,8 +181,15 @@ class TestNanTolerance:
     def test_other_tolerances_are_kept(self, registry):
         clash = [registry.quantity(n) for n in ("cm", "hr", "knot")]
         assert is_consistent(clash, tol=math.inf).consistent
-        for tol in (1e-300, 0.0, -1.0):
+        for tol in (1e-300, 0.0):
             assert not is_consistent(clash, tol=tol).consistent
+
+    def test_negative_tol_is_refused(self, registry):
+        """No gap is below a negative tol, so every list would clash."""
+        units = electronics(registry)
+        for basis in (None, pi_basis([u.dim for u in units])):
+            with pytest.raises(ValueError, match="tol must be at least 0, got -1.0"):
+                is_consistent(units, tol=-1.0, basis=basis)
 
 
 def _units_for(rng, system, dims, clash: bool):
