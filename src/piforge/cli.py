@@ -294,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=False, registry=False):
+    def common(p, spec=False, registry=False, tol=False):
         if spec:
             p.add_argument("--spec", required=True, help="problem-spec JSON file")
         if registry:
@@ -303,8 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help=f"unit registry JSON file (default: ${REGISTRY_ENV})",
             )
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="log distance from the rescaling orbit; relative gap for '=' in verify")
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                           help="log distance from the rescaling orbit; relative gap for '=' in verify")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p = sub.add_parser("pi", help="print pi-group bases for a problem spec")
@@ -313,23 +314,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("consistent", help="check a unit list for clashes")
     p.add_argument("units", nargs="+", help="unit names from the registry")
-    common(p, registry=True)
+    common(p, registry=True, tol=True)
     p.set_defaults(func=cmd_consistent)
 
     p = sub.add_parser("verify", help="fuzz a relation for dimensional invariance")
-    common(p, spec=True)
+    common(p, spec=True, tol=True)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="number of trials")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="fuzzing seed")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("equiv", help="decide equivalence of two variable bindings")
-    common(p, spec=True, registry=True)
+    common(p, spec=True, registry=True, tol=True)
     p.add_argument("bindings_a", help="bindings JSON file")
     p.add_argument("bindings_b", help="bindings JSON file")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("nondim", help="pi-values and canonical representative of a binding")
-    common(p, spec=True, registry=True)
+    common(p, spec=True, registry=True, tol=True)
     p.add_argument("bindings", help="bindings JSON file")
     p.set_defaults(func=cmd_nondim)
 

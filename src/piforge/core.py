@@ -28,12 +28,14 @@ from functools import cached_property
 from .errors import (
     ArityMismatchError,
     DimensionMismatchError,
+    EvaluationError,
     NotABasisError,
     SystemMismatchError,
 )
 from .exactlin import QMatrix, Reduction, as_rational, eliminate
 
 DEFAULT_TOL = 1e-9
+_BEYOND_FLOATS = "lies beyond the float range, about 1.8e+308, which the float path needs"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -95,7 +97,10 @@ class _ExponentVector:
 
     @cached_property
     def _float_terms(self) -> tuple[tuple[int, float], ...]:
-        return tuple((j, float(e)) for j, e in enumerate(self.exponents) if e != 0)
+        try:
+            return tuple((j, float(e)) for j, e in enumerate(self.exponents) if e != 0)
+        except OverflowError:
+            raise EvaluationError(f"an exponent {_BEYOND_FLOATS}") from None
 
     def log_combine(self, logs) -> float:
         """float(e_j) * logs[j] summed over the nonzero exponents in index
@@ -365,11 +370,17 @@ def row_space(reduction: Reduction) -> tuple[tuple[float, ...], ...]:
     rescalings, read off `reduce_dims(ws)` with no elimination: modified
     Gram-Schmidt on the nonzero RREF rows, which hold the identity at their
     pivots and so are well conditioned; `v / pivot` on the integer rows is
-    correctly rounded, as `float(Fraction)` is."""
+    correctly rounded, as `float(Fraction)` is. A ratio, or a row norm,
+    beyond the float range raises EvaluationError."""
     rows = []
     for row, pc in zip(reduction.int_rows, reduction.pivot_cols):
-        row = _residual([v / row[pc] for v in row], rows)
+        try:
+            row = _residual([v / row[pc] for v in row], rows)
+        except OverflowError:  # an integer ratio, or a dot product, past the float range
+            row = [math.inf]
         norm = math.hypot(*row)
+        if norm == math.inf:
+            raise EvaluationError(f"a ratio of dimension exponents {_BEYOND_FLOATS}")
         rows.append(tuple(a / norm for a in row))
     return tuple(rows)
 

@@ -13,7 +13,10 @@ Relations are parsed to an immutable AST, dimension-checked by `typecheck`
 demand dimensionless operands; pow takes a rational literal; sqrt halves any
 dimension), and run by `evaluate`. The names `pi`, the six functions and
 and/or/not are reserved: no spec variable may take them. Numeric literals
-must be positive and within the float range.
+must be positive and within the float range. Relation operators bind,
+loosest first: or, and, not, = < <= (which do not chain), + -, * /, ^, and
+chains group from the left. `_BINARY` is the one place that precedence is
+defined: the parser (`_expr`) and the printer (`_prec`) both read it.
 
 `evaluate` compiles a relation once, on first use, into float closures kept
 on the AST node; later calls run only float arithmetic, with no dimension
@@ -144,7 +147,6 @@ _TOKEN_RE = re.compile(
 class _Token:
     kind: str  # number | name | op | end
     text: str
-    pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -158,12 +160,8 @@ def _tokenize(text: str) -> list[_Token]:
                 break
             raise ParseError(f"unexpected character {rest[0]!r} at position {pos}")
         pos = m.end()
-        for kind in ("number", "name", "op"):
-            value = m.group(kind)
-            if value is not None:
-                tokens.append(_Token(kind, value, m.start()))
-                break
-    tokens.append(_Token("end", "", len(text)))
+        tokens.append(_Token(m.lastgroup, m.group(m.lastgroup)))
+    tokens.append(_Token("end", ""))
     return tokens
 
 
@@ -182,11 +180,10 @@ class _TokenStream:
             self.index += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
         if tok.text != text:
             raise ParseError(f"expected {text!r}, got {tok.text or 'end of input'!r} in {self.text!r}")
-        return tok
 
     def at_end(self) -> bool:
         return self.peek().kind == "end"
@@ -325,50 +322,39 @@ def parse_quantity(text: str, registry) -> Quantity:
 
 def parse_relation(text: str) -> Node:
     ts = _TokenStream(text)
-    node = _or_expr(ts)
+    node = _expr(ts)
     if not ts.at_end():
         raise ParseError(f"trailing input {ts.peek().text!r} in relation {text!r}")
     return node
 
 
-def _left_assoc(ts: _TokenStream, ops, operand, node_type) -> Node:
-    """operand (op operand)*, for op in ops, grouped from the left."""
-    node = operand(ts)
-    while ts.peek().text in ops:
-        node = node_type(ts.next().text, node, operand(ts))
-    return node
+# (precedence, node type) of each binary operator; `not` and `^` have levels too
+_NOT, _CMP, _POW = 3, 4, 7
+_BINARY = {
+    "or": (1, BoolOp), "and": (2, BoolOp),
+    "=": (_CMP, Compare), "<": (_CMP, Compare), "<=": (_CMP, Compare),
+    "+": (5, BinOp), "-": (5, BinOp), "*": (6, BinOp), "/": (6, BinOp),
+}
 
 
-def _or_expr(ts: _TokenStream) -> Node:
-    return _left_assoc(ts, ("or",), _and_expr, BoolOp)
-
-
-def _and_expr(ts: _TokenStream) -> Node:
-    return _left_assoc(ts, ("and",), _not_expr, BoolOp)
-
-
-def _not_expr(ts: _TokenStream) -> Node:
-    if ts.peek().text == "not":
+def _expr(ts: _TokenStream, min_prec: int = 1) -> Node:
+    """A relation whose operators bind at least as tightly as min_prec, each
+    chain grouped from the left (precedence climbing over `_BINARY`). After
+    an operand built by `not` or by a comparison only looser operators may
+    follow, so `a < b < c` and `not a < b < c` leave trailing input."""
+    if ts.peek().text == "not" and min_prec <= _NOT:
         ts.next()
-        return Not(_not_expr(ts))
-    return _comparison(ts)
-
-
-def _comparison(ts: _TokenStream) -> Node:
-    left = _additive(ts)
-    if ts.peek().text in ("=", "<", "<="):
-        op = ts.next().text
-        right = _additive(ts)
-        return Compare(op, left, right)
-    return left
-
-
-def _additive(ts: _TokenStream) -> Node:
-    return _left_assoc(ts, ("+", "-"), _multiplicative, BinOp)
-
-
-def _multiplicative(ts: _TokenStream) -> Node:
-    return _left_assoc(ts, ("*", "/"), _power, BinOp)
+        node, ceiling = Not(_expr(ts, _NOT)), _NOT
+    else:
+        node, ceiling = _power(ts), _POW
+    while (op := ts.peek().text) in _BINARY:
+        prec, node_type = _BINARY[op]
+        if not min_prec <= prec < ceiling:
+            break
+        ts.next()
+        node = node_type(op, node, _expr(ts, prec + 1))
+        ceiling = _CMP if node_type is Compare else prec + 1
+    return node
 
 
 def _power(ts: _TokenStream) -> Node:
@@ -389,7 +375,7 @@ def _power(ts: _TokenStream) -> Node:
 def _primary(ts: _TokenStream) -> Node:
     tok = ts.next()
     if tok.text == "(":
-        node = _or_expr(ts)
+        node = _expr(ts)
         ts.expect(")")
         return node
     if tok.kind == "number":
@@ -403,7 +389,7 @@ def _primary(ts: _TokenStream) -> Node:
                     f"unknown function {tok.text!r} (have: {', '.join(FUNCTIONS)})"
                 )
             ts.next()
-            arg = _or_expr(ts)
+            arg = _expr(ts)
             ts.expect(")")
             return Call(tok.text, arg)
         if tok.text in KEYWORDS:
@@ -431,22 +417,15 @@ def free_variables(node: Node) -> set[str]:
 
 # --- printer -------------------------------------------------------------
 
-_PRECEDENCE = {"or": 1, "and": 2, "not": 3, "cmp": 4, "+": 5, "-": 5, "*": 6, "/": 6, "pow": 7}
-
-
 def _prec(node: Node) -> int:
     match node:
-        case BoolOp(op, _, _):
-            return _PRECEDENCE[op]
+        case BinOp(op, _, _) | Compare(op, _, _) | BoolOp(op, _, _):
+            return _BINARY[op][0]
         case Not(_):
-            return _PRECEDENCE["not"]
-        case Compare(_, _, _):
-            return _PRECEDENCE["cmp"]
-        case BinOp(op, _, _):
-            return _PRECEDENCE[op]
+            return _NOT
         case Pow(_, _):
-            return _PRECEDENCE["pow"]
-    return 9
+            return _POW
+    return _POW + 1
 
 
 def _wrap(child: Node, parent_prec: int, right_side: bool = False) -> str:
@@ -474,11 +453,11 @@ def print_relation(node: Node) -> str:
                 etext = str(exponent)
             else:
                 etext = f"({exponent})"
-            return f"{_wrap(base, _PRECEDENCE['pow'], right_side=True)}^{etext}"
+            return f"{_wrap(base, _POW, right_side=True)}^{etext}"
         case Call(func, arg):
             return f"{func}({print_relation(arg)})"
         case Not(operand):
-            return f"not {_wrap(operand, _PRECEDENCE['not'])}"
+            return f"not {_wrap(operand, _NOT)}"
     raise TypeError(f"not a relation node: {node!r}")
 
 

@@ -226,7 +226,7 @@ def _check_dims(spec: ProblemSpec) -> None:
             raise DimensionMismatchError("rescaling and quantities use different systems")
         try:
             dim.log_combine((0.0,) * spec.system.size)
-        except OverflowError:
+        except EvaluationError:
             raise SpecError(
                 f"variable {name!r} has a dimension exponent beyond the float range, "
                 "about 1.8e+308"

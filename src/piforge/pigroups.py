@@ -54,13 +54,16 @@ class PiBasis:
     `reduction` is `core.reduce_dims(dims)`, an `exactlin.Reduction`: the
     constructor keeps the one it validates with, the builders the one they
     build from. It is an attribute, not a field, so it takes no part in ==,
-    hash or repr.
+    hash or repr. `dims` and `groups` are kept as tuples, whatever sequences
+    the constructor is given.
     """
 
     dims: tuple[DimVector, ...]
     groups: tuple[Monomial, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "groups", tuple(self.groups))
         n = len(self.dims)
         reduction = reduce_dims(self.dims)
         expected_r = n - reduction.rank
@@ -97,6 +100,8 @@ class SpecialPiBasis:
     free_indices: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "pivot_indices", tuple(self.pivot_indices))
+        object.__setattr__(self, "free_indices", tuple(self.free_indices))
         n = len(self.base.dims)
         if sorted(self.pivot_indices + self.free_indices) != list(range(n)):
             raise NotABasisError("pivot and free indices must partition the slots")
@@ -220,7 +225,7 @@ def transition(psi: PiBasis, pi: PiBasis) -> Transition:
 def is_pi_basis(candidate, dims) -> bool:
     """True iff the candidate groups form a basis of the annihilator space."""
     try:
-        PiBasis(dims=tuple(dims), groups=tuple(candidate))
+        PiBasis(dims=dims, groups=candidate)
     except NotABasisError:
         return False
     return True

@@ -68,8 +68,17 @@ class TestExitCodes:
         assert run_cli("verify", "--spec", str(bad), "--trials", "1").returncode == 2
 
     def test_nonpositive_tolerance_rejected(self):
-        proc = run_cli("pi", "--spec", "fixtures/mass_spring.json", "--tol", "-1")
+        proc = run_cli("nondim", "--spec", "fixtures/mass_spring.json",
+                       "fixtures/mass_spring_bindings.json", "--tol", "-1")
         assert proc.returncode == 2
+        assert b"--tol must be a finite number greater than 0" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["pi", "check"])
+    def test_tolerance_only_where_one_applies(self, command):
+        proc = run_cli(command, "--spec", "fixtures/mass_spring.json", "--tol", "1e-6")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"unrecognized arguments: --tol" in proc.stderr
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_tolerance_must_be_finite_and_positive(self, tol):
@@ -306,6 +315,43 @@ class TestVerifyDomainAndRange:
             b"error: relation is undefined on all 1 trials, so nothing was tested (last: the "
             b"rescaling takes the log magnitude of 'x' beyond the float range, about 1.8e+308)\n"
         )
+
+
+class TestDimensionExponentBeyondFloatRange:
+    """The float path of consistent, nondim and equiv needs a float for every
+    exponent; one beyond the float range is a usage error that says so."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        big = f"L^{10**400}"
+        paths = {}
+        for name, content in {
+            "registry": {"system": ["L", "T"], "units": {
+                "m": {"magnitude": "1", "dim": "L"},
+                "s": {"magnitude": "1", "dim": "T"},
+                "big": {"magnitude": "1", "dim": big},
+            }},
+            "spec": {"system": ["L", "T"], "variables": {"y": "L", "x": big, "t": "T"},
+                     "relation": "x < x"},
+            "a": {"y": "3 m", "x": "2 big", "t": "1 s"},
+            "b": {"y": "4 m", "x": "2 big", "t": "1 s"},
+        }.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(content))
+        return {k: str(v) for k, v in paths.items()}
+
+    @pytest.mark.parametrize("command", ["consistent", "nondim", "equiv"])
+    def test_exit_2_naming_the_float_range(self, files, command):
+        argv = {
+            "consistent": ["m", "big"],
+            "nondim": ["--spec", files["spec"], files["a"]],
+            "equiv": ["--spec", files["spec"], files["a"], files["b"]],
+        }[command]
+        proc = run_cli(command, *argv, "--registry", files["registry"])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"float range" in proc.stderr
+        assert b"OverflowError" not in proc.stderr
 
 
 class TestClashBeyondFloatRange:

@@ -201,6 +201,77 @@ class TestRelationParsing:
             assert parse_relation(print_relation(node)) == node
 
 
+# The binary operators from loosest to tightest, one tuple a level. The test
+# keeps its own copy, so it pins the grammar whatever table the parser reads.
+LEVELS = [("or",), ("and",), ("=", "<", "<="), ("+", "-"), ("*", "/")]
+LEVEL = {op: i for i, ops in enumerate(LEVELS) for op in ops}
+BINARY = [op for ops in LEVELS for op in ops]
+COMPARISONS = LEVELS[2]
+
+
+def _node(op, left, right):
+    node_type = dsl.BoolOp if op in ("or", "and") else Compare if op in COMPARISONS else BinOp
+    return node_type(op, left, right)
+
+
+class TestGrammar:
+    """Precedence and grouping of every pair of binary operators, `not` and `^`."""
+
+    @pytest.mark.parametrize("op1,op2", [(x, y) for x in BINARY for y in BINARY
+                                         if not (x in COMPARISONS and y in COMPARISONS)])
+    def test_pair_groups_by_precedence(self, op1, op2):
+        text = f"a {op1} b {op2} c"
+        a, b, c = Var("a"), Var("b"), Var("c")
+        if LEVEL[op1] >= LEVEL[op2]:
+            expected = _node(op2, _node(op1, a, b), c)
+        else:
+            expected = _node(op1, a, _node(op2, b, c))
+        node = parse_relation(text)
+        assert node == expected
+        assert print_relation(node) == text
+
+    @pytest.mark.parametrize("op1,op2", [(x, y) for x in COMPARISONS for y in COMPARISONS])
+    def test_comparisons_in_a_row_are_trailing_input(self, op1, op2):
+        with pytest.raises(ParseError, match=f"trailing input '{op2}'"):
+            parse_relation(f"a {op1} b {op2} c")
+
+    @pytest.mark.parametrize("op", BINARY)
+    def test_not_against_each_operator(self, op):
+        a, b = Var("a"), Var("b")
+        if LEVEL[op] < LEVEL["="]:  # and, or bind more loosely than not
+            assert parse_relation(f"not a {op} b") == _node(op, dsl.Not(a), b)
+            assert parse_relation(f"a {op} not b") == _node(op, a, dsl.Not(b))
+        else:
+            assert parse_relation(f"not a {op} b") == dsl.Not(_node(op, a, b))
+            with pytest.raises(ParseError, match="'not' is a keyword, not a variable"):
+                parse_relation(f"a {op} not b")
+
+    @pytest.mark.parametrize("text,message", [
+        ("not a < b < c", "trailing input '<' in relation 'not a < b < c'"),
+        ("not a = b <= c", "trailing input '<=' in relation 'not a = b <= c'"),
+        ("a < b = c", "trailing input '=' in relation 'a < b = c'"),
+        ("a or b < c < d", "trailing input '<' in relation 'a or b < c < d'"),
+        ("a + not b", "'not' is a keyword, not a variable"),
+        ("a = not b", "'not' is a keyword, not a variable"),
+        ("-a < b", "unexpected '-' in relation"),
+    ])
+    def test_rejected_with_its_message(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_relation(text)
+        assert str(info.value) == message
+
+    def test_not_ends_at_a_looser_operator(self):
+        a, b, c = Var("a"), Var("b"), Var("c")
+        assert parse_relation("not a < b and c") == dsl.BoolOp("and", dsl.Not(Compare("<", a, b)), c)
+        assert parse_relation("not not a or b") == dsl.BoolOp("or", dsl.Not(dsl.Not(a)), b)
+
+    def test_power_binds_tightest_and_groups_from_the_left(self):
+        x = Var("x")
+        assert parse_relation("x^2^3") == Pow(Pow(x, Fraction(2)), Fraction(3))
+        assert parse_relation("a * x^2") == BinOp("*", Var("a"), Pow(x, Fraction(2)))
+        assert print_relation(Pow(BinOp("*", Var("a"), x), Fraction(2))) == "(a * x)^2"
+
+
 class TestTypecheck:
     def test_mass_spring_group_is_dimensionless(self):
         system, dims = mass_spring_dims()

@@ -1,12 +1,15 @@
-"""Every name a piforge module imports is used in that module, and no module
-reaches into another's private names.
+"""Every name a piforge module imports is used in that module, every private
+name it defines is read there, and no module reaches into another's private
+names.
 
-No linter ships with the project, so this stands in for two checks of one: a
+No linter ships with the project, so this stands in for the checks of one: a
 fold that moves code between modules must not leave its imports behind, nor
-leave one module reading a leading-underscore helper of another. A name
-counts as used when the module reads it (as a name, or as the base of an
-attribute). The package file re-exports nothing by import: it resolves its
-public names on first use, so no module imports a name only to list it.
+leave one module reading a leading-underscore helper of another, and a fold
+within a module must not leave a private helper, table or dataclass field
+that nothing reads. A name counts as used when the module reads it (as a
+name, or as the base of an attribute). The package file re-exports nothing
+by import: it resolves its public names on first use, so no module imports a
+name only to list it.
 """
 
 import ast
@@ -73,6 +76,45 @@ def test_no_private_name_of_another_module(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = _private_reads(tree)
     assert not found, f"{path.name} reads private names of other piforge modules: {found}"
+
+
+def _module_private_names(tree: ast.Module) -> set[str]:
+    """Each leading-underscore name the module binds at its top level, by a
+    def, a class or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if _private(name)}
+
+
+def _private_dataclass_fields(tree: ast.Module) -> dict[str, list[str]]:
+    """The fields of each private dataclass the module defines."""
+    fields = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _private(node.name) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            fields[node.name] = [
+                item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    return fields
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loads = [node for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load)]
+    names = {node.id for node in loads if isinstance(node, ast.Name)}
+    attributes = {node.attr for node in loads if isinstance(node, ast.Attribute)}
+    unread = sorted(_module_private_names(tree) - names)
+    unread += [f"{cls}.{field}" for cls, fields in _private_dataclass_fields(tree).items()
+               for field in fields if field not in attributes]
+    assert not unread, f"{path.name} defines private names it never reads: {unread}"
 
 
 class TestPackageNamespace:

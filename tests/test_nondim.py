@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from piforge import core, exactlin, units
 from piforge.core import DimSystem, DimVector, Quantity, coordinate, format_magnitude
 from piforge.errors import (
     DimensionMismatchError,
+    EvaluationError,
     InconsistentReferenceError,
     InconsistentUnitsError,
 )
@@ -196,8 +198,6 @@ class TestEquivalent:
         # build log-ratio vectors from exact rationals, decide membership in
         # the dimension-matrix row space with exactlin.solve, and demand the
         # float verdict match the exact decision every time
-        from fractions import Fraction
-
         from piforge.core import dimension_matrix
         from piforge.errors import NoSolutionError
         from piforge.exactlin import solve
@@ -565,3 +565,28 @@ class TestEqualCopiesOfTheBasisDims:
                         assert str(info.value) == (
                             f"{label}[{k}] has dimension {wrong}, expected {dims[k]}"
                         )
+
+
+class TestExponentBeyondTheFloatRange:
+    """The float path needs a float for every exponent; where one lies beyond
+    the float range, EvaluationError says so in place of an OverflowError."""
+
+    L = DimSystem(("L",))
+    dims = [DimVector(L, (Fraction(1),)), DimVector(L, (Fraction(10**400),))]
+
+    def test_pi_values(self):
+        xs = [Quantity(0.0, w) for w in self.dims]
+        with pytest.raises(EvaluationError, match="float range"):
+            pi_values(pi_basis(self.dims), xs)
+
+    def test_is_consistent(self):
+        xs = [Quantity(0.0, w) for w in self.dims]
+        with pytest.raises(EvaluationError, match="float range"):
+            units.is_consistent(xs)
+
+    def test_is_consistent_with_a_row_norm_past_the_float_range(self):
+        # each ratio is a float, but their norm is not: no row to measure by
+        big = DimVector(self.L, (Fraction(15 * 10**307),))
+        xs = [Quantity(1e-308 * float(w.exponents[0]), w) for w in (self.dims[0], big, big)]
+        with pytest.raises(EvaluationError, match="float range"):
+            units.is_consistent(xs)

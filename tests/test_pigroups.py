@@ -561,3 +561,31 @@ class TestBuiltBasesPassPublicValidation:
         for d, n in ((3, 6), (4, 12), (7, 24), (10, 48)):
             for _ in range(3):
                 self._round_trip(_ladder_dims(rng, d, n))
+
+
+class TestBuiltFromLists:
+    """The public constructors keep sequence fields as tuples, so a basis
+    built from lists is the basis built from tuples."""
+
+    def test_list_fields_equal_the_built_basis(self):
+        _, dims = mass_spring_dims()
+        built = pi_basis(dims)
+        public = PiBasis(dims=list(dims), groups=list(built.groups))
+        assert public == built and hash(public) == hash(built)
+        assert type(public.dims) is tuple and type(public.groups) is tuple
+        special = special_basis(dims)
+        from_lists = SpecialPiBasis(base=special.base, pivot_indices=list(special.pivot_indices),
+                                    free_indices=list(special.free_indices))
+        assert from_lists == special and hash(from_lists) == hash(special)
+        assert type(from_lists.pivot_indices) is tuple and type(from_lists.free_indices) is tuple
+
+    def test_consistency_and_transition_take_a_basis_built_from_lists(self):
+        system = DimSystem(("L", "T"))
+        L, T = DimVector.unit(system, "L"), DimVector.unit(system, "T")
+        dims = [L, T, L]
+        pb = PiBasis(dims=list(dims), groups=list(pi_basis(dims).groups))
+        for logs in ((0.0, 1.0, 0.0), (0.0, 1.0, 2.0)):
+            xs = [Quantity(v, w) for v, w in zip(logs, dims)]
+            assert units.is_consistent(xs, basis=pb) == units.is_consistent(xs)
+        t = transition(pb, special_basis(dims).base)
+        assert t == transition(pi_basis(dims), special_basis(dims).base)
