@@ -306,11 +306,15 @@ def magnitude_or_limit(log_magnitude: float) -> float:
 def format_magnitude(log_magnitude: float) -> str:
     """exp(log_magnitude) with 15 significant digits, as format(x, ".15g")
     prints a float, also where the value lies outside the normal float range
-    (then from its base-10 logarithm, e.g. "1e+400")."""
+    (then from its base-10 logarithm, e.g. "1e+400"). Past a base-10
+    exponent of 1e15 a float log holds less than one digit of the mantissa,
+    so the exponent itself prints, e.g. "10^-4.34294481903252e+299"."""
     value = magnitude_or_limit(log_magnitude)
     if sys.float_info.min <= value < math.inf:
         return format(value, ".15g")
     exponent10 = log_magnitude / math.log(10)
+    if abs(exponent10) >= 1e15:
+        return f"10^{exponent10:.15g}"
     exponent = math.floor(exponent10)
     mantissa = format(10 ** (exponent10 - exponent), ".15g")
     if mantissa == "10":

@@ -8,9 +8,10 @@ Elimination runs on integer rows. `eliminate` scales each row by the lcm of
 its denominators and eliminates with Python ints (fraction-free, each updated
 row divided by the gcd of its entries; Bareiss, Math. Comp. 22, 1968). Its
 `Reduction` keeps the nonzero RREF rows as coprime integers, pivot positive,
-and builds the Fraction RREF that `rref` returns only when it is read. The
-RREF is unique, so it equals that of a Fraction Gauss-Jordan loop entry for
-entry. `kernel_basis`, `solve` and `invert` all read off one elimination.
+and every reader here works from those rows. Only `rref` builds the Fraction
+RREF, as output. The RREF is unique, so it equals that of a Fraction
+Gauss-Jordan loop entry for entry. `kernel_basis`, `solve` and `invert` all
+read off one elimination.
 
 The one piece of policy lives in `canonical_kernel`, which reads the kernel
 off the integer rows of a `Reduction`, as `kernel_basis` does: kernel vectors
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import NoSolutionError, SingularMatrixError
 
@@ -137,20 +137,13 @@ def _integer_row(row) -> list[int]:
 @dataclass(frozen=True)
 class Reduction:
     """A matrix's RREF as integers: int_rows[i] is nonzero RREF row i scaled
-    to coprime integers, its pivot at pivot_cols[i] positive. `reduced`, the
-    Fraction RREF of shape rows x cols, is built on first read."""
+    to coprime integers, its pivot at pivot_cols[i] positive, so RREF entry
+    (i, j) is int_rows[i][j] / int_rows[i][pivot_cols[i]]."""
 
     shape: tuple[int, int]
     int_rows: tuple[tuple[int, ...], ...]
     pivot_cols: tuple[int, ...]
     rank: int
-
-    @cached_property
-    def reduced(self) -> QMatrix:
-        nrows, ncols = self.shape
-        flat = [Fraction(v, row[pc]) if v else _ZERO
-                for row, pc in zip(self.int_rows, self.pivot_cols) for v in row]
-        return QMatrix(nrows, ncols, (*flat, *(_ZERO,) * ((nrows - self.rank) * ncols)))
 
 
 def eliminate(m: QMatrix) -> Reduction:
@@ -185,9 +178,13 @@ def eliminate(m: QMatrix) -> Reduction:
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
-    """Reduced row echelon form of m: (reduced, pivot_cols, rank)."""
+    """Reduced row echelon form of m: (reduced, pivot_cols, rank), the
+    integer rows of one `eliminate` divided by their pivots."""
     reduction = eliminate(m)
-    return reduction.reduced, reduction.pivot_cols, reduction.rank
+    flat = [Fraction(v, row[pc]) if v else _ZERO
+            for row, pc in zip(reduction.int_rows, reduction.pivot_cols) for v in row]
+    flat += [_ZERO] * ((m.rows - reduction.rank) * m.cols)
+    return QMatrix(m.rows, m.cols, tuple(flat)), reduction.pivot_cols, reduction.rank
 
 
 def rank(m: QMatrix) -> int:
@@ -202,7 +199,8 @@ def free_columns(reduction: Reduction) -> tuple[int, ...]:
 def free_kernel(reduction: Reduction) -> list[tuple[Fraction, ...]]:
     """The unscaled RREF free-variable kernel basis of a `Reduction`, one
     vector per free column, by increasing column: 1 at the free column,
-    -reduced[row][free] at each pivot column, 0 elsewhere."""
+    -row[free] / row[pc] at the pivot column pc of each integer row, 0
+    elsewhere."""
     basis = []
     for free in free_columns(reduction):
         vec = [_ZERO] * reduction.shape[1]
@@ -239,30 +237,26 @@ def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
 def solve_each(a: QMatrix, bs) -> list[tuple[Fraction, ...] | None]:
     """Exact solutions of a x = b for every b in bs, free variables pinned
     to zero, from one elimination of [a | b1 ... bk]; None for each b
-    outside the column space of a.
-    """
+    outside the column space of a."""
     bs = [[as_rational(v) for v in b] for b in bs]
     for b in bs:
         if len(b) != a.rows:
             raise ValueError(f"right-hand side length {len(b)} != rows {a.rows}")
-    if a.rows == 0:
-        return [(_ZERO,) * a.cols for _ in bs]
-    k = len(bs)
-    flat = tuple(
-        v for i in range(a.rows) for v in (*a.row(i), *(b[i] for b in bs))
-    )
-    reduced, pivot_cols, _ = rref(QMatrix(a.rows, a.cols + k, flat))
-    # The first rank(a) rows reduce a; a b is in the column space iff the
-    # rows below them are zero in its column.
-    a_pivots = [pc for pc in pivot_cols if pc < a.cols]
+    flat = tuple(v for i in range(a.rows) for v in (*a.row(i), *(b[i] for b in bs)))
+    reduction = eliminate(QMatrix(a.rows, a.cols + len(bs), flat))
+    # A row pivoting at or past a.cols is zero on a, so b_j is in the column
+    # space iff every such row is zero in b_j's column; then only rows that
+    # pivot in a are nonzero there.
+    rows = list(zip(reduction.int_rows, reduction.pivot_cols))
     solutions = []
-    for j in range(k):
-        if any(reduced.at(i, a.cols + j) for i in range(len(a_pivots), a.rows)):
+    for col in range(a.cols, a.cols + len(bs)):
+        if any(row[col] for row, pc in rows if pc >= a.cols):
             solutions.append(None)
             continue
         x = [_ZERO] * a.cols
-        for row_idx, pc in enumerate(a_pivots):
-            x[pc] = reduced.at(row_idx, a.cols + j)
+        for row, pc in rows:
+            if row[col]:
+                x[pc] = Fraction(row[col], row[pc])
         solutions.append(tuple(x))
     return solutions
 

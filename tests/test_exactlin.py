@@ -198,6 +198,48 @@ class TestSolveMany:
             ]
             assert solve_many(m, bs) == [reference_solve(m, b) for b in bs]
 
+    def test_matches_the_reference_on_rank_deficient_systems(self):
+        """Non-square a of rank below min(rows, cols), right-hand sides in
+        and out of the column space: None exactly where `reference_solve`
+        raises."""
+        rng = random.Random(149)
+        seen = set()
+        for case in range(300):
+            cols = rng.randint(0, 6)
+            rows = 0 if case % 25 == 0 else rng.choice([n for n in range(1, 7) if n != cols])
+            a = self._rank_deficient(rng, rows, cols)
+            bs = [
+                a.mul_vec([_rational(rng) for _ in range(cols)]) if rng.random() < 0.5
+                else [_rational(rng) for _ in range(rows)]
+                for _ in range(rng.randint(0, 4))
+            ]
+            expected = []
+            for b in bs:
+                try:
+                    expected.append(reference_solve(a, b))
+                except NoSolutionError:
+                    expected.append(None)
+            assert solve_each(a, bs) == expected
+            if rows == 0:
+                seen.add("no rows")
+            if not bs:
+                seen.add("no right-hand side")
+            seen.update("outside" if x is None else "inside" for x in expected)
+        assert seen == {"no rows", "no right-hand side", "outside", "inside"}
+
+    @staticmethod
+    def _rank_deficient(rng, rows, cols):
+        """A rows x cols product through a rank r below min(rows, cols),
+        or r = 0 when that minimum is 0."""
+        r = rng.randint(0, max(min(rows, cols) - 1, 0))
+        left = QMatrix(rows, r, tuple(_rational(rng) for _ in range(rows * r)))
+        right = QMatrix(r, cols, tuple(_rational(rng) for _ in range(r * cols)))
+        return left.matmul(right)
+
+
+def _rational(rng):
+    return F(rng.randint(-3, 3), rng.randint(1, 3))
+
 
 class TestFractionReference:
     """The integer-row elimination against Fraction Gauss-Jordan."""
@@ -302,15 +344,17 @@ class TestReduction:
 
     def test_reduced_pivots_and_rank_match_the_reference(self, cases):
         for m, reduction in cases:
-            assert (reduction.reduced, reduction.pivot_cols, reduction.rank) == reference_rref(m)
-            assert rref(m) == reference_rref(m)
+            reduced, pivot_cols, rank_ = reference_rref(m)
+            assert (reduction.pivot_cols, reduction.rank) == (pivot_cols, rank_)
+            for i, (row, pc) in enumerate(zip(reduction.int_rows, reduction.pivot_cols)):
+                assert tuple(Fraction(v, row[pc]) for v in row) == reduced.row(i)
+            assert rref(m) == (reduced, pivot_cols, rank_)
             assert rank(m) == reduction.rank == len(reduction.int_rows)
             assert reduction.shape == (m.rows, m.cols)
-            assert reduction.reduced is reduction.reduced
 
     def test_entries_are_fractions_and_pivots_positive(self, cases):
-        for _, reduction in cases:
-            assert all(type(v) is Fraction for v in reduction.reduced.entries)
+        for m, reduction in cases:
+            assert all(type(v) is Fraction for v in rref(m)[0].entries)
             for row, pc in zip(reduction.int_rows, reduction.pivot_cols):
                 assert all(type(v) is int for v in row)
                 assert row[pc] > 0

@@ -1,6 +1,6 @@
 """Every name a piforge module imports is used in that module, every private
-name it defines is read there, and no module reaches into another's private
-names.
+name it defines is read there, no module reaches into another's private
+names, and no module calls `rref`.
 
 No linter ships with the project, so this stands in for the checks of one: a
 fold that moves code between modules must not leave its imports behind, nor
@@ -115,6 +115,16 @@ def test_every_private_name_is_read(path):
     unread += [f"{cls}.{field}" for cls, fields in _private_dataclass_fields(tree).items()
                for field in fields if field not in attributes]
     assert not unread, f"{path.name} defines private names it never reads: {unread}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_calls_rref(path):
+    """The Fraction RREF is output only: library code reads the integer rows
+    of `exactlin.eliminate`, so no second reduced form comes back."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "rref" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not calls, f"{path.name} calls rref at lines {calls}"
 
 
 class TestPackageNamespace:

@@ -411,10 +411,9 @@ class TestReductionCache:
         assert again is not first
         assert len(rref_calls) == 2
         assert again == first
-        reduced, pivots, rank = again.reduced, again.pivot_cols, again.rank
-        assert reduced.entries == first.reduced.entries
-        assert all(type(v) is Fraction for v in reduced.entries)
-        assert (pivots, rank) == (first.pivot_cols, first.rank)
+        assert again.int_rows == first.int_rows
+        assert all(type(v) is int for row in again.int_rows for v in row)
+        assert (again.pivot_cols, again.rank) == (first.pivot_cols, first.rank)
 
     @staticmethod
     def _problem(dims):

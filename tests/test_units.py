@@ -140,6 +140,20 @@ class TestClashBeyondFloatRange:
             log = rng.uniform(-700, 700)
             assert format_magnitude(log) == format(math.exp(log), ".15g")
 
+    @pytest.mark.parametrize("log,text", [
+        (1e300, "10^4.34294481903252e+299"),
+        (-1e300, "10^-4.34294481903252e+299"),
+        (1e15 * math.log(10), "10^1e+15"),
+        (-1e15 * math.log(10), "10^-1e+15"),
+        (math.nextafter(1e15 * math.log(10), 0), "7.49894209332456e+999999999999999"),
+        (921 * math.log(10), "1e+921"),
+    ])
+    def test_exponent_prints_itself_past_1e15(self, log, text):
+        """Past a base-10 exponent of 1e15 a float log holds less than one
+        digit of the mantissa, so the exponent prints with 15 significant
+        digits; below it the mantissa-exponent form stays."""
+        assert format_magnitude(log) == text
+
 
 class TestAnchoredToABasis:
     """`is_consistent(units, basis=b)` reads b's cached row space in place of
