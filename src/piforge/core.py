@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,6 +30,7 @@ from .errors import (
     EvaluationError,
     NotABasisError,
     SystemMismatchError,
+    frozen,
 )
 from .exactlin import QMatrix, Reduction, as_rational, eliminate
 
@@ -51,7 +51,7 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be at least 0, got {tol!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class DimSystem:
     """Ordered, distinct fundamental dimension names, e.g. ("M", "L", "T")."""
 
@@ -115,7 +115,7 @@ class _ExponentVector:
         return total
 
 
-@dataclass(frozen=True)
+@frozen
 class DimVector(_ExponentVector):
     """Exact exponent vector over a DimSystem; the zero vector is dimensionless."""
 
@@ -169,7 +169,7 @@ class DimVector(_ExponentVector):
         return monomial_text(self.system.names, self.exponents, "*")
 
 
-@dataclass(frozen=True)
+@frozen
 class Quantity:
     """A strictly positive magnitude (stored as its natural log) with a dimension."""
 
@@ -218,7 +218,7 @@ class Quantity:
         return f"{format_magnitude(self.log_magnitude)} [{self.dim}]"
 
 
-@dataclass(frozen=True)
+@frozen
 class Monomial(_ExponentVector):
     """A monomial map x1^e1 * ... * xk^ek, identified with its exponent vector."""
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -51,6 +50,7 @@ from .errors import (
     ParseError,
     SpecError,
     UnknownFundamentalError,
+    frozen,
 )
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "is_pos_int")
@@ -71,51 +71,51 @@ class _Compiled:
         return _lower(self)
 
 
-@dataclass(frozen=True)
+@frozen
 class Var(_Compiled):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Const(_Compiled):
     value: float
     symbol: str | None = None  # "pi" prints by name
 
 
-@dataclass(frozen=True)
+@frozen
 class BinOp(_Compiled):
     op: str  # + - * /
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@frozen
 class Pow(_Compiled):
     base: "Node"
     exponent: Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class Call(_Compiled):
     func: str
     arg: "Node"
 
 
-@dataclass(frozen=True)
+@frozen
 class Compare(_Compiled):
     op: str  # = < <=
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@frozen
 class BoolOp(_Compiled):
     op: str  # and or
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@frozen
 class Not(_Compiled):
     operand: "Node"
 
@@ -143,7 +143,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class _Token:
     kind: str  # number | name | op | end
     text: str
@@ -735,7 +735,7 @@ def read_json(path, what: str, error):
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@frozen
 class ProblemSpec:
     """A parsed problem-spec file: a relation over declared dimensioned variables."""
 

@@ -24,10 +24,9 @@ comparable across runs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoSolutionError, SingularMatrixError
+from .errors import NoSolutionError, SingularMatrixError, frozen
 
 Rational = Fraction
 
@@ -44,7 +43,7 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@frozen
 class QMatrix:
     """Immutable rows x cols matrix of exact rationals, row-major."""
 
@@ -134,7 +133,7 @@ def _integer_row(row) -> list[int]:
     return [v // common for v in ints] if common > 1 else ints
 
 
-@dataclass(frozen=True)
+@frozen
 class Reduction:
     """A matrix's RREF as integers: int_rows[i] is nonzero RREF row i scaled
     to coprime integers, its pivot at pivot_cols[i] positive, so RREF entry

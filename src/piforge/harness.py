@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import DEFAULT_TOL, DimSystem, Quantity, check_tol, format_magnitude, magnitude_or_limit
@@ -35,6 +34,7 @@ from .errors import (
     DimensionMismatchError,
     EvaluationError,
     SpecError,
+    frozen,
 )
 
 _LOG_MAG_RANGE = (math.log(1e-3), math.log(1e3))
@@ -42,7 +42,7 @@ _LOG_FACTOR_RANGE = (math.log(1e-2), math.log(1e2))
 _SHRINK_ROUNDS = 20
 
 
-@dataclass(frozen=True)
+@frozen
 class Rescaling:
     """One positive factor per fundamental dimension, in log space."""
 
@@ -82,7 +82,7 @@ def rescale(xs: Sequence[Quantity], r: Rescaling) -> list[Quantity]:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class Counterexample:
     """A failing trial. Each binding is kept as its log magnitude, which stays
     finite where the magnitude lies beyond the float range."""
@@ -99,7 +99,7 @@ class Counterexample:
         return {name: magnitude_or_limit(v) for name, v in self.log_bindings.items()}
 
 
-@dataclass(frozen=True)
+@frozen
 class InvarianceReport:
     """`inapplicable` counts the trials whose bindings (drawn or rescaled)
     fell outside the relation's domain; they neither pass nor fail."""

@@ -10,7 +10,7 @@ quantities into a predicate over the r pi-values.
 
 Once a basis is built, a record costs float work only: a binding built over
 the basis's own DimVector objects passes its dimension check on identity,
-with no dataclass compare (`_check_dims_against_basis`).
+with no DimVector compare (`_check_dims_against_basis`).
 
 Equivalence classes and invariant sets are uncountable, so they are only ever
 represented intensionally — as verdicts and predicates, never enumerated.
@@ -19,17 +19,16 @@ represented intensionally — as verdicts and predicates, never enumerated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 from .core import DEFAULT_TOL, Quantity, check_tol, coordinate, magnitude_or_limit, orbit_gap
-from .errors import DimensionMismatchError, InconsistentReferenceError
+from .errors import DimensionMismatchError, InconsistentReferenceError, frozen
 from .pigroups import PiBasis, SpecialPiBasis
 from .units import require_consistent
 
 
-@dataclass(frozen=True)
+@frozen
 class PiValues:
     """The tuple of pi-group magnitudes at a variable binding, in log space."""
 
@@ -50,7 +49,7 @@ class VerdictReason(Enum):
     PI_MISMATCH = "pi-mismatch"
 
 
-@dataclass(frozen=True)
+@frozen
 class EquivalenceVerdict:
     equivalent: bool
     reason: VerdictReason
@@ -65,7 +64,7 @@ def _check_dims_against_basis(basis: PiBasis, xs: Sequence[Quantity], label: str
     """xs must carry the basis dimensions, slot for slot.
 
     One tuple comparison decides it. It tests identity before ==, so xs
-    built over the basis's own DimVector objects costs no dataclass
+    built over the basis's own DimVector objects costs no DimVector
     compare. Only a list that differs somewhere, or that holds equal copies
     (quantity literals, for instance), goes on to the slot-by-slot loop,
     which names the first wrong slot."""

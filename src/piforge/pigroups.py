@@ -24,12 +24,11 @@ construction, and return them through `_built` without checking them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .core import DimVector, Monomial, dim_combine, reduce_dims, row_space
-from .errors import NotABasisError
+from .errors import NotABasisError, frozen
 from .exactlin import QMatrix, canonical_kernel, free_columns, free_kernel, rank, solve_many
 
 _ZERO = Fraction(0)
@@ -46,7 +45,7 @@ def _built(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@frozen
 class PiBasis:
     """A basis of the annihilator space over fixed dims. The constructor
     validates the groups; the builders below skip that for their own.
@@ -62,8 +61,6 @@ class PiBasis:
     groups: tuple[Monomial, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "groups", tuple(self.groups))
         n = len(self.dims)
         reduction = reduce_dims(self.dims)
         expected_r = n - reduction.rank
@@ -91,7 +88,7 @@ class PiBasis:
         return row_space(self.reduction)
 
 
-@dataclass(frozen=True)
+@frozen
 class SpecialPiBasis:
     """A pi basis where group i is x_{free_i} times a combination of the pivots."""
 
@@ -100,8 +97,6 @@ class SpecialPiBasis:
     free_indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pivot_indices", tuple(self.pivot_indices))
-        object.__setattr__(self, "free_indices", tuple(self.free_indices))
         n = len(self.base.dims)
         if sorted(self.pivot_indices + self.free_indices) != list(range(n)):
             raise NotABasisError("pivot and free indices must partition the slots")
@@ -120,7 +115,7 @@ class SpecialPiBasis:
         return _canonical(self.base.dims, self.base.reduction)
 
 
-@dataclass(frozen=True)
+@frozen
 class Transition:
     """Exact change of basis: row i of matrix expresses the target's group i
     in the source basis; inverse is the exact matrix inverse."""

@@ -11,7 +11,6 @@ the distance of the units' logs from the rescaling orbit, and names a clash
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import dsl
 from .core import (
@@ -37,11 +36,12 @@ from .errors import (
     ParseError,
     SystemMismatchError,
     UnknownUnitError,
+    frozen,
 )
 from .exactlin import canonical_kernel, rank, solve_each
 
 
-@dataclass(frozen=True)
+@frozen
 class ClashWitness:
     """A product of powers of the units that is dimensionless but not 1.
 
@@ -59,7 +59,7 @@ class ClashWitness:
         return magnitude_or_limit(self.log_clash_factor)
 
 
-@dataclass(frozen=True)
+@frozen
 class ConsistencyReport:
     consistent: bool
     witness: ClashWitness | None

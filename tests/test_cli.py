@@ -521,10 +521,11 @@ def test_import_does_not_load_numpy():
 
 
 def _loaded_after(code):
-    """The piforge modules and hashlib a fresh interpreter holds after code."""
+    """The piforge modules, hashlib, dataclasses and inspect that a fresh
+    interpreter holds after code."""
     code += (
         "\nimport sys; print(' '.join(sorted(m for m in sys.modules"
-        " if m.startswith('piforge.') or m == 'hashlib')))"
+        " if m.startswith('piforge.') or m in ('hashlib', 'dataclasses', 'inspect'))))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, check=True
@@ -546,6 +547,7 @@ class TestStartupLoadsOnlyWhatRuns:
         )
         assert "piforge.pigroups" in loaded
         assert not loaded & {"piforge.harness", "piforge.nondim", "piforge.units", "hashlib"}
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_verify(self):
         loaded = _loaded_after(
@@ -554,3 +556,4 @@ class TestStartupLoadsOnlyWhatRuns:
         )
         assert "piforge.harness" in loaded
         assert "piforge.nondim" not in loaded
+        assert not loaded & {"dataclasses", "inspect"}

@@ -22,6 +22,7 @@ from piforge.errors import (
     SystemMismatchError,
 )
 from piforge.exactlin import QMatrix
+from piforge.pigroups import pi_basis
 
 from support import mass_spring_dims, kinematics_dims, random_dims, random_quantities
 
@@ -56,6 +57,27 @@ def test_cross_system_operations_are_errors(mlt):
     other = DimSystem(("M", "L"))
     with pytest.raises(SystemMismatchError):
         DimVector.unit(mlt, "M") * DimVector.unit(other, "M")
+
+
+class TestTupleFieldsFromLists:
+    """A field annotated as a tuple holds a tuple, so a value built from a
+    list equals, hashes as and combines with one built from a tuple."""
+
+    def test_list_built_system_combines_with_a_tuple_built_one(self):
+        listed, tupled = DimSystem(["M", "L"]), DimSystem(("M", "L"))
+        assert listed.names == ("M", "L") and hash(listed) == hash(tupled)
+        product = DimVector.of(listed, M=1) * DimVector.of(tupled, L=1)
+        assert product == DimVector.of(tupled, M=1, L=1)
+
+    def test_pi_basis_over_a_list_built_and_a_tuple_built_system(self):
+        dims = [DimVector.of(DimSystem(["M", "L"]), M=1), DimVector.of(DimSystem(("M", "L")), M=2)]
+        assert pi_basis(dims).groups == (Monomial.of(-2, 1),)
+
+    def test_exponent_lists_are_stored_as_tuples(self, mlt):
+        assert hash(Monomial([Fraction(1)])) == hash(Monomial((Fraction(1),)))
+        vector = DimVector(mlt, [Fraction(1), Fraction(0), Fraction(-2)])
+        assert vector.exponents == (Fraction(1), Fraction(0), Fraction(-2))
+        assert vector == DimVector.of(mlt, M=1, T=-2)
 
 
 def test_project_reads_the_dimension_field(mlt):

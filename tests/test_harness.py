@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -400,14 +399,17 @@ class TestChecksBeforeTheFirstTrial:
         spec = _spec("hidden_constant")
         other = DimSystem(spec.system.names + ("M",))
         dims = tuple(DimVector(other, d.exponents + (Fraction(0),)) for d in spec.variable_dims)
-        moved = dataclasses.replace(spec, variable_dims=dims)
+        moved = dsl.ProblemSpec(spec.system, spec.variable_names, dims, spec.relation, spec.relation_text)
         self._no_trials(monkeypatch)
         with pytest.raises(DimensionMismatchError, match="different systems"):
             fuzz_invariance(moved, trials=10, seed=0)
 
     def test_system_swapped(self, monkeypatch):
         spec = _spec("newton")
-        swapped = dataclasses.replace(spec, system=DimSystem(("L", "T", "M", "K")))
+        swapped = dsl.ProblemSpec(
+            DimSystem(("L", "T", "M", "K")), spec.variable_names, spec.variable_dims,
+            spec.relation, spec.relation_text,
+        )
         self._no_trials(monkeypatch)
         with pytest.raises(DimensionMismatchError, match="different systems"):
             fuzz_invariance(swapped, trials=10, seed=0)

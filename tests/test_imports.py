@@ -5,7 +5,7 @@ names, and no module calls `rref`.
 No linter ships with the project, so this stands in for the checks of one: a
 fold that moves code between modules must not leave its imports behind, nor
 leave one module reading a leading-underscore helper of another, and a fold
-within a module must not leave a private helper, table or dataclass field
+within a module must not leave a private helper, table or value-class field
 that nothing reads. A name counts as used when the module reads it (as a
 name, or as the base of an attribute). The package file re-exports nothing
 by import: it resolves its public names on first use, so no module imports a
@@ -91,12 +91,12 @@ def _module_private_names(tree: ast.Module) -> set[str]:
     return {name for name in names if _private(name)}
 
 
-def _private_dataclass_fields(tree: ast.Module) -> dict[str, list[str]]:
-    """The fields of each private dataclass the module defines."""
+def _private_value_class_fields(tree: ast.Module) -> dict[str, list[str]]:
+    """The fields of each private `@frozen` value class the module defines."""
     fields = {}
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and _private(node.name) and any(
-            "dataclass" in ast.unparse(d) for d in node.decorator_list
+            getattr(d, "id", None) == "frozen" for d in node.decorator_list
         ):
             fields[node.name] = [
                 item.target.id for item in node.body
@@ -112,9 +112,15 @@ def test_every_private_name_is_read(path):
     names = {node.id for node in loads if isinstance(node, ast.Name)}
     attributes = {node.attr for node in loads if isinstance(node, ast.Attribute)}
     unread = sorted(_module_private_names(tree) - names)
-    unread += [f"{cls}.{field}" for cls, fields in _private_dataclass_fields(tree).items()
+    unread += [f"{cls}.{field}" for cls, fields in _private_value_class_fields(tree).items()
                for field in fields if field not in attributes]
     assert not unread, f"{path.name} defines private names it never reads: {unread}"
+
+
+def test_private_value_classes_are_found():
+    """The field check above reads something: dsl's token class is one."""
+    tree = ast.parse((ROOT / "src" / "piforge" / "dsl.py").read_text())
+    assert _private_value_class_fields(tree).get("_Token") == ["kind", "text"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
