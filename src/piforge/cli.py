@@ -179,11 +179,10 @@ def cmd_verify(args) -> int:
     if args.json:
         _emit_json(payload)
     else:
-        inapplicable = payload.get("inapplicable")
-        print(
-            f"trials: {payload['trials']}, passed: {payload['passed']}"
-            + (f", inapplicable: {inapplicable}" if inapplicable else "")
+        counts = "".join(
+            f", {key}: {payload[key]}" for key in ("inapplicable", "undecided") if key in payload
         )
+        print(f"trials: {payload['trials']}, passed: {payload['passed']}{counts}")
         ce = payload["counterexample"]
         if ce is None:
             print("no violation found (passes are evidence of invariance, not proof)")

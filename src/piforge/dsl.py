@@ -18,11 +18,11 @@ loosest first: or, and, not, = < <= (which do not chain), + -, * /, ^, and
 chains group from the left. `_BINARY` is the one place that precedence is
 defined: the parser (`_expr`) and the printer (`_prec`) both read it.
 
-`evaluate` compiles a relation once, on first use, into float closures kept
-on the AST node; later calls run only float arithmetic, with no dimension
-work. The closures read each variable's log magnitude from a plain dict;
-`holds` and `log_magnitude` take that dict directly, so a caller that keeps
-its values as floats (the invariance fuzzer) builds no Quantity.
+`evaluate` lowers a relation into float closures and keeps the last one
+lowered; `compile_relation` lowers it once for many evaluations, with each
+comparison's sides and their dimensions (the invariance fuzzer's view). The
+closures read each variable's log magnitude from a plain dict, as `holds`
+and `log_magnitude` take it, so a caller of floats builds no Quantity.
 Multiplicative chains (variables, constants, *, /, ^, sqrt) stay in log
 space; sums, exp/log/sin/cos work in linear space, where non-positive values
 are legal, and only there. A comparison whose two sides are both in
@@ -40,7 +40,6 @@ import json
 import math
 import re
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
 from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity, check_tol
@@ -62,61 +61,52 @@ RESERVED = ("pi",) + FUNCTIONS + KEYWORDS
 # --- AST ---------------------------------------------------------------
 
 
-class _Compiled:
-    """Every AST node keeps its compiled evaluator (see `evaluate`), built on
-    first use."""
-
-    @cached_property
-    def _lowered(self):
-        return _lower(self)
-
-
 @frozen
-class Var(_Compiled):
+class Var:
     name: str
 
 
 @frozen
-class Const(_Compiled):
+class Const:
     value: float
     symbol: str | None = None  # "pi" prints by name
 
 
 @frozen
-class BinOp(_Compiled):
+class BinOp:
     op: str  # + - * /
     left: "Node"
     right: "Node"
 
 
 @frozen
-class Pow(_Compiled):
+class Pow:
     base: "Node"
     exponent: Fraction
 
 
 @frozen
-class Call(_Compiled):
+class Call:
     func: str
     arg: "Node"
 
 
 @frozen
-class Compare(_Compiled):
+class Compare:
     op: str  # = < <=
     left: "Node"
     right: "Node"
 
 
 @frozen
-class BoolOp(_Compiled):
+class BoolOp:
     op: str  # and or
     left: "Node"
     right: "Node"
 
 
 @frozen
-class Not(_Compiled):
+class Not:
     operand: "Node"
 
 
@@ -449,10 +439,7 @@ def print_relation(node: Node) -> str:
             left_text = _wrap(left, p, right_side=isinstance(node, Compare))
             return f"{left_text} {op} {_wrap(right, p, right_side=True)}"
         case Pow(base, exponent):
-            if exponent.denominator == 1 and exponent >= 0:
-                etext = str(exponent)
-            else:
-                etext = f"({exponent})"
+            etext = str(exponent) if exponent.denominator == 1 and exponent >= 0 else f"({exponent})"
             return f"{_wrap(base, _POW, right_side=True)}^{etext}"
         case Call(func, arg):
             return f"{func}({print_relation(arg)})"
@@ -464,13 +451,14 @@ def print_relation(node: Node) -> str:
 # --- typecheck -----------------------------------------------------------
 
 
-def typecheck(node: Node, env: dict[str, DimVector], *, allow_mixed_comparisons: bool = False):
+def typecheck(node: Node, env: dict[str, DimVector], *, allow_mixed_comparisons=False, sides=None):
     """Dimension-check a relation; returns its DimVector or BOOL.
 
     The verdict depends only on the environment's dimensions, never on
     magnitudes. With allow_mixed_comparisons the =/</<= operators accept
     operands of different dimensions (the invariance fuzzer's loophole);
-    everything else stays strict.
+    everything else stays strict. A list given as sides gets the two side
+    dimensions of each comparison, left to right.
     """
     system = next(iter(env.values())).system if env else None
 
@@ -516,6 +504,8 @@ def typecheck(node: Node, env: dict[str, DimVector], *, allow_mixed_comparisons:
                         f"'{op}' compares different dimensions: {lt} vs {rt}",
                         node=n, left=lt, right=rt,
                     )
+                if sides is not None:
+                    sides.append((lt, rt))
                 return BOOL
             case BoolOp(op, left, right):
                 for side in (left, right):
@@ -540,15 +530,15 @@ def _need_dim(node: Node, t):
 # --- evaluate ------------------------------------------------------------
 #
 # Each node lowers to (space, run), run(logs, tol) giving its value in that
-# space: a log magnitude, a plain float, or a truth value. `logs` maps each
-# variable to its log magnitude as a plain float. The conversions between
-# spaces are put in here, once per node.
+# space: a log magnitude, a plain float, or a truth value, or raising
+# EvaluationError where it leaves the domain. `logs` maps each variable to
+# its log magnitude as a plain float. Conversions between spaces go in here.
 
 _LOG, _LINEAR, _TRUTH = "log", "linear", "truth"
-_LINEAR_FUNCTIONS = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
+_OVERFLOW = "a value overflows the float range, about 1.8e+308"
 
 
-def _log_eq_bound(tol: float) -> float:
+def log_eq_bound(tol: float) -> float:
     """The log-space form of the relative equality test: for positive a and
     b, |a - b| <= tol*max(a, b) exactly when |log a - log b| <= this bound.
     From tol 1 on, the linear test holds for every positive pair."""
@@ -556,14 +546,26 @@ def _log_eq_bound(tol: float) -> float:
 
 
 def _finite(v: float) -> float:
-    """v, or OverflowError (which `_run` reports) where it is inf or nan."""
     if math.isfinite(v):
         return v
-    raise OverflowError
+    raise EvaluationError(_OVERFLOW)
 
 
-def _lower(node: Node):
-    """(space, run) for a node: run(logs, tol) gives its value in that space."""
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise EvaluationError(_OVERFLOW) from None
+
+
+_LINEAR_FUNCTIONS = {"exp": _exp, "sin": math.sin, "cos": math.cos}
+
+
+def _lower(node: Node, found: list | None = None):
+    """(space, run) for a node: run(logs, tol) gives its value in that space.
+    A list given as found gets (node, truth run, lowered sides) for each
+    comparison, and (node, truth run, None) for each is_pos_int call, left
+    to right."""
     match node:
         case Var(name):
             return _LOG, lambda b, tol: b[name]
@@ -571,32 +573,30 @@ def _lower(node: Node):
             log_value = math.log(value)
             return _LOG, lambda b, tol: log_value
         case BinOp(op, left, right):
-            if op in ("*", "/"):
-                lf, rf = _in_log(left), _in_log(right)
-                if op == "*":
-                    return _LOG, lambda b, tol: _finite(lf(b, tol) + rf(b, tol))
-                return _LOG, lambda b, tol: _finite(lf(b, tol) - rf(b, tol))
-            lf, rf = _in_linear(left), _in_linear(right)
-            if op == "+":
-                return _LINEAR, lambda b, tol: _finite(lf(b, tol) + rf(b, tol))
-            return _LINEAR, lambda b, tol: _finite(lf(b, tol) - rf(b, tol))
+            space = _LOG if op in ("*", "/") else _LINEAR
+            lf, rf = _as(space, left, found), _as(space, right, found)
+            if op in ("*", "+"):
+                return space, lambda b, tol: _finite(lf(b, tol) + rf(b, tol))
+            return space, lambda b, tol: _finite(lf(b, tol) - rf(b, tol))
         case Pow(base, exponent):
-            bf, e = _in_log(base), float(exponent)
+            bf, e = _as(_LOG, base, found), float(exponent)
             return _LOG, lambda b, tol: _finite(bf(b, tol) * e)
         case Call("sqrt", arg):
-            af = _in_log(arg)
+            af = _as(_LOG, arg, found)
             return _LOG, lambda b, tol: af(b, tol) * 0.5
         case Call("is_pos_int", arg):
-            af = _in_linear(arg)
+            af = _as(_LINEAR, arg, found)
 
             def is_pos_int(b, tol):
                 v = af(b, tol)
                 nearest = round(v)
                 return abs(v - nearest) <= tol and nearest >= 1
 
+            if found is not None:
+                found.append((node, is_pos_int, None))
             return _TRUTH, is_pos_int
         case Call("log", arg):
-            af = _in_linear(arg)
+            af = _as(_LINEAR, arg, found)
 
             def log(b, tol):
                 v = af(b, tol)
@@ -606,29 +606,33 @@ def _lower(node: Node):
 
             return _LINEAR, log
         case Call(func, arg):
-            af, f = _in_linear(arg), _LINEAR_FUNCTIONS[func]
+            af, f = _as(_LINEAR, arg, found), _LINEAR_FUNCTIONS[func]
             return _LINEAR, lambda b, tol: f(af(b, tol))
         case Compare(op, left, right):
-            return _TRUTH, _lower_compare(op, left, right)
+            sides = _lower(left, found), _lower(right, found)
+            run = _compare(op, left, right, sides)
+            if found is not None:
+                found.append((node, run, sides))
+            return _TRUTH, run
         case BoolOp(op, left, right):
-            lf, rf = _in_truth(left), _in_truth(right)
+            lf, rf = _as(_TRUTH, left, found), _as(_TRUTH, right, found)
             if op == "and":
                 return _TRUTH, lambda b, tol: lf(b, tol) and rf(b, tol)
             return _TRUTH, lambda b, tol: lf(b, tol) or rf(b, tol)
         case Not(operand):
-            of = _in_truth(operand)
+            of = _as(_TRUTH, operand, found)
             return _TRUTH, lambda b, tol: not of(b, tol)
     raise TypeError(f"not a relation node: {node!r}")
 
 
-def _lower_compare(op: str, left: Node, right: Node):
+def _compare(op: str, left: Node, right: Node, sides):
     """Two positive sides compare in log space; otherwise both go linear."""
-    if left._lowered[0] is _LOG and right._lowered[0] is _LOG:
-        lf, rf = _in_log(left), _in_log(right)
+    (left_space, lf), (right_space, rf) = sides
+    if left_space is _LOG and right_space is _LOG:
         if op == "=":
-            return lambda b, tol: abs(lf(b, tol) - rf(b, tol)) <= _log_eq_bound(tol)
+            return lambda b, tol: abs(lf(b, tol) - rf(b, tol)) <= log_eq_bound(tol)
     else:
-        lf, rf = _in_linear(left), _in_linear(right)
+        lf, rf = _as(_LINEAR, left, None, sides[0]), _as(_LINEAR, right, None, sides[1])
         if op == "=":
 
             def equal(b, tol):
@@ -641,13 +645,18 @@ def _lower_compare(op: str, left: Node, right: Node):
     return lambda b, tol: lf(b, tol) <= rf(b, tol)
 
 
-def _in_log(node: Node):
-    """run(logs, tol) -> the node's value as a log magnitude."""
-    space, run = node._lowered
-    if space is _LOG:
+def _as(space, node: Node, found, lowered=None):
+    """run(logs, tol) -> the node's value in space, from its lowering (made
+    here with found unless given)."""
+    node_space, run = lowered or _lower(node, found)
+    if node_space is space:
         return run
     if space is _TRUTH:
+        raise EvaluationError(f"quantity used as a truth value in {print_relation(node)}")
+    if node_space is _TRUTH:
         raise EvaluationError(f"boolean used as a quantity in {print_relation(node)}")
+    if space is _LINEAR:
+        return lambda b, tol: _exp(run(b, tol))
 
     def checked_log(b, tol):
         v = run(b, tol)
@@ -660,44 +669,61 @@ def _in_log(node: Node):
     return checked_log
 
 
-def _in_linear(node: Node):
-    """run(logs, tol) -> the node's value as a plain float."""
-    space, run = node._lowered
-    if space is _LINEAR:
-        return run
-    if space is _TRUTH:
-        raise EvaluationError(f"boolean used as a quantity in {print_relation(node)}")
-    return lambda b, tol: math.exp(run(b, tol))
+class CompiledRelation:
+    """A relation compiled for many evaluations. `type`, as `typecheck` with
+    mixed comparisons gives it; `truth(logs, tol)`, its truth value (None
+    unless `type` is BOOL); `leaves`, (node, truth run, sides) for each
+    comparison and is_pos_int call, left to right. A comparison's sides are
+    two (log, run, dim): run(logs, tol) gives the side's log magnitude if
+    log, else its plain value."""
+
+    __slots__ = ("type", "truth", "leaves")
+
+    def __init__(self, type, truth, leaves):
+        self.type, self.truth, self.leaves = type, truth, leaves
 
 
-def _in_truth(node: Node):
-    space, run = node._lowered
-    if space is not _TRUTH:
-        raise EvaluationError(f"quantity used as a truth value in {print_relation(node)}")
-    return run
+# (node, (space, run)) of the node last lowered whole; read once, replaced whole
+_last_lowered: tuple = (None, None)
 
 
-def _run(run, logs: dict[str, float], tol: float):
-    """run(logs, tol), where a float overflow leaves the domain."""
-    try:
-        return run(logs, tol)
-    except OverflowError:
-        raise EvaluationError("a value overflows the float range, about 1.8e+308") from None
+def _lowered(node: Node, found: list | None = None):
+    """(space, run) of the node, lowered with found (see `_lower`). The node
+    last lowered is kept with its lowering: a call on that very object (`is`,
+    not ==) with no found lowers nothing."""
+    global _last_lowered
+    kept_node, kept = _last_lowered
+    if kept_node is not node or found is not None:
+        _last_lowered = (node, kept := _lower(node, found))
+    return kept
+
+
+def compile_relation(node: Node, env: dict[str, DimVector]) -> CompiledRelation:
+    """The relation's `CompiledRelation` (DimensionError where it is
+    ill-typed). Its lowering is kept for the next `evaluate` of the node."""
+    dims, found = [], []
+    kind = typecheck(node, env, allow_mixed_comparisons=True, sides=dims)
+    space, run = _lowered(node, found)
+    dims = iter(dims)
+    leaves = tuple(
+        (n, r, pair and tuple((s is _LOG, f, d) for (s, f), d in zip(pair, next(dims))))
+        for n, r, pair in found
+    )
+    return CompiledRelation(kind, run if space is _TRUTH else None, leaves)
 
 
 def log_magnitude(node: Node, logs: dict[str, float]) -> float:
     """The log magnitude of a quantity-valued node, as `evaluate` gives it,
-    from each variable's log magnitude, without working out its dimension.
-    No quantity-valued node holds a truth-valued one, so the tolerance is
-    never read."""
-    return _run(_in_log(node), logs, DEFAULT_TOL)
+    from each variable's log magnitude, without working out its dimension
+    (or reading the tolerance, which no quantity-valued node does)."""
+    return _as(_LOG, node, None, _lowered(node))(logs, DEFAULT_TOL)
 
 
 def holds(node: Node, logs: dict[str, float], tol: float) -> bool:
     """The truth value of a predicate, as `evaluate` gives it, from each
     variable's log magnitude. tol is not checked here: the caller has done
     so (see `core.check_tol`)."""
-    return _run(_in_truth(node), logs, tol)
+    return _as(_TRUTH, node, None, _lowered(node))(logs, tol)
 
 
 def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
@@ -710,14 +736,14 @@ def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL
     values within tol of a positive integer. A value outside the relation's
     domain (a non-positive value in a product or under log, or a value,
     linear or log, that overflows the float range) raises EvaluationError.
-    The node keeps its compiled form for the next call.
+    The last node evaluated keeps its compiled form for the next call.
     """
     check_tol(tol)
     logs = {name: q.log_magnitude for name, q in bindings.items()}
-    space, run = node._lowered
+    space, run = lowered = _lowered(node)
     if space is _TRUTH:
-        return _run(run, logs, tol)
-    log_mag = log_magnitude(node, logs)
+        return run(logs, tol)
+    log_mag = _as(_LOG, node, None, lowered)(logs, tol)
     return Quantity(log_mag, typecheck(node, {n: q.dim for n, q in bindings.items()}))
 
 

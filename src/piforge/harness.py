@@ -6,28 +6,47 @@ consistent unit systems does to the numbers. `fuzz_invariance` drives a
 relation with random bindings and random rescalings and reports the first
 trial on which the truth value changes, with full reproduction data.
 
+Each trial evaluates the relation once, at the drawn point. Every node of a
+well-typed relation is homogeneous of its dimension (sums need equal
+dimensions, functions dimensionless operands, constants are dimensionless),
+so at λ·xs a node of dimension d takes λ^d times its value at xs. A
+comparison between two sides of one dimension therefore keeps its truth
+value under every rescaling (Kennedy, "Relational parametricity and units of
+measure", POPL 1997), and only a mixed comparison, whose side dimensions
+differ by w, is decided again: positive factors keep the signs of its sides,
+and log factors μ move its gap log|L| - log|R| by w·μ.
+
 Failures are definitive; passes are evidence, not proof — the verdict is
 necessarily one-sided, and the CLI report says so.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
+from fractions import Fraction
 from typing import Sequence
+
+try:  # hashlib's own blake2b, without the OpenSSL bindings `import hashlib` loads
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without the bundled BLAKE2
+    from hashlib import blake2b
 
 from .core import DEFAULT_TOL, DimSystem, Quantity, check_tol, format_magnitude, magnitude_or_limit
 from .dsl import (
     BOOL,
+    BinOp,
+    BoolOp,
+    Call,
     Compare,
+    Not,
+    Pow,
     ProblemSpec,
     Var,
+    compile_relation,
     evaluate,
     free_variables,
-    holds,
-    log_magnitude,
-    typecheck,
+    log_eq_bound,
 )
 from .errors import (
     DimensionError,
@@ -101,24 +120,26 @@ class Counterexample:
 
 @frozen
 class InvarianceReport:
-    """`inapplicable` counts the trials whose bindings (drawn or rescaled)
-    fell outside the relation's domain; they neither pass nor fail."""
+    """`inapplicable` counts the trials whose drawn bindings fell outside the
+    relation's domain, and `undecided` those on which a mixed comparison lay
+    within rounding of its decision edge; they neither pass nor fail."""
 
     trials: int
     passed: int
     seed: int
     counterexample: Counterexample | None
     inapplicable: int = 0
+    undecided: int = 0
 
     def __post_init__(self):
-        failed = self.passed + self.inapplicable < self.trials
+        failed = self.passed + self.inapplicable + self.undecided < self.trials
         if (self.counterexample is None) == failed:
             raise ValueError("counterexample must be present exactly when a trial failed")
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
     """Independent deterministic generator per (seed, trial)."""
-    digest = hashlib.blake2b(f"{seed}:{trial}".encode(), digest_size=8).digest()
+    digest = blake2b(f"{seed}:{trial}".encode(), digest_size=8).digest()
     return random.Random(int.from_bytes(digest, "big"))
 
 
@@ -135,6 +156,161 @@ def _equality_seed_target(spec: ProblemSpec) -> tuple[str, object] | None:
     return None
 
 
+class _Undecided(Exception):
+    """A mixed comparison's gap lies within its rounding bound of the edge."""
+
+
+def _size(node) -> int:
+    """The nodes of a quantity-valued expression: each rounds at most once."""
+    match node:
+        case BinOp(_, left, right):
+            return 1 + _size(left) + _size(right)
+        case Pow(arg, _) | Call(_, arg):
+            return 1 + _size(arg)
+    return 1
+
+
+def _point(side, logs, tol) -> tuple[int, float]:
+    """(sign, log of the absolute value) of a compiled side at logs."""
+    log, run, _ = side
+    v = run(logs, tol)
+    if log:
+        return 1, v
+    if v:
+        return (1, math.log(v)) if v > 0 else (-1, math.log(-v))
+    return 0, 0.0
+
+
+class _Mixed:
+    """A comparison whose sides L and R differ in dimension, by w = dL - dR.
+
+    At the drawn point its sides give (sL, lL, sR, lR), each sign and log of
+    the absolute value. Rescaled by log factors μ, the signs stay and the gap
+    lL - lR moves by w·μ. Signs that differ, or a side that is 0, decide
+    alone, except that '=' between opposite signs reads the gap for tol
+    between 1 and 2; signs that agree leave it to the gap. The gap is worked
+    out in floats, or exactly where a float overflows or w has no float form.
+
+    Within `bound` times its spread (1 + |lL| + |lR| + the sum of |w_j μ_j|),
+    a gap is too close to the decision edge to decide: a first-order rounding
+    bound of one unit roundoff per node of either side, per term of w·μ and
+    per step of the gap."""
+
+    def __init__(self, node, sides, tol):
+        (_, _, left_dim), (_, _, right_dim) = sides
+        self.op, self.sides, self.tol = node.op, sides, tol
+        self.w = (left_dim / right_dim).exponents
+        try:
+            self.w_float = tuple(map(float, self.w))
+        except OverflowError:
+            self.w_float = None
+        self.bound = (_size(node.left) + _size(node.right) + len(self.w) + 2) * math.ulp(1.0)
+        # '=' holds between sides of one sign where |gap| <= near, and
+        # between sides of opposite signs where |gap| >= apart
+        self.near = log_eq_bound(tol)
+        self.apart = -math.log(tol - 1) if tol > 1 else math.inf
+
+    def decide(self, point, mu) -> bool:
+        """The truth value rescaled by log factors mu (() for none), from
+        the drawn point's (sL, lL, sR, lR); _Undecided within the rounding
+        bound of the edge."""
+        sl, ll, sr, lr = point
+        op = self.op
+        if sl != sr or not sl:
+            if op != "=":
+                return sl < sr if op == "<" else sl <= sr
+            if not (sl and sr):  # a side is 0: |L - R| <= tol*max(|L|, |R|)
+                return sl == sr or self.tol >= 1
+        gap, spread = ll - lr, 1.0 + abs(ll) + abs(lr)
+        if mu and self.w_float is None:
+            spread = math.inf
+        for w, m in zip(self.w_float or (), mu):
+            t = w * m
+            gap += t
+            spread += abs(t)
+        exact = spread == math.inf
+        if exact:
+            terms = [w * Fraction(m) for w, m in zip(self.w, mu)]
+            gap = Fraction(ll) - Fraction(lr) + sum(terms)
+            spread = 1 + abs(Fraction(ll)) + abs(Fraction(lr)) + sum(map(abs, terms))
+        if sl != sr:
+            x, edge = -abs(gap), -self.apart
+        elif op == "=":
+            x, edge = abs(gap), self.near
+        else:
+            x, edge = (gap if sl > 0 else -gap), 0.0
+        if math.isinf(edge):
+            return edge > 0
+        if exact:
+            edge, bound = Fraction(edge), Fraction(self.bound) * spread
+        else:
+            bound = self.bound * spread
+        if abs(x - edge) <= bound:
+            raise _Undecided
+        return x < edge
+
+
+def _program(relation, compiled, tol):
+    """`_pairs` of a compiled relation, or None where it has no mixed
+    comparison, so that its truth value survives every rescaling."""
+    leaves = [
+        (run, _Mixed(node, sides, tol) if sides and sides[0][2] != sides[1][2] else None)
+        for node, run, sides in compiled.leaves
+    ]
+    if not any(m for _, m in leaves):
+        return None
+    return _pairs(relation, iter(leaves), tol)
+
+
+def _pairs(node, leaves, tol):
+    """run(logs, mu, memo) -> (before, after): the node's truth value at the
+    drawn point and rescaled by log factors mu, leaves giving the truth run
+    and the `_Mixed` or None of each comparison and is_pos_int call left to
+    right. Only a mixed comparison's two values differ. `and` and `or`
+    evaluate their right operand wherever either value needs it. memo keeps
+    each leaf's value, or a mixed one's sides, at the drawn point, so each is
+    evaluated once per point."""
+    if isinstance(node, BoolOp):
+        left, right = _pairs(node.left, leaves, tol), _pairs(node.right, leaves, tol)
+        done = node.op == "or"  # the left value that decides alone
+
+        def run(logs, mu, memo):
+            before, after = left(logs, mu, memo)
+            if before == after == done:
+                return before, after
+            rb, ra = right(logs, mu, memo)
+            return before if before == done else rb, after if after == done else ra
+
+        return run
+    if isinstance(node, Not):
+        operand = _pairs(node.operand, leaves, tol)
+
+        def run(logs, mu, memo):
+            before, after = operand(logs, mu, memo)
+            return not before, not after
+
+        return run
+    truth, m = next(leaves)
+    if m is not None:
+        left, right = m.sides
+
+        def run(logs, mu, memo):
+            point = memo.get(m)
+            if point is None:
+                point = memo[m] = _point(left, logs, tol) + _point(right, logs, tol)
+            return m.decide(point, ()), m.decide(point, mu)
+
+        return run
+
+    def run(logs, mu, memo):
+        value = memo.get(truth)
+        if value is None:
+            value = memo[truth] = truth(logs, tol)
+        return value, value
+
+    return run
+
+
 def fuzz_invariance(
     spec: ProblemSpec,
     trials: int,
@@ -143,70 +319,83 @@ def fuzz_invariance(
 ) -> InvarianceReport:
     """Fuzz a relation for dimensional invariance.
 
-    Per trial: draw log-uniform magnitudes in [1e-3, 1e3] per variable and a
-    log-uniform rescaling factor in [1e-2, 1e2] per fundamental; pass iff the
-    relation's truth value survives the rescaling. A trial on which either
-    evaluation leaves the relation's domain (EvaluationError), or the
-    rescaling carries a log magnitude beyond the float range, is counted as
-    inapplicable; if every trial is, EvaluationError is raised, since no
-    trial tested the relation. The first failing trial is shrunk (factor
-    bisection toward 1) and reported; its `after` is worked out again through
-    `rescale` and `evaluate` from the report's own bindings.
+    Per trial: draw log-uniform magnitudes in [1e-3, 1e3] per variable and,
+    where the relation has a mixed comparison, a log-uniform rescaling factor
+    in [1e-2, 1e2] per fundamental; pass iff the relation's truth value
+    survives the rescaling. The relation is evaluated once, at the drawn
+    point: a comparison of one dimension keeps its truth value, and a mixed
+    one is decided again from its sides there (see the module docstring), so
+    a relation with no mixed comparison passes every trial on which it is
+    defined. A trial whose drawn point leaves the relation's domain
+    (EvaluationError) is inapplicable; one on which a mixed comparison lies
+    within rounding of its edge, before or after, is undecided. If no trial
+    is decided, EvaluationError is raised, since none tested the relation.
 
-    The trials run on log magnitudes held as plain floats, shifted exactly as
-    `rescale` shifts them, so every check on the spec is made once, here.
+    The first failing trial is shrunk (factor bisection toward 1, on the
+    same sides) and confirmed through `rescale` and `evaluate` from the
+    report's own bindings and factors; a trial that does not reproduce there
+    is undecided too, so a reported counterexample is definitive.
     """
     if trials < 1:
         raise ValueError("at least one trial required")
     check_tol(tol)
     try:
-        result_type = typecheck(spec.relation, spec.env, allow_mixed_comparisons=True)
+        compiled = compile_relation(spec.relation, spec.env)
     except DimensionError as exc:
         raise SpecError(f"relation is ill-typed: {exc}") from exc
-    if result_type is not BOOL:
+    if compiled.type is not BOOL:
         raise SpecError("relation does not evaluate to a truth value")
     _check_dims(spec)
 
     relation, names, system = spec.relation, spec.variable_names, spec.system
+    truth, program = compiled.truth, _program(relation, compiled, tol)
     seed_target = _equality_seed_target(spec)
+    if seed_target is not None:
+        vname, other = seed_target
+        seed_side = compiled.leaves[0][2][other is relation.right]
 
-    passed = inapplicable = 0
+    passed = inapplicable = undecided = 0
     counterexample: Counterexample | None = None
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         logs = {name: rng.uniform(*_LOG_MAG_RANGE) for name in names}
-        if seed_target is not None:
-            vname, other = seed_target
-            try:
-                logs[vname] = log_magnitude(other, logs)
-            except EvaluationError:
-                pass
-        log_factors = [rng.uniform(*_LOG_FACTOR_RANGE) for _ in range(system.size)]
-
         try:
-            before = holds(relation, logs, tol)
-            after = holds(relation, _rescaled(spec, logs, log_factors), tol)
+            if seed_target is not None:
+                try:
+                    sign, log = _point(seed_side, logs, tol)
+                    if sign > 0:
+                        logs[vname] = log
+                except EvaluationError:
+                    pass
+            if program is None:
+                truth(logs, tol)
+                passed += 1
+                continue
+            log_factors = [rng.uniform(*_LOG_FACTOR_RANGE) for _ in range(system.size)]
+            memo = {}
+            before, after = program(logs, log_factors, memo)
         except EvaluationError as exc:
             inapplicable += 1
             out_of_domain = exc
             continue
+        except _Undecided:
+            undecided += 1
+            continue
         if before == after:
             passed += 1
         elif counterexample is None:
-            shrunk = Rescaling(system, tuple(_shrink(spec, logs, log_factors, before, tol)))
-            bindings = {n: Quantity(logs[n], d) for n, d in zip(names, spec.variable_dims)}
-            rescaled = rescale(bindings.values(), shrunk)
-            counterexample = Counterexample(
-                trial_index=trial,
-                log_bindings=logs,
-                factors=dict(zip(system.names, shrunk.factors)),
-                before=before,
-                after=evaluate(relation, dict(zip(names, rescaled)), tol=tol),
+            shrunk = Rescaling(system, tuple(_shrink(program, logs, log_factors, before, memo)))
+            counterexample = _confirmed(spec, trial, logs, shrunk, before, tol)
+            undecided += counterexample is None
+    if inapplicable + undecided == trials:
+        if not undecided:
+            raise EvaluationError(
+                f"relation is undefined on all {trials} trials, so nothing was tested "
+                f"(last: {out_of_domain})"
             )
-    if inapplicable == trials:
         raise EvaluationError(
-            f"relation is undefined on all {trials} trials, so nothing was tested "
-            f"(last: {out_of_domain})"
+            f"relation was decided on none of {trials} trials, so nothing was tested "
+            f"({undecided} undecided, {inapplicable} undefined)"
         )
     return InvarianceReport(
         trials=trials,
@@ -214,6 +403,28 @@ def fuzz_invariance(
         seed=seed,
         counterexample=counterexample,
         inapplicable=inapplicable,
+        undecided=undecided,
+    )
+
+
+def _confirmed(spec, trial, logs, shrunk, before, tol) -> Counterexample | None:
+    """The counterexample, if `rescale` and `evaluate` reproduce it from its
+    own bindings and factors; else None."""
+    names = spec.variable_names
+    bindings = {n: Quantity(logs[n], d) for n, d in zip(names, spec.variable_dims)}
+    try:
+        rescaled = dict(zip(names, rescale(bindings.values(), shrunk)))
+        reproduced = evaluate(spec.relation, bindings, tol), evaluate(spec.relation, rescaled, tol)
+    except (EvaluationError, ValueError):  # ValueError: a rescaled log beyond the float range
+        return None
+    if reproduced != (before, not before):
+        return None
+    return Counterexample(
+        trial_index=trial,
+        log_bindings=logs,
+        factors=dict(zip(spec.system.names, shrunk.factors)),
+        before=before,
+        after=not before,
     )
 
 
@@ -233,30 +444,11 @@ def _check_dims(spec: ProblemSpec) -> None:
             ) from None
 
 
-def _rescaled(spec: ProblemSpec, logs: dict[str, float], log_factors) -> dict[str, float]:
-    """The log magnitudes after the rescaling, bit for bit as `rescale` gives
-    them. A shift that carries one beyond the float range, where `rescale`
-    could build no Quantity, leaves the relation's domain: EvaluationError
-    names the first such variable."""
-    out = {
-        name: logs[name] + dim.log_combine(log_factors)
-        for name, dim in zip(spec.variable_names, spec.variable_dims)
-    }
-    # one sum in the common case; the exact test only where the sum is not finite
-    if not math.isfinite(sum(out.values())):
-        for name, value in out.items():
-            if not math.isfinite(value):
-                raise EvaluationError(
-                    f"the rescaling takes the log magnitude of {name!r} beyond the "
-                    "float range, about 1.8e+308"
-                )
-    return out
-
-
-def _shrink(spec, logs, log_factors, before, tol) -> list[float]:
-    """Bisect each log factor toward 0 while the violation persists. A
-    candidate that takes the bindings outside the relation's domain does not
-    violate."""
+def _shrink(program, logs, log_factors, before, memo) -> list[float]:
+    """Bisect each log factor toward 0 while the violation persists, each
+    candidate decided from the drawn point's sides in memo. A candidate that
+    is undecided, or that needs a branch outside the relation's domain, does
+    not violate."""
     log_factors = list(log_factors)
     for _ in range(_SHRINK_ROUNDS):
         improved = False
@@ -266,8 +458,8 @@ def _shrink(spec, logs, log_factors, before, tol) -> list[float]:
             candidate = log_factors.copy()
             candidate[j] /= 2
             try:
-                violates = holds(spec.relation, _rescaled(spec, logs, candidate), tol) != before
-            except EvaluationError:
+                violates = program(logs, candidate, memo)[1] != before
+            except (EvaluationError, _Undecided):
                 violates = False
             if violates:
                 log_factors = candidate
@@ -278,19 +470,20 @@ def _shrink(spec, logs, log_factors, before, tol) -> list[float]:
 
 
 def report_to_dict(report: InvarianceReport) -> dict:
-    """The report JSON shape: trials, passed, inapplicable (only when
-    nonzero), seed, counterexample | null.
+    """The report JSON shape: trials, passed, inapplicable and undecided
+    (each only when nonzero), seed, counterexample | null.
 
     Counterexample magnitudes and factors are decimals with 15 significant
     digits; a binding magnitude beyond the float range is printed from its
     log (`format_magnitude`).
     """
     ce = report.counterexample
-    inapplicable = {"inapplicable": report.inapplicable} if report.inapplicable else {}
+    counts = {k: v for k, v in (("inapplicable", report.inapplicable),
+                                ("undecided", report.undecided)) if v}
     return {
         "trials": report.trials,
         "passed": report.passed,
-        **inapplicable,
+        **counts,
         "seed": report.seed,
         "counterexample": None
         if ce is None

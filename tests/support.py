@@ -504,6 +504,15 @@ def reference_evaluate(node, bindings: dict[str, Quantity], tol: float = DEFAULT
     exact dimensions, comparing every pair of sides in linear space. The
     compiled `dsl.evaluate` must give the same verdicts, and bit-identical
     Quantity results, wherever this one does not overflow."""
+    result = _reference_run(node, bindings, tol)
+    if isinstance(result, _Linear):
+        return _to_quantity(result, node)
+    return result
+
+
+def _reference_run(node, bindings: dict[str, Quantity], tol: float):
+    """`reference_evaluate` before a linear result is taken back to a
+    Quantity: a Quantity, a _Linear or a bool."""
     system = next(iter(bindings.values())).dim.system if bindings else None
 
     def run(n):
@@ -553,22 +562,114 @@ def reference_evaluate(node, bindings: dict[str, Quantity], tol: float = DEFAULT
                 return not run(operand)
         raise TypeError(f"not a relation node: {n!r}")
 
-    result = run(node)
-    if isinstance(result, _Linear):
-        return _to_quantity(result, node)
-    return result
+    return run(node)
 
 
 # --- Quantity-based fuzzer ----------------------------------------------------
 
 
+class _Undecided(Exception):
+    pass
+
+
+def _reference_nodes(node) -> int:
+    """The nodes of a quantity-valued expression."""
+    if isinstance(node, BinOp):
+        return 1 + _reference_nodes(node.left) + _reference_nodes(node.right)
+    if isinstance(node, (Pow, Call)):
+        return 1 + _reference_nodes(node.base if isinstance(node, Pow) else node.arg)
+    return 1
+
+
+def _reference_side(node, bindings, tol) -> tuple[int, Fraction]:
+    """(sign, exact log of the absolute value) of a side, from the
+    tree-walking evaluator; a value beyond the float range leaves the domain."""
+    try:
+        value = _reference_run(node, bindings, tol)
+        if isinstance(value, _Linear):
+            if not math.isfinite(value.value):
+                raise ValueError
+            if value.value == 0:
+                return 0, Fraction(0)
+            sign = 1 if value.value > 0 else -1
+            value = Quantity(math.log(abs(value.value)), value.dim)
+        else:
+            sign = 1
+    except ValueError:
+        raise EvaluationError("a value overflows the float range, about 1.8e+308") from None
+    return sign, Fraction(value.log_magnitude)
+
+
+def _reference_mixed(node, env, bindings, log_factors, tol) -> bool:
+    """A comparison of two dimensions rescaled by log_factors (None: not
+    rescaled), from its sides' signs and its exact log gap. Within a
+    first-order rounding bound of the gap where the verdict flips, it is
+    undecided."""
+    sl, ll = _reference_side(node.left, bindings, tol)
+    sr, lr = _reference_side(node.right, bindings, tol)
+    if node.op != "=" and (sl != sr or sl == 0):
+        return sl < sr if node.op == "<" else sl <= sr
+    if node.op == "=" and sl * sr == 0:
+        return sl == sr or tol >= 1
+    w = (typecheck(node.left, env) / typecheck(node.right, env)).exponents
+    terms = [e * Fraction(f) for e, f in zip(w, log_factors or ())]
+    gap = ll - lr + sum(terms)
+    ulps = _reference_nodes(node.left) + _reference_nodes(node.right) + len(w) + 2
+    bound = ulps * Fraction(2) ** -52 * (1 + abs(ll) + abs(lr) + sum(abs(t) for t in terms))
+    if node.op != "=":
+        flip, holds = Fraction(0), (gap < 0 if sl > 0 else gap > 0)
+        distance = gap
+    elif sl == sr:
+        # |L - R| <= tol*max(|L|, |R|) where |gap| <= -log(1 - tol)
+        if tol >= 1:
+            return True
+        flip = Fraction(-math.log1p(-tol))
+        distance, holds = abs(gap), abs(gap) <= flip
+    else:
+        # opposite signs: |L| + |R| <= tol*max(|L|, |R|) where |gap| >= -log(tol - 1)
+        if tol <= 1 or tol == math.inf:
+            return tol > 1
+        flip = Fraction(-math.log(tol - 1))
+        distance, holds = abs(gap), abs(gap) >= flip
+    if abs(distance - flip) <= bound:
+        raise _Undecided
+    return holds
+
+
+def _reference_pair(node, env, bindings, log_factors, tol) -> tuple[bool, bool]:
+    """(before, after) under the typing theorem: a comparison of one
+    dimension keeps its value, a mixed one is decided again; `and`/`or`
+    evaluate their right operand wherever either value needs it."""
+    if isinstance(node, BoolOp):
+        before, after = _reference_pair(node.left, env, bindings, log_factors, tol)
+        if node.op == "and" and not before and not after:
+            return False, False
+        if node.op == "or" and before and after:
+            return True, True
+        rb, ra = _reference_pair(node.right, env, bindings, log_factors, tol)
+        if node.op == "and":
+            return before and rb, after and ra
+        return before or rb, after or ra
+    if isinstance(node, Not):
+        before, after = _reference_pair(node.operand, env, bindings, log_factors, tol)
+        return not before, not after
+    if isinstance(node, Compare) and typecheck(node.left, env) != typecheck(node.right, env):
+        return (_reference_mixed(node, env, bindings, None, tol),
+                _reference_mixed(node, env, bindings, log_factors, tol))
+    value = evaluate(node, bindings, tol=tol)
+    return value, value
+
+
 def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
-    """The invariance fuzzer's trial loop over Quantity bindings: each trial
-    builds its bindings and one Rescaling, checks tol, and rescales through
-    `rescale`; the shrinker bisects Rescaling objects. It shares only the
-    draws (the per-trial generator, the ranges) and the seeding target with
-    `harness`. `fuzz_invariance` must give an equal report, float for float,
-    and raise what this raises."""
+    """The invariance fuzzer's trial rule over Quantity bindings, worked out
+    apart from `harness`: each trial evaluates the relation at its drawn
+    bindings only, and re-decides each comparison of two dimensions from
+    Quantity-level sides and the exact log gap, with w = dL - dR as
+    Fractions. The shrinker bisects the log factors on those decisions, and
+    a counterexample is confirmed through `rescale` and `evaluate`. It
+    shares only the draws (the per-trial generator, the ranges) and the
+    seeding target with `harness`. `fuzz_invariance` must give an equal
+    report, float for float, and raise what this raises."""
     if trials < 1:
         raise ValueError("at least one trial required")
     check_tol(tol)
@@ -579,25 +680,21 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
     if result_type is not BOOL:
         raise SpecError("relation does not evaluate to a truth value")
 
-    names, dims = spec.variable_names, spec.variable_dims
+    names, dims, env = spec.variable_names, spec.variable_dims, spec.env
     seed_target = harness._equality_seed_target(spec)
+    has_mixed = any(
+        isinstance(n, Compare) and typecheck(n.left, env) != typecheck(n.right, env)
+        for n in _subtrees(spec.relation)
+    )
 
-    def evaluate_rescaled(bindings, rescaling):
-        # a rescaled log beyond the float range, where `rescale` builds no
-        # Quantity, is outside the relation's domain
-        rescaled = {}
-        for n in names:
-            try:
-                [rescaled[n]] = harness.rescale([bindings[n]], rescaling)
-            except ValueError:
-                raise EvaluationError(
-                    f"the rescaling takes the log magnitude of {n!r} beyond the "
-                    "float range, about 1.8e+308"
-                ) from None
-        return evaluate(spec.relation, rescaled, tol=tol)
+    def violates(bindings, log_factors, before):
+        try:
+            return _reference_pair(spec.relation, env, bindings, log_factors, tol)[1] != before
+        except (EvaluationError, _Undecided):
+            return False
 
-    def shrink(bindings, rescaling, before):
-        log_factors = list(rescaling.log_factors)
+    def shrink(bindings, log_factors, before):
+        log_factors = list(log_factors)
         for _ in range(harness._SHRINK_ROUNDS):
             improved = False
             for j in range(len(log_factors)):
@@ -605,20 +702,14 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
                     continue
                 candidate = log_factors.copy()
                 candidate[j] /= 2
-                try:
-                    violates = evaluate_rescaled(
-                        bindings, harness.Rescaling(spec.system, tuple(candidate))
-                    ) != before
-                except EvaluationError:
-                    violates = False
-                if violates:
+                if violates(bindings, candidate, before):
                     log_factors = candidate
                     improved = True
             if not improved:
                 break
         return harness.Rescaling(spec.system, tuple(log_factors))
 
-    passed = inapplicable = 0
+    passed = inapplicable = undecided = 0
     counterexample = None
     for trial in range(trials):
         rng = harness._trial_rng(seed, trial)
@@ -633,32 +724,47 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
                 bindings[vname] = Quantity(log_magnitude(other, logs), bindings[vname].dim)
             except EvaluationError:
                 pass
-        rescaling = harness.Rescaling(
-            spec.system,
-            tuple(rng.uniform(*harness._LOG_FACTOR_RANGE) for _ in range(spec.system.size)),
-        )
+        log_factors = None
+        if has_mixed:
+            log_factors = [rng.uniform(*harness._LOG_FACTOR_RANGE) for _ in spec.system.names]
         try:
-            before = evaluate(spec.relation, bindings, tol=tol)
-            after = evaluate_rescaled(bindings, rescaling)
+            before, after = _reference_pair(spec.relation, env, bindings, log_factors, tol)
         except EvaluationError as exc:
             inapplicable += 1
             out_of_domain = exc
             continue
+        except _Undecided:
+            undecided += 1
+            continue
         if before == after:
             passed += 1
         elif counterexample is None:
-            shrunk = shrink(bindings, rescaling, before)
+            shrunk = shrink(bindings, log_factors, before)
+            try:
+                rescaled = {n: harness.rescale([bindings[n]], shrunk)[0] for n in names}
+                reproduced = (evaluate(spec.relation, bindings, tol=tol),
+                              evaluate(spec.relation, rescaled, tol=tol))
+            except (EvaluationError, ValueError):
+                reproduced = None
+            if reproduced != (before, after):
+                undecided += 1
+                continue
             counterexample = harness.Counterexample(
                 trial_index=trial,
                 log_bindings={n: bindings[n].log_magnitude for n in names},
                 factors=dict(zip(spec.system.names, shrunk.factors)),
                 before=before,
-                after=evaluate_rescaled(bindings, shrunk),
+                after=after,
             )
-    if inapplicable == trials:
+    if inapplicable + undecided == trials:
+        if not undecided:
+            raise EvaluationError(
+                f"relation is undefined on all {trials} trials, so nothing was tested "
+                f"(last: {out_of_domain})"
+            )
         raise EvaluationError(
-            f"relation is undefined on all {trials} trials, so nothing was tested "
-            f"(last: {out_of_domain})"
+            f"relation was decided on none of {trials} trials, so nothing was tested "
+            f"({undecided} undecided, {inapplicable} undefined)"
         )
     return harness.InvarianceReport(
         trials=trials,
@@ -666,4 +772,12 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
         seed=seed,
         counterexample=counterexample,
         inapplicable=inapplicable,
+        undecided=undecided,
     )
+
+
+def _subtrees(node):
+    yield node
+    for child in (getattr(node, f) for f in node.__match_args__):
+        if isinstance(child, (Var, Const, BinOp, Pow, Call, Compare, BoolOp, Not)):
+            yield from _subtrees(child)

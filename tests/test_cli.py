@@ -167,9 +167,9 @@ class TestExitCodes:
         assert err == "error: RuntimeError: boom\n"
 
 
-def _write_spec(tmp_path, variables, relation):
+def _write_spec(tmp_path, variables, relation, system=("L",)):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"system": ["L"], "variables": variables, "relation": relation}))
+    path.write_text(json.dumps({"system": list(system), "variables": variables, "relation": relation}))
     return str(path)
 
 
@@ -239,10 +239,10 @@ class TestVerifyDomainAndRange:
         )
 
     @pytest.mark.parametrize("variables,relation,passed", [
-        ({"x": "L", "y": "L"}, f"x^{10**308}/x^{10**308} < y/y*2", 107),
-        ({"x": "L", "y": "L"}, f"x^{10**308} = x^{10**308}", 107),
-        ({"x": "L", "y": "L"}, f"sin(x^{10**308}/y^{10**308}) < 2", 5),
-        ({"x": "L", "y": "1"}, f"y = x^{10**308}/x^{10**308}", 107),
+        ({"x": "L", "y": "L"}, f"x^{10**308}/x^{10**308} < y/y*2", 248),
+        ({"x": "L", "y": "L"}, f"x^{10**308} = x^{10**308}", 248),
+        ({"x": "L", "y": "L"}, f"sin(x^{10**308}/y^{10**308}) < 2", 25),
+        ({"x": "L", "y": "1"}, f"y = x^{10**308}/x^{10**308}", 248),
     ], ids=["ratio-order", "equality", "sin", "seeded-equality"])
     def test_log_beyond_the_float_range_is_out_of_domain(self, tmp_path, variables, relation, passed):
         # inf - inf in log space is no counterexample, no math domain error,
@@ -253,6 +253,29 @@ class TestVerifyDomainAndRange:
         assert proc.stderr == b""
         assert proc.stdout.splitlines()[0] == (
             f"trials: 1000, passed: {passed}, inapplicable: {1000 - passed}".encode()
+        )
+
+    def test_undecided_trials_are_reported(self, tmp_path):
+        # x is seeded to y - z where that is positive: the gap is then 0,
+        # within rounding of the edge of '=' at tol 1e-300
+        spec = _write_spec(tmp_path, {"x": "T", "y": "L", "z": "L"}, "x = y - z", system=("L", "T"))
+        proc = run_cli("verify", "--spec", spec, "--tol", "1e-300", "--trials", "100")
+        assert proc.returncode == 0, proc.stderr
+        first = proc.stdout.splitlines()[0].decode()
+        passed, undecided = (int(part.split(": ")[1]) for part in first.split(", ")[1:])
+        assert first == f"trials: 100, passed: {passed}, undecided: {undecided}"
+        assert passed + undecided == 100 and undecided > 0
+        payload = json.loads(run_cli("verify", "--spec", spec, "--tol", "1e-300", "--trials", "100",
+                                     "--json").stdout)
+        assert (payload["passed"], payload["undecided"]) == (passed, undecided)
+        assert list(payload) == ["trials", "passed", "undecided", "seed", "counterexample"]
+
+    def test_no_trial_decided_is_usage_failure(self):
+        proc = run_cli("verify", "--spec", FIXTURES / "hidden_constant.json", "--tol", "1e-300")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(
+            b"error: relation was decided on none of 1000 trials, so nothing was tested (1000 undecided"
         )
 
     def test_equal_huge_powers_pass(self, tmp_path):
@@ -302,19 +325,17 @@ class TestVerifyDomainAndRange:
         assert proc.stderr == b""
 
     def test_rescaling_beyond_the_float_range(self, tmp_path):
-        # float(exponent) is finite, but most rescalings carry x's log
-        # magnitude past the float range: those trials are inapplicable
+        # float(exponent) is finite, and most rescalings would carry x's log
+        # magnitude past the float range; no trial is rescaled, so each is
+        # decided from the log gap of x < y
         spec = _write_spec(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
         proc = run_cli("verify", "--spec", spec)
         assert proc.returncode == 1, proc.stderr
-        assert proc.stdout.startswith(b"trials: 1000, passed: 194, inapplicable: 621\n")
+        assert proc.stdout.startswith(b"trials: 1000, passed: 526\n")
         proc = run_cli("verify", "--spec", spec, "--trials", "1", "--seed", "1")
-        assert proc.returncode == 2
-        assert proc.stdout == b""
-        assert proc.stderr == (
-            b"error: relation is undefined on all 1 trials, so nothing was tested (last: the "
-            b"rescaling takes the log magnitude of 'x' beyond the float range, about 1.8e+308)\n"
-        )
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+        assert proc.stdout.startswith(b"trials: 1, passed: 0\ncounterexample at trial 0:\n")
 
 
 class TestDimensionExponentBeyondFloatRange:
@@ -556,4 +577,4 @@ class TestStartupLoadsOnlyWhatRuns:
         )
         assert "piforge.harness" in loaded
         assert "piforge.nondim" not in loaded
-        assert not loaded & {"dataclasses", "inspect"}
+        assert not loaded & {"dataclasses", "inspect", "hashlib"}

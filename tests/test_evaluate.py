@@ -8,6 +8,7 @@ identical and every quantity-valued subexpression bit-identical.
 """
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -220,9 +221,42 @@ class TestCompiledForm:
         node = parse_relation("x*x < x + x")
         bindings = {"x": Quantity(1.0, DimVector.unit(system, "L"))}
         assert evaluate(node, bindings) is False
-        compiled = node._lowered
+        compiled = dsl._lowered(node)
         assert evaluate(node, bindings) is False
-        assert node._lowered is compiled
+        assert dsl._lowered(node) is compiled
+        # an equal node built apart is another object: it is lowered anew
+        assert dsl._lowered(parse_relation("x*x < x + x")) is not compiled
+
+    @pytest.mark.parametrize(
+        "path", [p for p in sorted(FIXTURES.glob("*.json")) if "relation" in p.read_text()],
+        ids=lambda p: p.stem,
+    )
+    def test_specs_pickle_after_evaluation(self, path):
+        spec = dsl.load_problem_spec(path)
+        before = (spec.relation, hash(spec.relation), hash(spec))
+        dsl.holds(spec.relation, dict.fromkeys(spec.variable_names, 0.0), 1e-9)
+        dsl.compile_relation(spec.relation, spec.env)
+        assert (spec.relation, hash(spec.relation), hash(spec)) == before
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
+        assert copy.relation == dsl.parse_relation(spec.relation_text)
+
+    def test_compiled_relation_sides(self):
+        system = DimSystem(("L", "T"))
+        length, time = DimVector.unit(system, "L"), DimVector.unit(system, "T")
+        node = parse_relation("x - y < z or is_pos_int(x/y) and not x*z <= z*x")
+        compiled = dsl.compile_relation(node, {"x": length, "y": length, "z": time})
+        assert compiled.type is dsl.BOOL
+        first, third = node.left, node.right.right.operand
+        assert [leaf[0] for leaf in compiled.leaves] == [first, node.right.left, third]
+        assert compiled.leaves[1][2] is None
+        (left_log, _, left_dim), (right_log, right_run, right_dim) = compiled.leaves[0][2]
+        assert (left_log, left_dim, right_log, right_dim) == (False, length, True, time)
+        assert [d for _, _, d in compiled.leaves[2][2]] == [length * time, time * length]
+        assert right_run({"x": 0.0, "y": 1.0, "z": 2.5}, 1e-9) == 2.5
+        logs = {"x": 0.5, "y": 0.0, "z": 1.0}
+        assert compiled.truth(logs, 1e-9) is dsl.holds(node, logs, 1e-9)
+        assert dsl.compile_relation(parse_relation("x*x"), {"x": length}).truth is None
 
     def test_quantity_result_carries_its_exact_dimension(self):
         system = DimSystem(("M", "T"))

@@ -24,6 +24,7 @@ from support import (
     CORPUS_SYSTEM,
     CORPUS_TEMPLATES,
     FIXTURES,
+    corpus_dim,
     corpus_relation,
     mass_spring_dims,
     oracle_equivalent,
@@ -191,24 +192,28 @@ class TestInapplicableTrials:
         assert report.passed + report.inapplicable == 200
         assert report_to_dict(report)["inapplicable"] == report.inapplicable
 
-    def test_every_trial_out_of_domain(self, tmp_path, monkeypatch):
-        def out_of_domain(*args, **kwargs):
-            raise EvaluationError("outside the domain")
+    def test_every_trial_out_of_domain(self, tmp_path):
+        spec = _spec_text(tmp_path, {"x": "L"}, "log(x/x - 1) < 1")
+        with pytest.raises(EvaluationError, match="undefined on all 5 trials.*log of non-positive"):
+            fuzz_invariance(spec, trials=5, seed=0)
 
-        monkeypatch.setattr(harness, "holds", out_of_domain)
-        with pytest.raises(EvaluationError, match="undefined on all 5 trials.*outside the domain"):
-            fuzz_invariance(_spec("hidden_constant"), trials=5, seed=0)
-
-    def test_shrink_skips_out_of_domain_candidates(self, monkeypatch):
-        spec = _spec("hidden_constant")
-        report = fuzz_invariance(spec, trials=1, seed=0)
-        ce = report.counterexample
-
-        def out_of_domain(*args, **kwargs):
-            raise EvaluationError("outside the domain")
-
-        monkeypatch.setattr(harness, "holds", out_of_domain)
-        assert harness._shrink(spec, ce.log_bindings, [2.0, -3.0], ce.before, 1e-9) == [2.0, -3.0]
+    def test_shrink_skips_out_of_domain_candidates(self, tmp_path):
+        # x < y holds before and fails after; x < v holds at both, so the
+        # trial never needs the log, which no point can reach. Halving L's
+        # factor makes x < v fail after, and the log is needed: that
+        # candidate does not violate, though it would with the log's branch
+        # in domain and false
+        logs = {"x": 0.0, "y": 1.0, "v": 1.0}
+        shrunk = {}
+        for branch in ("log(y/y - 1) < 1", "y < y"):
+            spec = _spec_text(
+                tmp_path, {"x": "T", "y": "1", "v": "L"}, f"x < y and (x < v or {branch})",
+                system=("L", "T"),
+            )
+            program = harness._program(spec.relation, dsl.compile_relation(spec.relation, spec.env), 1e-9)
+            assert program(logs, [4.0, 3.5], {}) == (True, False)
+            shrunk[branch] = harness._shrink(program, logs, [4.0, 3.5], True, {})
+        assert shrunk == {"log(y/y - 1) < 1": [1.0, 1.75], "y < y": [0.5**18, 1.75]}
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):
@@ -286,14 +291,15 @@ def _fingerprint(fuzz, spec, trials, seed, tol):
         ce.before,
         ce.after,
     )
-    return (report.trials, report.passed, report.inapplicable, report.seed, found)
+    return (report.trials, report.passed, report.inapplicable, report.seed, found, report.undecided)
 
 
 ORACLE_SPECS = _oracle_specs()
 
 
 class TestAgainstQuantityReference:
-    """The float trial loop against the Quantity-based one it replaced."""
+    """The float trial loop against `reference_fuzz`, the same rule worked
+    out on Quantity-level sides with exact Fraction gaps."""
 
     @pytest.mark.parametrize("spec", [s for _, s in ORACLE_SPECS], ids=[n for n, _ in ORACLE_SPECS])
     def test_reports_equal_float_for_float(self, spec):
@@ -304,21 +310,6 @@ class TestAgainstQuantityReference:
         for trials, seed, tol in runs:
             expected = _fingerprint(reference_fuzz, spec, trials, seed, tol)
             assert _fingerprint(fuzz_invariance, spec, trials, seed, tol) == expected, (trials, seed, tol)
-
-    def test_rescaled_logs_are_rescale_bit_for_bit(self):
-        # a shift off by one ulp would rarely flip a verdict, so it is
-        # compared here directly
-        rng = random.Random(157)
-        for _ in range(300):
-            system, dims = random_rational_dims(rng, rng.randint(1, 6), rng.randint(1, 8))
-            names = tuple(f"x{i}" for i in range(len(dims)))
-            spec = dsl.ProblemSpec(system, names, dims, dsl.parse_relation("x0 < x0"), "x0 < x0")
-            logs = {n: rng.uniform(-7, 7) for n in names}
-            log_factors = [rng.uniform(-5, 5) for _ in system.names]
-            quantities = [Quantity(logs[n], d) for n, d in zip(names, dims)]
-            expected = rescale(quantities, Rescaling(system, tuple(log_factors)))
-            got = harness._rescaled(spec, logs, log_factors)
-            assert [got[n].hex() for n in names] == [q.log_magnitude.hex() for q in expected]
 
     def test_the_cases_reach_every_outcome(self):
         outcomes = set()
@@ -337,52 +328,170 @@ class TestAgainstQuantityReference:
 
 
 class TestRescalingBeyondTheFloatRange:
-    """A rescaling that carries a log magnitude past the float range leaves
-    the relation's domain: the trial is inapplicable, and the error names
-    the variable."""
-
-    _BEYOND = "the rescaling takes the log magnitude of 'x' beyond the float range"
-
-    def test_rescaled_names_the_variable(self, tmp_path):
-        spec = _spec_text(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
-        with pytest.raises(EvaluationError, match=self._BEYOND):
-            harness._rescaled(spec, {"x": 0.0, "y": 0.0}, [2.0])
-        assert harness._rescaled(spec, {"x": 0.0, "y": 0.0}, [1.0]) == {"x": 1e308, "y": 1.0}
+    """A trial is no longer rescaled: a mixed comparison's log gap moves by
+    w·μ, worked out exactly where a float would overflow, so a rescaling that
+    would carry a log magnitude past the float range still decides."""
 
     def test_overflowing_trials_are_inapplicable(self, tmp_path):
         spec = _spec_text(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
         report = fuzz_invariance(spec, trials=1000, seed=0)
-        assert (report.passed, report.inapplicable) == (194, 621)
+        assert (report.passed, report.inapplicable) == (526, 0)
         # x < y compares a length with L^(1e308): a real counterexample
         assert report.counterexample is not None
 
     def test_every_trial_overflowing_names_the_cause(self, tmp_path):
         spec = _spec_text(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
-        with pytest.raises(EvaluationError, match=f"undefined on all 1 trials.*{self._BEYOND}"):
-            fuzz_invariance(spec, trials=1, seed=1)
+        report = fuzz_invariance(spec, trials=1, seed=1)
+        assert (report.passed, report.inapplicable, report.undecided) == (0, 0, 0)
+        assert report.counterexample.trial_index == 0
 
-    def test_shrink_skips_an_overflowing_candidate(self, tmp_path, monkeypatch):
-        # halving the first factor turns -1e308 + 1.5e308 + 1.2e308, finite,
-        # into -0.5e308 + 1.5e308 + 1.2e308, beyond the float range
-        exponent = 10**308
-        spec = _spec_text(
-            tmp_path, {"x": f"L^{exponent}*M^{exponent}*T^{exponent}", "y": "1"}, "x < y",
-            system=("L", "M", "T"),
-        )
-        logs = {"x": 0.0, "y": 1.0}
-        candidates = []
-        rescaled = harness._rescaled
 
-        def recording(spec, logs, log_factors):
-            candidates.append(list(log_factors))
-            return rescaled(spec, logs, log_factors)
+# x of dimension L, y of L^2*T^-3: each side pair ties, and rounds apart by an ulp
+_TIES = (
+    "x*y/y < x", "x < x*y/y", "x/y*y < x", "x + x*y/y <= 2*x", "x*y/y <= x",
+    "(x*y)/y < x or x < (x*y)/y", "x*y/y = x",
+)
 
-        monkeypatch.setattr(harness, "_rescaled", recording)
-        shrunk = harness._shrink(spec, logs, [-1.0, 1.5, 1.2], True, 1e-9)
-        assert candidates[0] == [-0.5, 1.5, 1.2]
-        with pytest.raises(EvaluationError, match=self._BEYOND):
-            rescaled(spec, logs, candidates[0])
-        assert not harness.holds(spec.relation, rescaled(spec, logs, shrunk), 1e-9)
+
+def _mixed_specs():
+    """(id, spec) with comparisons of two dimensions: sides that are zero or
+    negative, boolean structure around them, and a dimension difference w
+    with no float form."""
+    system = DimSystem(("L", "T"))
+    length, time = DimVector.unit(system, "L"), DimVector.unit(system, "T")
+    huge = Fraction(10**308)
+    cases = (
+        ("x - y < z", {"x": length, "y": length, "z": time}),
+        ("z < x - y", {"x": length, "y": length, "z": time}),
+        ("x - y <= z - w", {"x": length, "y": length, "z": time, "w": time}),
+        ("x - y = z", {"x": length, "y": length, "z": time}),
+        ("x - x < z", {"x": length, "z": time}),
+        ("x - x = z - z", {"x": length, "z": time}),
+        ("x - y = z - w", {"x": length, "y": length, "z": time, "w": time}),
+        ("sin(x/y) < z/w", {"x": length, "y": length, "z": time, "w": length}),
+        ("x < z and not y <= w or x < y", {"x": length, "y": length, "z": time, "w": length}),
+        ("x < y", {"x": DimVector(system, (huge, 0)), "y": DimVector(system, (-huge, 0))}),
+        ("x < y", {"x": DimVector(system, (huge, huge)), "y": DimVector(system, (-huge, 0))}),
+        ("x = y", {"x": DimVector(system, (huge, 0)), "y": DimVector(system, (-huge, 0))}),
+    )
+    out = []
+    for i, (text, dims) in enumerate(cases):
+        spec = dsl.ProblemSpec(system, tuple(dims), tuple(dims.values()), dsl.parse_relation(text), text)
+        out.append((f"{text} #{i}", spec))
+    return out
+
+
+MIXED_SPECS = _mixed_specs()
+
+
+class TestMixedComparisons:
+    """One evaluation per trial: a comparison of one dimension keeps its
+    truth value, and only a mixed one is decided again, from the signs of
+    its sides and its exact log gap."""
+
+    @pytest.mark.parametrize("relation", _TIES)
+    @pytest.mark.parametrize("seed", [0, 1, 9, 42])
+    def test_ties_of_one_dimension_pass(self, tmp_path, relation, seed):
+        spec = _spec_text(tmp_path, {"x": "L", "y": "L^2*T^-3"}, relation, system=("L", "T"))
+        report = fuzz_invariance(spec, trials=1000, seed=seed)
+        assert (report.passed, report.counterexample) == (1000, None)
+
+    @pytest.mark.parametrize("seed", [0, 1, 9, 42])
+    def test_huge_equal_dimensions_pass(self, tmp_path, seed):
+        spec = _spec_text(tmp_path, {"x": f"L^{10**306}", "y": f"L^{10**306}"}, "x < y")
+        report = fuzz_invariance(spec, trials=1000, seed=seed)
+        assert (report.passed, report.counterexample) == (1000, None)
+
+    def test_tie_shaped_sides_never_fail(self):
+        # e*y/y against e, and a + e*y/y against a + e, for each side e of
+        # each corpus shape, y of a random dimension and a of e's
+        rng = random.Random(163)
+        tried = 0
+        for template in CORPUS_TEMPLATES:
+            for _ in range(3):
+                text, env = corpus_relation(rng, template)
+                node = dsl.parse_relation(text)
+                compares = [n for n in (node, getattr(node, "left", None)) if isinstance(n, dsl.Compare)]
+                for e in (side for c in compares for side in (c.left, c.right)):
+                    env2 = {**env, "y": corpus_dim(rng), "a": dsl.typecheck(e, env)}
+                    tied = dsl.BinOp("/", dsl.BinOp("*", e, dsl.Var("y")), dsl.Var("y"))
+                    a = dsl.Var("a")
+                    for op in ("<", "<=", "="):
+                        for left, right in ((tied, e), (e, tied),
+                                            (dsl.BinOp("+", a, tied), dsl.BinOp("+", a, e))):
+                            relation = dsl.Compare(op, left, right)
+                            spec = dsl.ProblemSpec(CORPUS_SYSTEM, tuple(env2), tuple(env2.values()),
+                                                   relation, dsl.print_relation(relation))
+                            try:
+                                report = fuzz_invariance(spec, trials=60, seed=tried)
+                            except EvaluationError:
+                                continue
+                            assert report.counterexample is None, spec.relation_text
+                            tried += 1
+        assert tried > 300
+
+    @pytest.mark.parametrize("template", ["hidden_constant", "mixed_lt"])
+    def test_non_invariant_corpus_shapes_still_fail(self, template):
+        rng = random.Random(167)
+        for i in range(10):
+            text, env = corpus_relation(rng, template)
+            spec = dsl.ProblemSpec(CORPUS_SYSTEM, tuple(env), tuple(env.values()),
+                                   dsl.parse_relation(text), text)
+            assert fuzz_invariance(spec, trials=100, seed=i).counterexample is not None, text
+        assert fuzz_invariance(_spec("hidden_constant"), trials=100, seed=0).counterexample
+
+    @pytest.mark.parametrize("spec", [s for _, s in MIXED_SPECS], ids=[n for n, _ in MIXED_SPECS])
+    def test_signs_and_exact_gaps_against_the_reference(self, spec):
+        outcomes = set()
+        for tol in (0.0, 1e-9, 0.5, 1.0, 1.5, 2.0, math.inf):
+            for seed in (1, 9):
+                expected = _fingerprint(reference_fuzz, spec, 200, seed, tol)
+                assert _fingerprint(fuzz_invariance, spec, 200, seed, tol) == expected, (seed, tol)
+                outcomes.add("raised" if expected[0] == "raised" else bool(expected[4]))
+        assert outcomes & {True, False}
+
+    def test_no_float_form_of_w_decides_exactly(self, tmp_path):
+        # w = 2e308 for L has no float form: the gap is worked out in Fractions
+        spec = _spec_text(tmp_path, {"x": f"L^{10**308}", "y": f"L^-{10**308}"}, "x < y")
+        report = fuzz_invariance(spec, trials=200, seed=0)
+        ce = report.counterexample
+        assert report.undecided == 0 and ce is not None
+        # x < y holds before: a growing L makes x, of L^1e308, the larger
+        assert (ce.factors["L"] > 1) == ce.before
+
+    def test_shrink_skips_an_undecided_candidate(self, tmp_path):
+        # gap -1 + μ: μ = 4 violates, μ = 2 too, and μ = 1 puts the gap on the edge
+        spec = _spec_text(tmp_path, {"x": "L", "y": "1"}, "x < y")
+        program = harness._program(spec.relation, dsl.compile_relation(spec.relation, spec.env), 1e-9)
+        assert harness._shrink(program, {"x": 0.0, "y": 1.0}, [4.0], True, {}) == [2.0]
+
+    def test_undecided_trials_are_counted(self, tmp_path):
+        # x is seeded to y - z wherever that is positive: the gap is then 0,
+        # on the edge of an exact '='; elsewhere the signs differ
+        spec = _spec_text(tmp_path, {"x": "T", "y": "L", "z": "L"}, "x = y - z", system=("L", "T"))
+        report = fuzz_invariance(spec, trials=200, seed=0, tol=0.0)
+        assert report.counterexample is None
+        assert 0 < report.undecided < 200
+        assert report.passed + report.undecided == 200
+        assert report_to_dict(report)["undecided"] == report.undecided
+        assert "undecided" not in report_to_dict(fuzz_invariance(_spec("newton"), trials=3, seed=0))
+
+    def test_no_trial_decided_is_an_error(self):
+        # hidden_constant's x is seeded to c*t: with tol 0 every gap sits on the edge
+        with pytest.raises(EvaluationError, match="decided on none of 20 trials.*20 undecided"):
+            fuzz_invariance(_spec("hidden_constant"), trials=20, seed=0, tol=0.0)
+
+    def test_a_counterexample_that_does_not_reproduce_is_undecided(self, tmp_path, monkeypatch):
+        spec = _spec_text(tmp_path, {"x": "L", "y": "T"}, "x < y", system=("L", "T"))
+        monkeypatch.setattr(harness, "evaluate", lambda *args, **kwargs: True)
+        report = fuzz_invariance(spec, trials=50, seed=0)
+        assert report.counterexample is None
+        assert report.undecided > 0 and report.passed + report.undecided == 50
+
+    def test_report_invariant_counts_undecided(self):
+        assert InvarianceReport(trials=3, passed=1, seed=0, counterexample=None, inapplicable=1, undecided=1)
+        with pytest.raises(ValueError):
+            InvarianceReport(trials=3, passed=1, seed=0, counterexample=None, inapplicable=1)
 
 
 class TestChecksBeforeTheFirstTrial:
