@@ -61,12 +61,18 @@ def _into_system(q: Quantity, system: DimSystem, context: str) -> Quantity:
 
 
 def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> dict[str, Quantity]:
-    """Bindings file: JSON object, one entry per spec variable; values are
-    positive numbers (magnitudes in the coherent reference system) or quantity
-    literals resolved against the registry."""
+    """Bindings file: JSON object, one entry per spec variable and no other;
+    values are positive numbers (magnitudes in the coherent reference system)
+    or quantity literals resolved against the registry."""
     raw = dsl.read_json(path, "bindings", ParseError)
     if not isinstance(raw, dict):
         raise ParseError(f"bindings {path} must be a JSON object")
+    unknown = [key for key in raw if key not in spec.variable_names]
+    if unknown:
+        raise ParseError(
+            f"bindings {path}: {unknown[0]!r} names no spec variable "
+            f"(variables: {', '.join(spec.variable_names)})"
+        )
     out: dict[str, Quantity] = {}
     for name, dim in spec.env.items():
         if name not in raw:

@@ -16,6 +16,12 @@ measure", POPL 1997), and only a mixed comparison, whose side dimensions
 differ by w, is decided again: positive factors keep the signs of its sides,
 and log factors μ move its gap log|L| - log|R| by w·μ.
 
+A relation with no mixed comparison therefore passes every trial whose drawn
+point lies in its domain. Before drawing any, one interval pass (`_bounds`,
+Moore's interval arithmetic over the box the trials draw from, each bound
+widened well past float rounding) tries to prove every such point in the
+domain; where it does, every trial passes and none is drawn.
+
 Failures are definitive; passes are evidence, not proof — the verdict is
 necessarily one-sided, and the CLI report says so.
 """
@@ -39,6 +45,7 @@ from .dsl import (
     BoolOp,
     Call,
     Compare,
+    Const,
     Not,
     Pow,
     ProblemSpec,
@@ -311,6 +318,106 @@ def _pairs(node, leaves, tol):
     return run
 
 
+# Every log bound stays within ±_LOG_LIMIT, so each conversion to linear
+# space (exp) stays finite and nonzero; each bound is widened outward by
+# _MARGIN of itself, far above the one rounding (or libm error) an operation
+# makes.
+_LOG_LIMIT = 700.0
+_MARGIN = 2.0**-40
+
+
+def _log(lo, hi):
+    lo, hi = lo - abs(lo) * _MARGIN, hi + abs(hi) * _MARGIN
+    return (True, lo, hi) if -_LOG_LIMIT <= lo and hi <= _LOG_LIMIT else None
+
+
+def _linear(lo, hi):
+    lo, hi = lo - abs(lo) * _MARGIN, hi + abs(hi) * _MARGIN
+    return (False, lo, hi) if -math.inf < lo and hi < math.inf else None
+
+
+def _to(log, b):
+    """Bounds b in log space (log) or linear space, converted as `dsl._as`
+    converts; None where b is unproven, a truth value, or may be
+    non-positive where a log is taken."""
+    if not isinstance(b, tuple):
+        return None
+    if b[0] is log:
+        return b
+    _, lo, hi = b
+    if log:
+        return _log(math.log(lo), math.log(hi)) if lo > 0 else None
+    return _linear(math.exp(lo), math.exp(hi))
+
+
+def _bounds(node, box):
+    """What `dsl._lower` makes of node for variables whose log magnitudes
+    lie in box (name -> (lo, hi)), by interval arithmetic (Moore 1966): True
+    where it is a truth value defined at every point of box, (log, lo, hi)
+    where it is a quantity whose value (its log if log) lies in [lo, hi]
+    there. None where a point may leave the domain, or node is not a
+    relation node: anything unproven. `and`/`or` need both operands proven,
+    whether or not the left one decides."""
+    match node:
+        case Var(name) if name in box:
+            return _log(*box[name])
+        case Const(value, _):
+            return _log(math.log(value), math.log(value))
+        case BinOp("*" | "/" | "+" | "-" as op, left, right):
+            log = op in ("*", "/")
+            a, b = _to(log, _bounds(left, box)), _to(log, _bounds(right, box))
+            if a is None or b is None:
+                return None
+            make = _log if log else _linear
+            if op in ("*", "+"):
+                return make(a[1] + b[1], a[2] + b[2])
+            return make(a[1] - b[2], a[2] - b[1])
+        case Pow(base, exponent):
+            a = _to(True, _bounds(base, box))
+            try:
+                e = float(exponent)
+            except (OverflowError, TypeError):
+                return None
+            return a and _log(*sorted((a[1] * e, a[2] * e)))
+        case Call("sqrt", arg):
+            a = _to(True, _bounds(arg, box))
+            return a and _log(a[1] * 0.5, a[2] * 0.5)
+        case Call("is_pos_int", arg):
+            return _to(False, _bounds(arg, box)) and True
+        case Call("log", arg):
+            a = _to(False, _bounds(arg, box))
+            return a and a[1] > 0 and _linear(math.log(a[1]), math.log(a[2])) or None
+        case Call("exp", arg):
+            a = _to(False, _bounds(arg, box))
+            return a and _to(False, _log(a[1], a[2]))
+        case Call("sin" | "cos", arg):
+            return _to(False, _bounds(arg, box)) and (False, -1.0, 1.0)
+        case Compare("=" | "<" | "<=", left, right):
+            # a log side within ±_LOG_LIMIT goes linear without overflow
+            sides = _bounds(left, box), _bounds(right, box)
+            return all(isinstance(b, tuple) for b in sides) or None
+        case BoolOp("and" | "or", left, right):
+            return _bounds(left, box) is True and _bounds(right, box) is True or None
+        case Not(operand):
+            return _bounds(operand, box) is True or None
+    return None
+
+
+def _proven(spec: ProblemSpec, seed_target) -> bool:
+    """Whether every point a trial can draw lies in the relation's domain:
+    each variable's log magnitude in _LOG_MAG_RANGE, ends included, and an
+    equality-seeded one also at any log its other side takes, which must be
+    proven positive."""
+    box = dict.fromkeys(spec.variable_names, _LOG_MAG_RANGE)
+    if seed_target is not None:
+        vname, other = seed_target
+        seeded = _to(True, _bounds(other, box))
+        if seeded is None:
+            return False
+        box[vname] = min(_LOG_MAG_RANGE[0], seeded[1]), max(_LOG_MAG_RANGE[1], seeded[2])
+    return _bounds(spec.relation, box) is True
+
+
 def fuzz_invariance(
     spec: ProblemSpec,
     trials: int,
@@ -326,7 +433,9 @@ def fuzz_invariance(
     point: a comparison of one dimension keeps its truth value, and a mixed
     one is decided again from its sides there (see the module docstring), so
     a relation with no mixed comparison passes every trial on which it is
-    defined. A trial whose drawn point leaves the relation's domain
+    defined. Where an interval pass proves such a relation defined at every
+    point a trial can draw, the report (every trial passed) is returned
+    without drawing any. A trial whose drawn point leaves the relation's domain
     (EvaluationError) is inapplicable; one on which a mixed comparison lies
     within rounding of its edge, before or after, is undecided. If no trial
     is decided, EvaluationError is raised, since none tested the relation.
@@ -350,6 +459,8 @@ def fuzz_invariance(
     relation, names, system = spec.relation, spec.variable_names, spec.system
     truth, program = compiled.truth, _program(relation, compiled, tol)
     seed_target = _equality_seed_target(spec)
+    if program is None and _proven(spec, seed_target):
+        return InvarianceReport(trials=trials, passed=trials, seed=seed, counterexample=None)
     if seed_target is not None:
         vname, other = seed_target
         seed_side = compiled.leaves[0][2][other is relation.right]

@@ -333,7 +333,7 @@ def brute_force_integer_kernel(matrix: QMatrix, bound: int):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*argv, env_extra=None, stdout=subprocess.PIPE):
+def run_cli(*argv, env_extra=None, stdout=subprocess.PIPE, timeout=None):
     """Run the CLI as a subprocess from the repo root, registry env cleared;
     stdout is captured unless another file descriptor is given."""
     env = os.environ.copy()
@@ -346,6 +346,7 @@ def run_cli(*argv, env_extra=None, stdout=subprocess.PIPE):
         stdout=stdout,
         stderr=subprocess.PIPE,
         env=env,
+        timeout=timeout,
     )
 
 

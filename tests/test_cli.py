@@ -470,6 +470,17 @@ class TestEquivCommand:
         assert proc.stderr.startswith(b"error: bindings ")
         assert b"must be a number or a quantity literal" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["equiv", "nondim"])
+    def test_a_key_naming_no_variable_is_usage_failure(self, tmp_path, command):
+        a = tmp_path / "a.json"
+        a.write_text('{"m": 1, "k": 2, "t": 3, "zz": 4, "yy": 5}')
+        extra = ["fixtures/mass_spring_bindings.json"] if command == "equiv" else []
+        proc = run_cli(command, "--spec", "fixtures/mass_spring.json", *extra, str(a))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == (
+            f"error: bindings {a}: 'zz' names no spec variable (variables: m, k, t)\n".encode()
+        )
+
     def test_missing_binding_is_usage_failure(self, tmp_path):
         a = tmp_path / "a.json"
         a.write_text('{"m": 2, "k": 8}')
@@ -512,6 +523,16 @@ class TestPiValuesBeyondFloatRange:
         assert proc.stdout == (
             f"not equivalent: pi group 0 differs ({self._pi_text()} vs 36)\n".encode()
         )
+
+
+def test_verify_draws_no_trial_where_the_domain_is_proven():
+    # a billion trials would take hours one by one
+    proc = run_cli("verify", "--spec", "fixtures/newton.json", "--trials", "1000000000", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        b"trials: 1000000000, passed: 1000000000\n"
+        b"no violation found (passes are evidence of invariance, not proof)\n"
+    )
 
 
 def test_verify_json_schema_keys():

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+import typing
 from fractions import Fraction
 
 import pytest
@@ -585,3 +587,246 @@ class TestOracleEquivalent:
         xs = [Quantity(0.3, zero)]
         assert oracle_equivalent(xs, xs)
         assert not oracle_equivalent(xs, [Quantity(0.4, zero)])
+
+
+_POWERS = (Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 3), Fraction(-7, 2), Fraction(50),
+           Fraction(103), Fraction(1000))
+_CONSTANTS = (0.5, 2.0, 7.25, 3e299, 1e300, 1e-300)
+
+
+def _quantity(rng, dim, depth, names="xyz"):
+    """A node of dimension L^dim over names (each of dimension L), built from
+    the whole quantity grammar: sums, differences, products, quotients,
+    rational and large powers, sqrt, and exp/log/sin/cos of dimensionless
+    operands, logs of sums among them."""
+    if depth == 0 or rng.random() < 0.2:
+        if dim == 0:
+            if rng.random() < 0.5:
+                return dsl.Const(rng.choice(_CONSTANTS))
+            return dsl.BinOp("/", dsl.Var(rng.choice(names)), dsl.Var(rng.choice(names)))
+        v = dsl.Var(rng.choice(names))
+        return v if dim == 1 else dsl.Pow(v, Fraction(dim))
+    kind = rng.choice(("*", "/", "+", "-", "^", "sqrt", "call", "call"))
+    if kind == "call" and dim == 0:
+        func = rng.choice(("exp", "log", "sin", "cos"))
+        return dsl.Call(func, _quantity(rng, 0, depth - 1, names))
+    if kind in ("+", "-"):
+        return dsl.BinOp(kind, _quantity(rng, dim, depth - 1, names), _quantity(rng, dim, depth - 1, names))
+    if kind == "^":
+        p = rng.choice(_POWERS)
+        return dsl.Pow(_quantity(rng, Fraction(dim) / p, depth - 1, names), p)
+    if kind == "sqrt":
+        return dsl.Call("sqrt", _quantity(rng, 2 * Fraction(dim), depth - 1, names))
+    j = rng.choice((0, 1, -1))
+    if kind == "/":
+        return dsl.BinOp("/", _quantity(rng, dim + j, depth - 1, names), _quantity(rng, j, depth - 1, names))
+    return dsl.BinOp("*", _quantity(rng, j, depth - 1, names), _quantity(rng, dim - j, depth - 1, names))
+
+
+def _truth(rng, depth):
+    """A relation over x, y, z without mixed comparisons: comparisons of one
+    dimension, is_pos_int, and/or/not around them."""
+    r = rng.random()
+    if depth and r < 0.25:
+        return dsl.BoolOp(rng.choice(("and", "or")), _truth(rng, depth - 1), _truth(rng, depth - 1))
+    if depth and r < 0.35:
+        return dsl.Not(_truth(rng, depth - 1))
+    if r < 0.45:
+        return dsl.Call("is_pos_int", _quantity(rng, 0, 2))
+    dim = rng.choice((Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)))
+    return dsl.Compare(rng.choice(("=", "<", "<=")), _quantity(rng, dim, 2), _quantity(rng, dim, 2))
+
+
+def _relation(rng):
+    if rng.random() < 0.3:  # equality-seeded: x solved for from y and z
+        return dsl.Compare("=", dsl.Var("x"), _quantity(rng, 1, 2, names="yz"))
+    return _truth(rng, 2)
+
+
+_LINE = DimSystem(("L",))
+
+
+def _line_spec(relation):
+    """relation over x, y, z, each of dimension L."""
+    if isinstance(relation, str):
+        relation = dsl.parse_relation(relation)
+    length = DimVector.unit(_LINE, "L")
+    return dsl.ProblemSpec(_LINE, ("x", "y", "z"), (length,) * 3, relation, dsl.print_relation(relation))
+
+
+def _is_proven(spec):
+    return harness._proven(spec, harness._equality_seed_target(spec))
+
+
+# (relation over x, y, z of dimension L, its report at 300 trials and seed 0
+# as (passed, inapplicable)): no trial leaves the domain on the last two,
+# though some point of the box does, so none may be proven
+_EDGES = (
+    ("exp(x/y) < 2", (257, 43)),
+    ("log(x/y - 1) < 1", (171, 129)),
+    ("(x - y)^2 < z*z", (171, 129)),
+    ("exp(x/y*100) < 1", (173, 127)),
+    ("x^103 + y^103 < z^103", (300, 0)),  # overflows at the corners of the box
+    ("not x < y or exp(x/y) < 5", (300, 0)),  # the left operand decides where exp overflows
+)
+
+
+class TestProvenDomain:
+    """A relation with no mixed comparison that one interval pass proves
+    defined on the whole sampling box passes every trial, none drawn; every
+    other relation runs the trial loop."""
+
+    def test_reports_equal_the_reference_across_the_grammar(self):
+        rng = random.Random(173)
+        proven = unproven = 0
+        for _ in range(150):
+            spec = _line_spec(_relation(rng))
+            is_proven = _is_proven(spec)
+            for seed in (0, 5, 11):
+                expected = _fingerprint(reference_fuzz, spec, 40, seed, 1e-9)
+                assert _fingerprint(fuzz_invariance, spec, 40, seed, 1e-9) == expected, spec.relation_text
+                if is_proven:
+                    assert expected[:3] == (40, 40, 0), spec.relation_text
+            proven += is_proven
+            unproven += not is_proven
+        assert proven > 30 and unproven > 30, (proven, unproven)
+
+    @pytest.mark.parametrize("text,counts", _EDGES, ids=[t for t, _ in _EDGES])
+    def test_edges_fall_back_to_the_loop(self, text, counts):
+        spec = _line_spec(text)
+        assert not _is_proven(spec)
+        report = fuzz_invariance(spec, trials=300, seed=0)
+        assert (report.passed, report.inapplicable, report.counterexample) == (*counts, None)
+        assert _fingerprint(fuzz_invariance, spec, 300, 0, 1e-9) == _fingerprint(
+            reference_fuzz, spec, 300, 0, 1e-9
+        )
+
+    def test_proven_relations_hold_at_every_corner(self):
+        # the box's ends, the point between them and the float below the top,
+        # in every combination, and x seeded where the relation asks
+        lo, hi = harness._LOG_MAG_RANGE
+        ends = (lo, hi, 0.0, math.nextafter(hi, 0.0))
+        rng = random.Random(181)
+        proven = 0
+        for _ in range(400):
+            spec = _line_spec(_relation(rng))
+            if not _is_proven(spec):
+                continue
+            seed_target = harness._equality_seed_target(spec)
+            for point in itertools.product(ends, repeat=3):
+                logs = dict(zip("xyz", point))
+                if seed_target is not None:
+                    logs["x"] = dsl.log_magnitude(seed_target[1], logs)
+                assert dsl.holds(spec.relation, logs, 1e-9) in (True, False), spec.relation_text
+            proven += 1
+        assert proven > 150
+
+    @pytest.mark.parametrize("text", [t for t, _ in _EDGES[:-1]] + [
+        "sqrt((x/y)^50)*(x/y)^30 + 1 < 2",  # a log of 759 at the corners, where exp overflows
+    ])
+    def test_relations_undefined_at_a_corner_are_not_proven(self, text):
+        lo, hi = harness._LOG_MAG_RANGE
+        spec = _line_spec(text)
+        assert not _is_proven(spec)
+        seed_target = harness._equality_seed_target(spec)
+        undefined = 0
+        for point in itertools.product((lo, hi), repeat=3):
+            logs = dict(zip("xyz", point))
+            try:
+                if seed_target is not None:
+                    logs["x"] = dsl.log_magnitude(seed_target[1], logs)
+                dsl.holds(spec.relation, logs, 1e-9)
+            except EvaluationError:
+                undefined += 1
+        assert undefined
+
+    def test_a_seeded_side_not_proven_positive_is_not_proven(self):
+        # x is seeded to y - z where that is positive: logs without a lower bound
+        assert not _is_proven(_line_spec("x = y - z"))
+        assert _is_proven(_line_spec("x = y + z"))
+
+    def test_a_proven_relation_draws_nothing(self, monkeypatch):
+        def trial_rng(*args):
+            raise AssertionError("a trial was drawn")
+
+        rng = random.Random(179)
+        specs = [_spec(name) for name in
+                 ("newton", "light_three_var", "electronics", "independent_dims", "mass_spring")]
+        for template in ("power_lt", "seeded_eq", "sum_le", "log_sin", "bool_mix"):
+            for _ in range(5):
+                text, env = corpus_relation(rng, template)
+                specs.append(dsl.ProblemSpec(CORPUS_SYSTEM, tuple(env), tuple(env.values()),
+                                             dsl.parse_relation(text), text))
+        monkeypatch.setattr(harness, "_trial_rng", trial_rng)
+        for spec in specs:
+            report = fuzz_invariance(spec, trials=1000, seed=3)
+            assert (report.passed, report.counterexample) == (1000, None), spec.relation_text
+
+    def test_errors_come_before_the_proof(self, tmp_path):
+        spec = _spec("newton")
+        with pytest.raises(ValueError, match="at least one trial"):
+            fuzz_invariance(spec, trials=0)
+        with pytest.raises(ValueError, match="tol must be a number"):
+            fuzz_invariance(spec, trials=10, tol=math.nan)
+        with pytest.raises(SpecError, match="ill-typed"):
+            fuzz_invariance(_spec_text(tmp_path, {"x": "L", "y": "T"}, "x + y < x",
+                                       system=("L", "T")), trials=10)
+        with pytest.raises(SpecError, match="truth value"):
+            fuzz_invariance(_spec_text(tmp_path, {"x": "L"}, "x*x"), trials=10)
+        with pytest.raises(SpecError, match="beyond the float range"):
+            fuzz_invariance(_spec_text(tmp_path, {"x": f"L^{10**310}", "y": "L"}, "x = x"), trials=10)
+
+
+# A relation over x, y, z of dimension L that the pass proves, for each
+# function and binary operator of the grammar
+_PROVEN_USES = {
+    "exp": "exp(sin(x/y)) < 2", "log": "log(x/y) < 1", "sin": "sin(x/y) < 1",
+    "cos": "cos(x/y) <= 1", "sqrt": "sqrt(x*y) < z", "is_pos_int": "is_pos_int(x/y)",
+    "or": "x < y or y < z", "and": "x < y and y < z", "=": "x = y", "<": "x < y", "<=": "x <= y",
+    "+": "x + y < z", "-": "x - y < z", "*": "x*y < z*z", "/": "x/y < 2",
+}
+
+
+class TestProofGrammar:
+    """Every form of the relation grammar has a rule in `harness._bounds`,
+    and a form without one is never proven."""
+
+    def test_every_function_and_operator_has_a_rule(self):
+        assert set(_PROVEN_USES) == set(dsl.FUNCTIONS) | set(dsl._BINARY)
+        for text in _PROVEN_USES.values():
+            assert _is_proven(_line_spec(text)), text
+
+    def test_every_node_class_has_a_rule(self):
+        seen = set()
+
+        def walk(node):
+            seen.add(type(node))
+            for child in vars(node).values() if hasattr(node, "__dict__") else ():
+                if isinstance(child, tuple(typing.get_args(dsl.Node))):
+                    walk(child)
+
+        for text in (*_PROVEN_USES.values(), "not x^2 < pi*y*z"):
+            assert _is_proven(_line_spec(text)), text
+            walk(dsl.parse_relation(text))
+        assert seen == set(typing.get_args(dsl.Node))
+
+    @pytest.mark.parametrize("node", [
+        pytest.param(node, id=label) for label, node in (
+            ("None", None), ("str", "x < y"), ("float", 1.0), ("object", object()),
+            ("Fraction", Fraction(1)), ("bool", True),
+            ("unknown function", dsl.Call("tan", dsl.Var("x"))),
+            ("unknown comparison", dsl.Compare("!=", dsl.Var("x"), dsl.Var("y"))),
+            ("unknown operator", dsl.Compare("<", dsl.BinOp("%", dsl.Var("x"), dsl.Var("y")), dsl.Var("z"))),
+            ("unknown connective", dsl.BoolOp("xor", dsl.Compare("<", dsl.Var("x"), dsl.Var("y")),
+                                               dsl.Compare("<", dsl.Var("y"), dsl.Var("z")))),
+            ("variable outside the box", dsl.Compare("<", dsl.Var("w"), dsl.Var("x"))),
+            ("exponent with no float form",
+             dsl.Compare("<", dsl.Pow(dsl.Var("x"), Fraction(10**400)), dsl.Var("y"))),
+            ("quantity as a truth value", dsl.Not(dsl.Var("x"))),
+            ("truth value as a quantity",
+             dsl.Compare("<", dsl.Compare("<", dsl.Var("x"), dsl.Var("y")), dsl.Var("z"))),
+        )
+    ])
+    def test_what_has_no_rule_is_not_proven(self, node):
+        box = dict.fromkeys("xyz", harness._LOG_MAG_RANGE)
+        assert harness._bounds(node, box) is None
