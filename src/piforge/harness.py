@@ -144,12 +144,6 @@ class InvarianceReport:
             raise ValueError("counterexample must be present exactly when a trial failed")
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    """Independent deterministic generator per (seed, trial)."""
-    digest = blake2b(f"{seed}:{trial}".encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
 def _equality_seed_target(spec: ProblemSpec) -> tuple[str, object] | None:
     """(variable, other side) when the relation is `v = expr` with v absent
     from expr — the one shape where random bindings would never land on the
@@ -207,10 +201,11 @@ class _Mixed:
         (_, _, left_dim), (_, _, right_dim) = sides
         self.op, self.sides, self.tol = node.op, sides, tol
         self.w = (left_dim / right_dim).exponents
+        # (j, w_j) for each nonzero w_j: a zero term moves neither gap nor spread
         try:
-            self.w_float = tuple(map(float, self.w))
+            self.terms = tuple((j, float(w)) for j, w in enumerate(self.w) if w)
         except OverflowError:
-            self.w_float = None
+            self.terms = None
         self.bound = (_size(node.left) + _size(node.right) + len(self.w) + 2) * math.ulp(1.0)
         # '=' holds between sides of one sign where |gap| <= near, and
         # between sides of opposite signs where |gap| >= apart
@@ -229,12 +224,13 @@ class _Mixed:
             if not (sl and sr):  # a side is 0: |L - R| <= tol*max(|L|, |R|)
                 return sl == sr or self.tol >= 1
         gap, spread = ll - lr, 1.0 + abs(ll) + abs(lr)
-        if mu and self.w_float is None:
+        if mu and self.terms is None:
             spread = math.inf
-        for w, m in zip(self.w_float or (), mu):
-            t = w * m
-            gap += t
-            spread += abs(t)
+        elif mu:
+            for j, w in self.terms:
+                t = w * mu[j]
+                gap += t
+                spread += abs(t)
         exact = spread == math.inf
         if exact:
             terms = [w * Fraction(m) for w, m in zip(self.w, mu)]
@@ -275,8 +271,10 @@ def _pairs(node, leaves, tol):
     and the `_Mixed` or None of each comparison and is_pos_int call left to
     right. Only a mixed comparison's two values differ. `and` and `or`
     evaluate their right operand wherever either value needs it. memo keeps
-    each leaf's value, or a mixed one's sides, at the drawn point, so each is
-    evaluated once per point."""
+    each leaf's value, or a mixed one's sides and value before rescaling, at
+    the drawn point, so each is worked out once per point; a side's point
+    that memo already holds under the side's run (the equality seeder puts
+    one there) is not evaluated again."""
     if isinstance(node, BoolOp):
         left, right = _pairs(node.left, leaves, tol), _pairs(node.right, leaves, tol)
         done = node.op == "or"  # the left value that decides alone
@@ -300,12 +298,17 @@ def _pairs(node, leaves, tol):
     truth, m = next(leaves)
     if m is not None:
         left, right = m.sides
+        left_run, right_run = left[1], right[1]
 
         def run(logs, mu, memo):
-            point = memo.get(m)
-            if point is None:
-                point = memo[m] = _point(left, logs, tol) + _point(right, logs, tol)
-            return m.decide(point, ()), m.decide(point, mu)
+            kept = memo.get(m)
+            if kept is None:
+                point = (memo.get(left_run) or _point(left, logs, tol)) + (
+                    memo.get(right_run) or _point(right, logs, tol)
+                )
+                kept = memo[m] = point, m.decide(point, ())
+            point, before = kept
+            return before, m.decide(point, mu)
 
         return run
 
@@ -406,16 +409,24 @@ def _bounds(node, box):
 def _proven(spec: ProblemSpec, seed_target) -> bool:
     """Whether every point a trial can draw lies in the relation's domain:
     each variable's log magnitude in _LOG_MAG_RANGE, ends included, and an
-    equality-seeded one also at any log its other side takes, which must be
-    proven positive."""
+    equality-seeded one also at the log of any positive value its other side
+    takes.
+
+    A seeded relation is `v = other` with v nowhere else, so it is defined
+    wherever other is and v's linear form (exp of its log) stays finite.
+    That needs an upper bound on v's log alone: a seeded log with no lower
+    bound (other near 0) only makes exp underflow toward 0, which raises
+    nothing."""
     box = dict.fromkeys(spec.variable_names, _LOG_MAG_RANGE)
-    if seed_target is not None:
-        vname, other = seed_target
-        seeded = _to(True, _bounds(other, box))
-        if seeded is None:
-            return False
-        box[vname] = min(_LOG_MAG_RANGE[0], seeded[1]), max(_LOG_MAG_RANGE[1], seeded[2])
-    return _bounds(spec.relation, box) is True
+    if seed_target is None:
+        return _bounds(spec.relation, box) is True
+    other = _bounds(seed_target[1], box)
+    if not isinstance(other, tuple):
+        return False
+    log, _, hi = other
+    # a log-space side is within ±_LOG_LIMIT already; a linear one seeds v
+    # with logs up to log(hi), which must stay within _LOG_LIMIT too
+    return log or hi <= 1.0 or _log(0.0, math.log(hi)) is not None
 
 
 def fuzz_invariance(
@@ -429,10 +440,14 @@ def fuzz_invariance(
     Per trial: draw log-uniform magnitudes in [1e-3, 1e3] per variable and,
     where the relation has a mixed comparison, a log-uniform rescaling factor
     in [1e-2, 1e2] per fundamental; pass iff the relation's truth value
-    survives the rescaling. The relation is evaluated once, at the drawn
-    point: a comparison of one dimension keeps its truth value, and a mixed
-    one is decided again from its sides there (see the module docstring), so
-    a relation with no mixed comparison passes every trial on which it is
+    survives the rescaling. Each trial draws from its own deterministic
+    generator, independent per (seed, trial): MT19937 seeded with the 8-byte
+    blake2b digest of f"{seed}:{trial}" read as a big-endian int, as
+    `random.Random(that int).uniform` draws, variables first and then
+    factors. The relation is evaluated once, at the drawn point: a
+    comparison of one dimension keeps its truth value, and a mixed one is
+    decided again from its sides there (see the module docstring), so a
+    relation with no mixed comparison passes every trial on which it is
     defined. Where an interval pass proves such a relation defined at every
     point a trial can draw, the report (every trial passed) is returned
     without drawing any. A trial whose drawn point leaves the relation's domain
@@ -465,15 +480,26 @@ def fuzz_invariance(
         vname, other = seed_target
         seed_side = compiled.leaves[0][2][other is relation.right]
 
+    # one generator, reseeded per trial by MT19937's own seeding (what
+    # `Random.seed` calls for an int); `uniform`'s own formula, each span
+    # worked out once, gives the same floats
+    stream = blake2b(f"{seed}:".encode(), digest_size=8)
+    rng = random.Random()
+    reseed, draw = super(random.Random, rng).seed, rng.random
+    log_lo, log_span = _LOG_MAG_RANGE[0], _LOG_MAG_RANGE[1] - _LOG_MAG_RANGE[0]
+    factor_lo, factor_span = _LOG_FACTOR_RANGE[0], _LOG_FACTOR_RANGE[1] - _LOG_FACTOR_RANGE[0]
     passed = inapplicable = undecided = 0
     counterexample: Counterexample | None = None
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        logs = {name: rng.uniform(*_LOG_MAG_RANGE) for name in names}
+        digest = stream.copy()
+        digest.update(str(trial).encode())
+        reseed(int.from_bytes(digest.digest(), "big"))
+        logs = {name: log_lo + log_span * draw() for name in names}
+        memo = {}
         try:
             if seed_target is not None:
                 try:
-                    sign, log = _point(seed_side, logs, tol)
+                    sign, log = memo[seed_side[1]] = _point(seed_side, logs, tol)
                     if sign > 0:
                         logs[vname] = log
                 except EvaluationError:
@@ -482,8 +508,7 @@ def fuzz_invariance(
                 truth(logs, tol)
                 passed += 1
                 continue
-            log_factors = [rng.uniform(*_LOG_FACTOR_RANGE) for _ in range(system.size)]
-            memo = {}
+            log_factors = [factor_lo + factor_span * draw() for _ in range(system.size)]
             before, after = program(logs, log_factors, memo)
         except EvaluationError as exc:
             inapplicable += 1
@@ -557,7 +582,8 @@ def _check_dims(spec: ProblemSpec) -> None:
 
 def _shrink(program, logs, log_factors, before, memo) -> list[float]:
     """Bisect each log factor toward 0 while the violation persists, each
-    candidate decided from the drawn point's sides in memo. A candidate that
+    candidate decided from the drawn point's sides, and each mixed
+    comparison's value before rescaling, kept in memo. A candidate that
     is undecided, or that needs a branch outside the relation's domain, does
     not violate."""
     log_factors = list(log_factors)

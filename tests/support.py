@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from hashlib import blake2b
 from itertools import product
 from pathlib import Path
 
@@ -387,6 +388,16 @@ GOLDEN_CASES = [
         1,
     ),
     (
+        "verify_hidden_constant_seed1.txt",
+        ["verify", "--spec", "fixtures/hidden_constant.json", "--trials", "10000", "--seed", "1"],
+        1,
+    ),
+    (
+        "verify_hidden_constant_seed2.txt",
+        ["verify", "--spec", "fixtures/hidden_constant.json", "--trials", "10000", "--seed", "2"],
+        1,
+    ),
+    (
         "verify_hidden_constant.json",
         ["verify", "--spec", "fixtures/hidden_constant.json", "--trials", "10000", "--seed", "0", "--json"],
         1,
@@ -661,15 +672,24 @@ def _reference_pair(node, env, bindings, log_factors, tol) -> tuple[bool, bool]:
     return value, value
 
 
+def trial_rng(seed: int, trial: int) -> random.Random:
+    """The fuzzer's independent deterministic generator per (seed, trial),
+    built afresh: MT19937 seeded with the 8-byte blake2b digest of
+    f"{seed}:{trial}", read as a big-endian int."""
+    digest = blake2b(f"{seed}:{trial}".encode(), digest_size=8).digest()
+    return random.Random(int.from_bytes(digest, "big"))
+
+
 def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
     """The invariance fuzzer's trial rule over Quantity bindings, worked out
     apart from `harness`: each trial evaluates the relation at its drawn
     bindings only, and re-decides each comparison of two dimensions from
     Quantity-level sides and the exact log gap, with w = dL - dR as
     Fractions. The shrinker bisects the log factors on those decisions, and
-    a counterexample is confirmed through `rescale` and `evaluate`. It
-    shares only the draws (the per-trial generator, the ranges) and the
-    seeding target with `harness`. `fuzz_invariance` must give an equal
+    a counterexample is confirmed through `rescale` and `evaluate`. Its
+    draws come from `trial_rng`, a new generator per trial, each through
+    `uniform`; it shares only the ranges and the seeding target with
+    `harness`. `fuzz_invariance` must give an equal
     report, float for float, and raise what this raises."""
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -713,7 +733,7 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
     passed = inapplicable = undecided = 0
     counterexample = None
     for trial in range(trials):
-        rng = harness._trial_rng(seed, trial)
+        rng = trial_rng(seed, trial)
         bindings = {
             name: Quantity(rng.uniform(*harness._LOG_MAG_RANGE), dim)
             for name, dim in zip(names, dims)

@@ -35,6 +35,7 @@ from support import (
     random_rational_dims,
     reference_fuzz,
     reference_log_combine,
+    trial_rng,
 )
 
 
@@ -496,15 +497,86 @@ class TestMixedComparisons:
             InvarianceReport(trials=3, passed=1, seed=0, counterexample=None, inapplicable=1)
 
 
+def _corpus_spec(text, env):
+    return dsl.ProblemSpec(CORPUS_SYSTEM, tuple(env), tuple(env.values()), dsl.parse_relation(text), text)
+
+
+def _stream_specs():
+    """(id, spec): the non-invariant corpus shapes, `and`/`or`/`not` of two
+    mixed comparisons, and a mixed seeded relation whose linear other side is
+    sometimes not positive, so that the seeder both skips and is reused."""
+    rng = random.Random(191)
+    out = []
+    for template in ("hidden_constant", "mixed_lt"):
+        for i in range(2):
+            out.append((f"{template}#{i}", _corpus_spec(*corpus_relation(rng, template))))
+    length, time, mass = (DimVector.unit(CORPUS_SYSTEM, f) for f in ("L", "T", "M"))
+    for text in ("x < y and y <= z", "x < y or y <= z", "not x < y", "not (x < y and z = y)"):
+        out.append((text, _corpus_spec(text, {"x": length, "y": time, "z": mass})))
+    text = "x = y - z"
+    out.append((text, _corpus_spec(text, {"x": length, "y": time, "z": time})))
+    return out
+
+
+class TestTrialStream:
+    """One generator reseeded per trial draws what `trial_rng`, a new
+    generator per trial, draws through `uniform`; and the reports, each
+    side and value before rescaling worked out once per drawn point, equal
+    the reference's."""
+
+    @pytest.mark.parametrize("seed", [0, 7, -5, 2**31 - 1])
+    def test_draws_equal_the_reference_stream(self, monkeypatch, seed):
+        spec = dict(_stream_specs())["not x < y"]
+        drawn, make_program = [], harness._program
+
+        def recording_program(*args):
+            program = make_program(*args)
+
+            def run(logs, mu, memo):
+                if not memo:  # a trial's first call: the shrinker's find memo filled
+                    drawn.append(([v.hex() for v in logs.values()], [m.hex() for m in mu]))
+                return program(logs, mu, memo)
+
+            return run
+
+        monkeypatch.setattr(harness, "_program", recording_program)
+        fuzz_invariance(spec, trials=1000, seed=seed)
+        expected = []
+        for trial in range(1000):
+            rng = trial_rng(seed, trial)
+            logs = [rng.uniform(*harness._LOG_MAG_RANGE).hex() for _ in spec.variable_names]
+            factors = [rng.uniform(*harness._LOG_FACTOR_RANGE).hex() for _ in spec.system.names]
+            expected.append((logs, factors))
+        assert drawn == expected
+
+    @pytest.mark.parametrize("spec", [s for _, s in _stream_specs()], ids=[n for n, _ in _stream_specs()])
+    def test_reports_equal_the_reference(self, spec):
+        for seed in (2, 13, 31):
+            for tol in (1e-9, 0.5):
+                expected = _fingerprint(reference_fuzz, spec, 200, seed, tol)
+                assert _fingerprint(fuzz_invariance, spec, 200, seed, tol) == expected, (seed, tol)
+
+    @pytest.mark.parametrize("name", ["hidden_constant#0", "mixed_lt#0", "x = y - z"])
+    def test_each_side_is_evaluated_once_per_drawn_point(self, monkeypatch, name):
+        # a seeded side's point is the seeder's, and the shrinker decides
+        # from the sides and value before rescaling kept for its point
+        spec = dict(_stream_specs())[name]
+        calls, point = [], harness._point
+        monkeypatch.setattr(harness, "_point", lambda *args: calls.append(args) or point(*args))
+        report = fuzz_invariance(spec, trials=200, seed=2)
+        assert report.counterexample is not None
+        assert len(calls) == 2 * 200
+
+
 class TestChecksBeforeTheFirstTrial:
     """What `rescale` found on the first trial is found at entry, with the
     same error, and no trial runs."""
 
     def _no_trials(self, monkeypatch):
-        def trial_rng(*args):
+        def blake2b(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness, "_trial_rng", trial_rng)
+        monkeypatch.setattr(harness, "blake2b", blake2b)
 
     def test_dimensions_over_another_system(self, monkeypatch):
         spec = _spec("hidden_constant")
@@ -716,7 +788,10 @@ class TestProvenDomain:
             for point in itertools.product(ends, repeat=3):
                 logs = dict(zip("xyz", point))
                 if seed_target is not None:
-                    logs["x"] = dsl.log_magnitude(seed_target[1], logs)
+                    try:
+                        logs["x"] = dsl.log_magnitude(seed_target[1], logs)
+                    except EvaluationError:  # not positive: x keeps its drawn log
+                        pass
                 assert dsl.holds(spec.relation, logs, 1e-9) in (True, False), spec.relation_text
             proven += 1
         assert proven > 150
@@ -740,13 +815,25 @@ class TestProvenDomain:
                 undefined += 1
         assert undefined
 
-    def test_a_seeded_side_not_proven_positive_is_not_proven(self):
-        # x is seeded to y - z where that is positive: logs without a lower bound
-        assert not _is_proven(_line_spec("x = y - z"))
+    def test_a_seeded_side_defined_but_not_positive_is_proven(self, tmp_path):
+        # x is seeded to the other side only where that is positive, and x
+        # is nowhere else: a seeded log with no lower bound only makes exp
+        # underflow toward 0
+        ratio = _spec_text(tmp_path, {"x": "1", "y": "L", "z": "L"}, "x = log(y/z)")
+        for spec in (_line_spec("x = y - z"), ratio):
+            assert _is_proven(spec), spec.relation_text
+            expected = _fingerprint(reference_fuzz, spec, 1000, 0, 1e-9)
+            assert expected == (1000, 1000, 0, 0, None, 0), spec.relation_text
+            assert _fingerprint(fuzz_invariance, spec, 1000, 0, 1e-9) == expected
         assert _is_proven(_line_spec("x = y + z"))
+        # y^2000 overflows on most of the box, and the seeded log with it
+        assert not _is_proven(_line_spec("x = y^2000 - z"))
+        # every log the proof converts stays within ±_LOG_LIMIT, a seeded one too
+        assert _is_proven(_line_spec("x = 8*y^101 - z"))
+        assert not _is_proven(_line_spec("x = 8*y^101 + 8*y^101 - z"))
 
     def test_a_proven_relation_draws_nothing(self, monkeypatch):
-        def trial_rng(*args):
+        def blake2b(*args, **kwargs):
             raise AssertionError("a trial was drawn")
 
         rng = random.Random(179)
@@ -757,7 +844,7 @@ class TestProvenDomain:
                 text, env = corpus_relation(rng, template)
                 specs.append(dsl.ProblemSpec(CORPUS_SYSTEM, tuple(env), tuple(env.values()),
                                              dsl.parse_relation(text), text))
-        monkeypatch.setattr(harness, "_trial_rng", trial_rng)
+        monkeypatch.setattr(harness, "blake2b", blake2b)
         for spec in specs:
             report = fuzz_invariance(spec, trials=1000, seed=3)
             assert (report.passed, report.counterexample) == (1000, None), spec.relation_text
