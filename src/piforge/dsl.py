@@ -19,10 +19,11 @@ chains group from the left. `_BINARY` is the one place that precedence is
 defined: the parser (`_expr`) and the printer (`_prec`) both read it.
 
 `evaluate` lowers a relation into float closures and keeps the last one
-lowered; `compile_relation` lowers it once for many evaluations, with each
-comparison's sides and their dimensions (the invariance fuzzer's view). The
-closures read each variable's log magnitude from a plain dict, as `holds`
-and `log_magnitude` take it, so a caller of floats builds no Quantity.
+lowered; `compile_relation` typechecks it once for many evaluations and
+lowers it on first use, with each comparison's sides and their dimensions
+(the invariance fuzzer's view). The closures read each variable's log
+magnitude from a plain dict, as `holds` and `log_magnitude` take it, so a
+caller of floats builds no Quantity.
 Multiplicative chains (variables, constants, *, /, ^, sqrt) stay in log
 space; sums, exp/log/sin/cos work in linear space, where non-positive values
 are legal, and only there. A comparison whose two sides are both in
@@ -38,8 +39,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity, check_tol
@@ -458,54 +461,67 @@ def typecheck(node: Node, env: dict[str, DimVector], *, allow_mixed_comparisons=
     magnitudes. With allow_mixed_comparisons the =/</<= operators accept
     operands of different dimensions (the invariance fuzzer's loophole);
     everything else stays strict. A list given as sides gets the two side
-    dimensions of each comparison, left to right.
-    """
+    dimensions of each comparison, left to right. The walk types quantities
+    by exponent tuples, ints but for rational exponents, and builds
+    DimVectors only for what it returns or raises; a variable over another
+    system than the first variable's keeps its own."""
     system = next(iter(env.values())).system if env else None
+    zero, made = system and (0,) * system.size, {}  # made: a DimVector per tuple
+
+    def vec(t):
+        if t.__class__ is tuple and t not in made:
+            made[t] = DimVector(system, tuple(map(Fraction, t)))
+        return made.get(t, t)
+
+    def scaled(t, e: Fraction):
+        if t.__class__ is not tuple:
+            return t**e
+        p, q = e.numerator, e.denominator
+        return tuple(b // q if (b := a * p) % q == 0 else Fraction(b, q) for a in t)
+
+    def fail(n: Node, text: str, *dims):  # text names each of dims by {}
+        dims = tuple(map(vec, dims))
+        raise DimensionError(text.format(*dims), n, *dims)
 
     def check(n: Node):
         match n:
             case Var(name):
                 if name not in env:
                     raise DimensionError(f"unbound variable {name!r}", node=n)
-                return env[name]
+                if (d := env[name]).system is not system and d.system != system:
+                    return d
+                return made.setdefault(d._exact, d)._exact
             case Const():
                 if system is None:
                     raise DimensionError("no dimension system in scope", node=n)
-                return DimVector.zero(system)
+                return zero
             case BinOp(op, left, right):
                 lt, rt = check(left), check(right)
                 _need_dim(n, lt), _need_dim(n, rt)
                 if op in ("+", "-"):
                     if lt != rt:
-                        raise DimensionError(
-                            f"'{op}' needs equal dimensions: {lt} vs {rt}",
-                            node=n, left=lt, right=rt,
-                        )
+                        fail(n, f"'{op}' needs equal dimensions: {{}} vs {{}}", lt, rt)
                     return lt
-                return lt * rt if op == "*" else lt / rt
+                if lt.__class__ is not tuple or rt.__class__ is not tuple:
+                    lt, rt = vec(lt), vec(rt)
+                    return lt * rt if op == "*" else lt / rt
+                return tuple(map(operator.add if op == "*" else operator.sub, lt, rt))
             case Pow(base, exponent):
-                bt = _need_dim(n, check(base))
-                return bt**exponent
+                return scaled(_need_dim(n, check(base)), exponent)
             case Call(func, arg):
                 at = _need_dim(n, check(arg))
                 if func == "sqrt":
-                    return at ** Fraction(1, 2)
-                if not at.is_zero():
-                    raise DimensionError(
-                        f"{func} needs a dimensionless operand, got {at}",
-                        node=n, left=at,
-                    )
+                    return scaled(at, Fraction(1, 2))
+                if at != zero and (at.__class__ is tuple or not at.is_zero()):
+                    fail(n, f"{func} needs a dimensionless operand, got {{}}", at)
                 return BOOL if func == "is_pos_int" else at
             case Compare(op, left, right):
                 lt, rt = check(left), check(right)
                 _need_dim(n, lt), _need_dim(n, rt)
                 if lt != rt and not allow_mixed_comparisons:
-                    raise DimensionError(
-                        f"'{op}' compares different dimensions: {lt} vs {rt}",
-                        node=n, left=lt, right=rt,
-                    )
+                    fail(n, f"'{op}' compares different dimensions: {{}} vs {{}}", lt, rt)
                 if sides is not None:
-                    sides.append((lt, rt))
+                    sides.append((vec(lt), vec(rt)))
                 return BOOL
             case BoolOp(op, left, right):
                 for side in (left, right):
@@ -518,7 +534,8 @@ def typecheck(node: Node, env: dict[str, DimVector], *, allow_mixed_comparisons=
                 return BOOL
         raise TypeError(f"not a relation node: {n!r}")
 
-    return check(node)
+    result = check(node)
+    return result if result is BOOL else vec(result)
 
 
 def _need_dim(node: Node, t):
@@ -670,17 +687,34 @@ def _as(space, node: Node, found, lowered=None):
 
 
 class CompiledRelation:
-    """A relation compiled for many evaluations. `type`, as `typecheck` with
-    mixed comparisons gives it; `truth(logs, tol)`, its truth value (None
-    unless `type` is BOOL); `leaves`, (node, truth run, sides) for each
-    comparison and is_pos_int call, left to right. A comparison's sides are
-    two (log, run, dim): run(logs, tol) gives the side's log magnitude if
-    log, else its plain value."""
+    """A relation typechecked for many evaluations, lowered on first use of
+    `truth` or `leaves` and kept for the next `evaluate` of the node. `type`
+    and `sides`, as `typecheck` with mixed comparisons gives them; `truth(logs,
+    tol)`, its truth value (None unless `type` is BOOL); `leaves`, (node,
+    truth run, sides) for each comparison and is_pos_int call, left to
+    right, a comparison's sides two (log, run, dim): run(logs, tol) gives
+    the side's log magnitude if log, else its plain value."""
 
-    __slots__ = ("type", "truth", "leaves")
+    def __init__(self, node: Node, env: dict[str, DimVector]):
+        self.node, self.sides = node, []
+        self.type = typecheck(node, env, allow_mixed_comparisons=True, sides=self.sides)
 
-    def __init__(self, type, truth, leaves):
-        self.type, self.truth, self.leaves = type, truth, leaves
+    @cached_property
+    def _lowering(self):
+        found = []
+        space, run = _lowered(self.node, found)
+        dims = iter(self.sides)
+        leaves = tuple(
+            (n, r, pair and tuple((s is _LOG, f, d) for (s, f), d in zip(pair, next(dims))))
+            for n, r, pair in found
+        )
+        return run if space is _TRUTH else None, leaves
+
+    truth = property(lambda self: self._lowering[0])
+    leaves = property(lambda self: self._lowering[1])
+
+
+compile_relation = CompiledRelation  # DimensionError where the relation is ill-typed
 
 
 # (node, (space, run)) of the node last lowered whole; read once, replaced whole
@@ -696,20 +730,6 @@ def _lowered(node: Node, found: list | None = None):
     if kept_node is not node or found is not None:
         _last_lowered = (node, kept := _lower(node, found))
     return kept
-
-
-def compile_relation(node: Node, env: dict[str, DimVector]) -> CompiledRelation:
-    """The relation's `CompiledRelation` (DimensionError where it is
-    ill-typed). Its lowering is kept for the next `evaluate` of the node."""
-    dims, found = [], []
-    kind = typecheck(node, env, allow_mixed_comparisons=True, sides=dims)
-    space, run = _lowered(node, found)
-    dims = iter(dims)
-    leaves = tuple(
-        (n, r, pair and tuple((s is _LOG, f, d) for (s, f), d in zip(pair, next(dims))))
-        for n, r, pair in found
-    )
-    return CompiledRelation(kind, run if space is _TRUTH else None, leaves)
 
 
 def log_magnitude(node: Node, logs: dict[str, float]) -> float:

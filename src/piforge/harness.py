@@ -20,7 +20,8 @@ A relation with no mixed comparison therefore passes every trial whose drawn
 point lies in its domain. Before drawing any, one interval pass (`_bounds`,
 Moore's interval arithmetic over the box the trials draw from, each bound
 widened well past float rounding) tries to prove every such point in the
-domain; where it does, every trial passes and none is drawn.
+domain; where it does, every trial passes, none is drawn, and the relation,
+typed and proven, is never lowered into float closures.
 
 Failures are definitive; passes are evidence, not proof — the verdict is
 necessarily one-sided, and the CLI report says so.
@@ -450,10 +451,11 @@ def fuzz_invariance(
     relation with no mixed comparison passes every trial on which it is
     defined. Where an interval pass proves such a relation defined at every
     point a trial can draw, the report (every trial passed) is returned
-    without drawing any. A trial whose drawn point leaves the relation's domain
-    (EvaluationError) is inapplicable; one on which a mixed comparison lies
-    within rounding of its edge, before or after, is undecided. If no trial
-    is decided, EvaluationError is raised, since none tested the relation.
+    without drawing any or lowering the relation. A trial whose drawn point
+    leaves the relation's domain (EvaluationError) is inapplicable; one on
+    which a mixed comparison lies within rounding of its edge, before or
+    after, is undecided. If no trial is decided, EvaluationError is raised,
+    since none tested the relation.
 
     The first failing trial is shrunk (factor bisection toward 1, on the
     same sides) and confirmed through `rescale` and `evaluate` from the
@@ -472,10 +474,10 @@ def fuzz_invariance(
     _check_dims(spec)
 
     relation, names, system = spec.relation, spec.variable_names, spec.system
-    truth, program = compiled.truth, _program(relation, compiled, tol)
     seed_target = _equality_seed_target(spec)
-    if program is None and _proven(spec, seed_target):
+    if all(left == right for left, right in compiled.sides) and _proven(spec, seed_target):
         return InvarianceReport(trials=trials, passed=trials, seed=seed, counterexample=None)
+    truth, program = compiled.truth, _program(relation, compiled, tol)
     if seed_target is not None:
         vname, other = seed_target
         seed_side = compiled.leaves[0][2][other is relation.right]

@@ -412,6 +412,12 @@ GOLDEN_CASES = [
         ["nondim", "--spec", "fixtures/mass_spring.json", "fixtures/mass_spring_bindings.json"],
         0,
     ),
+    ("check_hidden_constant.txt", ["check", "--spec", "fixtures/hidden_constant.json"], 1),
+    ("check_hidden_constant.json", ["check", "--spec", "fixtures/hidden_constant.json", "--json"], 1),
+    ("check_mass_spring.txt", ["check", "--spec", "fixtures/mass_spring.json"], 0),
+    ("check_mass_spring.json", ["check", "--spec", "fixtures/mass_spring.json", "--json"], 0),
+    ("check_newton.txt", ["check", "--spec", "fixtures/newton.json"], 0),
+    ("check_newton.json", ["check", "--spec", "fixtures/newton.json", "--json"], 0),
 ]
 
 
@@ -466,6 +472,79 @@ def corpus_relation(rng: random.Random, template: str):
     if template == "mixed_lt":
         return "x1*x2 < x3", {"x1": d1, "x2": d2, "x3": d1 * d2 * _corpus_mismatch(rng)}
     raise ValueError(template)
+
+
+# --- Typechecking reference -------------------------------------------------
+
+
+def reference_typecheck(node, env: dict[str, DimVector], *, allow_mixed_comparisons=False,
+                        sides=None):
+    """The typing rules as a walk over the AST through `DimVector`
+    arithmetic, exact Fractions at every node. `dsl.typecheck` must return
+    an equal result, fill `sides` alike, and raise the same error with the
+    same message, node and dimensions."""
+    system = next(iter(env.values())).system if env else None
+
+    def need_dim(n, t):
+        if t is BOOL:
+            raise DimensionError("boolean value used where a quantity is required", node=n)
+        return t
+
+    def check(n):
+        match n:
+            case Var(name):
+                if name not in env:
+                    raise DimensionError(f"unbound variable {name!r}", node=n)
+                return env[name]
+            case Const():
+                if system is None:
+                    raise DimensionError("no dimension system in scope", node=n)
+                return DimVector.zero(system)
+            case BinOp(op, left, right):
+                lt, rt = check(left), check(right)
+                need_dim(n, lt), need_dim(n, rt)
+                if op in ("+", "-"):
+                    if lt != rt:
+                        raise DimensionError(
+                            f"'{op}' needs equal dimensions: {lt} vs {rt}",
+                            node=n, left=lt, right=rt,
+                        )
+                    return lt
+                return lt * rt if op == "*" else lt / rt
+            case Pow(base, exponent):
+                return need_dim(n, check(base)) ** exponent
+            case Call(func, arg):
+                at = need_dim(n, check(arg))
+                if func == "sqrt":
+                    return at ** Fraction(1, 2)
+                if not at.is_zero():
+                    raise DimensionError(
+                        f"{func} needs a dimensionless operand, got {at}", node=n, left=at,
+                    )
+                return BOOL if func == "is_pos_int" else at
+            case Compare(op, left, right):
+                lt, rt = check(left), check(right)
+                need_dim(n, lt), need_dim(n, rt)
+                if lt != rt and not allow_mixed_comparisons:
+                    raise DimensionError(
+                        f"'{op}' compares different dimensions: {lt} vs {rt}",
+                        node=n, left=lt, right=rt,
+                    )
+                if sides is not None:
+                    sides.append((lt, rt))
+                return BOOL
+            case BoolOp(op, left, right):
+                for side in (left, right):
+                    if check(side) is not BOOL:
+                        raise DimensionError(f"'{op}' needs boolean operands", node=n)
+                return BOOL
+            case Not(operand):
+                if check(operand) is not BOOL:
+                    raise DimensionError("'not' needs a boolean operand", node=n)
+                return BOOL
+        raise TypeError(f"not a relation node: {n!r}")
+
+    return check(node)
 
 
 # --- Float reference --------------------------------------------------------

@@ -917,3 +917,84 @@ class TestProofGrammar:
     def test_what_has_no_rule_is_not_proven(self, node):
         box = dict.fromkeys("xyz", harness._LOG_MAG_RANGE)
         assert harness._bounds(node, box) is None
+
+
+_INVARIANT_FIXTURES = ("newton", "light_three_var", "electronics", "independent_dims", "mass_spring")
+_INVARIANT_SHAPES = ("power_lt", "seeded_eq", "sum_le", "log_sin", "bool_mix")
+
+
+class TestLoweringOnlyWhenTrialsRun:
+    """A relation that needs no trial is typed and proven, never lowered into
+    float closures; one that runs trials is lowered once per call, and the
+    counterexample's confirmation through `evaluate` reuses that lowering."""
+
+    @staticmethod
+    def _lowering_raises(monkeypatch):
+        def lower(node, found=None):
+            raise AssertionError(f"lowered {dsl.print_relation(node)}")
+
+        monkeypatch.setattr(dsl, "_lower", lower)
+
+    @staticmethod
+    def _roots_lowered(monkeypatch, root):
+        """The list of each lowering of root, the whole relation, as it is
+        made; a lowering of any other node outside one of root is an error."""
+        original, depth, roots = dsl._lower, [0], []
+
+        def lower(node, found=None):
+            assert depth[0] or node is root, f"lowered {dsl.print_relation(node)} alone"
+            if node is root:
+                roots.append(node)
+            depth[0] += 1
+            try:
+                return original(node, found)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(dsl, "_lower", lower)
+        return roots
+
+    @pytest.mark.parametrize("name", _INVARIANT_FIXTURES)
+    def test_invariant_fixtures_lower_nothing(self, monkeypatch, name):
+        spec = _spec(name)
+        self._lowering_raises(monkeypatch)
+        for seed in (0, 3):
+            assert fuzz_invariance(spec, trials=100, seed=seed).passed == 100
+
+    @pytest.mark.parametrize("template", _INVARIANT_SHAPES)
+    def test_invariant_corpus_shapes_lower_nothing(self, monkeypatch, template):
+        rng = random.Random(f"lowering:{template}")
+        specs = [_corpus_spec(*corpus_relation(rng, template)) for _ in range(6)]
+        self._lowering_raises(monkeypatch)
+        for spec in specs:
+            assert fuzz_invariance(spec, trials=100, seed=7).passed == 100
+
+    @pytest.mark.parametrize("label", ["hidden_constant", "mixed_lt", "unproven"])
+    def test_a_call_that_runs_trials_lowers_once(self, monkeypatch, label):
+        if label == "unproven":
+            spec = _line_spec("x^103 + y^103 < z^103")
+            assert not _is_proven(spec)
+        elif label == "mixed_lt":
+            spec = _corpus_spec(*corpus_relation(random.Random(5), "mixed_lt"))
+        else:
+            spec = _spec(label)
+        roots = self._roots_lowered(monkeypatch, spec.relation)
+        counting, confirmations = dsl._lower, []
+        original_confirmed = harness._confirmed
+
+        def confirmed(*args):
+            self._lowering_raises(monkeypatch)
+            try:
+                confirmations.append(original_confirmed(*args))
+            finally:
+                monkeypatch.setattr(dsl, "_lower", counting)
+            return confirmations[-1]
+
+        monkeypatch.setattr(harness, "_confirmed", confirmed)
+        for call, seed in enumerate((0, 1, 2), 1):
+            report = fuzz_invariance(spec, trials=100, seed=seed)
+            assert len(roots) == call
+            assert (report.counterexample is None) == (label == "unproven")
+        # the confirmation ran, through evaluate, and lowered nothing
+        assert len(confirmations) == (0 if label == "unproven" else 3)
+        assert all(confirmations)
