@@ -16,7 +16,15 @@ and/or/not are reserved: no spec variable may take them. Numeric literals
 must be positive and within the float range. Relation operators bind,
 loosest first: or, and, not, = < <= (which do not chain), + -, * /, ^, and
 chains group from the left. `_BINARY` is the one place that precedence is
-defined: the parser (`_expr`) and the printer (`_prec`) both read it.
+defined: the parser (`_expr`) and the printer (`_prec`) both read it. A
+relation nests at most MAX_NESTING levels deep, as the parser's recursion
+and as the tree it returns, the depth counted without recursion, so that no
+walker of it runs into Python's recursion limit; a deeper one is a
+ParseError. A relation node is an instance of exactly one of the eight
+classes of `Node`, and the walkers on `verify`'s path (`typecheck`,
+`free_variables`, `_lower`) dispatch on `node.__class__ is ...` and read
+fields as attributes (a `match` class pattern costs several times as much
+per node, and would take an instance of a subclass for a node).
 
 `evaluate` lowers a relation into float closures and keeps the last one
 lowered; `compile_relation` typechecks it once for many evaluations and
@@ -26,9 +34,11 @@ magnitude from a plain dict, as `holds` and `log_magnitude` take it, so a
 caller of floats builds no Quantity.
 Multiplicative chains (variables, constants, *, /, ^, sqrt) stay in log
 space; sums, exp/log/sin/cos work in linear space, where non-positive values
-are legal, and only there. A comparison whose two sides are both in
-log space compares their logs, so magnitudes beyond the float range compare
-correctly; equality within relative tolerance tol becomes
+are legal, and only there. `SPACES` states, once, the space of each node
+kind's operands and value: `_lower` and `harness._bounds` both read it, so a
+kind with no entry is neither lowered nor bounded. A comparison whose two
+sides are both in log space compares their logs, so magnitudes beyond the
+float range compare correctly; equality within relative tolerance tol becomes
 |log a - log b| <= -log1p(-tol), the same rule as |a - b| <= tol*max(a, b).
 A value that leaves the domain (a non-positive value in a product or under
 log, or a value, linear or log, beyond the float range) raises
@@ -163,6 +173,7 @@ class _TokenStream:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # the relation parser's open `_expr` calls
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -313,11 +324,43 @@ def parse_quantity(text: str, registry) -> Quantity:
 # --- relation expressions -----------------------------------------------
 
 
+# How deeply a relation may nest, both as the parser's open `_expr` calls
+# and as the nodes on a path from the root to a leaf. The parser takes up to
+# three frames a level; a walker of the tree up to two (`_lower` through
+# `_as`, `print_relation` through `_wrap`, the evaluation closures through a
+# conversion), `==` and pickling three, and a node's repr four. At this
+# limit each stays under Python's default recursion limit of 1000 with room
+# for its caller's frames.
+MAX_NESTING = 200
+_TOO_DEEP = f"relation nests more than {MAX_NESTING} levels deep"
+
+
 def parse_relation(text: str) -> Node:
+    """The AST of a relation; ParseError where the text is not one, or where
+    it nests more than MAX_NESTING levels deep."""
     ts = _TokenStream(text)
     node = _expr(ts)
     if not ts.at_end():
         raise ParseError(f"trailing input {ts.peek().text!r} in relation {text!r}")
+    # chains and powers grow the tree in a loop, not through the parser's
+    # recursion: count its levels breadth first
+    level, depth = [node], 0
+    while level:
+        depth += 1
+        if depth > MAX_NESTING:
+            raise ParseError(_TOO_DEEP)
+        below = []
+        for n in level:
+            kind = n.__class__
+            if kind is BinOp or kind is Compare or kind is BoolOp:
+                below += n.left, n.right
+            elif kind is Pow:
+                below.append(n.base)
+            elif kind is Call:
+                below.append(n.arg)
+            elif kind is Not:
+                below.append(n.operand)
+        level = below
     return node
 
 
@@ -335,6 +378,9 @@ def _expr(ts: _TokenStream, min_prec: int = 1) -> Node:
     chain grouped from the left (precedence climbing over `_BINARY`). After
     an operand built by `not` or by a comparison only looser operators may
     follow, so `a < b < c` and `not a < b < c` leave trailing input."""
+    ts.depth += 1
+    if ts.depth > MAX_NESTING:
+        raise ParseError(_TOO_DEEP)
     if ts.peek().text == "not" and min_prec <= _NOT:
         ts.next()
         node, ceiling = Not(_expr(ts, _NOT)), _NOT
@@ -347,6 +393,7 @@ def _expr(ts: _TokenStream, min_prec: int = 1) -> Node:
         ts.next()
         node = node_type(op, node, _expr(ts, prec + 1))
         ceiling = _CMP if node_type is Compare else prec + 1
+    ts.depth -= 1
     return node
 
 
@@ -392,19 +439,19 @@ def _primary(ts: _TokenStream) -> Node:
 
 
 def free_variables(node: Node) -> set[str]:
-    match node:
-        case Var(name):
-            return {name}
-        case Const():
-            return set()
-        case BinOp(_, left, right) | Compare(_, left, right) | BoolOp(_, left, right):
-            return free_variables(left) | free_variables(right)
-        case Pow(base, _):
-            return free_variables(base)
-        case Call(_, arg):
-            return free_variables(arg)
-        case Not(operand):
-            return free_variables(operand)
+    kind = node.__class__
+    if kind is Var:
+        return {node.name}
+    if kind is Const:
+        return set()
+    if kind is BinOp or kind is Compare or kind is BoolOp:
+        return free_variables(node.left) | free_variables(node.right)
+    if kind is Pow:
+        return free_variables(node.base)
+    if kind is Call:
+        return free_variables(node.arg)
+    if kind is Not:
+        return free_variables(node.operand)
     raise TypeError(f"not a relation node: {node!r}")
 
 
@@ -484,54 +531,58 @@ def typecheck(node: Node, env: dict[str, DimVector], *, allow_mixed_comparisons=
         raise DimensionError(text.format(*dims), n, *dims)
 
     def check(n: Node):
-        match n:
-            case Var(name):
-                if name not in env:
-                    raise DimensionError(f"unbound variable {name!r}", node=n)
-                if (d := env[name]).system is not system and d.system != system:
-                    return d
-                return made.setdefault(d._exact, d)._exact
-            case Const():
-                if system is None:
-                    raise DimensionError("no dimension system in scope", node=n)
-                return zero
-            case BinOp(op, left, right):
-                lt, rt = check(left), check(right)
-                _need_dim(n, lt), _need_dim(n, rt)
-                if op in ("+", "-"):
-                    if lt != rt:
-                        fail(n, f"'{op}' needs equal dimensions: {{}} vs {{}}", lt, rt)
-                    return lt
-                if lt.__class__ is not tuple or rt.__class__ is not tuple:
-                    lt, rt = vec(lt), vec(rt)
-                    return lt * rt if op == "*" else lt / rt
-                return tuple(map(operator.add if op == "*" else operator.sub, lt, rt))
-            case Pow(base, exponent):
-                return scaled(_need_dim(n, check(base)), exponent)
-            case Call(func, arg):
-                at = _need_dim(n, check(arg))
-                if func == "sqrt":
-                    return scaled(at, Fraction(1, 2))
-                if at != zero and (at.__class__ is tuple or not at.is_zero()):
-                    fail(n, f"{func} needs a dimensionless operand, got {{}}", at)
-                return BOOL if func == "is_pos_int" else at
-            case Compare(op, left, right):
-                lt, rt = check(left), check(right)
-                _need_dim(n, lt), _need_dim(n, rt)
-                if lt != rt and not allow_mixed_comparisons:
-                    fail(n, f"'{op}' compares different dimensions: {{}} vs {{}}", lt, rt)
-                if sides is not None:
-                    sides.append((vec(lt), vec(rt)))
-                return BOOL
-            case BoolOp(op, left, right):
-                for side in (left, right):
-                    if check(side) is not BOOL:
-                        raise DimensionError(f"'{op}' needs boolean operands", node=n)
-                return BOOL
-            case Not(operand):
-                if check(operand) is not BOOL:
-                    raise DimensionError("'not' needs a boolean operand", node=n)
-                return BOOL
+        kind = n.__class__
+        if kind is BinOp:
+            op = n.op
+            lt, rt = check(n.left), check(n.right)
+            _need_dim(n, lt), _need_dim(n, rt)
+            if op in ("+", "-"):
+                if lt != rt:
+                    fail(n, f"'{op}' needs equal dimensions: {{}} vs {{}}", lt, rt)
+                return lt
+            if lt.__class__ is not tuple or rt.__class__ is not tuple:
+                lt, rt = vec(lt), vec(rt)
+                return lt * rt if op == "*" else lt / rt
+            return tuple(map(operator.add if op == "*" else operator.sub, lt, rt))
+        if kind is Var:
+            name = n.name
+            if name not in env:
+                raise DimensionError(f"unbound variable {name!r}", node=n)
+            if (d := env[name]).system is not system and d.system != system:
+                return d
+            return made.setdefault(d._exact, d)._exact
+        if kind is Const:
+            if system is None:
+                raise DimensionError("no dimension system in scope", node=n)
+            return zero
+        if kind is Pow:
+            return scaled(_need_dim(n, check(n.base)), n.exponent)
+        if kind is Compare:
+            op = n.op
+            lt, rt = check(n.left), check(n.right)
+            _need_dim(n, lt), _need_dim(n, rt)
+            if lt != rt and not allow_mixed_comparisons:
+                fail(n, f"'{op}' compares different dimensions: {{}} vs {{}}", lt, rt)
+            if sides is not None:
+                sides.append((vec(lt), vec(rt)))
+            return BOOL
+        if kind is Call:
+            func = n.func
+            at = _need_dim(n, check(n.arg))
+            if func == "sqrt":
+                return scaled(at, Fraction(1, 2))
+            if at != zero and (at.__class__ is tuple or not at.is_zero()):
+                fail(n, f"{func} needs a dimensionless operand, got {{}}", at)
+            return BOOL if func == "is_pos_int" else at
+        if kind is BoolOp:
+            for side in (n.left, n.right):
+                if check(side) is not BOOL:
+                    raise DimensionError(f"'{n.op}' needs boolean operands", node=n)
+            return BOOL
+        if kind is Not:
+            if check(n.operand) is not BOOL:
+                raise DimensionError("'not' needs a boolean operand", node=n)
+            return BOOL
         raise TypeError(f"not a relation node: {n!r}")
 
     result = check(node)
@@ -551,8 +602,44 @@ def _need_dim(node: Node, t):
 # EvaluationError where it leaves the domain. `logs` maps each variable to
 # its log magnitude as a plain float. Conversions between spaces go in here.
 
-_LOG, _LINEAR, _TRUTH = "log", "linear", "truth"
+LOG, LINEAR, TRUTH = "log", "linear", "truth"
 _OVERFLOW = "a value overflows the float range, about 1.8e+308"
+
+# (node class, op or function, None for a class with neither) -> (space of
+# its operands, space of its value), for each node kind with operands; a
+# variable or constant is a log magnitude. `_lower` and `harness._bounds`
+# both read it, so a kind with no entry is neither lowered nor bounded. A
+# comparison's sides keep their own spaces (see `_compare`).
+SPACES = {
+    (BinOp, "*"): (LOG, LOG),
+    (BinOp, "/"): (LOG, LOG),
+    (BinOp, "+"): (LINEAR, LINEAR),
+    (BinOp, "-"): (LINEAR, LINEAR),
+    (Pow, None): (LOG, LOG),
+    (Call, "sqrt"): (LOG, LOG),
+    (Call, "exp"): (LINEAR, LINEAR),
+    (Call, "log"): (LINEAR, LINEAR),
+    (Call, "sin"): (LINEAR, LINEAR),
+    (Call, "cos"): (LINEAR, LINEAR),
+    (Call, "is_pos_int"): (LINEAR, TRUTH),
+    (Compare, "="): (None, TRUTH),
+    (Compare, "<"): (None, TRUTH),
+    (Compare, "<="): (None, TRUTH),
+    (BoolOp, "and"): (TRUTH, TRUTH),
+    (BoolOp, "or"): (TRUTH, TRUTH),
+    (Not, None): (TRUTH, TRUTH),
+}
+
+
+def node_spaces(node: Node):
+    """The SPACES entry of node's kind; None for a variable, a constant, or
+    anything with no entry."""
+    kind = node.__class__
+    if kind is BinOp or kind is Compare or kind is BoolOp:
+        return SPACES.get((kind, node.op))
+    if kind is Call:
+        return SPACES.get((kind, node.func))
+    return SPACES.get((kind, None))
 
 
 def log_eq_bound(tol: float) -> float:
@@ -583,26 +670,31 @@ def _lower(node: Node, found: list | None = None):
     A list given as found gets (node, truth run, lowered sides) for each
     comparison, and (node, truth run, None) for each is_pos_int call, left
     to right."""
-    match node:
-        case Var(name):
-            return _LOG, lambda b, tol: b[name]
-        case Const(value, _):
-            log_value = math.log(value)
-            return _LOG, lambda b, tol: log_value
-        case BinOp(op, left, right):
-            space = _LOG if op in ("*", "/") else _LINEAR
-            lf, rf = _as(space, left, found), _as(space, right, found)
-            if op in ("*", "+"):
-                return space, lambda b, tol: _finite(lf(b, tol) + rf(b, tol))
-            return space, lambda b, tol: _finite(lf(b, tol) - rf(b, tol))
-        case Pow(base, exponent):
-            bf, e = _as(_LOG, base, found), float(exponent)
-            return _LOG, lambda b, tol: _finite(bf(b, tol) * e)
-        case Call("sqrt", arg):
-            af = _as(_LOG, arg, found)
-            return _LOG, lambda b, tol: af(b, tol) * 0.5
-        case Call("is_pos_int", arg):
-            af = _as(_LINEAR, arg, found)
+    kind = node.__class__
+    if kind is Var:
+        name = node.name
+        return LOG, lambda b, tol: b[name]
+    if kind is Const:
+        log_value = math.log(node.value)
+        return LOG, lambda b, tol: log_value
+    entry = node_spaces(node)
+    if entry is None:
+        raise TypeError(f"not a relation node: {node!r}")
+    operand, space = entry
+    if kind is BinOp:
+        op = node.op
+        lf, rf = _as(operand, node.left, found), _as(operand, node.right, found)
+        if op in ("*", "+"):
+            return space, lambda b, tol: _finite(lf(b, tol) + rf(b, tol))
+        return space, lambda b, tol: _finite(lf(b, tol) - rf(b, tol))
+    if kind is Pow:
+        bf, e = _as(operand, node.base, found), float(node.exponent)
+        return space, lambda b, tol: _finite(bf(b, tol) * e)
+    if kind is Call:
+        func, af = node.func, _as(operand, node.arg, found)
+        if func == "sqrt":
+            return space, lambda b, tol: af(b, tol) * 0.5
+        if func == "is_pos_int":
 
             def is_pos_int(b, tol):
                 v = af(b, tol)
@@ -611,9 +703,8 @@ def _lower(node: Node, found: list | None = None):
 
             if found is not None:
                 found.append((node, is_pos_int, None))
-            return _TRUTH, is_pos_int
-        case Call("log", arg):
-            af = _as(_LINEAR, arg, found)
+            return space, is_pos_int
+        if func == "log":
 
             def log(b, tol):
                 v = af(b, tol)
@@ -621,35 +712,33 @@ def _lower(node: Node, found: list | None = None):
                     raise EvaluationError(f"log of non-positive value {v!r}")
                 return math.log(v)
 
-            return _LINEAR, log
-        case Call(func, arg):
-            af, f = _as(_LINEAR, arg, found), _LINEAR_FUNCTIONS[func]
-            return _LINEAR, lambda b, tol: f(af(b, tol))
-        case Compare(op, left, right):
-            sides = _lower(left, found), _lower(right, found)
-            run = _compare(op, left, right, sides)
-            if found is not None:
-                found.append((node, run, sides))
-            return _TRUTH, run
-        case BoolOp(op, left, right):
-            lf, rf = _as(_TRUTH, left, found), _as(_TRUTH, right, found)
-            if op == "and":
-                return _TRUTH, lambda b, tol: lf(b, tol) and rf(b, tol)
-            return _TRUTH, lambda b, tol: lf(b, tol) or rf(b, tol)
-        case Not(operand):
-            of = _as(_TRUTH, operand, found)
-            return _TRUTH, lambda b, tol: not of(b, tol)
-    raise TypeError(f"not a relation node: {node!r}")
+            return space, log
+        f = _LINEAR_FUNCTIONS[func]
+        return space, lambda b, tol: f(af(b, tol))
+    if kind is Compare:
+        left, right = node.left, node.right
+        sides = _lower(left, found), _lower(right, found)
+        run = _compare(node.op, left, right, sides)
+        if found is not None:
+            found.append((node, run, sides))
+        return space, run
+    if kind is BoolOp:
+        lf, rf = _as(operand, node.left, found), _as(operand, node.right, found)
+        if node.op == "and":
+            return space, lambda b, tol: lf(b, tol) and rf(b, tol)
+        return space, lambda b, tol: lf(b, tol) or rf(b, tol)
+    of = _as(operand, node.operand, found)  # Not
+    return space, lambda b, tol: not of(b, tol)
 
 
 def _compare(op: str, left: Node, right: Node, sides):
     """Two positive sides compare in log space; otherwise both go linear."""
     (left_space, lf), (right_space, rf) = sides
-    if left_space is _LOG and right_space is _LOG:
+    if left_space is LOG and right_space is LOG:
         if op == "=":
             return lambda b, tol: abs(lf(b, tol) - rf(b, tol)) <= log_eq_bound(tol)
     else:
-        lf, rf = _as(_LINEAR, left, None, sides[0]), _as(_LINEAR, right, None, sides[1])
+        lf, rf = _as(LINEAR, left, None, sides[0]), _as(LINEAR, right, None, sides[1])
         if op == "=":
 
             def equal(b, tol):
@@ -668,11 +757,11 @@ def _as(space, node: Node, found, lowered=None):
     node_space, run = lowered or _lower(node, found)
     if node_space is space:
         return run
-    if space is _TRUTH:
+    if space is TRUTH:
         raise EvaluationError(f"quantity used as a truth value in {print_relation(node)}")
-    if node_space is _TRUTH:
+    if node_space is TRUTH:
         raise EvaluationError(f"boolean used as a quantity in {print_relation(node)}")
-    if space is _LINEAR:
+    if space is LINEAR:
         return lambda b, tol: _exp(run(b, tol))
 
     def checked_log(b, tol):
@@ -705,10 +794,10 @@ class CompiledRelation:
         space, run = _lowered(self.node, found)
         dims = iter(self.sides)
         leaves = tuple(
-            (n, r, pair and tuple((s is _LOG, f, d) for (s, f), d in zip(pair, next(dims))))
+            (n, r, pair and tuple((s is LOG, f, d) for (s, f), d in zip(pair, next(dims))))
             for n, r, pair in found
         )
-        return run if space is _TRUTH else None, leaves
+        return run if space is TRUTH else None, leaves
 
     truth = property(lambda self: self._lowering[0])
     leaves = property(lambda self: self._lowering[1])
@@ -736,14 +825,14 @@ def log_magnitude(node: Node, logs: dict[str, float]) -> float:
     """The log magnitude of a quantity-valued node, as `evaluate` gives it,
     from each variable's log magnitude, without working out its dimension
     (or reading the tolerance, which no quantity-valued node does)."""
-    return _as(_LOG, node, None, _lowered(node))(logs, DEFAULT_TOL)
+    return _as(LOG, node, None, _lowered(node))(logs, DEFAULT_TOL)
 
 
 def holds(node: Node, logs: dict[str, float], tol: float) -> bool:
     """The truth value of a predicate, as `evaluate` gives it, from each
     variable's log magnitude. tol is not checked here: the caller has done
     so (see `core.check_tol`)."""
-    return _as(_TRUTH, node, None, _lowered(node))(logs, tol)
+    return _as(TRUTH, node, None, _lowered(node))(logs, tol)
 
 
 def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
@@ -761,9 +850,9 @@ def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL
     check_tol(tol)
     logs = {name: q.log_magnitude for name, q in bindings.items()}
     space, run = lowered = _lowered(node)
-    if space is _TRUTH:
+    if space is TRUTH:
         return run(logs, tol)
-    log_mag = _as(_LOG, node, None, lowered)(logs, tol)
+    log_mag = _as(LOG, node, None, lowered)(logs, tol)
     return Quantity(log_mag, typecheck(node, {n: q.dim for n, q in bindings.items()}))
 
 

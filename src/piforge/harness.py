@@ -21,7 +21,9 @@ point lies in its domain. Before drawing any, one interval pass (`_bounds`,
 Moore's interval arithmetic over the box the trials draw from, each bound
 widened well past float rounding) tries to prove every such point in the
 domain; where it does, every trial passes, none is drawn, and the relation,
-typed and proven, is never lowered into float closures.
+typed and proven, is never lowered into float closures. `_bounds` converts
+each node's operands to the space that `dsl.SPACES` names, as lowering
+does, and like every walker here it dispatches on the node's exact class.
 
 Failures are definitive; passes are evidence, not proof — the verdict is
 necessarily one-sided, and the CLI report says so.
@@ -47,6 +49,7 @@ from .dsl import (
     Call,
     Compare,
     Const,
+    LOG,
     Not,
     Pow,
     ProblemSpec,
@@ -55,6 +58,7 @@ from .dsl import (
     evaluate,
     free_variables,
     log_eq_bound,
+    node_spaces,
 )
 from .errors import (
     DimensionError,
@@ -164,11 +168,13 @@ class _Undecided(Exception):
 
 def _size(node) -> int:
     """The nodes of a quantity-valued expression: each rounds at most once."""
-    match node:
-        case BinOp(_, left, right):
-            return 1 + _size(left) + _size(right)
-        case Pow(arg, _) | Call(_, arg):
-            return 1 + _size(arg)
+    kind = node.__class__
+    if kind is BinOp:
+        return 1 + _size(node.left) + _size(node.right)
+    if kind is Pow:
+        return 1 + _size(node.base)
+    if kind is Call:
+        return 1 + _size(node.arg)
     return 1
 
 
@@ -361,50 +367,55 @@ def _bounds(node, box):
     where it is a quantity whose value (its log if log) lies in [lo, hi]
     there. None where a point may leave the domain, or node is not a
     relation node: anything unproven. `and`/`or` need both operands proven,
-    whether or not the left one decides."""
-    match node:
-        case Var(name) if name in box:
-            return _log(*box[name])
-        case Const(value, _):
-            return _log(math.log(value), math.log(value))
-        case BinOp("*" | "/" | "+" | "-" as op, left, right):
-            log = op in ("*", "/")
-            a, b = _to(log, _bounds(left, box)), _to(log, _bounds(right, box))
-            if a is None or b is None:
-                return None
-            make = _log if log else _linear
-            if op in ("*", "+"):
-                return make(a[1] + b[1], a[2] + b[2])
-            return make(a[1] - b[2], a[2] - b[1])
-        case Pow(base, exponent):
-            a = _to(True, _bounds(base, box))
-            try:
-                e = float(exponent)
-            except (OverflowError, TypeError):
-                return None
-            return a and _log(*sorted((a[1] * e, a[2] * e)))
-        case Call("sqrt", arg):
-            a = _to(True, _bounds(arg, box))
-            return a and _log(a[1] * 0.5, a[2] * 0.5)
-        case Call("is_pos_int", arg):
-            return _to(False, _bounds(arg, box)) and True
-        case Call("log", arg):
-            a = _to(False, _bounds(arg, box))
-            return a and a[1] > 0 and _linear(math.log(a[1]), math.log(a[2])) or None
-        case Call("exp", arg):
-            a = _to(False, _bounds(arg, box))
-            return a and _to(False, _log(a[1], a[2]))
-        case Call("sin" | "cos", arg):
-            return _to(False, _bounds(arg, box)) and (False, -1.0, 1.0)
-        case Compare("=" | "<" | "<=", left, right):
-            # a log side within ±_LOG_LIMIT goes linear without overflow
-            sides = _bounds(left, box), _bounds(right, box)
-            return all(isinstance(b, tuple) for b in sides) or None
-        case BoolOp("and" | "or", left, right):
-            return _bounds(left, box) is True and _bounds(right, box) is True or None
-        case Not(operand):
-            return _bounds(operand, box) is True or None
-    return None
+    whether or not the left one decides. Each kind converts its operands
+    to the space `dsl.SPACES` gives it."""
+    kind = node.__class__
+    if kind is Var:
+        name = node.name
+        return _log(*box[name]) if name in box else None
+    if kind is Const:
+        log_value = math.log(node.value)
+        return _log(log_value, log_value)
+    entry = node_spaces(node)
+    if entry is None:
+        return None
+    log = entry[0] is LOG
+    if kind is BinOp:
+        op = node.op
+        a, b = _to(log, _bounds(node.left, box)), _to(log, _bounds(node.right, box))
+        if a is None or b is None:
+            return None
+        make = _log if entry[1] is LOG else _linear
+        if op in ("*", "+"):
+            return make(a[1] + b[1], a[2] + b[2])
+        return make(a[1] - b[2], a[2] - b[1])
+    if kind is Pow:
+        a = _to(log, _bounds(node.base, box))
+        try:
+            e = float(node.exponent)
+        except (OverflowError, TypeError):
+            return None
+        return a and _log(*sorted((a[1] * e, a[2] * e)))
+    if kind is Call:
+        func, a = node.func, _to(log, _bounds(node.arg, box))
+        if not a:
+            return None
+        if func == "sqrt":
+            return _log(a[1] * 0.5, a[2] * 0.5)
+        if func == "is_pos_int":
+            return True
+        if func == "log":
+            return a[1] > 0 and _linear(math.log(a[1]), math.log(a[2])) or None
+        if func == "exp":
+            return _to(False, _log(a[1], a[2]))
+        return False, -1.0, 1.0  # sin, cos
+    if kind is Compare:
+        # a log side within ±_LOG_LIMIT goes linear without overflow
+        sides = _bounds(node.left, box), _bounds(node.right, box)
+        return all(isinstance(b, tuple) for b in sides) or None
+    if kind is BoolOp:
+        return _bounds(node.left, box) is True and _bounds(node.right, box) is True or None
+    return _bounds(node.operand, box) is True or None  # Not
 
 
 def _proven(spec: ProblemSpec, seed_target) -> bool:
@@ -574,7 +585,7 @@ def _check_dims(spec: ProblemSpec) -> None:
         if dim.system is not spec.system and dim.system != spec.system:
             raise DimensionMismatchError("rescaling and quantities use different systems")
         try:
-            dim.log_combine((0.0,) * spec.system.size)
+            dim._float_terms
         except EvaluationError:
             raise SpecError(
                 f"variable {name!r} has a dimension exponent beyond the float range, "

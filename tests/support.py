@@ -547,6 +547,76 @@ def reference_typecheck(node, env: dict[str, DimVector], *, allow_mixed_comparis
     return check(node)
 
 
+def reference_free_variables(node) -> set[str]:
+    """The variables of a relation, by `match` class patterns, which accept
+    an instance of a subclass of a node class as that node, where
+    `dsl.free_variables` takes exactly the eight node classes."""
+    match node:
+        case Var(name):
+            return {name}
+        case Const():
+            return set()
+        case BinOp(_, left, right) | Compare(_, left, right) | BoolOp(_, left, right):
+            return reference_free_variables(left) | reference_free_variables(right)
+        case Pow(base, _):
+            return reference_free_variables(base)
+        case Call(_, arg):
+            return reference_free_variables(arg)
+        case Not(operand):
+            return reference_free_variables(operand)
+    raise TypeError(f"not a relation node: {node!r}")
+
+
+def reference_bounds(node, box):
+    """`harness._bounds` as one `match` over the node, each rule stating its
+    own spaces. On a tree of instances of exactly the eight node classes,
+    and on anything that is no node, `_bounds` must give an equal result,
+    floats equal by `==`, or raise the same error."""
+    log_, linear, to = harness._log, harness._linear, harness._to
+    match node:
+        case Var(name) if name in box:
+            return log_(*box[name])
+        case Const(value, _):
+            return log_(math.log(value), math.log(value))
+        case BinOp("*" | "/" | "+" | "-" as op, left, right):
+            log = op in ("*", "/")
+            a, b = to(log, reference_bounds(left, box)), to(log, reference_bounds(right, box))
+            if a is None or b is None:
+                return None
+            make = log_ if log else linear
+            if op in ("*", "+"):
+                return make(a[1] + b[1], a[2] + b[2])
+            return make(a[1] - b[2], a[2] - b[1])
+        case Pow(base, exponent):
+            a = to(True, reference_bounds(base, box))
+            try:
+                e = float(exponent)
+            except (OverflowError, TypeError):
+                return None
+            return a and log_(*sorted((a[1] * e, a[2] * e)))
+        case Call("sqrt", arg):
+            a = to(True, reference_bounds(arg, box))
+            return a and log_(a[1] * 0.5, a[2] * 0.5)
+        case Call("is_pos_int", arg):
+            return to(False, reference_bounds(arg, box)) and True
+        case Call("log", arg):
+            a = to(False, reference_bounds(arg, box))
+            return a and a[1] > 0 and linear(math.log(a[1]), math.log(a[2])) or None
+        case Call("exp", arg):
+            a = to(False, reference_bounds(arg, box))
+            return a and to(False, log_(a[1], a[2]))
+        case Call("sin" | "cos", arg):
+            return to(False, reference_bounds(arg, box)) and (False, -1.0, 1.0)
+        case Compare("=" | "<" | "<=", left, right):
+            sides = reference_bounds(left, box), reference_bounds(right, box)
+            return all(isinstance(b, tuple) for b in sides) or None
+        case BoolOp("and" | "or", left, right):
+            return reference_bounds(left, box) is True and reference_bounds(right, box) is True or None
+        case Not(operand):
+            return reference_bounds(operand, box) is True or None
+    return None
+
+
 # --- Float reference --------------------------------------------------------
 
 

@@ -338,6 +338,29 @@ class TestVerifyDomainAndRange:
         assert proc.stdout.startswith(b"trials: 1, passed: 0\ncounterexample at trial 0:\n")
 
 
+class TestNestingLimit:
+    """A relation nested past `dsl.MAX_NESTING` is a usage error naming the
+    limit in every command that reads it, before any typing: never a type
+    error (exit 1), nor a RecursionError."""
+
+    DEEP = {
+        "500 terms": ({"x": "L", "t": "T"}, " + ".join(["x"] * 500) + " < t", ("check", "verify")),
+        "3000 terms": ({"x": "L", "y": "T"}, " + ".join(["x"] * 3000) + " < y", ("pi", "check", "verify")),
+        "400 parentheses": ({"x": "L", "y": "L"}, "(" * 400 + "x" + ")" * 400 + " < y", ("check",)),
+    }
+
+    @pytest.mark.parametrize("label", sorted(DEEP))
+    def test_every_command_exits_2_naming_the_limit(self, tmp_path, label):
+        variables, relation, commands = self.DEEP[label]
+        spec = _write_spec(tmp_path, variables, relation, system=("L", "T"))
+        for command in commands:
+            extra = ("--trials", "50") if command == "verify" else ()
+            proc = run_cli(command, "--spec", spec, *extra)
+            assert proc.returncode == 2, (command, proc.stderr)
+            assert proc.stdout == b""
+            assert proc.stderr == f"error: spec {spec}: relation nests more than 200 levels deep\n".encode()
+
+
 class TestDimensionExponentBeyondFloatRange:
     """The float path of consistent, nondim and equiv needs a float for every
     exponent; one beyond the float range is a usage error that says so."""

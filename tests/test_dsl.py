@@ -1,11 +1,12 @@
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from piforge import dsl
+from piforge import dsl, harness
 from piforge.core import DimSystem, DimVector, Quantity
 from piforge.dsl import (
     BOOL,
@@ -199,6 +200,74 @@ class TestRelationParsing:
         for _ in range(500):
             node = _any_predicate(rng, ["a", "b", "c"], depth=rng.randint(0, 4))
             assert parse_relation(print_relation(node)) == node
+
+
+def _nested(shape, levels):
+    """A relation of the given shape whose nesting, as `parse_relation`
+    counts it, is levels: the parser's open `_expr` calls or the nodes on a
+    path from the root to a leaf, whichever is more."""
+    if shape == "chain":  # a comparison over a chain of levels - 1 terms
+        return " + ".join(["x"] * (levels - 1)) + " < t"
+    if shape == "parentheses":  # levels - 1 pairs, each an `_expr` call
+        return "(" * (levels - 1) + "x" + ")" * (levels - 1) + " < t"
+    if shape == "not":  # the comparison's right operand is one more call
+        return "not " * (levels - 2) + "x < t"
+    if shape == "power":
+        return "x" + "^1" * (levels - 2) + " < t"
+    if shape == "call":  # a comparison, the calls, x/y and its operands
+        return "sin(" * (levels - 3) + "x/y" + ")" * (levels - 3) + " < 1"
+    raise ValueError(shape)
+
+
+NESTED_SHAPES = ("chain", "parentheses", "not", "power", "call")
+
+
+class TestNestingLimit:
+    """A relation nests at most `dsl.MAX_NESTING` levels deep, counted
+    without recursion, so that no walker of it, nor the parser, runs into
+    Python's recursion limit; one level more is a ParseError naming it."""
+
+    @pytest.mark.parametrize("shape", NESTED_SHAPES)
+    def test_one_level_past_the_limit(self, shape):
+        with pytest.raises(ParseError, match=f"^relation nests more than {dsl.MAX_NESTING} levels deep$"):
+            parse_relation(_nested(shape, dsl.MAX_NESTING + 1))
+
+    @pytest.mark.parametrize("text", [" + ".join(["x"] * 3000) + " < y", "(" * 400 + "x" + ")" * 400,
+                                      "not " * 2000 + "x < y", "x" + "^2" * 2000],
+                             ids=["3000 terms", "400 parentheses", "2000 nots", "2000 powers"])
+    def test_far_past_the_limit(self, text):
+        with pytest.raises(ParseError, match="^relation nests more than"):
+            parse_relation(text)
+
+    @pytest.mark.parametrize("shape", NESTED_SHAPES)
+    def test_every_walker_at_the_limit(self, shape):
+        node = parse_relation(_nested(shape, dsl.MAX_NESTING))
+        env = _nested_env()
+        again = parse_relation(print_relation(node))
+        assert again == node and hash(again) == hash(node)
+        assert pickle.loads(pickle.dumps(node)) == node
+        assert repr(node).startswith(type(node).__name__)
+        assert free_variables(node) <= set(env)
+        assert typecheck(node, env, allow_mixed_comparisons=True) is BOOL
+        box = dict.fromkeys(env, harness._LOG_MAG_RANGE)
+        assert harness._bounds(node, box) in (True, None)
+        compiled = dsl.compile_relation(node, env)
+        assert compiled.truth({"x": 0.5, "y": 0.25, "t": 1.0}, 1e-9) in (True, False)
+        bindings = {n: Quantity(0.5, d) for n, d in env.items()}
+        assert evaluate(node, bindings) in (True, False)
+
+    def test_a_mixed_chain_at_the_limit_verifies(self):
+        text = _nested("chain", dsl.MAX_NESTING)
+        spec = dsl.problem_spec_from_dict(
+            {"system": ["L", "T"], "variables": {"x": "L", "t": "T"}, "relation": text})
+        report = harness.fuzz_invariance(spec, trials=50, seed=0)
+        assert report.counterexample is not None
+
+
+def _nested_env():
+    system = DimSystem(("L", "T"))
+    length, time = DimVector.unit(system, "L"), DimVector.unit(system, "T")
+    return {"x": length, "y": length, "t": time}
 
 
 # The binary operators from loosest to tightest, one tuple a level. The test

@@ -33,6 +33,7 @@ from support import (
     random_dims,
     random_quantities,
     random_rational_dims,
+    reference_bounds,
     reference_fuzz,
     reference_log_combine,
     trial_rng,
@@ -916,6 +917,15 @@ class TestProofGrammar:
     ])
     def test_what_has_no_rule_is_not_proven(self, node):
         box = dict.fromkeys("xyz", harness._LOG_MAG_RANGE)
+        assert harness._bounds(node, box) is None
+
+    def test_an_instance_of_a_subclass_of_a_node_class_is_no_node(self):
+        class SubVar(dsl.Var):
+            pass
+
+        box = dict.fromkeys("xyz", harness._LOG_MAG_RANGE)
+        node = dsl.Compare("<", SubVar("x"), dsl.Var("y"))
+        assert reference_bounds(node, box) is True  # a `match` class pattern accepts it
         assert harness._bounds(node, box) is None
 
 

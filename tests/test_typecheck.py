@@ -1,14 +1,17 @@
 """`dsl.typecheck` against `reference_typecheck`, the walker over exact
 `DimVector` arithmetic: equal results, sides and errors over random
 relations from the whole grammar, and no Fraction arithmetic where every
-exponent is an integer."""
+exponent is an integer. Over the same relations, `dsl.free_variables` and
+`harness._bounds` against their `match`-based references; and the node
+contract they share: a node is an instance of exactly one of the eight
+node classes."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from piforge import dsl
+from piforge import dsl, harness
 from piforge.core import DimSystem, DimVector
 from piforge.dsl import (
     BOOL,
@@ -20,12 +23,19 @@ from piforge.dsl import (
     Not,
     Pow,
     Var,
+    free_variables,
     parse_relation,
     typecheck,
 )
 from piforge.errors import DimensionError, ParseError, PiforgeError, SystemMismatchError
 
-from support import FIXTURES, reference_typecheck
+from support import (
+    FIXTURES,
+    _reference_nodes,
+    reference_bounds,
+    reference_free_variables,
+    reference_typecheck,
+)
 
 MLT = DimSystem(("M", "L", "T"))
 HUGE = 10**310  # no float form
@@ -146,6 +156,120 @@ class TestAgainstReference:
             env = dict(zip("xy", _dims(MLT, x, y)))
             assert _outcome(typecheck, node, env, allow) == _outcome(
                 reference_typecheck, node, env, allow)
+
+
+# what only direct construction builds: an op or function no rule knows,
+# a child that is no node, a constant with no log
+UNKNOWN = {BinOp: "%", Compare: "!=", BoolOp: "xor", Call: "tan"}
+NOT_NODES = (None, "x0", 1.0, Fraction(1), True, object())
+NODE_CLASSES = (Var, Const, BinOp, Pow, Call, Compare, BoolOp, Not)
+
+
+def spoiled(rng, node):
+    """node rebuilt with, here and there, an unknown op or function, a child
+    that is no node, or a constant of 0 or -1."""
+    fields = [spoiled(rng, v) if isinstance(v, NODE_CLASSES) else v
+              for v in (getattr(node, f) for f in node.__match_args__)]
+    roll, kind = rng.random(), type(node)
+    if roll < 0.04 and kind in UNKNOWN:
+        fields[0] = UNKNOWN[kind]
+    elif roll < 0.07 and kind not in (Var, Const):
+        children = [i for i, v in enumerate(fields) if isinstance(v, NODE_CLASSES)]
+        fields[rng.choice(children)] = rng.choice(NOT_NODES)
+    elif roll < 0.2 and kind is Const:
+        fields[0] = rng.choice((0.0, -1.0))
+    return kind(*fields)
+
+
+def _called(walk, *args):
+    """(kind, result with its type, or error type and message) of one walk."""
+    try:
+        result = walk(*args)
+    except Exception as exc:  # every error the references raise compares
+        return "raised", type(exc), str(exc)
+    return "returned", type(result), result
+
+
+def _random_relations(label, count):
+    """(node, names) pairs from the generator above, a third of them spoiled."""
+    rng = random.Random(f"walkers:{label}")
+    for _ in range(count):
+        names = [f"x{i}" for i in range(rng.randint(1, 4))]
+        node = (random_truth if rng.random() < 0.7 else random_quantity)(
+            rng, names, rng.randint(1, 5))
+        yield (spoiled(rng, node) if rng.random() < 0.35 else node), names
+
+
+class TestWalkersAgainstReference:
+    """`free_variables`, `harness._bounds` and `harness._size` dispatch on
+    the node's exact class; over relations from the whole grammar, spoiled
+    ones and things that are no node, they agree with walkers that match
+    class patterns or test `isinstance`."""
+
+    def test_free_variables(self):
+        kinds = {}
+        for node, _ in _random_relations("free_variables", 4000):
+            expected = _called(reference_free_variables, node)
+            assert _called(free_variables, node) == expected, repr(node)
+            kinds[expected[:2]] = kinds.get(expected[:2], 0) + 1
+        assert kinds.get(("raised", TypeError), 0) > 100, kinds
+        assert kinds.get(("returned", set), 0) > 1000, kinds
+
+    def test_size(self):
+        for node, _ in _random_relations("size", 2000):
+            assert harness._size(node) == _reference_nodes(node), repr(node)
+
+    @pytest.mark.parametrize("node", NOT_NODES, ids=lambda v: type(v).__name__)
+    def test_what_is_no_node(self, node):
+        assert _called(free_variables, node) == _called(reference_free_variables, node)
+        assert _called(harness._bounds, node, {}) == _called(reference_bounds, node, {})
+
+    def test_bounds(self):
+        rng = random.Random("bounds:boxes")
+        ranges = (harness._LOG_MAG_RANGE, harness._LOG_MAG_RANGE, (-1.0, 1.0), (-400.0, 300.0),
+                  (0.5, 0.5), (-800.0, -690.0))
+        kinds = {}
+        for node, names in _random_relations("bounds", 6000):
+            box = {n: rng.choice(ranges) for n in names if rng.random() < 0.9}
+            expected = _called(reference_bounds, node, box)
+            assert _called(harness._bounds, node, box) == expected, repr(node)
+            kind = expected[:2] if expected[1] is not tuple else ("returned", expected[2][0])
+            kinds[kind] = kinds.get(kind, 0) + 1
+        # edges a random draw seldom lands on: a linear bound across 0 under
+        # log, a bound past the log limit, a power that flips a bound
+        for text in ("log(x0 - x0) < 1", "log(x0 + x0 - x0) < 1", "exp(x0/x0) < x0^(-1)",
+                     "x0^700 < 1", "x0^(-3) < x0", "sqrt(x0) - x0 < 1"):
+            for lo_hi in ranges:
+                box = {"x0": lo_hi}
+                node = parse_relation(text)
+                assert _called(harness._bounds, node, box) == _called(reference_bounds, node, box)
+        # each outcome: proven truth, log and linear bounds, unproven, raised
+        for kind in (("returned", bool), ("returned", True), ("returned", False),
+                     ("returned", type(None)), ("raised", ValueError)):
+            assert kinds.get(kind, 0) > 50, kinds
+
+
+class SubVar(Var):
+    """An instance of a subclass of a node class, which is no relation node."""
+
+
+class TestExactNodeClasses:
+    """The walkers take exactly the eight classes of `dsl.Node`, though a
+    `match` class pattern, as in the reference walkers, accepts an instance
+    of a subclass."""
+
+    def test_typecheck(self):
+        node = Compare("<", SubVar("x"), Var("x"))
+        env = {"x": DimVector.unit(MLT, "L")}
+        assert reference_typecheck(node, env) is BOOL
+        with pytest.raises(TypeError, match=r"^not a relation node: SubVar\(name='x'\)$"):
+            typecheck(node, env)
+
+    def test_free_variables(self):
+        node = BinOp("+", Var("y"), SubVar("x"))
+        assert reference_free_variables(node) == {"x", "y"}
+        with pytest.raises(TypeError, match=r"^not a relation node: SubVar\(name='x'\)$"):
+            free_variables(node)
 
 
 class TestTwoSystems:
