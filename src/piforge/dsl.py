@@ -20,18 +20,18 @@ defined: the parser (`_expr`) and the printer (`_prec`) both read it. A
 relation nests at most MAX_NESTING levels deep, as the parser's recursion
 and as the tree it returns, the depth counted without recursion, so that no
 walker of it runs into Python's recursion limit; a deeper one is a
-ParseError. A relation node is an instance of exactly one of the eight
+ParseError, and so is a dimension or unit expression with more open
+parentheses. A relation node is an instance of exactly one of the eight
 classes of `Node`, and the walkers on `verify`'s path (`typecheck`,
 `free_variables`, `_lower`) dispatch on `node.__class__ is ...` and read
 fields as attributes (a `match` class pattern costs several times as much
 per node, and would take an instance of a subclass for a node).
 
-`evaluate` lowers a relation into float closures and keeps the last one
-lowered; `compile_relation` typechecks it once for many evaluations and
-lowers it on first use, with each comparison's sides and their dimensions
-(the invariance fuzzer's view). The closures read each variable's log
-magnitude from a plain dict, as `holds` and `log_magnitude` take it, so a
-caller of floats builds no Quantity.
+`evaluate` lowers a node into float closures on each call; `compile_relation`
+typechecks it once and lowers it on first use, with each comparison's sides
+and their dimensions (the invariance fuzzer's view), and a spec keeps the one
+its fuzzer uses (`ProblemSpec.fuzz_plan`). The closures read each variable's
+log magnitude from a plain dict, so a caller of floats builds no Quantity.
 Multiplicative chains (variables, constants, *, /, ^, sqrt) stay in log
 space; sums, exp/log/sin/cos work in linear space, where non-positive values
 are legal, and only there. `SPACES` states, once, the space of each node
@@ -168,12 +168,24 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# How deeply a relation, dimension or unit expression may nest: as the
+# parser's open `_expr` or `_product` calls, and for a relation also as the
+# nodes on a path from the root to a leaf. The parser takes up to three
+# frames a level; a walker of the tree up to two (`_lower` through `_as`,
+# `print_relation` through `_wrap`, the evaluation closures through a
+# conversion), `==` and pickling three, and a node's repr four. At this
+# limit each stays under Python's default recursion limit of 1000 with room
+# for its caller's frames.
+MAX_NESTING = 200
+_TOO_DEEP = f"{{}} nests more than {MAX_NESTING} levels deep"  # {} names the language
+
+
 class _TokenStream:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-        self.depth = 0  # the relation parser's open `_expr` calls
+        self.depth = 0  # the parser's open `_expr` or `_product` calls
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -275,6 +287,9 @@ def _product(ts: _TokenStream, what: str, one, atom):
     unit languages share: atom(name) gives a name's value and one that of
     the numeric term 1; what ("dimension" or "unit") names the language in
     errors."""
+    ts.depth += 1
+    if ts.depth > MAX_NESTING:
+        raise ParseError(_TOO_DEEP.format(what))
     value, op = None, None
     while True:
         tok = ts.next()
@@ -294,6 +309,7 @@ def _product(ts: _TokenStream, what: str, one, atom):
             term = term ** _parse_rational(ts)
         value = term if op is None else value * term if op == "*" else value / term
         if ts.peek().text not in ("*", "/"):
+            ts.depth -= 1
             return value
         op = ts.next().text
 
@@ -324,17 +340,6 @@ def parse_quantity(text: str, registry) -> Quantity:
 # --- relation expressions -----------------------------------------------
 
 
-# How deeply a relation may nest, both as the parser's open `_expr` calls
-# and as the nodes on a path from the root to a leaf. The parser takes up to
-# three frames a level; a walker of the tree up to two (`_lower` through
-# `_as`, `print_relation` through `_wrap`, the evaluation closures through a
-# conversion), `==` and pickling three, and a node's repr four. At this
-# limit each stays under Python's default recursion limit of 1000 with room
-# for its caller's frames.
-MAX_NESTING = 200
-_TOO_DEEP = f"relation nests more than {MAX_NESTING} levels deep"
-
-
 def parse_relation(text: str) -> Node:
     """The AST of a relation; ParseError where the text is not one, or where
     it nests more than MAX_NESTING levels deep."""
@@ -348,7 +353,7 @@ def parse_relation(text: str) -> Node:
     while level:
         depth += 1
         if depth > MAX_NESTING:
-            raise ParseError(_TOO_DEEP)
+            raise ParseError(_TOO_DEEP.format("relation"))
         below = []
         for n in level:
             kind = n.__class__
@@ -380,7 +385,7 @@ def _expr(ts: _TokenStream, min_prec: int = 1) -> Node:
     follow, so `a < b < c` and `not a < b < c` leave trailing input."""
     ts.depth += 1
     if ts.depth > MAX_NESTING:
-        raise ParseError(_TOO_DEEP)
+        raise ParseError(_TOO_DEEP.format("relation"))
     if ts.peek().text == "not" and min_prec <= _NOT:
         ts.next()
         node, ceiling = Not(_expr(ts, _NOT)), _NOT
@@ -776,9 +781,10 @@ def _as(space, node: Node, found, lowered=None):
 
 
 class CompiledRelation:
-    """A relation typechecked for many evaluations, lowered on first use of
-    `truth` or `leaves` and kept for the next `evaluate` of the node. `type`
-    and `sides`, as `typecheck` with mixed comparisons gives them; `truth(logs,
+    """A relation typechecked for many evaluations and lowered on first use
+    of `truth` or `leaves` or of `evaluate`, once per handle: the handle a
+    caller keeps in place of re-typing and re-lowering the node. `type` and
+    `sides`, as `typecheck` with mixed comparisons gives them; `truth(logs,
     tol)`, its truth value (None unless `type` is BOOL); `leaves`, (node,
     truth run, sides) for each comparison and is_pos_int call, left to
     right, a comparison's sides two (log, run, dim): run(logs, tol) gives
@@ -791,52 +797,23 @@ class CompiledRelation:
     @cached_property
     def _lowering(self):
         found = []
-        space, run = _lowered(self.node, found)
+        space, run = _lower(self.node, found)
         dims = iter(self.sides)
         leaves = tuple(
             (n, r, pair and tuple((s is LOG, f, d) for (s, f), d in zip(pair, next(dims))))
             for n, r, pair in found
         )
-        return run if space is TRUTH else None, leaves
+        return space, run, leaves
 
-    truth = property(lambda self: self._lowering[0])
-    leaves = property(lambda self: self._lowering[1])
+    truth = property(lambda self: self._lowering[1] if self._lowering[0] is TRUTH else None)
+    leaves = property(lambda self: self._lowering[2])
 
 
 compile_relation = CompiledRelation  # DimensionError where the relation is ill-typed
 
 
-# (node, (space, run)) of the node last lowered whole; read once, replaced whole
-_last_lowered: tuple = (None, None)
-
-
-def _lowered(node: Node, found: list | None = None):
-    """(space, run) of the node, lowered with found (see `_lower`). The node
-    last lowered is kept with its lowering: a call on that very object (`is`,
-    not ==) with no found lowers nothing."""
-    global _last_lowered
-    kept_node, kept = _last_lowered
-    if kept_node is not node or found is not None:
-        _last_lowered = (node, kept := _lower(node, found))
-    return kept
-
-
-def log_magnitude(node: Node, logs: dict[str, float]) -> float:
-    """The log magnitude of a quantity-valued node, as `evaluate` gives it,
-    from each variable's log magnitude, without working out its dimension
-    (or reading the tolerance, which no quantity-valued node does)."""
-    return _as(LOG, node, None, _lowered(node))(logs, DEFAULT_TOL)
-
-
-def holds(node: Node, logs: dict[str, float], tol: float) -> bool:
-    """The truth value of a predicate, as `evaluate` gives it, from each
-    variable's log magnitude. tol is not checked here: the caller has done
-    so (see `core.check_tol`)."""
-    return _as(TRUTH, node, None, _lowered(node))(logs, tol)
-
-
-def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
-    """Evaluate a typechecked relation against quantity bindings.
+def evaluate(relation, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
+    """Evaluate a typechecked node or `CompiledRelation` against quantity bindings.
 
     Returns a bool for predicates, a Quantity otherwise. Equality compares
     with relative tolerance tol, |a - b| <= tol*max(|a|, |b|); where both
@@ -845,28 +822,35 @@ def evaluate(node: Node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL
     values within tol of a positive integer. A value outside the relation's
     domain (a non-positive value in a product or under log, or a value,
     linear or log, that overflows the float range) raises EvaluationError.
-    The last node evaluated keeps its compiled form for the next call.
+    A node is lowered on each call; a `CompiledRelation` once, on first
+    use, and a quantity's dimension is its `type`.
     """
     check_tol(tol)
     logs = {name: q.log_magnitude for name, q in bindings.items()}
-    space, run = lowered = _lowered(node)
+    if isinstance(relation, CompiledRelation):
+        node, dim, (space, run, _) = relation.node, relation.type, relation._lowering
+    else:
+        node, dim, (space, run) = relation, None, _lower(relation)
     if space is TRUTH:
         return run(logs, tol)
-    log_mag = _as(LOG, node, None, lowered)(logs, tol)
-    return Quantity(log_mag, typecheck(node, {n: q.dim for n, q in bindings.items()}))
+    log_mag = _as(LOG, node, None, (space, run))(logs, tol)
+    if dim is None:
+        dim = typecheck(node, {n: q.dim for n, q in bindings.items()})
+    return Quantity(log_mag, dim)
 
 
 # --- problem specs --------------------------------------------------------
 
 
 def read_json(path, what: str, error):
-    """The JSON value in the file at path; error names the file as `what`
-    ("spec", "registry", "bindings") when it is unreadable or not JSON."""
+    """The JSON value in the UTF-8 file at path (RFC 8259); error names the
+    file as `what` ("spec", "registry", "bindings") where it is unreadable,
+    or not JSON in UTF-8."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -883,6 +867,18 @@ class ProblemSpec:
     @property
     def env(self) -> dict[str, DimVector]:
         return dict(zip(self.variable_names, self.variable_dims))
+
+    @cached_property
+    def fuzz_plan(self):
+        """`harness.FuzzPlan(self)`, worked out on first use and kept with
+        the spec; pickling drops it. Imported here: harness imports dsl."""
+        from .harness import FuzzPlan
+
+        return FuzzPlan(self)
+
+    def __getstate__(self):
+        # the fields alone: a kept plan's closures do not pickle, nor BOOL as itself
+        return {name: getattr(self, name) for name in self.__match_args__}
 
 
 def load_problem_spec(path) -> ProblemSpec:

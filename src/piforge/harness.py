@@ -441,6 +441,37 @@ def _proven(spec: ProblemSpec, seed_target) -> bool:
     return log or hi <= 1.0 or _log(0.0, math.log(hi)) is not None
 
 
+class FuzzPlan:
+    """What `fuzz_invariance` derives from a spec alone, kept as the spec's
+    `fuzz_plan`: `compiled`, the relation typed with mixed comparisons
+    allowed (lowered only where trials run); `seed_target`; and `proven`,
+    true where it has no mixed comparison and `_proven` holds. SpecError
+    where the spec cannot be fuzzed."""
+
+    def __init__(self, spec: ProblemSpec):
+        try:
+            compiled = compile_relation(spec.relation, spec.env)
+        except DimensionError as exc:
+            raise SpecError(f"relation is ill-typed: {exc}") from exc
+        if compiled.type is not BOOL:
+            raise SpecError("relation does not evaluate to a truth value")
+        # what `rescale` would find on the variables, found before any trial
+        for name, dim in zip(spec.variable_names, spec.variable_dims):
+            if dim.system is not spec.system and dim.system != spec.system:
+                raise DimensionMismatchError("rescaling and quantities use different systems")
+            try:
+                dim._float_terms
+            except EvaluationError:
+                raise SpecError(
+                    f"variable {name!r} has a dimension exponent beyond the float range, "
+                    "about 1.8e+308"
+                ) from None
+        self.compiled, self.seed_target = compiled, _equality_seed_target(spec)
+        self.proven = all(left == right for left, right in compiled.sides) and _proven(
+            spec, self.seed_target
+        )
+
+
 def fuzz_invariance(
     spec: ProblemSpec,
     trials: int,
@@ -462,11 +493,12 @@ def fuzz_invariance(
     relation with no mixed comparison passes every trial on which it is
     defined. Where an interval pass proves such a relation defined at every
     point a trial can draw, the report (every trial passed) is returned
-    without drawing any or lowering the relation. A trial whose drawn point
-    leaves the relation's domain (EvaluationError) is inapplicable; one on
-    which a mixed comparison lies within rounding of its edge, before or
-    after, is undecided. If no trial is decided, EvaluationError is raised,
-    since none tested the relation.
+    without drawing any or lowering the relation. Typing, checks, proof and
+    lowering are done once per spec object, on its first call (`FuzzPlan`).
+    A trial whose drawn point leaves the relation's domain (EvaluationError)
+    is inapplicable; one on which a mixed comparison lies within rounding of
+    its edge, before or after, is undecided. If no trial is decided,
+    EvaluationError is raised, since none tested the relation.
 
     The first failing trial is shrunk (factor bisection toward 1, on the
     same sides) and confirmed through `rescale` and `evaluate` from the
@@ -476,18 +508,12 @@ def fuzz_invariance(
     if trials < 1:
         raise ValueError("at least one trial required")
     check_tol(tol)
-    try:
-        compiled = compile_relation(spec.relation, spec.env)
-    except DimensionError as exc:
-        raise SpecError(f"relation is ill-typed: {exc}") from exc
-    if compiled.type is not BOOL:
-        raise SpecError("relation does not evaluate to a truth value")
-    _check_dims(spec)
+    plan = spec.fuzz_plan
+    if plan.proven:
+        return InvarianceReport(trials=trials, passed=trials, seed=seed, counterexample=None)
 
     relation, names, system = spec.relation, spec.variable_names, spec.system
-    seed_target = _equality_seed_target(spec)
-    if all(left == right for left, right in compiled.sides) and _proven(spec, seed_target):
-        return InvarianceReport(trials=trials, passed=trials, seed=seed, counterexample=None)
+    compiled, seed_target = plan.compiled, plan.seed_target
     truth, program = compiled.truth, _program(relation, compiled, tol)
     if seed_target is not None:
         vname, other = seed_target
@@ -546,24 +572,17 @@ def fuzz_invariance(
             f"relation was decided on none of {trials} trials, so nothing was tested "
             f"({undecided} undecided, {inapplicable} undefined)"
         )
-    return InvarianceReport(
-        trials=trials,
-        passed=passed,
-        seed=seed,
-        counterexample=counterexample,
-        inapplicable=inapplicable,
-        undecided=undecided,
-    )
+    return InvarianceReport(trials, passed, seed, counterexample, inapplicable, undecided)
 
 
 def _confirmed(spec, trial, logs, shrunk, before, tol) -> Counterexample | None:
     """The counterexample, if `rescale` and `evaluate` reproduce it from its
     own bindings and factors; else None."""
-    names = spec.variable_names
+    names, compiled = spec.variable_names, spec.fuzz_plan.compiled
     bindings = {n: Quantity(logs[n], d) for n, d in zip(names, spec.variable_dims)}
     try:
         rescaled = dict(zip(names, rescale(bindings.values(), shrunk)))
-        reproduced = evaluate(spec.relation, bindings, tol), evaluate(spec.relation, rescaled, tol)
+        reproduced = evaluate(compiled, bindings, tol), evaluate(compiled, rescaled, tol)
     except (EvaluationError, ValueError):  # ValueError: a rescaled log beyond the float range
         return None
     if reproduced != (before, not before):
@@ -575,22 +594,6 @@ def _confirmed(spec, trial, logs, shrunk, before, tol) -> Counterexample | None:
         before=before,
         after=not before,
     )
-
-
-def _check_dims(spec: ProblemSpec) -> None:
-    """What `rescale` would find on a spec's variables, found before any
-    trial: each dimension is over the spec's system, and each exponent has a
-    float form for the shift."""
-    for name, dim in zip(spec.variable_names, spec.variable_dims):
-        if dim.system is not spec.system and dim.system != spec.system:
-            raise DimensionMismatchError("rescaling and quantities use different systems")
-        try:
-            dim._float_terms
-        except EvaluationError:
-            raise SpecError(
-                f"variable {name!r} has a dimension exponent beyond the float range, "
-                "about 1.8e+308"
-            ) from None
 
 
 def _shrink(program, logs, log_factors, before, memo) -> list[float]:

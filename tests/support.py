@@ -25,7 +25,6 @@ from piforge.dsl import (
     Pow,
     Var,
     evaluate,
-    log_magnitude,
     print_relation,
     typecheck,
 )
@@ -889,9 +888,8 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
         }
         if seed_target is not None:
             vname, other = seed_target
-            logs = {n: q.log_magnitude for n, q in bindings.items()}
             try:
-                bindings[vname] = Quantity(log_magnitude(other, logs), bindings[vname].dim)
+                bindings[vname] = Quantity(evaluate(other, bindings).log_magnitude, bindings[vname].dim)
             except EvaluationError:
                 pass
         log_factors = None

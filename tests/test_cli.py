@@ -361,6 +361,61 @@ class TestNestingLimit:
             assert proc.stderr == f"error: spec {spec}: relation nests more than 200 levels deep\n".encode()
 
 
+    DEEP_L, DEEP_M = "(" * 1000 + "L" + ")" * 1000, "(" * 1000 + "m" + ")" * 1000
+
+    def test_a_deep_spec_dimension_exits_2_naming_the_limit(self, tmp_path):
+        spec = _write_spec(tmp_path, {"x": self.DEEP_L, "t": "T"}, "x < t", system=("L", "T"))
+        for command in ("check", "pi"):
+            proc = run_cli(command, "--spec", spec)
+            assert (proc.returncode, proc.stdout) == (2, b""), (command, proc.stderr)
+            assert proc.stderr == f"error: spec {spec}: dimension nests more than 200 levels deep\n".encode()
+
+    def test_a_deep_registry_unit_exits_2_naming_the_limit(self, tmp_path):
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(
+            {"system": ["L"], "units": {"m": {"magnitude": 1, "dim": self.DEEP_L}}}
+        ))
+        proc = run_cli("consistent", "m", "--registry", str(registry))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: dimension nests more than 200 levels deep\n"
+
+    def test_a_deep_bindings_literal_exits_2_naming_the_limit(self, tmp_path):
+        bindings = tmp_path / "bindings.json"
+        bindings.write_text(json.dumps({"x": f"1 {self.DEEP_M}", "t": "1 s", "c": 299792458}))
+        proc = run_cli(
+            "nondim", "--spec", "fixtures/light_three_var.json", str(bindings),
+            "--registry", "fixtures/registry.json",
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: unit nests more than 200 levels deep\n"
+
+
+class TestJsonIsReadAsUtf8:
+    """Spec, registry and bindings files are read as UTF-8 (RFC 8259),
+    whatever the locale; bytes that are not UTF-8 make the file invalid
+    JSON, named as such."""
+
+    C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+    def test_a_non_ascii_ignored_key_reads_in_the_c_locale(self, tmp_path):
+        path = tmp_path / "spec.json"
+        raw = {"system": ["M", "L", "T"], "variables": {"F": "M*L*T^-2", "m": "M", "a": "L*T^-2"},
+               "relation": "F = m*a", "note": "Ohm’s law, Ω"}
+        path.write_bytes(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
+        proc = run_cli("check", "--spec", str(path), env_extra=self.C_LOCALE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == run_cli("check", "--spec", "fixtures/newton.json").stdout
+
+    def test_a_byte_that_is_not_utf8_is_named_invalid_json(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'{"system": ["L"], "variables": {"x": "L"}, "relation": "x = x", "note": "\xff"}')
+        for env in (None, self.C_LOCALE):
+            proc = run_cli("check", "--spec", str(path), env_extra=env)
+            assert (proc.returncode, proc.stdout) == (2, b"")
+            assert proc.stderr.startswith(f"error: spec {path} is not valid JSON: ".encode())
+            assert b"can't decode byte 0xff" in proc.stderr
+
+
 class TestDimensionExponentBeyondFloatRange:
     """The float path of consistent, nondim and equiv needs a float for every
     exponent; one beyond the float range is a usage error that says so."""

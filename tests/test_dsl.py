@@ -32,6 +32,7 @@ from piforge.errors import (
     UnknownUnitError,
 )
 from piforge.harness import Rescaling, rescale
+from piforge.units import UnitRegistry
 
 from support import FIXTURES, mass_spring_dims, random_dims, random_quantities
 
@@ -262,6 +263,52 @@ class TestNestingLimit:
             {"system": ["L", "T"], "variables": {"x": "L", "t": "T"}, "relation": text})
         report = harness.fuzz_invariance(spec, trials=50, seed=0)
         assert report.counterexample is not None
+
+
+def _parenthesized(atom, levels):
+    """atom nested levels deep, as the dimension and unit parser counts it:
+    its open `_product` calls, one for the whole and one per parenthesis."""
+    return "(" * (levels - 1) + atom + ")" * (levels - 1)
+
+
+class TestDimensionAndUnitNesting:
+    """A dimension or unit expression nests at most `dsl.MAX_NESTING` levels
+    deep, wherever it is read: a spec variable's dimension, a registry
+    unit's dimension, a bindings quantity literal. One level more is a
+    ParseError naming the limit, never a RecursionError."""
+
+    SYSTEM = ["L", "T"]
+
+    def _spec_dimension(self, text):
+        return dsl.problem_spec_from_dict(
+            {"system": self.SYSTEM, "variables": {"x": text, "t": "T"}, "relation": "x < t"}
+        ).variable_dims[0]
+
+    def _registry_unit(self, text):
+        return UnitRegistry.from_dict(
+            {"system": self.SYSTEM, "units": {"m": {"magnitude": 1, "dim": text}}}
+        ).quantity("m").dim
+
+    def _bindings_literal(self, text):
+        registry = UnitRegistry.load(FIXTURES / "registry.json")
+        return parse_quantity(f"2 {text}", registry).dim
+
+    @pytest.mark.parametrize("where", ["_spec_dimension", "_registry_unit", "_bindings_literal"])
+    def test_the_limit_parses_and_one_more_level_does_not(self, where):
+        read, atom = getattr(self, where), "m" if where == "_bindings_literal" else "L"
+        assert read(_parenthesized(atom, dsl.MAX_NESTING)) == read(atom)
+        what = "unit" if where == "_bindings_literal" else "dimension"
+        message = f"{what} nests more than {dsl.MAX_NESTING} levels deep$"
+        for levels in (dsl.MAX_NESTING + 1, 1000):
+            with pytest.raises((ParseError, SpecError), match=message):
+                read(_parenthesized(atom, levels))
+
+    def test_levels_are_counted_per_open_parenthesis(self):
+        system = DimSystem(("L", "T"))
+        side_by_side = "*".join([_parenthesized("L", dsl.MAX_NESTING)] * 3)
+        assert parse_dimension(side_by_side, system) == DimVector.unit(system, "L") ** 3
+        with pytest.raises(ParseError, match="^dimension nests more than"):
+            parse_dimension(f"T^2/({_parenthesized('L', dsl.MAX_NESTING)})", system)
 
 
 def _nested_env():

@@ -122,9 +122,9 @@ def test_equality_seeded_from_the_compiled_other_side_holds():
     for _ in range(20):
         text, env = corpus_relation(rng, "hidden_constant")
         node = parse_relation(text)
-        logs = {n: rng.uniform(*LOG_MAG) for n in env}
-        logs["x3"] = dsl.log_magnitude(node.right, logs)
-        bindings = {n: Quantity(logs[n], d) for n, d in env.items()}
+        bindings = {n: Quantity(rng.uniform(*LOG_MAG), d) for n, d in env.items()}
+        seeded = evaluate(dsl.compile_relation(node.right, env), bindings).log_magnitude
+        bindings["x3"] = Quantity(seeded, env["x3"])
         assert evaluate(node, bindings) is reference_evaluate(node, bindings) is True
 
 
@@ -216,16 +216,29 @@ class TestLogSpaceComparisons:
 
 
 class TestCompiledForm:
-    def test_compiled_once_per_node(self):
-        system = DimSystem(("L",))
+    def test_lowered_once_per_compiled_relation(self, monkeypatch):
+        length = DimVector.unit(DimSystem(("L",)), "L")
         node = parse_relation("x*x < x + x")
-        bindings = {"x": Quantity(1.0, DimVector.unit(system, "L"))}
-        assert evaluate(node, bindings) is False
-        compiled = dsl._lowered(node)
-        assert evaluate(node, bindings) is False
-        assert dsl._lowered(node) is compiled
-        # an equal node built apart is another object: it is lowered anew
-        assert dsl._lowered(parse_relation("x*x < x + x")) is not compiled
+        bindings = {"x": Quantity(1.0, length)}
+        original, roots = dsl._lower, []
+
+        def lower(n, found=None):
+            roots.extend([n] if n is node else [])
+            return original(n, found)
+
+        monkeypatch.setattr(dsl, "_lower", lower)
+        # a node is lowered on each call, and nothing is kept between calls
+        assert evaluate(node, bindings) is evaluate(node, bindings) is False
+        assert len(roots) == 2
+        compiled = dsl.compile_relation(node, {"x": length})
+        assert len(roots) == 2
+        # a compiled relation is lowered on its first use, and only then
+        assert evaluate(compiled, bindings) is evaluate(compiled, bindings) is False
+        assert compiled.truth({"x": 1.0}, 1e-9) is False
+        assert len(roots) == 3
+        # a quantity's dimension is the compiled relation's type
+        square = dsl.compile_relation(parse_relation("x*x"), {"x": length})
+        assert evaluate(square, bindings) == evaluate(square.node, bindings) == Quantity(2.0, length**2)
 
     @pytest.mark.parametrize(
         "path", [p for p in sorted(FIXTURES.glob("*.json")) if "relation" in p.read_text()],
@@ -234,12 +247,14 @@ class TestCompiledForm:
     def test_specs_pickle_after_evaluation(self, path):
         spec = dsl.load_problem_spec(path)
         before = (spec.relation, hash(spec.relation), hash(spec))
-        dsl.holds(spec.relation, dict.fromkeys(spec.variable_names, 0.0), 1e-9)
+        evaluate(spec.fuzz_plan.compiled, {n: Quantity(0.0, d) for n, d in spec.env.items()})
         dsl.compile_relation(spec.relation, spec.env)
         assert (spec.relation, hash(spec.relation), hash(spec)) == before
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec and hash(copy) == hash(spec)
         assert copy.relation == dsl.parse_relation(spec.relation_text)
+        # the kept plan stays behind: its closures and BOOL do not pickle as themselves
+        assert "fuzz_plan" in vars(spec) and "fuzz_plan" not in vars(copy)
 
     def test_compiled_relation_sides(self):
         system = DimSystem(("L", "T"))
@@ -255,7 +270,8 @@ class TestCompiledForm:
         assert [d for _, _, d in compiled.leaves[2][2]] == [length * time, time * length]
         assert right_run({"x": 0.0, "y": 1.0, "z": 2.5}, 1e-9) == 2.5
         logs = {"x": 0.5, "y": 0.0, "z": 1.0}
-        assert compiled.truth(logs, 1e-9) is dsl.holds(node, logs, 1e-9)
+        bindings = {"x": Quantity(0.5, length), "y": Quantity(0.0, length), "z": Quantity(1.0, time)}
+        assert compiled.truth(logs, 1e-9) is evaluate(node, bindings, 1e-9)
         assert dsl.compile_relation(parse_relation("x*x"), {"x": length}).truth is None
 
     def test_quantity_result_carries_its_exact_dimension(self):

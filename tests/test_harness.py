@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import pickle
 import random
+import sys
+import threading
 import typing
 from fractions import Fraction
 
@@ -731,6 +734,17 @@ def _is_proven(spec):
     return harness._proven(spec, harness._equality_seed_target(spec))
 
 
+def _seeded_log(spec):
+    """logs -> the log magnitude the fuzzer seeds its variable with, from the
+    other side compiled apart; None where the relation is seeded nowhere."""
+    seed_target = harness._equality_seed_target(spec)
+    if seed_target is None:
+        return None
+    other = dsl.compile_relation(seed_target[1], spec.env)
+    env = spec.env
+    return lambda logs: dsl.evaluate(other, {n: Quantity(logs[n], d) for n, d in env.items()}).log_magnitude
+
+
 # (relation over x, y, z of dimension L, its report at 300 trials and seed 0
 # as (passed, inapplicable)): no trial leaves the domain on the last two,
 # though some point of the box does, so none may be proven
@@ -785,15 +799,16 @@ class TestProvenDomain:
             spec = _line_spec(_relation(rng))
             if not _is_proven(spec):
                 continue
-            seed_target = harness._equality_seed_target(spec)
+            seeded = _seeded_log(spec)
+            truth = dsl.compile_relation(spec.relation, spec.env).truth
             for point in itertools.product(ends, repeat=3):
                 logs = dict(zip("xyz", point))
-                if seed_target is not None:
+                if seeded is not None:
                     try:
-                        logs["x"] = dsl.log_magnitude(seed_target[1], logs)
+                        logs["x"] = seeded(logs)
                     except EvaluationError:  # not positive: x keeps its drawn log
                         pass
-                assert dsl.holds(spec.relation, logs, 1e-9) in (True, False), spec.relation_text
+                assert truth(logs, 1e-9) in (True, False), spec.relation_text
             proven += 1
         assert proven > 150
 
@@ -804,14 +819,15 @@ class TestProvenDomain:
         lo, hi = harness._LOG_MAG_RANGE
         spec = _line_spec(text)
         assert not _is_proven(spec)
-        seed_target = harness._equality_seed_target(spec)
+        seeded = _seeded_log(spec)
+        truth = dsl.compile_relation(spec.relation, spec.env).truth
         undefined = 0
         for point in itertools.product((lo, hi), repeat=3):
             logs = dict(zip("xyz", point))
             try:
-                if seed_target is not None:
-                    logs["x"] = dsl.log_magnitude(seed_target[1], logs)
-                dsl.holds(spec.relation, logs, 1e-9)
+                if seeded is not None:
+                    logs["x"] = seeded(logs)
+                truth(logs, 1e-9)
             except EvaluationError:
                 undefined += 1
         assert undefined
@@ -935,8 +951,9 @@ _INVARIANT_SHAPES = ("power_lt", "seeded_eq", "sum_le", "log_sin", "bool_mix")
 
 class TestLoweringOnlyWhenTrialsRun:
     """A relation that needs no trial is typed and proven, never lowered into
-    float closures; one that runs trials is lowered once per call, and the
-    counterexample's confirmation through `evaluate` reuses that lowering."""
+    float closures; one that runs trials is lowered once per spec, on its
+    first call, and the counterexample's confirmation through `evaluate`
+    reuses that lowering."""
 
     @staticmethod
     def _lowering_raises(monkeypatch):
@@ -1001,10 +1018,110 @@ class TestLoweringOnlyWhenTrialsRun:
             return confirmations[-1]
 
         monkeypatch.setattr(harness, "_confirmed", confirmed)
-        for call, seed in enumerate((0, 1, 2), 1):
+        for seed in (0, 1, 2):
             report = fuzz_invariance(spec, trials=100, seed=seed)
-            assert len(roots) == call
+            assert len(roots) == 1
             assert (report.counterexample is None) == (label == "unproven")
         # the confirmation ran, through evaluate, and lowered nothing
         assert len(confirmations) == (0 if label == "unproven" else 3)
         assert all(confirmations)
+
+
+# the fixtures, proven and not, the three shapes that run trials, and one
+# corpus spec per invariant shape
+_KEPT_LABELS = (*_INVARIANT_FIXTURES, "hidden_constant", "mixed_lt", "unproven", *_INVARIANT_SHAPES)
+
+
+def _kept_spec(label):
+    """A fresh spec for the label: equal on every call, never the same object."""
+    if label == "unproven":
+        return _line_spec("x^103 + y^103 < z^103")
+    if label == "mixed_lt" or label in _INVARIANT_SHAPES:
+        return _corpus_spec(*corpus_relation(random.Random(f"kept:{label}"), label))
+    return _spec(label)
+
+
+class TestPlanKeptPerSpec:
+    """What `fuzz_invariance` derives from the spec alone (typing, the
+    dimension checks, the seeding target, the proof, and the lowering where
+    trials run) is worked out on a spec's first call and kept on that spec
+    object, so a later call on it redoes none of it."""
+
+    @pytest.mark.parametrize("label", _KEPT_LABELS)
+    def test_a_later_call_types_proves_and_lowers_nothing(self, monkeypatch, label):
+        spec = _kept_spec(label)
+        first = fuzz_invariance(spec, trials=100, seed=0)
+
+        def refuse(name):
+            def raising(*args, **kwargs):
+                raise AssertionError(f"{name} called again")
+
+            return raising
+
+        with monkeypatch.context() as patched:
+            for module, name in ((dsl, "typecheck"), (dsl, "_lower"), (harness, "_bounds"),
+                                 (harness, "_equality_seed_target"), (harness, "compile_relation")):
+                patched.setattr(module, name, refuse(name))
+            again = [fuzz_invariance(spec, trials=100, seed=seed, tol=tol)
+                     for seed, tol in ((0, 1e-9), (5, 1e-9), (5, 1e-6))]
+        assert again[0] == first
+        fresh = _kept_spec(label)
+        assert fresh == spec and "fuzz_plan" not in vars(fresh)
+        assert again == [fuzz_invariance(_kept_spec(label), trials=100, seed=seed, tol=tol)
+                         for seed, tol in ((0, 1e-9), (5, 1e-9), (5, 1e-6))]
+
+    def test_equal_specs_built_apart_keep_their_own_plans(self):
+        a, b = _spec("hidden_constant"), _spec("hidden_constant")
+        assert a == b and hash(a) == hash(b)
+        report = fuzz_invariance(a, trials=50, seed=1)
+        assert "fuzz_plan" in vars(a) and "fuzz_plan" not in vars(b)
+        assert fuzz_invariance(b, trials=50, seed=1) == report
+        assert a.fuzz_plan is not b.fuzz_plan
+        assert a.fuzz_plan.compiled.leaves[0][1] is not b.fuzz_plan.compiled.leaves[0][1]
+
+    @pytest.mark.parametrize("variables,relation,message", [
+        ({"x": "L", "t": "T"}, "x + t < x", "relation is ill-typed: '+' needs equal dimensions: L vs T"),
+        ({"x": "L", "t": "T"}, "x*t", "relation does not evaluate to a truth value"),
+    ])
+    def test_an_unfuzzable_spec_raises_the_same_error_on_every_call(self, variables, relation, message):
+        spec = dsl.problem_spec_from_dict({"system": ["L", "T"], "variables": variables, "relation": relation})
+        for seed in (0, 1, 2):
+            with pytest.raises(SpecError) as info:
+                fuzz_invariance(spec, trials=10, seed=seed)
+            assert str(info.value) == message
+            assert "fuzz_plan" not in vars(spec)
+
+    @pytest.mark.parametrize("label", ["hidden_constant", "mixed_lt", "unproven", "newton"])
+    def test_a_spec_pickles_after_a_call_and_its_copy_reports_the_same(self, label):
+        spec = _kept_spec(label)
+        report = fuzz_invariance(spec, trials=200, seed=4)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
+        assert "fuzz_plan" not in vars(copy)
+        assert fuzz_invariance(copy, trials=200, seed=4) == report
+        assert copy.fuzz_plan.compiled.type is dsl.BOOL
+
+    @pytest.mark.parametrize("label", ["hidden_constant", "mixed_lt", "unproven", "seeded_eq"])
+    def test_threads_fuzzing_one_fresh_spec_report_as_sequential_calls(self, label):
+        seeds = (0, 1, 2, 3)
+        expected = [fuzz_invariance(spec, trials=200, seed=seed)
+                    for spec in [_kept_spec(label)] for seed in seeds]
+        spec, reports = _kept_spec(label), [None] * len(seeds)
+        start = threading.Barrier(len(seeds))
+
+        def work(i):
+            start.wait(timeout=10)
+            reports[i] = fuzz_invariance(spec, trials=200, seed=seeds[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(seeds))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reports == expected

@@ -157,3 +157,14 @@ class TestPackageNamespace:
 
 def _submodules():
     return [importlib.import_module(f"piforge.{p.stem}") for p in MODULES if p.stem != "__init__"]
+
+
+@pytest.mark.parametrize("name", ["dsl.py", "harness.py"])
+def test_no_global_statement(name):
+    """No function of the relation language or the fuzzer rebinds module
+    state, so no evaluation or proof cache lives at module level: what is
+    worked out once per relation is kept on the handle the caller holds
+    (`CompiledRelation`, `ProblemSpec.fuzz_plan`)."""
+    tree = ast.parse((ROOT / "src" / "piforge" / name).read_text())
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert not found, f"{name} has global statements at lines {found}"
