@@ -92,13 +92,8 @@ def monomial_text(names, exponents, sep: str) -> str:
 
 
 class _ExponentVector:
-    """The float form of an `exponents` tuple, for sums over log magnitudes,
-    and its exact form with each integral exponent an int, for typing;
-    shared by DimVector and Monomial."""
-
-    @cached_property
-    def _exact(self) -> tuple:
-        return tuple(e.numerator if e.denominator == 1 else e for e in self.exponents)
+    """The float form of an `exponents` tuple, for sums over log magnitudes;
+    shared by DimVector and Monomial. Dimension typing reads `exponents`."""
 
     @cached_property
     def _float_terms(self) -> tuple[tuple[int, float], ...]:

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from fractions import Fraction
 from functools import cached_property
@@ -513,26 +512,13 @@ def typecheck(node: Node, env: dict[str, DimVector], *, allow_mixed_comparisons=
     magnitudes. With allow_mixed_comparisons the =/</<= operators accept
     operands of different dimensions (the invariance fuzzer's loophole);
     everything else stays strict. A list given as sides gets the two side
-    dimensions of each comparison, left to right. The walk types quantities
-    by exponent tuples, ints but for rational exponents, and builds
-    DimVectors only for what it returns or raises; a variable over another
-    system than the first variable's keeps its own."""
+    dimensions of each comparison, left to right. Quantities are typed by
+    exact DimVector arithmetic alone, a constant over the first variable's
+    system: dimensions over two systems do not combine (SystemMismatchError)
+    and compare unequal. The fuzzer types a spec once (`ProblemSpec.fuzz_plan`)."""
     system = next(iter(env.values())).system if env else None
-    zero, made = system and (0,) * system.size, {}  # made: a DimVector per tuple
-
-    def vec(t):
-        if t.__class__ is tuple and t not in made:
-            made[t] = DimVector(system, tuple(map(Fraction, t)))
-        return made.get(t, t)
-
-    def scaled(t, e: Fraction):
-        if t.__class__ is not tuple:
-            return t**e
-        p, q = e.numerator, e.denominator
-        return tuple(b // q if (b := a * p) % q == 0 else Fraction(b, q) for a in t)
 
     def fail(n: Node, text: str, *dims):  # text names each of dims by {}
-        dims = tuple(map(vec, dims))
         raise DimensionError(text.format(*dims), n, *dims)
 
     def check(n: Node):
@@ -545,38 +531,32 @@ def typecheck(node: Node, env: dict[str, DimVector], *, allow_mixed_comparisons=
                 if lt != rt:
                     fail(n, f"'{op}' needs equal dimensions: {{}} vs {{}}", lt, rt)
                 return lt
-            if lt.__class__ is not tuple or rt.__class__ is not tuple:
-                lt, rt = vec(lt), vec(rt)
-                return lt * rt if op == "*" else lt / rt
-            return tuple(map(operator.add if op == "*" else operator.sub, lt, rt))
+            return lt * rt if op == "*" else lt / rt
         if kind is Var:
             name = n.name
             if name not in env:
                 raise DimensionError(f"unbound variable {name!r}", node=n)
-            if (d := env[name]).system is not system and d.system != system:
-                return d
-            return made.setdefault(d._exact, d)._exact
+            return env[name]
         if kind is Const:
             if system is None:
                 raise DimensionError("no dimension system in scope", node=n)
-            return zero
+            return DimVector.zero(system)
         if kind is Pow:
-            return scaled(_need_dim(n, check(n.base)), n.exponent)
+            return _need_dim(n, check(n.base)) ** n.exponent
         if kind is Compare:
-            op = n.op
             lt, rt = check(n.left), check(n.right)
             _need_dim(n, lt), _need_dim(n, rt)
             if lt != rt and not allow_mixed_comparisons:
-                fail(n, f"'{op}' compares different dimensions: {{}} vs {{}}", lt, rt)
+                fail(n, f"'{n.op}' compares different dimensions: {{}} vs {{}}", lt, rt)
             if sides is not None:
-                sides.append((vec(lt), vec(rt)))
+                sides.append((lt, rt))
             return BOOL
         if kind is Call:
             func = n.func
             at = _need_dim(n, check(n.arg))
             if func == "sqrt":
-                return scaled(at, Fraction(1, 2))
-            if at != zero and (at.__class__ is tuple or not at.is_zero()):
+                return at ** Fraction(1, 2)
+            if not at.is_zero():
                 fail(n, f"{func} needs a dimensionless operand, got {{}}", at)
             return BOOL if func == "is_pos_int" else at
         if kind is BoolOp:
@@ -590,8 +570,7 @@ def typecheck(node: Node, env: dict[str, DimVector], *, allow_mixed_comparisons=
             return BOOL
         raise TypeError(f"not a relation node: {n!r}")
 
-    result = check(node)
-    return result if result is BOOL else vec(result)
+    return check(node)
 
 
 def _need_dim(node: Node, t):
@@ -911,9 +890,14 @@ def problem_spec_from_dict(raw: dict, source: str = "<dict>") -> ProblemSpec:
             f"spec {source}: variable name {reserved[0]!r} is reserved "
             f"(reserved: {', '.join(RESERVED)})"
         )
+    text = raw["relation"]
+    fields = [(f"the dimension of variable {name!r}", expr) for name, expr in variables.items()]
+    for what, value in [*fields, ("'relation'", text)]:
+        if not isinstance(value, str):
+            raise SpecError(f"spec {source}: {what} must be a string, got {type(value).__name__}")
     try:
         dims = tuple(parse_dimension(expr, system) for expr in variables.values())
-        relation = parse_relation(raw["relation"])
+        relation = parse_relation(text)
     except ParseError as exc:
         raise SpecError(f"spec {source}: {exc}") from exc
     unbound = free_variables(relation) - set(names)
@@ -924,5 +908,5 @@ def problem_spec_from_dict(raw: dict, source: str = "<dict>") -> ProblemSpec:
         variable_names=names,
         variable_dims=dims,
         relation=relation,
-        relation_text=raw["relation"],
+        relation_text=text,
     )

@@ -537,14 +537,12 @@ def fuzz_invariance(
         memo = {}
         try:
             if seed_target is not None:
-                try:
-                    sign, log = memo[seed_side[1]] = _point(seed_side, logs, tol)
-                    if sign > 0:
-                        logs[vname] = log
-                except EvaluationError:
-                    pass
+                sign, log = memo[seed_side[1]] = _point(seed_side, logs, tol)
+                if sign > 0:
+                    logs[vname] = log
             if program is None:
-                truth(logs, tol)
+                if seed_target is None:  # a seeded `v = expr` is defined wherever expr is
+                    truth(logs, tol)
                 passed += 1
                 continue
             log_factors = [factor_lo + factor_span * draw() for _ in range(system.size)]

@@ -132,6 +132,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: spec {spec}: bad system".encode())
 
+    @pytest.mark.parametrize("command", ["pi", "check", "verify"])
+    def test_non_string_dimension_is_spec_error(self, tmp_path, command):
+        spec = tmp_path / "int.json"
+        spec.write_text(json.dumps({"system": ["L"], "variables": {"x": 1}, "relation": "x = x"}))
+        proc = run_cli(command, "--spec", str(spec))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            f"error: spec {spec}: the dimension of variable 'x' must be a string, got int\n"
+        ).encode()
+
     def test_registry_unit_without_dim_is_named(self, tmp_path):
         registry = tmp_path / "reg.json"
         registry.write_text(json.dumps({"system": ["L"], "units": {"m": {"magnitude": 1}}}))

@@ -650,6 +650,18 @@ class TestProblemSpec:
         with pytest.raises(SpecError, match=f"variable name '{name}' is reserved"):
             dsl.load_problem_spec(bad)
 
+    @pytest.mark.parametrize("variables,relation,message", [
+        ({"x": 1}, "x = x", "the dimension of variable 'x' must be a string, got int"),
+        ({"x": "L", "y": None}, "x = y", "the dimension of variable 'y' must be a string, got NoneType"),
+        ({"x": "L"}, 5, "'relation' must be a string, got int"),
+        ({"x": "L"}, ["x = x"], "'relation' must be a string, got list"),
+    ], ids=["int-dimension", "null-dimension", "int-relation", "list-relation"])
+    def test_non_string_fields_are_spec_errors(self, variables, relation, message):
+        raw = {"system": ["L"], "variables": variables, "relation": relation}
+        with pytest.raises(SpecError) as info:
+            dsl.problem_spec_from_dict(raw, source="bad.json")
+        assert str(info.value) == f"spec bad.json: {message}"
+
     @pytest.mark.parametrize("system", ['"MLT"', '["M", 1]', '[]'], ids=["string", "non-string-name", "empty"])
     def test_system_must_be_a_list_of_names(self, tmp_path, system):
         bad = tmp_path / "bad.json"

@@ -945,6 +945,50 @@ class TestProofGrammar:
         assert harness._bounds(node, box) is None
 
 
+# seeded relations with no mixed comparison, over x, y, z of dimension L:
+# each leaves the domain at some drawn points, the last at every one
+_SEEDED = ("x = log(y/z)*z", "x = exp(y/z)*z - z", "sin(y/z)*z = x", "x = log(y/y - 1)*y")
+
+
+class TestSeederDecides:
+    """A seeded `v = expr` with no mixed comparison passes exactly where the
+    seeder evaluates expr: v is a bare side, and the exp of the log of any
+    finite positive value is finite. So expr runs once per trial, and a
+    trial on which it leaves the domain is inapplicable with the seeder's
+    error."""
+
+    def test_the_other_side_runs_once_per_trial(self, monkeypatch):
+        spec = dsl.problem_spec_from_dict({
+            "system": ["L"], "variables": {"x": "L^103", "y": "L", "z": "L"},
+            "relation": "x = y^103 + z^103",
+        })
+        assert not spec.fuzz_plan.proven
+        original, calls = dsl._finite, [0]
+
+        def counted(v):
+            calls[0] += 1
+            return original(v)
+
+        monkeypatch.setattr(dsl, "_finite", counted)
+        reports = [fuzz_invariance(spec, trials=100, seed=seed) for seed in range(4)]
+        monkeypatch.undo()
+        # y^103, z^103 and their sum, once each per trial
+        assert calls[0] == 3 * 100 * 4
+        for seed, report in enumerate(reports):
+            assert (report.passed, report.inapplicable) == (100, 0)
+            assert _fingerprint(fuzz_invariance, spec, 100, seed, 1e-9) == _fingerprint(
+                reference_fuzz, spec, 100, seed, 1e-9)
+
+    @pytest.mark.parametrize("text", _SEEDED)
+    def test_reports_equal_the_reference(self, text):
+        spec = _line_spec(text)
+        assert harness._equality_seed_target(spec) and not _is_proven(spec)
+        for seed in range(4):
+            for tol in (1e-9, 1e-3):
+                expected = _fingerprint(reference_fuzz, spec, 150, seed, tol)
+                assert _fingerprint(fuzz_invariance, spec, 150, seed, tol) == expected
+
+
 _INVARIANT_FIXTURES = ("newton", "light_three_var", "electronics", "independent_dims", "mass_spring")
 _INVARIANT_SHAPES = ("power_lt", "seeded_eq", "sum_le", "log_sin", "bool_mix")
 

@@ -1,6 +1,7 @@
 """Every name a piforge module imports is used in that module, every private
 name it defines is read there, no module reaches into another's private
-names, and no module calls `rref`.
+names, no module calls `rref`, and no function but `core.reduce_dims`
+rebinds module state.
 
 No linter ships with the project, so this stands in for the checks of one: a
 fold that moves code between modules must not leave its imports behind, nor
@@ -159,12 +160,18 @@ def _submodules():
     return [importlib.import_module(f"piforge.{p.stem}") for p in MODULES if p.stem != "__init__"]
 
 
-@pytest.mark.parametrize("name", ["dsl.py", "harness.py"])
+# the one module-level slot: pi_basis, special_basis and is_consistent,
+# called in turn on the very same DimVectors, share one elimination
+ALLOWED_GLOBALS = {"core.py": ["_last_reduction"]}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODULES))
 def test_no_global_statement(name):
-    """No function of the relation language or the fuzzer rebinds module
-    state, so no evaluation or proof cache lives at module level: what is
-    worked out once per relation is kept on the handle the caller holds
-    (`CompiledRelation`, `ProblemSpec.fuzz_plan`)."""
+    """No function rebinds module state, so no evaluation, proof or
+    reduction cache lives at module level: what is worked out once per
+    relation or basis is kept on the handle the caller holds
+    (`CompiledRelation`, `ProblemSpec.fuzz_plan`, `PiBasis`). The one
+    exception is `core.reduce_dims`'s last reduction."""
     tree = ast.parse((ROOT / "src" / "piforge" / name).read_text())
-    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
-    assert not found, f"{name} has global statements at lines {found}"
+    found = [n for node in ast.walk(tree) if isinstance(node, ast.Global) for n in node.names]
+    assert found == ALLOWED_GLOBALS.get(name, []), f"{name} has global statements for {found}"

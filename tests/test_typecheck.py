@@ -1,10 +1,9 @@
 """`dsl.typecheck` against `reference_typecheck`, the walker over exact
 `DimVector` arithmetic: equal results, sides and errors over random
-relations from the whole grammar, and no Fraction arithmetic where every
-exponent is an integer. Over the same relations, `dsl.free_variables` and
-`harness._bounds` against their `match`-based references; and the node
-contract they share: a node is an instance of exactly one of the eight
-node classes."""
+relations from the whole grammar. Over the same relations,
+`dsl.free_variables` and `harness._bounds` against their `match`-based
+references; and the node contract they share: a node is an instance of
+exactly one of the eight node classes."""
 
 import random
 from fractions import Fraction
@@ -30,7 +29,6 @@ from piforge.dsl import (
 from piforge.errors import DimensionError, ParseError, PiforgeError, SystemMismatchError
 
 from support import (
-    FIXTURES,
     _reference_nodes,
     reference_bounds,
     reference_free_variables,
@@ -305,47 +303,3 @@ class TestTwoSystems:
         t = env["y"].system
         assert typecheck(parse_relation("y*y/y^(1/2)"), env) == DimVector(t, (Fraction(3, 2),))
         assert typecheck(parse_relation("x*x*2"), env) == DimVector(env["x"].system, (Fraction(2),))
-
-
-# parsed before any counting: parsing a dimension is DimVector arithmetic
-FIXTURE_SPECS = [dsl.load_problem_spec(p) for p in sorted(FIXTURES.glob("*.json"))
-                 if '"relation"' in p.read_text()]
-
-
-class TestNoFractionArithmetic:
-    """Every fixture dimension has integer exponents, so typing them adds,
-    subtracts and multiplies plain ints; a rational power's integral result
-    comes back an int without Fraction arithmetic too."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        counter = {}
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                     "__truediv__", "__rtruediv__"):
-            original = getattr(Fraction, name)
-
-            def counted(self, other, _original=original, _name=name):
-                counter[_name] = counter.get(_name, 0) + 1
-                return _original(self, other)
-
-            monkeypatch.setattr(Fraction, name, counted)
-        return counter
-
-    def test_fixture_relations(self, calls):
-        assert len(FIXTURE_SPECS) == 6
-        for spec in FIXTURE_SPECS:
-            for allow in (False, True):
-                try:
-                    typecheck(spec.relation, spec.env, allow_mixed_comparisons=allow, sides=[])
-                except DimensionError:
-                    assert not allow
-        assert calls == {}
-
-    def test_counter_is_wired(self, calls):
-        # a rational dimension adds as Fractions, in the walk and the reference
-        env = {"x": DimVector(MLT, (Fraction(1, 2), Fraction(0), Fraction(0)))}
-        typecheck(parse_relation("x*x"), env)
-        assert calls.get("__add__", 0) + calls.get("__radd__", 0) > 0
-        calls.clear()
-        reference_typecheck(parse_relation("m*m"), {"m": DimVector.unit(MLT, "M")})
-        assert calls.get("__add__", 0) > 0
