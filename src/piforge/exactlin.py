@@ -137,12 +137,14 @@ def _integer_row(row) -> list[int]:
 class Reduction:
     """A matrix's RREF as integers: int_rows[i] is nonzero RREF row i scaled
     to coprime integers, its pivot at pivot_cols[i] positive, so RREF entry
-    (i, j) is int_rows[i][j] / int_rows[i][pivot_cols[i]]."""
+    (i, j) is int_rows[i][j] / int_rows[i][pivot_cols[i]]. free_cols are the
+    non-pivot columns in increasing order, set once by `eliminate`."""
 
     shape: tuple[int, int]
     int_rows: tuple[tuple[int, ...], ...]
     pivot_cols: tuple[int, ...]
     rank: int
+    free_cols: tuple[int, ...]
 
 
 def eliminate(m: QMatrix) -> Reduction:
@@ -173,7 +175,8 @@ def eliminate(m: QMatrix) -> Reduction:
         pivot_cols.append(col)
         piv_row += 1
     rows = tuple(tuple(v if row[pc] > 0 else -v for v in row) for row, pc in zip(work, pivot_cols))
-    return Reduction((nrows, ncols), rows, tuple(pivot_cols), piv_row)
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    return Reduction((nrows, ncols), rows, tuple(pivot_cols), piv_row, free_cols)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
@@ -190,18 +193,13 @@ def rank(m: QMatrix) -> int:
     return eliminate(m).rank
 
 
-def free_columns(reduction: Reduction) -> tuple[int, ...]:
-    """The non-pivot columns of a `Reduction`, in increasing order."""
-    return tuple(c for c in range(reduction.shape[1]) if c not in reduction.pivot_cols)
-
-
 def free_kernel(reduction: Reduction) -> list[tuple[Fraction, ...]]:
     """The unscaled RREF free-variable kernel basis of a `Reduction`, one
     vector per free column, by increasing column: 1 at the free column,
     -row[free] / row[pc] at the pivot column pc of each integer row, 0
     elsewhere."""
     basis = []
-    for free in free_columns(reduction):
+    for free in reduction.free_cols:
         vec = [_ZERO] * reduction.shape[1]
         vec[free] = _ONE
         for row, pc in zip(reduction.int_rows, reduction.pivot_cols):
@@ -218,7 +216,7 @@ def canonical_kernel(reduction: Reduction) -> list[tuple[Fraction, ...]]:
     rows, pivots = reduction.int_rows, reduction.pivot_cols
     scale = math.lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     basis = []
-    for free in free_columns(reduction):
+    for free in reduction.free_cols:
         vec = [0] * reduction.shape[1]
         vec[free] = scale
         for row, pc in zip(rows, pivots):

@@ -12,9 +12,11 @@ Every basis keeps the one `core.reduce_dims` that built or validated it.
 a `PiBasis` constructor and `units.is_consistent` called in turn on the same
 DimVector objects share one elimination; an equal list of other objects
 reduces again. The groups and `row_space` read that `exactlin.Reduction`'s
-integer RREF rows. Its free slots are the non-pivot columns. A dimensionless
-product is fixed by its exponents there, so a basis's r x r free-slot block
-holds its coordinates in the special basis; `transition` reads two blocks.
+integer RREF rows. Its free slots are its `free_cols`, the non-pivot columns.
+A dimensionless product is fixed by its exponents there, so a basis's r x r
+`free_block` holds its coordinates in the special basis; `transition` reads
+two blocks. The builders keep the block they build, diagonal with integer
+entries; a public basis scans its groups for it on first use.
 
 The public constructors `PiBasis`, `SpecialPiBasis` and `Transition`, and
 `is_pi_basis`, validate the groups a caller hands them. The builders read
@@ -29,7 +31,7 @@ from functools import cached_property
 
 from .core import DimVector, Monomial, dim_combine, reduce_dims, row_space
 from .errors import NotABasisError, frozen
-from .exactlin import QMatrix, canonical_kernel, free_columns, free_kernel, rank, solve_many
+from .exactlin import QMatrix, canonical_kernel, free_kernel, rank, solve_many
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -87,6 +89,17 @@ class PiBasis:
         """The log shifts no group's value sees: `core.row_space`."""
         return row_space(self.reduction)
 
+    @cached_property
+    def free_block(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
+        """The r x r free-slot block, which holds the groups' coordinates in
+        the special basis: row i lists group i's nonzero exponents at the
+        free slots as (column, value) pairs. The builders keep theirs."""
+        free_cols = self.reduction.free_cols
+        return tuple(
+            tuple([(j, e) for j, e in enumerate([g.exponents[c] for c in free_cols]) if e])
+            for g in self.groups
+        )
+
 
 @frozen
 class SpecialPiBasis:
@@ -132,15 +145,19 @@ class Transition:
 def _special(dims, reduction) -> SpecialPiBasis:
     """The special basis over dims, read off `reduce_dims(dims)`."""
     groups = tuple(Monomial(vec) for vec in free_kernel(reduction))
-    base = _built(PiBasis, dims=dims, groups=groups, reduction=reduction)
-    free = free_columns(reduction)
-    return _built(SpecialPiBasis, base=base, pivot_indices=reduction.pivot_cols, free_indices=free)
+    block = tuple([((i, 1),) for i in range(len(groups))])
+    base = _built(PiBasis, dims=dims, groups=groups, reduction=reduction, free_block=block)
+    return _built(SpecialPiBasis, base=base, pivot_indices=reduction.pivot_cols,
+                  free_indices=reduction.free_cols)
 
 
 def _canonical(dims, reduction) -> PiBasis:
-    """The canonical basis over dims, read off `reduce_dims(dims)`."""
+    """The canonical basis over dims, read off `reduce_dims(dims)`; its free
+    block is diag(c_i), c_i > 0 group i's integer exponent at free slot i."""
     groups = tuple(Monomial(vec) for vec in canonical_kernel(reduction))
-    return _built(PiBasis, dims=dims, groups=groups, reduction=reduction)
+    block = tuple([((i, g.exponents[c].numerator),)
+                   for i, (g, c) in enumerate(zip(groups, reduction.free_cols))])
+    return _built(PiBasis, dims=dims, groups=groups, reduction=reduction, free_block=block)
 
 
 def pi_basis(dims) -> PiBasis:
@@ -164,17 +181,6 @@ def special_basis(dims) -> SpecialPiBasis:
     return _special(dims, reduce_dims(dims))
 
 
-def _free_block(basis: PiBasis) -> list[list[tuple[int, Fraction]]]:
-    """The basis's r x r free-slot block, which holds its groups' coordinates
-    in the special basis: row i lists group i's nonzero exponents at the
-    free slots as (column, value) pairs."""
-    free_cols = free_columns(basis.reduction)
-    return [
-        [(j, e) for j, e in enumerate([g.exponents[c] for c in free_cols]) if e]
-        for g in basis.groups
-    ]
-
-
 def _dense(block) -> list[list[Fraction]]:
     rows = [[_ZERO] * len(block) for _ in block]
     for row, terms in zip(rows, block):
@@ -184,16 +190,17 @@ def _dense(block) -> list[list[Fraction]]:
 
 
 def _right_divide(x, a) -> QMatrix:
-    """x a^-1, exact, for r x r `_free_block`s with a invertible. A diagonal
-    a divides column j of x by a[j][j], touching only x's nonzero entries;
-    any other a takes one `solve_many` of a^T against the rows of x, since
-    y a = x iff a^T y^T = x^T."""
+    """x a^-1, exact, for r x r `PiBasis.free_block`s with a invertible. A
+    diagonal a divides column j of x by a[j][j], touching only x's nonzero
+    entries, as one `Fraction(v, d)`, exact for int and Fraction entries
+    alike; any other a takes one `solve_many` of a^T against the rows of x,
+    since y a = x iff a^T y^T = x^T."""
     r = len(a)
     if all(len(terms) == 1 and terms[0][0] == i for i, terms in enumerate(a)):
         flat = [_ZERO] * (r * r)
         for i, terms in enumerate(x):
             for j, v in terms:
-                flat[i * r + j] = v / a[j][0][1]
+                flat[i * r + j] = Fraction(v, a[j][0][1])
         return QMatrix(r, r, tuple(flat))
     a_t = QMatrix.from_rows(_dense(a)).transpose()
     return QMatrix.from_rows(solve_many(a_t, _dense(x)))
@@ -205,15 +212,15 @@ def transition(psi: PiBasis, pi: PiBasis) -> Transition:
     Row i of the matrix holds the unique coefficients with
     pi.groups[i] = sum_j M[i][j] * psi.groups[j].
 
-    With A and B the free-slot blocks of psi and pi, psi = A s and pi = B s
+    With A and B the `free_block`s of psi and pi, psi = A s and pi = B s
     over the special basis s, so M = B A^-1 and its inverse is A B^-1. Every
-    builder's block is diagonal (the special basis's is I, the canonical
-    basis's diag(c_i) with each c_i > 0), so a builder pair needs no
-    elimination at all.
+    builder keeps its block, diagonal with int entries (the special basis's
+    is I, the canonical basis's diag(c_i) with each c_i > 0), so a builder
+    pair scans no group and needs no elimination at all.
     """
     if psi.dims != pi.dims:
         raise NotABasisError("transition requires bases over identical dimensions")
-    a, b = _free_block(psi), _free_block(pi)
+    a, b = psi.free_block, pi.free_block
     return _built(Transition, matrix=_right_divide(b, a), inverse=_right_divide(a, b))
 
 

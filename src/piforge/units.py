@@ -111,7 +111,7 @@ class UnitRegistry:
             magnitude = spec.get("magnitude")
             try:
                 magnitude = math.nan if isinstance(magnitude, bool) else float(magnitude)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 magnitude = math.nan
             if not 0 < magnitude < math.inf:
                 raise ParseError(
@@ -119,7 +119,10 @@ class UnitRegistry:
                 )
             if not isinstance(spec.get("dim"), str):
                 raise ParseError(f"registry {source}: unit {name!r} needs a 'dim' string")
-            dim = dsl.parse_dimension(spec["dim"], system)
+            try:
+                dim = dsl.parse_dimension(spec["dim"], system)
+            except ParseError as exc:
+                raise type(exc)(f"registry {source}: unit {name!r}: {exc}") from exc
             entries[name] = Quantity(math.log(magnitude), dim)
         return cls(system, entries)
 

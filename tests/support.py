@@ -755,7 +755,7 @@ def _reference_side(node, bindings, tol) -> tuple[int, Fraction]:
             value = Quantity(math.log(abs(value.value)), value.dim)
         else:
             sign = 1
-    except ValueError:
+    except (ValueError, OverflowError):
         raise EvaluationError("a value overflows the float range, about 1.8e+308") from None
     return sign, Fraction(value.log_magnitude)
 

@@ -143,6 +143,21 @@ class TestExitCodes:
             f"error: spec {spec}: the dimension of variable 'x' must be a string, got int\n"
         ).encode()
 
+    @pytest.mark.parametrize(
+        "unit,message",
+        [
+            ({"magnitude": 10**400, "dim": "L"}, "unit 'm' needs a finite positive 'magnitude'"),
+            ({"magnitude": 1, "dim": "L^"}, "unit 'm': expected an integer exponent, got ''"),
+        ],
+        ids=["int-beyond-floats", "dim-malformed"],
+    )
+    def test_bad_registry_unit_names_registry_and_unit(self, tmp_path, unit, message):
+        registry = tmp_path / "reg.json"
+        registry.write_text(json.dumps({"system": ["L"], "units": {"m": unit}}))
+        proc = run_cli("consistent", "m", "--registry", str(registry))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == f"error: registry {registry}: {message}\n".encode()
+
     def test_registry_unit_without_dim_is_named(self, tmp_path):
         registry = tmp_path / "reg.json"
         registry.write_text(json.dumps({"system": ["L"], "units": {"m": {"magnitude": 1}}}))
@@ -388,7 +403,9 @@ class TestNestingLimit:
         ))
         proc = run_cli("consistent", "m", "--registry", str(registry))
         assert (proc.returncode, proc.stdout) == (2, b"")
-        assert proc.stderr == b"error: dimension nests more than 200 levels deep\n"
+        assert proc.stderr == (
+            f"error: registry {registry}: unit 'm': dimension nests more than 200 levels deep\n"
+        ).encode()
 
     def test_a_deep_bindings_literal_exits_2_naming_the_limit(self, tmp_path):
         bindings = tmp_path / "bindings.json"

@@ -881,6 +881,20 @@ class TestProvenDomain:
             fuzz_invariance(_spec_text(tmp_path, {"x": f"L^{10**310}", "y": "L"}, "x = x"), trials=10)
 
 
+class TestReferenceNearTheFloatLimit:
+    """A mixed comparison whose side overflows at a drawn point: the
+    reference counts that trial inapplicable, as the fuzzer does."""
+
+    @pytest.mark.parametrize("text", [
+        "y^103 - z^103 = x", "x < y^103 - z^103", "y^103 + x*z^102 <= z^103",
+    ])
+    def test_reports_equal_the_reference(self, text):
+        spec = _line_spec(text)
+        for seed in range(30):
+            expected = _fingerprint(reference_fuzz, spec, 300, seed, 1e-9)
+            assert _fingerprint(fuzz_invariance, spec, 300, seed, 1e-9) == expected, seed
+
+
 # A relation over x, y, z of dimension L that the pass proves, for each
 # function and binary operator of the grammar
 _PROVEN_USES = {

@@ -1,7 +1,9 @@
+import pickle
 import random
 import sys
 import threading
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -560,6 +562,95 @@ class TestBuiltBasesPassPublicValidation:
         for d, n in ((3, 6), (4, 12), (7, 24), (10, 48)):
             for _ in range(3):
                 self._round_trip(_ladder_dims(rng, d, n))
+
+
+def _builders(dims):
+    special = special_basis(dims)
+    return pi_basis(dims), special.base, special.canonical
+
+
+def _scanned_block(basis):
+    """The free-slot block scanned from the groups, as a public basis has it."""
+    return PiBasis.free_block.func(basis)
+
+
+_LADDER = ((3, 6), (4, 12), (7, 24), (10, 48))
+
+
+class TestKeptFreeBlock:
+    """The builders keep the free-slot block they build; `transition` reads
+    it, and gives what it gives for the same groups as public bases."""
+
+    @staticmethod
+    def _problems():
+        for _, dims in seeded_systems():
+            yield dims
+        rng = random.Random(89)
+        for d, n in _LADDER:
+            yield _ladder_dims(rng, d, n)
+
+    def test_kept_block_is_the_scanned_block(self):
+        for dims in self._problems():
+            for basis in _builders(dims):
+                assert "free_block" in basis.__dict__
+                assert basis.free_block == _scanned_block(basis)
+                assert all(type(v) is int for row in basis.free_block for _, v in row)
+
+    def test_transitions_equal_those_of_public_bases(self):
+        rng = random.Random(97)
+        for dims in self._problems():
+            bases = list(_builders(dims))
+            bases += [PiBasis(dims=dims, groups=b.groups) for b in bases[:2]]
+            if 0 < bases[0].r <= 6:
+                changed = _apply_change(random_invertible(rng, bases[0].r), bases[0].groups)
+                bases.append(PiBasis(dims=dims, groups=changed))
+            public = [PiBasis(dims=dims, groups=b.groups) for b in bases]
+            for i, psi in enumerate(bases):
+                for j, pi in enumerate(bases):
+                    t, expected = transition(psi, pi), transition(public[i], public[j])
+                    assert t == expected and repr(t) == repr(expected), (i, j)
+
+    def test_pickled_builder_bases_transition_identically(self):
+        rng = random.Random(101)
+        for d, n in _LADDER:
+            canonical, special, _ = _builders(_ladder_dims(rng, d, n))
+            copies = [pickle.loads(pickle.dumps(b)) for b in (canonical, special)]
+            assert copies == [canonical, special]
+            assert [c.free_block for c in copies] == [canonical.free_block, special.free_block]
+            for psi, pi in ((0, 1), (1, 0)):
+                t = transition(copies[psi], copies[pi])
+                expected = transition((canonical, special)[psi], (canonical, special)[pi])
+                assert t == expected and repr(t) == repr(expected)
+
+
+@pytest.mark.parametrize("d,n", _LADDER)
+def test_builder_transition_scans_no_group_and_divides_no_fractions(d, n, rref_calls, monkeypatch):
+    """A count-based guard on the ladder's exact algebra: a builder pair's
+    transition reads the kept blocks, with no scan, no Fraction division
+    and no elimination."""
+    bases = _builders(_ladder_dims(random.Random(103 + d), d, n))
+    assert all("free_block" in b.__dict__ for b in bases)
+
+    def scan(basis):
+        raise AssertionError("free-slot block scanned")
+
+    raising = cached_property(scan)
+    raising.__set_name__(PiBasis, "free_block")
+    monkeypatch.setattr(PiBasis, "free_block", raising)
+    divisions = []
+    true_div = Fraction.__truediv__
+
+    def counting(a, b):
+        divisions.append((a, b))
+        return true_div(a, b)
+
+    monkeypatch.setattr(Fraction, "__truediv__", counting)
+    del rref_calls[:]
+    for psi in bases:
+        for pi in bases:
+            transition(psi, pi)
+    assert divisions == []
+    assert rref_calls == []
 
 
 class TestBuiltFromLists:

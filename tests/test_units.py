@@ -397,8 +397,9 @@ class TestRegistry:
             {"magnitude": "nan", "dim": "M"},
             {"magnitude": "inf", "dim": "M"},
             {"magnitude": True, "dim": "M"},
+            {"magnitude": 10**400, "dim": "M"},
         ],
-        ids=["not-a-number", "missing", "nan", "inf", "boolean"],
+        ids=["not-a-number", "missing", "nan", "inf", "boolean", "int-beyond-floats"],
     )
     def test_bad_magnitude_is_parse_error(self, unit):
         from piforge.errors import ParseError
@@ -415,12 +416,23 @@ class TestRegistry:
             ({"system": ["L"], "units": ["m"]}, "'units' must be an object"),
             ({"system": "MLT", "units": {}}, "bad system"),
             (["system", "units"], "expected a JSON object"),
+            ({"system": ["L"], "units": {"m": {"magnitude": 1, "dim": "L^"}}},
+             "unit 'm': expected an integer exponent, got ''"),
+            ({"system": ["L"], "units": {"m": {"magnitude": 1, "dim": "T"}}},
+             "unit 'm': unknown fundamental 'T'"),
         ],
         ids=["dim-missing", "dim-not-a-string", "unit-not-an-object", "units-not-an-object",
-             "system-a-string", "not-an-object"],
+             "system-a-string", "not-an-object", "dim-malformed", "dim-unknown-fundamental"],
     )
     def test_malformed_registry_names_registry_and_unit(self, raw, match):
         from piforge.errors import ParseError
 
         with pytest.raises(ParseError, match=f"^registry reg.json: .*{match}"):
+            UnitRegistry.from_dict(raw, source="reg.json")
+
+    def test_unknown_fundamental_in_a_registry_keeps_its_class(self):
+        from piforge.errors import UnknownFundamentalError
+
+        raw = {"system": ["L"], "units": {"m": {"magnitude": 1, "dim": "L*T"}}}
+        with pytest.raises(UnknownFundamentalError, match="^registry reg.json: unit 'm': "):
             UnitRegistry.from_dict(raw, source="reg.json")
