@@ -213,8 +213,8 @@ def cmd_equiv(args) -> int:
     ys = [ys_map[n] for n in spec.variable_names]
     basis = pigroups.pi_basis(spec.variable_dims)
     verdict = nondim.equivalent(basis, xs, ys, tol=args.tol)
-    pa = nondim.pi_values(basis, xs)
-    pb = nondim.pi_values(basis, ys) if verdict.reason is not nondim.VerdictReason.DIM_MISMATCH else None
+    # `_load_bindings` gave both the spec's dimensions: no DIM_MISMATCH verdict
+    pa, pb = nondim.pi_values(basis, xs), nondim.pi_values(basis, ys)
     if args.json:
         _emit_json(
             {
@@ -222,13 +222,11 @@ def cmd_equiv(args) -> int:
                 "reason": verdict.reason.value,
                 "mismatch_index": verdict.mismatch_index,
                 "pi_values_a": [format_magnitude(v) for v in pa.log_values],
-                "pi_values_b": None if pb is None else [format_magnitude(v) for v in pb.log_values],
+                "pi_values_b": [format_magnitude(v) for v in pb.log_values],
             }
         )
     elif verdict.equivalent:
         print("equivalent")
-    elif verdict.reason is nondim.VerdictReason.DIM_MISMATCH:
-        print("not equivalent: dimension mismatch")
     else:
         i = verdict.mismatch_index
         print(

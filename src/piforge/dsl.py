@@ -27,10 +27,12 @@ classes of `Node`, and the walkers on `verify`'s path (`typecheck`,
 fields as attributes (a `match` class pattern costs several times as much
 per node, and would take an instance of a subclass for a node).
 
-`evaluate` lowers a node into float closures on each call; `compile_relation`
-typechecks it once and lowers it on first use, with each comparison's sides
-and their dimensions (the invariance fuzzer's view), and a spec keeps the one
-its fuzzer uses (`ProblemSpec.fuzz_plan`). The closures read each variable's
+`compile_relation` (`CompiledRelation`) compiles a relation once, whole: it
+typechecks the node and lowers it into float closures, with each
+comparison's sides and their dimensions (the invariance fuzzer's view), and a
+spec keeps the one its fuzzer uses (`ProblemSpec.fuzz_plan`). `evaluate` runs
+such a handle, or compiles a bare node against its bindings' dimensions on
+each call; nothing else lowers a node. The closures read each variable's
 log magnitude from a plain dict, so a caller of floats builds no Quantity.
 Multiplicative chains (variables, constants, *, /, ^, sqrt) stay in log
 space; sums, exp/log/sin/cos work in linear space, where non-positive values
@@ -649,11 +651,10 @@ def _exp(v: float) -> float:
 _LINEAR_FUNCTIONS = {"exp": _exp, "sin": math.sin, "cos": math.cos}
 
 
-def _lower(node: Node, found: list | None = None):
-    """(space, run) for a node: run(logs, tol) gives its value in that space.
-    A list given as found gets (node, truth run, lowered sides) for each
-    comparison, and (node, truth run, None) for each is_pos_int call, left
-    to right."""
+def _lower(node: Node, found: list):
+    """(space, run) for a typed node: run(logs, tol) gives its value in that
+    space. found gets (node, truth run, lowered sides) for each comparison,
+    and (node, truth run, None) for each is_pos_int call, left to right."""
     kind = node.__class__
     if kind is Var:
         name = node.name
@@ -685,8 +686,7 @@ def _lower(node: Node, found: list | None = None):
                 nearest = round(v)
                 return abs(v - nearest) <= tol and nearest >= 1
 
-            if found is not None:
-                found.append((node, is_pos_int, None))
+            found.append((node, is_pos_int, None))
             return space, is_pos_int
         if func == "log":
 
@@ -703,8 +703,7 @@ def _lower(node: Node, found: list | None = None):
         left, right = node.left, node.right
         sides = _lower(left, found), _lower(right, found)
         run = _compare(node.op, left, right, sides)
-        if found is not None:
-            found.append((node, run, sides))
+        found.append((node, run, sides))
         return space, run
     if kind is BoolOp:
         lf, rf = _as(operand, node.left, found), _as(operand, node.right, found)
@@ -737,14 +736,11 @@ def _compare(op: str, left: Node, right: Node, sides):
 
 def _as(space, node: Node, found, lowered=None):
     """run(logs, tol) -> the node's value in space, from its lowering (made
-    here with found unless given)."""
+    here with found unless given); a truth value is only ever wanted as one,
+    since the node is typed."""
     node_space, run = lowered or _lower(node, found)
     if node_space is space:
         return run
-    if space is TRUTH:
-        raise EvaluationError(f"quantity used as a truth value in {print_relation(node)}")
-    if node_space is TRUTH:
-        raise EvaluationError(f"boolean used as a quantity in {print_relation(node)}")
     if space is LINEAR:
         return lambda b, tol: _exp(run(b, tol))
 
@@ -760,62 +756,53 @@ def _as(space, node: Node, found, lowered=None):
 
 
 class CompiledRelation:
-    """A relation typechecked for many evaluations and lowered on first use
-    of `truth` or `leaves` or of `evaluate`, once per handle: the handle a
-    caller keeps in place of re-typing and re-lowering the node. `type` and
-    `sides`, as `typecheck` with mixed comparisons gives them; `truth(logs,
-    tol)`, its truth value (None unless `type` is BOOL); `leaves`, (node,
-    truth run, sides) for each comparison and is_pos_int call, left to
-    right, a comparison's sides two (log, run, dim): run(logs, tol) gives
-    the side's log magnitude if log, else its plain value."""
+    """A relation typechecked and lowered once, for many evaluations: the
+    handle a caller keeps in place of re-typing and re-lowering the node.
+    `type`, as `typecheck` with mixed comparisons gives it (DimensionError
+    where the relation is ill-typed); `space` and `run`, its lowering:
+    run(logs, tol) gives its value in that space; `truth`, that run where
+    `type` is BOOL, else None; `leaves`, (node, truth run, sides) for each
+    comparison and is_pos_int call, left to right, a comparison's sides two
+    (log, run, dim): run(logs, tol) gives the side's log magnitude if log,
+    else its plain value, and an is_pos_int call's sides None."""
 
     def __init__(self, node: Node, env: dict[str, DimVector]):
-        self.node, self.sides = node, []
-        self.type = typecheck(node, env, allow_mixed_comparisons=True, sides=self.sides)
-
-    @cached_property
-    def _lowering(self):
-        found = []
-        space, run = _lower(self.node, found)
-        dims = iter(self.sides)
-        leaves = tuple(
+        sides, found = [], []
+        self.node = node
+        self.type = typecheck(node, env, allow_mixed_comparisons=True, sides=sides)
+        self.space, self.run = _lower(node, found)
+        self.truth = self.run if self.space is TRUTH else None
+        dims = iter(sides)
+        self.leaves = tuple(
             (n, r, pair and tuple((s is LOG, f, d) for (s, f), d in zip(pair, next(dims))))
             for n, r, pair in found
         )
-        return space, run, leaves
-
-    truth = property(lambda self: self._lowering[1] if self._lowering[0] is TRUTH else None)
-    leaves = property(lambda self: self._lowering[2])
 
 
-compile_relation = CompiledRelation  # DimensionError where the relation is ill-typed
+compile_relation = CompiledRelation
 
 
 def evaluate(relation, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
-    """Evaluate a typechecked node or `CompiledRelation` against quantity bindings.
+    """Evaluate a `CompiledRelation`, or a node compiled on each call against
+    the bindings' dimensions (DimensionError where it is ill-typed there).
 
-    Returns a bool for predicates, a Quantity otherwise. Equality compares
-    with relative tolerance tol, |a - b| <= tol*max(|a|, |b|); where both
-    sides are products of powers, it and < and <= compare their logs, so
-    magnitudes beyond the float range compare correctly. is_pos_int accepts
-    values within tol of a positive integer. A value outside the relation's
-    domain (a non-positive value in a product or under log, or a value,
-    linear or log, that overflows the float range) raises EvaluationError.
-    A node is lowered on each call; a `CompiledRelation` once, on first
-    use, and a quantity's dimension is its `type`.
+    Returns a bool for predicates, a Quantity of the relation's `type`
+    otherwise. Equality compares with relative tolerance tol, |a - b| <=
+    tol*max(|a|, |b|); where both sides are products of powers, it and < and
+    <= compare their logs, so magnitudes beyond the float range compare
+    correctly. is_pos_int accepts values within tol of a positive integer. A
+    value outside the relation's domain (a non-positive value in a product
+    or under log, or a value, linear or log, that overflows the float range)
+    raises EvaluationError.
     """
     check_tol(tol)
+    if not isinstance(relation, CompiledRelation):
+        relation = CompiledRelation(relation, {n: q.dim for n, q in bindings.items()})
     logs = {name: q.log_magnitude for name, q in bindings.items()}
-    if isinstance(relation, CompiledRelation):
-        node, dim, (space, run, _) = relation.node, relation.type, relation._lowering
-    else:
-        node, dim, (space, run) = relation, None, _lower(relation)
-    if space is TRUTH:
-        return run(logs, tol)
-    log_mag = _as(LOG, node, None, (space, run))(logs, tol)
-    if dim is None:
-        dim = typecheck(node, {n: q.dim for n, q in bindings.items()})
-    return Quantity(log_mag, dim)
+    if relation.truth is not None:
+        return relation.truth(logs, tol)
+    run = _as(LOG, relation.node, None, (relation.space, relation.run))
+    return Quantity(run(logs, tol), relation.type)
 
 
 # --- problem specs --------------------------------------------------------

@@ -20,10 +20,11 @@ A relation with no mixed comparison therefore passes every trial whose drawn
 point lies in its domain. Before drawing any, one interval pass (`_bounds`,
 Moore's interval arithmetic over the box the trials draw from, each bound
 widened well past float rounding) tries to prove every such point in the
-domain; where it does, every trial passes, none is drawn, and the relation,
-typed and proven, is never lowered into float closures. `_bounds` converts
-each node's operands to the space that `dsl.SPACES` names, as lowering
-does, and like every walker here it dispatches on the node's exact class.
+domain; where it does, every trial passes, none is drawn, and none of the
+relation's float closures runs. `_bounds` converts each node's operands to
+the space that `dsl.SPACES` names, as lowering does, and like every walker
+here it dispatches on the node's exact class. The relation is compiled once
+per spec, whole, and its comparisons are read off that one handle.
 
 Failures are definitive; passes are evidence, not proof — the verdict is
 necessarily one-sided, and the CLI report says so.
@@ -260,24 +261,12 @@ class _Mixed:
         return x < edge
 
 
-def _program(relation, compiled, tol):
-    """`_pairs` of a compiled relation, or None where it has no mixed
-    comparison, so that its truth value survives every rescaling."""
-    leaves = [
-        (run, _Mixed(node, sides, tol) if sides and sides[0][2] != sides[1][2] else None)
-        for node, run, sides in compiled.leaves
-    ]
-    if not any(m for _, m in leaves):
-        return None
-    return _pairs(relation, iter(leaves), tol)
-
-
 def _pairs(node, leaves, tol):
     """run(logs, mu, memo) -> (before, after): the node's truth value at the
-    drawn point and rescaled by log factors mu, leaves giving the truth run
-    and the `_Mixed` or None of each comparison and is_pos_int call left to
-    right. Only a mixed comparison's two values differ. `and` and `or`
-    evaluate their right operand wherever either value needs it. memo keeps
+    drawn point and rescaled by log factors mu, leaves iterating over its
+    `CompiledRelation.leaves`. Only a mixed comparison's two values differ,
+    each decided by the `_Mixed` its leaf builds. `and` and `or` evaluate
+    their right operand wherever either value needs it. memo keeps
     each leaf's value, or a mixed one's sides and value before rescaling, at
     the drawn point, so each is worked out once per point; a side's point
     that memo already holds under the side's run (the equality seeder puts
@@ -302,9 +291,10 @@ def _pairs(node, leaves, tol):
             return not before, not after
 
         return run
-    truth, m = next(leaves)
-    if m is not None:
-        left, right = m.sides
+    leaf, truth, sides = next(leaves)
+    if sides and sides[0][2] != sides[1][2]:
+        m = _Mixed(leaf, sides, tol)
+        left, right = sides
         left_run, right_run = left[1], right[1]
 
         def run(logs, mu, memo):
@@ -444,9 +434,10 @@ def _proven(spec: ProblemSpec, seed_target) -> bool:
 class FuzzPlan:
     """What `fuzz_invariance` derives from a spec alone, kept as the spec's
     `fuzz_plan`: `compiled`, the relation typed with mixed comparisons
-    allowed (lowered only where trials run); `seed_target`; and `proven`,
-    true where it has no mixed comparison and `_proven` holds. SpecError
-    where the spec cannot be fuzzed."""
+    allowed and lowered; `mixed`, whether it has a mixed comparison, read
+    once off `compiled.leaves`; `seed_target`; and `proven`, true where it
+    is not mixed and `_proven` holds. SpecError where the spec cannot be
+    fuzzed."""
 
     def __init__(self, spec: ProblemSpec):
         try:
@@ -467,9 +458,8 @@ class FuzzPlan:
                     "about 1.8e+308"
                 ) from None
         self.compiled, self.seed_target = compiled, _equality_seed_target(spec)
-        self.proven = all(left == right for left, right in compiled.sides) and _proven(
-            spec, self.seed_target
-        )
+        self.mixed = any(sides and sides[0][2] != sides[1][2] for _, _, sides in compiled.leaves)
+        self.proven = not self.mixed and _proven(spec, self.seed_target)
 
 
 def fuzz_invariance(
@@ -493,8 +483,8 @@ def fuzz_invariance(
     relation with no mixed comparison passes every trial on which it is
     defined. Where an interval pass proves such a relation defined at every
     point a trial can draw, the report (every trial passed) is returned
-    without drawing any or lowering the relation. Typing, checks, proof and
-    lowering are done once per spec object, on its first call (`FuzzPlan`).
+    without drawing any or running the relation. Typing, lowering, checks
+    and proof are done once per spec object, on its first call (`FuzzPlan`).
     A trial whose drawn point leaves the relation's domain (EvaluationError)
     is inapplicable; one on which a mixed comparison lies within rounding of
     its edge, before or after, is undecided. If no trial is decided,
@@ -513,8 +503,8 @@ def fuzz_invariance(
         return InvarianceReport(trials=trials, passed=trials, seed=seed, counterexample=None)
 
     relation, names, system = spec.relation, spec.variable_names, spec.system
-    compiled, seed_target = plan.compiled, plan.seed_target
-    truth, program = compiled.truth, _program(relation, compiled, tol)
+    compiled, seed_target, truth = plan.compiled, plan.seed_target, plan.compiled.truth
+    program = _pairs(relation, iter(compiled.leaves), tol) if plan.mixed else None
     if seed_target is not None:
         vname, other = seed_target
         seed_side = compiled.leaves[0][2][other is relation.right]

@@ -17,7 +17,7 @@ import pytest
 from piforge import dsl
 from piforge.core import DimSystem, DimVector, Quantity
 from piforge.dsl import BinOp, BoolOp, Call, Compare, Not, Pow, evaluate, parse_relation
-from piforge.errors import EvaluationError
+from piforge.errors import DimensionError, EvaluationError
 from piforge.harness import Rescaling, rescale
 
 from support import CORPUS_TEMPLATES, FIXTURES, corpus_dim, corpus_relation, reference_evaluate
@@ -182,7 +182,8 @@ class TestLogSpaceComparisons:
         "sin(x + x) < 2", "(x + x) - (x + x) < 1", "log(x + x) < 1",
     ])
     def test_a_sum_beyond_the_float_range_is_out_of_domain(self, text):
-        bindings = {"x": self._q(math.log(1.5e308))}
+        # x is dimensionless, so that each relation is well-typed
+        bindings = {"x": self._q(math.log(1.5e308), power=0)}
         with pytest.raises(EvaluationError, match="float range"):
             evaluate(parse_relation(text), bindings)
 
@@ -227,14 +228,15 @@ class TestCompiledForm:
             return original(n, found)
 
         monkeypatch.setattr(dsl, "_lower", lower)
-        # a node is lowered on each call, and nothing is kept between calls
+        # a node is compiled on each call, and nothing is kept between calls
         assert evaluate(node, bindings) is evaluate(node, bindings) is False
         assert len(roots) == 2
+        # a compiled relation is lowered when it is made, and never again
         compiled = dsl.compile_relation(node, {"x": length})
-        assert len(roots) == 2
-        # a compiled relation is lowered on its first use, and only then
+        assert len(roots) == 3
         assert evaluate(compiled, bindings) is evaluate(compiled, bindings) is False
-        assert compiled.truth({"x": 1.0}, 1e-9) is False
+        assert compiled.truth({"x": 1.0}, 1e-9) is compiled.run({"x": 1.0}, 1e-9) is False
+        assert compiled.space is dsl.TRUTH
         assert len(roots) == 3
         # a quantity's dimension is the compiled relation's type
         square = dsl.compile_relation(parse_relation("x*x"), {"x": length})
@@ -293,6 +295,15 @@ class TestCompiledForm:
         with pytest.raises(EvaluationError, match="non-positive value 0.0"):
             evaluate(parse_relation("(x - x)*x < y"), bindings)
         assert evaluate(parse_relation("x - y < x"), bindings) is True
+
+    @pytest.mark.parametrize("text", ["sin(x) < 2", "x + t < x", "x < t and t", "(x < t) + x < x"])
+    def test_an_ill_typed_node_is_a_dimension_error(self, text):
+        # a bare node is typed against its bindings before it is lowered
+        system = DimSystem(("L", "T"))
+        bindings = {"x": Quantity(0.0, DimVector.unit(system, "L")),
+                    "t": Quantity(0.0, DimVector.unit(system, "T"))}
+        with pytest.raises(DimensionError):
+            evaluate(parse_relation(text), bindings)
 
     def test_node_equality_ignores_the_compiled_form(self):
         a, b = parse_relation("x < 2*x"), parse_relation("x < 2*x")

@@ -47,6 +47,12 @@ def _spec(name):
     return dsl.load_problem_spec(FIXTURES / f"{name}.json")
 
 
+def _program(spec, tol=1e-9):
+    """The (before, after) run `fuzz_invariance` builds for a relation with a
+    mixed comparison."""
+    return harness._pairs(spec.relation, iter(spec.fuzz_plan.compiled.leaves), tol)
+
+
 class TestRescale:
     def test_identity_is_a_no_op(self):
         system, dims = mass_spring_dims()
@@ -217,7 +223,7 @@ class TestInapplicableTrials:
                 tmp_path, {"x": "T", "y": "1", "v": "L"}, f"x < y and (x < v or {branch})",
                 system=("L", "T"),
             )
-            program = harness._program(spec.relation, dsl.compile_relation(spec.relation, spec.env), 1e-9)
+            program = _program(spec)
             assert program(logs, [4.0, 3.5], {}) == (True, False)
             shrunk[branch] = harness._shrink(program, logs, [4.0, 3.5], True, {})
         assert shrunk == {"log(y/y - 1) < 1": [1.0, 1.75], "y < y": [0.5**18, 1.75]}
@@ -469,7 +475,7 @@ class TestMixedComparisons:
     def test_shrink_skips_an_undecided_candidate(self, tmp_path):
         # gap -1 + μ: μ = 4 violates, μ = 2 too, and μ = 1 puts the gap on the edge
         spec = _spec_text(tmp_path, {"x": "L", "y": "1"}, "x < y")
-        program = harness._program(spec.relation, dsl.compile_relation(spec.relation, spec.env), 1e-9)
+        program = _program(spec)
         assert harness._shrink(program, {"x": 0.0, "y": 1.0}, [4.0], True, {}) == [2.0]
 
     def test_undecided_trials_are_counted(self, tmp_path):
@@ -531,10 +537,12 @@ class TestTrialStream:
     @pytest.mark.parametrize("seed", [0, 7, -5, 2**31 - 1])
     def test_draws_equal_the_reference_stream(self, monkeypatch, seed):
         spec = dict(_stream_specs())["not x < y"]
-        drawn, make_program = [], harness._program
+        drawn, make_pairs = [], harness._pairs
 
-        def recording_program(*args):
-            program = make_program(*args)
+        def recording_pairs(node, leaves, tol):
+            program = make_pairs(node, leaves, tol)
+            if node is not spec.relation:  # a part, built by the call on the whole
+                return program
 
             def run(logs, mu, memo):
                 if not memo:  # a trial's first call: the shrinker's find memo filled
@@ -543,7 +551,7 @@ class TestTrialStream:
 
             return run
 
-        monkeypatch.setattr(harness, "_program", recording_program)
+        monkeypatch.setattr(harness, "_pairs", recording_pairs)
         fuzz_invariance(spec, trials=1000, seed=seed)
         expected = []
         for trial in range(1000):
@@ -1008,10 +1016,11 @@ _INVARIANT_SHAPES = ("power_lt", "seeded_eq", "sum_le", "log_sin", "bool_mix")
 
 
 class TestLoweringOnlyWhenTrialsRun:
-    """A relation that needs no trial is typed and proven, never lowered into
-    float closures; one that runs trials is lowered once per spec, on its
-    first call, and the counterexample's confirmation through `evaluate`
-    reuses that lowering."""
+    """A relation is lowered into float closures once per spec, whole, when
+    its plan is made. A call on a relation that needs no trial lowers
+    nothing more and runs none of those closures; one that runs trials
+    lowers nothing more either, and the counterexample's confirmation
+    through `evaluate` reuses the plan's lowering."""
 
     @staticmethod
     def _lowering_raises(monkeypatch):
@@ -1019,6 +1028,21 @@ class TestLoweringOnlyWhenTrialsRun:
             raise AssertionError(f"lowered {dsl.print_relation(node)}")
 
         monkeypatch.setattr(dsl, "_lower", lower)
+
+    @classmethod
+    def _nothing_runs(cls, monkeypatch, spec):
+        """Make the spec's plan, then fail on any lowering, any closure of
+        the plan's run and any trial program."""
+        compiled = spec.fuzz_plan.compiled
+        cls._lowering_raises(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError(f"ran {spec.relation_text}")
+
+        for name in ("run", "truth"):
+            monkeypatch.setattr(compiled, name, refuse)
+        monkeypatch.setattr(compiled, "leaves", tuple((n, refuse, None) for n, _, _ in compiled.leaves))
+        monkeypatch.setattr(harness, "_pairs", refuse)
 
     @staticmethod
     def _roots_lowered(monkeypatch, root):
@@ -1042,7 +1066,7 @@ class TestLoweringOnlyWhenTrialsRun:
     @pytest.mark.parametrize("name", _INVARIANT_FIXTURES)
     def test_invariant_fixtures_lower_nothing(self, monkeypatch, name):
         spec = _spec(name)
-        self._lowering_raises(monkeypatch)
+        self._nothing_runs(monkeypatch, spec)
         for seed in (0, 3):
             assert fuzz_invariance(spec, trials=100, seed=seed).passed == 100
 
@@ -1050,9 +1074,10 @@ class TestLoweringOnlyWhenTrialsRun:
     def test_invariant_corpus_shapes_lower_nothing(self, monkeypatch, template):
         rng = random.Random(f"lowering:{template}")
         specs = [_corpus_spec(*corpus_relation(rng, template)) for _ in range(6)]
-        self._lowering_raises(monkeypatch)
         for spec in specs:
-            assert fuzz_invariance(spec, trials=100, seed=7).passed == 100
+            with monkeypatch.context() as patched:
+                self._nothing_runs(patched, spec)
+                assert fuzz_invariance(spec, trials=100, seed=7).passed == 100
 
     @pytest.mark.parametrize("label", ["hidden_constant", "mixed_lt", "unproven"])
     def test_a_call_that_runs_trials_lowers_once(self, monkeypatch, label):
