@@ -89,9 +89,11 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> dict[str, Quantity]
                 raise ParseError(
                     f"bindings {path}: {name!r} is a quantity literal but no registry was given"
                 )
-            q = _into_system(
-                dsl.parse_quantity(value, registry), spec.system, f"bindings {path}: {name}"
-            )
+            try:
+                q = dsl.parse_quantity(value, registry)
+            except ParseError as exc:
+                raise type(exc)(f"bindings {path}: {name}: {exc}") from exc
+            q = _into_system(q, spec.system, f"bindings {path}: {name}")
             if q.dim != dim:
                 raise ParseError(
                     f"bindings {path}: {name} has dimension {q.dim}, spec declares {dim}"

@@ -295,6 +295,21 @@ def coordinate(x: Quantity, s: Quantity) -> float:
     return math.exp(x.log_magnitude - s.log_magnitude)
 
 
+def check_dims(dims, xs, label: str) -> None:
+    """xs must carry the dimension tuple dims, slot for slot; else
+    DimensionMismatchError, naming xs by label and the first wrong slot.
+    One tuple comparison, identity before ==, passes xs built over the very
+    DimVector objects of dims; only a list that differs somewhere, or holds
+    equal copies (quantity literals, say), goes on to the slot loop."""
+    if tuple([x.dim for x in xs]) == dims:
+        return
+    if len(xs) != len(dims):
+        raise DimensionMismatchError(f"{label} has {len(xs)} slots for {len(dims)} dimensions")
+    for i, (x, w) in enumerate(zip(xs, dims)):
+        if x.dim != w:
+            raise DimensionMismatchError(f"{label}[{i}] has dimension {x.dim}, expected {w}")
+
+
 def magnitude_or_limit(log_magnitude: float) -> float:
     """exp(log_magnitude) as a float: inf above the float range, 0.0 below it."""
     try:
@@ -316,9 +331,9 @@ def format_magnitude(log_magnitude: float) -> str:
     if abs(exponent10) >= 1e15:
         return f"10^{exponent10:.15g}"
     exponent = math.floor(exponent10)
+    # |exponent10| > 307 here, where floats lie at least 2^-44 apart, so the
+    # fraction stays below 1 - 5.6e-14 and the mantissa prints below 10
     mantissa = format(10 ** (exponent10 - exponent), ".15g")
-    if mantissa == "10":
-        mantissa, exponent = "1", exponent + 1
     return f"{mantissa}e{exponent:+d}"
 
 

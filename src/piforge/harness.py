@@ -207,7 +207,7 @@ class _Mixed:
 
     def __init__(self, node, sides, tol):
         (_, _, left_dim), (_, _, right_dim) = sides
-        self.op, self.sides, self.tol = node.op, sides, tol
+        self.op, self.tol = node.op, tol
         self.w = (left_dim / right_dim).exponents
         # (j, w_j) for each nonzero w_j: a zero term moves neither gap nor spread
         try:

@@ -10,7 +10,8 @@ quantities into a predicate over the r pi-values.
 
 Once a basis is built, a record costs float work only: a binding built over
 the basis's own DimVector objects passes its dimension check on identity,
-with no DimVector compare (`_check_dims_against_basis`).
+with no DimVector compare (`core.check_dims`, the one check of a tuple's
+dimensions, which names the first wrong slot).
 
 Equivalence classes and invariant sets are uncountable, so they are only ever
 represented intensionally — as verdicts and predicates, never enumerated.
@@ -22,7 +23,7 @@ import math
 from enum import Enum
 from typing import Callable, Sequence
 
-from .core import DEFAULT_TOL, Quantity, check_tol, coordinate, magnitude_or_limit, orbit_gap
+from .core import DEFAULT_TOL, Quantity, check_dims, check_tol, coordinate, magnitude_or_limit, orbit_gap
 from .errors import DimensionMismatchError, InconsistentReferenceError, frozen
 from .pigroups import PiBasis, SpecialPiBasis
 from .units import require_consistent
@@ -60,32 +61,13 @@ class EquivalenceVerdict:
             raise ValueError("verdict flag and reason disagree")
 
 
-def _check_dims_against_basis(basis: PiBasis, xs: Sequence[Quantity], label: str):
-    """xs must carry the basis dimensions, slot for slot.
-
-    One tuple comparison decides it. It tests identity before ==, so xs
-    built over the basis's own DimVector objects costs no DimVector
-    compare. Only a list that differs somewhere, or that holds equal copies
-    (quantity literals, for instance), goes on to the slot-by-slot loop,
-    which names the first wrong slot."""
-    if tuple([x.dim for x in xs]) == basis.dims:
-        return
-    if len(xs) != len(basis.dims):
-        raise DimensionMismatchError(
-            f"{label} has {len(xs)} slots for {len(basis.dims)} dimensions"
-        )
-    for i, (x, w) in enumerate(zip(xs, basis.dims)):
-        if x.dim != w:
-            raise DimensionMismatchError(f"{label}[{i}] has dimension {x.dim}, expected {w}")
-
-
 def pi_values(basis: PiBasis, xs: Sequence[Quantity]) -> PiValues:
     """Evaluate every group of the basis at xs; each result is dimensionless.
 
     Once xs carries the basis dimensions slot for slot, every group is
     dimensionless by construction, so only the log magnitudes are combined.
     """
-    _check_dims_against_basis(basis, xs, "xs")
+    check_dims(basis.dims, xs, "xs")
     logs = [x.log_magnitude for x in xs]
     return PiValues(tuple(g.log_combine(logs) for g in basis.groups))
 
@@ -95,13 +77,7 @@ def strip_units(s: Sequence[Quantity], xs: Sequence[Quantity], tol: float = DEFA
     s = list(s)
     xs = list(xs)
     require_consistent(s, tol)
-    if len(s) != len(xs):
-        raise DimensionMismatchError(f"{len(xs)} values for {len(s)} units")
-    for i, (unit, x) in enumerate(zip(s, xs)):
-        if unit.dim != x.dim:
-            raise DimensionMismatchError(
-                f"slot {i}: value of dimension {x.dim} against unit of dimension {unit.dim}"
-            )
+    check_dims(tuple([u.dim for u in s]), xs, "xs")
     return [coordinate(x, unit) for unit, x in zip(s, xs)]
 
 
@@ -116,8 +92,8 @@ def equivalent(
     of the row space of the dimension matrix, whatever the basis. On a pi
     mismatch, mismatch_index names the group whose log differs most."""
     check_tol(tol)
-    _check_dims_against_basis(basis, xs, "xs")
-    if [y.dim for y in ys] != [x.dim for x in xs]:
+    check_dims(basis.dims, xs, "xs")
+    if tuple([y.dim for y in ys]) != basis.dims:
         return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
     delta = [x.log_magnitude - y.log_magnitude for x, y in zip(xs, ys)]
     if basis.r == 0 or orbit_gap(basis.row_space, delta) <= tol:
@@ -136,7 +112,7 @@ def _reference_free_slot_values(sb: SpecialPiBasis, ref: Sequence[Quantity]) -> 
 def _check_reference(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float):
     """ref must carry the basis dimensions and be consistent; once it does,
     the basis's cached row space decides the latter with no elimination."""
-    _check_dims_against_basis(sb.base, ref, "ref")
+    check_dims(sb.base.dims, ref, "ref")
     require_consistent(ref, tol, InconsistentReferenceError, "reference list", basis=sb.base)
 
 

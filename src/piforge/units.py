@@ -5,7 +5,8 @@ reference system (whatever the registry file declares; there is no hidden SI
 assumption). A list of units is *consistent* when no product of powers of
 them is dimensionless yet different from 1 — `is_consistent` decides it by
 the distance of the units' logs from the rescaling orbit, and names a clash
-(e.g. cm/hr/knot, by a factor of 185200), off one `core.reduce_dims`.
+(e.g. cm/hr/knot, by a factor of 185200), off one `core.reduce_dims`, or off
+a pi basis's kept one once `core.check_dims` finds the units over its dims.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .core import (
     DimSystem,
     Monomial,
     Quantity,
+    check_dims,
     check_tol,
     dimension_matrix,
     format_magnitude,
@@ -29,7 +31,6 @@ from .core import (
 )
 from .errors import (
     DependentBaseError,
-    DimensionMismatchError,
     EmptyListError,
     InconsistentUnitsError,
     NoSolutionError,
@@ -141,20 +142,20 @@ def is_consistent(units, tol: float = DEFAULT_TOL, *, basis=None) -> Consistency
 
     Row space and witness read off one `core.reduce_dims` of the units'
     dimensions. A `PiBasis` over those dimensions, slot for slot, lends its
-    kept reduction and cached `row_space`, so no elimination is made; a
-    basis over other dimensions raises DimensionMismatchError.
+    kept reduction and cached `row_space`, so no elimination is made; units
+    over other dimensions than the basis fail `core.check_dims` (label
+    `units`) with DimensionMismatchError.
     """
     check_tol(tol)
     units = list(units)
     if not units:
         raise EmptyListError("consistency is defined for nonempty unit lists")
-    dims = [u.dim for u in units]
     logs = [u.log_magnitude for u in units]
-    if basis is not None and tuple(dims) != basis.dims:
-        raise DimensionMismatchError("the basis is not over the units' dimensions, slot for slot")
-    reduction = reduce_dims(dims) if basis is None else basis.reduction
+    if basis is not None:
+        check_dims(basis.dims, units, "units")
+    reduction = reduce_dims([u.dim for u in units]) if basis is None else basis.reduction
     rows = row_space(reduction) if basis is None else basis.row_space
-    if len(rows) == len(dims) or orbit_gap(rows, logs) <= tol:
+    if len(rows) == len(units) or orbit_gap(rows, logs) <= tol:
         return ConsistencyReport(consistent=True, witness=None)
     combo = max(map(Monomial, canonical_kernel(reduction)), key=lambda c: abs(c.log_combine(logs)))
     return ConsistencyReport(consistent=False, witness=ClashWitness(combo, combo.log_combine(logs)))

@@ -566,12 +566,47 @@ def reference_free_variables(node) -> set[str]:
     raise TypeError(f"not a relation node: {node!r}")
 
 
+# The interval rules `harness._bounds` follows, written out here so that a
+# fault in the harness's own helpers shows: a bound widens by 2^-40 of
+# itself at each step, a log bound beyond +-700 is unproven, and so is a
+# linear bound that is not finite.
+_REFERENCE_LOG_LIMIT = 700.0
+_REFERENCE_WIDENING = 2.0**-40
+
+
+def _widened(lo, hi):
+    return lo - abs(lo) * _REFERENCE_WIDENING, hi + abs(hi) * _REFERENCE_WIDENING
+
+
+def _reference_log(lo, hi):
+    lo, hi = _widened(lo, hi)
+    return (True, lo, hi) if -_REFERENCE_LOG_LIMIT <= lo and hi <= _REFERENCE_LOG_LIMIT else None
+
+
+def _reference_linear(lo, hi):
+    lo, hi = _widened(lo, hi)
+    return (False, lo, hi) if -math.inf < lo and hi < math.inf else None
+
+
+def _reference_to(log, b):
+    """Bounds b in log space (log) or linear space; None where b is no
+    bound, or may be non-positive where its log is taken."""
+    if not isinstance(b, tuple):
+        return None
+    space, lo, hi = b
+    if space is log:
+        return b
+    if log:
+        return _reference_log(math.log(lo), math.log(hi)) if lo > 0 else None
+    return _reference_linear(math.exp(lo), math.exp(hi))
+
+
 def reference_bounds(node, box):
     """`harness._bounds` as one `match` over the node, each rule stating its
     own spaces. On a tree of instances of exactly the eight node classes,
     and on anything that is no node, `_bounds` must give an equal result,
     floats equal by `==`, or raise the same error."""
-    log_, linear, to = harness._log, harness._linear, harness._to
+    log_, linear, to = _reference_log, _reference_linear, _reference_to
     match node:
         case Var(name) if name in box:
             return log_(*box[name])

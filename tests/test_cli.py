@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from piforge import cli, dsl, nondim, pigroups
+from piforge import cli, dsl, nondim, pigroups, units
 from piforge.core import Quantity, format_magnitude
+from piforge.errors import UnknownUnitError
 
 from support import FIXTURES, GOLDENS, GOLDEN_CASES, ROOT, run_cli
 
@@ -461,7 +462,94 @@ class TestNestingLimit:
             "--registry", "fixtures/registry.json",
         )
         assert (proc.returncode, proc.stdout) == (2, b"")
-        assert proc.stderr == b"error: unit nests more than 200 levels deep\n"
+        assert proc.stderr == f"error: bindings {bindings}: x: unit nests more than 200 levels deep\n".encode()
+
+
+class TestBoundaryErrors:
+    """Each malformed spec, registry or bindings file is a usage error (exit
+    2) whose message names the file and, within it, the entry at fault."""
+
+    REGISTRY = FIXTURES / "registry.json"
+
+    @pytest.fixture
+    def main(self, capsys, monkeypatch):
+        """cli.main in this process, registry env cleared: argv -> (exit, stdout, stderr)."""
+        monkeypatch.delenv(cli.REGISTRY_ENV, raising=False)
+
+        def run(*argv):
+            code = cli.main([str(a) for a in argv])
+            return (code, *capsys.readouterr())
+
+        return run
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        return _write_spec(tmp_path, {"x": "L", "t": "T"}, "x < x", system=("L", "T"))
+
+    @pytest.fixture
+    def nondim(self, main, tmp_path, spec):
+        """nondim over spec, given bindings -> (bindings path, result)."""
+        def run(bindings, *registry):
+            path = tmp_path / "bindings.json"
+            path.write_text(json.dumps(bindings))
+            return path, main("nondim", "--spec", spec, path, *registry)
+
+        return run
+
+    @pytest.mark.parametrize("literal,message", [
+        ("2 parsec", "unknown unit 'parsec' (registry has: kg, m, s, A, N, V, ohm, F, cm, hr, knot, ft, min)"),
+        ("0 m", "quantity magnitudes must be positive, got 0"),
+        ("2 m m", "trailing input 'm' in quantity '2 m m'"),
+    ], ids=["unknown-unit", "zero", "trailing"])
+    def test_a_bad_literal_names_the_bindings_and_the_variable(self, nondim, literal, message):
+        path, result = nondim({"x": literal, "t": 1}, "--registry", self.REGISTRY)
+        assert result == (2, "", f"error: bindings {path}: x: {message}\n")
+
+    def test_a_literal_keeps_its_error_class(self, tmp_path, spec):
+        path = tmp_path / "bindings.json"
+        path.write_text(json.dumps({"x": "2 parsec", "t": 1}))
+        registry = units.UnitRegistry.load(self.REGISTRY)
+        with pytest.raises(UnknownUnitError, match=f"^bindings {path}: x: unknown unit 'parsec'"):
+            cli._load_bindings(path, dsl.load_problem_spec(spec), registry)
+
+    @pytest.mark.parametrize("bindings,registry,message", [
+        ([1, 2], True, " must be a JSON object"),
+        ({"x": "1 m", "t": 1}, False, ": 'x' is a quantity literal but no registry was given"),
+        ({"x": "1 s", "t": 1}, True, ": x has dimension T, spec declares L"),
+        ({"x": "1 A", "t": 1}, True,
+         ": x: dimension uses fundamental 'I' which the spec's system ('L', 'T') lacks"),
+    ], ids=["not-an-object", "no-registry", "wrong-dimension", "fundamental-not-in-spec"])
+    def test_bad_bindings(self, nondim, bindings, registry, message):
+        path, result = nondim(bindings, *(["--registry", self.REGISTRY] if registry else []))
+        assert result == (2, "", f"error: bindings {path}{message}\n")
+
+    @pytest.mark.parametrize("raw,message", [
+        ([], "expected a JSON object"),
+        ({"system": ["L"], "variables": {}, "relation": "x = x"}, "'variables' must be a nonempty object"),
+        ({"system": ["L"], "variables": {"x": "L L"}, "relation": "x = x"},
+         "trailing input 'L' in dimension 'L L'"),
+    ], ids=["not-an-object", "no-variables", "trailing-dimension"])
+    def test_bad_spec(self, main, tmp_path, raw, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        assert main("check", "--spec", path) == (2, "", f"error: spec {path}: {message}\n")
+
+    def test_registry_without_units(self, main, tmp_path):
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps({"system": ["L"]}))
+        assert main("consistent", "m", "--registry", path) == (
+            2, "", f"error: registry {path}: missing key 'units'\n"
+        )
+
+    def test_nondim_with_no_pi_group(self, nondim):
+        _, (code, out, err) = nondim({"x": 2, "t": 3})
+        assert (code, err) == (0, "")
+        assert out.startswith("pi values: none (r = 0)\n")
+
+    def test_trailing_whitespace_in_a_relation_parses(self, main, tmp_path):
+        assert main("check", "--spec", _write_spec(tmp_path, {"x": "L"}, "x = x  ")) == (
+            0, "well-typed: boolean\n", ""
+        )
 
 
 class TestJsonIsReadAsUtf8:

@@ -546,25 +546,36 @@ class TestEqualCopiesOfTheBasisDims:
         assert reasons == set(VerdictReason)
 
     def test_wrong_slot_is_named(self):
+        """Every caller of `core.check_dims` names the first wrong slot, or
+        the slot counts, with its own label."""
         rng = random.Random(179)
         for system, dims in seeded_systems(60):
             sb = special_basis(dims)
             ref = _consistent_list(rng, system, dims)
+            n = len(dims)
             for ws in (dims, [_copy(w) for w in dims]):
-                for k in range(len(dims)):
+                # an empty unit list is refused before its dimensions are read
+                lengths = [n + 1, n - 1] if n > 1 else [n + 1]
+                cases = [
+                    ([Quantity(0.0, ws[i % n]) for i in range(m)], f" has {m} slots for {n} dimensions")
+                    for m in lengths
+                ]
+                for k in range(n):
                     wrong = _other(dims[k])
                     bad = [Quantity(0.0, wrong if i == k else w) for i, w in enumerate(ws)]
+                    cases.append((bad, f"[{k}] has dimension {wrong}, expected {dims[k]}"))
+                for bad, message in cases:
                     for label, call in (
                         ("xs", lambda: pi_values(sb.base, bad)),
                         ("xs", lambda: equivalent(sb.base, bad, bad)),
                         ("xs", lambda: canonical_rep(sb, ref, bad)),
                         ("ref", lambda: canonical_rep(sb, bad, ref)),
+                        ("xs", lambda: strip_units(ref, bad)),
+                        ("units", lambda: units.is_consistent(bad, basis=sb.base)),
                     ):
                         with pytest.raises(DimensionMismatchError) as info:
                             call()
-                        assert str(info.value) == (
-                            f"{label}[{k}] has dimension {wrong}, expected {dims[k]}"
-                        )
+                        assert str(info.value) == label + message
 
 
 class TestExponentBeyondTheFloatRange:

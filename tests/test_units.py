@@ -154,6 +154,24 @@ class TestClashBeyondFloatRange:
         digits; below it the mantissa-exponent form stays."""
         assert format_magnitude(log) == text
 
+    def test_mantissa_stays_below_10_next_to_powers_of_ten(self):
+        """Outside the normal float range |log10| > 307, where neighbouring
+        floats lie at least 2^-44 apart, so the 15-digit mantissa never
+        rounds up to 10: checked on the 200 floats on either side of k*ln 10
+        for each k here, 21,600 values."""
+        far = [s * k for k in (400, 1000, 10**6, 10**14) for s in (1, -1)]
+        ks = [*range(-330, -306), *range(308, 330), *far]
+        walked = 0
+        for k in ks:
+            for direction in (math.inf, -math.inf):
+                log = k * math.log(10)
+                for _ in range(200):
+                    log = math.nextafter(log, direction)
+                    mantissa = format_magnitude(log).partition("e")[0]
+                    assert 1 <= float(mantissa) < 10, (k, log)
+                    walked += 1
+        assert walked == 21_600
+
 
 class TestAnchoredToABasis:
     """`is_consistent(units, basis=b)` reads b's cached row space in place of
@@ -174,9 +192,14 @@ class TestAnchoredToABasis:
     def test_basis_over_other_dimensions_is_rejected(self, registry):
         units = electronics(registry)
         dims = [u.dim for u in units]
-        for other in (dims[:-1], dims[1:] + dims[:1], dims + dims[:1]):
-            with pytest.raises(DimensionMismatchError, match="not over the units' dimensions"):
+        for other, message in (
+            (dims[:-1], "units has 5 slots for 4 dimensions"),
+            (dims[1:] + dims[:1], f"units[0] has dimension {dims[0]}, expected {dims[1]}"),
+            (dims + dims[:1], "units has 5 slots for 6 dimensions"),
+        ):
+            with pytest.raises(DimensionMismatchError) as info:
                 is_consistent(units, basis=pi_basis(other))
+            assert str(info.value) == message
 
 
 class TestNanTolerance:
