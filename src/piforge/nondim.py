@@ -11,7 +11,12 @@ quantities into a predicate over the r pi-values.
 Once a basis is built, a record costs float work only: a binding built over
 the basis's own DimVector objects passes its dimension check on identity,
 with no DimVector compare (`core.check_dims`, the one check of a tuple's
-dimensions, which names the first wrong slot).
+dimensions, which names the first wrong slot). A special basis keeps the
+last reference it was anchored at (`SpecialPiBasis.anchor`), keyed by the
+ref's Quantity objects, by `is`, and tol: a stream of `canonical_rep`
+records at one reference checks its dimensions and consistency once, not
+per record. A list of equal copies, or one edited in place, is checked
+again.
 
 Equivalence classes and invariant sets are uncountable, so they are only ever
 represented intensionally — as verdicts and predicates, never enumerated.
@@ -20,10 +25,11 @@ represented intensionally — as verdicts and predicates, never enumerated.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import Callable, Sequence
 
-from .core import DEFAULT_TOL, Quantity, check_dims, check_tol, coordinate, magnitude_or_limit, orbit_gap
+from .core import DEFAULT_TOL, Quantity, check_dims, check_tol, magnitude_or_limit, orbit_gap
 from .errors import DimensionMismatchError, InconsistentReferenceError, frozen
 from .pigroups import PiBasis, SpecialPiBasis
 from .units import require_consistent
@@ -73,12 +79,15 @@ def pi_values(basis: PiBasis, xs: Sequence[Quantity]) -> PiValues:
 
 
 def strip_units(s: Sequence[Quantity], xs: Sequence[Quantity], tol: float = DEFAULT_TOL) -> list[float]:
-    """Coordinates of xs relative to a consistent unit list s (the unit-ignoring map)."""
+    """Coordinates of xs relative to a consistent unit list s (the unit-ignoring map).
+
+    Once `check_dims` has matched every slot, each coordinate is the exp of
+    a log difference, with no second compare of the dimensions."""
     s = list(s)
     xs = list(xs)
     require_consistent(s, tol)
     check_dims(tuple([u.dim for u in s]), xs, "xs")
-    return [coordinate(x, unit) for unit, x in zip(s, xs)]
+    return [math.exp(x.log_magnitude - unit.log_magnitude) for unit, x in zip(s, xs)]
 
 
 def equivalent(
@@ -102,18 +111,24 @@ def equivalent(
     return EquivalenceVerdict(False, VerdictReason.PI_MISMATCH, mismatch_index=worst)
 
 
-def _reference_free_slot_values(sb: SpecialPiBasis, ref: Sequence[Quantity]) -> list[float]:
-    """log of u_i = psi_i(ref) for each free slot's group; ref must already
-    carry the basis dimensions."""
-    logs = [q.log_magnitude for q in ref]
-    return [g.log_combine(logs) for g in sb.base.groups]
+def _anchor(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float) -> tuple[float, ...]:
+    """log u_i = log psi_i(ref) for each free slot's group, once ref carries
+    the basis dimensions and is consistent within tol; the basis's cached
+    row space decides the latter with no elimination.
 
-
-def _check_reference(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float):
-    """ref must carry the basis dimensions and be consistent; once it does,
-    the basis's cached row space decides the latter with no elimination."""
+    A ref that passes becomes `sb.anchor`. A call with the very same
+    Quantity objects, slot for slot (`is`, as `core.reduce_dims` matches its
+    list), and the same tol gets the kept logs with no check: quantities are
+    immutable, so they are what a fresh check would give."""
+    kept_ref, kept_tol, kept_log_u = sb.anchor
+    if kept_tol == tol and len(kept_ref) == len(ref) and all(map(operator.is_, kept_ref, ref)):
+        return kept_log_u
     check_dims(sb.base.dims, ref, "ref")
     require_consistent(ref, tol, InconsistentReferenceError, "reference list", basis=sb.base)
+    logs = [q.log_magnitude for q in ref]
+    log_u = tuple([g.log_combine(logs) for g in sb.base.groups])
+    object.__setattr__(sb, "anchor", (tuple(ref), tol, log_u))
+    return log_u
 
 
 def _place_free_slots(sb: SpecialPiBasis, ref, log_u, log_values) -> list[Quantity]:
@@ -136,10 +151,10 @@ def preimage(
     This is the surjectivity construction with base point ref: free slot l_i
     carries (v_i / psi_i(ref)) * ref[l_i].
     """
-    _check_reference(sb, ref, tol)
+    log_u = _anchor(sb, ref, tol)
     if len(log_values) != sb.base.r:
         raise DimensionMismatchError(f"{len(log_values)} pi-values for r = {sb.base.r}")
-    return _place_free_slots(sb, ref, _reference_free_slot_values(sb, ref), log_values)
+    return _place_free_slots(sb, ref, log_u, log_values)
 
 
 def canonical_rep(
@@ -166,8 +181,7 @@ def nondimensionalize(
     invariant f this satisfies f(xs) = g(*pi_values(sb.base, xs).values); for
     non-invariant f the identity fails and the harness reports it.
     """
-    _check_reference(sb, ref, tol)
-    log_u = _reference_free_slot_values(sb, ref)
+    log_u = _anchor(sb, ref, tol)
     ref = list(ref)
 
     def g(*values: float) -> bool:

@@ -103,11 +103,22 @@ class PiBasis:
 
 @frozen
 class SpecialPiBasis:
-    """A pi basis where group i is x_{free_i} times a combination of the pivots."""
+    """A pi basis where group i is x_{free_i} times a combination of the pivots.
+
+    `anchor` is the last reference list `nondim.preimage`, `canonical_rep` or
+    `nondimensionalize` checked against this basis, as (the tuple of its
+    Quantity objects, tol, the free-slot logs log psi_i(ref)). Its key is the
+    ref objects by `is`, slot for slot, plus tol: a later call with the
+    same objects and tol skips the check, while a list of equal copies, or
+    one edited in place, is checked again. It starts empty and is replaced
+    whole. It is an attribute, not a field, so it takes no part in ==, hash
+    or repr.
+    """
 
     base: PiBasis
     pivot_indices: tuple[int, ...]
     free_indices: tuple[int, ...]
+    anchor = ((), None, ())
 
     def __post_init__(self):
         n = len(self.base.dims)

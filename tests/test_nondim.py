@@ -1,4 +1,6 @@
 import math
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -111,6 +113,17 @@ class TestStripUnits:
                 for v, u in zip(coords, s)
             ]
             assert strip_units(s, xs) == pytest.approx(coords, rel=1e-12)
+
+    def test_float_identical_to_coordinate(self):
+        """exp of the log difference, as `core.coordinate` gives it, slot for
+        slot, over the basis dimensions and over equal copies of them."""
+        rng = random.Random(97)
+        for system, dims in seeded_systems(200):
+            s = _consistent_list(rng, system, dims)
+            for ws in (dims, [_copy(w) for w in dims]):
+                xs = random_quantities(rng, ws)
+                expected = [coordinate(x, u).hex() for u, x in zip(s, xs)]
+                assert [v.hex() for v in strip_units(s, xs)] == expected
 
 
 def _consistent_list(rng, system, dims):
@@ -387,15 +400,19 @@ REFERENCE_USERS = {
 
 class TestAnchoredReference:
     """preimage, canonical_rep and nondimensionalize check the reference
-    against the special basis's cached row space."""
+    against the special basis's cached row space, once per reference the
+    basis is anchored at (`SpecialPiBasis.anchor`)."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_USERS))
     def test_clash_message(self, registry, name):
+        """The same message on every call: a failed check keeps nothing."""
         ref = [registry.quantity(n) for n in ("cm", "hr", "knot")]
         sb = special_basis(tuple(u.dim for u in ref))
-        with pytest.raises(InconsistentReferenceError) as info:
-            REFERENCE_USERS[name](sb, ref)
-        assert str(info.value) == "reference list clashes by factor 185200"
+        for _ in range(3):
+            with pytest.raises(InconsistentReferenceError) as info:
+                REFERENCE_USERS[name](sb, ref)
+            assert str(info.value) == "reference list clashes by factor 185200"
+        assert sb.anchor == ((), None, ())
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_USERS))
     def test_verdict_and_message_match_the_unanchored_check(self, name):
@@ -449,6 +466,119 @@ class TestAnchoredReference:
         for use in REFERENCE_USERS.values():
             use(sb, ref)
         assert len(rref_calls) == 0
+
+    @staticmethod
+    def _spring_off_by(log_offset):
+        """The spring's special basis and a reference list whose group
+        k t^2 / m comes to exp(2 * log_offset), not 1."""
+        _, dims = mass_spring_dims()
+        ref = [Quantity(0.0, dims[0]), Quantity(0.0, dims[1]), Quantity(log_offset, dims[2])]
+        return special_basis(dims), ref
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_USERS))
+    def test_a_slot_replaced_in_place_is_checked_again(self, name):
+        sb, ref = self._spring_off_by(0.0)
+        make = REFERENCE_USERS[name]
+        make(sb, ref)
+        make(sb, ref)
+        kept = ref[2]
+        ref[2] = Quantity(1.0, kept.dim)
+        with pytest.raises(InconsistentReferenceError) as info:
+            make(sb, ref)
+        assert str(info.value) == f"reference list clashes by factor {format_magnitude(2.0)}"
+        ref[2] = kept
+        make(sb, ref)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_USERS))
+    def test_a_changed_tol_is_checked_again(self, name):
+        """Consistent within 1e-3, not within 1e-12: each change of tol
+        gives the verdict a fresh check would."""
+        sb, ref = self._spring_off_by(1e-6)
+        make = REFERENCE_USERS[name]
+        for _ in range(2):
+            make(sb, ref, tol=1e-3)
+            make(sb, ref, tol=1e-3)
+            with pytest.raises(InconsistentReferenceError):
+                make(sb, ref, tol=1e-12)
+        make(sb, ref, tol=1e-3)
+
+    def test_anchored_outputs_match_a_never_anchored_basis(self):
+        """Float-hex equal, slot for slot, to a fresh basis for every call."""
+        rng = random.Random(137)
+
+        def hexes(qs):
+            return [(q.log_magnitude.hex(), q.dim) for q in qs]
+
+        for system, dims in seeded_systems(200):
+            sb = special_basis(dims)
+            ref = _consistent_list(rng, system, dims)
+            seen = []
+            g = nondimensionalize(lambda xs: seen.append(hexes(xs)) or True, sb, ref)
+            for _ in range(3):
+                xs = random_quantities(rng, dims)
+                log_values = [rng.uniform(-5.0, 5.0) for _ in range(sb.base.r)]
+                assert hexes(canonical_rep(sb, ref, xs)) == hexes(
+                    canonical_rep(special_basis(dims), ref, xs))
+                assert hexes(preimage(sb, ref, log_values)) == hexes(
+                    preimage(special_basis(dims), ref, log_values))
+                values = [math.exp(v) for v in log_values]
+                fresh = []
+                nondimensionalize(lambda xs: fresh.append(hexes(xs)) or True,
+                                  special_basis(dims), ref)(*values)
+                g(*values)
+                assert seen.pop() == fresh.pop()
+            assert sb.anchor[0] == tuple(ref) and all(map(operator.is_, sb.anchor[0], ref))
+
+    @pytest.fixture
+    def consistency_checks(self, monkeypatch):
+        calls = []
+        original = units.is_consistent
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(units, "is_consistent", counting)
+        return calls
+
+    def test_a_stream_of_records_checks_the_reference_once(self, consistency_checks):
+        rng = random.Random(139)
+        system, dims = next(seeded_systems(2))
+        sb = special_basis(dims)
+        ref = _consistent_list(rng, system, dims)
+        for _ in range(200):
+            canonical_rep(sb, ref, random_quantities(rng, dims))
+        preimage(sb, ref, [0.0] * sb.base.r)
+        nondimensionalize(lambda xs: True, sb, ref)(*[1.0] * sb.base.r)
+        assert len(consistency_checks) == 1
+        # another list of the same objects hits; a list of equal copies is checked
+        canonical_rep(sb, list(ref), ref)
+        assert len(consistency_checks) == 1
+        canonical_rep(sb, [Quantity(q.log_magnitude, q.dim) for q in ref], ref)
+        assert len(consistency_checks) == 2
+
+    def test_each_basis_keeps_its_own_anchor(self, consistency_checks):
+        rng = random.Random(149)
+        systems = list(seeded_systems(3))[1:]
+        bases = [(special_basis(dims), _consistent_list(rng, system, dims), dims)
+                 for system, dims in systems]
+        for _ in range(100):
+            for sb, ref, dims in bases:
+                canonical_rep(sb, ref, random_quantities(rng, dims))
+        assert len(consistency_checks) == len(bases)
+        for sb, ref, _ in bases:
+            assert all(map(operator.is_, sb.anchor[0], ref))
+
+    def test_an_anchored_basis_equals_an_unanchored_one(self):
+        rng = random.Random(151)
+        for system, dims in seeded_systems(20):
+            anchored, fresh = special_basis(dims), special_basis(dims)
+            canonical_rep(anchored, _consistent_list(rng, system, dims), random_quantities(rng, dims))
+            assert anchored.anchor != fresh.anchor
+            assert anchored == fresh and hash(anchored) == hash(fresh)
+            assert repr(anchored) == repr(fresh)
+            copy = pickle.loads(pickle.dumps(anchored))
+            assert copy == fresh and hash(copy) == hash(fresh)
 
 
 class TestNanTolerance:
