@@ -113,8 +113,8 @@ def equivalent(
 
 def _anchor(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float) -> tuple[float, ...]:
     """log u_i = log psi_i(ref) for each free slot's group, once ref carries
-    the basis dimensions and is consistent within tol; the basis's cached
-    row space decides the latter with no elimination.
+    the basis dimensions and is consistent within tol (`is_consistent`, one
+    `core.reduce_dims` of ref's dimensions).
 
     A ref that passes becomes `sb.anchor`. A call with the very same
     Quantity objects, slot for slot (`is`, as `core.reduce_dims` matches its
@@ -124,7 +124,7 @@ def _anchor(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float) -> tuple[fl
     if kept_tol == tol and len(kept_ref) == len(ref) and all(map(operator.is_, kept_ref, ref)):
         return kept_log_u
     check_dims(sb.base.dims, ref, "ref")
-    require_consistent(ref, tol, InconsistentReferenceError, "reference list", basis=sb.base)
+    require_consistent(ref, tol, InconsistentReferenceError, "reference list")
     logs = [q.log_magnitude for q in ref]
     log_u = tuple([g.log_combine(logs) for g in sb.base.groups])
     object.__setattr__(sb, "anchor", (tuple(ref), tol, log_u))

@@ -5,8 +5,7 @@ reference system (whatever the registry file declares; there is no hidden SI
 assumption). A list of units is *consistent* when no product of powers of
 them is dimensionless yet different from 1 — `is_consistent` decides it by
 the distance of the units' logs from the rescaling orbit, and names a clash
-(e.g. cm/hr/knot, by a factor of 185200), off one `core.reduce_dims`, or off
-a pi basis's kept one once `core.check_dims` finds the units over its dims.
+(e.g. cm/hr/knot, by a factor of 185200), off one `core.reduce_dims`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .core import (
     DimSystem,
     Monomial,
     Quantity,
-    check_dims,
     check_tol,
     dimension_matrix,
     format_magnitude,
@@ -132,7 +130,7 @@ class UnitRegistry:
         return cls.from_dict(dsl.read_json(path, "registry", ParseError), source=str(path))
 
 
-def is_consistent(units, tol: float = DEFAULT_TOL, *, basis=None) -> ConsistencyReport:
+def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
     """Decide consistency of a unit list.
 
     Every dimensionless product of powers of the units is 1 iff their log
@@ -141,32 +139,25 @@ def is_consistent(units, tol: float = DEFAULT_TOL, *, basis=None) -> Consistency
     A clash's witness is the canonical kernel vector with the largest |log|.
 
     Row space and witness read off one `core.reduce_dims` of the units'
-    dimensions. A `PiBasis` over those dimensions, slot for slot, lends its
-    kept reduction and cached `row_space`, so no elimination is made; units
-    over other dimensions than the basis fail `core.check_dims` (label
-    `units`) with DimensionMismatchError.
+    dimensions, which makes no elimination when its slot holds those very
+    DimVector objects.
     """
     check_tol(tol)
     units = list(units)
     if not units:
         raise EmptyListError("consistency is defined for nonempty unit lists")
     logs = [u.log_magnitude for u in units]
-    if basis is not None:
-        check_dims(basis.dims, units, "units")
-    reduction = reduce_dims([u.dim for u in units]) if basis is None else basis.reduction
-    rows = row_space(reduction) if basis is None else basis.row_space
+    reduction = reduce_dims([u.dim for u in units])
+    rows = row_space(reduction)
     if len(rows) == len(units) or orbit_gap(rows, logs) <= tol:
         return ConsistencyReport(consistent=True, witness=None)
     combo = max(map(Monomial, canonical_kernel(reduction)), key=lambda c: abs(c.log_combine(logs)))
     return ConsistencyReport(consistent=False, witness=ClashWitness(combo, combo.log_combine(logs)))
 
 
-def require_consistent(
-    units, tol: float, error=InconsistentUnitsError, what="unit list", *, basis=None
-):
-    """Raise error, naming the clash factor, unless the unit list is consistent
-    (`basis` as in `is_consistent`)."""
-    report = is_consistent(units, tol=tol, basis=basis)
+def require_consistent(units, tol: float, error=InconsistentUnitsError, what="unit list"):
+    """Raise error, naming the clash factor, unless the unit list is consistent."""
+    report = is_consistent(units, tol=tol)
     if not report.consistent:
         raise error(f"{what} clashes by factor {format_magnitude(report.witness.log_clash_factor)}")
 

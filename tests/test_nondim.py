@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from piforge import core, exactlin, units
+from piforge import units
 from piforge.core import DimSystem, DimVector, Quantity, coordinate, format_magnitude
 from piforge.errors import (
     DimensionMismatchError,
@@ -399,9 +399,9 @@ REFERENCE_USERS = {
 
 
 class TestAnchoredReference:
-    """preimage, canonical_rep and nondimensionalize check the reference
-    against the special basis's cached row space, once per reference the
-    basis is anchored at (`SpecialPiBasis.anchor`)."""
+    """preimage, canonical_rep and nondimensionalize check the reference's
+    dimensions and consistency once per reference the special basis is
+    anchored at (`SpecialPiBasis.anchor`)."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_USERS))
     def test_clash_message(self, registry, name):
@@ -436,24 +436,10 @@ class TestAnchoredReference:
             assert str(info.value) == f"reference list clashes by factor {factor}"
         assert seen == {True, False}
 
-    @pytest.fixture
-    def rref_calls(self, monkeypatch):
-        calls = []
-        original = exactlin.eliminate
-
-        def counting(m):
-            calls.append((m.rows, m.cols))
-            return original(m)
-
-        for module in (exactlin, core):
-            monkeypatch.setattr(module, "eliminate", counting)
-        # an empty reduction slot, so no count depends on the tests before
-        monkeypatch.setattr(core, "_last_reduction", ((), None))
-        return calls
-
     def test_a_stream_of_records_eliminates_once(self, rref_calls):
-        """The builder's one elimination serves the whole stream: the row
-        space is read off the reduction the basis keeps."""
+        """The builder's one elimination serves the whole stream: a reference
+        over the basis's own DimVector objects finds their reduction in the
+        `core.reduce_dims` slot, and later records find the anchor."""
         rng = random.Random(131)
         system, dims = next(seeded_systems(1))
         sb = special_basis(dims)
@@ -466,6 +452,21 @@ class TestAnchoredReference:
         for use in REFERENCE_USERS.values():
             use(sb, ref)
         assert len(rref_calls) == 0
+
+    def test_a_reference_over_equal_copies_eliminates_once(self, rref_calls):
+        """Equal copies of the basis dimensions miss the reduction slot: the
+        first anchoring reduces them once, and a call with the same list
+        finds the anchor and reduces nothing."""
+        rng = random.Random(137)
+        system, dims = next(seeded_systems(1))
+        for name, use in REFERENCE_USERS.items():
+            sb = special_basis(dims)
+            ref = [Quantity(q.log_magnitude, _copy(q.dim)) for q in _consistent_list(rng, system, dims)]
+            del rref_calls[:]
+            use(sb, ref)
+            assert len(rref_calls) == 1, name
+            use(sb, ref)
+            assert len(rref_calls) == 1, name
 
     @staticmethod
     def _spring_off_by(log_offset):
@@ -701,7 +702,6 @@ class TestEqualCopiesOfTheBasisDims:
                         ("xs", lambda: canonical_rep(sb, ref, bad)),
                         ("ref", lambda: canonical_rep(sb, bad, ref)),
                         ("xs", lambda: strip_units(ref, bad)),
-                        ("units", lambda: units.is_consistent(bad, basis=sb.base)),
                     ):
                         with pytest.raises(DimensionMismatchError) as info:
                             call()

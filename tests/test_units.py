@@ -15,17 +15,15 @@ from piforge.core import (
 )
 from piforge.errors import (
     DependentBaseError,
-    DimensionMismatchError,
     EmptyListError,
     InconsistentUnitsError,
     NoSolutionError,
     SystemMismatchError,
 )
 from piforge.exactlin import QMatrix
-from piforge.pigroups import pi_basis, special_basis
 from piforge.units import UnitRegistry, express, fundamental_basis, is_consistent
 
-from support import brute_force_integer_kernel, random_dims, seeded_systems
+from support import brute_force_integer_kernel, random_dims
 
 
 def electronics(registry):
@@ -173,43 +171,12 @@ class TestClashBeyondFloatRange:
         assert walked == 21_600
 
 
-class TestAnchoredToABasis:
-    """`is_consistent(units, basis=b)` reads b's cached row space in place of
-    eliminating the units' dimension matrix, with the same report."""
-
-    @pytest.mark.parametrize("clash", [False, True], ids=["consistent", "inconsistent"])
-    def test_same_report_as_without_a_basis(self, clash):
-        rng = random.Random(61 + clash)
-        seen = set()
-        for system, dims in seeded_systems(200):
-            units = _units_for(rng, system, dims, clash=clash)
-            expected = is_consistent(units)
-            for basis in (pi_basis(dims), special_basis(dims).base):
-                assert is_consistent(units, basis=basis) == expected
-            seen.add(expected.consistent)
-        assert seen == ({True} if not clash else {True, False})
-
-    def test_basis_over_other_dimensions_is_rejected(self, registry):
-        units = electronics(registry)
-        dims = [u.dim for u in units]
-        for other, message in (
-            (dims[:-1], "units has 5 slots for 4 dimensions"),
-            (dims[1:] + dims[:1], f"units[0] has dimension {dims[0]}, expected {dims[1]}"),
-            (dims + dims[:1], "units has 5 slots for 6 dimensions"),
-        ):
-            with pytest.raises(DimensionMismatchError) as info:
-                is_consistent(units, basis=pi_basis(other))
-            assert str(info.value) == message
-
-
 class TestNanTolerance:
     """A NaN tol makes every comparison false; it is refused, not obeyed."""
 
     def test_is_consistent(self, registry):
-        units = electronics(registry)
-        for basis in (None, pi_basis([u.dim for u in units])):
-            with pytest.raises(ValueError, match="tol must be a number"):
-                is_consistent(units, tol=math.nan, basis=basis)
+        with pytest.raises(ValueError, match="tol must be a number"):
+            is_consistent(electronics(registry), tol=math.nan)
 
     def test_express(self, registry):
         with pytest.raises(ValueError, match="tol must be a number"):
@@ -223,10 +190,8 @@ class TestNanTolerance:
 
     def test_negative_tol_is_refused(self, registry):
         """No gap is below a negative tol, so every list would clash."""
-        units = electronics(registry)
-        for basis in (None, pi_basis([u.dim for u in units])):
-            with pytest.raises(ValueError, match="tol must be at least 0, got -1.0"):
-                is_consistent(units, tol=-1.0, basis=basis)
+        with pytest.raises(ValueError, match="tol must be at least 0, got -1.0"):
+            is_consistent(electronics(registry), tol=-1.0)
 
 
 def _units_for(rng, system, dims, clash: bool):
