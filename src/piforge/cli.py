@@ -60,10 +60,11 @@ def _into_system(q: Quantity, system: DimSystem, context: str) -> Quantity:
     return Quantity(q.log_magnitude, DimVector(system, tuple(exponents)))
 
 
-def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> dict[str, Quantity]:
+def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> list[Quantity]:
     """Bindings file: JSON object, one entry per spec variable and no other;
     values are positive numbers (magnitudes in the coherent reference system)
-    or quantity literals resolved against the registry."""
+    or quantity literals resolved against the registry. Returns the values
+    in the spec's variable order."""
     raw = dsl.read_json(path, "bindings", ParseError)
     if not isinstance(raw, dict):
         raise ParseError(f"bindings {path} must be a JSON object")
@@ -73,7 +74,7 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> dict[str, Quantity]
             f"bindings {path}: {unknown[0]!r} names no spec variable "
             f"(variables: {', '.join(spec.variable_names)})"
         )
-    out: dict[str, Quantity] = {}
+    out: list[Quantity] = []
     for name, dim in spec.env.items():
         if name not in raw:
             raise ParseError(f"bindings {path}: missing variable {name!r}")
@@ -83,7 +84,7 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> dict[str, Quantity]
                 raise ParseError(
                     f"bindings {path}: {name} must be finite and positive, got {value}"
                 )
-            out[name] = Quantity(math.log(value), dim)
+            out.append(Quantity(math.log(value), dim))
         elif isinstance(value, str):
             if registry is None:
                 raise ParseError(
@@ -98,7 +99,7 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> dict[str, Quantity]
                 raise ParseError(
                     f"bindings {path}: {name} has dimension {q.dim}, spec declares {dim}"
                 )
-            out[name] = q
+            out.append(q)
         else:
             raise ParseError(f"bindings {path}: {name} must be a number or a quantity literal")
     return out
@@ -209,10 +210,8 @@ def cmd_equiv(args) -> int:
 
     spec = dsl.load_problem_spec(args.spec)
     registry = _registry_from(args)
-    xs_map = _load_bindings(args.bindings_a, spec, registry)
-    ys_map = _load_bindings(args.bindings_b, spec, registry)
-    xs = [xs_map[n] for n in spec.variable_names]
-    ys = [ys_map[n] for n in spec.variable_names]
+    xs = _load_bindings(args.bindings_a, spec, registry)
+    ys = _load_bindings(args.bindings_b, spec, registry)
     basis = pigroups.pi_basis(spec.variable_dims)
     verdict = nondim.equivalent(basis, xs, ys, tol=args.tol)
     # `_load_bindings` gave both the spec's dimensions: no DIM_MISMATCH verdict
@@ -243,8 +242,7 @@ def cmd_nondim(args) -> int:
 
     spec = dsl.load_problem_spec(args.spec)
     registry = _registry_from(args)
-    bindings = _load_bindings(args.bindings, spec, registry)
-    xs = [bindings[n] for n in spec.variable_names]
+    xs = _load_bindings(args.bindings, spec, registry)
     special = pigroups.special_basis(spec.variable_dims)
     ref = [Quantity(0.0, dim) for dim in spec.variable_dims]
     values = nondim.pi_values(special.canonical, xs)

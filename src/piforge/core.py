@@ -127,6 +127,10 @@ class DimVector(_ExponentVector):
             raise ValueError(
                 f"{len(self.exponents)} exponents for {self.system.size} fundamentals"
             )
+        for e in self.exponents:
+            # the class test first: isinstance on ABCMeta, Fraction's metaclass, is slow
+            if e.__class__ is not Fraction and not isinstance(e, (Fraction, int)):
+                raise TypeError(f"expected an exact rational, got {type(e).__name__}")
 
     @classmethod
     def zero(cls, system: DimSystem) -> "DimVector":

@@ -23,9 +23,12 @@ walker of it runs into Python's recursion limit; a deeper one is a
 ParseError, and so is a dimension or unit expression with more open
 parentheses. A relation node is an instance of exactly one of the eight
 classes of `Node`, and the walkers on `verify`'s path (`typecheck`,
-`free_variables`, `_lower`) dispatch on `node.__class__ is ...` and read
-fields as attributes (a `match` class pattern costs several times as much
-per node, and would take an instance of a subclass for a node).
+`children`, `_lower`) dispatch on `node.__class__ is ...` and read fields as
+attributes (a `match` class pattern costs several times as much per node,
+and would take an instance of a subclass for a node). `children` gives a
+node's operands, left to right, to the walks that treat every kind alike
+(`free_variables`, the parser's depth count, `harness._size`); the others
+do different work for each kind and keep their own dispatch.
 
 `compile_relation` (`CompiledRelation`) compiles a relation once, whole: it
 typechecks the node and lowers it into float closures, with each
@@ -85,6 +88,10 @@ class Const:
     value: float
     symbol: str | None = None  # "pi" prints by name
 
+    def __post_init__(self):
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"constants must be finite and strictly positive, got {self.value!r}")
+
 
 @frozen
 class BinOp:
@@ -97,6 +104,14 @@ class BinOp:
 class Pow:
     base: "Node"
     exponent: Fraction
+
+    def __post_init__(self):
+        try:
+            float(self.exponent)  # the evaluator runs on the float exponent
+        except OverflowError:
+            raise ValueError(
+                f"exponent {self.exponent} lies beyond the float range, about 1.8e+308"
+            ) from None
 
 
 @frozen
@@ -202,8 +217,10 @@ class _TokenStream:
         if tok.text != text:
             raise ParseError(f"expected {text!r}, got {tok.text or 'end of input'!r} in {self.text!r}")
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "end"
+    def finish(self, what: str) -> None:  # what names the language
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"trailing input {tok.text!r} in {what} {self.text!r}")
 
 
 def _parse_rational(ts: _TokenStream) -> Fraction:
@@ -278,8 +295,7 @@ def parse_dimension(text: str, system: DimSystem) -> DimVector:
 
     ts = _TokenStream(text)
     vec = _product(ts, "dimension", DimVector.zero(system), fundamental)
-    if not ts.at_end():
-        raise ParseError(f"trailing input {ts.peek().text!r} in dimension {text!r}")
+    ts.finish("dimension")
     return vec
 
 
@@ -333,8 +349,7 @@ def parse_quantity(text: str, registry) -> Quantity:
         unit = _product(ts, "unit", Quantity.one(registry.system), registry.quantity)
     except (OverflowError, ValueError):  # an exponent or a log magnitude past the float range
         raise ParseError(f"the unit of {text!r} leaves the float range, about 1.8e+308") from None
-    if not ts.at_end():
-        raise ParseError(f"trailing input {ts.peek().text!r} in quantity {text!r}")
+    ts.finish("quantity")
     return Quantity(math.log(magnitude) + unit.log_magnitude, unit.dim)
 
 
@@ -346,8 +361,7 @@ def parse_relation(text: str) -> Node:
     it nests more than MAX_NESTING levels deep."""
     ts = _TokenStream(text)
     node = _expr(ts)
-    if not ts.at_end():
-        raise ParseError(f"trailing input {ts.peek().text!r} in relation {text!r}")
+    ts.finish("relation")
     # chains and powers grow the tree in a loop, not through the parser's
     # recursion: count its levels breadth first
     level, depth = [node], 0
@@ -355,18 +369,7 @@ def parse_relation(text: str) -> Node:
         depth += 1
         if depth > MAX_NESTING:
             raise ParseError(_TOO_DEEP.format("relation"))
-        below = []
-        for n in level:
-            kind = n.__class__
-            if kind is BinOp or kind is Compare or kind is BoolOp:
-                below += n.left, n.right
-            elif kind is Pow:
-                below.append(n.base)
-            elif kind is Call:
-                below.append(n.arg)
-            elif kind is Not:
-                below.append(n.operand)
-        level = below
+        level = [child for n in level for child in children(n)]
     return node
 
 
@@ -409,12 +412,9 @@ def _power(ts: _TokenStream) -> Node:
         ts.next()
         exponent = _parse_rational(ts)
         try:
-            float(exponent)  # the evaluator runs on the float exponent
-        except OverflowError:
-            raise ParseError(
-                f"exponent {exponent} lies beyond the float range, about 1.8e+308"
-            ) from None
-        node = Pow(node, exponent)
+            node = Pow(node, exponent)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
     return node
 
 
@@ -444,21 +444,27 @@ def _primary(ts: _TokenStream) -> Node:
     raise ParseError(f"unexpected {tok.text or 'end of input'!r} in relation")
 
 
-def free_variables(node: Node) -> set[str]:
+def children(node: Node) -> tuple:
+    """A relation node's operand nodes, left to right; () for a variable or
+    a constant. The walks that treat every kind alike read it."""
     kind = node.__class__
-    if kind is Var:
-        return {node.name}
-    if kind is Const:
-        return set()
     if kind is BinOp or kind is Compare or kind is BoolOp:
-        return free_variables(node.left) | free_variables(node.right)
+        return node.left, node.right
+    if kind is Var or kind is Const:
+        return ()
     if kind is Pow:
-        return free_variables(node.base)
+        return (node.base,)
     if kind is Call:
-        return free_variables(node.arg)
+        return (node.arg,)
     if kind is Not:
-        return free_variables(node.operand)
+        return (node.operand,)
     raise TypeError(f"not a relation node: {node!r}")
+
+
+def free_variables(node: Node) -> set[str]:
+    if node.__class__ is Var:
+        return {node.name}
+    return set().union(*map(free_variables, children(node)))
 
 
 # --- printer -------------------------------------------------------------
@@ -857,16 +863,23 @@ def load_problem_spec(path) -> ProblemSpec:
     return problem_spec_from_dict(read_json(path, "spec", SpecError), source=str(path))
 
 
-def problem_spec_from_dict(raw: dict, source: str = "<dict>") -> ProblemSpec:
+def system_of_object(raw, what: str, source: str, keys, error) -> DimSystem:
+    """The parsed "system" of raw, a JSON object read as `what` ("spec",
+    "registry") from source; error where raw is no object, lacks one of
+    keys, or its system does not parse."""
     if not isinstance(raw, dict):
-        raise SpecError(f"spec {source}: expected a JSON object")
-    for key in ("system", "variables", "relation"):
+        raise error(f"{what} {source}: expected a JSON object")
+    for key in keys:
         if key not in raw:
-            raise SpecError(f"spec {source}: missing key {key!r}")
+            raise error(f"{what} {source}: missing key {key!r}")
     try:
-        system = parse_system(raw["system"])
+        return parse_system(raw["system"])
     except ParseError as exc:
-        raise SpecError(f"spec {source}: bad system: {exc}") from exc
+        raise error(f"{what} {source}: bad system: {exc}") from exc
+
+
+def problem_spec_from_dict(raw: dict, source: str = "<dict>") -> ProblemSpec:
+    system = system_of_object(raw, "spec", source, ("system", "variables", "relation"), SpecError)
     variables = raw["variables"]
     if not isinstance(variables, dict) or not variables:
         raise SpecError(f"spec {source}: 'variables' must be a nonempty object")

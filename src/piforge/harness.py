@@ -55,6 +55,7 @@ from .dsl import (
     Pow,
     ProblemSpec,
     Var,
+    children,
     compile_relation,
     evaluate,
     free_variables,
@@ -170,12 +171,8 @@ class _Undecided(Exception):
 def _size(node) -> int:
     """The nodes of a quantity-valued expression: each rounds at most once."""
     kind = node.__class__
-    if kind is BinOp:
-        return 1 + _size(node.left) + _size(node.right)
-    if kind is Pow:
-        return 1 + _size(node.base)
-    if kind is Call:
-        return 1 + _size(node.arg)
+    if kind is BinOp or kind is Pow or kind is Call:
+        return 1 + sum(map(_size, children(node)))
     return 1
 
 
@@ -380,11 +377,7 @@ def _bounds(node, box):
             return make(a[1] + b[1], a[2] + b[2])
         return make(a[1] - b[2], a[2] - b[1])
     if kind is Pow:
-        a = _to(log, _bounds(node.base, box))
-        try:
-            e = float(node.exponent)
-        except (OverflowError, TypeError):
-            return None
+        a, e = _to(log, _bounds(node.base, box)), float(node.exponent)
         return a and _log(*sorted((a[1] * e, a[2] * e)))
     if kind is Call:
         func, a = node.func, _to(log, _bounds(node.arg, box))

@@ -78,10 +78,6 @@ class UnitRegistry:
         self.system = system
         self._entries = dict(entries)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._entries.keys())
-
     def quantity(self, name: str) -> Quantity:
         try:
             return self._entries[name]
@@ -92,15 +88,7 @@ class UnitRegistry:
 
     @classmethod
     def from_dict(cls, raw: dict, source: str = "<dict>") -> "UnitRegistry":
-        if not isinstance(raw, dict):
-            raise ParseError(f"registry {source}: expected a JSON object")
-        for key in ("system", "units"):
-            if key not in raw:
-                raise ParseError(f"registry {source}: missing key {key!r}")
-        try:
-            system = dsl.parse_system(raw["system"])
-        except ParseError as exc:
-            raise ParseError(f"registry {source}: bad system: {exc}") from exc
+        system = dsl.system_of_object(raw, "registry", source, ("system", "units"), ParseError)
         if not isinstance(raw["units"], dict):
             raise ParseError(f"registry {source}: 'units' must be an object")
         entries: dict[str, Quantity] = {}

@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import random
+import typing
 from fractions import Fraction
 
 import pytest
@@ -386,6 +387,33 @@ class TestGrammar:
         assert parse_relation("x^2^3") == Pow(Pow(x, Fraction(2)), Fraction(3))
         assert parse_relation("a * x^2") == BinOp("*", Var("a"), Pow(x, Fraction(2)))
         assert print_relation(Pow(BinOp("*", Var("a"), x), Fraction(2))) == "(a * x)^2"
+
+
+class TestChildren:
+    """`children` gives exactly the fields that hold nodes, in field order,
+    for each of the node classes; a new class or child field fails here
+    until the walks that read it know it."""
+
+    def test_each_node_class(self):
+        x, y = Var("x"), Var("y")
+        x_lt_y, y_lt_x = Compare("<", x, y), Compare("<", y, x)
+        nodes = (x, Const(2.0), BinOp("*", x, y), Pow(x, Fraction(2)), Call("exp", x),
+                 x_lt_y, dsl.BoolOp("and", x_lt_y, y_lt_x), dsl.Not(x_lt_y))
+        assert {type(n) for n in nodes} == set(typing.get_args(dsl.Node))
+        for node in nodes:
+            fields = (getattr(node, name) for name in node.__match_args__)
+            expected = tuple(v for v in fields if type(v) in typing.get_args(dsl.Node))
+            assert dsl.children(node) == expected, node
+            assert all(a is b for a, b in zip(dsl.children(node), expected))
+
+    def test_an_instance_of_a_subclass_is_no_node(self):
+        class SubVar(Var):
+            pass
+
+        node = SubVar("x")
+        with pytest.raises(TypeError) as info:
+            dsl.children(node)
+        assert str(info.value) == f"not a relation node: {node!r}"
 
 
 class TestTypecheck:

@@ -2,10 +2,12 @@
 each malformed input raises its documented error class with its message."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from piforge.core import DimSystem, DimVector, Monomial, Quantity, dim_combine
+from piforge.dsl import BinOp, Compare, Const, Pow, ProblemSpec, Var, evaluate
 from piforge.errors import (
     DependentBaseError,
     DimensionMismatchError,
@@ -13,14 +15,14 @@ from piforge.errors import (
     SystemMismatchError,
 )
 from piforge.exactlin import QMatrix, as_rational, invert
-from piforge.harness import Rescaling, rescale
+from piforge.harness import Rescaling, fuzz_invariance, rescale
 from piforge.nondim import (
     EquivalenceVerdict,
     VerdictReason,
     nondimensionalize,
     preimage,
 )
-from piforge.pigroups import PiBasis, SpecialPiBasis, Transition, is_pi_basis, special_basis
+from piforge.pigroups import PiBasis, SpecialPiBasis, Transition, is_pi_basis, pi_basis, special_basis
 from piforge.units import UnitRegistry, express
 
 L = DimSystem(("L",))
@@ -70,6 +72,24 @@ CASES = {
     "invert-not-square": (lambda: invert(QMatrix.from_rows([[1, 2, 3], [4, 5, 6]])), ValueError,
                           "inversion requires a square matrix"),
     "as-rational-float": (lambda: as_rational(0.5), TypeError, "expected an exact rational, got float"),
+    # values the library cannot run, refused where they are built
+    "dim-vector-float-exponent": (lambda: pi_basis([DimVector(L, (0.5,)), LEN]), TypeError,
+                                  "expected an exact rational, got float"),
+    "dim-vector-string-exponent": (lambda: pi_basis([DimVector(L, ("1/2",)), LEN]), TypeError,
+                                   "expected an exact rational, got str"),
+    "constant-zero": (
+        lambda: evaluate(Compare("<", Var("x"), BinOp("*", Const(0.0), Var("x"))), {"x": REF[0]}),
+        ValueError, "constants must be finite and strictly positive, got 0.0",
+    ),
+    "constant-nan": (lambda: Const(math.nan), ValueError,
+                     "constants must be finite and strictly positive, got nan"),
+    "constant-inf": (lambda: Const(math.inf), ValueError,
+                     "constants must be finite and strictly positive, got inf"),
+    "power-exponent-beyond-floats": (
+        lambda: fuzz_invariance(ProblemSpec(L, ("x",), (LEN,), Compare(
+            "<", Var("x"), Pow(Var("x"), Fraction(10**400))), "x < x^(10^400)"), 10),
+        ValueError, f"exponent {10**400} lies beyond the float range, about 1.8e+308",
+    ),
 }
 
 
@@ -80,6 +100,11 @@ def test_the_check_raises_its_error(case):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_exact_exponents_are_kept_as_given():
+    exponents = DimVector(ML, (2, Fraction(-1, 2))).exponents
+    assert exponents == (2, Fraction(-1, 2)) and [type(e) for e in exponents] == [int, Fraction]
 
 
 def test_dependent_groups_are_no_pi_basis():
