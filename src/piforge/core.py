@@ -14,6 +14,11 @@ dimension list's matrix D that pi bases, `row_space` and `orbit_gap` read.
 It keeps the last list it reduced with that reduction, so a later call on
 the very same `DimVector` objects, slot for slot, makes no new elimination;
 an equal list built from other objects reduces again.
+
+`log_combine` and `orbit_gap` are the one-shot float paths, and the
+reference for `log_values_kernel` and `orbit_gap_kernel`, which generate
+straight-line functions giving the same floats for a basis that runs many
+records (`pigroups.PiBasis`).
 """
 
 from __future__ import annotations
@@ -411,3 +416,51 @@ def row_space(reduction: Reduction) -> tuple[tuple[float, ...], ...]:
 def orbit_gap(rows, logs) -> float:
     """The distance of the log vector from the span of `row_space` rows."""
     return math.hypot(*_residual(logs, rows))
+
+
+def _compiled(source: str, name: str, **names):
+    """The function `name` that source defines, run with the given globals.
+    Each source below holds only float reprs, integer indices and names
+    made here, never a string from outside the program."""
+    namespace = dict(names)
+    exec(source, namespace)
+    return namespace[name]
+
+
+def _slots(prefix: str, n: int) -> str:
+    """ "p0, p1, ..., " for n slots: a tuple's items, or its unpacking."""
+    return "".join(f"{prefix}{j}, " for j in range(n))
+
+
+def log_values_kernel(vectors, n: int):
+    """A function of an n-slot log list that returns the tuple of
+    `v.log_combine(logs)` over the exponent vectors, float for float: one
+    straight-line sum per vector, `0.0 + e*l[j] + ...` over its
+    `_float_terms` in their order, each e inlined as its float repr, which
+    reads back as that very float. The list must hold n entries. An
+    exponent beyond the float range raises EvaluationError here, as
+    `log_combine` would."""
+    sums = "".join("0.0" + "".join(f" + {e!r}*l{j}" for j, e in v._float_terms) + ", "
+                   for v in vectors)
+    return _compiled(f"def log_values(l):\n ({_slots('l', n)}) = l\n return ({sums})",
+                     "log_values")
+
+
+def orbit_gap_kernel(rows, n: int):
+    """A function of an n-slot log vector that returns `orbit_gap(rows,
+    logs)`, float for float: `_residual` unrolled over rows and slots, each
+    dot product one `fsum` of the same products in slot order, then
+    `hypot`. The rows are data, the kernel's closure cells, so the source
+    depends on the shape alone. The vector must hold n entries."""
+    v, u = _slots("v", n), _slots("u", n)
+    lines = ["def make(rows):", f" ({_slots('r', len(rows))}) = rows",
+             " def orbit_gap(v):", f"  ({v}) = v"]
+    for i in range(len(rows)):
+        lines.append(f"  ({u}) = r{i}")
+        lines.append(f"  c = fsum(({''.join(f'v{j}*u{j}, ' for j in range(n))}))")
+        if i < len(rows) - 1:
+            lines += [f"  v{j} -= c*u{j}" for j in range(n)]
+    # the last row's update goes straight into hypot
+    last = "".join(f"v{j} - c*u{j}, " for j in range(n)) if rows else v
+    lines += [f"  return hypot({last})", " return orbit_gap"]
+    return _compiled("\n".join(lines), "make", fsum=math.fsum, hypot=math.hypot)(rows)

@@ -106,6 +106,8 @@ class Pow:
     exponent: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.exponent, (Fraction, int)):
+            raise TypeError(f"expected an exact rational, got {type(self.exponent).__name__}")
         try:
             float(self.exponent)  # the evaluator runs on the float exponent
         except OverflowError:

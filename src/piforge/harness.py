@@ -26,8 +26,10 @@ the space that `dsl.SPACES` names, as lowering does, and like every walker
 here it dispatches on the node's exact class. The relation is compiled once
 per spec, whole, and its comparisons are read off that one handle.
 
-Failures are definitive; passes are evidence, not proof — the verdict is
-necessarily one-sided, and the CLI report says so.
+Passes are evidence, not proof — the verdict is necessarily one-sided, and
+the CLI report says so. A failure is meant to be definitive, but is not yet
+always: cancellation in a sum or a log can give a false counterexample (the
+strict xfails in `tests/test_cli.py::TestKnownFalseCounterexamples`).
 """
 
 from __future__ import annotations
@@ -486,7 +488,11 @@ def fuzz_invariance(
     The first failing trial is shrunk (factor bisection toward 1, on the
     same sides) and confirmed through `rescale` and `evaluate` from the
     report's own bindings and factors; a trial that does not reproduce there
-    is undecided too, so a reported counterexample is definitive.
+    is undecided too. A reported counterexample is meant to be definitive,
+    but cancellation in a sum or a log can round past the bound a mixed
+    comparison allows, and `rescale` and `evaluate` repeat that rounding, so
+    a false one can get through: see the strict xfails in
+    `tests/test_cli.py::TestKnownFalseCounterexamples`.
     """
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -504,9 +510,11 @@ def fuzz_invariance(
 
     # one generator, reseeded per trial by MT19937's own seeding (what
     # `Random.seed` calls for an int); `uniform`'s own formula, each span
-    # worked out once, gives the same floats
+    # worked out once, gives the same floats. Its first seed is a constant,
+    # since every trial reseeds it before its first draw: `Random()` would
+    # read OS entropy for a state no trial uses.
     stream = blake2b(f"{seed}:".encode(), digest_size=8)
-    rng = random.Random()
+    rng = random.Random(0)
     reseed, draw = super(random.Random, rng).seed, rng.random
     log_lo, log_span = _LOG_MAG_RANGE[0], _LOG_MAG_RANGE[1] - _LOG_MAG_RANGE[0]
     factor_lo, factor_span = _LOG_FACTOR_RANGE[0], _LOG_FACTOR_RANGE[1] - _LOG_FACTOR_RANGE[0]

@@ -16,7 +16,11 @@ last reference it was anchored at (`SpecialPiBasis.anchor`), keyed by the
 ref's Quantity objects, by `is`, and tol: a stream of `canonical_rep`
 records at one reference checks its dimensions and consistency once, not
 per record. A list of equal copies, or one edited in place, is checked
-again.
+again. The float work itself runs in the basis's two kernels, straight-line
+functions generated once per basis object on first use
+(`PiBasis.log_values`, every group's log value, and `PiBasis.orbit_gap`,
+the distance from the rescaling orbit), float for float what the loops of
+`log_combine` and `core.orbit_gap` give.
 
 Equivalence classes and invariant sets are uncountable, so they are only ever
 represented intensionally — as verdicts and predicates, never enumerated.
@@ -29,7 +33,7 @@ import operator
 from enum import Enum
 from typing import Callable, Sequence
 
-from .core import DEFAULT_TOL, Quantity, check_dims, check_tol, magnitude_or_limit, orbit_gap
+from .core import DEFAULT_TOL, Quantity, check_dims, check_tol, magnitude_or_limit
 from .errors import DimensionMismatchError, InconsistentReferenceError, frozen
 from .pigroups import PiBasis, SpecialPiBasis
 from .units import require_consistent
@@ -74,8 +78,7 @@ def pi_values(basis: PiBasis, xs: Sequence[Quantity]) -> PiValues:
     dimensionless by construction, so only the log magnitudes are combined.
     """
     check_dims(basis.dims, xs, "xs")
-    logs = [x.log_magnitude for x in xs]
-    return PiValues(tuple(g.log_combine(logs) for g in basis.groups))
+    return PiValues(basis.log_values([x.log_magnitude for x in xs]))
 
 
 def strip_units(s: Sequence[Quantity], xs: Sequence[Quantity], tol: float = DEFAULT_TOL) -> list[float]:
@@ -105,9 +108,10 @@ def equivalent(
     if tuple([y.dim for y in ys]) != basis.dims:
         return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
     delta = [x.log_magnitude - y.log_magnitude for x, y in zip(xs, ys)]
-    if basis.r == 0 or orbit_gap(basis.row_space, delta) <= tol:
+    if basis.r == 0 or basis.orbit_gap(delta) <= tol:
         return EquivalenceVerdict(True, VerdictReason.EQUIVALENT)
-    worst = max(range(basis.r), key=lambda i: abs(basis.groups[i].log_combine(delta)))
+    group_logs = basis.log_values(delta)
+    worst = max(range(basis.r), key=lambda i: abs(group_logs[i]))
     return EquivalenceVerdict(False, VerdictReason.PI_MISMATCH, mismatch_index=worst)
 
 
@@ -125,8 +129,7 @@ def _anchor(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float) -> tuple[fl
         return kept_log_u
     check_dims(sb.base.dims, ref, "ref")
     require_consistent(ref, tol, InconsistentReferenceError, "reference list")
-    logs = [q.log_magnitude for q in ref]
-    log_u = tuple([g.log_combine(logs) for g in sb.base.groups])
+    log_u = sb.base.log_values([q.log_magnitude for q in ref])
     object.__setattr__(sb, "anchor", (tuple(ref), tol, log_u))
     return log_u
 

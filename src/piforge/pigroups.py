@@ -18,6 +18,13 @@ A dimensionless product is fixed by its exponents there, so a basis's r x r
 two blocks. The builders keep the block they build, diagonal with integer
 entries; a public basis scans its groups for it on first use.
 
+A basis's float path runs in two kernels, `log_values` (every group's
+`log_combine`) and `orbit_gap` (`core.orbit_gap` over its `row_space`),
+generated by `core.log_values_kernel` and `core.orbit_gap_kernel` on first
+use and kept on that basis object alone. The builders, `transition` and
+`units.is_consistent` build none; pickling drops them, and a copy builds
+its own when it is used.
+
 The public constructors `PiBasis`, `SpecialPiBasis` and `Transition`, and
 `is_pi_basis`, validate the groups a caller hands them. The builders read
 their results off one exact elimination of the dimension matrix, correct by
@@ -29,7 +36,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .core import DimVector, Monomial, dim_combine, reduce_dims, row_space
+from .core import (
+    DimVector,
+    Monomial,
+    dim_combine,
+    log_values_kernel,
+    orbit_gap_kernel,
+    reduce_dims,
+    row_space,
+)
 from .errors import NotABasisError, frozen
 from .exactlin import QMatrix, canonical_kernel, free_kernel, rank, solve_many
 
@@ -88,6 +103,25 @@ class PiBasis:
     def row_space(self) -> tuple[tuple[float, ...], ...]:
         """The log shifts no group's value sees: `core.row_space`."""
         return row_space(self.reduction)
+
+    @cached_property
+    def log_values(self):
+        """Every group's `log_combine` of an n-slot log list, as one tuple,
+        float for float: `core.log_values_kernel`, built on first use."""
+        return log_values_kernel(self.groups, len(self.dims))
+
+    @cached_property
+    def orbit_gap(self):
+        """`core.orbit_gap` over `row_space`, of an n-slot log list, float
+        for float: `core.orbit_gap_kernel`, built on first use."""
+        return orbit_gap_kernel(self.row_space, len(self.dims))
+
+    def __getstate__(self):
+        # generated functions do not pickle; a copy builds its own on first use
+        state = dict(self.__dict__)
+        state.pop("log_values", None)
+        state.pop("orbit_gap", None)
+        return state
 
     @cached_property
     def free_block(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:

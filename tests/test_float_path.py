@@ -1,9 +1,11 @@
 """The pi-value path on floats: pi_values, equivalent, canonical_rep and
 is_consistent combine log magnitudes only, bit for bit as qty_combine does,
-and never re-derive the exact dimension of a dimensionless group."""
+and never re-derive the exact dimension of a dimensionless group. A basis's
+generated kernels give the reference loops' floats."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,11 +18,11 @@ from piforge.core import (
     format_magnitude,
     qty_combine,
 )
-from piforge.errors import InconsistentReferenceError
+from piforge.errors import EvaluationError, InconsistentReferenceError
 from piforge.exactlin import kernel_basis
 from piforge.harness import Counterexample, InvarianceReport, report_to_dict
 from piforge.nondim import canonical_rep, equivalent, pi_values
-from piforge.pigroups import PiBasis, pi_basis, special_basis
+from piforge.pigroups import PiBasis, pi_basis, special_basis, transition
 from piforge.units import is_consistent
 
 from support import (
@@ -35,6 +37,7 @@ from support import (
 )
 
 SYSTEMS = 200
+KERNELS = ("log_values", "orbit_gap")
 
 
 def _logs(rng, n):
@@ -48,6 +51,10 @@ def _coherent(rng, system, dims):
     return [
         Quantity(sum(float(e) * u for e, u in zip(w.exponents, units)), w) for w in dims
     ]
+
+
+def _hex(floats):
+    return [v.hex() for v in floats]
 
 
 def _expected(group, xs):
@@ -114,6 +121,33 @@ class TestBitForBit:
             along = [q.log_magnitude for q in _coherent(rng, system, dims)]
             for logs in (along, _logs(rng, len(dims))):
                 assert core.orbit_gap(rows, logs) == reference_orbit_gap(rows, logs)
+
+    def test_kernels_match_the_reference_loops(self):
+        """Both kernels of canonical and special bases give, as float hex,
+        what the term-by-term loop and the generator-form projection give."""
+        rng = random.Random(163)
+        problems = list(seeded_systems(SYSTEMS))
+        for d, n in LADDER_SIZES:
+            system = core.DimSystem(tuple(f"D{i}" for i in range(d)))
+            problems += [(system, ladder_dims(rng, d, n)) for _ in range(3)]
+        for system, dims in problems:
+            for basis in (pi_basis(dims), special_basis(dims).base):
+                along = [q.log_magnitude for q in _coherent(rng, system, dims)]
+                for logs in (along, _logs(rng, len(dims))):
+                    expected = [reference_log_combine(g.exponents, logs) for g in basis.groups]
+                    assert _hex(basis.log_values(logs)) == _hex(expected)
+                    gap = reference_orbit_gap(basis.row_space, logs)
+                    assert basis.orbit_gap(logs).hex() == gap.hex()
+
+    def test_builders_and_is_consistent_build_no_kernel(self):
+        rng = random.Random(167)
+        for system, dims in seeded_systems(60):
+            basis, sb = pi_basis(dims), special_basis(dims)
+            transition(basis, sb.base)
+            transition(sb.base, sb.canonical)
+            assert is_consistent(_coherent(rng, system, dims)).consistent
+            for built in (basis, sb.base, sb.canonical):
+                assert not set(KERNELS) & set(vars(built))
 
     @pytest.mark.parametrize("clash", [False, True], ids=["consistent", "inconsistent"])
     def test_is_consistent(self, clash):
@@ -245,3 +279,45 @@ class TestBeyondFloatRange:
         assert payload["counterexample"]["bindings"] == {
             "x": format(math.exp(2.0), ".15g"), "y": "1e+600", "z": "1e-600",
         }
+
+    def test_an_exponent_beyond_floats_raises_from_the_same_calls(self):
+        """Over L^p and L^q, p = 10^400 + 1 and q = 10^400, the ratio q/p in
+        the row space is a float, but the canonical group x0^-q * x1^p is
+        not, while the special group x0^(-q/p) * x1 is. Each call raises
+        EvaluationError exactly where the loops read a group's float
+        exponents; an equivalent verdict reads none and builds no
+        `log_values`."""
+        system = core.DimSystem(("L",))
+        q = 10**400
+        dims = (DimVector(system, (Fraction(q + 1),)), DimVector(system, (Fraction(q),)))
+        basis, sb = pi_basis(dims), special_basis(dims)
+        xs = [Quantity(0.0, w) for w in dims]
+        ys = [Quantity(1.0, dims[0]), xs[1]]
+        message = f"an exponent {core._BEYOND_FLOATS}"
+        assert equivalent(basis, xs, xs).equivalent
+        assert "log_values" not in vars(basis) and "orbit_gap" in vars(basis)
+        for call in (lambda: pi_values(basis, xs), lambda: equivalent(basis, xs, ys)):
+            with pytest.raises(EvaluationError) as info:
+                call()
+            assert str(info.value) == message
+        assert "log_values" not in vars(basis)
+        assert len(pi_values(sb.base, xs)) == 1
+        assert canonical_rep(sb, xs, ys) == [xs[0], Quantity(-float(Fraction(q, q + 1)), dims[1])]
+        assert is_consistent(xs).consistent
+
+    @pytest.mark.parametrize("call", ["is_consistent", "pi_values", "equivalent", "canonical_rep"])
+    def test_a_ratio_beyond_floats_raises_from_every_float_call(self, call):
+        """Over L and L^(10^400) both the row space's ratio and every
+        group's exponent leave the float range: each call the README's
+        float-path paragraph names raises EvaluationError."""
+        system = core.DimSystem(("L",))
+        dims = (DimVector.unit(system, "L"), DimVector(system, (Fraction(10**400),)))
+        xs = [Quantity(0.0, w) for w in dims]
+        calls = {
+            "is_consistent": lambda: is_consistent(xs),
+            "pi_values": lambda: pi_values(pi_basis(dims), xs),
+            "equivalent": lambda: equivalent(pi_basis(dims), xs, xs),
+            "canonical_rep": lambda: canonical_rep(special_basis(dims), xs, xs),
+        }
+        with pytest.raises(EvaluationError, match="float range"):
+            calls[call]()

@@ -77,6 +77,8 @@ CASES = {
                                   "expected an exact rational, got float"),
     "dim-vector-string-exponent": (lambda: pi_basis([DimVector(L, ("1/2",)), LEN]), TypeError,
                                    "expected an exact rational, got str"),
+    "power-float-exponent": (lambda: Pow(Var("x"), 0.5), TypeError,
+                             "expected an exact rational, got float"),
     "constant-zero": (
         lambda: evaluate(Compare("<", Var("x"), BinOp("*", Const(0.0), Var("x"))), {"x": REF[0]}),
         ValueError, "constants must be finite and strictly positive, got 0.0",

@@ -571,15 +571,24 @@ class TestAnchoredReference:
             assert all(map(operator.is_, sb.anchor[0], ref))
 
     def test_an_anchored_basis_equals_an_unanchored_one(self):
+        """A used basis pickles: its kernels stay behind, its anchor and row
+        space go along, and the copy builds kernels giving the same floats."""
         rng = random.Random(151)
         for system, dims in seeded_systems(20):
             anchored, fresh = special_basis(dims), special_basis(dims)
-            canonical_rep(anchored, _consistent_list(rng, system, dims), random_quantities(rng, dims))
+            xs, ys = random_quantities(rng, dims), random_quantities(rng, dims)
+            rep = canonical_rep(anchored, _consistent_list(rng, system, dims), xs)
+            verdict, rows = equivalent(anchored.base, xs, ys), anchored.base.row_space
             assert anchored.anchor != fresh.anchor
             assert anchored == fresh and hash(anchored) == hash(fresh)
             assert repr(anchored) == repr(fresh)
             copy = pickle.loads(pickle.dumps(anchored))
             assert copy == fresh and hash(copy) == hash(fresh)
+            assert copy.anchor == anchored.anchor
+            assert not {"log_values", "orbit_gap"} & set(vars(copy.base))
+            assert vars(copy.base)["row_space"] == rows
+            assert canonical_rep(copy, list(copy.anchor[0]), xs) == rep
+            assert equivalent(copy.base, xs, ys) == verdict
 
 
 class TestNanTolerance:
