@@ -418,10 +418,11 @@ def orbit_gap(rows, logs) -> float:
     return math.hypot(*_residual(logs, rows))
 
 
-def _compiled(source: str, name: str, **names):
-    """The function `name` that source defines, run with the given globals.
-    Each source below holds only float reprs, integer indices and names
-    made here, never a string from outside the program."""
+def compile_source(source: str, name: str, **names):
+    """The value `name` that source defines, run with the given globals.
+    Each source (here and in `dsl` and `harness`) holds only float reprs,
+    integer indices and names made by the program, never a string from
+    outside it: a spec's text reaches a source only as a global's value."""
     namespace = dict(names)
     exec(source, namespace)
     return namespace[name]
@@ -442,8 +443,8 @@ def log_values_kernel(vectors, n: int):
     `log_combine` would."""
     sums = "".join("0.0" + "".join(f" + {e!r}*l{j}" for j, e in v._float_terms) + ", "
                    for v in vectors)
-    return _compiled(f"def log_values(l):\n ({_slots('l', n)}) = l\n return ({sums})",
-                     "log_values")
+    return compile_source(f"def log_values(l):\n ({_slots('l', n)}) = l\n return ({sums})",
+                          "log_values")
 
 
 def orbit_gap_kernel(rows, n: int):
@@ -463,4 +464,4 @@ def orbit_gap_kernel(rows, n: int):
     # the last row's update goes straight into hypot
     last = "".join(f"v{j} - c*u{j}, " for j in range(n)) if rows else v
     lines += [f"  return hypot({last})", " return orbit_gap"]
-    return _compiled("\n".join(lines), "make", fsum=math.fsum, hypot=math.hypot)(rows)
+    return compile_source("\n".join(lines), "make", fsum=math.fsum, hypot=math.hypot)(rows)

@@ -23,31 +23,33 @@ walker of it runs into Python's recursion limit; a deeper one is a
 ParseError, and so is a dimension or unit expression with more open
 parentheses. A relation node is an instance of exactly one of the eight
 classes of `Node`, and the walkers on `verify`'s path (`typecheck`,
-`children`, `_lower`) dispatch on `node.__class__ is ...` and read fields as
-attributes (a `match` class pattern costs several times as much per node,
+`children`, `Lowering`) dispatch on `node.__class__ is ...` and read fields
+as attributes (a `match` class pattern costs several times as much per node,
 and would take an instance of a subclass for a node). `children` gives a
 node's operands, left to right, to the walks that treat every kind alike
 (`free_variables`, the parser's depth count, `harness._size`); the others
 do different work for each kind and keep their own dispatch.
 
-`compile_relation` (`CompiledRelation`) compiles a relation once, whole: it
-typechecks the node and lowers it into float closures, with each
-comparison's sides and their dimensions (the invariance fuzzer's view), and a
-spec keeps the one its fuzzer uses (`ProblemSpec.fuzz_plan`). `evaluate` runs
-such a handle, or compiles a bare node against its bindings' dimensions on
-each call; nothing else lowers a node. The closures read each variable's
-log magnitude from a plain dict, so a caller of floats builds no Quantity.
+`compile_relation` (`CompiledRelation`) types a relation once, whole, and
+on its first run lowers it (`Lowering`) into straight-line Python source,
+one statement per node over variable slots v0, v1, ... in the spec's
+variable order, which `core.compile_source` compiles into a function of a
+dict of each variable's log magnitude. A spec keeps the one its fuzzer
+uses (`ProblemSpec.fuzz_plan`), and the fuzzer's trial kernel inlines the
+same lowering (`harness._trial_kernel`). `evaluate` runs such a handle, or
+compiles a bare node against its bindings' dimensions on each call; nothing
+else lowers a node.
 Multiplicative chains (variables, constants, *, /, ^, sqrt) stay in log
 space; sums, exp/log/sin/cos work in linear space, where non-positive values
 are legal, and only there. `SPACES` states, once, the space of each node
-kind's operands and value: `_lower` and `harness._bounds` both read it, so a
-kind with no entry is neither lowered nor bounded. A comparison whose two
+kind's operands and value: `Lowering` and `harness._bounds` both read it, so
+a kind with no entry is neither lowered nor bounded. A comparison whose two
 sides are both in log space compares their logs, so magnitudes beyond the
 float range compare correctly; equality within relative tolerance tol becomes
 |log a - log b| <= -log1p(-tol), the same rule as |a - b| <= tol*max(a, b).
 A value that leaves the domain (a non-positive value in a product or under
 log, or a value, linear or log, beyond the float range) raises
-EvaluationError.
+EvaluationError, from a statement of the source that checks for it.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity, check_tol
+from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity, check_tol, compile_source
 from .errors import (
     DimensionError,
     EvaluationError,
@@ -189,11 +191,11 @@ def _tokenize(text: str) -> list[_Token]:
 # How deeply a relation, dimension or unit expression may nest: as the
 # parser's open `_expr` or `_product` calls, and for a relation also as the
 # nodes on a path from the root to a leaf. The parser takes up to three
-# frames a level; a walker of the tree up to two (`_lower` through `_as`,
-# `print_relation` through `_wrap`, the evaluation closures through a
-# conversion), `==` and pickling three, and a node's repr four. At this
-# limit each stays under Python's default recursion limit of 1000 with room
-# for its caller's frames.
+# frames a level; a walker of the tree up to two (`Lowering.native` through
+# `Lowering.value`, `print_relation` through `_wrap`), `==` and pickling
+# three, and a node's repr four. At this limit each stays under Python's
+# default recursion limit of 1000 with room for its caller's frames. The
+# lowered source is flat, whatever the depth: no statement nests in another.
 MAX_NESTING = 200
 _TOO_DEEP = f"{{}} nests more than {MAX_NESTING} levels deep"  # {} names the language
 
@@ -591,19 +593,19 @@ def _need_dim(node: Node, t):
 
 # --- evaluate ------------------------------------------------------------
 #
-# Each node lowers to (space, run), run(logs, tol) giving its value in that
-# space: a log magnitude, a plain float, or a truth value, or raising
-# EvaluationError where it leaves the domain. `logs` maps each variable to
-# its log magnitude as a plain float. Conversions between spaces go in here.
+# A typed node lowers to straight-line Python source (`Lowering`) whose
+# statements give its value in its space: a log magnitude, a plain float, or
+# a truth value, or raise EvaluationError where it leaves the domain.
+# Conversions between spaces are statements there too.
 
 LOG, LINEAR, TRUTH = "log", "linear", "truth"
 _OVERFLOW = "a value overflows the float range, about 1.8e+308"
 
 # (node class, op or function, None for a class with neither) -> (space of
 # its operands, space of its value), for each node kind with operands; a
-# variable or constant is a log magnitude. `_lower` and `harness._bounds`
+# variable or constant is a log magnitude. `Lowering` and `harness._bounds`
 # both read it, so a kind with no entry is neither lowered nor bounded. A
-# comparison's sides keep their own spaces (see `_compare`).
+# comparison's sides keep their own spaces (see `Lowering.native`).
 SPACES = {
     (BinOp, "*"): (LOG, LOG),
     (BinOp, "/"): (LOG, LOG),
@@ -636,17 +638,18 @@ def node_spaces(node: Node):
     return SPACES.get((kind, None))
 
 
+def _space(node: Node) -> str:
+    """The space a node's value is lowered in: a log magnitude for a
+    variable or a constant."""
+    entry = node_spaces(node)
+    return LOG if entry is None else entry[1]
+
+
 def log_eq_bound(tol: float) -> float:
     """The log-space form of the relative equality test: for positive a and
     b, |a - b| <= tol*max(a, b) exactly when |log a - log b| <= this bound.
     From tol 1 on, the linear test holds for every positive pair."""
     return -math.log1p(-tol) if tol < 1 else math.inf
-
-
-def _finite(v: float) -> float:
-    if math.isfinite(v):
-        return v
-    raise EvaluationError(_OVERFLOW)
 
 
 def _exp(v: float) -> float:
@@ -656,135 +659,164 @@ def _exp(v: float) -> float:
         raise EvaluationError(_OVERFLOW) from None
 
 
-_LINEAR_FUNCTIONS = {"exp": _exp, "sin": math.sin, "cos": math.cos}
+def _non_positive(v: float, node: Node) -> EvaluationError:
+    return EvaluationError(
+        f"non-positive value {v!r} in multiplicative context: {print_relation(node)}"
+    )
 
 
-def _lower(node: Node, found: list):
-    """(space, run) for a typed node: run(logs, tol) gives its value in that
-    space. found gets (node, truth run, lowered sides) for each comparison,
-    and (node, truth run, None) for each is_pos_int call, left to right."""
-    kind = node.__class__
-    if kind is Var:
-        name = node.name
-        return LOG, lambda b, tol: b[name]
-    if kind is Const:
-        log_value = math.log(node.value)
-        return LOG, lambda b, tol: log_value
-    entry = node_spaces(node)
-    if entry is None:
-        raise TypeError(f"not a relation node: {node!r}")
-    operand, space = entry
-    if kind is BinOp:
-        op = node.op
-        lf, rf = _as(operand, node.left, found), _as(operand, node.right, found)
-        if op in ("*", "+"):
-            return space, lambda b, tol: _finite(lf(b, tol) + rf(b, tol))
-        return space, lambda b, tol: _finite(lf(b, tol) - rf(b, tol))
-    if kind is Pow:
-        bf, e = _as(operand, node.base, found), float(node.exponent)
-        return space, lambda b, tol: _finite(bf(b, tol) * e)
-    if kind is Call:
-        func, af = node.func, _as(operand, node.arg, found)
-        if func == "sqrt":
-            return space, lambda b, tol: af(b, tol) * 0.5
-        if func == "is_pos_int":
-
-            def is_pos_int(b, tol):
-                v = af(b, tol)
-                nearest = round(v)
-                return abs(v - nearest) <= tol and nearest >= 1
-
-            found.append((node, is_pos_int, None))
-            return space, is_pos_int
-        if func == "log":
-
-            def log(b, tol):
-                v = af(b, tol)
-                if v <= 0:
-                    raise EvaluationError(f"log of non-positive value {v!r}")
-                return math.log(v)
-
-            return space, log
-        f = _LINEAR_FUNCTIONS[func]
-        return space, lambda b, tol: f(af(b, tol))
-    if kind is Compare:
-        left, right = node.left, node.right
-        sides = _lower(left, found), _lower(right, found)
-        run = _compare(node.op, left, right, sides)
-        found.append((node, run, sides))
-        return space, run
-    if kind is BoolOp:
-        lf, rf = _as(operand, node.left, found), _as(operand, node.right, found)
-        if node.op == "and":
-            return space, lambda b, tol: lf(b, tol) and rf(b, tol)
-        return space, lambda b, tol: lf(b, tol) or rf(b, tol)
-    of = _as(operand, node.operand, found)  # Not
-    return space, lambda b, tol: not of(b, tol)
+def _log_error(v: float) -> EvaluationError:
+    return EvaluationError(f"log of non-positive value {v!r}")
 
 
-def _compare(op: str, left: Node, right: Node, sides):
-    """Two positive sides compare in log space; otherwise both go linear."""
-    (left_space, lf), (right_space, rf) = sides
-    if left_space is LOG and right_space is LOG:
-        if op == "=":
-            return lambda b, tol: abs(lf(b, tol) - rf(b, tol)) <= log_eq_bound(tol)
-    else:
-        lf, rf = _as(LINEAR, left, None, sides[0]), _as(LINEAR, right, None, sides[1])
-        if op == "=":
-
-            def equal(b, tol):
-                x, y = lf(b, tol), rf(b, tol)
-                return abs(x - y) <= tol * max(abs(x), abs(y))
-
-            return equal
-    if op == "<":
-        return lambda b, tol: lf(b, tol) < rf(b, tol)
-    return lambda b, tol: lf(b, tol) <= rf(b, tol)
+# the globals every lowered source reads, by the names it reads them
+_GLOBALS = {
+    "Error": EvaluationError, "OVERFLOW": _OVERFLOW, "exp": _exp, "log": math.log,
+    "sin": math.sin, "cos": math.cos, "eq_bound": log_eq_bound,
+    "non_positive": _non_positive, "log_error": _log_error,
+}
 
 
-def _as(space, node: Node, found, lowered=None):
-    """run(logs, tol) -> the node's value in space, from its lowering (made
-    here with found unless given); a truth value is only ever wanted as one,
-    since the node is typed."""
-    node_space, run = lowered or _lower(node, found)
-    if node_space is space:
-        return run
-    if space is LINEAR:
-        return lambda b, tol: _exp(run(b, tol))
+class Lowering:
+    """Straight-line Python source for typed relation nodes: one statement
+    per node, in the order evaluation takes them, each operand before its
+    node and left before right. A variable is its slot (`slots` maps each
+    name to one, v0, v1, ... in the spec's variable order), a constant its
+    log as a float repr, and any other node a fresh local t0, t1, ...
 
-    def checked_log(b, tol):
-        v = run(b, tol)
-        if v > 0:
-            return math.log(v)
-        raise EvaluationError(
-            f"non-positive value {v!r} in multiplicative context: {print_relation(node)}"
-        )
+    Each domain check is a statement that raises the EvaluationError the
+    value would: `t - t` is 0.0 for a finite t and nan, which is true, for
+    inf or nan. The right operand of `and`/`or` runs under a guard, a local
+    that is true exactly where the left one does not decide, and each of its
+    statements reads `if guard: ...`: no statement nests in another, however
+    deeply the relation does. The source reads the names of `_GLOBALS`, the
+    locals `tol` and those above, and globals it adds to `names` (shared by
+    the lowerings of one source), so it holds no string from a spec."""
 
-    return checked_log
+    def __init__(self, slots: dict[str, str], names: dict | None = None):
+        self.slots = slots
+        self.names = dict(_GLOBALS) if names is None else names
+        self.lines: list[str] = []
+        self.used: set[str] = set()  # the variables read
+        self.guard: str | None = None  # None: every statement runs
+        self.temps = 0
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
+
+    def let(self, expression: str) -> str:
+        """A fresh local set to expression, under the guard."""
+        name = self.temp()
+        self.lines.append(f"if {self.guard}: {name} = {expression}" if self.guard
+                          else f"{name} = {expression}")
+        return name
+
+    def check(self, condition: str, error: str) -> None:
+        """Raise error where condition holds, under the guard."""
+        guard = f"{self.guard} and " if self.guard else ""
+        self.lines.append(f"if {guard}{condition}: raise {error}")
+
+    def branch(self, condition: str) -> str | None:
+        """Put what follows under a new guard, true where the current one is
+        and condition holds; returns the current one, to be restored."""
+        outer, guard = self.guard, self.temp()
+        self.lines.append(f"{guard} = {outer} and {condition}" if outer else f"{guard} = {condition}")
+        self.guard = guard
+        return outer
+
+    def constant(self, value, prefix: str) -> str:
+        """A new global name for value."""
+        name = f"{prefix}{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def value(self, node: Node, space: str) -> str:
+        """The node's value in space, as a local, slot or literal."""
+        node_space, v = self.native(node)
+        if node_space is space:  # a truth value is only ever wanted as one: the node is typed
+            return v
+        if space is LINEAR:
+            return self.let(f"exp({v})")
+        self.check(f"not {v} > 0", f"non_positive({v}, {self.constant(node, 'q')})")
+        return self.let(f"log({v})")
+
+    def _finite(self, expression: str) -> str:
+        t = self.let(expression)
+        self.check(f"{t} - {t}", "Error(OVERFLOW)")
+        return t
+
+    def native(self, node: Node) -> tuple[str, str]:
+        """(space, value): the node's value in its own space."""
+        kind = node.__class__
+        if kind is Var:
+            self.used.add(node.name)
+            return LOG, self.slots[node.name]
+        if kind is Const:
+            return LOG, repr(math.log(node.value))
+        entry = node_spaces(node)
+        if entry is None:
+            raise TypeError(f"not a relation node: {node!r}")
+        operand, space = entry
+        if kind is BinOp:
+            a, b = self.value(node.left, operand), self.value(node.right, operand)
+            return space, self._finite(f"{a} {'+' if node.op in ('*', '+') else '-'} {b}")
+        if kind is Pow:
+            return space, self._finite(f"{self.value(node.base, operand)} * {float(node.exponent)!r}")
+        if kind is Call:
+            func, a = node.func, self.value(node.arg, operand)
+            if func == "sqrt":
+                return space, self.let(f"{a} * 0.5")
+            if func == "is_pos_int":
+                nearest = self.let(f"round({a})")
+                return space, self.let(f"abs({a} - {nearest}) <= tol and {nearest} >= 1")
+            if func == "log":
+                self.check(f"{a} <= 0", f"log_error({a})")
+            return space, self.let(f"{func}({a})")  # exp, log, sin, cos
+        if kind is Compare:
+            # two positive sides compare in log space; otherwise both go linear
+            op, left, right = node.op, node.left, node.right
+            if _space(left) is LOG and _space(right) is LOG:
+                a, b = self.value(left, LOG), self.value(right, LOG)
+                equal = f"abs({a} - {b}) <= eq_bound(tol)"
+            else:
+                a, b = self.value(left, LINEAR), self.value(right, LINEAR)
+                equal = f"abs({a} - {b}) <= tol * max(abs({a}), abs({b}))"
+            return space, self.let(equal if op == "=" else f"{a} {op} {b}")
+        if kind is BoolOp:
+            a = self.value(node.left, operand)
+            outer = self.branch(f"not {a}" if node.op == "or" else a)
+            b = self.value(node.right, operand)
+            self.guard = outer
+            return space, self.let(f"{a} {node.op} {b}")
+        return space, self.let(f"not {self.value(node.operand, operand)}")  # Not
 
 
 class CompiledRelation:
-    """A relation typechecked and lowered once, for many evaluations: the
-    handle a caller keeps in place of re-typing and re-lowering the node.
-    `type`, as `typecheck` with mixed comparisons gives it (DimensionError
-    where the relation is ill-typed); `space` and `run`, its lowering:
-    run(logs, tol) gives its value in that space; `truth`, that run where
-    `type` is BOOL, else None; `leaves`, (node, truth run, sides) for each
-    comparison and is_pos_int call, left to right, a comparison's sides two
-    (log, run, dim): run(logs, tol) gives the side's log magnitude if log,
-    else its plain value, and an is_pos_int call's sides None."""
+    """A relation typechecked once and compiled on first run, for many
+    evaluations: the handle a caller keeps in place of re-typing and
+    re-lowering the node. `type`, as `typecheck` with mixed comparisons
+    gives it (DimensionError where the relation is ill-typed);
+    `side_dims`, the two side dimensions of each comparison, left to right;
+    `run`, run(logs, tol) giving its truth value, or a quantity's log
+    magnitude, from a dict of each variable's log magnitude, compiled
+    (`core.compile_source`) from `Lowering`'s source of the node."""
 
     def __init__(self, node: Node, env: dict[str, DimVector]):
-        sides, found = [], []
+        sides = []
         self.node = node
         self.type = typecheck(node, env, allow_mixed_comparisons=True, sides=sides)
-        self.space, self.run = _lower(node, found)
-        self.truth = self.run if self.space is TRUTH else None
-        dims = iter(sides)
-        self.leaves = tuple(
-            (n, r, pair and tuple((s is LOG, f, d) for (s, f), d in zip(pair, next(dims))))
-            for n, r, pair in found
-        )
+        self.side_dims = tuple(sides)
+        self._slots = {name: f"v{i}" for i, name in enumerate(env)}
+
+    @cached_property
+    def run(self):
+        lowering = Lowering(self._slots)
+        result = lowering.value(self.node, TRUTH if self.type is BOOL else LOG)
+        loads = [f" {slot} = logs[{lowering.constant(n, 'n')}]"
+                 for n, slot in self._slots.items() if n in lowering.used]
+        lines = ["def run(logs, tol):", *loads, *(f" {line}" for line in lowering.lines)]
+        return compile_source("\n".join([*lines, f" return {result}"]), "run", **lowering.names)
 
 
 compile_relation = CompiledRelation
@@ -806,11 +838,8 @@ def evaluate(relation, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
     check_tol(tol)
     if not isinstance(relation, CompiledRelation):
         relation = CompiledRelation(relation, {n: q.dim for n, q in bindings.items()})
-    logs = {name: q.log_magnitude for name, q in bindings.items()}
-    if relation.truth is not None:
-        return relation.truth(logs, tol)
-    run = _as(LOG, relation.node, None, (relation.space, relation.run))
-    return Quantity(run(logs, tol), relation.type)
+    value = relation.run({name: q.log_magnitude for name, q in bindings.items()}, tol)
+    return value if relation.type is BOOL else Quantity(value, relation.type)
 
 
 # --- problem specs --------------------------------------------------------
@@ -851,7 +880,7 @@ class ProblemSpec:
         return FuzzPlan(self)
 
     def __getstate__(self):
-        # the fields alone: a kept plan's closures do not pickle, nor BOOL as itself
+        # the fields alone: a kept plan's compiled functions do not pickle, nor BOOL as itself
         return {name: getattr(self, name) for name in self.__match_args__}
 
 

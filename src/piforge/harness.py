@@ -20,11 +20,19 @@ A relation with no mixed comparison therefore passes every trial whose drawn
 point lies in its domain. Before drawing any, one interval pass (`_bounds`,
 Moore's interval arithmetic over the box the trials draw from, each bound
 widened well past float rounding) tries to prove every such point in the
-domain; where it does, every trial passes, none is drawn, and none of the
-relation's float closures runs. `_bounds` converts each node's operands to
-the space that `dsl.SPACES` names, as lowering does, and like every walker
-here it dispatches on the node's exact class. The relation is compiled once
-per spec, whole, and its comparisons are read off that one handle.
+domain; where it does, every trial passes, none is drawn, and nothing of the
+relation runs. `_bounds` converts each node's operands to the space that
+`dsl.SPACES` names, as lowering does, and like every walker here it
+dispatches on the node's exact class. The relation is typed once per spec,
+whole, and its comparisons' dimensions are read off that one handle.
+
+The exact work is done once per spec, and a trial runs plain floats: where
+trials are drawn, the plan compiles one trial kernel (`_trial_kernel`), a
+straight-line function that draws a point, seeds it, and decides each
+comparison before and after rescaling, every side and every constant of
+the decision inlined from `dsl.Lowering`'s source (partial evaluation:
+Jones, Gomard and Sestoft, 1993). Compiling it takes about a millisecond,
+once per plan, against about 10 us a trial.
 
 Passes are evidence, not proof — the verdict is necessarily one-sided, and
 the CLI report says so. A failure is meant to be definitive, but is not yet
@@ -34,9 +42,11 @@ strict xfails in `tests/test_cli.py::TestKnownFalseCounterexamples`).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 try:  # hashlib's own blake2b, without the OpenSSL bindings `import hashlib` loads
@@ -44,7 +54,15 @@ try:  # hashlib's own blake2b, without the OpenSSL bindings `import hashlib` loa
 except ImportError:  # an interpreter built without the bundled BLAKE2
     from hashlib import blake2b
 
-from .core import DEFAULT_TOL, DimSystem, Quantity, check_tol, format_magnitude, magnitude_or_limit
+from .core import (
+    DEFAULT_TOL,
+    DimSystem,
+    Quantity,
+    check_tol,
+    compile_source,
+    format_magnitude,
+    magnitude_or_limit,
+)
 from .dsl import (
     BOOL,
     BinOp,
@@ -53,9 +71,11 @@ from .dsl import (
     Compare,
     Const,
     LOG,
+    Lowering,
     Not,
     Pow,
     ProblemSpec,
+    TRUTH,
     Var,
     children,
     compile_relation,
@@ -178,15 +198,9 @@ def _size(node) -> int:
     return 1
 
 
-def _point(side, logs, tol) -> tuple[int, float]:
-    """(sign, log of the absolute value) of a compiled side at logs."""
-    log, run, _ = side
-    v = run(logs, tol)
-    if log:
-        return 1, v
-    if v:
-        return (1, math.log(v)) if v > 0 else (-1, math.log(-v))
-    return 0, 0.0
+def _apart(tol: float) -> float:
+    """'=' holds between sides of opposite signs where |gap| >= this."""
+    return -math.log(tol - 1) if tol > 1 else math.inf
 
 
 class _Mixed:
@@ -196,17 +210,18 @@ class _Mixed:
     the absolute value. Rescaled by log factors μ, the signs stay and the gap
     lL - lR moves by w·μ. Signs that differ, or a side that is 0, decide
     alone, except that '=' between opposite signs reads the gap for tol
-    between 1 and 2; signs that agree leave it to the gap. The gap is worked
-    out in floats, or exactly where a float overflows or w has no float form.
+    between 1 and 2; signs that agree leave it to the gap. '=' holds between
+    sides of one sign where |gap| <= `dsl.log_eq_bound(tol)`, and between
+    sides of opposite signs where |gap| >= `_apart(tol)`.
 
     Within `bound` times its spread (1 + |lL| + |lR| + the sum of |w_j μ_j|),
     a gap is too close to the decision edge to decide: a first-order rounding
     bound of one unit roundoff per node of either side, per term of w·μ and
-    per step of the gap."""
+    per step of the gap. The trial kernel decides in floats (`decision`); a
+    gap it leaves open goes to `exact`."""
 
-    def __init__(self, node, sides, tol):
-        (_, _, left_dim), (_, _, right_dim) = sides
-        self.op, self.tol = node.op, tol
+    def __init__(self, node, left_dim, right_dim):
+        self.op = node.op
         self.w = (left_dim / right_dim).exponents
         # (j, w_j) for each nonzero w_j: a zero term moves neither gap nor spread
         try:
@@ -214,107 +229,170 @@ class _Mixed:
         except OverflowError:
             self.terms = None
         self.bound = (_size(node.left) + _size(node.right) + len(self.w) + 2) * math.ulp(1.0)
-        # '=' holds between sides of one sign where |gap| <= near, and
-        # between sides of opposite signs where |gap| >= apart
-        self.near = log_eq_bound(tol)
-        self.apart = -math.log(tol - 1) if tol > 1 else math.inf
 
-    def decide(self, point, mu) -> bool:
-        """The truth value rescaled by log factors mu (() for none), from
-        the drawn point's (sL, lL, sR, lR); _Undecided within the rounding
-        bound of the edge."""
+    def decision(self, name: str, point, gap: str, spread: str, mu: str) -> str:
+        """Source of the truth value, from the point's signs and logs, the
+        gap and spread (each source of a local, slot or literal; a
+        log-space side's sign is the literal 1) and mu, the source of the
+        log factors' tuple: signs that decide alone do so; else the gap
+        decides it, in floats where it lies beyond bound*spread from the
+        edge, and through `name.exact` otherwise. The kernel's locals near
+        and apart hold the bounds of '=' for its tol."""
         sl, ll, sr, lr = point
-        op = self.op
-        if sl != sr or not sl:
-            if op != "=":
-                return sl < sr if op == "<" else sl <= sr
-            if not (sl and sr):  # a side is 0: |L - R| <= tol*max(|L|, |R|)
-                return sl == sr or self.tol >= 1
-        gap, spread = ll - lr, 1.0 + abs(ll) + abs(lr)
-        if mu and self.terms is None:
-            spread = math.inf
-        elif mu:
-            for j, w in self.terms:
-                t = w * mu[j]
-                gap += t
-                spread += abs(t)
-        exact = spread == math.inf
-        if exact:
-            terms = [w * Fraction(m) for w, m in zip(self.w, mu)]
-            gap = Fraction(ll) - Fraction(lr) + sum(terms)
-            spread = 1 + abs(Fraction(ll)) + abs(Fraction(lr)) + sum(map(abs, terms))
+        exact = f"{name}.exact({sl}, {ll}, {sr}, {lr}, {mu}, tol, {spread})"
+
+        def beyond(x, edge):  # x < edge, where the gap is clear of the edge
+            return f"{x} < {edge} if abs({x} - {edge}) > {self.bound!r}*{spread} else {exact}"
+
+        positive = sl == sr == "1"
+        if self.op != "=":
+            same = beyond(gap if positive else f"({gap} if {sl} > 0 else -{gap})", "0.0")
+            return same if positive else f"{sl} {self.op} {sr} if {sl} != {sr} or not {sl} else {same}"
+        same = beyond(f"abs({gap})", "near")
+        if positive:
+            return same
+        return (f"({sl} == {sr} or tol >= 1) if not ({sl} and {sr}) "
+                f"else ({beyond(f'-abs({gap})', '-apart')}) if {sl} != {sr} else ({same})")
+
+    def exact(self, sl, ll, sr, lr, mu, tol, spread) -> bool:
+        """The truth value where `decision`'s float test left it open, for
+        signs that do not decide alone. Where that test's spread is finite,
+        the gap lay within its rounding bound of the edge: _Undecided. Where
+        it is infinite (a log near the float limit, a w_j·μ_j that
+        overflows, or a w with no float form), the gap, spread and bound are
+        worked out exactly, in Fractions."""
+        if spread != math.inf:
+            raise _Undecided
+        terms = [w * Fraction(m) for w, m in zip(self.w, mu)]
+        gap = Fraction(ll) - Fraction(lr) + sum(terms)
+        spread = 1 + abs(Fraction(ll)) + abs(Fraction(lr)) + sum(map(abs, terms))
         if sl != sr:
-            x, edge = -abs(gap), -self.apart
-        elif op == "=":
-            x, edge = abs(gap), self.near
+            x, edge = -abs(gap), -_apart(tol)
+        elif self.op == "=":
+            x, edge = abs(gap), log_eq_bound(tol)
         else:
             x, edge = (gap if sl > 0 else -gap), 0.0
         if math.isinf(edge):
             return edge > 0
-        if exact:
-            edge, bound = Fraction(edge), Fraction(self.bound) * spread
-        else:
-            bound = self.bound * spread
-        if abs(x - edge) <= bound:
+        edge = Fraction(edge)
+        if abs(x - edge) <= Fraction(self.bound) * spread:
             raise _Undecided
         return x < edge
 
 
-def _pairs(node, leaves, tol):
-    """run(logs, mu, memo) -> (before, after): the node's truth value at the
-    drawn point and rescaled by log factors mu, leaves iterating over its
-    `CompiledRelation.leaves`. Only a mixed comparison's two values differ,
-    each decided by the `_Mixed` its leaf builds. `and` and `or` evaluate
-    their right operand wherever either value needs it. memo keeps
-    each leaf's value, or a mixed one's sides and value before rescaling, at
-    the drawn point, so each is worked out once per point; a side's point
-    that memo already holds under the side's run (the equality seeder puts
-    one there) is not evaluated again."""
-    if isinstance(node, BoolOp):
-        left, right = _pairs(node.left, leaves, tol), _pairs(node.right, leaves, tol)
-        done = node.op == "or"  # the left value that decides alone
+def _sign_and_log(lowering: Lowering, side) -> tuple[str, str]:
+    """Source of (sign, log of the absolute value) of a side: a log-space
+    side is positive, and a linear one of 0 gives (0, 0.0)."""
+    space, v = lowering.native(side)
+    if space is LOG:
+        return "1", v
+    return lowering.let(f"({v} > 0) - ({v} < 0)"), lowering.let(f"log(abs({v})) if {v} else 0.0")
 
-        def run(logs, mu, memo):
-            before, after = left(logs, mu, memo)
-            if before == after == done:
-                return before, after
-            rb, ra = right(logs, mu, memo)
-            return before if before == done else rb, after if after == done else ra
 
-        return run
-    if isinstance(node, Not):
-        operand = _pairs(node.operand, leaves, tol)
+def _tuple(items) -> str:
+    return f"({''.join(f'{item}, ' for item in items)})"
 
-        def run(logs, mu, memo):
-            before, after = operand(logs, mu, memo)
-            return not before, not after
 
-        return run
-    leaf, truth, sides = next(leaves)
-    if sides and sides[0][2] != sides[1][2]:
-        m = _Mixed(leaf, sides, tol)
-        left, right = sides
-        left_run, right_run = left[1], right[1]
+def _trial_kernel(plan):
+    """kernel(draw, tol) -> (trial, after), compiled from one source.
 
-        def run(logs, mu, memo):
-            kept = memo.get(m)
-            if kept is None:
-                point = (memo.get(left_run) or _point(left, logs, tol)) + (
-                    memo.get(right_run) or _point(right, logs, tol)
-                )
-                kept = memo[m] = point, m.decide(point, ())
-            point, before = kept
-            return before, m.decide(point, mu)
+    trial() draws each variable's log magnitude, as `uniform` draws it over
+    _LOG_MAG_RANGE, seeds the equality target and, where a comparison is
+    mixed, draws a log factor per fundamental over _LOG_FACTOR_RANGE. It
+    returns None where the truth value survives the rescaling, else (before,
+    the point's logs, the log factors, kept: the locals of each comparison
+    or call it worked out unguarded). It works out each side once, each
+    other comparison or call once, and each mixed comparison before and
+    after, its w_j·μ_j terms and rounding bound inlined; `and`/`or` take
+    their right operand wherever either value needs it. A relation with no
+    mixed comparison is only evaluated, for its domain, a seeded `v = expr`
+    only through expr. after(*logs, *kept, *factors), for the shrinker,
+    decides the truth value rescaled by other factors at that point."""
+    relation, side_dims = plan.compiled.node, iter(plan.compiled.side_dims)
+    slots = {name: f"v{i}" for i, name in enumerate(plan.names)}
+    trial = Lowering(slots)
+    trial.names.update(apart_bound=_apart, inf=math.inf)
+    lo, hi = _LOG_MAG_RANGE
+    trial.lines += [f"{slot} = {lo!r} + {hi - lo!r}*draw()" for slot in slots.values()]
+    seeded = other = None
+    if plan.seed_target is not None:
+        name, other = plan.seed_target
+        sign, log = seeded = _sign_and_log(trial, other)
+        seed = f"{slots[name]} = {log}"
+        trial.lines.append(seed if sign == "1" else f"if {sign} > 0: {seed}")
+    head = ["def kernel(draw, tol):", " near = eq_bound(tol)", " apart = apart_bound(tol)",
+            " def trial():"]
+    if not plan.mixed:
+        if seeded is None:  # a seeded `v = expr` is defined wherever expr is
+            trial.value(relation, TRUTH)
+        lines = [*head, *(f"  {line}" for line in trial.lines), "  return None", " return trial, None"]
+        return compile_source("\n".join(lines), "kernel", **trial.names)
 
-        return run
+    lo, hi = _LOG_FACTOR_RANGE
+    mus = [f"f{j}" for j in range(plan.factors)]
+    trial.lines += [f"{mu} = {lo!r} + {hi - lo!r}*draw()" for mu in mus]
+    mixed = {}  # leaf index -> (global name, _Mixed) of each mixed comparison
+    kept = {}  # leaf index -> the trial's locals for a leaf it works out unguarded
 
-    def run(logs, mu, memo):
-        value = memo.get(truth)
-        if value is None:
-            value = memo[truth] = truth(logs, tol)
-        return value, value
+    def pair(low: Lowering, node, order, keep: bool) -> tuple[str, str]:
+        """(before, after) of node, as locals of low, each comparison or
+        is_pos_int call numbered by order; keep: the trial's pass, which
+        meets each first and records in kept what it works out unguarded,
+        else read that from there."""
+        kind = node.__class__
+        if kind is BoolOp:
+            lb, la = pair(low, node.left, order, keep)
+            # the right operand is worked out wherever either value needs it
+            outer = low.branch(f"not ({lb} and {la})" if node.op == "or" else f"({lb} or {la})")
+            rb, ra = pair(low, node.right, order, keep)
+            low.guard = outer
+            return low.let(f"{lb} {node.op} {rb}"), low.let(f"{la} {node.op} {ra}")
+        if kind is Not:
+            before, after = pair(low, node.operand, order, keep)
+            return low.let(f"not {before}"), low.let(f"not {after}")
+        index, leaf = next(order), node
+        dims = keep and leaf.__class__ is Compare and next(side_dims)
+        if dims and dims[0] != dims[1]:
+            m = _Mixed(leaf, *dims)
+            mixed[index] = trial.constant(m, "m"), m
+        if not keep and index in kept:
+            known = kept[index]
+        elif index not in mixed:
+            known = (low.value(leaf, TRUTH),)
+        else:
+            sl, ll = seeded if leaf.left is other else _sign_and_log(low, leaf.left)
+            sr, lr = seeded if leaf.right is other else _sign_and_log(low, leaf.right)
+            gap, spread = low.let(f"{ll} - {lr}"), low.let(f"1.0 + abs({ll}) + abs({lr})")
+            point, (name, m) = (sl, ll, sr, lr), mixed[index]
+            known = (*point, gap, spread, low.let(m.decision(name, point, gap, spread, "()")))
+        if keep and low.guard is None:
+            kept[index] = known
+        if index not in mixed:
+            return known[0], known[0]
+        *point, gap, spread, before = known
+        name, m = mixed[index]
+        if m.terms is None:  # a w with no float form
+            return before, low.let(f"{name}.exact({', '.join(point)}, {_tuple(mus)}, tol, inf)")
+        moves = [low.let(f"{w!r}*{mus[j]}") for j, w in m.terms]
+        gap = low.let(gap + "".join(f" + {t}" for t in moves))
+        spread = low.let(spread + "".join(f" + abs({t})" for t in moves))
+        return before, low.let(m.decision(name, point, gap, spread, _tuple(mus)))
 
-    return run
+    before, after = pair(trial, relation, itertools.count(), True)
+    temps = {f"t{k}" for k in range(trial.temps)}
+    params = list(dict.fromkeys(n for known in kept.values() for n in known if n in temps))
+    again = Lowering(slots, trial.names)
+    again.temps = trial.temps  # its locals are new names, beside the kept ones it takes
+    _, rescaled = pair(again, relation, itertools.count(), False)
+    lines = [
+        *head, *(f"  {line}" for line in trial.lines),
+        f"  return None if {before} == {after} else "
+        f"({before}, {_tuple(slots.values())}, [{', '.join(mus)}], {_tuple(params)})",
+        f" def after({', '.join([*slots.values(), *params, *mus])}):",
+        *(f"  {line}" for line in again.lines), f"  return {rescaled}",
+        " return trial, after",
+    ]
+    return compile_source("\n".join(lines), "kernel", **trial.names)
 
 
 # Every log bound stays within ±_LOG_LIMIT, so each conversion to linear
@@ -336,9 +414,9 @@ def _linear(lo, hi):
 
 
 def _to(log, b):
-    """Bounds b in log space (log) or linear space, converted as `dsl._as`
-    converts; None where b is unproven, a truth value, or may be
-    non-positive where a log is taken."""
+    """Bounds b in log space (log) or linear space, converted as
+    `dsl.Lowering.value` converts; None where b is unproven, a truth value,
+    or may be non-positive where a log is taken."""
     if not isinstance(b, tuple):
         return None
     if b[0] is log:
@@ -350,7 +428,7 @@ def _to(log, b):
 
 
 def _bounds(node, box):
-    """What `dsl._lower` makes of node for variables whose log magnitudes
+    """What `dsl.Lowering` makes of node for variables whose log magnitudes
     lie in box (name -> (lo, hi)), by interval arithmetic (Moore 1966): True
     where it is a truth value defined at every point of box, (log, lo, hi)
     where it is a quantity whose value (its log if log) lies in [lo, hi]
@@ -429,10 +507,13 @@ def _proven(spec: ProblemSpec, seed_target) -> bool:
 class FuzzPlan:
     """What `fuzz_invariance` derives from a spec alone, kept as the spec's
     `fuzz_plan`: `compiled`, the relation typed with mixed comparisons
-    allowed and lowered; `mixed`, whether it has a mixed comparison, read
-    once off `compiled.leaves`; `seed_target`; and `proven`, true where it
-    is not mixed and `_proven` holds. SpecError where the spec cannot be
-    fuzzed."""
+    allowed (`compile_relation`; its run is compiled only if a
+    counterexample is confirmed); `mixed`, whether it has a mixed
+    comparison, read once off `compiled.side_dims`; `seed_target`;
+    `proven`, true where it is not mixed and `_proven` holds; and `kernel`,
+    its trial kernel (`_trial_kernel`), compiled on the first call that
+    draws trials, so never for a proven plan. SpecError where the spec
+    cannot be fuzzed."""
 
     def __init__(self, spec: ProblemSpec):
         try:
@@ -453,8 +534,13 @@ class FuzzPlan:
                     "about 1.8e+308"
                 ) from None
         self.compiled, self.seed_target = compiled, _equality_seed_target(spec)
-        self.mixed = any(sides and sides[0][2] != sides[1][2] for _, _, sides in compiled.leaves)
+        self.names, self.factors = spec.variable_names, spec.system.size
+        self.mixed = any(left != right for left, right in compiled.side_dims)
         self.proven = not self.mixed and _proven(spec, self.seed_target)
+
+    @cached_property
+    def kernel(self):
+        return _trial_kernel(self)
 
 
 def fuzz_invariance(
@@ -478,8 +564,11 @@ def fuzz_invariance(
     relation with no mixed comparison passes every trial on which it is
     defined. Where an interval pass proves such a relation defined at every
     point a trial can draw, the report (every trial passed) is returned
-    without drawing any or running the relation. Typing, lowering, checks
-    and proof are done once per spec object, on its first call (`FuzzPlan`).
+    without drawing any or running the relation. Typing, compiling, checks
+    and proof are done once per spec object, on its first call, and the
+    trial kernel on the first call that draws trials (`FuzzPlan`); tol is
+    the kernel's argument. trials and seed must be of type int (TypeError,
+    for a bool too), and trials at least 1.
     A trial whose drawn point leaves the relation's domain (EvaluationError)
     is inapplicable; one on which a mixed comparison lies within rounding of
     its edge, before or after, is undecided. If no trial is decided,
@@ -494,6 +583,9 @@ def fuzz_invariance(
     a false one can get through: see the strict xfails in
     `tests/test_cli.py::TestKnownFalseCounterexamples`.
     """
+    if type(trials) is not int or type(seed) is not int:  # a bool is an int subclass
+        name, value = ("trials", trials) if type(trials) is not int else ("seed", seed)
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if trials < 1:
         raise ValueError("at least one trial required")
     check_tol(tol)
@@ -501,43 +593,22 @@ def fuzz_invariance(
     if plan.proven:
         return InvarianceReport(trials=trials, passed=trials, seed=seed, counterexample=None)
 
-    relation, names, system = spec.relation, spec.variable_names, spec.system
-    compiled, seed_target, truth = plan.compiled, plan.seed_target, plan.compiled.truth
-    program = _pairs(relation, iter(compiled.leaves), tol) if plan.mixed else None
-    if seed_target is not None:
-        vname, other = seed_target
-        seed_side = compiled.leaves[0][2][other is relation.right]
-
     # one generator, reseeded per trial by MT19937's own seeding (what
-    # `Random.seed` calls for an int); `uniform`'s own formula, each span
-    # worked out once, gives the same floats. Its first seed is a constant,
-    # since every trial reseeds it before its first draw: `Random()` would
-    # read OS entropy for a state no trial uses.
+    # `Random.seed` calls for an int), drawn by the kernel. Its first seed is
+    # a constant, since every trial reseeds it before its first draw:
+    # `Random()` would read OS entropy for a state no trial uses.
     stream = blake2b(f"{seed}:".encode(), digest_size=8)
     rng = random.Random(0)
-    reseed, draw = super(random.Random, rng).seed, rng.random
-    log_lo, log_span = _LOG_MAG_RANGE[0], _LOG_MAG_RANGE[1] - _LOG_MAG_RANGE[0]
-    factor_lo, factor_span = _LOG_FACTOR_RANGE[0], _LOG_FACTOR_RANGE[1] - _LOG_FACTOR_RANGE[0]
+    reseed = super(random.Random, rng).seed
+    run, after = plan.kernel(rng.random, tol)
     passed = inapplicable = undecided = 0
     counterexample: Counterexample | None = None
     for trial in range(trials):
         digest = stream.copy()
         digest.update(str(trial).encode())
         reseed(int.from_bytes(digest.digest(), "big"))
-        logs = {name: log_lo + log_span * draw() for name in names}
-        memo = {}
         try:
-            if seed_target is not None:
-                sign, log = memo[seed_side[1]] = _point(seed_side, logs, tol)
-                if sign > 0:
-                    logs[vname] = log
-            if program is None:
-                if seed_target is None:  # a seeded `v = expr` is defined wherever expr is
-                    truth(logs, tol)
-                passed += 1
-                continue
-            log_factors = [factor_lo + factor_span * draw() for _ in range(system.size)]
-            before, after = program(logs, log_factors, memo)
+            failed = run()
         except EvaluationError as exc:
             inapplicable += 1
             out_of_domain = exc
@@ -545,10 +616,12 @@ def fuzz_invariance(
         except _Undecided:
             undecided += 1
             continue
-        if before == after:
+        if failed is None:
             passed += 1
         elif counterexample is None:
-            shrunk = Rescaling(system, tuple(_shrink(program, logs, log_factors, before, memo)))
+            before, point, log_factors, kept = failed
+            shrunk = Rescaling(spec.system, tuple(_shrink(after, point, kept, log_factors, before)))
+            logs = dict(zip(spec.variable_names, point))
             counterexample = _confirmed(spec, trial, logs, shrunk, before, tol)
             undecided += counterexample is None
     if inapplicable + undecided == trials:
@@ -585,12 +658,11 @@ def _confirmed(spec, trial, logs, shrunk, before, tol) -> Counterexample | None:
     )
 
 
-def _shrink(program, logs, log_factors, before, memo) -> list[float]:
+def _shrink(after, point, kept, log_factors, before) -> list[float]:
     """Bisect each log factor toward 0 while the violation persists, each
-    candidate decided from the drawn point's sides, and each mixed
-    comparison's value before rescaling, kept in memo. A candidate that
-    is undecided, or that needs a branch outside the relation's domain, does
-    not violate."""
+    candidate decided by the trial kernel's `after` at the drawn point, from
+    what the trial kept of it. A candidate that is undecided, or that needs a
+    branch outside the relation's domain, does not violate."""
     log_factors = list(log_factors)
     for _ in range(_SHRINK_ROUNDS):
         improved = False
@@ -600,7 +672,7 @@ def _shrink(program, logs, log_factors, before, memo) -> list[float]:
             candidate = log_factors.copy()
             candidate[j] /= 2
             try:
-                violates = program(logs, candidate, memo)[1] != before
+                violates = after(*point, *kept, *candidate) != before
             except (EvaluationError, _Undecided):
                 violates = False
             if violates:

@@ -874,6 +874,9 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
     `uniform`; it shares only the ranges and the seeding target with
     `harness`. `fuzz_invariance` must give an equal
     report, float for float, and raise what this raises."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if trials < 1:
         raise ValueError("at least one trial required")
     check_tol(tol)

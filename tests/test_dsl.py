@@ -254,7 +254,7 @@ class TestNestingLimit:
         box = dict.fromkeys(env, harness._LOG_MAG_RANGE)
         assert harness._bounds(node, box) in (True, None)
         compiled = dsl.compile_relation(node, env)
-        assert compiled.truth({"x": 0.5, "y": 0.25, "t": 1.0}, 1e-9) in (True, False)
+        assert compiled.run({"x": 0.5, "y": 0.25, "t": 1.0}, 1e-9) in (True, False)
         bindings = {n: Quantity(0.5, d) for n, d in env.items()}
         assert evaluate(node, bindings) in (True, False)
 

@@ -221,23 +221,22 @@ class TestCompiledForm:
         length = DimVector.unit(DimSystem(("L",)), "L")
         node = parse_relation("x*x < x + x")
         bindings = {"x": Quantity(1.0, length)}
-        original, roots = dsl._lower, []
+        original, compiled_names = dsl.compile_source, []
 
-        def lower(n, found=None):
-            roots.extend([n] if n is node else [])
-            return original(n, found)
+        def compiled(source, name, **names):
+            compiled_names.append(name)
+            return original(source, name, **names)
 
-        monkeypatch.setattr(dsl, "_lower", lower)
+        monkeypatch.setattr(dsl, "compile_source", compiled)
         # a node is compiled on each call, and nothing is kept between calls
         assert evaluate(node, bindings) is evaluate(node, bindings) is False
-        assert len(roots) == 2
-        # a compiled relation is lowered when it is made, and never again
+        assert compiled_names == ["run", "run"]
+        # a compiled relation is lowered on its first run, and never again
         compiled = dsl.compile_relation(node, {"x": length})
-        assert len(roots) == 3
+        assert compiled_names == ["run", "run"]
         assert evaluate(compiled, bindings) is evaluate(compiled, bindings) is False
-        assert compiled.truth({"x": 1.0}, 1e-9) is compiled.run({"x": 1.0}, 1e-9) is False
-        assert compiled.space is dsl.TRUTH
-        assert len(roots) == 3
+        assert compiled.run({"x": 1.0}, 1e-9) is False
+        assert compiled_names == ["run"] * 3
         # a quantity's dimension is the compiled relation's type
         square = dsl.compile_relation(parse_relation("x*x"), {"x": length})
         assert evaluate(square, bindings) == evaluate(square.node, bindings) == Quantity(2.0, length**2)
@@ -255,7 +254,7 @@ class TestCompiledForm:
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec and hash(copy) == hash(spec)
         assert copy.relation == dsl.parse_relation(spec.relation_text)
-        # the kept plan stays behind: its closures and BOOL do not pickle as themselves
+        # the kept plan stays behind: its compiled functions and BOOL do not pickle as themselves
         assert "fuzz_plan" in vars(spec) and "fuzz_plan" not in vars(copy)
 
     def test_compiled_relation_sides(self):
@@ -264,17 +263,20 @@ class TestCompiledForm:
         node = parse_relation("x - y < z or is_pos_int(x/y) and not x*z <= z*x")
         compiled = dsl.compile_relation(node, {"x": length, "y": length, "z": time})
         assert compiled.type is dsl.BOOL
-        first, third = node.left, node.right.right.operand
-        assert [leaf[0] for leaf in compiled.leaves] == [first, node.right.left, third]
-        assert compiled.leaves[1][2] is None
-        (left_log, _, left_dim), (right_log, right_run, right_dim) = compiled.leaves[0][2]
-        assert (left_log, left_dim, right_log, right_dim) == (False, length, True, time)
-        assert [d for _, _, d in compiled.leaves[2][2]] == [length * time, time * length]
-        assert right_run({"x": 0.0, "y": 1.0, "z": 2.5}, 1e-9) == 2.5
-        logs = {"x": 0.5, "y": 0.0, "z": 1.0}
-        bindings = {"x": Quantity(0.5, length), "y": Quantity(0.0, length), "z": Quantity(1.0, time)}
-        assert compiled.truth(logs, 1e-9) is evaluate(node, bindings, 1e-9)
-        assert dsl.compile_relation(parse_relation("x*x"), {"x": length}).truth is None
+        # each comparison's two side dimensions, left to right; is_pos_int has none
+        assert compiled.side_dims == ((length, time), (length * time, time * length))
+        cases = [
+            {"x": 0.5, "y": 0.0, "z": 1.0},
+            {"x": 0.0, "y": math.log(3.0), "z": 2.5},  # x - y < 0 < z
+            {"x": 0.0, "y": 0.0, "z": -1.0},  # x - y = 0 < z, and is_pos_int(x/y)
+            {"x": math.log(2.0), "y": 0.0, "z": -5.0},  # x - y = 1 > z
+        ]
+        for logs in cases:
+            bindings = {n: Quantity(v, d) for (n, v), d in zip(logs.items(), (length, length, time))}
+            assert compiled.run(logs, 1e-9) is evaluate(node, bindings, 1e-9) is reference_evaluate(node, bindings, 1e-9)
+        # a quantity's run gives its log magnitude
+        square = dsl.compile_relation(parse_relation("x*x"), {"x": length})
+        assert square.side_dims == () and square.run({"x": 1.5}, 1e-9) == 3.0
 
     def test_quantity_result_carries_its_exact_dimension(self):
         system = DimSystem(("M", "T"))

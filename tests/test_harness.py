@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 import typing
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from piforge import dsl
+from piforge import core, dsl
 from piforge.core import DimSystem, DimVector, Quantity
 from piforge import harness
 from piforge.errors import DimensionMismatchError, EvaluationError, SpecError
@@ -39,6 +40,7 @@ from support import (
     reference_bounds,
     reference_fuzz,
     reference_log_combine,
+    run_cli,
     trial_rng,
 )
 
@@ -47,10 +49,16 @@ def _spec(name):
     return dsl.load_problem_spec(FIXTURES / f"{name}.json")
 
 
-def _program(spec, tol=1e-9):
-    """The (before, after) run `fuzz_invariance` builds for a relation with a
-    mixed comparison."""
-    return harness._pairs(spec.relation, iter(spec.fuzz_plan.compiled.leaves), tol)
+def _kernel_at(monkeypatch, spec, values, tol=1e-9):
+    """(trial, after): the spec's trial kernel, built over unit draw ranges,
+    so that its trial draws values as they are: each variable's log
+    magnitude, then each log factor."""
+    draws = iter(values)
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "_LOG_MAG_RANGE", (0.0, 1.0))
+        patched.setattr(harness, "_LOG_FACTOR_RANGE", (0.0, 1.0))
+        # built apart from the plan's own kernel, which keeps the real ranges
+        return harness._trial_kernel(spec.fuzz_plan)(lambda: next(draws), tol)
 
 
 class TestRescale:
@@ -210,22 +218,23 @@ class TestInapplicableTrials:
         with pytest.raises(EvaluationError, match="undefined on all 5 trials.*log of non-positive"):
             fuzz_invariance(spec, trials=5, seed=0)
 
-    def test_shrink_skips_out_of_domain_candidates(self, tmp_path):
+    def test_shrink_skips_out_of_domain_candidates(self, tmp_path, monkeypatch):
         # x < y holds before and fails after; x < v holds at both, so the
         # trial never needs the log, which no point can reach. Halving L's
         # factor makes x < v fail after, and the log is needed: that
         # candidate does not violate, though it would with the log's branch
         # in domain and false
-        logs = {"x": 0.0, "y": 1.0, "v": 1.0}
         shrunk = {}
         for branch in ("log(y/y - 1) < 1", "y < y"):
             spec = _spec_text(
                 tmp_path, {"x": "T", "y": "1", "v": "L"}, f"x < y and (x < v or {branch})",
                 system=("L", "T"),
             )
-            program = _program(spec)
-            assert program(logs, [4.0, 3.5], {}) == (True, False)
-            shrunk[branch] = harness._shrink(program, logs, [4.0, 3.5], True, {})
+            trial, after = _kernel_at(monkeypatch, spec, [0.0, 1.0, 1.0, 4.0, 3.5])
+            before, point, factors, kept = trial()
+            assert (before, point, factors) == (True, (0.0, 1.0, 1.0), [4.0, 3.5])
+            assert after(*point, *kept, *factors) is False
+            shrunk[branch] = harness._shrink(after, point, kept, factors, True)
         assert shrunk == {"log(y/y - 1) < 1": [1.0, 1.75], "y < y": [0.5**18, 1.75]}
 
     def test_report_invariant(self):
@@ -472,11 +481,30 @@ class TestMixedComparisons:
         # x < y holds before: a growing L makes x, of L^1e308, the larger
         assert (ce.factors["L"] > 1) == ce.before
 
-    def test_shrink_skips_an_undecided_candidate(self, tmp_path):
+    def test_a_finite_spread_within_the_float_bound_is_undecided(self, tmp_path, monkeypatch):
+        # x < y, bound 6 ulp: at these logs the gap, 3/32, equals the bound
+        # times the spread 1 + |x| + |y| as floats round them, and exceeds it
+        # in exact arithmetic. The floats leave the gap open, and a finite
+        # spread then makes it undecided, never decided again in Fractions
+        spec = _spec_text(tmp_path, {"x": "L", "y": "T"}, "x < y", system=("L", "T"))
+        x, y = 2.0**45 - 117/256, 2.0**45 - 141/256
+        m = harness._Mixed(spec.relation, *spec.fuzz_plan.compiled.side_dims[0])
+        assert x - y == 3/32 == m.bound * (1.0 + abs(x) + abs(y))
+        assert Fraction(x) - Fraction(y) > Fraction(m.bound) * (1 + Fraction(x) + Fraction(y))
+        trial, _ = _kernel_at(monkeypatch, spec, [x, y, 0.0, 0.0])
+        with pytest.raises(harness._Undecided):
+            trial()
+        # one step further from the edge, the floats decide it: x < y is false
+        trial, _ = _kernel_at(monkeypatch, spec, [x + 1/256, y, 0.0, 0.0])
+        assert trial() is None
+
+    def test_shrink_skips_an_undecided_candidate(self, tmp_path, monkeypatch):
         # gap -1 + μ: μ = 4 violates, μ = 2 too, and μ = 1 puts the gap on the edge
         spec = _spec_text(tmp_path, {"x": "L", "y": "1"}, "x < y")
-        program = _program(spec)
-        assert harness._shrink(program, {"x": 0.0, "y": 1.0}, [4.0], True, {}) == [2.0]
+        trial, after = _kernel_at(monkeypatch, spec, [0.0, 1.0, 4.0])
+        before, point, factors, kept = trial()
+        assert (before, point, factors) == (True, (0.0, 1.0), [4.0])
+        assert harness._shrink(after, point, kept, factors, True) == [2.0]
 
     def test_undecided_trials_are_counted(self, tmp_path):
         # x is seeded to y - z wherever that is positive: the gap is then 0,
@@ -539,6 +567,26 @@ def _stream_specs():
     return out
 
 
+def _nodes(node):
+    yield node
+    for child in dsl.children(node):
+        yield from _nodes(child)
+
+
+def _recording_kernel(monkeypatch, spec):
+    """Wrap the spec's trial kernel; returns (draws, returned): every float
+    its draw gives, and what each of its trials returns."""
+    plan, draws, returned = spec.fuzz_plan, [], []
+    make = plan.kernel
+
+    def kernel(draw, tol):
+        trial, after = make(lambda: draws.append(draw()) or draws[-1], tol)
+        return lambda: returned.append(trial()) or returned[-1], after
+
+    monkeypatch.setattr(plan, "kernel", kernel)
+    return draws, returned
+
+
 class TestTrialStream:
     """One generator reseeded per trial draws what `trial_rng`, a new
     generator per trial, draws through `uniform`; and the reports, each
@@ -548,29 +596,26 @@ class TestTrialStream:
     @pytest.mark.parametrize("seed", [0, 7, -5, 2**31 - 1])
     def test_draws_equal_the_reference_stream(self, monkeypatch, seed):
         spec = dict(_stream_specs())["not x < y"]
-        drawn, make_pairs = [], harness._pairs
-
-        def recording_pairs(node, leaves, tol):
-            program = make_pairs(node, leaves, tol)
-            if node is not spec.relation:  # a part, built by the call on the whole
-                return program
-
-            def run(logs, mu, memo):
-                if not memo:  # a trial's first call: the shrinker's find memo filled
-                    drawn.append(([v.hex() for v in logs.values()], [m.hex() for m in mu]))
-                return program(logs, mu, memo)
-
-            return run
-
-        monkeypatch.setattr(harness, "_pairs", recording_pairs)
+        draws, returned = _recording_kernel(monkeypatch, spec)
         fuzz_invariance(spec, trials=1000, seed=seed)
-        expected = []
+        per_trial = len(spec.variable_names) + spec.system.size
+        assert len(draws) == 1000 * per_trial and len(returned) == 1000
+        failed = 0
         for trial in range(1000):
+            # the kernel's draws are the reference generator's, in order
+            rng = trial_rng(seed, trial)
+            assert draws[trial * per_trial:(trial + 1) * per_trial] == [
+                rng.random() for _ in range(per_trial)]
+            if returned[trial] is None:
+                continue
+            # and a failing trial's logs and factors are what `uniform` draws
             rng = trial_rng(seed, trial)
             logs = [rng.uniform(*harness._LOG_MAG_RANGE).hex() for _ in spec.variable_names]
             factors = [rng.uniform(*harness._LOG_FACTOR_RANGE).hex() for _ in spec.system.names]
-            expected.append((logs, factors))
-        assert drawn == expected
+            _, point, log_factors, _ = returned[trial]
+            assert ([v.hex() for v in point], [m.hex() for m in log_factors]) == (logs, factors)
+            failed += 1
+        assert failed > 100
 
     @pytest.mark.parametrize("spec", [s for _, s in _stream_specs()], ids=[n for n, _ in _stream_specs()])
     def test_reports_equal_the_reference(self, spec):
@@ -581,14 +626,23 @@ class TestTrialStream:
 
     @pytest.mark.parametrize("name", ["hidden_constant#0", "mixed_lt#0", "x = y - z"])
     def test_each_side_is_evaluated_once_per_drawn_point(self, monkeypatch, name):
-        # a seeded side's point is the seeder's, and the shrinker decides
-        # from the sides and value before rescaling kept for its point
+        # each side is lowered once into the kernel, a seeded side by the
+        # seeder alone, and none into `after`, which the shrinker calls: the
+        # kernel is straight-line, so a side runs at most once per trial,
+        # and never while shrinking
         spec = dict(_stream_specs())[name]
-        calls, point = [], harness._point
-        monkeypatch.setattr(harness, "_point", lambda *args: calls.append(args) or point(*args))
+        assert not spec.fuzz_plan.proven  # its plan made, its kernel not yet
+        lowered, native = [], dsl.Lowering.native
+        with monkeypatch.context() as patched:
+            patched.setattr(dsl.Lowering, "native", lambda low, node: lowered.append(node) or native(low, node))
+            spec.fuzz_plan.kernel
         report = fuzz_invariance(spec, trials=200, seed=2)
         assert report.counterexample is not None
-        assert len(calls) == 2 * 200
+        sides = (spec.relation.left, spec.relation.right)
+        assert [sum(node is side for node in lowered) for side in sides] == [1, 1]
+        # the kernel lowered nothing else that is not part of a side
+        parts = [node for side in sides for node in _nodes(side)]
+        assert all(any(node is part for part in parts) for node in lowered)
 
 
 class TestChecksBeforeTheFirstTrial:
@@ -819,7 +873,7 @@ class TestProvenDomain:
             if not _is_proven(spec):
                 continue
             seeded = _seeded_log(spec)
-            truth = dsl.compile_relation(spec.relation, spec.env).truth
+            truth = dsl.compile_relation(spec.relation, spec.env).run
             for point in itertools.product(ends, repeat=3):
                 logs = dict(zip("xyz", point))
                 if seeded is not None:
@@ -839,7 +893,7 @@ class TestProvenDomain:
         spec = _line_spec(text)
         assert not _is_proven(spec)
         seeded = _seeded_log(spec)
-        truth = dsl.compile_relation(spec.relation, spec.env).truth
+        truth = dsl.compile_relation(spec.relation, spec.env).run
         undefined = 0
         for point in itertools.product((lo, hi), repeat=3):
             logs = dict(zip("xyz", point))
@@ -898,6 +952,19 @@ class TestProvenDomain:
             fuzz_invariance(_spec_text(tmp_path, {"x": "L"}, "x*x"), trials=10)
         with pytest.raises(SpecError, match="beyond the float range"):
             fuzz_invariance(_spec_text(tmp_path, {"x": f"L^{10**310}", "y": "L"}, "x = x"), trials=10)
+
+    @pytest.mark.parametrize("fuzz", [fuzz_invariance, reference_fuzz], ids=["harness", "reference"])
+    @pytest.mark.parametrize("name", ["newton", "hidden_constant"])
+    @pytest.mark.parametrize("argument,value", [
+        ("trials", 2.5), ("trials", True), ("trials", "10"), ("seed", 1.5), ("seed", "abc"), ("seed", False),
+    ])
+    def test_trials_and_seed_must_be_ints(self, fuzz, name, argument, value):
+        # a proven spec and a sampled one, refused before the plan is made
+        spec = _spec(name)
+        arguments = {"trials": 10, "seed": 0, argument: value}
+        with pytest.raises(TypeError, match=f"^{argument} must be an int, got {type(value).__name__}$"):
+            fuzz(spec, **arguments)
+        assert "fuzz_plan" not in vars(spec)
 
 
 class TestReferenceNearTheFloatLimit:
@@ -994,17 +1061,19 @@ class TestSeederDecides:
             "relation": "x = y^103 + z^103",
         })
         assert not spec.fuzz_plan.proven
-        original, calls = dsl._finite, [0]
+        original, calls = dsl._exp, [0]
 
         def counted(v):
             calls[0] += 1
             return original(v)
 
-        monkeypatch.setattr(dsl, "_finite", counted)
+        # the kernel, built on the first call, reads exp from here
+        monkeypatch.setitem(dsl._GLOBALS, "exp", counted)
         reports = [fuzz_invariance(spec, trials=100, seed=seed) for seed in range(4)]
         monkeypatch.undo()
-        # y^103, z^103 and their sum, once each per trial
-        assert calls[0] == 3 * 100 * 4
+        # y^103 and z^103 taken to linear space for their sum, once each per
+        # trial; the relation itself would take x there too
+        assert calls[0] == 2 * 100 * 4
         for seed, report in enumerate(reports):
             assert (report.passed, report.inapplicable) == (100, 0)
             assert _fingerprint(fuzz_invariance, spec, 100, seed, 1e-9) == _fingerprint(
@@ -1024,60 +1093,64 @@ _INVARIANT_FIXTURES = ("newton", "light_three_var", "electronics", "independent_
 _INVARIANT_SHAPES = ("power_lt", "seeded_eq", "sum_le", "log_sin", "bool_mix")
 
 
+def _recording_compiled(monkeypatch):
+    """The list of (name, source) of each compilation from here on."""
+    sources, original = [], core.compile_source
+
+    def compiled(source, name, **names):
+        sources.append((name, source))
+        return original(source, name, **names)
+
+    for module in (core, dsl, harness):
+        monkeypatch.setattr(module, "compile_source", compiled)
+    return sources
+
+
+def _compiling_raises(monkeypatch):
+    def compiled(source, name, **names):
+        raise AssertionError(f"compiled {name}")
+
+    for module in (core, dsl, harness):
+        monkeypatch.setattr(module, "compile_source", compiled)
+
+
 class TestLoweringOnlyWhenTrialsRun:
-    """A relation is lowered into float closures once per spec, whole, when
-    its plan is made. A call on a relation that needs no trial lowers
-    nothing more and runs none of those closures; one that runs trials
-    lowers nothing more either, and the counterexample's confirmation
-    through `evaluate` reuses the plan's lowering."""
+    """A relation is typed once per spec, when its plan is made, and
+    lowered only where it runs: its trial kernel on the first call that
+    draws trials, its run on the first counterexample confirmed. A call on
+    a relation that needs no trial compiles nothing and runs nothing of the
+    relation; one that runs trials compiles nothing after its first
+    counterexample, and the confirmation through `evaluate` reuses the
+    plan's compiled relation."""
 
     @staticmethod
-    def _lowering_raises(monkeypatch):
-        def lower(node, found=None):
-            raise AssertionError(f"lowered {dsl.print_relation(node)}")
-
-        monkeypatch.setattr(dsl, "_lower", lower)
-
-    @classmethod
-    def _nothing_runs(cls, monkeypatch, spec):
-        """Make the spec's plan, then fail on any lowering, any closure of
-        the plan's run and any trial program."""
-        compiled = spec.fuzz_plan.compiled
-        cls._lowering_raises(monkeypatch)
+    def _nothing_runs(monkeypatch, spec):
+        """Make the spec's plan, then fail on any compilation, any run of
+        the plan's compiled relation and any trial kernel."""
+        plan = spec.fuzz_plan
+        _compiling_raises(monkeypatch)
 
         def refuse(*args):
             raise AssertionError(f"ran {spec.relation_text}")
 
+        # set in place of what getattr would compile
         for name in ("run", "truth"):
-            monkeypatch.setattr(compiled, name, refuse)
-        monkeypatch.setattr(compiled, "leaves", tuple((n, refuse, None) for n, _, _ in compiled.leaves))
-        monkeypatch.setattr(harness, "_pairs", refuse)
+            monkeypatch.setitem(vars(plan.compiled), name, refuse)
+        monkeypatch.setitem(vars(plan), "kernel", refuse)
 
     @staticmethod
-    def _roots_lowered(monkeypatch, root):
-        """The list of each lowering of root, the whole relation, as it is
-        made; a lowering of any other node outside one of root is an error."""
-        original, depth, roots = dsl._lower, [0], []
-
-        def lower(node, found=None):
-            assert depth[0] or node is root, f"lowered {dsl.print_relation(node)} alone"
-            if node is root:
-                roots.append(node)
-            depth[0] += 1
-            try:
-                return original(node, found)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(dsl, "_lower", lower)
-        return roots
+    def _compiled_nothing(spec):
+        plan = spec.fuzz_plan
+        return not {"run", "truth", "leaves"} & set(vars(plan.compiled)) and "kernel" not in vars(plan)
 
     @pytest.mark.parametrize("name", _INVARIANT_FIXTURES)
     def test_invariant_fixtures_lower_nothing(self, monkeypatch, name):
         spec = _spec(name)
-        self._nothing_runs(monkeypatch, spec)
-        for seed in (0, 3):
-            assert fuzz_invariance(spec, trials=100, seed=seed).passed == 100
+        with monkeypatch.context() as patched:
+            self._nothing_runs(patched, spec)
+            for seed in (0, 3):
+                assert fuzz_invariance(spec, trials=100, seed=seed).passed == 100
+        assert self._compiled_nothing(spec)
 
     @pytest.mark.parametrize("template", _INVARIANT_SHAPES)
     def test_invariant_corpus_shapes_lower_nothing(self, monkeypatch, template):
@@ -1087,6 +1160,7 @@ class TestLoweringOnlyWhenTrialsRun:
             with monkeypatch.context() as patched:
                 self._nothing_runs(patched, spec)
                 assert fuzz_invariance(spec, trials=100, seed=7).passed == 100
+            assert self._compiled_nothing(spec)
 
     @pytest.mark.parametrize("label", ["hidden_constant", "mixed_lt", "unproven"])
     def test_a_call_that_runs_trials_lowers_once(self, monkeypatch, label):
@@ -1097,24 +1171,24 @@ class TestLoweringOnlyWhenTrialsRun:
             spec = _corpus_spec(*corpus_relation(random.Random(5), "mixed_lt"))
         else:
             spec = _spec(label)
-        roots = self._roots_lowered(monkeypatch, spec.relation)
-        counting, confirmations = dsl._lower, []
+        sources, confirmations = _recording_compiled(monkeypatch), []
         original_confirmed = harness._confirmed
 
         def confirmed(*args):
-            self._lowering_raises(monkeypatch)
-            try:
-                confirmations.append(original_confirmed(*args))
-            finally:
-                monkeypatch.setattr(dsl, "_lower", counting)
+            compiled_before = len(sources)
+            confirmations.append(original_confirmed(*args))
+            # through evaluate, on the plan's compiled relation: its run,
+            # compiled on the first confirmation, and nothing after it
+            assert [name for name, _ in sources[compiled_before:]] == ([] if confirmations[1:] else ["run"])
+            assert vars(spec.fuzz_plan.compiled)["run"]
             return confirmations[-1]
 
         monkeypatch.setattr(harness, "_confirmed", confirmed)
         for seed in (0, 1, 2):
             report = fuzz_invariance(spec, trials=100, seed=seed)
-            assert len(roots) == 1
+            # the kernel, on the first call, and no other lowering
+            assert [name for name, _ in sources] == ["kernel"] + ([] if label == "unproven" else ["run"])
             assert (report.counterexample is None) == (label == "unproven")
-        # the confirmation ran, through evaluate, and lowered nothing
         assert len(confirmations) == (0 if label == "unproven" else 3)
         assert all(confirmations)
 
@@ -1151,8 +1225,10 @@ class TestPlanKeptPerSpec:
             return raising
 
         with monkeypatch.context() as patched:
-            for module, name in ((dsl, "typecheck"), (dsl, "_lower"), (harness, "_bounds"),
-                                 (harness, "_equality_seed_target"), (harness, "compile_relation")):
+            for module, name in ((dsl, "typecheck"), (dsl, "Lowering"), (harness, "Lowering"),
+                                 (core, "compile_source"), (dsl, "compile_source"), (harness, "compile_source"),
+                                 (harness, "_bounds"), (harness, "_equality_seed_target"),
+                                 (harness, "compile_relation")):
                 patched.setattr(module, name, refuse(name))
             again = [fuzz_invariance(spec, trials=100, seed=seed, tol=tol)
                      for seed, tol in ((0, 1e-9), (5, 1e-9), (5, 1e-6))]
@@ -1169,7 +1245,8 @@ class TestPlanKeptPerSpec:
         assert "fuzz_plan" in vars(a) and "fuzz_plan" not in vars(b)
         assert fuzz_invariance(b, trials=50, seed=1) == report
         assert a.fuzz_plan is not b.fuzz_plan
-        assert a.fuzz_plan.compiled.leaves[0][1] is not b.fuzz_plan.compiled.leaves[0][1]
+        assert a.fuzz_plan.compiled.run is not b.fuzz_plan.compiled.run
+        assert a.fuzz_plan.kernel is not b.fuzz_plan.kernel
 
     @pytest.mark.parametrize("variables,relation,message", [
         ({"x": "L", "t": "T"}, "x + t < x", "relation is ill-typed: '+' needs equal dimensions: L vs T"),
@@ -1217,3 +1294,113 @@ class TestPlanKeptPerSpec:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert reports == expected
+
+
+def _renamed(spec):
+    """The spec with each variable renamed, its relation text reprinted."""
+    new = {name: f"renamed{i}" for i, name in enumerate(spec.variable_names)}
+    text = re.sub(r"[A-Za-z_][A-Za-z_0-9]*", lambda m: new.get(m.group(), m.group()), spec.relation_text)
+    return dsl.ProblemSpec(spec.system, tuple(new.values()), spec.variable_dims, dsl.parse_relation(text), text)
+
+
+class TestGeneratedSource:
+    """Every source passed to `core.compile_source` (a relation's run and
+    sides, a trial kernel) holds no quote character, and a spec whose
+    variables are renamed compiles the very same sources: none holds a
+    variable name or the relation's text. A plan builds its trial kernel
+    once, on the first call that draws trials, whatever the tol, and never
+    where it is proven."""
+
+    @staticmethod
+    def _specs():
+        rng = random.Random(197)
+        specs = [_spec(name) for name in (*_INVARIANT_FIXTURES, "hidden_constant")]
+        specs += [s for _, s in _stream_specs()]
+        for template in CORPUS_TEMPLATES:
+            specs += [_corpus_spec(*corpus_relation(rng, template)) for _ in range(3)]
+        length, time = DimVector.unit(CORPUS_SYSTEM, "L"), DimVector.unit(CORPUS_SYSTEM, "T")
+        for text in (*_PROVEN_USES.values(), "not x^2 < pi*y*z"):
+            specs.append(_line_spec(text))
+            # the same node kinds in a relation that runs trials
+            specs.append(_corpus_spec(f"({text}) and x < w", {"x": length, "y": length, "z": length, "w": time}))
+        return specs
+
+    @staticmethod
+    def _compiled_sources(monkeypatch, spec):
+        with monkeypatch.context() as patched:
+            sources = _recording_compiled(patched)
+            try:
+                fuzz_invariance(spec, trials=50, seed=0)
+            except EvaluationError:
+                pass
+            spec.fuzz_plan.compiled.run
+        return [source for _, source in sources]
+
+    def test_no_source_holds_a_string_of_the_spec(self, monkeypatch):
+        kernels = 0
+        for spec in self._specs():
+            sources = self._compiled_sources(monkeypatch, spec)
+            assert sources and not any(q in source for source in sources for q in "'\""), spec.relation_text
+            assert sources == self._compiled_sources(monkeypatch, _renamed(spec)), spec.relation_text
+            kernels += any(source.startswith("def kernel(") for source in sources)
+        assert kernels > 30
+
+    @pytest.mark.parametrize("label", ["hidden_constant", "mixed_lt", "unproven", "newton", "seeded_eq"])
+    def test_a_plan_builds_its_kernel_once_and_a_proven_one_none(self, monkeypatch, label):
+        spec = _kept_spec(label)
+        sources = _recording_compiled(monkeypatch)
+        calls = ((0, 1e-9), (3, 0.5), (0, 1e-9))
+        reports = [fuzz_invariance(spec, trials=100, seed=seed, tol=tol) for seed, tol in calls]
+        kernels = [name for name, _ in sources if name == "kernel"]
+        assert kernels == ([] if spec.fuzz_plan.proven else ["kernel"])
+        assert spec.fuzz_plan.proven == (label in ("newton", "seeded_eq"))
+        # the tol a call passes is the kernel's argument, kept by nothing
+        assert reports == [fuzz_invariance(_kept_spec(label), trials=100, seed=seed, tol=tol)
+                           for seed, tol in calls]
+
+
+def _deep(kind, levels):
+    """A relation over x, y of dimension L and t of T in which one node
+    kind nests levels times, beside a mixed comparison, so that trials run."""
+    if kind == "not":
+        return "not " * levels + "x < t"
+    if kind in ("and", "or"):  # right-nested, as parentheses group them
+        return f" {kind} (".join(["x < t"] * (levels + 1)) + ")" * levels
+    if kind == "*":
+        return "*".join(["x"] * (levels + 1)) + " < t"
+    if kind == "^":
+        return "x" + "^1" * levels + " < t"
+    if kind == "sin":
+        return "sin(" * levels + "x/y" + ")" * levels + " < t"
+    if kind == "sum":  # parenthesised, each sum the left operand of the next
+        return "(" * levels + "x" + " + y)" * levels + " < t"
+    raise ValueError(kind)
+
+
+class TestKernelAtTheNestingLimit:
+    """Each node kind nested as deeply as `dsl.MAX_NESTING` allows compiles,
+    its trial kernel included (no statement nests per node, so neither
+    Python's limit on nested blocks nor on nested parentheses is reached),
+    reports as the reference does, and `piforge verify` exits by its
+    verdict."""
+
+    @pytest.mark.parametrize("kind", ["not", "and", "or", "*", "^", "sin", "sum"])
+    def test_each_kind_at_the_limit(self, tmp_path, kind):
+        levels = dsl.MAX_NESTING
+        while True:  # the most levels that parse
+            try:
+                dsl.parse_relation(_deep(kind, levels))
+                break
+            except dsl.ParseError:
+                levels -= 1
+        assert levels > 90  # an and/or level takes two parser calls, the others one
+        with pytest.raises(dsl.ParseError, match="nests more than"):
+            dsl.parse_relation(_deep(kind, levels + 1))
+        raw = {"system": ["L", "T"], "variables": {"x": "L", "y": "L", "t": "T"}, "relation": _deep(kind, levels)}
+        (tmp_path / "spec.json").write_text(json.dumps(raw))
+        spec = dsl.load_problem_spec(tmp_path / "spec.json")
+        expected = _fingerprint(reference_fuzz, spec, 30, 0, 1e-9)
+        assert _fingerprint(fuzz_invariance, spec, 30, 0, 1e-9) == expected
+        assert "kernel" in vars(spec.fuzz_plan)
+        proc = run_cli("verify", "--spec", str(tmp_path / "spec.json"), "--trials", "30", "--seed", "0")
+        assert (proc.returncode, proc.stderr) == (0 if expected[4] is None else 1, b"")
