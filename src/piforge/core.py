@@ -18,7 +18,9 @@ an equal list built from other objects reduces again.
 `log_combine` and `orbit_gap` are the one-shot float paths, and the
 reference for `log_values_kernel` and `orbit_gap_kernel`, which generate
 straight-line functions giving the same floats for a basis that runs many
-records (`pigroups.PiBasis`).
+records (`pigroups.PiBasis`). An orbit-gap kernel's code depends on its
+shape alone and is compiled once per (slots, rank) per process; each basis
+keeps its own closure over its own rows.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import (
     ArityMismatchError,
@@ -447,21 +449,32 @@ def log_values_kernel(vectors, n: int):
                           "log_values")
 
 
+@cache
+def _orbit_gap_maker(n: int, rank: int):
+    """`make(rows)` for the orbit-gap kernel of an n-slot log vector over
+    rank rows, compiled once per (n, rank) per process: its source holds
+    slot and row indices only, no float of any basis, so the table keeps
+    code alone and grows with the distinct shapes, not the bases."""
+    v, u = _slots("v", n), _slots("u", n)
+    lines = ["def make(rows):", f" ({_slots('r', rank)}) = rows",
+             " def orbit_gap(v):", f"  ({v}) = v"]
+    for i in range(rank):
+        lines.append(f"  ({u}) = r{i}")
+        lines.append(f"  c = fsum(({''.join(f'v{j}*u{j}, ' for j in range(n))}))")
+        if i < rank - 1:
+            lines += [f"  v{j} -= c*u{j}" for j in range(n)]
+    # the last row's update goes straight into hypot
+    last = "".join(f"v{j} - c*u{j}, " for j in range(n)) if rank else v
+    lines += [f"  return hypot({last})", " return orbit_gap"]
+    return compile_source("\n".join(lines), "make", fsum=math.fsum, hypot=math.hypot)
+
+
 def orbit_gap_kernel(rows, n: int):
     """A function of an n-slot log vector that returns `orbit_gap(rows,
     logs)`, float for float: `_residual` unrolled over rows and slots, each
     dot product one `fsum` of the same products in slot order, then
     `hypot`. The rows are data, the kernel's closure cells, so the source
-    depends on the shape alone. The vector must hold n entries."""
-    v, u = _slots("v", n), _slots("u", n)
-    lines = ["def make(rows):", f" ({_slots('r', len(rows))}) = rows",
-             " def orbit_gap(v):", f"  ({v}) = v"]
-    for i in range(len(rows)):
-        lines.append(f"  ({u}) = r{i}")
-        lines.append(f"  c = fsum(({''.join(f'v{j}*u{j}, ' for j in range(n))}))")
-        if i < len(rows) - 1:
-            lines += [f"  v{j} -= c*u{j}" for j in range(n)]
-    # the last row's update goes straight into hypot
-    last = "".join(f"v{j} - c*u{j}, " for j in range(n)) if rows else v
-    lines += [f"  return hypot({last})", " return orbit_gap"]
-    return compile_source("\n".join(lines), "make", fsum=math.fsum, hypot=math.hypot)(rows)
+    depends on the shape alone: its code is compiled once per (n,
+    len(rows)) per process and shared, while each call gets its own closure
+    over its own rows. The vector must hold n entries."""
+    return _orbit_gap_maker(n, len(rows))(rows)

@@ -17,10 +17,14 @@ ref's Quantity objects, by `is`, and tol: a stream of `canonical_rep`
 records at one reference checks its dimensions and consistency once, not
 per record. A list of equal copies, or one edited in place, is checked
 again. The float work itself runs in the basis's two kernels, straight-line
-functions generated once per basis object on first use
-(`PiBasis.log_values`, every group's log value, and `PiBasis.orbit_gap`,
-the distance from the rescaling orbit), float for float what the loops of
-`log_combine` and `core.orbit_gap` give.
+functions made for each basis object on first use (`PiBasis.log_values`,
+every group's log value, and `PiBasis.orbit_gap`, the distance from the
+rescaling orbit), float for float what the loops of `log_combine` and
+`core.orbit_gap` give. `log_values` is generated per basis, its exponents
+inlined; the orbit-gap code is compiled once per (slots, rank) shape per
+process and shared, while its rows and the groups stay per basis. A record
+builds no verdict object for an equivalent pair and no `PiValues` in
+`canonical_rep`.
 
 Equivalence classes and invariant sets are uncountable, so they are only ever
 represented intensionally — as verdicts and predicates, never enumerated.
@@ -71,6 +75,9 @@ class EquivalenceVerdict:
             raise ValueError("verdict flag and reason disagree")
 
 
+_EQUIVALENT = EquivalenceVerdict(True, VerdictReason.EQUIVALENT)
+
+
 def pi_values(basis: PiBasis, xs: Sequence[Quantity]) -> PiValues:
     """Evaluate every group of the basis at xs; each result is dimensionless.
 
@@ -109,9 +116,9 @@ def equivalent(
         return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
     delta = [x.log_magnitude - y.log_magnitude for x, y in zip(xs, ys)]
     if basis.r == 0 or basis.orbit_gap(delta) <= tol:
-        return EquivalenceVerdict(True, VerdictReason.EQUIVALENT)
-    group_logs = basis.log_values(delta)
-    worst = max(range(basis.r), key=lambda i: abs(group_logs[i]))
+        return _EQUIVALENT
+    sizes = list(map(abs, basis.log_values(delta)))
+    worst = max(range(basis.r), key=sizes.__getitem__)
     return EquivalenceVerdict(False, VerdictReason.PI_MISMATCH, mismatch_index=worst)
 
 
@@ -166,9 +173,13 @@ def canonical_rep(
     xs: Sequence[Quantity],
     tol: float = DEFAULT_TOL,
 ) -> list[Quantity]:
-    """The member of xs's class whose pivot coordinates relative to ref are 1."""
-    values = pi_values(sb.base, xs)
-    return preimage(sb, ref, values.log_values, tol=tol)
+    """The member of xs's class whose pivot coordinates relative to ref are 1.
+
+    xs is checked, and its pi-values taken, before ref is: a wrong xs
+    raises as `pi_values` does, whatever ref holds."""
+    check_dims(sb.base.dims, xs, "xs")
+    log_values = sb.base.log_values([x.log_magnitude for x in xs])
+    return _place_free_slots(sb, ref, _anchor(sb, ref, tol), log_values)
 
 
 def nondimensionalize(

@@ -21,9 +21,10 @@ entries; a public basis scans its groups for it on first use.
 A basis's float path runs in two kernels, `log_values` (every group's
 `log_combine`) and `orbit_gap` (`core.orbit_gap` over its `row_space`),
 generated by `core.log_values_kernel` and `core.orbit_gap_kernel` on first
-use and kept on that basis object alone. The builders, `transition` and
-`units.is_consistent` build none; pickling drops them, and a copy builds
-its own when it is used.
+use and kept on that basis object alone; the orbit-gap code is compiled
+once per (slots, rank) shape and shared, over each basis's own rows. The
+builders, `transition` and `units.is_consistent` build none; pickling drops
+them, and a copy builds its own when it is used.
 
 The public constructors `PiBasis`, `SpecialPiBasis` and `Transition`, and
 `is_pi_basis`, validate the groups a caller hands them. The builders read
@@ -113,7 +114,9 @@ class PiBasis:
     @cached_property
     def orbit_gap(self):
         """`core.orbit_gap` over `row_space`, of an n-slot log list, float
-        for float: `core.orbit_gap_kernel`, built on first use."""
+        for float: `core.orbit_gap_kernel`, built on first use. Its code is
+        shared by every basis of the same (slots, rank) shape in the
+        process; its rows are this basis's own."""
         return orbit_gap_kernel(self.row_space, len(self.dims))
 
     def __getstate__(self):

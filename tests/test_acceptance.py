@@ -294,8 +294,10 @@ def test_criterion_7_nondimensionalization_soundness():
         env = dict(zip(names, dims))
         assert dsl.typecheck(relation, env) is dsl.BOOL
 
-        def f(values, _relation=relation, _names=names):
-            return dsl.evaluate(_relation, dict(zip(_names, values)))
+        compiled = dsl.compile_relation(relation, env)
+
+        def f(values, _compiled=compiled, _names=names):
+            return dsl.evaluate(_compiled, dict(zip(_names, values)))
 
         sb = special_basis(dims)
         ref = [Quantity(0.0, d) for d in dims]

@@ -149,6 +149,33 @@ class TestBitForBit:
             for built in (basis, sb.base, sb.canonical):
                 assert not set(KERNELS) & set(vars(built))
 
+    def test_one_orbit_gap_code_object_per_shape(self):
+        """Bases of one (slots, rank) shape share their orbit-gap code even
+        when built interleaved with other shapes; each closes over its own
+        rows and gives the generator-form gap as float hex. A basis of any
+        other shape runs other code."""
+        rng = random.Random(181)
+        bases = []
+        for _ in range(3):
+            for d, n in ((3, 6), (4, 10), (2, 6), (4, 12)):
+                bases.append(pi_basis(ladder_dims(rng, d, n)))
+        # a shape is (slots, rank); the ladder draws decide the rank
+        shapes = [(len(b.dims), len(b.row_space)) for b in bases]
+        assert len(set(shapes)) >= 4 and len(set(shapes)) < len(shapes)
+        for basis in bases:
+            cells = basis.orbit_gap.__closure__
+            rows = dict(zip(basis.orbit_gap.__code__.co_freevars, [c.cell_contents for c in cells]))
+            assert len(rows) == len(basis.row_space)
+            assert all(rows[f"r{i}"] is row for i, row in enumerate(basis.row_space))
+            logs = _logs(rng, len(basis.dims))
+            gap = reference_orbit_gap(basis.row_space, logs)
+            assert basis.orbit_gap(logs).hex() == gap.hex()
+        for a, sa in zip(bases, shapes):
+            for b, sb in zip(bases, shapes):
+                assert (a.orbit_gap.__code__ is b.orbit_gap.__code__) == (sa == sb)
+                if sa == sb and a is not b:
+                    assert a.orbit_gap is not b.orbit_gap and a.row_space != b.row_space
+
     @pytest.mark.parametrize("clash", [False, True], ids=["consistent", "inconsistent"])
     def test_is_consistent(self, clash):
         rng = random.Random(109 + clash)

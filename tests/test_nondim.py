@@ -16,6 +16,7 @@ from piforge.errors import (
 )
 from piforge.harness import Rescaling, rescale
 from piforge.nondim import (
+    EquivalenceVerdict,
     VerdictReason,
     canonical_rep,
     equivalent,
@@ -32,6 +33,7 @@ from support import (
     random_dims,
     random_invertible,
     random_quantities,
+    reference_log_combine,
     seeded_systems,
 )
 
@@ -740,3 +742,95 @@ class TestExponentBeyondTheFloatRange:
         xs = [Quantity(1e-308 * float(w.exponents[0]), w) for w in (self.dims[0], big, big)]
         with pytest.raises(EvaluationError, match="float range"):
             units.is_consistent(xs)
+
+
+def _first_largest(group_logs) -> int:
+    """The group a Python max over |log| names: the first of any tie."""
+    return max(range(len(group_logs)), key=lambda i: abs(group_logs[i]))
+
+
+class TestRecordPath:
+    """What a record returns is what the public constructors and the
+    term-by-term loops give, whatever objects the record path reuses."""
+
+    def test_mismatch_index_is_the_first_of_tied_largest_groups(self):
+        """Logs of 0.0 at every pivot slot give each group its free slot's
+        term alone, so the largest |group logs| tie exactly: at t and -t in
+        the special basis, at c*t for equal c in the canonical one."""
+        rng = random.Random(191)
+        ties = 0
+        for system, dims in seeded_systems(200):
+            sb = special_basis(dims)
+            if sb.base.r < 2:
+                continue
+            t = rng.uniform(1.0, 5.0)
+            logs = [0.0] * len(dims)
+            for free in sb.free_indices:
+                logs[free] = rng.choice((t, -t, rng.uniform(-t / 2, t / 2)))
+            for free in rng.sample(sb.free_indices, 2):
+                logs[free] = rng.choice((t, -t))
+            xs = [Quantity(v, w) for v, w in zip(logs, dims)]
+            origin = [Quantity(0.0, w) for w in dims]
+            for basis in (sb.base, sb.canonical):
+                group_logs = [reference_log_combine(g.exponents, logs) for g in basis.groups]
+                worst = _first_largest(group_logs)
+                expected = EquivalenceVerdict(False, VerdictReason.PI_MISMATCH, mismatch_index=worst)
+                assert equivalent(basis, xs, origin) == expected
+                ties += [abs(v) for v in group_logs].count(abs(group_logs[worst])) > 1
+        assert ties > 100
+
+    def test_every_verdict_equals_one_built_publicly(self):
+        rng = random.Random(193)
+        seen = set()
+        for system, dims in seeded_systems(200):
+            basis = pi_basis(dims)
+            xs = [Quantity(rng.uniform(-5.0, 5.0), w) for w in dims]
+            shift = _consistent_list(rng, system, dims)
+            ys = [Quantity(x.log_magnitude + s.log_magnitude, w) for x, s, w in zip(xs, shift, dims)]
+            k = rng.randrange(len(dims))
+            off = [Quantity(x.log_magnitude, _other(w) if i == k else w)
+                   for i, (x, w) in enumerate(zip(xs, dims))]
+            expected = [
+                (ys, EquivalenceVerdict(True, VerdictReason.EQUIVALENT)),
+                (off, EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)),
+            ]
+            used = [j for j in range(len(dims)) if any(g.exponents[j] for g in basis.groups)]
+            if used:
+                j = rng.choice(used)
+                bump = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0)
+                zs = [Quantity(x.log_magnitude - bump * (i == j), w)
+                      for i, (x, w) in enumerate(zip(xs, dims))]
+                delta = [bump * (i == j) for i in range(len(dims))]
+                worst = _first_largest([reference_log_combine(g.exponents, delta)
+                                        for g in basis.groups])
+                expected.append((zs, EquivalenceVerdict(False, VerdictReason.PI_MISMATCH,
+                                                        mismatch_index=worst)))
+            for other, verdict in expected:
+                got = equivalent(basis, xs, other)
+                assert got == verdict and hash(got) == hash(verdict) and repr(got) == repr(verdict)
+                seen.add(got.reason)
+        assert seen == set(VerdictReason)
+
+    def test_canonical_rep_raises_for_xs_before_it_reads_ref(self):
+        """A wrong-dimension xs, or a group exponent beyond the float range,
+        raises from canonical_rep with the text pi_values gives, whatever
+        the reference holds, and anchors nothing."""
+        rng = random.Random(197)
+        cases = []
+        for system, dims in seeded_systems(60):
+            k = rng.randrange(len(dims))
+            bad = [Quantity(0.0, _other(w) if i == k else w) for i, w in enumerate(dims)]
+            cases.append((dims, bad, [bad, _consistent_list(rng, system, dims)]))
+        L = DimSystem(("L",))
+        wide = (DimVector.unit(L, "L"), DimVector(L, (Fraction(10**400),)))
+        xs = [Quantity(0.0, w) for w in wide]
+        cases.append((wide, xs, [xs[::-1], xs]))
+        for dims, xs, refs in cases:
+            sb = special_basis(dims)
+            with pytest.raises((DimensionMismatchError, EvaluationError)) as expected:
+                pi_values(sb.base, xs)
+            for ref in refs:
+                with pytest.raises(expected.type) as info:
+                    canonical_rep(sb, ref, xs)
+                assert str(info.value) == str(expected.value)
+            assert sb.anchor == ((), None, ())
