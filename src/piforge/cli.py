@@ -157,8 +157,9 @@ def cmd_consistent(args) -> int:
         raise ParseError(f"a registry is required (--registry or ${REGISTRY_ENV})")
     quantities = [registry.quantity(name) for name in args.units]
     report = units.is_consistent(quantities, tol=args.tol)
+    witness = report.witness
+    factor = None if witness is None else format_magnitude(witness.log_clash_factor)
     if args.json:
-        witness = report.witness
         _emit_json(
             {
                 "consistent": report.consistent,
@@ -167,15 +168,15 @@ def cmd_consistent(args) -> int:
                 if witness is None
                 else {
                     "exponents": [str(c) for c in witness.combo.exponents],
-                    "clash_factor": format_magnitude(witness.log_clash_factor),
+                    "clash_factor": factor,
                 },
             }
         )
     elif report.consistent:
         print(f"consistent: {' '.join(args.units)}")
     else:
-        combo = monomial_text(args.units, report.witness.combo.exponents, " * ")
-        print(f"clash: {combo} = {format_magnitude(report.witness.log_clash_factor)}")
+        combo = monomial_text(args.units, witness.combo.exponents, " * ")
+        print(f"clash: {combo} = {factor}")
     return 0 if report.consistent else 1
 
 
@@ -216,24 +217,22 @@ def cmd_equiv(args) -> int:
     verdict = nondim.equivalent(basis, xs, ys, tol=args.tol)
     # `_load_bindings` gave both the spec's dimensions: no DIM_MISMATCH verdict
     pa, pb = nondim.pi_values(basis, xs), nondim.pi_values(basis, ys)
+    a, b = ([format_magnitude(v) for v in p.log_values] for p in (pa, pb))
     if args.json:
         _emit_json(
             {
                 "equivalent": verdict.equivalent,
                 "reason": verdict.reason.value,
                 "mismatch_index": verdict.mismatch_index,
-                "pi_values_a": [format_magnitude(v) for v in pa.log_values],
-                "pi_values_b": [format_magnitude(v) for v in pb.log_values],
+                "pi_values_a": a,
+                "pi_values_b": b,
             }
         )
     elif verdict.equivalent:
         print("equivalent")
     else:
         i = verdict.mismatch_index
-        print(
-            f"not equivalent: pi group {i} differs "
-            f"({format_magnitude(pa.log_values[i])} vs {format_magnitude(pb.log_values[i])})"
-        )
+        print(f"not equivalent: pi group {i} differs ({a[i]} vs {b[i]})")
     return 0 if verdict.equivalent else 1
 
 
@@ -247,24 +246,15 @@ def cmd_nondim(args) -> int:
     ref = [Quantity(0.0, dim) for dim in spec.variable_dims]
     values = nondim.pi_values(special.canonical, xs)
     rep = nondim.canonical_rep(special, ref, xs, tol=args.tol)
+    values = [format_magnitude(v) for v in values.log_values]
+    rep = {name: format_magnitude(q.log_magnitude) for name, q in zip(spec.variable_names, rep)}
     if args.json:
-        _emit_json(
-            {
-                "pi_values": [format_magnitude(v) for v in values.log_values],
-                "canonical_representative": {
-                    name: format_magnitude(q.log_magnitude)
-                    for name, q in zip(spec.variable_names, rep)
-                },
-            }
-        )
+        _emit_json({"pi_values": values, "canonical_representative": rep})
     else:
-        if values.log_values:
-            print("pi values: " + ", ".join(format_magnitude(v) for v in values.log_values))
-        else:
-            print("pi values: none (r = 0)")
+        print("pi values: " + (", ".join(values) if values else "none (r = 0)"))
         print("canonical representative (pivot slots at reference):")
-        for name, q in zip(spec.variable_names, rep):
-            print(f"  {name} = {format_magnitude(q.log_magnitude)}")
+        for name, text in rep.items():
+            print(f"  {name} = {text}")
     return 0
 
 

@@ -10,17 +10,17 @@ always exact.
 A `Monomial` is a product-of-powers map x1^e1 * ... * xk^ek identified with
 its exponent vector; `qty_combine` / `dim_combine` apply one to quantities or
 dimensions. `reduce_dims` makes the one exact `exactlin.Reduction` of a
-dimension list's matrix D that pi bases, `row_space` and `orbit_gap` read.
+dimension list's matrix D that pi bases, `row_space` and `is_consistent` read.
 It keeps the last list it reduced with that reduction, so a later call on
 the very same `DimVector` objects, slot for slot, makes no new elimination;
 an equal list built from other objects reduces again.
 
-`log_combine` and `orbit_gap` are the one-shot float paths, and the
-reference for `log_values_kernel` and `orbit_gap_kernel`, which generate
-straight-line functions giving the same floats for a basis that runs many
-records (`pigroups.PiBasis`). An orbit-gap kernel's code depends on its
-shape alone and is compiled once per (slots, rank) per process; each basis
-keeps its own closure over its own rows.
+`log_combine` is the one-shot float path and the reference for
+`log_values_kernel`, a straight-line function giving the same floats for a
+basis that runs many records (`pigroups.PiBasis`). `orbit_gap_kernel` is the
+one path to a log vector's distance from the span of `row_space` rows: its
+code depends on the slot count alone and is compiled once per slot count per
+process, and each caller closes it over its own rows.
 """
 
 from __future__ import annotations
@@ -415,11 +415,6 @@ def row_space(reduction: Reduction) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
-def orbit_gap(rows, logs) -> float:
-    """The distance of the log vector from the span of `row_space` rows."""
-    return math.hypot(*_residual(logs, rows))
-
-
 def compile_source(source: str, name: str, **names):
     """The value `name` that source defines, run with the given globals.
     Each source (here and in `dsl` and `harness`) holds only float reprs,
@@ -450,31 +445,26 @@ def log_values_kernel(vectors, n: int):
 
 
 @cache
-def _orbit_gap_maker(n: int, rank: int):
-    """`make(rows)` for the orbit-gap kernel of an n-slot log vector over
-    rank rows, compiled once per (n, rank) per process: its source holds
-    slot and row indices only, no float of any basis, so the table keeps
-    code alone and grows with the distinct shapes, not the bases."""
+def _orbit_gap_maker(n: int):
+    """`make(rows)` for the orbit-gap kernel of an n-slot log vector,
+    compiled once per n per process: a loop over the rows whose body is
+    unrolled over the slots, so its source holds slot indices only, no row
+    count and no float of any basis, and the table keeps code alone and
+    grows with the distinct slot counts, not the bases."""
     v, u = _slots("v", n), _slots("u", n)
-    lines = ["def make(rows):", f" ({_slots('r', rank)}) = rows",
-             " def orbit_gap(v):", f"  ({v}) = v"]
-    for i in range(rank):
-        lines.append(f"  ({u}) = r{i}")
-        lines.append(f"  c = fsum(({''.join(f'v{j}*u{j}, ' for j in range(n))}))")
-        if i < rank - 1:
-            lines += [f"  v{j} -= c*u{j}" for j in range(n)]
-    # the last row's update goes straight into hypot
-    last = "".join(f"v{j} - c*u{j}, " for j in range(n)) if rank else v
-    lines += [f"  return hypot({last})", " return orbit_gap"]
+    lines = ["def make(rows):", " def orbit_gap(v):", f"  ({v}) = v", f"  for ({u}) in rows:",
+             f"   c = fsum(({''.join(f'v{j}*u{j}, ' for j in range(n))}))",
+             *(f"   v{j} -= c*u{j}" for j in range(n)),
+             f"  return hypot({v})", " return orbit_gap"]
     return compile_source("\n".join(lines), "make", fsum=math.fsum, hypot=math.hypot)
 
 
 def orbit_gap_kernel(rows, n: int):
-    """A function of an n-slot log vector that returns `orbit_gap(rows,
-    logs)`, float for float: `_residual` unrolled over rows and slots, each
-    dot product one `fsum` of the same products in slot order, then
-    `hypot`. The rows are data, the kernel's closure cells, so the source
-    depends on the shape alone: its code is compiled once per (n,
-    len(rows)) per process and shared, while each call gets its own closure
-    over its own rows. The vector must hold n entries."""
-    return _orbit_gap_maker(n, len(rows))(rows)
+    """A function of an n-slot log vector that returns its distance from
+    the span of rows, `hypot(*_residual(logs, rows))` float for float:
+    `_residual` unrolled over the slots, each dot product one `fsum` of the
+    same products in slot order. The rows are data, the kernel's closure
+    cell, so the source depends on n alone: its code is compiled once per n
+    per process and shared, while each call gets its own closure over its
+    own rows. The vector must hold n entries."""
+    return _orbit_gap_maker(n)(rows)

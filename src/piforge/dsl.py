@@ -680,9 +680,9 @@ _GLOBALS = {
 class Lowering:
     """Straight-line Python source for typed relation nodes: one statement
     per node, in the order evaluation takes them, each operand before its
-    node and left before right. A variable is its slot (`slots` maps each
-    name to one, v0, v1, ... in the spec's variable order), a constant its
-    log as a float repr, and any other node a fresh local t0, t1, ...
+    node and left before right. `Lowering(variables, names)` makes each
+    variable its slot, v0, v1, ... in the order given (`slots`); a constant
+    is its log as a float repr, and any other node a fresh local t0, t1, ...
 
     Each domain check is a statement that raises the EvaluationError the
     value would: `t - t` is 0.0 for a finite t and nan, which is true, for
@@ -693,8 +693,8 @@ class Lowering:
     locals `tol` and those above, and globals it adds to `names` (shared by
     the lowerings of one source), so it holds no string from a spec."""
 
-    def __init__(self, slots: dict[str, str], names: dict | None = None):
-        self.slots = slots
+    def __init__(self, variables, names: dict | None = None):
+        self.slots = {name: f"v{i}" for i, name in enumerate(variables)}
         self.names = dict(_GLOBALS) if names is None else names
         self.lines: list[str] = []
         self.used: set[str] = set()  # the variables read
@@ -807,14 +807,14 @@ class CompiledRelation:
         self.node = node
         self.type = typecheck(node, env, allow_mixed_comparisons=True, sides=sides)
         self.side_dims = tuple(sides)
-        self._slots = {name: f"v{i}" for i, name in enumerate(env)}
+        self._variables = tuple(env)
 
     @cached_property
     def run(self):
-        lowering = Lowering(self._slots)
+        lowering = Lowering(self._variables)
         result = lowering.value(self.node, TRUTH if self.type is BOOL else LOG)
         loads = [f" {slot} = logs[{lowering.constant(n, 'n')}]"
-                 for n, slot in self._slots.items() if n in lowering.used]
+                 for n, slot in lowering.slots.items() if n in lowering.used]
         lines = ["def run(logs, tol):", *loads, *(f" {line}" for line in lowering.lines)]
         return compile_source("\n".join([*lines, f" return {result}"]), "run", **lowering.names)
 
@@ -848,9 +848,19 @@ def evaluate(relation, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
 def read_json(path, what: str, error):
     """The JSON value in the UTF-8 file at path (RFC 8259); error names the
     file as `what` ("spec", "registry", "bindings") where it is unreadable,
-    or not JSON in UTF-8."""
+    not JSON in UTF-8, or repeats a key within one object, whose meaning
+    RFC 8259 leaves open: no copy of the key silently wins."""
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{what} {path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

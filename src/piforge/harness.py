@@ -309,16 +309,15 @@ def _trial_kernel(plan):
     only through expr. after(*logs, *kept, *factors), for the shrinker,
     decides the truth value rescaled by other factors at that point."""
     relation, side_dims = plan.compiled.node, iter(plan.compiled.side_dims)
-    slots = {name: f"v{i}" for i, name in enumerate(plan.names)}
-    trial = Lowering(slots)
+    trial = Lowering(plan.names)
     trial.names.update(apart_bound=_apart, inf=math.inf)
     lo, hi = _LOG_MAG_RANGE
-    trial.lines += [f"{slot} = {lo!r} + {hi - lo!r}*draw()" for slot in slots.values()]
+    trial.lines += [f"{slot} = {lo!r} + {hi - lo!r}*draw()" for slot in trial.slots.values()]
     seeded = other = None
     if plan.seed_target is not None:
         name, other = plan.seed_target
         sign, log = seeded = _sign_and_log(trial, other)
-        seed = f"{slots[name]} = {log}"
+        seed = f"{trial.slots[name]} = {log}"
         trial.lines.append(seed if sign == "1" else f"if {sign} > 0: {seed}")
     head = ["def kernel(draw, tol):", " near = eq_bound(tol)", " apart = apart_bound(tol)",
             " def trial():"]
@@ -381,14 +380,14 @@ def _trial_kernel(plan):
     before, after = pair(trial, relation, itertools.count(), True)
     temps = {f"t{k}" for k in range(trial.temps)}
     params = list(dict.fromkeys(n for known in kept.values() for n in known if n in temps))
-    again = Lowering(slots, trial.names)
+    again = Lowering(plan.names, trial.names)
     again.temps = trial.temps  # its locals are new names, beside the kept ones it takes
     _, rescaled = pair(again, relation, itertools.count(), False)
     lines = [
         *head, *(f"  {line}" for line in trial.lines),
         f"  return None if {before} == {after} else "
-        f"({before}, {_tuple(slots.values())}, [{', '.join(mus)}], {_tuple(params)})",
-        f" def after({', '.join([*slots.values(), *params, *mus])}):",
+        f"({before}, {_tuple(trial.slots.values())}, [{', '.join(mus)}], {_tuple(params)})",
+        f" def after({', '.join([*trial.slots.values(), *params, *mus])}):",
         *(f"  {line}" for line in again.lines), f"  return {rescaled}",
         " return trial, after",
     ]

@@ -19,10 +19,10 @@ per record. A list of equal copies, or one edited in place, is checked
 again. The float work itself runs in the basis's two kernels, straight-line
 functions made for each basis object on first use (`PiBasis.log_values`,
 every group's log value, and `PiBasis.orbit_gap`, the distance from the
-rescaling orbit), float for float what the loops of `log_combine` and
-`core.orbit_gap` give. `log_values` is generated per basis, its exponents
-inlined; the orbit-gap code is compiled once per (slots, rank) shape per
-process and shared, while its rows and the groups stay per basis. A record
+rescaling orbit); `log_values` gives float for float what the loop of
+`log_combine` gives. `log_values` is generated per basis, its exponents
+inlined; the orbit-gap code is compiled once per slot count per process
+and shared, while its rows and the groups stay per basis. A record
 builds no verdict object for an equivalent pair and no `PiValues` in
 `canonical_rep`.
 

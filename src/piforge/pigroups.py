@@ -19,12 +19,12 @@ two blocks. The builders keep the block they build, diagonal with integer
 entries; a public basis scans its groups for it on first use.
 
 A basis's float path runs in two kernels, `log_values` (every group's
-`log_combine`) and `orbit_gap` (`core.orbit_gap` over its `row_space`),
+`log_combine`) and `orbit_gap` (the distance from its `row_space`'s span),
 generated by `core.log_values_kernel` and `core.orbit_gap_kernel` on first
 use and kept on that basis object alone; the orbit-gap code is compiled
-once per (slots, rank) shape and shared, over each basis's own rows. The
-builders, `transition` and `units.is_consistent` build none; pickling drops
-them, and a copy builds its own when it is used.
+once per slot count and shared, over each basis's own rows. The
+builders and `transition` build neither, `units.is_consistent` keeps its
+closure on no basis; pickling drops them, and a copy builds its own.
 
 The public constructors `PiBasis`, `SpecialPiBasis` and `Transition`, and
 `is_pi_basis`, validate the groups a caller hands them. The builders read
@@ -113,10 +113,10 @@ class PiBasis:
 
     @cached_property
     def orbit_gap(self):
-        """`core.orbit_gap` over `row_space`, of an n-slot log list, float
-        for float: `core.orbit_gap_kernel`, built on first use. Its code is
-        shared by every basis of the same (slots, rank) shape in the
-        process; its rows are this basis's own."""
+        """The distance of an n-slot log list from the span of
+        `row_space`: `core.orbit_gap_kernel`, built on first use. Its code is
+        shared by every basis with as many slots in the process; its
+        rows are this basis's own."""
         return orbit_gap_kernel(self.row_space, len(self.dims))
 
     def __getstate__(self):

@@ -22,7 +22,7 @@ from .core import (
     dimension_matrix,
     format_magnitude,
     magnitude_or_limit,
-    orbit_gap,
+    orbit_gap_kernel,
     qty_combine,
     reduce_dims,
     row_space,
@@ -123,7 +123,8 @@ def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
 
     Every dimensionless product of powers of the units is 1 iff their log
     vector lies in the row space of the dimension matrix; tol bounds its
-    distance from there (`core.orbit_gap`), whatever the basis or slot order.
+    distance from there (`core.orbit_gap_kernel`, its closure kept on no
+    basis), whatever the basis or slot order.
     A clash's witness is the canonical kernel vector with the largest |log|.
 
     Row space and witness read off one `core.reduce_dims` of the units'
@@ -137,7 +138,7 @@ def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
     logs = [u.log_magnitude for u in units]
     reduction = reduce_dims([u.dim for u in units])
     rows = row_space(reduction)
-    if len(rows) == len(units) or orbit_gap(rows, logs) <= tol:
+    if len(rows) == len(units) or orbit_gap_kernel(rows, len(logs))(logs) <= tol:
         return ConsistencyReport(consistent=True, witness=None)
     combo = max(map(Monomial, canonical_kernel(reduction)), key=lambda c: abs(c.log_combine(logs)))
     return ConsistencyReport(consistent=False, witness=ClashWitness(combo, combo.log_combine(logs)))

@@ -24,6 +24,7 @@ from piforge.dsl import (
     Not,
     Pow,
     Var,
+    compile_relation,
     evaluate,
     print_relation,
     typecheck,
@@ -267,7 +268,9 @@ def reference_row_space(reduction) -> tuple[tuple[float, ...], ...]:
 
 
 def reference_orbit_gap(rows, logs) -> float:
-    """`core.orbit_gap` over `reference_residual`."""
+    """The distance of logs from the span of the orthonormal rows, as
+    `hypot` of `reference_residual`: the reference for
+    `core.orbit_gap_kernel`."""
     return math.hypot(*reference_residual(logs, rows))
 
 
@@ -889,6 +892,10 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
 
     names, dims, env = spec.variable_names, spec.variable_dims, spec.env
     seed_target = harness._equality_seed_target(spec)
+    # one compiled handle each for the seeder and the confirmation, built
+    # once the relation is known to type
+    relation = compile_relation(spec.relation, env)
+    target = None if seed_target is None else compile_relation(seed_target[1], env)
     has_mixed = any(
         isinstance(n, Compare) and typecheck(n.left, env) != typecheck(n.right, env)
         for n in _subtrees(spec.relation)
@@ -924,10 +931,10 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
             name: Quantity(rng.uniform(*harness._LOG_MAG_RANGE), dim)
             for name, dim in zip(names, dims)
         }
-        if seed_target is not None:
-            vname, other = seed_target
+        if target is not None:
+            vname = seed_target[0]
             try:
-                bindings[vname] = Quantity(evaluate(other, bindings).log_magnitude, bindings[vname].dim)
+                bindings[vname] = Quantity(evaluate(target, bindings).log_magnitude, bindings[vname].dim)
             except EvaluationError:
                 pass
         log_factors = None
@@ -948,8 +955,8 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
             shrunk = shrink(bindings, log_factors, before)
             try:
                 rescaled = {n: harness.rescale([bindings[n]], shrunk)[0] for n in names}
-                reproduced = (evaluate(spec.relation, bindings, tol=tol),
-                              evaluate(spec.relation, rescaled, tol=tol))
+                reproduced = (evaluate(relation, bindings, tol=tol),
+                              evaluate(relation, rescaled, tol=tol))
             except (EvaluationError, ValueError):
                 reproduced = None
             if reproduced != (before, after):

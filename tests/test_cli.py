@@ -552,6 +552,107 @@ class TestBoundaryErrors:
         )
 
 
+class TestRepeatedKeys:
+    """A key repeated within one JSON object of a spec, registry or bindings
+    file is a usage error naming the file and the key: no copy wins."""
+
+    @pytest.fixture
+    def main(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.REGISTRY_ENV, raising=False)
+
+        def run(*argv):
+            code = cli.main([str(a) for a in argv])
+            return (code, *capsys.readouterr())
+
+        return run
+
+    def test_spec(self, main, tmp_path):
+        # the last copy would make x < y well-typed
+        path = tmp_path / "spec.json"
+        path.write_text('{"system": ["L", "T"], "variables": {"x": "L", "y": "T", "x": "T"}, '
+                        '"relation": "x < y"}')
+        assert main("check", "--spec", path) == (2, "", f"error: spec {path}: repeated key 'x'\n")
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"system": ["L"], "system": ["L", "T"], "units": {"m": {"magnitude": "1", "dim": "L"}}}',
+         "system"),
+        ('{"system": ["L"], "units": {"m": {"magnitude": "1", "dim": "L"}, '
+         '"m": {"magnitude": "2", "dim": "L"}}}', "m"),
+    ], ids=["system", "unit"])
+    def test_registry(self, main, tmp_path, text, key):
+        path = tmp_path / "reg.json"
+        path.write_text(text)
+        assert main("consistent", "m", "--registry", path) == (
+            2, "", f"error: registry {path}: repeated key {key!r}\n"
+        )
+
+    def test_bindings(self, main, tmp_path):
+        path = tmp_path / "bindings.json"
+        path.write_text('{"m": 1.0, "k": 2.0, "t": 3.0, "t": 4.0}')
+        assert main("nondim", "--spec", FIXTURES / "mass_spring.json", path) == (
+            2, "", f"error: bindings {path}: repeated key 't'\n"
+        )
+
+    def test_no_fixture_or_golden_repeats_a_key(self):
+        def unique(pairs):
+            assert len(dict(pairs)) == len(pairs), pairs
+            return dict(pairs)
+
+        paths = [*FIXTURES.glob("*.json"), *GOLDENS.glob("*.json")]
+        assert paths
+        for path in paths:
+            json.loads(path.read_text(), object_pairs_hook=unique)
+
+
+class TestTextAndJsonPrintTheSameNumbers:
+    """consistent, equiv and nondim print each number as text exactly as
+    their --json output writes it."""
+
+    REGISTRY = FIXTURES / "registry.json"
+    SPEC = FIXTURES / "mass_spring.json"
+
+    @pytest.fixture
+    def both(self, capsys, monkeypatch):
+        """argv -> (text stdout, parsed --json stdout), with the same exit."""
+        monkeypatch.delenv(cli.REGISTRY_ENV, raising=False)
+
+        def run(*argv):
+            argv = [str(a) for a in argv]
+            code = cli.main(argv)
+            text = capsys.readouterr().out
+            assert cli.main([*argv, "--json"]) == code
+            return text, json.loads(capsys.readouterr().out)
+
+        return run
+
+    @pytest.fixture
+    def other(self, tmp_path):
+        path = tmp_path / "other.json"
+        path.write_text('{"m": 2.5, "k": 7.3, "t": 3.1}')
+        return path
+
+    def test_consistent(self, both):
+        text, payload = both("consistent", "cm", "hr", "knot", "--registry", self.REGISTRY)
+        assert text == f"clash: cm^-1 * hr * knot = {payload['witness']['clash_factor']}\n"
+
+    def test_equiv(self, both, other):
+        text, payload = both("equiv", "--spec", self.SPEC, FIXTURES / "mass_spring_bindings.json", other)
+        i = payload["mismatch_index"]
+        a, b = payload["pi_values_a"][i], payload["pi_values_b"][i]
+        assert text == f"not equivalent: pi group {i} differs ({a} vs {b})\n"
+
+    @pytest.mark.parametrize("bindings", ["fixture", "other"])
+    def test_nondim(self, both, other, bindings):
+        path = FIXTURES / "mass_spring_bindings.json" if bindings == "fixture" else other
+        text, payload = both("nondim", "--spec", self.SPEC, path)
+        rep = payload["canonical_representative"]
+        assert text.splitlines() == [
+            f"pi values: {', '.join(payload['pi_values'])}",
+            "canonical representative (pivot slots at reference):",
+            *(f"  {name} = {value}" for name, value in rep.items()),
+        ]
+
+
 class TestJsonIsReadAsUtf8:
     """Spec, registry and bindings files are read as UTF-8 (RFC 8259),
     whatever the locale; bytes that are not UTF-8 make the file invalid

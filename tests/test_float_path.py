@@ -120,7 +120,7 @@ class TestBitForBit:
             assert rows == reference_row_space(reduction)
             along = [q.log_magnitude for q in _coherent(rng, system, dims)]
             for logs in (along, _logs(rng, len(dims))):
-                assert core.orbit_gap(rows, logs) == reference_orbit_gap(rows, logs)
+                assert core.orbit_gap_kernel(rows, len(logs))(logs) == reference_orbit_gap(rows, logs)
 
     def test_kernels_match_the_reference_loops(self):
         """Both kernels of canonical and special bases give, as float hex,
@@ -140,6 +140,9 @@ class TestBitForBit:
                     assert basis.orbit_gap(logs).hex() == gap.hex()
 
     def test_builders_and_is_consistent_build_no_kernel(self):
+        """The builders and `transition` build neither kernel, and
+        `is_consistent`, which closes the shared orbit-gap code over its own
+        rows, keeps that closure on no basis."""
         rng = random.Random(167)
         for system, dims in seeded_systems(60):
             basis, sb = pi_basis(dims), special_basis(dims)
@@ -150,23 +153,23 @@ class TestBitForBit:
                 assert not set(KERNELS) & set(vars(built))
 
     def test_one_orbit_gap_code_object_per_shape(self):
-        """Bases of one (slots, rank) shape share their orbit-gap code even
-        when built interleaved with other shapes; each closes over its own
-        rows and gives the generator-form gap as float hex. A basis of any
-        other shape runs other code."""
+        """Bases of one shape, their number of slots, share their orbit-gap
+        code even when built interleaved with other shapes and whatever
+        their rank; each closes over its own rows and gives the
+        generator-form gap as float hex. A basis of any other shape runs
+        other code."""
         rng = random.Random(181)
         bases = []
         for _ in range(3):
             for d, n in ((3, 6), (4, 10), (2, 6), (4, 12)):
                 bases.append(pi_basis(ladder_dims(rng, d, n)))
-        # a shape is (slots, rank); the ladder draws decide the rank
-        shapes = [(len(b.dims), len(b.row_space)) for b in bases]
-        assert len(set(shapes)) >= 4 and len(set(shapes)) < len(shapes)
+        shapes = [len(b.dims) for b in bases]
+        assert len(set(shapes)) == 3
+        assert len({len(b.row_space) for b in bases if len(b.dims) == 6}) > 1
         for basis in bases:
             cells = basis.orbit_gap.__closure__
             rows = dict(zip(basis.orbit_gap.__code__.co_freevars, [c.cell_contents for c in cells]))
-            assert len(rows) == len(basis.row_space)
-            assert all(rows[f"r{i}"] is row for i, row in enumerate(basis.row_space))
+            assert list(rows) == ["rows"] and rows["rows"] is basis.row_space
             logs = _logs(rng, len(basis.dims))
             gap = reference_orbit_gap(basis.row_space, logs)
             assert basis.orbit_gap(logs).hex() == gap.hex()
@@ -175,6 +178,27 @@ class TestBitForBit:
                 assert (a.orbit_gap.__code__ is b.orbit_gap.__code__) == (sa == sb)
                 if sa == sb and a is not b:
                     assert a.orbit_gap is not b.orbit_gap and a.row_space != b.row_space
+
+    def test_is_consistent_reuses_the_code_of_a_basis_of_its_shape(self):
+        """Once a basis has built its orbit gap, `is_consistent` on the same
+        dimensions runs that shape's code with no new compile, and its
+        verdict is the reference's."""
+        rng, seen = random.Random(191), set()
+        for d, n in LADDER_SIZES:
+            system = core.DimSystem(tuple(f"D{i}" for i in range(d)))
+            dims = ladder_dims(rng, d, n)
+            pi_basis(dims).orbit_gap
+            for clash in (False, True):
+                units = _coherent(rng, system, dims)
+                if clash:
+                    units[0] = Quantity(units[0].log_magnitude + 1.0, dims[0])
+                before = core._orbit_gap_maker.cache_info()
+                report = is_consistent(units)
+                after = core._orbit_gap_maker.cache_info()
+                assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+                assert report.consistent == _reference_is_consistent(units)[0]
+                seen.add(report.consistent)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("clash", [False, True], ids=["consistent", "inconsistent"])
     def test_is_consistent(self, clash):

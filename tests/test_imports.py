@@ -172,7 +172,7 @@ def test_no_global_statement(name):
     relation or basis is kept on the handle the caller holds
     (`CompiledRelation`, `ProblemSpec.fuzz_plan`, `PiBasis`). The one
     exception is `core.reduce_dims`'s last reduction. `core`'s table of
-    orbit-gap makers, one per (slots, rank) shape, holds code only, no
+    orbit-gap makers, one per slot count, holds code only, no
     float of any basis, and needs no global statement."""
     tree = ast.parse((ROOT / "src" / "piforge" / name).read_text())
     found = [n for node in ast.walk(tree) if isinstance(node, ast.Global) for n in node.names]
