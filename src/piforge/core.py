@@ -334,10 +334,14 @@ def format_magnitude(log_magnitude: float) -> str:
     prints a float, also where the value lies outside the normal float range
     (then from its base-10 logarithm, e.g. "1e+400"). Past a base-10
     exponent of 1e15 a float log holds less than one digit of the mantissa,
-    so the exponent itself prints, e.g. "10^-4.34294481903252e+299"."""
+    so the exponent itself prints, e.g. "10^-4.34294481903252e+299". A NaN,
+    which a sum of terms that overflow to opposite infinities gives, raises
+    EvaluationError."""
     value = magnitude_or_limit(log_magnitude)
     if sys.float_info.min <= value < math.inf:
         return format(value, ".15g")
+    if math.isnan(log_magnitude):
+        raise EvaluationError(f"a term of a magnitude {_BEYOND_FLOATS}")
     exponent10 = log_magnitude / math.log(10)
     if abs(exponent10) >= 1e15:
         return f"10^{exponent10:.15g}"
@@ -425,8 +429,9 @@ def compile_source(source: str, name: str, **names):
     return namespace[name]
 
 
-def _slots(prefix: str, n: int) -> str:
-    """ "p0, p1, ..., " for n slots: a tuple's items, or its unpacking."""
+def slot_names(prefix: str, n: int) -> str:
+    """ "p0, p1, ..., " for n slots: a tuple's items, its unpacking, or a
+    parameter list."""
     return "".join(f"{prefix}{j}, " for j in range(n))
 
 
@@ -440,7 +445,7 @@ def log_values_kernel(vectors, n: int):
     `log_combine` would."""
     sums = "".join("0.0" + "".join(f" + {e!r}*l{j}" for j, e in v._float_terms) + ", "
                    for v in vectors)
-    return compile_source(f"def log_values(l):\n ({_slots('l', n)}) = l\n return ({sums})",
+    return compile_source(f"def log_values(l):\n ({slot_names('l', n)}) = l\n return ({sums})",
                           "log_values")
 
 
@@ -451,7 +456,7 @@ def _orbit_gap_maker(n: int):
     unrolled over the slots, so its source holds slot indices only, no row
     count and no float of any basis, and the table keeps code alone and
     grows with the distinct slot counts, not the bases."""
-    v, u = _slots("v", n), _slots("u", n)
+    v, u = slot_names("v", n), slot_names("u", n)
     lines = ["def make(rows):", " def orbit_gap(v):", f"  ({v}) = v", f"  for ({u}) in rows:",
              f"   c = fsum(({''.join(f'v{j}*u{j}, ' for j in range(n))}))",
              *(f"   v{j} -= c*u{j}" for j in range(n)),

@@ -27,12 +27,14 @@ dispatches on the node's exact class. The relation is typed once per spec,
 whole, and its comparisons' dimensions are read off that one handle.
 
 The exact work is done once per spec, and a trial runs plain floats: where
-trials are drawn, the plan compiles one trial kernel (`_trial_kernel`), a
-straight-line function that draws a point, seeds it, and decides each
-comparison before and after rescaling, every side and every constant of
-the decision inlined from `dsl.Lowering`'s source (partial evaluation:
-Jones, Gomard and Sestoft, 1993). Compiling it takes about a millisecond,
-once per plan, against about 10 us a trial.
+trials are drawn, the plan compiles one trial kernel (`_trial_kernel`). Its
+`decide` is a straight-line function of a point's logs and log factors that
+seeds the point and decides each comparison before and after rescaling,
+every side and every constant of the decision inlined from one
+`dsl.Lowering` of the relation (partial evaluation: Jones, Gomard and
+Sestoft, 1993); its `trial` draws a point and calls `decide`, and the
+shrinker calls `decide` at that point with other factors. Compiling it
+takes about half a millisecond, once per plan, against about 8 us a trial.
 
 Passes are evidence, not proof — the verdict is necessarily one-sided, and
 the CLI report says so. A failure is meant to be definitive, but is not yet
@@ -42,7 +44,6 @@ strict xfails in `tests/test_cli.py::TestKnownFalseCounterexamples`).
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -62,6 +63,7 @@ from .core import (
     compile_source,
     format_magnitude,
     magnitude_or_limit,
+    slot_names,
 )
 from .dsl import (
     BOOL,
@@ -289,109 +291,75 @@ def _sign_and_log(lowering: Lowering, side) -> tuple[str, str]:
     return lowering.let(f"({v} > 0) - ({v} < 0)"), lowering.let(f"log(abs({v})) if {v} else 0.0")
 
 
-def _tuple(items) -> str:
-    return f"({''.join(f'{item}, ' for item in items)})"
-
-
 def _trial_kernel(plan):
-    """kernel(draw, tol) -> (trial, after), compiled from one source.
+    """kernel(draw, tol) -> (trial, decide), compiled from one source.
 
-    trial() draws each variable's log magnitude, as `uniform` draws it over
-    _LOG_MAG_RANGE, seeds the equality target and, where a comparison is
-    mixed, draws a log factor per fundamental over _LOG_FACTOR_RANGE. It
-    returns None where the truth value survives the rescaling, else (before,
-    the point's logs, the log factors, kept: the locals of each comparison
-    or call it worked out unguarded). It works out each side once, each
-    other comparison or call once, and each mixed comparison before and
-    after, its w_j·μ_j terms and rounding bound inlined; `and`/`or` take
-    their right operand wherever either value needs it. A relation with no
-    mixed comparison is only evaluated, for its domain, a seeded `v = expr`
-    only through expr. after(*logs, *kept, *factors), for the shrinker,
-    decides the truth value rescaled by other factors at that point."""
+    decide(*logs, *factors) takes each variable's log magnitude and, where a
+    comparison is mixed, a log factor per fundamental. It seeds the equality
+    target, then works out each side once, each other comparison or call
+    once, and each mixed comparison before and after rescaling, its w_j·μ_j
+    terms and rounding bound inlined; `and`/`or` take their right operand
+    wherever either value needs it. It returns None where the truth value
+    survives the rescaling, else (before, the seeded logs, the log factors).
+    A relation with no mixed comparison is only evaluated, for its domain,
+    a seeded `v = expr` only through expr. trial() is decide at a drawn
+    point: each log magnitude as `uniform` draws it over _LOG_MAG_RANGE,
+    then each log factor over _LOG_FACTOR_RANGE."""
     relation, side_dims = plan.compiled.node, iter(plan.compiled.side_dims)
-    trial = Lowering(plan.names)
-    trial.names.update(apart_bound=_apart, inf=math.inf)
-    lo, hi = _LOG_MAG_RANGE
-    trial.lines += [f"{slot} = {lo!r} + {hi - lo!r}*draw()" for slot in trial.slots.values()]
+    low = Lowering(plan.names)
+    low.names.update(apart_bound=_apart, inf=math.inf)
     seeded = other = None
     if plan.seed_target is not None:
         name, other = plan.seed_target
-        sign, log = seeded = _sign_and_log(trial, other)
-        seed = f"{trial.slots[name]} = {log}"
-        trial.lines.append(seed if sign == "1" else f"if {sign} > 0: {seed}")
-    head = ["def kernel(draw, tol):", " near = eq_bound(tol)", " apart = apart_bound(tol)",
-            " def trial():"]
-    if not plan.mixed:
-        if seeded is None:  # a seeded `v = expr` is defined wherever expr is
-            trial.value(relation, TRUTH)
-        lines = [*head, *(f"  {line}" for line in trial.lines), "  return None", " return trial, None"]
-        return compile_source("\n".join(lines), "kernel", **trial.names)
+        sign, log = seeded = _sign_and_log(low, other)
+        seed = f"{low.slots[name]} = {log}"
+        low.lines.append(seed if sign == "1" else f"if {sign} > 0: {seed}")
+    factors = plan.factors if plan.mixed else 0
+    logs, mus = slot_names("v", len(low.slots)), slot_names("f", factors)
 
-    lo, hi = _LOG_FACTOR_RANGE
-    mus = [f"f{j}" for j in range(plan.factors)]
-    trial.lines += [f"{mu} = {lo!r} + {hi - lo!r}*draw()" for mu in mus]
-    mixed = {}  # leaf index -> (global name, _Mixed) of each mixed comparison
-    kept = {}  # leaf index -> the trial's locals for a leaf it works out unguarded
-
-    def pair(low: Lowering, node, order, keep: bool) -> tuple[str, str]:
-        """(before, after) of node, as locals of low, each comparison or
-        is_pos_int call numbered by order; keep: the trial's pass, which
-        meets each first and records in kept what it works out unguarded,
-        else read that from there."""
+    def pair(node) -> tuple[str, str]:
+        """(before, after) of node, as locals."""
         kind = node.__class__
         if kind is BoolOp:
-            lb, la = pair(low, node.left, order, keep)
+            lb, la = pair(node.left)
             # the right operand is worked out wherever either value needs it
             outer = low.branch(f"not ({lb} and {la})" if node.op == "or" else f"({lb} or {la})")
-            rb, ra = pair(low, node.right, order, keep)
+            rb, ra = pair(node.right)
             low.guard = outer
             return low.let(f"{lb} {node.op} {rb}"), low.let(f"{la} {node.op} {ra}")
         if kind is Not:
-            before, after = pair(low, node.operand, order, keep)
+            before, after = pair(node.operand)
             return low.let(f"not {before}"), low.let(f"not {after}")
-        index, leaf = next(order), node
-        dims = keep and leaf.__class__ is Compare and next(side_dims)
-        if dims and dims[0] != dims[1]:
-            m = _Mixed(leaf, *dims)
-            mixed[index] = trial.constant(m, "m"), m
-        if not keep and index in kept:
-            known = kept[index]
-        elif index not in mixed:
-            known = (low.value(leaf, TRUTH),)
-        else:
-            sl, ll = seeded if leaf.left is other else _sign_and_log(low, leaf.left)
-            sr, lr = seeded if leaf.right is other else _sign_and_log(low, leaf.right)
-            gap, spread = low.let(f"{ll} - {lr}"), low.let(f"1.0 + abs({ll}) + abs({lr})")
-            point, (name, m) = (sl, ll, sr, lr), mixed[index]
-            known = (*point, gap, spread, low.let(m.decision(name, point, gap, spread, "()")))
-        if keep and low.guard is None:
-            kept[index] = known
-        if index not in mixed:
-            return known[0], known[0]
-        *point, gap, spread, before = known
-        name, m = mixed[index]
+        dims = kind is Compare and next(side_dims)
+        if not dims or dims[0] == dims[1]:
+            before = low.value(node, TRUTH)
+            return before, before
+        m = _Mixed(node, *dims)
+        name = low.constant(m, "m")
+        sl, ll = seeded if node.left is other else _sign_and_log(low, node.left)
+        sr, lr = seeded if node.right is other else _sign_and_log(low, node.right)
+        point = (sl, ll, sr, lr)
+        gap, spread = low.let(f"{ll} - {lr}"), low.let(f"1.0 + abs({ll}) + abs({lr})")
+        before = low.let(m.decision(name, point, gap, spread, "()"))
         if m.terms is None:  # a w with no float form
-            return before, low.let(f"{name}.exact({', '.join(point)}, {_tuple(mus)}, tol, inf)")
-        moves = [low.let(f"{w!r}*{mus[j]}") for j, w in m.terms]
+            return before, low.let(f"{name}.exact({', '.join(point)}, ({mus}), tol, inf)")
+        moves = [low.let(f"{w!r}*f{j}") for j, w in m.terms]
         gap = low.let(gap + "".join(f" + {t}" for t in moves))
         spread = low.let(spread + "".join(f" + abs({t})" for t in moves))
-        return before, low.let(m.decision(name, point, gap, spread, _tuple(mus)))
+        return before, low.let(m.decision(name, point, gap, spread, f"({mus})"))
 
-    before, after = pair(trial, relation, itertools.count(), True)
-    temps = {f"t{k}" for k in range(trial.temps)}
-    params = list(dict.fromkeys(n for known in kept.values() for n in known if n in temps))
-    again = Lowering(plan.names, trial.names)
-    again.temps = trial.temps  # its locals are new names, beside the kept ones it takes
-    _, rescaled = pair(again, relation, itertools.count(), False)
-    lines = [
-        *head, *(f"  {line}" for line in trial.lines),
-        f"  return None if {before} == {after} else "
-        f"({before}, {_tuple(trial.slots.values())}, [{', '.join(mus)}], {_tuple(params)})",
-        f" def after({', '.join([*trial.slots.values(), *params, *mus])}):",
-        *(f"  {line}" for line in again.lines), f"  return {rescaled}",
-        " return trial, after",
-    ]
-    return compile_source("\n".join(lines), "kernel", **trial.names)
+    verdict = "None"
+    if plan.mixed:
+        before, after = pair(relation)
+        verdict = f"None if {before} == {after} else ({before}, ({logs}), [{mus}])"
+    elif seeded is None:  # a seeded `v = expr` is defined wherever expr is
+        low.value(relation, TRUTH)
+    draws = "".join(f"{lo!r} + {hi - lo!r}*draw(), " * n for (lo, hi), n in
+                    ((_LOG_MAG_RANGE, len(low.slots)), (_LOG_FACTOR_RANGE, factors)))
+    lines = ["def kernel(draw, tol):", " near = eq_bound(tol)", " apart = apart_bound(tol)",
+             f" def decide({logs}{mus}):", *(f"  {line}" for line in low.lines), f"  return {verdict}",
+             " def trial():", f"  return decide({draws})", " return trial, decide"]
+    return compile_source("\n".join(lines), "kernel", **low.names)
 
 
 # Every log bound stays within ±_LOG_LIMIT, so each conversion to linear
@@ -573,10 +541,11 @@ def fuzz_invariance(
     its edge, before or after, is undecided. If no trial is decided,
     EvaluationError is raised, since none tested the relation.
 
-    The first failing trial is shrunk (factor bisection toward 1, on the
-    same sides) and confirmed through `rescale` and `evaluate` from the
-    report's own bindings and factors; a trial that does not reproduce there
-    is undecided too. A reported counterexample is meant to be definitive,
+    The first failing trial is shrunk (factor bisection toward 1, each
+    candidate decided by the kernel's `decide` at the trial's point) and
+    confirmed through `rescale` and `evaluate` from the report's own
+    bindings and factors; a trial that does not reproduce there is
+    undecided too. A reported counterexample is meant to be definitive,
     but cancellation in a sum or a log can round past the bound a mixed
     comparison allows, and `rescale` and `evaluate` repeat that rounding, so
     a false one can get through: see the strict xfails in
@@ -599,7 +568,7 @@ def fuzz_invariance(
     stream = blake2b(f"{seed}:".encode(), digest_size=8)
     rng = random.Random(0)
     reseed = super(random.Random, rng).seed
-    run, after = plan.kernel(rng.random, tol)
+    run, decide = plan.kernel(rng.random, tol)
     passed = inapplicable = undecided = 0
     counterexample: Counterexample | None = None
     for trial in range(trials):
@@ -618,8 +587,8 @@ def fuzz_invariance(
         if failed is None:
             passed += 1
         elif counterexample is None:
-            before, point, log_factors, kept = failed
-            shrunk = Rescaling(spec.system, tuple(_shrink(after, point, kept, log_factors, before)))
+            before, point, log_factors = failed
+            shrunk = Rescaling(spec.system, tuple(_shrink(decide, point, log_factors)))
             logs = dict(zip(spec.variable_names, point))
             counterexample = _confirmed(spec, trial, logs, shrunk, before, tol)
             undecided += counterexample is None
@@ -657,11 +626,12 @@ def _confirmed(spec, trial, logs, shrunk, before, tol) -> Counterexample | None:
     )
 
 
-def _shrink(after, point, kept, log_factors, before) -> list[float]:
+def _shrink(decide, point, log_factors) -> list[float]:
     """Bisect each log factor toward 0 while the violation persists, each
-    candidate decided by the trial kernel's `after` at the drawn point, from
-    what the trial kept of it. A candidate that is undecided, or that needs a
-    branch outside the relation's domain, does not violate."""
+    candidate decided by the trial kernel's `decide` at the trial's point: the
+    truth value there before rescaling does not depend on the factors. A
+    candidate that is undecided, or that needs a branch outside the
+    relation's domain, does not violate."""
     log_factors = list(log_factors)
     for _ in range(_SHRINK_ROUNDS):
         improved = False
@@ -671,7 +641,7 @@ def _shrink(after, point, kept, log_factors, before) -> list[float]:
             candidate = log_factors.copy()
             candidate[j] /= 2
             try:
-                violates = after(*point, *kept, *candidate) != before
+                violates = decide(*point, *candidate) is not None
             except (EvaluationError, _Undecided):
                 violates = False
             if violates:

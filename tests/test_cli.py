@@ -716,6 +716,26 @@ class TestDimensionExponentBeyondFloatRange:
         assert b"OverflowError" not in proc.stderr
 
 
+class TestNanPiValue:
+    """Over L^(10^306+1) and L^(10^306), each exponent a float, bindings of
+    1e300 give a pi group whose two log terms overflow to opposite
+    infinities: its log value is NaN, and printing it is a usage error that
+    names the float range."""
+
+    @pytest.mark.parametrize("argv", [["nondim"], ["equiv"], ["equiv", "--json"]])
+    def test_exit_2_naming_the_float_range(self, tmp_path, argv):
+        spec = _write_spec(tmp_path, {"a": f"L^{10**306 + 1}", "b": f"L^{10**306}"}, "a = b")
+        bindings = tmp_path / "bindings.json"
+        bindings.write_text(json.dumps({"a": 1e300, "b": 1e300}))
+        files = [str(bindings)] * (2 if argv[0] == "equiv" else 1)
+        proc = run_cli(*argv, "--spec", spec, *files)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == (
+            b"error: a term of a magnitude lies beyond the float range, about 1.8e+308, "
+            b"which the float path needs\n"
+        )
+
+
 class TestClashBeyondFloatRange:
     @pytest.fixture
     def wide_registry(self, tmp_path):

@@ -356,6 +356,22 @@ class TestBeyondFloatRange:
         assert canonical_rep(sb, xs, ys) == [xs[0], Quantity(-float(Fraction(q, q + 1)), dims[1])]
         assert is_consistent(xs).consistent
 
+    def test_a_nan_pi_value_raises_where_it_is_formatted(self):
+        """Over L^p and L^q, p = 10^306 + 1 and q = 10^306, at magnitudes
+        1e300 the group x0^-q * x1^p has two float exponents, but its two
+        terms overflow to -inf and +inf, so its log value is NaN. The
+        formatter every printed number goes through raises EvaluationError
+        naming the float range, not a ValueError of its own."""
+        system = core.DimSystem(("L",))
+        q = 10**306
+        dims = (DimVector(system, (Fraction(q + 1),)), DimVector(system, (Fraction(q),)))
+        xs = [Quantity.from_magnitude(1e300, w) for w in dims]
+        (log_pi,) = pi_values(pi_basis(dims), xs).log_values
+        assert math.isnan(log_pi)
+        with pytest.raises(EvaluationError) as info:
+            format_magnitude(log_pi)
+        assert str(info.value) == f"a term of a magnitude {core._BEYOND_FLOATS}"
+
     @pytest.mark.parametrize("call", ["is_consistent", "pi_values", "equivalent", "canonical_rep"])
     def test_a_ratio_beyond_floats_raises_from_every_float_call(self, call):
         """Over L and L^(10^400) both the row space's ratio and every

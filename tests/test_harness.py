@@ -50,7 +50,7 @@ def _spec(name):
 
 
 def _kernel_at(monkeypatch, spec, values, tol=1e-9):
-    """(trial, after): the spec's trial kernel, built over unit draw ranges,
+    """(trial, decide): the spec's trial kernel, built over unit draw ranges,
     so that its trial draws values as they are: each variable's log
     magnitude, then each log factor."""
     draws = iter(values)
@@ -230,11 +230,11 @@ class TestInapplicableTrials:
                 tmp_path, {"x": "T", "y": "1", "v": "L"}, f"x < y and (x < v or {branch})",
                 system=("L", "T"),
             )
-            trial, after = _kernel_at(monkeypatch, spec, [0.0, 1.0, 1.0, 4.0, 3.5])
-            before, point, factors, kept = trial()
+            trial, decide = _kernel_at(monkeypatch, spec, [0.0, 1.0, 1.0, 4.0, 3.5])
+            before, point, factors = trial()
             assert (before, point, factors) == (True, (0.0, 1.0, 1.0), [4.0, 3.5])
-            assert after(*point, *kept, *factors) is False
-            shrunk[branch] = harness._shrink(after, point, kept, factors, True)
+            assert decide(*point, *factors) == (True, point, factors)  # false after
+            shrunk[branch] = harness._shrink(decide, point, factors)
         assert shrunk == {"log(y/y - 1) < 1": [1.0, 1.75], "y < y": [0.5**18, 1.75]}
 
     def test_report_invariant(self):
@@ -501,10 +501,10 @@ class TestMixedComparisons:
     def test_shrink_skips_an_undecided_candidate(self, tmp_path, monkeypatch):
         # gap -1 + μ: μ = 4 violates, μ = 2 too, and μ = 1 puts the gap on the edge
         spec = _spec_text(tmp_path, {"x": "L", "y": "1"}, "x < y")
-        trial, after = _kernel_at(monkeypatch, spec, [0.0, 1.0, 4.0])
-        before, point, factors, kept = trial()
+        trial, decide = _kernel_at(monkeypatch, spec, [0.0, 1.0, 4.0])
+        before, point, factors = trial()
         assert (before, point, factors) == (True, (0.0, 1.0), [4.0])
-        assert harness._shrink(after, point, kept, factors, True) == [2.0]
+        assert harness._shrink(decide, point, factors) == [2.0]
 
     def test_undecided_trials_are_counted(self, tmp_path):
         # x is seeded to y - z wherever that is positive: the gap is then 0,
@@ -580,8 +580,8 @@ def _recording_kernel(monkeypatch, spec):
     make = plan.kernel
 
     def kernel(draw, tol):
-        trial, after = make(lambda: draws.append(draw()) or draws[-1], tol)
-        return lambda: returned.append(trial()) or returned[-1], after
+        trial, decide = make(lambda: draws.append(draw()) or draws[-1], tol)
+        return lambda: returned.append(trial()) or returned[-1], decide
 
     monkeypatch.setattr(plan, "kernel", kernel)
     return draws, returned
@@ -612,7 +612,7 @@ class TestTrialStream:
             rng = trial_rng(seed, trial)
             logs = [rng.uniform(*harness._LOG_MAG_RANGE).hex() for _ in spec.variable_names]
             factors = [rng.uniform(*harness._LOG_FACTOR_RANGE).hex() for _ in spec.system.names]
-            _, point, log_factors, _ = returned[trial]
+            _, point, log_factors = returned[trial]
             assert ([v.hex() for v in point], [m.hex() for m in log_factors]) == (logs, factors)
             failed += 1
         assert failed > 100
@@ -627,9 +627,8 @@ class TestTrialStream:
     @pytest.mark.parametrize("name", ["hidden_constant#0", "mixed_lt#0", "x = y - z"])
     def test_each_side_is_evaluated_once_per_drawn_point(self, monkeypatch, name):
         # each side is lowered once into the kernel, a seeded side by the
-        # seeder alone, and none into `after`, which the shrinker calls: the
-        # kernel is straight-line, so a side runs at most once per trial,
-        # and never while shrinking
+        # seeder alone: the kernel is straight-line, so a side runs at most
+        # once per trial, and once per candidate the shrinker decides
         spec = dict(_stream_specs())[name]
         assert not spec.fuzz_plan.proven  # its plan made, its kernel not yet
         lowered, native = [], dsl.Lowering.native
@@ -643,6 +642,26 @@ class TestTrialStream:
         # the kernel lowered nothing else that is not part of a side
         parts = [node for side in sides for node in _nodes(side)]
         assert all(any(node is part for part in parts) for node in lowered)
+
+    @pytest.mark.parametrize("spec", [s for _, s in _stream_specs()], ids=[n for n, _ in _stream_specs()])
+    def test_decide_at_a_failing_trial_gives_that_trial(self, spec):
+        # the shrinker decides each candidate through `decide` at the
+        # trial's point; at the trial's own factors, seeded point included,
+        # it returns what the trial returned
+        failed = 0
+        for seed in (0, 1, 2):
+            for tol in (1e-9, 1.5):
+                trial, decide = spec.fuzz_plan.kernel(random.Random(seed).random, tol)
+                for _ in range(200):
+                    try:
+                        result = trial()
+                    except (EvaluationError, harness._Undecided):
+                        continue
+                    if result is not None:
+                        _, point, factors = result
+                        assert decide(*point, *factors) == result
+                        failed += 1
+        assert failed > 0
 
 
 class TestChecksBeforeTheFirstTrial:
