@@ -32,9 +32,10 @@ trials are drawn, the plan compiles one trial kernel (`_trial_kernel`). Its
 seeds the point and decides each comparison before and after rescaling,
 every side and every constant of the decision inlined from one
 `dsl.Lowering` of the relation (partial evaluation: Jones, Gomard and
-Sestoft, 1993); its `trial` draws a point and calls `decide`, and the
-shrinker calls `decide` at that point with other factors. Compiling it
-takes about half a millisecond, once per plan, against about 8 us a trial.
+Sestoft, 1993); its `trial` reads a point off the trial's blake2b digest
+and calls `decide`, and the shrinker calls `decide` at that point with
+other factors. Compiling it takes about half a millisecond, once per plan,
+against about 3 us a trial.
 
 Passes are evidence, not proof — the verdict is necessarily one-sided, and
 the CLI report says so. A failure is meant to be definitive, but is not yet
@@ -45,7 +46,6 @@ strict xfails in `tests/test_cli.py::TestKnownFalseCounterexamples`).
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -292,7 +292,7 @@ def _sign_and_log(lowering: Lowering, side) -> tuple[str, str]:
 
 
 def _trial_kernel(plan):
-    """kernel(draw, tol) -> (trial, decide), compiled from one source.
+    """kernel(tol) -> (trial, decide), compiled from one source.
 
     decide(*logs, *factors) takes each variable's log magnitude and, where a
     comparison is mixed, a log factor per fundamental. It seeds the equality
@@ -302,9 +302,12 @@ def _trial_kernel(plan):
     wherever either value needs it. It returns None where the truth value
     survives the rescaling, else (before, the seeded logs, the log factors).
     A relation with no mixed comparison is only evaluated, for its domain,
-    a seeded `v = expr` only through expr. trial() is decide at a drawn
-    point: each log magnitude as `uniform` draws it over _LOG_MAG_RANGE,
-    then each log factor over _LOG_FACTOR_RANGE."""
+    a seeded `v = expr` only through expr. trial(h) is decide at the point
+    drawn from h, the blake2b hash of the trial's key: h.digest() (and,
+    past eight draws, `_block`'s further digests) unpacked as big-endian
+    64-bit words w, each log magnitude lo + (hi - lo)*((w >> 11)*2**-53)
+    over _LOG_MAG_RANGE, then each log factor over _LOG_FACTOR_RANGE. h is
+    the one seam through which a caller sets the draws."""
     relation, side_dims = plan.compiled.node, iter(plan.compiled.side_dims)
     low = Lowering(plan.names)
     low.names.update(apart_bound=_apart, inf=math.inf)
@@ -354,12 +357,29 @@ def _trial_kernel(plan):
         verdict = f"None if {before} == {after} else ({before}, ({logs}), [{mus}])"
     elif seeded is None:  # a seeded `v = expr` is defined wherever expr is
         low.value(relation, TRUTH)
-    draws = "".join(f"{lo!r} + {hi - lo!r}*draw(), " * n for (lo, hi), n in
-                    ((_LOG_MAG_RANGE, len(low.slots)), (_LOG_FACTOR_RANGE, factors)))
-    lines = ["def kernel(draw, tol):", " near = eq_bound(tol)", " apart = apart_bound(tol)",
+    ranges = [_LOG_MAG_RANGE] * len(low.slots) + [_LOG_FACTOR_RANGE] * factors
+    n = len(ranges)
+    draws = "".join(f"{lo!r} + {hi - lo!r}*((w{j} >> 11)*2**-53), "
+                    for j, (lo, hi) in enumerate(ranges))
+    unpack = []
+    if n:
+        from struct import Struct  # here, so that importing harness loads nothing more
+
+        low.names.update(words=Struct(f">{n}Q").unpack_from, block=_block)
+        blocks = "".join(f" + block(h, {k})" for k in range(1, (n + 7) // 8))
+        unpack = [f"  {slot_names('w', n)}= words(h.digest(){blocks})"]
+    lines = ["def kernel(tol):", " near = eq_bound(tol)", " apart = apart_bound(tol)",
              f" def decide({logs}{mus}):", *(f"  {line}" for line in low.lines), f"  return {verdict}",
-             " def trial():", f"  return decide({draws})", " return trial, decide"]
+             " def trial(h):", *unpack, f"  return decide({draws})", " return trial, decide"]
     return compile_source("\n".join(lines), "kernel", **low.names)
+
+
+def _block(h, k: int) -> bytes:
+    """Block k >= 1 of a trial's draws: the blake2b digest of its key and
+    f":{k}", from h, the hash of the key alone."""
+    h = h.copy()
+    h.update(b":%d" % k)
+    return h.digest()
 
 
 # Every log bound stays within ±_LOG_LIMIT, so each conversion to linear
@@ -521,11 +541,15 @@ def fuzz_invariance(
     Per trial: draw log-uniform magnitudes in [1e-3, 1e3] per variable and,
     where the relation has a mixed comparison, a log-uniform rescaling factor
     in [1e-2, 1e2] per fundamental; pass iff the relation's truth value
-    survives the rescaling. Each trial draws from its own deterministic
-    generator, independent per (seed, trial): MT19937 seeded with the 8-byte
-    blake2b digest of f"{seed}:{trial}" read as a big-endian int, as
-    `random.Random(that int).uniform` draws, variables first and then
-    factors. The relation is evaluated once, at the drawn point: a
+    survives the rescaling. Each trial's draws are a pure function of
+    (seed, trial), read off a counter-based stream (Salmon, Moraes, Dror and
+    Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011) with no
+    generator state: the 64-byte blake2b digest of f"{seed}:{trial}" read as
+    eight big-endian 64-bit words w, each the draw lo + (hi - lo)*u for
+    u = (w >> 11)*2**-53, the 53-bit uniform `random.random` builds, as
+    `uniform` maps it; variables first and then factors, and past the
+    eighth draw the digests of f"{seed}:{trial}:1", f"{seed}:{trial}:2",
+    and so on. The relation is evaluated once, at the drawn point: a
     comparison of one dimension keeps its truth value, and a mixed one is
     decided again from its sides there (see the module docstring), so a
     relation with no mixed comparison passes every trial on which it is
@@ -561,22 +585,16 @@ def fuzz_invariance(
     if plan.proven:
         return InvarianceReport(trials=trials, passed=trials, seed=seed, counterexample=None)
 
-    # one generator, reseeded per trial by MT19937's own seeding (what
-    # `Random.seed` calls for an int), drawn by the kernel. Its first seed is
-    # a constant, since every trial reseeds it before its first draw:
-    # `Random()` would read OS entropy for a state no trial uses.
-    stream = blake2b(f"{seed}:".encode(), digest_size=8)
-    rng = random.Random(0)
-    reseed = super(random.Random, rng).seed
-    run, decide = plan.kernel(rng.random, tol)
+    # trial t's hash is that of f"{seed}:{t}", continued from its prefix's
+    stream = blake2b(f"{seed}:".encode())
+    run, decide = plan.kernel(tol)
     passed = inapplicable = undecided = 0
     counterexample: Counterexample | None = None
     for trial in range(trials):
-        digest = stream.copy()
-        digest.update(str(trial).encode())
-        reseed(int.from_bytes(digest.digest(), "big"))
+        h = stream.copy()
+        h.update(b"%d" % trial)
         try:
-            failed = run()
+            failed = run(h)
         except EvaluationError as exc:
             inapplicable += 1
             out_of_domain = exc

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from hashlib import blake2b
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 
 from piforge import harness
@@ -858,12 +858,23 @@ def _reference_pair(node, env, bindings, log_factors, tol) -> tuple[bool, bool]:
     return value, value
 
 
-def trial_rng(seed: int, trial: int) -> random.Random:
-    """The fuzzer's independent deterministic generator per (seed, trial),
-    built afresh: MT19937 seeded with the 8-byte blake2b digest of
-    f"{seed}:{trial}", read as a big-endian int."""
-    digest = blake2b(f"{seed}:{trial}".encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+def trial_draws(seed: int, trial: int):
+    """The fuzzer's unit draws for (seed, trial), a pure function of the
+    two: block k is the 64-byte blake2b digest of f"{seed}:{trial}" (k = 0)
+    or f"{seed}:{trial}:{k}", read as eight big-endian 64-bit words q, and
+    each draw is the top 53 bits of a word over 2**53, as `random.random`
+    builds one. Endless: the caller takes what it needs."""
+    for k in count():
+        key = f"{seed}:{trial}" if k == 0 else f"{seed}:{trial}:{k}"
+        block = blake2b(key.encode()).digest()
+        for i in range(0, 64, 8):
+            yield (int.from_bytes(block[i:i + 8], "big") >> 11) / 2**53
+
+
+def trial_uniform(draws, bounds) -> float:
+    """The next draw of `trial_draws` over [lo, hi), as `random.uniform` maps one."""
+    lo, hi = bounds
+    return lo + (hi - lo) * next(draws)
 
 
 def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
@@ -873,10 +884,10 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
     Quantity-level sides and the exact log gap, with w = dL - dR as
     Fractions. The shrinker bisects the log factors on those decisions, and
     a counterexample is confirmed through `rescale` and `evaluate`. Its
-    draws come from `trial_rng`, a new generator per trial, each through
-    `uniform`; it shares only the ranges and the seeding target with
-    `harness`. `fuzz_invariance` must give an equal
-    report, float for float, and raise what this raises."""
+    draws come from `trial_draws`, its own digests per (seed, trial), each
+    mapped by `trial_uniform`; it shares only the ranges and the seeding
+    target with `harness`. `fuzz_invariance` must give an equal report,
+    float for float, and raise what this raises."""
     for name, value in (("trials", trials), ("seed", seed)):
         if type(value) is not int:
             raise TypeError(f"{name} must be an int, got {type(value).__name__}")
@@ -926,9 +937,9 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
     passed = inapplicable = undecided = 0
     counterexample = None
     for trial in range(trials):
-        rng = trial_rng(seed, trial)
+        draws = trial_draws(seed, trial)
         bindings = {
-            name: Quantity(rng.uniform(*harness._LOG_MAG_RANGE), dim)
+            name: Quantity(trial_uniform(draws, harness._LOG_MAG_RANGE), dim)
             for name, dim in zip(names, dims)
         }
         if target is not None:
@@ -939,7 +950,7 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
                 pass
         log_factors = None
         if has_mixed:
-            log_factors = [rng.uniform(*harness._LOG_FACTOR_RANGE) for _ in spec.system.names]
+            log_factors = [trial_uniform(draws, harness._LOG_FACTOR_RANGE) for _ in spec.system.names]
         try:
             before, after = _reference_pair(spec.relation, env, bindings, log_factors, tol)
         except EvaluationError as exc:

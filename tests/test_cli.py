@@ -280,10 +280,10 @@ class TestVerifyDomainAndRange:
         )
 
     @pytest.mark.parametrize("variables,relation,passed", [
-        ({"x": "L", "y": "L"}, f"x^{10**308}/x^{10**308} < y/y*2", 248),
-        ({"x": "L", "y": "L"}, f"x^{10**308} = x^{10**308}", 248),
+        ({"x": "L", "y": "L"}, f"x^{10**308}/x^{10**308} < y/y*2", 279),
+        ({"x": "L", "y": "L"}, f"x^{10**308} = x^{10**308}", 279),
         ({"x": "L", "y": "L"}, f"sin(x^{10**308}/y^{10**308}) < 2", 25),
-        ({"x": "L", "y": "1"}, f"y = x^{10**308}/x^{10**308}", 248),
+        ({"x": "L", "y": "1"}, f"y = x^{10**308}/x^{10**308}", 279),
     ], ids=["ratio-order", "equality", "sin", "seeded-equality"])
     def test_log_beyond_the_float_range_is_out_of_domain(self, tmp_path, variables, relation, passed):
         # inf - inf in log space is no counterexample, no math domain error,
@@ -372,7 +372,7 @@ class TestVerifyDomainAndRange:
         spec = _write_spec(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
         proc = run_cli("verify", "--spec", spec)
         assert proc.returncode == 1, proc.stderr
-        assert proc.stdout.startswith(b"trials: 1000, passed: 526\n")
+        assert proc.stdout.startswith(b"trials: 1000, passed: 487\n")
         proc = run_cli("verify", "--spec", spec, "--trials", "1", "--seed", "1")
         assert proc.returncode == 1
         assert proc.stderr == b""
@@ -389,9 +389,9 @@ class TestKnownFalseCounterexamples:
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="rounding in a sum or a log gives a false counterexample")
     @pytest.mark.parametrize("relation,trial", [
-        ("z - ((x + z) - x) < 1e-13*y", 67),
-        ("log(x/z) + log(z/x) < 1e-15*y", 132),
-        ("exp(log(x/z))*z - x < 1e-13*y", 692),
+        ("z - ((x + z) - x) < 1e-13*y", 17),
+        ("log(x/z) + log(z/x) < 1e-15*y", 44),
+        ("exp(log(x/z))*z - x < 1e-13*y", 971),
     ])
     def test_a_relation_true_everywhere_passes(self, tmp_path, relation, trial):
         spec = _write_spec(tmp_path, {"x": "L", "z": "L", "y": "T"}, relation, system=("L", "T"))
@@ -404,7 +404,7 @@ class TestKnownFalseCounterexamples:
                        reason="a product of an exact 0 is reported as a counterexample")
     def test_a_relation_undefined_everywhere_is_usage_failure(self, tmp_path):
         # (x + z) - x - z is exactly 0, so the product leaves the domain at
-        # every point; floats give it a sign on some trials (trial 93 fails)
+        # every point; floats give it a sign on some trials (trial 144 fails)
         spec = _write_spec(tmp_path, {"x": "L", "z": "L", "y": "T"}, "((x + z) - x - z)*1e13 < y",
                            system=("L", "T"))
         proc = run_cli("verify", "--spec", spec, "--trials", "1000", "--seed", "0")
