@@ -33,9 +33,10 @@ seeds the point and decides each comparison before and after rescaling,
 every side and every constant of the decision inlined from one
 `dsl.Lowering` of the relation (partial evaluation: Jones, Gomard and
 Sestoft, 1993); its `trial` reads a point off the trial's blake2b digest
-and calls `decide`, and the shrinker calls `decide` at that point with
-other factors. Compiling it takes about half a millisecond, once per plan,
-against about 3 us a trial.
+and calls `decide`; its `shrink`, at a failing trial's point, runs
+`decide`'s lines up to the first that reads a log factor once, and the rest
+once per candidate, as it bisects the factors a mixed comparison reads.
+Compiling it takes 0.6 to 1.5 ms, once per plan, against about 3 us a trial.
 
 Passes are evidence, not proof — the verdict is necessarily one-sided, and
 the CLI report says so. A failure is meant to be definitive, but is not yet
@@ -292,7 +293,7 @@ def _sign_and_log(lowering: Lowering, side) -> tuple[str, str]:
 
 
 def _trial_kernel(plan):
-    """kernel(tol) -> (trial, decide), compiled from one source.
+    """kernel(tol) -> (trial, decide, shrink), compiled from one source.
 
     decide(*logs, *factors) takes each variable's log magnitude and, where a
     comparison is mixed, a log factor per fundamental. It seeds the equality
@@ -307,7 +308,23 @@ def _trial_kernel(plan):
     past eight draws, `_block`'s further digests) unpacked as big-endian
     64-bit words w, each log magnitude lo + (hi - lo)*((w >> 11)*2**-53)
     over _LOG_MAG_RANGE, then each log factor over _LOG_FACTOR_RANGE. h is
-    the one seam through which a caller sets the draws."""
+    the one seam through which a caller sets the draws.
+
+    shrink(*logs, *factors), None for a relation with no mixed comparison,
+    gives the list of log factors `_shrink` reports for a failing trial's
+    point and factors. It runs decide's lines in two parts. The prefix, every
+    line before the first that reads a log factor (the seeding, the sides and
+    the first mixed comparison's value before rescaling), runs once: it
+    does not move at a fixed point, and it passed in the trial. The suffix
+    runs once per candidate, in one loop over the live factors, those with
+    w_j != 0 in some mixed comparison: for up to _SHRINK_ROUNDS rounds, each
+    live factor in turn is halved where that keeps the truth value after
+    rescaling apart from the one before; a candidate that leaves the domain
+    or is undecided does not. It stops after a round that halves none. No
+    truth value reads a dead factor, so halving one always keeps the
+    violation, and it is halved in every one of the _SHRINK_ROUNDS rounds
+    (the rounds a nonzero dead factor keeps going): it ends at
+    ldexp(μ_j, -_SHRINK_ROUNDS)."""
     relation, side_dims = plan.compiled.node, iter(plan.compiled.side_dims)
     low = Lowering(plan.names)
     low.names.update(apart_bound=_apart, inf=math.inf)
@@ -319,9 +336,12 @@ def _trial_kernel(plan):
         low.lines.append(seed if sign == "1" else f"if {sign} > 0: {seed}")
     factors = plan.factors if plan.mixed else 0
     logs, mus = slot_names("v", len(low.slots)), slot_names("f", factors)
+    live: set[int] = set()
+    split = None  # the index in low.lines of the first line that reads a log factor
 
     def pair(node) -> tuple[str, str]:
         """(before, after) of node, as locals."""
+        nonlocal split
         kind = node.__class__
         if kind is BoolOp:
             lb, la = pair(node.left)
@@ -344,6 +364,9 @@ def _trial_kernel(plan):
         point = (sl, ll, sr, lr)
         gap, spread = low.let(f"{ll} - {lr}"), low.let(f"1.0 + abs({ll}) + abs({lr})")
         before = low.let(m.decision(name, point, gap, spread, "()"))
+        live.update(j for j, w in enumerate(m.w) if w)
+        if split is None:
+            split = len(low.lines)
         if m.terms is None:  # a w with no float form
             return before, low.let(f"{name}.exact({', '.join(point)}, ({mus}), tol, inf)")
         moves = [low.let(f"{w!r}*f{j}") for j, w in m.terms]
@@ -351,10 +374,31 @@ def _trial_kernel(plan):
         spread = low.let(spread + "".join(f" + abs({t})" for t in moves))
         return before, low.let(m.decision(name, point, gap, spread, f"({mus})"))
 
-    verdict = "None"
+    verdict, shrink = "None", []
     if plan.mixed:
         before, after = pair(relation)
         verdict = f"None if {before} == {after} else ({before}, ({logs}), [{mus}])"
+        dead = tuple(j for j in range(factors) if j not in live)
+        low.names.update(Undecided=_Undecided, ldexp=math.ldexp)
+        shrink = [f" def shrink({logs}{mus}):", *(f"  {line}" for line in low.lines[:split]),
+                  f"  mu = [{mus}]",
+                  f"  for _ in range({_SHRINK_ROUNDS}):",
+                  "   moved = False",
+                  f"   for j in {tuple(sorted(live))}:",
+                  "    kept = mu[j]",
+                  "    if not kept: continue",
+                  "    mu[j] = kept / 2",
+                  f"    {mus}= mu",
+                  "    try:", *(f"     {line}" for line in low.lines[split:]),
+                  f"     if {before} != {after}:",
+                  "      moved = True",
+                  "      continue",
+                  "    except (Error, Undecided):",
+                  "     pass",
+                  "    mu[j] = kept",
+                  "   if not moved: break",
+                  f"  for j in {dead}: mu[j] = ldexp(mu[j], -{_SHRINK_ROUNDS})",
+                  "  return mu"]
     elif seeded is None:  # a seeded `v = expr` is defined wherever expr is
         low.value(relation, TRUTH)
     ranges = [_LOG_MAG_RANGE] * len(low.slots) + [_LOG_FACTOR_RANGE] * factors
@@ -370,7 +414,8 @@ def _trial_kernel(plan):
         unpack = [f"  {slot_names('w', n)}= words(h.digest(){blocks})"]
     lines = ["def kernel(tol):", " near = eq_bound(tol)", " apart = apart_bound(tol)",
              f" def decide({logs}{mus}):", *(f"  {line}" for line in low.lines), f"  return {verdict}",
-             " def trial(h):", *unpack, f"  return decide({draws})", " return trial, decide"]
+             " def trial(h):", *unpack, f"  return decide({draws})", *shrink,
+             f" return trial, decide, {'shrink' if shrink else 'None'}"]
     return compile_source("\n".join(lines), "kernel", **low.names)
 
 
@@ -565,8 +610,9 @@ def fuzz_invariance(
     its edge, before or after, is undecided. If no trial is decided,
     EvaluationError is raised, since none tested the relation.
 
-    The first failing trial is shrunk (factor bisection toward 1, each
-    candidate decided by the kernel's `decide` at the trial's point) and
+    The first failing trial is shrunk (factor bisection toward 1, by the
+    kernel's `shrink`, which works out what the factors do not move once
+    and then decides each candidate at the trial's point) and
     confirmed through `rescale` and `evaluate` from the report's own
     bindings and factors; a trial that does not reproduce there is
     undecided too. A reported counterexample is meant to be definitive,
@@ -587,7 +633,7 @@ def fuzz_invariance(
 
     # trial t's hash is that of f"{seed}:{t}", continued from its prefix's
     stream = blake2b(f"{seed}:".encode())
-    run, decide = plan.kernel(tol)
+    run, _, shrink = plan.kernel(tol)
     passed = inapplicable = undecided = 0
     counterexample: Counterexample | None = None
     for trial in range(trials):
@@ -606,7 +652,7 @@ def fuzz_invariance(
             passed += 1
         elif counterexample is None:
             before, point, log_factors = failed
-            shrunk = Rescaling(spec.system, tuple(_shrink(decide, point, log_factors)))
+            shrunk = Rescaling(spec.system, tuple(_shrink(shrink, point, log_factors)))
             logs = dict(zip(spec.variable_names, point))
             counterexample = _confirmed(spec, trial, logs, shrunk, before, tol)
             undecided += counterexample is None
@@ -644,30 +690,12 @@ def _confirmed(spec, trial, logs, shrunk, before, tol) -> Counterexample | None:
     )
 
 
-def _shrink(decide, point, log_factors) -> list[float]:
-    """Bisect each log factor toward 0 while the violation persists, each
-    candidate decided by the trial kernel's `decide` at the trial's point: the
-    truth value there before rescaling does not depend on the factors. A
-    candidate that is undecided, or that needs a branch outside the
-    relation's domain, does not violate."""
-    log_factors = list(log_factors)
-    for _ in range(_SHRINK_ROUNDS):
-        improved = False
-        for j in range(len(log_factors)):
-            if log_factors[j] == 0.0:
-                continue
-            candidate = log_factors.copy()
-            candidate[j] /= 2
-            try:
-                violates = decide(*point, *candidate) is not None
-            except (EvaluationError, _Undecided):
-                violates = False
-            if violates:
-                log_factors = candidate
-                improved = True
-        if not improved:
-            break
-    return log_factors
+def _shrink(shrink, point, log_factors) -> list[float]:
+    """The log factors a failing trial reports: each bisected toward 0
+    while the violation persists, by the trial kernel's `shrink` at the
+    trial's point (see `_trial_kernel`). A candidate that is undecided, or
+    that needs a branch outside the relation's domain, does not violate."""
+    return shrink(*point, *log_factors)
 
 
 def report_to_dict(report: InvarianceReport) -> dict:

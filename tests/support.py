@@ -858,6 +858,33 @@ def _reference_pair(node, env, bindings, log_factors, tol) -> tuple[bool, bool]:
     return value, value
 
 
+def reference_shrink(decide, point, log_factors) -> list[float]:
+    """The shrinker as one Python loop over every factor in every round:
+    bisect each log factor toward 0 while the violation persists, each
+    candidate decided by the trial kernel's `decide` at the trial's point. A
+    candidate that is undecided, or that needs a branch outside the
+    relation's domain, does not violate. The kernel's `shrink` must give
+    the same list, float for float."""
+    log_factors = list(log_factors)
+    for _ in range(harness._SHRINK_ROUNDS):
+        improved = False
+        for j in range(len(log_factors)):
+            if log_factors[j] == 0.0:
+                continue
+            candidate = log_factors.copy()
+            candidate[j] /= 2
+            try:
+                violates = decide(*point, *candidate) is not None
+            except (EvaluationError, harness._Undecided):
+                violates = False
+            if violates:
+                log_factors = candidate
+                improved = True
+        if not improved:
+            break
+    return log_factors
+
+
 def trial_draws(seed: int, trial: int):
     """The fuzzer's unit draws for (seed, trial), a pure function of the
     two: block k is the 64-byte blake2b digest of f"{seed}:{trial}" (k = 0)

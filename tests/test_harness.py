@@ -43,6 +43,7 @@ from support import (
     reference_bounds,
     reference_fuzz,
     reference_log_combine,
+    reference_shrink,
     run_cli,
     trial_draws,
     trial_uniform,
@@ -54,7 +55,7 @@ def _spec(name):
 
 
 def _kernel_at(monkeypatch, spec, values, tol=1e-9):
-    """(trial, decide): the spec's trial kernel, built over draw ranges
+    """(trial, decide, shrink): the spec's trial kernel, built over draw ranges
     [0, 2**45), where a word's draw is a multiple of 2**-8, and its trial fed
     a digest whose words draw the given values as they are: each variable's
     log magnitude, then each log factor, each such a multiple below 2**45."""
@@ -65,8 +66,8 @@ def _kernel_at(monkeypatch, spec, values, tol=1e-9):
         patched.setattr(harness, "_LOG_MAG_RANGE", (0.0, 2.0**45))
         patched.setattr(harness, "_LOG_FACTOR_RANGE", (0.0, 2.0**45))
         # built apart from the plan's own kernel, which keeps the real ranges
-        trial, decide = harness._trial_kernel(spec.fuzz_plan)(tol)
-    return lambda: trial(SimpleNamespace(digest=lambda: block)), decide
+        trial, decide, shrink = harness._trial_kernel(spec.fuzz_plan)(tol)
+    return lambda: trial(SimpleNamespace(digest=lambda: block)), decide, shrink
 
 
 class TestRescale:
@@ -238,11 +239,11 @@ class TestInapplicableTrials:
                 tmp_path, {"x": "T", "y": "1", "v": "L"}, f"x < y and (x < v or {branch})",
                 system=("L", "T"),
             )
-            trial, decide = _kernel_at(monkeypatch, spec, [0.0, 1.0, 1.0, 4.0, 3.5])
+            trial, decide, shrink = _kernel_at(monkeypatch, spec, [0.0, 1.0, 1.0, 4.0, 3.5])
             before, point, factors = trial()
             assert (before, point, factors) == (True, (0.0, 1.0, 1.0), [4.0, 3.5])
             assert decide(*point, *factors) == (True, point, factors)  # false after
-            shrunk[branch] = harness._shrink(decide, point, factors)
+            shrunk[branch] = harness._shrink(shrink, point, factors)
         assert shrunk == {"log(y/y - 1) < 1": [1.0, 1.75], "y < y": [0.5**18, 1.75]}
 
     def test_report_invariant(self):
@@ -499,20 +500,20 @@ class TestMixedComparisons:
         m = harness._Mixed(spec.relation, *spec.fuzz_plan.compiled.side_dims[0])
         assert x - y == 3/32 == m.bound * (1.0 + abs(x) + abs(y))
         assert Fraction(x) - Fraction(y) > Fraction(m.bound) * (1 + Fraction(x) + Fraction(y))
-        trial, _ = _kernel_at(monkeypatch, spec, [x, y, 0.0, 0.0])
+        trial, _, _ = _kernel_at(monkeypatch, spec, [x, y, 0.0, 0.0])
         with pytest.raises(harness._Undecided):
             trial()
         # one step further from the edge, the floats decide it: x < y is false
-        trial, _ = _kernel_at(monkeypatch, spec, [x + 1/256, y, 0.0, 0.0])
+        trial, _, _ = _kernel_at(monkeypatch, spec, [x + 1/256, y, 0.0, 0.0])
         assert trial() is None
 
     def test_shrink_skips_an_undecided_candidate(self, tmp_path, monkeypatch):
         # gap -1 + μ: μ = 4 violates, μ = 2 too, and μ = 1 puts the gap on the edge
         spec = _spec_text(tmp_path, {"x": "L", "y": "1"}, "x < y")
-        trial, decide = _kernel_at(monkeypatch, spec, [0.0, 1.0, 4.0])
+        trial, _, shrink = _kernel_at(monkeypatch, spec, [0.0, 1.0, 4.0])
         before, point, factors = trial()
         assert (before, point, factors) == (True, (0.0, 1.0), [4.0])
-        assert harness._shrink(decide, point, factors) == [2.0]
+        assert harness._shrink(shrink, point, factors) == [2.0]
 
     def test_undecided_trials_are_counted(self, tmp_path):
         # x is seeded to y - z wherever that is positive: the gap is then 0,
@@ -592,14 +593,14 @@ def _recording_kernel(monkeypatch, spec):
     make = plan.kernel
 
     def kernel(tol):
-        trial, decide = make(tol)
+        trial, decide, shrink = make(tol)
 
         def recorded(h):
             blocks.append(h.digest())
             returned.append(trial(h))
             return returned[-1]
 
-        return recorded, decide
+        return recorded, decide, shrink
 
     monkeypatch.setattr(plan, "kernel", kernel)
     return blocks, returned
@@ -665,7 +666,7 @@ class TestTrialStream:
         failed = 0
         for seed in (0, 1, 2):
             for tol in (1e-9, 1.5):
-                trial, decide = spec.fuzz_plan.kernel(tol)
+                trial, decide, _ = spec.fuzz_plan.kernel(tol)
                 for t in range(200):
                     try:
                         result = trial(blake2b(f"{seed}:{t}".encode()))
@@ -686,7 +687,7 @@ def _drawing_trial(monkeypatch, spec, unit=False):
         if unit:
             patched.setattr(harness, "_LOG_MAG_RANGE", (0.0, 1.0))
             patched.setattr(harness, "_LOG_FACTOR_RANGE", (0.0, 1.0))
-        trial, _ = harness._trial_kernel(spec.fuzz_plan)(1e-9)
+        trial, _, _ = harness._trial_kernel(spec.fuzz_plan)(1e-9)
     cells = dict(zip(trial.__code__.co_freevars, trial.__closure__))
     cells["decide"].cell_contents = lambda *drawn: drawn
     return trial
@@ -731,6 +732,99 @@ class TestCounterBasedStream:
             expected += [trial_uniform(draws, harness._LOG_FACTOR_RANGE) for _ in spec.system.names]
             drawn = trial(blake2b(f"{seed}:{k}".encode()))
             assert [v.hex() for v in drawn] == [v.hex() for v in expected], (seed, k)
+
+
+def _failing_trials(spec, seeds, tols, trials):
+    """(decide, shrink, point, log factors) at each failing trial of the
+    spec's kernel, over the given seeds and tols."""
+    for tol in tols:
+        trial, decide, shrink = spec.fuzz_plan.kernel(tol)
+        for seed in seeds:
+            for t in range(trials):
+                try:
+                    failed = trial(blake2b(f"{seed}:{t}".encode()))
+                except (EvaluationError, harness._Undecided):
+                    continue
+                if failed is not None:
+                    yield decide, shrink, failed[1], failed[2]
+
+
+def _hex(floats):
+    return [v.hex() for v in floats]
+
+
+class TestKernelShrink:
+    """The kernel's `shrink` works out what the factors do not move once and
+    bisects only the live factors, and gives what bisecting every factor in
+    every round through `decide` gives, float for float."""
+
+    def test_corpus_failing_trials_shrink_as_the_reference(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+        import corpus
+
+        shrunk = 0
+        for seed in range(12):
+            state = corpus.prepare(seed, SimpleNamespace(root=FIXTURES.parent))
+            # each relation's fuzz seed in round 0, as `corpus.round_ops` draws it
+            rng = random.Random(f"{corpus.NAME}:{seed}:0")
+            for (_, _, spec, _, _) in state["corpus"]:
+                fuzz_seed = rng.randrange(2**31)
+                if spec.fuzz_plan.proven:
+                    continue
+                for decide, shrink, point, factors in _failing_trials(
+                        spec, [fuzz_seed], (1e-9, 0.5), corpus.TRIALS):
+                    expected = reference_shrink(decide, point, factors)
+                    assert _hex(shrink(*point, *factors)) == _hex(expected), spec.relation_text
+                    shrunk += 1
+        assert shrunk > 10000
+
+    @pytest.mark.parametrize("variables, relation, system", [
+        # the first mixed comparison under a guard
+        ({"a": "L", "b": "L", "x": "L", "y": "T"}, "a < b or x < y", ("L", "T")),
+        ({"x": "L", "y": "T"}, "not x < y", ("L", "T")),
+        # two mixed comparisons, the second guarded
+        ({"x": "L", "y": "T", "z": "M"}, "x < y and y <= z", ("L", "T", "M")),
+        ({"x": "L", "y": "T", "z": "M"}, "x < y or y <= z", ("L", "T", "M")),
+        # a seeded '=' with a mixed side
+        ({"x": "L", "y": "T", "z": "T"}, "x = y - z", ("L", "T")),
+        # M is dead: no comparison reads its factor
+        ({"x": "L", "y": "T"}, "x < y", ("M", "L", "T")),
+        # the first mixed comparison's w has no float form
+        ({"x": f"L^{10**308}", "y": f"L^-{10**308}", "z": "L"}, "x < y or z < x", ("L",)),
+    ])
+    def test_hand_shapes_shrink_as_the_reference(self, tmp_path, variables, relation, system):
+        spec = _spec_text(tmp_path, variables, relation, system=system)
+        shrunk = 0
+        for decide, shrink, point, factors in _failing_trials(spec, range(4), (1e-9, 0.5), 100):
+            expected = reference_shrink(decide, point, factors)
+            assert _hex(shrink(*point, *factors)) == _hex(expected)
+            shrunk += 1
+        assert shrunk > 10
+
+    def test_a_dead_factor_ends_halved_every_round(self, tmp_path):
+        spec = _spec_text(tmp_path, {"x": "L", "y": "T"}, "x < y", system=("M", "L", "T"))
+        decide, shrink, point, factors = next(_failing_trials(spec, [0], [1e-9], 100))
+        assert factors[0] != 0.0
+        assert shrink(*point, *factors)[0] == math.ldexp(factors[0], -harness._SHRINK_ROUNDS)
+        # and a dead factor of 0 stays 0, which still violates
+        factors = [0.0, *factors[1:]]
+        assert decide(*point, *factors) is not None
+        assert shrink(*point, *factors) == reference_shrink(decide, point, factors)
+        assert shrink(*point, *factors)[0] == 0.0
+
+    def test_fuzz_invariance_shrinks_through_the_module_function(self, tmp_path, monkeypatch):
+        # the benchmark traces harness._shrink by its module attribute: each
+        # shrunk trial is one call through it, a confirmed one or not
+        calls = []
+        shrink = harness._shrink
+        monkeypatch.setattr(harness, "_shrink", lambda *args: calls.append(args) or shrink(*args))
+        report = fuzz_invariance(_spec("hidden_constant"), trials=100, seed=0)
+        assert report.counterexample is not None and len(calls) == 1
+        calls.clear()
+        spec = _spec_text(tmp_path, {"x": "L", "y": "T"}, "x < y", system=("L", "T"))
+        monkeypatch.setattr(harness, "evaluate", lambda *args, **kwargs: True)
+        report = fuzz_invariance(spec, trials=50, seed=0)
+        assert report.counterexample is None and len(calls) == report.undecided > 0
 
 
 class TestChecksBeforeTheFirstTrial:
