@@ -17,9 +17,11 @@ an equal list built from other objects reduces again.
 
 `log_combine` is the one-shot float path and the reference for
 `log_values_kernel`, a straight-line function giving the same floats for a
-basis that runs many records (`pigroups.PiBasis`). `orbit_gap_kernel` is the
-one path to a log vector's distance from the span of `row_space` rows: its
-code depends on the slot count alone and is compiled once per slot count per
+basis that runs many records (`pigroups.PiBasis`). One generated projection
+(`_orbit_gap_maker`) serves both `row_space`, whose Gram-Schmidt takes each
+row's residual against the rows before it, and `orbit_gap_kernel`, the one
+path to a log vector's distance from the span of those rows: its code
+depends on the slot count alone and is compiled once per slot count per
 process, and each caller closes it over its own rows.
 """
 
@@ -363,17 +365,6 @@ def dimension_matrix(system: DimSystem, ws) -> QMatrix:
     return QMatrix(d, n, flat)
 
 
-def _residual(vec, rows) -> list[float]:
-    """vec less its component along each orthonormal row in turn. Each dot
-    product hands `math.fsum` the products a * b in slot order through
-    `map`, with no generator frame per slot; fsum rounds once, so every
-    float is the one a term-by-term sum of the same products gives."""
-    for u in rows:
-        c = math.fsum(map(operator.mul, vec, u))
-        vec = [a - c * b for a, b in zip(vec, u)]
-    return vec
-
-
 # (ws, reduction) of the last `reduce_dims` call; read once, replaced whole
 _last_reduction: tuple[tuple, Reduction | None] = ((), None)
 
@@ -404,12 +395,15 @@ def row_space(reduction: Reduction) -> tuple[tuple[float, ...], ...]:
     rescalings, read off `reduce_dims(ws)` with no elimination: modified
     Gram-Schmidt on the nonzero RREF rows, which hold the identity at their
     pivots and so are well conditioned; `v / pivot` on the integer rows is
-    correctly rounded, as `float(Fraction)` is. A ratio, or a row norm,
-    beyond the float range raises EvaluationError."""
+    correctly rounded, as `float(Fraction)` is. Each row loses its component
+    along the rows before it through the orbit-gap code's `residual`
+    (`_orbit_gap_maker`), closed over the list of rows as it grows. A
+    ratio, or a row norm, beyond the float range raises EvaluationError."""
     rows = []
+    residual = _orbit_gap_maker(reduction.shape[1])(rows)[0]
     for row, pc in zip(reduction.int_rows, reduction.pivot_cols):
         try:
-            row = _residual([v / row[pc] for v in row], rows)
+            row = residual([v / row[pc] for v in row])
         except OverflowError:  # an integer ratio, or a dot product, past the float range
             row = [math.inf]
         norm = math.hypot(*row)
@@ -451,25 +445,29 @@ def log_values_kernel(vectors, n: int):
 
 @cache
 def _orbit_gap_maker(n: int):
-    """`make(rows)` for the orbit-gap kernel of an n-slot log vector,
-    compiled once per n per process: a loop over the rows whose body is
-    unrolled over the slots, so its source holds slot indices only, no row
-    count and no float of any basis, and the table keeps code alone and
-    grows with the distinct slot counts, not the bases."""
+    """`make(rows)` -> `(residual, orbit_gap)` for n-slot log vectors,
+    compiled once per n per process: `residual(v)`, the tuple of v's slots
+    less v's component along each orthonormal row in turn, each dot product
+    one `fsum` of the products in slot order, and `orbit_gap(v)`, `hypot`
+    of those slots. Both run one loop body, written once here and unrolled
+    over the slots, so the source holds slot indices only, no row count and
+    no float of any basis, and the table keeps code alone and grows with
+    the distinct slot counts, not the bases."""
     v, u = slot_names("v", n), slot_names("u", n)
-    lines = ["def make(rows):", " def orbit_gap(v):", f"  ({v}) = v", f"  for ({u}) in rows:",
-             f"   c = fsum(({''.join(f'v{j}*u{j}, ' for j in range(n))}))",
-             *(f"   v{j} -= c*u{j}" for j in range(n)),
-             f"  return hypot({v})", " return orbit_gap"]
+    body = [f"  ({v}) = v", f"  for ({u}) in rows:",
+            f"   c = fsum(({''.join(f'v{j}*u{j}, ' for j in range(n))}))",
+            *(f"   v{j} -= c*u{j}" for j in range(n))]
+    lines = ["def make(rows):", " def residual(v):", *body, f"  return ({v})",
+             " def orbit_gap(v):", *body, f"  return hypot({v})", " return residual, orbit_gap"]
     return compile_source("\n".join(lines), "make", fsum=math.fsum, hypot=math.hypot)
 
 
 def orbit_gap_kernel(rows, n: int):
     """A function of an n-slot log vector that returns its distance from
-    the span of rows, `hypot(*_residual(logs, rows))` float for float:
-    `_residual` unrolled over the slots, each dot product one `fsum` of the
-    same products in slot order. The rows are data, the kernel's closure
-    cell, so the source depends on n alone: its code is compiled once per n
-    per process and shared, while each call gets its own closure over its
-    own rows. The vector must hold n entries."""
-    return _orbit_gap_maker(n)(rows)
+    the span of the orthonormal rows, `hypot(*residual(logs))` float for
+    float, with `residual` from the same `_orbit_gap_maker(n)(rows)`. The
+    rows are data, the kernel's closure cell, so the source depends on n
+    alone: its code is compiled once per n per process and shared, while
+    each call gets its own closure over its own rows. The vector must hold
+    n entries."""
+    return _orbit_gap_maker(n)(rows)[1]

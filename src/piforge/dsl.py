@@ -22,13 +22,15 @@ and as the tree it returns, the depth counted without recursion, so that no
 walker of it runs into Python's recursion limit; a deeper one is a
 ParseError, and so is a dimension or unit expression with more open
 parentheses. A relation node is an instance of exactly one of the eight
-classes of `Node`, and the walkers on `verify`'s path (`typecheck`,
-`children`, `Lowering`) dispatch on `node.__class__ is ...` and read fields
-as attributes (a `match` class pattern costs several times as much per node,
-and would take an instance of a subclass for a node). `children` gives a
-node's operands, left to right, to the walks that treat every kind alike
-(`free_variables`, the parser's depth count, `harness._size`); the others
-do different work for each kind and keep their own dispatch.
+classes of `Node`. Every walker of a relation dispatches on
+`node.__class__ is ...` and reads fields as attributes (a `match` class
+pattern costs several times as much per node, and would take an instance of
+a subclass for a node): `children`, `typecheck`, the printer and `Lowering`
+raise TypeError("not a relation node: ...") for anything else, such an
+instance included, and `harness._bounds` calls it unproven. `children`
+gives a node's operands, left to right, to the walks that treat every kind
+alike (`free_variables`, the parser's depth count, `harness._size`); the
+others do different work for each kind and keep their own dispatch.
 
 `compile_relation` (`CompiledRelation`) types a relation once, whole, and
 on its first run lowers it (`Lowering`) into straight-line Python source,
@@ -474,13 +476,13 @@ def free_variables(node: Node) -> set[str]:
 # --- printer -------------------------------------------------------------
 
 def _prec(node: Node) -> int:
-    match node:
-        case BinOp(op, _, _) | Compare(op, _, _) | BoolOp(op, _, _):
-            return _BINARY[op][0]
-        case Not(_):
-            return _NOT
-        case Pow(_, _):
-            return _POW
+    kind = node.__class__
+    if kind is BinOp or kind is Compare or kind is BoolOp:
+        return _BINARY[node.op][0]
+    if kind is Not:
+        return _NOT
+    if kind is Pow:
+        return _POW
     return _POW + 1
 
 
@@ -494,23 +496,24 @@ def _wrap(child: Node, parent_prec: int, right_side: bool = False) -> str:
 
 def print_relation(node: Node) -> str:
     """Render an AST back to source; parse(print(n)) == n."""
-    match node:
-        case Var(name):
-            return name
-        case Const(value, symbol):
-            return symbol if symbol else repr(value)
-        case BinOp(op, left, right) | Compare(op, left, right) | BoolOp(op, left, right):
-            p = _prec(node)
-            # comparisons do not chain, so a comparison operand is wrapped on either side
-            left_text = _wrap(left, p, right_side=isinstance(node, Compare))
-            return f"{left_text} {op} {_wrap(right, p, right_side=True)}"
-        case Pow(base, exponent):
-            etext = str(exponent) if exponent.denominator == 1 and exponent >= 0 else f"({exponent})"
-            return f"{_wrap(base, _POW, right_side=True)}^{etext}"
-        case Call(func, arg):
-            return f"{func}({print_relation(arg)})"
-        case Not(operand):
-            return f"not {_wrap(operand, _NOT)}"
+    kind = node.__class__
+    if kind is Var:
+        return node.name
+    if kind is Const:
+        return node.symbol if node.symbol else repr(node.value)
+    if kind is BinOp or kind is Compare or kind is BoolOp:
+        p = _prec(node)
+        # comparisons do not chain, so a comparison operand is wrapped on either side
+        left_text = _wrap(node.left, p, right_side=kind is Compare)
+        return f"{left_text} {node.op} {_wrap(node.right, p, right_side=True)}"
+    if kind is Pow:
+        exponent = node.exponent
+        etext = str(exponent) if exponent.denominator == 1 and exponent >= 0 else f"({exponent})"
+        return f"{_wrap(node.base, _POW, right_side=True)}^{etext}"
+    if kind is Call:
+        return f"{node.func}({print_relation(node.arg)})"
+    if kind is Not:
+        return f"not {_wrap(node.operand, _NOT)}"
     raise TypeError(f"not a relation node: {node!r}")
 
 
@@ -680,9 +683,9 @@ _GLOBALS = {
 class Lowering:
     """Straight-line Python source for typed relation nodes: one statement
     per node, in the order evaluation takes them, each operand before its
-    node and left before right. `Lowering(variables, names)` makes each
-    variable its slot, v0, v1, ... in the order given (`slots`); a constant
-    is its log as a float repr, and any other node a fresh local t0, t1, ...
+    node and left before right. `Lowering(variables)` makes each variable
+    its slot, v0, v1, ... in the order given (`slots`); a constant is its
+    log as a float repr, and any other node a fresh local t0, t1, ...
 
     Each domain check is a statement that raises the EvaluationError the
     value would: `t - t` is 0.0 for a finite t and nan, which is true, for
@@ -690,12 +693,12 @@ class Lowering:
     that is true exactly where the left one does not decide, and each of its
     statements reads `if guard: ...`: no statement nests in another, however
     deeply the relation does. The source reads the names of `_GLOBALS`, the
-    locals `tol` and those above, and globals it adds to `names` (shared by
-    the lowerings of one source), so it holds no string from a spec."""
+    locals `tol` and those above, and globals it adds to `names`, so it
+    holds no string from a spec."""
 
-    def __init__(self, variables, names: dict | None = None):
+    def __init__(self, variables):
         self.slots = {name: f"v{i}" for i, name in enumerate(variables)}
-        self.names = dict(_GLOBALS) if names is None else names
+        self.names = dict(_GLOBALS)
         self.lines: list[str] = []
         self.used: set[str] = set()  # the variables read
         self.guard: str | None = None  # None: every statement runs

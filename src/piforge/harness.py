@@ -379,6 +379,7 @@ def _trial_kernel(plan):
         before, after = pair(relation)
         verdict = f"None if {before} == {after} else ({before}, ({logs}), [{mus}])"
         dead = tuple(j for j in range(factors) if j not in live)
+        settle = [f"  for j in {dead}: mu[j] = ldexp(mu[j], -{_SHRINK_ROUNDS})"] if dead else []
         low.names.update(Undecided=_Undecided, ldexp=math.ldexp)
         shrink = [f" def shrink({logs}{mus}):", *(f"  {line}" for line in low.lines[:split]),
                   f"  mu = [{mus}]",
@@ -396,9 +397,7 @@ def _trial_kernel(plan):
                   "    except (Error, Undecided):",
                   "     pass",
                   "    mu[j] = kept",
-                  "   if not moved: break",
-                  f"  for j in {dead}: mu[j] = ldexp(mu[j], -{_SHRINK_ROUNDS})",
-                  "  return mu"]
+                  "   if not moved: break", *settle, "  return mu"]
     elif seeded is None:  # a seeded `v = expr` is defined wherever expr is
         low.value(relation, TRUTH)
     ranges = [_LOG_MAG_RANGE] * len(low.slots) + [_LOG_FACTOR_RANGE] * factors

@@ -141,15 +141,6 @@ def _anchor(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float) -> tuple[fl
     return log_u
 
 
-def _place_free_slots(sb: SpecialPiBasis, ref, log_u, log_values) -> list[Quantity]:
-    """ref with free slot l_i carrying (v_i / psi_i(ref)) * ref[l_i], for
-    log v_i in log_values and log psi_i(ref) in log_u."""
-    xs = list(ref)
-    for i, free in enumerate(sb.free_indices):
-        xs[free] = Quantity(log_values[i] - log_u[i] + ref[free].log_magnitude, ref[free].dim)
-    return xs
-
-
 def preimage(
     sb: SpecialPiBasis,
     ref: Sequence[Quantity],
@@ -164,7 +155,10 @@ def preimage(
     log_u = _anchor(sb, ref, tol)
     if len(log_values) != sb.base.r:
         raise DimensionMismatchError(f"{len(log_values)} pi-values for r = {sb.base.r}")
-    return _place_free_slots(sb, ref, log_u, log_values)
+    xs = list(ref)
+    for i, free in enumerate(sb.free_indices):
+        xs[free] = Quantity(log_values[i] - log_u[i] + ref[free].log_magnitude, ref[free].dim)
+    return xs
 
 
 def canonical_rep(
@@ -178,8 +172,7 @@ def canonical_rep(
     xs is checked, and its pi-values taken, before ref is: a wrong xs
     raises as `pi_values` does, whatever ref holds."""
     check_dims(sb.base.dims, xs, "xs")
-    log_values = sb.base.log_values([x.log_magnitude for x in xs])
-    return _place_free_slots(sb, ref, _anchor(sb, ref, tol), log_values)
+    return preimage(sb, ref, sb.base.log_values([x.log_magnitude for x in xs]), tol)
 
 
 def nondimensionalize(
@@ -195,7 +188,7 @@ def nondimensionalize(
     invariant f this satisfies f(xs) = g(*pi_values(sb.base, xs).values); for
     non-invariant f the identity fails and the harness reports it.
     """
-    log_u = _anchor(sb, ref, tol)
+    _anchor(sb, ref, tol)  # a bad ref raises here, not on g's first call
     ref = list(ref)
 
     def g(*values: float) -> bool:
@@ -204,6 +197,6 @@ def nondimensionalize(
         for v in values:
             if isinstance(v, bool) or not 0 < v < math.inf:
                 raise ValueError(f"pi-values are positive reals, got {v!r}")
-        return f(_place_free_slots(sb, ref, log_u, [math.log(v) for v in values]))
+        return f(preimage(sb, ref, [math.log(v) for v in values], tol))
 
     return g

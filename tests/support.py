@@ -250,7 +250,9 @@ def _dot(u, v) -> float:
 
 
 def reference_residual(vec, rows) -> list[float]:
-    """`core._residual` with its dot product as a generator over zip."""
+    """The residual of the generated orbit-gap code (`core._orbit_gap_maker`),
+    which `core.row_space` and `core.orbit_gap_kernel` both run, as a loop
+    over the rows with its dot product as a generator over zip."""
     for u in rows:
         c = _dot(vec, u)
         vec = [a - c * b for a, b in zip(vec, u)]
@@ -834,27 +836,45 @@ def _reference_mixed(node, env, bindings, log_factors, tol) -> bool:
     return holds
 
 
-def _reference_pair(node, env, bindings, log_factors, tol) -> tuple[bool, bool]:
+def _reference_leaves(node, env, leaves) -> dict:
+    """leaves, given each leaf of the relation's `and`/`or`/`not` structure,
+    by id: None for a comparison of two dimensions, else the leaf's
+    `compile_relation` handle, so a trial neither types nor compiles one."""
+    if isinstance(node, BoolOp):
+        _reference_leaves(node.left, env, leaves)
+        _reference_leaves(node.right, env, leaves)
+    elif isinstance(node, Not):
+        _reference_leaves(node.operand, env, leaves)
+    elif isinstance(node, Compare) and typecheck(node.left, env) != typecheck(node.right, env):
+        leaves[id(node)] = None
+    else:
+        leaves[id(node)] = compile_relation(node, env)
+    return leaves
+
+
+def _reference_pair(node, env, leaves, bindings, log_factors, tol) -> tuple[bool, bool]:
     """(before, after) under the typing theorem: a comparison of one
     dimension keeps its value, a mixed one is decided again; `and`/`or`
-    evaluate their right operand wherever either value needs it."""
+    evaluate their right operand wherever either value needs it. leaves
+    is `_reference_leaves` of the relation."""
     if isinstance(node, BoolOp):
-        before, after = _reference_pair(node.left, env, bindings, log_factors, tol)
+        before, after = _reference_pair(node.left, env, leaves, bindings, log_factors, tol)
         if node.op == "and" and not before and not after:
             return False, False
         if node.op == "or" and before and after:
             return True, True
-        rb, ra = _reference_pair(node.right, env, bindings, log_factors, tol)
+        rb, ra = _reference_pair(node.right, env, leaves, bindings, log_factors, tol)
         if node.op == "and":
             return before and rb, after and ra
         return before or rb, after or ra
     if isinstance(node, Not):
-        before, after = _reference_pair(node.operand, env, bindings, log_factors, tol)
+        before, after = _reference_pair(node.operand, env, leaves, bindings, log_factors, tol)
         return not before, not after
-    if isinstance(node, Compare) and typecheck(node.left, env) != typecheck(node.right, env):
+    leaf = leaves[id(node)]
+    if leaf is None:
         return (_reference_mixed(node, env, bindings, None, tol),
                 _reference_mixed(node, env, bindings, log_factors, tol))
-    value = evaluate(node, bindings, tol=tol)
+    value = evaluate(leaf, bindings, tol=tol)
     return value, value
 
 
@@ -934,14 +954,12 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
     # once the relation is known to type
     relation = compile_relation(spec.relation, env)
     target = None if seed_target is None else compile_relation(seed_target[1], env)
-    has_mixed = any(
-        isinstance(n, Compare) and typecheck(n.left, env) != typecheck(n.right, env)
-        for n in _subtrees(spec.relation)
-    )
+    leaves = _reference_leaves(spec.relation, env, {})
+    has_mixed = None in leaves.values()
 
     def violates(bindings, log_factors, before):
         try:
-            return _reference_pair(spec.relation, env, bindings, log_factors, tol)[1] != before
+            return _reference_pair(spec.relation, env, leaves, bindings, log_factors, tol)[1] != before
         except (EvaluationError, _Undecided):
             return False
 
@@ -979,7 +997,7 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
         if has_mixed:
             log_factors = [trial_uniform(draws, harness._LOG_FACTOR_RANGE) for _ in spec.system.names]
         try:
-            before, after = _reference_pair(spec.relation, env, bindings, log_factors, tol)
+            before, after = _reference_pair(spec.relation, env, leaves, bindings, log_factors, tol)
         except EvaluationError as exc:
             inapplicable += 1
             out_of_domain = exc
@@ -1025,10 +1043,3 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
         inapplicable=inapplicable,
         undecided=undecided,
     )
-
-
-def _subtrees(node):
-    yield node
-    for child in (getattr(node, f) for f in node.__match_args__):
-        if isinstance(child, (Var, Const, BinOp, Pow, Call, Compare, BoolOp, Not)):
-            yield from _subtrees(child)

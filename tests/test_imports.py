@@ -177,3 +177,13 @@ def test_no_global_statement(name):
     tree = ast.parse((ROOT / "src" / "piforge" / name).read_text())
     found = [n for node in ast.walk(tree) if isinstance(node, ast.Global) for n in node.names]
     assert found == ALLOWED_GLOBALS.get(name, []), f"{name} has global statements for {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_match_statement(path):
+    """Every walker of a relation dispatches on `node.__class__ is ...`
+    (`dsl`'s rule): a `match` class pattern would take an instance of a
+    subclass of a node class for a node, which the other walkers refuse."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Match)]
+    assert not lines, f"{path.name} has match statements at lines {lines}"

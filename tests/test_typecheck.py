@@ -268,6 +268,11 @@ class TestExactNodeClasses:
         with pytest.raises(TypeError, match=r"^not a relation node: SubVar\(name='x'\)$"):
             free_variables(node)
 
+    def test_print_relation(self):
+        node = BinOp("+", Var("y"), SubVar("x"))
+        with pytest.raises(TypeError, match=r"^not a relation node: SubVar\(name='x'\)$"):
+            dsl.print_relation(node)
+
 
 class TestTwoSystems:
     """An env whose variables span two systems: `*` and `/` refuse to
