@@ -6,6 +6,12 @@ units, invariance violation, not equivalent, type error), 2 usage or parse
 failure, 141 stdout closed by its reader (128 + SIGPIPE). Output is
 deterministic for identical inputs and flags; --json emits exact rationals
 as "p/q" strings and magnitudes as decimals with 15 significant digits.
+
+Each `cmd_*` writes nothing: it returns (exit code, --json payload, text
+lines). `main` is the one output site. It loads --spec, for the commands
+that take one, before the command runs (replacing the path on the parsed
+arguments with the `ProblemSpec`), then prints the payload as indented JSON
+under --json and the lines otherwise.
 """
 
 from __future__ import annotations
@@ -27,9 +33,8 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 0
 REGISTRY_ENV = "PIFORGE_REGISTRY"
 
-
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+# what a command returns: (exit code, --json payload, text lines)
+_Output = tuple[int, dict, list[str]]
 
 
 def _registry_from(args):
@@ -62,9 +67,9 @@ def _into_system(q: Quantity, system: DimSystem, context: str) -> Quantity:
 
 def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> list[Quantity]:
     """Bindings file: JSON object, one entry per spec variable and no other;
-    values are positive numbers (magnitudes in the coherent reference system)
-    or quantity literals resolved against the registry. Returns the values
-    in the spec's variable order."""
+    values are positive numbers within the float range (magnitudes in the
+    coherent reference system) or quantity literals resolved against the
+    registry. Returns the values in the spec's variable order."""
     raw = dsl.read_json(path, "bindings", ParseError)
     if not isinstance(raw, dict):
         raise ParseError(f"bindings {path} must be a JSON object")
@@ -80,11 +85,15 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> list[Quantity]:
             raise ParseError(f"bindings {path}: missing variable {name!r}")
         value = raw[name]
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            if not 0 < value < math.inf:
+            try:
+                magnitude = float(value)
+            except OverflowError:  # an integer beyond the float range, as 1e400 is
+                magnitude = math.inf
+            if not 0 < magnitude < math.inf:
                 raise ParseError(
                     f"bindings {path}: {name} must be finite and positive, got {value}"
                 )
-            out.append(Quantity(math.log(value), dim))
+            out.append(Quantity(math.log(magnitude), dim))
         elif isinstance(value, str):
             if registry is None:
                 raise ParseError(
@@ -108,48 +117,43 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> list[Quantity]:
 # --- subcommands ----------------------------------------------------------
 
 
-def cmd_pi(args) -> int:
-    spec = dsl.load_problem_spec(args.spec)
-    names = spec.variable_names
-    special = pigroups.special_basis(spec.variable_dims)
+def cmd_pi(args) -> _Output:
+    names = args.spec.variable_names
+    special = pigroups.special_basis(args.spec.variable_dims)
     basis = special.canonical
     n = len(names)
     r = basis.r
     m = n - r
-    if args.json:
-        _emit_json(
-            {
-                "n": n,
-                "m": m,
-                "r": r,
-                "variables": list(names),
-                "canonical": [[str(c) for c in g.exponents] for g in basis.groups],
-                "special": {
-                    "pivot_indices": list(special.pivot_indices),
-                    "free_indices": list(special.free_indices),
-                    "groups": [
-                        [str(c) for c in g.exponents] for g in special.base.groups
-                    ],
-                },
-            }
-        )
-        return 0
+    payload = {
+        "n": n,
+        "m": m,
+        "r": r,
+        "variables": list(names),
+        "canonical": [[str(c) for c in g.exponents] for g in basis.groups],
+        "special": {
+            "pivot_indices": list(special.pivot_indices),
+            "free_indices": list(special.free_indices),
+            "groups": [[str(c) for c in g.exponents] for g in special.base.groups],
+        },
+    }
     if r == 0:
-        print(f"n = {n}, m = {m}, r = 0: relation is determined up to a dimensionless constant set")
-        return 0
-    print(f"n = {n}, m = {m}, r = {r}")
-    print("canonical pi basis:")
-    for i, g in enumerate(basis.groups, start=1):
-        print(f"  pi_{i} = {monomial_text(names, g.exponents, ' * ')}")
+        return 0, payload, [
+            f"n = {n}, m = {m}, r = 0: relation is determined up to a dimensionless constant set"
+        ]
     pivots = ", ".join(names[i] for i in special.pivot_indices)
     free = ", ".join(names[i] for i in special.free_indices)
-    print(f"special pi basis (pivots: {pivots}; free: {free}):")
-    for i, g in enumerate(special.base.groups, start=1):
-        print(f"  psi_{i} = {monomial_text(names, g.exponents, ' * ')}")
-    return 0
+    return 0, payload, [
+        f"n = {n}, m = {m}, r = {r}",
+        "canonical pi basis:",
+        *(f"  pi_{i} = {monomial_text(names, g.exponents, ' * ')}"
+          for i, g in enumerate(basis.groups, start=1)),
+        f"special pi basis (pivots: {pivots}; free: {free}):",
+        *(f"  psi_{i} = {monomial_text(names, g.exponents, ' * ')}"
+          for i, g in enumerate(special.base.groups, start=1)),
+    ]
 
 
-def cmd_consistent(args) -> int:
+def cmd_consistent(args) -> _Output:
     from . import units
 
     registry = _registry_from(args)
@@ -157,89 +161,66 @@ def cmd_consistent(args) -> int:
         raise ParseError(f"a registry is required (--registry or ${REGISTRY_ENV})")
     quantities = [registry.quantity(name) for name in args.units]
     report = units.is_consistent(quantities, tol=args.tol)
-    witness = report.witness
-    factor = None if witness is None else format_magnitude(witness.log_clash_factor)
-    if args.json:
-        _emit_json(
-            {
-                "consistent": report.consistent,
-                "units": list(args.units),
-                "witness": None
-                if witness is None
-                else {
-                    "exponents": [str(c) for c in witness.combo.exponents],
-                    "clash_factor": factor,
-                },
-            }
-        )
-    elif report.consistent:
-        print(f"consistent: {' '.join(args.units)}")
-    else:
-        combo = monomial_text(args.units, witness.combo.exponents, " * ")
-        print(f"clash: {combo} = {factor}")
-    return 0 if report.consistent else 1
+    payload = {"consistent": report.consistent, "units": list(args.units), "witness": None}
+    if report.consistent:
+        return 0, payload, [f"consistent: {' '.join(args.units)}"]
+    combo = report.witness.combo
+    factor = format_magnitude(report.witness.log_clash_factor)
+    payload["witness"] = {"exponents": [str(c) for c in combo.exponents], "clash_factor": factor}
+    return 1, payload, [f"clash: {monomial_text(args.units, combo.exponents, ' * ')} = {factor}"]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> _Output:
     from . import harness
 
-    spec = dsl.load_problem_spec(args.spec)
-    report = harness.fuzz_invariance(spec, trials=args.trials, seed=args.seed, tol=args.tol)
+    report = harness.fuzz_invariance(args.spec, trials=args.trials, seed=args.seed, tol=args.tol)
     payload = harness.report_to_dict(report)
-    if args.json:
-        _emit_json(payload)
-    else:
-        counts = "".join(
-            f", {key}: {payload[key]}" for key in ("inapplicable", "undecided") if key in payload
-        )
-        print(f"trials: {payload['trials']}, passed: {payload['passed']}{counts}")
-        ce = payload["counterexample"]
-        if ce is None:
-            print("no violation found (passes are evidence of invariance, not proof)")
-        else:
-            print(f"counterexample at trial {report.counterexample.trial_index}:")
-            print("  bindings: " + ", ".join(f"{k} = {v}" for k, v in ce["bindings"].items()))
-            print("  factors: " + ", ".join(f"{k} = {v}" for k, v in ce["factors"].items()))
-            before = "TRUE" if ce["before"] else "FALSE"
-            after = "TRUE" if ce["after"] else "FALSE"
-            print(f"  before: {before}, after: {after}")
-    return 0 if report.counterexample is None else 1
+    counts = "".join(
+        f", {key}: {payload[key]}" for key in ("inapplicable", "undecided") if key in payload
+    )
+    head = f"trials: {payload['trials']}, passed: {payload['passed']}{counts}"
+    ce = payload["counterexample"]
+    if ce is None:
+        return 0, payload, [head, "no violation found (passes are evidence of invariance, not proof)"]
+    before = "TRUE" if ce["before"] else "FALSE"
+    after = "TRUE" if ce["after"] else "FALSE"
+    return 1, payload, [
+        head,
+        f"counterexample at trial {report.counterexample.trial_index}:",
+        "  bindings: " + ", ".join(f"{k} = {v}" for k, v in ce["bindings"].items()),
+        "  factors: " + ", ".join(f"{k} = {v}" for k, v in ce["factors"].items()),
+        f"  before: {before}, after: {after}",
+    ]
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> _Output:
     from . import nondim
 
-    spec = dsl.load_problem_spec(args.spec)
     registry = _registry_from(args)
-    xs = _load_bindings(args.bindings_a, spec, registry)
-    ys = _load_bindings(args.bindings_b, spec, registry)
-    basis = pigroups.pi_basis(spec.variable_dims)
+    xs = _load_bindings(args.bindings_a, args.spec, registry)
+    ys = _load_bindings(args.bindings_b, args.spec, registry)
+    basis = pigroups.pi_basis(args.spec.variable_dims)
     verdict = nondim.equivalent(basis, xs, ys, tol=args.tol)
     # `_load_bindings` gave both the spec's dimensions: no DIM_MISMATCH verdict
     pa, pb = nondim.pi_values(basis, xs), nondim.pi_values(basis, ys)
     a, b = ([format_magnitude(v) for v in p.log_values] for p in (pa, pb))
-    if args.json:
-        _emit_json(
-            {
-                "equivalent": verdict.equivalent,
-                "reason": verdict.reason.value,
-                "mismatch_index": verdict.mismatch_index,
-                "pi_values_a": a,
-                "pi_values_b": b,
-            }
-        )
-    elif verdict.equivalent:
-        print("equivalent")
-    else:
-        i = verdict.mismatch_index
-        print(f"not equivalent: pi group {i} differs ({a[i]} vs {b[i]})")
-    return 0 if verdict.equivalent else 1
+    payload = {
+        "equivalent": verdict.equivalent,
+        "reason": verdict.reason.value,
+        "mismatch_index": verdict.mismatch_index,
+        "pi_values_a": a,
+        "pi_values_b": b,
+    }
+    if verdict.equivalent:
+        return 0, payload, ["equivalent"]
+    i = verdict.mismatch_index
+    return 1, payload, [f"not equivalent: pi group {i} differs ({a[i]} vs {b[i]})"]
 
 
-def cmd_nondim(args) -> int:
+def cmd_nondim(args) -> _Output:
     from . import nondim
 
-    spec = dsl.load_problem_spec(args.spec)
+    spec = args.spec
     registry = _registry_from(args)
     xs = _load_bindings(args.bindings, spec, registry)
     special = pigroups.special_basis(spec.variable_dims)
@@ -248,32 +229,20 @@ def cmd_nondim(args) -> int:
     rep = nondim.canonical_rep(special, ref, xs, tol=args.tol)
     values = [format_magnitude(v) for v in values.log_values]
     rep = {name: format_magnitude(q.log_magnitude) for name, q in zip(spec.variable_names, rep)}
-    if args.json:
-        _emit_json({"pi_values": values, "canonical_representative": rep})
-    else:
-        print("pi values: " + (", ".join(values) if values else "none (r = 0)"))
-        print("canonical representative (pivot slots at reference):")
-        for name, text in rep.items():
-            print(f"  {name} = {text}")
-    return 0
+    return 0, {"pi_values": values, "canonical_representative": rep}, [
+        "pi values: " + (", ".join(values) if values else "none (r = 0)"),
+        "canonical representative (pivot slots at reference):",
+        *(f"  {name} = {text}" for name, text in rep.items()),
+    ]
 
 
-def cmd_check(args) -> int:
-    spec = dsl.load_problem_spec(args.spec)
+def cmd_check(args) -> _Output:
     try:
-        result = dsl.typecheck(spec.relation, spec.env)
+        result = dsl.typecheck(args.spec.relation, args.spec.env)
     except DimensionError as exc:
-        if args.json:
-            _emit_json({"well_typed": False, "error": str(exc)})
-        else:
-            print(f"type error: {exc}")
-        return 1
+        return 1, {"well_typed": False, "error": str(exc)}, [f"type error: {exc}"]
     kind = "boolean" if result is dsl.BOOL else f"quantity of dimension {result}"
-    if args.json:
-        _emit_json({"well_typed": True, "result_type": kind})
-    else:
-        print(f"well-typed: {kind}")
-    return 0
+    return 0, {"well_typed": True, "result_type": kind}, [f"well-typed: {kind}"]
 
 
 # --- argument parsing -------------------------------------------------------
@@ -345,7 +314,10 @@ def main(argv=None) -> int:
         print("error: --trials must be at least 1", file=sys.stderr)
         return 2
     try:
-        code = args.func(args)
+        if "spec" in args:
+            args.spec = dsl.load_problem_spec(args.spec)
+        code, payload, lines = args.func(args)
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

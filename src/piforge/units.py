@@ -122,14 +122,16 @@ def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
     """Decide consistency of a unit list.
 
     Every dimensionless product of powers of the units is 1 iff their log
-    vector lies in the row space of the dimension matrix; tol bounds its
-    distance from there (`core.orbit_gap_kernel`, its closure kept on no
-    basis), whatever the basis or slot order.
+    vector lies in the row space of the dimension matrix. A list of full
+    rank (rank = number of units) has no such product but the empty one, so
+    it is consistent with no float work. Otherwise tol bounds the log
+    vector's distance from the row space (`core.orbit_gap_kernel`, its
+    closure kept on no basis), whatever the basis or slot order.
     A clash's witness is the canonical kernel vector with the largest |log|.
 
-    Row space and witness read off one `core.reduce_dims` of the units'
-    dimensions, which makes no elimination when its slot holds those very
-    DimVector objects.
+    Rank, row space and witness read off one `core.reduce_dims` of the
+    units' dimensions, which makes no elimination when its slot holds those
+    very DimVector objects.
     """
     check_tol(tol)
     units = list(units)
@@ -137,8 +139,9 @@ def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
         raise EmptyListError("consistency is defined for nonempty unit lists")
     logs = [u.log_magnitude for u in units]
     reduction = reduce_dims([u.dim for u in units])
-    rows = row_space(reduction)
-    if len(rows) == len(units) or orbit_gap_kernel(rows, len(logs))(logs) <= tol:
+    if reduction.rank == len(units) or (
+        orbit_gap_kernel(row_space(reduction), len(logs))(logs) <= tol
+    ):
         return ConsistencyReport(consistent=True, witness=None)
     combo = max(map(Monomial, canonical_kernel(reduction)), key=lambda c: abs(c.log_combine(logs)))
     return ConsistencyReport(consistent=False, witness=ClashWitness(combo, combo.log_combine(logs)))

@@ -534,6 +534,17 @@ class TestBoundaryErrors:
         path.write_text(json.dumps(raw))
         assert main("check", "--spec", path) == (2, "", f"error: spec {path}: {message}\n")
 
+    def test_equiv_names_the_first_bad_file(self, main, tmp_path, spec):
+        """`main` loads the spec before the command runs; equiv then reads
+        the registry before either bindings file."""
+        bad, missing = tmp_path / "bad.json", tmp_path / "missing.json"
+        bad.write_text("[1, 2]")
+        rest = (bad, bad, "--registry", missing)
+        assert main("equiv", "--spec", bad, *rest) == (2, "", f"error: spec {bad}: expected a JSON object\n")
+        code, out, err = main("equiv", "--spec", spec, *rest)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read registry {missing}: ")
+
     def test_registry_without_units(self, main, tmp_path):
         path = tmp_path / "reg.json"
         path.write_text(json.dumps({"system": ["L"]}))
@@ -808,7 +819,11 @@ class TestEquivCommand:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "0"])
+    @pytest.mark.parametrize("value", [
+        "NaN", "Infinity", "0",
+        # beyond the float range however it is written, as in a registry
+        pytest.param("1" + "0" * 400, id="400-digit-integer"),
+    ])
     def test_non_finite_or_non_positive_binding_is_usage_failure(self, tmp_path, value):
         a = tmp_path / "a.json"
         a.write_text(f'{{"m": {value}, "k": 8, "t": 3}}')

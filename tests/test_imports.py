@@ -187,3 +187,18 @@ def test_no_match_statement(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Match)]
     assert not lines, f"{path.name} has match statements at lines {lines}"
+
+
+def test_cli_main_is_the_one_output_site():
+    """Each `cli.cmd_*` returns (exit code, --json payload, text lines):
+    only `main` calls `print`, reads `--json` off the arguments, or loads
+    the spec."""
+    tree = ast.parse((ROOT / "src" / "piforge" / "cli.py").read_text())
+    found = [
+        node.lineno
+        for stmt in tree.body if getattr(stmt, "name", None) != "main"
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+        or isinstance(node, ast.Attribute) and node.attr in ("json", "load_problem_spec")
+    ]
+    assert not found, f"cli.py prints or picks the output format outside main at lines {found}"

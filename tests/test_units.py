@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from piforge import core
 from piforge.core import (
     DimSystem,
     DimVector,
@@ -50,6 +51,14 @@ class TestIsConsistent:
     def test_one_unit_per_fundamental_is_consistent(self, registry):
         units = [registry.quantity(n) for n in ("kg", "ft", "min")]
         assert is_consistent(units).consistent
+
+    def test_full_rank_list_builds_no_row_space(self, registry):
+        """Rank = number of units decides consistency: no row space, so no
+        orbit-gap code is read or compiled."""
+        units = [registry.quantity(n) for n in ("kg", "ft", "min", "A")]
+        before = core._orbit_gap_maker.cache_info()
+        assert is_consistent(units).consistent
+        assert core._orbit_gap_maker.cache_info() == before
 
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyListError):
