@@ -12,6 +12,12 @@ lines). `main` is the one output site. It loads --spec, for the commands
 that take one, before the command runs (replacing the path on the parsed
 arguments with the `ProblemSpec`), then prints the payload as indented JSON
 under --json and the lines otherwise.
+
+`main` is also the one place a failure becomes exit 2. Every usage error, a
+bad --tol or --trials or a file that cannot be read, decoded or parsed, is
+raised as a PiforgeError naming what is at fault, and one handler prints it
+as "error: <message>". The catch-all after it is for defects only: it
+prints the exception's class, so a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -306,14 +312,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    tol = getattr(args, "tol", DEFAULT_TOL)
-    if not (math.isfinite(tol) and tol > 0):
-        print("error: --tol must be a finite number greater than 0", file=sys.stderr)
-        return 2
-    if getattr(args, "trials", DEFAULT_TRIALS) < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
     try:
+        tol = getattr(args, "tol", DEFAULT_TOL)
+        if not (math.isfinite(tol) and tol > 0):
+            raise PiforgeError("--tol must be a finite number greater than 0")
+        if getattr(args, "trials", DEFAULT_TRIALS) < 1:
+            raise PiforgeError("--trials must be at least 1")
         if "spec" in args:
             args.spec = dsl.load_problem_spec(args.spec)
         code, payload, lines = args.func(args)

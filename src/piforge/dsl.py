@@ -59,6 +59,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -256,7 +257,12 @@ def _parse_signed_int(ts: _TokenStream) -> int:
     tok = ts.next()
     if tok.kind != "number" or not re.fullmatch(r"\d+", tok.text):
         raise ParseError(f"expected an integer exponent, got {tok.text!r}")
-    return sign * int(tok.text)
+    try:
+        return sign * int(tok.text)
+    except ValueError:  # Python's limit on converting a string to an integer
+        raise ParseError(
+            f"an exponent has at most {sys.get_int_max_str_digits()} digits, got {len(tok.text)}"
+        ) from None
 
 
 def _positive_literal(text: str, what: str) -> float:
@@ -851,8 +857,10 @@ def evaluate(relation, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
 def read_json(path, what: str, error):
     """The JSON value in the UTF-8 file at path (RFC 8259); error names the
     file as `what` ("spec", "registry", "bindings") where it is unreadable,
-    not JSON in UTF-8, or repeats a key within one object, whose meaning
-    RFC 8259 leaves open: no copy of the key silently wins."""
+    not JSON in UTF-8, past a limit that RFC 8259 lets a parser set (an
+    integer of more digits than Python converts, 4300 by default, or
+    nesting past the recursion limit), or repeats a key within one object,
+    whose meaning RFC 8259 leaves open: no copy of the key silently wins."""
 
     def unique(pairs):
         obj = {}
@@ -866,7 +874,7 @@ def read_json(path, what: str, error):
         return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 

@@ -382,16 +382,17 @@ class TestVerifyDomainAndRange:
 class TestKnownFalseCounterexamples:
     """Relations that hold at every point, each exactly `0 < c*y` or
     undefined, on which the fuzzer reports a counterexample all the same: a
-    false definitive verdict, from rounding in a sum or a log that the
+    false definitive verdict, from rounding in a sum, a product or a log that the
     mixed comparison's rounding bound does not cover. Each is a strict
     xfail, so a change that mends it shows as an unexpected pass."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="rounding in a sum or a log gives a false counterexample")
+                       reason="rounding in a sum, a product or a log gives a false counterexample")
     @pytest.mark.parametrize("relation,trial", [
         ("z - ((x + z) - x) < 1e-13*y", 17),
         ("log(x/z) + log(z/x) < 1e-15*y", 44),
         ("exp(log(x/z))*z - x < 1e-13*y", 971),
+        ("(x^2/z)*z/x - x < 1e-13*y", 69),
     ])
     def test_a_relation_true_everywhere_passes(self, tmp_path, relation, trial):
         spec = _write_spec(tmp_path, {"x": "L", "z": "L", "y": "T"}, relation, system=("L", "T"))
@@ -528,11 +529,31 @@ class TestBoundaryErrors:
         ({"system": ["L"], "variables": {}, "relation": "x = x"}, "'variables' must be a nonempty object"),
         ({"system": ["L"], "variables": {"x": "L L"}, "relation": "x = x"},
          "trailing input 'L' in dimension 'L L'"),
-    ], ids=["not-an-object", "no-variables", "trailing-dimension"])
+        ({"system": ["L"], "variables": {"x": "L^" + "1" * 5000}, "relation": "x = x"},
+         "an exponent has at most 4300 digits, got 5000"),
+    ], ids=["not-an-object", "no-variables", "trailing-dimension", "5000-digit-exponent"])
     def test_bad_spec(self, main, tmp_path, raw, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(raw))
         assert main("check", "--spec", path) == (2, "", f"error: spec {path}: {message}\n")
+
+    @pytest.mark.parametrize("text", ["[" + "1" * 5001 + "]", "[" * 100000 + "]" * 100000],
+                             ids=["5001-digit-integer", "nested-100000-deep"])
+    @pytest.mark.parametrize("what", ["spec", "registry", "bindings"])
+    def test_json_past_a_parser_limit(self, main, tmp_path, what, text):
+        """An integer of more digits than Python converts (4300 by default)
+        or nesting past the recursion limit, limits RFC 8259 lets a parser
+        set, make the file invalid JSON, never a Python class name."""
+        path = tmp_path / f"{what}.json"
+        path.write_text(text)
+        code, out, err = main(*{
+            "spec": ("check", "--spec", path),
+            "registry": ("consistent", "--registry", path, "m"),
+            "bindings": ("nondim", "--spec", FIXTURES / "mass_spring.json", path),
+        }[what])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {what} {path} is not valid JSON: ")
+        assert "ValueError:" not in err and "RecursionError:" not in err
 
     def test_equiv_names_the_first_bad_file(self, main, tmp_path, spec):
         """`main` loads the spec before the command runs; equiv then reads

@@ -312,6 +312,24 @@ class TestDimensionAndUnitNesting:
             parse_dimension(f"T^2/({_parenthesized('L', dsl.MAX_NESTING)})", system)
 
 
+class TestExponentDigitLimit:
+    """An exponent of more digits than Python converts to an integer (4300
+    by default) is a ParseError stating the limit in each of the three
+    languages, not a ValueError, and a unit's is not blamed on the float
+    range."""
+
+    DIGITS = "1" * 5000
+
+    @pytest.mark.parametrize("read", [
+        lambda digits, registry: parse_relation(f"x^{digits} < y"),
+        lambda digits, registry: parse_dimension(f"L^(1/{digits})", registry.system),
+        lambda digits, registry: parse_quantity(f"2 m^-{digits}", registry),
+    ], ids=["relation", "dimension", "unit"])
+    def test_a_parse_error_stating_the_limit(self, registry, read):
+        with pytest.raises(ParseError, match="^an exponent has at most 4300 digits, got 5000$"):
+            read(self.DIGITS, registry)
+
+
 def _nested_env():
     system = DimSystem(("L", "T"))
     length, time = DimVector.unit(system, "L"), DimVector.unit(system, "T")

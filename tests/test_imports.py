@@ -202,3 +202,24 @@ def test_cli_main_is_the_one_output_site():
         or isinstance(node, ast.Attribute) and node.attr in ("json", "load_problem_spec")
     ]
     assert not found, f"cli.py prints or picks the output format outside main at lines {found}"
+
+
+def test_cli_main_fails_only_in_its_handlers():
+    """`main` turns a failure into an error line and exit 2 only in an
+    `except` handler: a usage error is raised as a PiforgeError and reaches
+    the one handler that prints it, so no check prints and returns early."""
+    tree = ast.parse((ROOT / "src" / "piforge" / "cli.py").read_text())
+    main = next(stmt for stmt in tree.body if getattr(stmt, "name", None) == "main")
+    handled = {
+        id(node)
+        for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler)
+        for node in ast.walk(handler)
+    }
+    found = sorted(
+        node.lineno
+        for node in ast.walk(main) if id(node) not in handled
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+        and any(k.arg == "file" for k in node.keywords)
+        or isinstance(node, ast.Return) and getattr(node.value, "value", None) == 2
+    )
+    assert not found, f"cli.main prints an error or returns 2 outside a handler at lines {found}"
