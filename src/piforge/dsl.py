@@ -875,7 +875,9 @@ def read_json(path, what: str, error):
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
-        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+        # Python's digit-limit text ends with advice no spec author can follow
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+        raise error(f"{what} {path} is not valid JSON: {reason}") from exc
 
 
 @frozen

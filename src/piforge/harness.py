@@ -4,7 +4,9 @@ A `Rescaling` multiplies every quantity by the product of fundamental factors
 raised to that quantity's exponents — exactly what switching between two
 consistent unit systems does to the numbers. `fuzz_invariance` drives a
 relation with random bindings and random rescalings and reports the first
-trial on which the truth value changes, with full reproduction data.
+trial on which the truth value changes, with full reproduction data. One
+such trial settles non-invariance, so the run stops there: the trials past
+the first confirmed counterexample are never drawn, whatever the budget.
 
 Each trial evaluates the relation once, at the drawn point. Every node of a
 well-typed relation is homogeneous of its dimension (sums need equal
@@ -159,9 +161,14 @@ class Counterexample:
 
 @frozen
 class InvarianceReport:
-    """`inapplicable` counts the trials whose drawn bindings fell outside the
-    relation's domain, and `undecided` those on which a mixed comparison lay
-    within rounding of its decision edge; they neither pass nor fail."""
+    """`trials` is the budget asked for. `passed` counts the trials that
+    kept their truth value, `inapplicable` those whose drawn bindings fell
+    outside the relation's domain, and `undecided` those on which a mixed
+    comparison lay within rounding of its decision edge; the last two
+    neither pass nor fail. A run stops at its counterexample, so with one
+    the counts cover the trials before it, `counterexample.trial_index` of
+    them, and a counterexample exists exactly when the three counts sum to
+    less than `trials`."""
 
     trials: int
     passed: int
@@ -609,12 +616,16 @@ def fuzz_invariance(
     its edge, before or after, is undecided. If no trial is decided,
     EvaluationError is raised, since none tested the relation.
 
-    The first failing trial is shrunk (factor bisection toward 1, by the
+    A failing trial is shrunk (factor bisection toward 1, by the
     kernel's `shrink`, which works out what the factors do not move once
     and then decides each candidate at the trial's point) and
     confirmed through `rescale` and `evaluate` from the report's own
     bindings and factors; a trial that does not reproduce there is
-    undecided too. A reported counterexample is meant to be definitive,
+    undecided too, and the run goes on. The first that reproduces is the
+    report's counterexample, and the run stops there: no later trial is
+    drawn, so trials is a budget, the counts cover the trial_index trials
+    before it, and a budget past it costs nothing and changes nothing but
+    the report's trials. A reported counterexample is meant to be definitive,
     but cancellation in a sum or a log can round past the bound a mixed
     comparison allows, and `rescale` and `evaluate` repeat that rounding, so
     a false one can get through: see the strict xfails in
@@ -649,12 +660,14 @@ def fuzz_invariance(
             continue
         if failed is None:
             passed += 1
-        elif counterexample is None:
-            before, point, log_factors = failed
-            shrunk = Rescaling(spec.system, tuple(_shrink(shrink, point, log_factors)))
-            logs = dict(zip(spec.variable_names, point))
-            counterexample = _confirmed(spec, trial, logs, shrunk, before, tol)
-            undecided += counterexample is None
+            continue
+        before, point, log_factors = failed
+        shrunk = Rescaling(spec.system, tuple(_shrink(shrink, point, log_factors)))
+        logs = dict(zip(spec.variable_names, point))
+        counterexample = _confirmed(spec, trial, logs, shrunk, before, tol)
+        if counterexample is not None:
+            break
+        undecided += 1
     if inapplicable + undecided == trials:
         if not undecided:
             raise EvaluationError(

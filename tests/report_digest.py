@@ -9,6 +9,13 @@ corpus relation with the trials and per-relation seeds the workload uses
 (bench/corpus.py, which it reads and never edits), and hashes each report
 field by field, floats as hex; an error raised is hashed as its type and
 text. It prints the digest with the count of reports and counterexamples.
+
+A second line, the verdict digest, hashes each report with its counts left
+out wherever it holds a counterexample: there it hashes only the
+counterexample (trial index, truth values, bindings and factors); an error
+and a report without a counterexample are hashed as in the first line. A
+change that moves only the passed, inapplicable or undecided counts of
+refuted reports moves the first line and leaves the second as it was.
 """
 
 import argparse
@@ -31,14 +38,16 @@ def _span(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
+def _counterexample_fields(ce) -> list:
+    return [ce.trial_index, ce.before, ce.after,
+            *((k, v.hex()) for k, v in ce.log_bindings.items()),
+            *((k, v.hex()) for k, v in ce.factors.items())]
+
+
 def _fields(report) -> list:
     ce = report.counterexample
     fields = [report.trials, report.passed, report.seed, report.inapplicable, report.undecided]
-    if ce is not None:
-        fields += [ce.trial_index, ce.before, ce.after]
-        fields += [(k, v.hex()) for k, v in ce.log_bindings.items()]
-        fields += [(k, v.hex()) for k, v in ce.factors.items()]
-    return fields
+    return fields if ce is None else fields + _counterexample_fields(ce)
 
 
 def main() -> int:
@@ -48,7 +57,7 @@ def main() -> int:
     parser.add_argument("--tols", type=lambda t: [float(x) for x in t.split(",")],
                         default=[1e-9, 0.5, 1.5, 0.0])
     args = parser.parse_args()
-    digest, reports, counterexamples = hashlib.sha256(), 0, 0
+    digest, verdicts, reports, counterexamples = hashlib.sha256(), hashlib.sha256(), 0, 0
     for seed in args.seeds:
         state = corpus.prepare(seed, SimpleNamespace(root=ROOT))
         for r in args.rounds:
@@ -59,13 +68,18 @@ def main() -> int:
                 for tol in args.tols:
                     try:
                         report = fuzz_invariance(spec, corpus.TRIALS, seed=fuzz_seed, tol=tol)
-                        fields = _fields(report)
-                        counterexamples += report.counterexample is not None
+                        fields = verdict = _fields(report)
+                        if report.counterexample is not None:
+                            verdict = _counterexample_fields(report.counterexample)
+                            counterexamples += 1
                     except Exception as exc:  # an error is part of the output
-                        fields = [type(exc).__name__, str(exc)]
-                    digest.update(repr((seed, r, name, fuzz_seed, tol.hex(), fields)).encode())
+                        fields = verdict = [type(exc).__name__, str(exc)]
+                    key = (seed, r, name, fuzz_seed, tol.hex())
+                    digest.update(repr((*key, fields)).encode())
+                    verdicts.update(repr((*key, verdict)).encode())
                     reports += 1
     print(f"{digest.hexdigest()}  {reports} reports, {counterexamples} counterexamples")
+    print(f"{verdicts.hexdigest()}  verdicts")
     return 0
 
 

@@ -930,7 +930,9 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
     bindings only, and re-decides each comparison of two dimensions from
     Quantity-level sides and the exact log gap, with w = dL - dR as
     Fractions. The shrinker bisects the log factors on those decisions, and
-    a counterexample is confirmed through `rescale` and `evaluate`. Its
+    a counterexample is confirmed through `rescale` and `evaluate`; the
+    first confirmed one ends the run, and a failing trial that does not
+    reproduce is undecided, as `fuzz_invariance` rules. Its
     draws come from `trial_draws`, its own digests per (seed, trial), each
     mapped by `trial_uniform`; it shares only the ranges and the seeding
     target with `harness`. `fuzz_invariance` must give an equal report,
@@ -1007,24 +1009,25 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
             continue
         if before == after:
             passed += 1
-        elif counterexample is None:
-            shrunk = shrink(bindings, log_factors, before)
-            try:
-                rescaled = {n: harness.rescale([bindings[n]], shrunk)[0] for n in names}
-                reproduced = (evaluate(relation, bindings, tol=tol),
-                              evaluate(relation, rescaled, tol=tol))
-            except (EvaluationError, ValueError):
-                reproduced = None
-            if reproduced != (before, after):
-                undecided += 1
-                continue
-            counterexample = harness.Counterexample(
-                trial_index=trial,
-                log_bindings={n: bindings[n].log_magnitude for n in names},
-                factors=dict(zip(spec.system.names, shrunk.factors)),
-                before=before,
-                after=after,
-            )
+            continue
+        shrunk = shrink(bindings, log_factors, before)
+        try:
+            rescaled = {n: harness.rescale([bindings[n]], shrunk)[0] for n in names}
+            reproduced = (evaluate(relation, bindings, tol=tol),
+                          evaluate(relation, rescaled, tol=tol))
+        except (EvaluationError, ValueError):
+            reproduced = None
+        if reproduced != (before, after):
+            undecided += 1
+            continue
+        counterexample = harness.Counterexample(
+            trial_index=trial,
+            log_bindings={n: bindings[n].log_magnitude for n in names},
+            factors=dict(zip(spec.system.names, shrunk.factors)),
+            before=before,
+            after=after,
+        )
+        break
     if inapplicable + undecided == trials:
         if not undecided:
             raise EvaluationError(

@@ -225,6 +225,14 @@ class TestVerifyDomainAndRange:
         payload = json.loads(run_cli("verify", "--spec", spec, "--json").stdout)
         assert payload["passed"] + payload["inapplicable"] == payload["trials"]
 
+    def test_a_refuted_run_ignores_the_budget_past_its_counterexample(self):
+        # the run stops at trial 0's counterexample: no further trial is
+        # drawn, so a billion-trial budget costs what one trial does
+        proc = run_cli("verify", "--spec", FIXTURES / "hidden_constant.json",
+                       "--trials", "1000000000", timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.startswith(b"trials: 1000000000, passed: 0\ncounterexample at trial 0:\n")
+
     def test_relation_undefined_on_every_trial_is_usage_failure(self, tmp_path):
         # no trial tested the relation, so exit 0 would read as invariance
         spec = _write_spec(tmp_path, {"x": "L", "y": "L"}, "log(x/x - 1) < 1")
@@ -372,7 +380,7 @@ class TestVerifyDomainAndRange:
         spec = _write_spec(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
         proc = run_cli("verify", "--spec", spec)
         assert proc.returncode == 1, proc.stderr
-        assert proc.stdout.startswith(b"trials: 1000, passed: 487\n")
+        assert proc.stdout.startswith(b"trials: 1000, passed: 5\ncounterexample at trial 5:\n")
         proc = run_cli("verify", "--spec", spec, "--trials", "1", "--seed", "1")
         assert proc.returncode == 1
         assert proc.stderr == b""
@@ -554,6 +562,8 @@ class TestBoundaryErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {what} {path} is not valid JSON: ")
         assert "ValueError:" not in err and "RecursionError:" not in err
+        # the file, the limit and the digit count, but not Python's advice
+        assert "set_int_max_str_digits" not in err
 
     def test_equiv_names_the_first_bad_file(self, main, tmp_path, spec):
         """`main` loads the spec before the command runs; equiv then reads

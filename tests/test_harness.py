@@ -8,6 +8,7 @@ import statistics
 import sys
 import threading
 import typing
+from collections import Counter
 from fractions import Fraction
 from hashlib import blake2b
 from types import SimpleNamespace
@@ -144,12 +145,12 @@ class TestFuzzInvariance:
         assert c.counterexample != a.counterexample
 
     def test_trial_prefix_stability(self):
-        # per-trial generators are derived independently, so a longer run
-        # agrees with a shorter one on the shared prefix
+        # a run stops at its first counterexample, so a budget past it
+        # changes nothing but `trials`: the trials drawn, their counts and
+        # the counterexample are those of the shorter run
         short = fuzz_invariance(_spec("hidden_constant"), trials=5, seed=7)
         long = fuzz_invariance(_spec("hidden_constant"), trials=25, seed=7)
-        assert short.counterexample.trial_index == long.counterexample.trial_index
-        assert short.counterexample.bindings == long.counterexample.bindings
+        assert _with_budget(long, 5) == short
 
     def test_ill_typed_spec_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -210,6 +211,28 @@ def _spec_text(tmp_path, variables, relation, system=("L",)):
         {"system": list(system), "variables": variables, "relation": relation}
     ))
     return dsl.load_problem_spec(path)
+
+
+def _with_budget(report, trials):
+    """The report with its budget `trials` in place of its own."""
+    return harness.InvarianceReport(trials, report.passed, report.seed, report.counterexample,
+                                    report.inapplicable, report.undecided)
+
+
+def _trial_outcomes(spec, trials, seed, tol=core.DEFAULT_TOL):
+    """How each of the first `trials` trials of seed comes out under the plan
+    kernel's `trial`, run on its key's hash whether or not a run would draw
+    it: counts of passed, failed, inapplicable and undecided."""
+    trial, _, _ = spec.fuzz_plan.kernel(tol)
+    outcomes = Counter()
+    for t in range(trials):
+        try:
+            outcomes["passed" if trial(blake2b(f"{seed}:{t}".encode())) is None else "failed"] += 1
+        except EvaluationError:
+            outcomes["inapplicable"] += 1
+        except harness._Undecided:
+            outcomes["undecided"] += 1
+    return outcomes
 
 
 class TestInapplicableTrials:
@@ -366,9 +389,12 @@ class TestRescalingBeyondTheFloatRange:
     def test_overflowing_trials_are_inapplicable(self, tmp_path):
         spec = _spec_text(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
         report = fuzz_invariance(spec, trials=1000, seed=0)
-        assert (report.passed, report.inapplicable) == (487, 0)
-        # x < y compares a length with L^(1e308): a real counterexample
-        assert report.counterexample is not None
+        assert (report.passed, report.inapplicable) == (5, 0)
+        # x < y compares a length with L^(1e308): a real counterexample, and
+        # the run draws no trial past it
+        assert report.counterexample.trial_index == 5
+        # over all 1000 trials, no overflowing rescaling makes one inapplicable
+        assert _trial_outcomes(spec, 1000, seed=0) == {"passed": 487, "failed": 513}
 
     def test_every_trial_overflowing_names_the_cause(self, tmp_path):
         spec = _spec_text(tmp_path, {"x": f"L^{10**308}", "y": "L"}, "x < y")
@@ -586,9 +612,11 @@ def _nodes(node):
         yield from _nodes(child)
 
 
-def _recording_kernel(monkeypatch, spec):
+def _recording_kernel(monkeypatch, spec, passing=False):
     """Wrap the spec's trial kernel; returns (blocks, returned): the digest
-    of each trial's hash, and what each of its trials returns."""
+    of each trial's hash, and what each of its trials returns. Where
+    passing, each trial reports a pass to the run whatever it returned, so
+    a run draws every trial of its budget."""
     plan, blocks, returned = spec.fuzz_plan, [], []
     make = plan.kernel
 
@@ -598,7 +626,7 @@ def _recording_kernel(monkeypatch, spec):
         def recorded(h):
             blocks.append(h.digest())
             returned.append(trial(h))
-            return returned[-1]
+            return None if passing else returned[-1]
 
         return recorded, decide, shrink
 
@@ -614,7 +642,9 @@ class TestTrialStream:
     @pytest.mark.parametrize("seed", [0, 7, -5, 2**31 - 1])
     def test_draws_equal_the_reference_stream(self, monkeypatch, seed):
         spec = dict(_stream_specs())["not x < y"]
-        blocks, returned = _recording_kernel(monkeypatch, spec)
+        # the run would stop at its first counterexample: each trial passes
+        # to it, so the plan kernel's trial runs on all 1000 of the run's hashes
+        blocks, returned = _recording_kernel(monkeypatch, spec, passing=True)
         fuzz_invariance(spec, trials=1000, seed=seed)
         assert len(blocks) == 1000 and len(returned) == 1000
         failed = 0
@@ -677,6 +707,47 @@ class TestTrialStream:
                         assert decide(*point, *factors) == result
                         failed += 1
         assert failed > 0
+
+
+def _refuted_corpus_specs(corpus):
+    """(id, spec, fuzz seed) for hidden_constant and every fuzz-corpus
+    relation of corpus seeds 0-1, round 0, that a 1000-trial run refutes."""
+    out = [("hidden_constant", _spec("hidden_constant"), 0)]
+    for seed in (0, 1):
+        state = corpus.prepare(seed, SimpleNamespace(root=FIXTURES.parent))
+        # each relation's fuzz seed in round 0, as `corpus.round_ops` draws it
+        rng = random.Random(f"{corpus.NAME}:{seed}:0")
+        for name, _, spec, _, _ in state["corpus"]:
+            fuzz_seed = rng.randrange(2**31)
+            try:
+                report = fuzz_invariance(spec, trials=1000, seed=fuzz_seed)
+            except EvaluationError:
+                continue
+            if report.counterexample is not None:
+                out.append((f"{seed}:{name}", spec, fuzz_seed))
+    return out
+
+
+class TestStopAtTheCounterexample:
+    """A run stops at its first confirmed counterexample: a refuted report
+    does not depend on the budget past that trial, and no trial past it is
+    drawn."""
+
+    def test_no_trial_is_drawn_past_the_counterexample(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+        import corpus
+
+        cases = _refuted_corpus_specs(corpus)
+        assert len(cases) > 10
+        for name, spec, seed in cases:
+            blocks, _ = _recording_kernel(monkeypatch, spec)
+            report = fuzz_invariance(spec, trials=1000, seed=seed)
+            k = report.counterexample.trial_index
+            assert len(blocks) == k + 1, name
+            # field for field but `trials`, the run whose budget ends at k
+            short = fuzz_invariance(spec, trials=k + 1, seed=seed)
+            assert _with_budget(short, 1000) == report, name
+            assert report.passed + report.inapplicable + report.undecided == k, name
 
 
 def _drawing_trial(monkeypatch, spec, unit=False):
