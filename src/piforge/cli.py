@@ -7,11 +7,15 @@ failure, 141 stdout closed by its reader (128 + SIGPIPE). Output is
 deterministic for identical inputs and flags; --json emits exact rationals
 as "p/q" strings and magnitudes as decimals with 15 significant digits.
 
-Each `cmd_*` writes nothing: it returns (exit code, --json payload, text
-lines). `main` is the one output site. It loads --spec, for the commands
-that take one, before the command runs (replacing the path on the parsed
-arguments with the `ProblemSpec`), then prints the payload as indented JSON
-under --json and the lines otherwise.
+Each `cmd_*` is a function of values: it reads no file and no environment
+variable, writes nothing, and returns (exit code, --json payload, text
+lines). `main` is the one input and output site. Before the command runs it
+reads, in this order, the --spec file, the unit registry (--registry or
+$PIFORGE_REGISTRY, only for the commands that take --registry) and each
+bindings file, and puts on the parsed arguments, in place of each path, its
+value: a `ProblemSpec`, a `UnitRegistry` or None, a list of `Quantity`. It
+then prints the payload as indented JSON under --json and the lines
+otherwise.
 
 `main` is also the one place a failure becomes exit 2. Every usage error, a
 bad --tol or --trials or a file that cannot be read, decoded or parsed, is
@@ -29,8 +33,8 @@ import os
 import sys
 from fractions import Fraction
 
-# units, harness and nondim are imported by the commands that use them, so
-# a call loads only the modules it runs.
+# units, harness and nondim are imported where a call needs them, so a call
+# loads only the modules it runs.
 from . import dsl, pigroups
 from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity, format_magnitude, monomial_text
 from .errors import DimensionError, ParseError, PiforgeError
@@ -41,16 +45,6 @@ REGISTRY_ENV = "PIFORGE_REGISTRY"
 
 # what a command returns: (exit code, --json payload, text lines)
 _Output = tuple[int, dict, list[str]]
-
-
-def _registry_from(args):
-    """The unit registry named by --registry or $PIFORGE_REGISTRY, or None."""
-    path = args.registry or os.environ.get(REGISTRY_ENV)
-    if path is None:
-        return None
-    from . import units
-
-    return units.UnitRegistry.load(path)
 
 
 def _into_system(q: Quantity, system: DimSystem, context: str) -> Quantity:
@@ -92,14 +86,11 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> list[Quantity]:
         value = raw[name]
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             try:
-                magnitude = float(value)
-            except OverflowError:  # an integer beyond the float range, as 1e400 is
-                magnitude = math.inf
-            if not 0 < magnitude < math.inf:
+                out.append(Quantity.from_magnitude(value, dim))
+            except ValueError:
                 raise ParseError(
                     f"bindings {path}: {name} must be finite and positive, got {value}"
-                )
-            out.append(Quantity(math.log(magnitude), dim))
+                ) from None
         elif isinstance(value, str):
             if registry is None:
                 raise ParseError(
@@ -162,10 +153,9 @@ def cmd_pi(args) -> _Output:
 def cmd_consistent(args) -> _Output:
     from . import units
 
-    registry = _registry_from(args)
-    if registry is None:
+    if args.registry is None:
         raise ParseError(f"a registry is required (--registry or ${REGISTRY_ENV})")
-    quantities = [registry.quantity(name) for name in args.units]
+    quantities = [args.registry.quantity(name) for name in args.units]
     report = units.is_consistent(quantities, tol=args.tol)
     payload = {"consistent": report.consistent, "units": list(args.units), "witness": None}
     if report.consistent:
@@ -202,9 +192,7 @@ def cmd_verify(args) -> _Output:
 def cmd_equiv(args) -> _Output:
     from . import nondim
 
-    registry = _registry_from(args)
-    xs = _load_bindings(args.bindings_a, args.spec, registry)
-    ys = _load_bindings(args.bindings_b, args.spec, registry)
+    xs, ys = args.bindings_a, args.bindings_b
     basis = pigroups.pi_basis(args.spec.variable_dims)
     verdict = nondim.equivalent(basis, xs, ys, tol=args.tol)
     # `_load_bindings` gave both the spec's dimensions: no DIM_MISMATCH verdict
@@ -226,9 +214,7 @@ def cmd_equiv(args) -> _Output:
 def cmd_nondim(args) -> _Output:
     from . import nondim
 
-    spec = args.spec
-    registry = _registry_from(args)
-    xs = _load_bindings(args.bindings, spec, registry)
+    spec, xs = args.spec, args.bindings
     special = pigroups.special_basis(spec.variable_dims)
     ref = [Quantity(0.0, dim) for dim in spec.variable_dims]
     values = nondim.pi_values(special.canonical, xs)
@@ -320,6 +306,14 @@ def main(argv=None) -> int:
             raise PiforgeError("--trials must be at least 1")
         if "spec" in args:
             args.spec = dsl.load_problem_spec(args.spec)
+        if "registry" in args:
+            from . import units
+
+            path = args.registry or os.environ.get(REGISTRY_ENV)
+            args.registry = None if path is None else units.UnitRegistry.load(path)
+        for key in ("bindings_a", "bindings_b", "bindings"):
+            if key in args:
+                setattr(args, key, _load_bindings(getattr(args, key), args.spec, args.registry))
         code, payload, lines = args.func(args)
         print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
         sys.stdout.flush()

@@ -195,9 +195,15 @@ class Quantity:
 
     @classmethod
     def from_magnitude(cls, magnitude: float, dim: DimVector) -> "Quantity":
-        if not (magnitude > 0 and math.isfinite(magnitude)):
+        """The quantity of a finite positive real magnitude: ValueError for
+        anything else, a bool, a string and an int past the float range too."""
+        try:
+            value = math.nan if isinstance(magnitude, (bool, str)) else float(magnitude)
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+        if not 0 < value < math.inf:
             raise ValueError(f"magnitude must be a finite positive real, got {magnitude!r}")
-        return cls(math.log(magnitude), dim)
+        return cls(math.log(value), dim)
 
     @classmethod
     def one(cls, system: DimSystem) -> "Quantity":

@@ -162,8 +162,11 @@ BOOL = BoolType()
 
 # --- tokenizer ----------------------------------------------------------
 
+# a decimal literal: a relation's constant, a quantity literal's magnitude,
+# a registry's magnitude string
+NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    rf"\s*(?:(?P<number>{NUMBER.pattern})"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op><=|=|<|\^|\*|/|\+|-|\(|\)))"
 )
@@ -526,15 +529,15 @@ def print_relation(node: Node) -> str:
 # --- typecheck -----------------------------------------------------------
 
 
-def typecheck(node: Node, env: dict[str, DimVector], *, allow_mixed_comparisons=False, sides=None):
+def typecheck(node: Node, env: dict[str, DimVector], *, sides=None):
     """Dimension-check a relation; returns its DimVector or BOOL.
 
     The verdict depends only on the environment's dimensions, never on
-    magnitudes. With allow_mixed_comparisons the =/</<= operators accept
-    operands of different dimensions (the invariance fuzzer's loophole);
-    everything else stays strict. A list given as sides gets the two side
-    dimensions of each comparison, left to right. Quantities are typed by
-    exact DimVector arithmetic alone, a constant over the first variable's
+    magnitudes. Given a list as sides, the =/</<= operators accept operands
+    of different dimensions (the invariance fuzzer's loophole) and the list
+    gets the two side dimensions of each comparison, left to right;
+    everything else stays strict. Quantities are typed by exact DimVector
+    arithmetic alone, a constant over the first variable's
     system: dimensions over two systems do not combine (SystemMismatchError)
     and compare unequal. The fuzzer types a spec once (`ProblemSpec.fuzz_plan`)."""
     system = next(iter(env.values())).system if env else None
@@ -567,10 +570,10 @@ def typecheck(node: Node, env: dict[str, DimVector], *, allow_mixed_comparisons=
         if kind is Compare:
             lt, rt = check(n.left), check(n.right)
             _need_dim(n, lt), _need_dim(n, rt)
-            if lt != rt and not allow_mixed_comparisons:
-                fail(n, f"'{n.op}' compares different dimensions: {{}} vs {{}}", lt, rt)
             if sides is not None:
                 sides.append((lt, rt))
+            elif lt != rt:
+                fail(n, f"'{n.op}' compares different dimensions: {{}} vs {{}}", lt, rt)
             return BOOL
         if kind is Call:
             func = n.func
@@ -804,8 +807,9 @@ class Lowering:
 class CompiledRelation:
     """A relation typechecked once and compiled on first run, for many
     evaluations: the handle a caller keeps in place of re-typing and
-    re-lowering the node. `type`, as `typecheck` with mixed comparisons
-    gives it (DimensionError where the relation is ill-typed);
+    re-lowering the node. `type`, as `typecheck` gives it with a sides list,
+    so with mixed comparisons (DimensionError where the relation is
+    ill-typed);
     `side_dims`, the two side dimensions of each comparison, left to right;
     `run`, run(logs, tol) giving its truth value, or a quantity's log
     magnitude, from a dict of each variable's log magnitude, compiled
@@ -814,7 +818,7 @@ class CompiledRelation:
     def __init__(self, node: Node, env: dict[str, DimVector]):
         sides = []
         self.node = node
-        self.type = typecheck(node, env, allow_mixed_comparisons=True, sides=sides)
+        self.type = typecheck(node, env, sides=sides)
         self.side_dims = tuple(sides)
         self._variables = tuple(env)
 

@@ -10,12 +10,11 @@ the distance of the units' logs from the rescaling orbit, and names a clash
 
 from __future__ import annotations
 
-import math
-
 from . import dsl
 from .core import (
     DEFAULT_TOL,
     DimSystem,
+    DimVector,
     Monomial,
     Quantity,
     check_tol,
@@ -96,21 +95,21 @@ class UnitRegistry:
             if not isinstance(spec, dict):
                 raise ParseError(f"registry {source}: unit {name!r} must be an object")
             magnitude = spec.get("magnitude")
+            if isinstance(magnitude, str) and dsl.NUMBER.fullmatch(magnitude):
+                magnitude = float(magnitude)
             try:
-                magnitude = math.nan if isinstance(magnitude, bool) else float(magnitude)
-            except (TypeError, ValueError, OverflowError):
-                magnitude = math.nan
-            if not 0 < magnitude < math.inf:
+                scale = Quantity.from_magnitude(magnitude, DimVector.zero(system))
+            except ValueError:
                 raise ParseError(
                     f"registry {source}: unit {name!r} needs a finite positive 'magnitude'"
-                )
+                ) from None
             if not isinstance(spec.get("dim"), str):
                 raise ParseError(f"registry {source}: unit {name!r} needs a 'dim' string")
             try:
                 dim = dsl.parse_dimension(spec["dim"], system)
             except ParseError as exc:
                 raise type(exc)(f"registry {source}: unit {name!r}: {exc}") from exc
-            entries[name] = Quantity(math.log(magnitude), dim)
+            entries[name] = Quantity(scale.log_magnitude, dim)
         return cls(system, entries)
 
     @classmethod

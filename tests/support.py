@@ -944,7 +944,7 @@ def reference_fuzz(spec, trials: int, seed: int = 0, tol: float = DEFAULT_TOL):
         raise ValueError("at least one trial required")
     check_tol(tol)
     try:
-        result_type = typecheck(spec.relation, spec.env, allow_mixed_comparisons=True)
+        result_type = typecheck(spec.relation, spec.env, sides=[])
     except DimensionError as exc:
         raise SpecError(f"relation is ill-typed: {exc}") from exc
     if result_type is not BOOL:

@@ -1,5 +1,6 @@
 """CLI contract: byte-identical golden outputs and documented exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from piforge import cli, dsl, nondim, pigroups, units
-from piforge.core import Quantity, format_magnitude
+from piforge.core import DEFAULT_TOL, Quantity, format_magnitude
 from piforge.errors import UnknownUnitError
 
 from support import FIXTURES, GOLDENS, GOLDEN_CASES, ROOT, run_cli
@@ -163,8 +164,12 @@ class TestExitCodes:
         [
             ({"magnitude": 10**400, "dim": "L"}, "unit 'm' needs a finite positive 'magnitude'"),
             ({"magnitude": 1, "dim": "L^"}, "unit 'm': expected an integer exponent, got ''"),
+            # strings outside the decimal grammar of a relation's constants
+            *(({"magnitude": text, "dim": "L"}, "unit 'm' needs a finite positive 'magnitude'")
+              for text in ("1_000", " 12\n", ".5", "5.", "+5")),
         ],
-        ids=["int-beyond-floats", "dim-malformed"],
+        ids=["int-beyond-floats", "dim-malformed", "underscore", "whitespace", "no-integer-part",
+             "no-fraction-digits", "plus-sign"],
     )
     def test_bad_registry_unit_names_registry_and_unit(self, tmp_path, unit, message):
         registry = tmp_path / "reg.json"
@@ -565,16 +570,26 @@ class TestBoundaryErrors:
         # the file, the limit and the digit count, but not Python's advice
         assert "set_int_max_str_digits" not in err
 
-    def test_equiv_names_the_first_bad_file(self, main, tmp_path, spec):
-        """`main` loads the spec before the command runs; equiv then reads
-        the registry before either bindings file."""
-        bad, missing = tmp_path / "bad.json", tmp_path / "missing.json"
-        bad.write_text("[1, 2]")
-        rest = (bad, bad, "--registry", missing)
-        assert main("equiv", "--spec", bad, *rest) == (2, "", f"error: spec {bad}: expected a JSON object\n")
-        code, out, err = main("equiv", "--spec", spec, *rest)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot read registry {missing}: ")
+    def test_equiv_names_the_first_bad_file(self, main, tmp_path):
+        """`main` reads the spec, the registry, bindings_a and bindings_b, in
+        that order, before the command runs: with each made bad in turn, and
+        every file after it bad too, the error names that one."""
+        good = [FIXTURES / "mass_spring.json", self.REGISTRY, *[FIXTURES / "mass_spring_bindings.json"] * 2]
+        bad = [tmp_path / f"bad_{what}.json" for what in ("spec", "a", "b")]
+        for path in bad:
+            path.write_text("[1, 2]")
+        bad.insert(1, tmp_path / "missing.json")
+        expected = [
+            f"error: spec {bad[0]}: expected a JSON object\n",
+            f"error: cannot read registry {bad[1]}: ",
+            f"error: bindings {bad[2]} must be a JSON object\n",
+            f"error: bindings {bad[3]} must be a JSON object\n",
+        ]
+        for i, message in enumerate(expected):
+            spec, registry, a, b = good[:i] + bad[i:]
+            code, out, err = main("equiv", "--spec", spec, "--registry", registry, a, b)
+            assert (code, out) == (2, "")
+            assert err.startswith(message) and err.count("\n") == 1
 
     def test_registry_without_units(self, main, tmp_path):
         path = tmp_path / "reg.json"
@@ -592,6 +607,80 @@ class TestBoundaryErrors:
         assert main("check", "--spec", _write_spec(tmp_path, {"x": "L"}, "x = x  ")) == (
             0, "well-typed: boolean\n", ""
         )
+
+
+class TestOneInputSite:
+    """`main` reads every file the command line names (the order is pinned
+    by `TestBoundaryErrors.test_equiv_names_the_first_bad_file`), and each
+    `cmd_*` is a function of the values it puts on the arguments."""
+
+    SPEC = dsl.problem_spec_from_dict({  # fixtures/mass_spring.json, no file read
+        "system": ["M", "T"],
+        "variables": {"m": "M", "k": "M*T^-2", "t": "T"},
+        "relation": "is_pos_int(t/(2*pi) * (k/m)^(1/2))",
+    })
+
+    @pytest.fixture
+    def no_file(self, monkeypatch, tmp_path):
+        """Any file read fails, and $PIFORGE_REGISTRY names a missing file."""
+        def read_json(path, what, error):
+            raise AssertionError(f"{what} {path} read")
+
+        monkeypatch.setattr(dsl, "read_json", read_json)
+        monkeypatch.setenv(cli.REGISTRY_ENV, str(tmp_path / "missing.json"))
+
+    def _args(self, **values):
+        return argparse.Namespace(spec=self.SPEC, tol=DEFAULT_TOL, **values)
+
+    def _bindings(self, *magnitudes):
+        return [Quantity.from_magnitude(v, d) for v, d in zip(magnitudes, self.SPEC.variable_dims)]
+
+    def _cli(self, tmp_path, command, *bindings):
+        """The CLI's (exit, text, --json payload) on the fixture spec and
+        bindings files holding these magnitudes."""
+        paths = []
+        for i, magnitudes in enumerate(bindings):
+            paths.append(tmp_path / f"bindings_{i}.json")
+            paths[-1].write_text(json.dumps(dict(zip(self.SPEC.variable_names, magnitudes))))
+        argv = [command, "--spec", "fixtures/mass_spring.json", *map(str, paths)]
+        text, as_json = run_cli(*argv), run_cli(*argv, "--json")
+        assert text.returncode == as_json.returncode
+        return text.returncode, text.stdout.decode(), json.loads(as_json.stdout)
+
+    def test_nondim_on_values_prints_its_golden(self, no_file, tmp_path):
+        code, payload, lines = cli.cmd_nondim(self._args(bindings=self._bindings(2, 8, 3)))
+        text = "".join(f"{line}\n" for line in lines)
+        assert (code, text) == (0, (GOLDENS / "nondim_mass_spring.txt").read_text())
+        assert self._cli(tmp_path, "nondim", (2, 8, 3)) == (code, text, payload)
+
+    @pytest.mark.parametrize("other", [(4, 16, 3), (2.5, 7.3, 3.1)], ids=["equivalent", "not"])
+    def test_equiv_on_values_prints_what_the_cli_prints(self, no_file, tmp_path, other):
+        args = self._args(bindings_a=self._bindings(2, 8, 3), bindings_b=self._bindings(*other))
+        code, payload, lines = cli.cmd_equiv(args)
+        assert code == (0 if other == (4, 16, 3) else 1)
+        text = "".join(f"{line}\n" for line in lines)
+        assert self._cli(tmp_path, "equiv", (2, 8, 3), other) == (code, text, payload)
+
+    @pytest.mark.parametrize("argv", [
+        ["pi", "--spec", "fixtures/mass_spring.json"],
+        ["check", "--spec", "fixtures/mass_spring.json"],
+        ["verify", "--spec", "fixtures/newton.json", "--trials", "5"],
+    ], ids=["pi", "check", "verify"])
+    def test_a_broken_registry_variable_leaves_commands_without_a_registry(self, argv):
+        """Only the commands that take --registry read $PIFORGE_REGISTRY."""
+        broken = ROOT / "fixtures" / "missing.json"
+        loaded = _loaded_after(
+            f"import os; os.environ[{cli.REGISTRY_ENV!r}] = {str(broken)!r}; "
+            f"from piforge import cli; assert cli.main({argv!r}) == 0"
+        )
+        assert "piforge.units" not in loaded
+
+    def test_a_broken_registry_variable_fails_nondim(self, capsys, monkeypatch, tmp_path):
+        broken = tmp_path / "missing.json"
+        monkeypatch.setenv(cli.REGISTRY_ENV, str(broken))
+        assert cli.main(["nondim", "--spec", str(FIXTURES / "mass_spring.json"),
+                         str(FIXTURES / "mass_spring_bindings.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read registry {broken}: ")
 
 
 class TestRepeatedKeys:

@@ -250,7 +250,7 @@ class TestNestingLimit:
         assert pickle.loads(pickle.dumps(node)) == node
         assert repr(node).startswith(type(node).__name__)
         assert free_variables(node) <= set(env)
-        assert typecheck(node, env, allow_mixed_comparisons=True) is BOOL
+        assert typecheck(node, env, sides=[]) is BOOL
         box = dict.fromkeys(env, harness._LOG_MAG_RANGE)
         assert harness._bounds(node, box) in (True, None)
         compiled = dsl.compile_relation(node, env)
@@ -473,13 +473,13 @@ class TestTypecheck:
         node = parse_relation("x = 299792458*t")
         with pytest.raises(DimensionError):
             typecheck(node, env)
-        assert typecheck(node, env, allow_mixed_comparisons=True) is BOOL
+        assert typecheck(node, env, sides=[]) is BOOL
 
     def test_mixed_add_rejected_even_for_fuzzing(self):
         system = DimSystem(("L", "T"))
         env = {"x": DimVector.unit(system, "L"), "t": DimVector.unit(system, "T")}
         with pytest.raises(DimensionError):
-            typecheck(parse_relation("x + t = x"), env, allow_mixed_comparisons=True)
+            typecheck(parse_relation("x + t = x"), env, sides=[])
 
     def test_boolean_operand_misuse(self):
         system = DimSystem(("L",))

@@ -204,6 +204,33 @@ def test_cli_main_is_the_one_output_site():
     assert not found, f"cli.py prints or picks the output format outside main at lines {found}"
 
 
+# what reads a spec, registry or bindings file, or the environment
+INPUT_CALLS = ("load_problem_spec", "UnitRegistry.load", "_load_bindings", "read_json")
+INPUT_ATTRIBUTES = ("environ", "getenv")
+
+
+def test_cli_main_is_the_one_input_site():
+    """Each `cli.cmd_*` is a function of the values `main` put on the
+    arguments: neither it nor a cli.py function it calls reads a file the
+    command line names, or the environment."""
+    tree = ast.parse((ROOT / "src" / "piforge" / "cli.py").read_text())
+    functions = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    reached, todo = set(), [name for name in functions if name.startswith("cmd_")]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(functions[name])
+                     if isinstance(node, ast.Name) and node.id in functions]
+    found = sorted(
+        (name, node.lineno)
+        for name in reached for node in ast.walk(functions[name])
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(INPUT_CALLS)
+        or isinstance(node, ast.Attribute) and node.attr in INPUT_ATTRIBUTES
+    )
+    assert not found, f"cli.py reads input outside main at {found}"
+
+
 def test_cli_main_fails_only_in_its_handlers():
     """`main` turns a failure into an error line and exit 2 only in an
     `except` handler: a usage error is raised as a PiforgeError and reaches

@@ -46,6 +46,12 @@ CASES = {
         lambda: Transition(QMatrix.identity(2), QMatrix.from_rows([[1, 1], [0, 1]])),
         NotABasisError, "transition matrix and inverse do not multiply to identity",
     ),
+    "magnitude-bool": (lambda: Quantity.from_magnitude(True, LEN), ValueError,
+                       "magnitude must be a finite positive real, got True"),
+    "magnitude-string": (lambda: Quantity.from_magnitude("2", LEN), ValueError,
+                         "magnitude must be a finite positive real, got '2'"),
+    "magnitude-int-beyond-floats": (lambda: Quantity.from_magnitude(10**400, LEN), ValueError,
+                                    f"magnitude must be a finite positive real, got {10**400}"),
     "rescaling-length": (lambda: Rescaling(L, (0.0, 0.0)), ValueError,
                          "one factor per fundamental dimension required"),
     "rescaling-not-finite": (lambda: Rescaling(L, (math.inf,)), ValueError,

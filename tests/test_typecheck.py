@@ -103,10 +103,13 @@ def random_truth(rng, names, depth):
 
 def _outcome(check, node, env, allow):
     """(kind, result or error details, sides) of one typecheck, each value
-    with its repr, so that an int exponent in place of a Fraction shows."""
-    sides = []
+    with its repr, so that an int exponent in place of a Fraction shows.
+    `dsl.typecheck` allows mixed comparisons where it is given a sides list;
+    the reference takes the flag besides."""
+    sides = [] if allow else None
+    flag = {"allow_mixed_comparisons": allow} if check is reference_typecheck else {}
     try:
-        result = check(node, env, allow_mixed_comparisons=allow, sides=sides)
+        result = check(node, env, sides=sides, **flag)
     except PiforgeError as exc:
         details = [type(exc), str(exc)]
         if isinstance(exc, DimensionError):
@@ -298,8 +301,7 @@ class TestTwoSystems:
         with pytest.raises(DimensionError, match="^'<' compares different dimensions: L vs T$"):
             typecheck(parse_relation("x < y"), env)
         sides = []
-        assert typecheck(parse_relation("x < y"), env, allow_mixed_comparisons=True,
-                         sides=sides) is BOOL
+        assert typecheck(parse_relation("x < y"), env, sides=sides) is BOOL
         assert sides == [(env["x"], env["y"])]
         assert sides[0][1].system.names == ("T",)
 

@@ -395,8 +395,15 @@ class TestRegistry:
             {"magnitude": "inf", "dim": "M"},
             {"magnitude": True, "dim": "M"},
             {"magnitude": 10**400, "dim": "M"},
+            # outside the decimal grammar of a relation's constants
+            {"magnitude": "1_000", "dim": "M"},
+            {"magnitude": " 12\n", "dim": "M"},
+            {"magnitude": ".5", "dim": "M"},
+            {"magnitude": "5.", "dim": "M"},
+            {"magnitude": "+5", "dim": "M"},
         ],
-        ids=["not-a-number", "missing", "nan", "inf", "boolean", "int-beyond-floats"],
+        ids=["not-a-number", "missing", "nan", "inf", "boolean", "int-beyond-floats",
+             "underscore", "whitespace", "no-integer-part", "no-fraction-digits", "plus-sign"],
     )
     def test_bad_magnitude_is_parse_error(self, unit):
         from piforge.errors import ParseError
