@@ -33,9 +33,9 @@ import os
 import sys
 from fractions import Fraction
 
-# units, harness and nondim are imported where a call needs them, so a call
-# loads only the modules it runs.
-from . import dsl, pigroups
+# pigroups, units, harness and nondim are imported where a call needs them,
+# so a call loads only the modules it runs.
+from . import dsl
 from .core import DEFAULT_TOL, DimSystem, DimVector, Quantity, format_magnitude, monomial_text
 from .errors import DimensionError, ParseError, PiforgeError
 
@@ -115,6 +115,8 @@ def _load_bindings(path, spec: dsl.ProblemSpec, registry) -> list[Quantity]:
 
 
 def cmd_pi(args) -> _Output:
+    from . import pigroups
+
     names = args.spec.variable_names
     special = pigroups.special_basis(args.spec.variable_dims)
     basis = special.canonical
@@ -190,7 +192,7 @@ def cmd_verify(args) -> _Output:
 
 
 def cmd_equiv(args) -> _Output:
-    from . import nondim
+    from . import nondim, pigroups
 
     xs, ys = args.bindings_a, args.bindings_b
     basis = pigroups.pi_basis(args.spec.variable_dims)
@@ -212,7 +214,7 @@ def cmd_equiv(args) -> _Output:
 
 
 def cmd_nondim(args) -> _Output:
-    from . import nondim
+    from . import nondim, pigroups
 
     spec, xs = args.spec, args.bindings
     special = pigroups.special_basis(spec.variable_dims)

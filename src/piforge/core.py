@@ -22,7 +22,10 @@ basis that runs many records (`pigroups.PiBasis`). One generated projection
 row's residual against the rows before it, and `orbit_gap_kernel`, the one
 path to a log vector's distance from the span of those rows: its code
 depends on the slot count alone and is compiled once per slot count per
-process, and each caller closes it over its own rows.
+process, and each caller closes it over its own rows. `record_reader`, a
+basis's third kernel, is made the same way: compiled once per slot count
+(`_reader_maker`) and closed over a basis's own dims, it reads a record's
+quantity lists into log lists by the rule "identity, else `check_dims`".
 """
 
 from __future__ import annotations
@@ -477,3 +480,61 @@ def orbit_gap_kernel(rows, n: int):
     each call gets its own closure over its own rows. The vector must hold
     n entries."""
     return _orbit_gap_maker(n)(rows)[1]
+
+
+@cache
+def _reader_maker(n: int):
+    """`make(dims)` -> `(logs, delta)` for n-slot quantity lists, compiled
+    once per n per process: one unrolled pass that unpacks each list and
+    tests every slot's `dim` by `is` against dims, xs's slots before ys's.
+    A list that does not unpack into n slots (another length, or no
+    sequence at all) leaves the pass as a wrong slot does. Like
+    `_orbit_gap_maker`, the source holds slot indices only, and the table
+    keeps code alone: dims is the closure's data."""
+    x, y, d = slot_names("x", n), slot_names("y", n), slot_names("d", n)
+    xs_own = " and ".join(f"x{j}.dim is d{j}" for j in range(n))
+    ys_own = " and ".join(f"y{j}.dim is d{j}" for j in range(n))
+    logs = "".join(f"x{j}.log_magnitude, " for j in range(n))
+    deltas = "".join(f"x{j}.log_magnitude - y{j}.log_magnitude, " for j in range(n))
+    lines = [
+        "def make(dims):",
+        f" ({d}) = dims",
+        " def logs(xs, label):",
+        "  try:",
+        f"   ({x}) = xs",
+        "  except (ValueError, TypeError):",
+        "   pass",
+        "  else:",
+        f"   if {xs_own}:",
+        f"    return ({logs})",
+        "  check_dims(dims, xs, label)",
+        "  return [x.log_magnitude for x in xs]",
+        " def delta(xs, ys):",
+        "  try:",
+        f"   ({x}) = xs",
+        f"   ({y}) = ys",
+        "  except (ValueError, TypeError):",
+        "   return None",
+        f"  if {xs_own} and {ys_own}:",
+        f"   return [{deltas}]",
+        "  return None",
+        " return logs, delta",
+    ]
+    return compile_source("\n".join(lines), "make", check_dims=check_dims)
+
+
+def record_reader(dims):
+    """`(logs, delta)`, the log magnitudes of quantity lists over the
+    dimension tuple dims, read in one pass when every slot's `dim` is the
+    very DimVector object of dims (identity, else `check_dims`):
+
+    - `logs(xs, label)`: the tuple of xs's log magnitudes when every slot
+      passes by identity; otherwise `check_dims(dims, xs, label)`, which
+      raises or passes equal copies, then the list of xs's log magnitudes.
+    - `delta(xs, ys)`: the list of `x.log_magnitude - y.log_magnitude`
+      when both lists pass by identity; otherwise None, and the caller
+      checks the lists itself.
+
+    Its code is `_reader_maker(len(dims))`, compiled once per slot count per
+    process and shared; each call closes it over its own dims."""
+    return _reader_maker(len(dims))(dims)

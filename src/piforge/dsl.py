@@ -163,8 +163,9 @@ BOOL = BoolType()
 # --- tokenizer ----------------------------------------------------------
 
 # a decimal literal: a relation's constant, a quantity literal's magnitude,
-# a registry's magnitude string
-NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+# a registry's magnitude string; ASCII digits only (`\d` on a str matches
+# every Unicode decimal digit)
+NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<number>{NUMBER.pattern})"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -258,7 +259,7 @@ def _parse_signed_int(ts: _TokenStream) -> int:
         ts.next()
         sign = -1
     tok = ts.next()
-    if tok.kind != "number" or not re.fullmatch(r"\d+", tok.text):
+    if tok.kind != "number" or not re.fullmatch(r"[0-9]+", tok.text):
         raise ParseError(f"expected an integer exponent, got {tok.text!r}")
     try:
         return sign * int(tok.text)

@@ -8,23 +8,28 @@ pivot-slot coordinates relative to a chosen reference list are 1, and
 `nondimensionalize` turns any dimensionally invariant predicate over n
 quantities into a predicate over the r pi-values.
 
-Once a basis is built, a record costs float work only: a binding built over
-the basis's own DimVector objects passes its dimension check on identity,
-with no DimVector compare (`core.check_dims`, the one check of a tuple's
-dimensions, which names the first wrong slot). A special basis keeps the
+Once a basis is built, a record costs float work only. The basis's third
+kernel, its reader (`PiBasis.reader`, from `core.record_reader`), reads a
+record's quantity lists by the rule "identity, else `check_dims`": a list
+over the basis's own DimVector objects yields its log magnitudes in one
+unrolled pass, with no DimVector compare, and any other list goes through
+`core.check_dims`, the one check of a tuple's dimensions, which names the
+first wrong slot, then the list of its logs. `pi_values`, `equivalent`
+(its `xs` error, then DIM_MISMATCH, when either list leaves the pass) and
+`canonical_rep` read their bindings through it. A special basis keeps the
 last reference it was anchored at (`SpecialPiBasis.anchor`), keyed by the
 ref's Quantity objects, by `is`, and tol: a stream of `canonical_rep`
 records at one reference checks its dimensions and consistency once, not
 per record. A list of equal copies, or one edited in place, is checked
-again. The float work itself runs in the basis's two kernels, straight-line
-functions made for each basis object on first use (`PiBasis.log_values`,
-every group's log value, and `PiBasis.orbit_gap`, the distance from the
-rescaling orbit); `log_values` gives float for float what the loop of
-`log_combine` gives. `log_values` is generated per basis, its exponents
-inlined; the orbit-gap code is compiled once per slot count per process
-and shared, while its rows and the groups stay per basis. A record
-builds no verdict object for an equivalent pair and no `PiValues` in
-`canonical_rep`.
+again. The float work itself runs in the basis's other two kernels,
+straight-line functions made for each basis object on first use
+(`PiBasis.log_values`, every group's log value, and `PiBasis.orbit_gap`,
+the distance from the rescaling orbit); `log_values` gives float for
+float what the loop of `log_combine` gives. `log_values` is generated per
+basis, its exponents inlined; the orbit-gap and reader code are each
+compiled once per slot count per process and shared, while the rows, the
+dims and the groups stay per basis. A record builds no verdict object for
+an equivalent pair and no `PiValues` in `canonical_rep`.
 
 Equivalence classes and invariant sets are uncountable, so they are only ever
 represented intensionally — as verdicts and predicates, never enumerated.
@@ -84,8 +89,7 @@ def pi_values(basis: PiBasis, xs: Sequence[Quantity]) -> PiValues:
     Once xs carries the basis dimensions slot for slot, every group is
     dimensionless by construction, so only the log magnitudes are combined.
     """
-    check_dims(basis.dims, xs, "xs")
-    return PiValues(basis.log_values([x.log_magnitude for x in xs]))
+    return PiValues(basis.log_values(basis.reader[0](xs, "xs")))
 
 
 def strip_units(s: Sequence[Quantity], xs: Sequence[Quantity], tol: float = DEFAULT_TOL) -> list[float]:
@@ -111,10 +115,12 @@ def equivalent(
     of the row space of the dimension matrix, whatever the basis. On a pi
     mismatch, mismatch_index names the group whose log differs most."""
     check_tol(tol)
-    check_dims(basis.dims, xs, "xs")
-    if tuple([y.dim for y in ys]) != basis.dims:
-        return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
-    delta = [x.log_magnitude - y.log_magnitude for x, y in zip(xs, ys)]
+    delta = basis.reader[1](xs, ys)
+    if delta is None:
+        check_dims(basis.dims, xs, "xs")
+        if tuple([y.dim for y in ys]) != basis.dims:
+            return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
+        delta = [x.log_magnitude - y.log_magnitude for x, y in zip(xs, ys)]
     if basis.r == 0 or basis.orbit_gap(delta) <= tol:
         return _EQUIVALENT
     sizes = list(map(abs, basis.log_values(delta)))
@@ -134,9 +140,9 @@ def _anchor(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float) -> tuple[fl
     kept_ref, kept_tol, kept_log_u = sb.anchor
     if kept_tol == tol and len(kept_ref) == len(ref) and all(map(operator.is_, kept_ref, ref)):
         return kept_log_u
-    check_dims(sb.base.dims, ref, "ref")
+    logs = sb.base.reader[0](ref, "ref")
     require_consistent(ref, tol, InconsistentReferenceError, "reference list")
-    log_u = sb.base.log_values([q.log_magnitude for q in ref])
+    log_u = sb.base.log_values(logs)
     object.__setattr__(sb, "anchor", (tuple(ref), tol, log_u))
     return log_u
 
@@ -171,8 +177,7 @@ def canonical_rep(
 
     xs is checked, and its pi-values taken, before ref is: a wrong xs
     raises as `pi_values` does, whatever ref holds."""
-    check_dims(sb.base.dims, xs, "xs")
-    return preimage(sb, ref, sb.base.log_values([x.log_magnitude for x in xs]), tol)
+    return preimage(sb, ref, sb.base.log_values(sb.base.reader[0](xs, "xs")), tol)
 
 
 def nondimensionalize(

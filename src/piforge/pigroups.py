@@ -18,12 +18,14 @@ A dimensionless product is fixed by its exponents there, so a basis's r x r
 two blocks. The builders keep the block they build, diagonal with integer
 entries; a public basis scans its groups for it on first use.
 
-A basis's float path runs in two kernels, `log_values` (every group's
-`log_combine`) and `orbit_gap` (the distance from its `row_space`'s span),
-generated by `core.log_values_kernel` and `core.orbit_gap_kernel` on first
-use and kept on that basis object alone; the orbit-gap code is compiled
-once per slot count and shared, over each basis's own rows. The
-builders and `transition` build neither, `units.is_consistent` keeps its
+A basis's float path runs in three kernels, `log_values` (every group's
+`log_combine`), `orbit_gap` (the distance from its `row_space`'s span)
+and `reader` (a record's quantity lists as log lists, by the rule
+"identity, else `check_dims`"), generated by `core.log_values_kernel`,
+`core.orbit_gap_kernel` and `core.record_reader` on first use and kept on
+that basis object alone; the orbit-gap and reader code are each compiled
+once per slot count and shared, over each basis's own rows and dims. The
+builders and `transition` build none, `units.is_consistent` keeps its
 closure on no basis; pickling drops them, and a copy builds its own.
 
 The public constructors `PiBasis`, `SpecialPiBasis` and `Transition`, and
@@ -43,6 +45,7 @@ from .core import (
     dim_combine,
     log_values_kernel,
     orbit_gap_kernel,
+    record_reader,
     reduce_dims,
     row_space,
 )
@@ -119,11 +122,20 @@ class PiBasis:
         rows are this basis's own."""
         return orbit_gap_kernel(self.row_space, len(self.dims))
 
+    @cached_property
+    def reader(self):
+        """`(logs, delta)`, the log magnitudes of a record's quantity lists
+        over `dims`, in one pass when every slot's dim is the very object
+        of `dims`, else after `check_dims`: `core.record_reader`, built on
+        first use. Its code is shared by every basis with as many slots in
+        the process; its dims are this basis's own."""
+        return record_reader(self.dims)
+
     def __getstate__(self):
         # generated functions do not pickle; a copy builds its own on first use
         state = dict(self.__dict__)
-        state.pop("log_values", None)
-        state.pop("orbit_gap", None)
+        for kernel in ("log_values", "orbit_gap", "reader"):
+            state.pop(kernel, None)
         return state
 
     @cached_property

@@ -12,6 +12,12 @@ and canonical_rep. It hashes the pi-value logs, both verdicts with their
 mismatch_index, and the representative's logs, floats as hex; an error
 raised is hashed as its type and text. It prints the digest with the count
 of records and of equivalent verdicts.
+
+Each seed then runs its rounds again with every problem's dims swapped for
+equal copies, other DimVector objects, so each record's bindings take the
+`check_dims` branch of the basis's reader in place of the identity pass.
+The script exits 1, naming the first such record, if any record's fields
+differ from the first run's; the digest covers the first run alone.
 """
 
 import argparse
@@ -24,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import records  # noqa: E402
+from piforge import core  # noqa: E402
 
 
 def _span(text: str) -> range:
@@ -48,22 +55,42 @@ def main() -> int:
     parser.add_argument("--rounds", type=_span, default=_span("0-39"))
     args = parser.parse_args()
     digest, count, equivalents = hashlib.sha256(), 0, 0
+    differs = None
     for seed in args.seeds:
         state = records.prepare(seed, SimpleNamespace(root=ROOT))
         # the set-up check also keeps the slots a perturbed copy may move
         digest.update(repr((seed, records.check_setup(state))).encode())
-        for r in args.rounds:
-            for op in records.round_ops(state, r):
-                try:
-                    out = op.run()
-                    fields = _fields(out)
-                    equivalents += out[1].equivalent + out[2].equivalent
-                except Exception as exc:  # an error is part of the output
-                    fields = [type(exc).__name__, str(exc)]
-                digest.update(repr((seed, r, op.tag, fields)).encode())
-                count += 1
+        outputs = _run(state, args.rounds)
+        for key, fields, equivalent in outputs:
+            digest.update(repr((seed, *key, fields)).encode())
+            count += 1
+            equivalents += equivalent
+        for p in state["problems"]:
+            p["dims"] = [core.DimVector(w.system, w.exponents) for w in p["dims"]]
+        for (key, fields, _), (_, copied, _) in zip(outputs, _run(state, args.rounds)):
+            if differs is None and copied != fields:
+                differs = (seed, *key)
     print(f"{digest.hexdigest()}  {count} records, {equivalents} equivalent verdicts")
+    if differs is not None:
+        print("seed %s round %s problem %s: equal copies of the dims give other fields" % differs,
+              file=sys.stderr)
+        return 1
     return 0
+
+
+def _run(state, rounds) -> list:
+    """((round, tag), fields, equivalent verdicts) of every record, in order."""
+    outputs = []
+    for r in rounds:
+        for op in records.round_ops(state, r):
+            try:
+                out = op.run()
+                fields = _fields(out)
+                equivalent = out[1].equivalent + out[2].equivalent
+            except Exception as exc:  # an error is part of the output
+                fields, equivalent = [type(exc).__name__, str(exc)], 0
+            outputs.append(((r, op.tag), fields, equivalent))
+    return outputs
 
 
 if __name__ == "__main__":

@@ -164,12 +164,13 @@ class TestExitCodes:
         [
             ({"magnitude": 10**400, "dim": "L"}, "unit 'm' needs a finite positive 'magnitude'"),
             ({"magnitude": 1, "dim": "L^"}, "unit 'm': expected an integer exponent, got ''"),
+            ({"magnitude": 1, "dim": "L^１２"}, "unit 'm': unexpected character '１' at position 2"),
             # strings outside the decimal grammar of a relation's constants
             *(({"magnitude": text, "dim": "L"}, "unit 'm' needs a finite positive 'magnitude'")
-              for text in ("1_000", " 12\n", ".5", "5.", "+5")),
+              for text in ("1_000", " 12\n", ".5", "5.", "+5", "١٢")),
         ],
-        ids=["int-beyond-floats", "dim-malformed", "underscore", "whitespace", "no-integer-part",
-             "no-fraction-digits", "plus-sign"],
+        ids=["int-beyond-floats", "dim-malformed", "dim-fullwidth-digits", "underscore", "whitespace",
+             "no-integer-part", "no-fraction-digits", "plus-sign", "arabic-indic-digits"],
     )
     def test_bad_registry_unit_names_registry_and_unit(self, tmp_path, unit, message):
         registry = tmp_path / "reg.json"
@@ -1079,11 +1080,12 @@ class TestStartupLoadsOnlyWhatRuns:
 
     @pytest.mark.parametrize("command", ["pi", "check"])
     def test_pi_and_check(self, command):
+        """Only `pi` of the two builds a basis, so only it loads pigroups."""
         loaded = _loaded_after(
             "from piforge import cli; "
             f"cli.main([{command!r}, '--spec', 'fixtures/mass_spring.json'])"
         )
-        assert "piforge.pigroups" in loaded
+        assert ("piforge.pigroups" in loaded) == (command == "pi")
         assert not loaded & {"piforge.harness", "piforge.nondim", "piforge.units", "hashlib"}
         assert not loaded & {"dataclasses", "inspect"}
 
@@ -1093,5 +1095,17 @@ class TestStartupLoadsOnlyWhatRuns:
             "cli.main(['verify', '--spec', 'fixtures/mass_spring.json', '--trials', '5'])"
         )
         assert "piforge.harness" in loaded
-        assert "piforge.nondim" not in loaded
+        assert not loaded & {"piforge.nondim", "piforge.pigroups"}
         assert not loaded & {"dataclasses", "inspect", "hashlib"}
+
+    @pytest.mark.parametrize("argv", [
+        ["consistent", "m", "s", "--registry", "fixtures/registry.json"],
+        ["pi"],  # a usage error: no --spec
+    ], ids=["consistent", "usage-error"])
+    def test_consistent_and_a_usage_error_build_no_basis(self, argv):
+        loaded = _loaded_after(
+            "from piforge import cli\n"
+            f"try:\n cli.main({argv!r})\nexcept SystemExit:\n pass"
+        )
+        assert "piforge.pigroups" not in loaded
+        assert ("piforge.units" in loaded) == (argv[0] == "consistent")

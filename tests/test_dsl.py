@@ -63,7 +63,7 @@ class TestDimensionParsing:
             parse_dimension("L", mt)
 
     def test_garbage_rejected(self, mt):
-        for bad in ("M*", "M^", "M^1.5", "2", "M$T", "(M", "M^(1/0)"):
+        for bad in ("M*", "M^", "M^1.5", "2", "M$T", "(M", "M^(1/0)", "M^１２"):
             with pytest.raises(ParseError):
                 parse_dimension(bad, mt)
 
@@ -389,6 +389,9 @@ class TestGrammar:
         ("a + not b", "'not' is a keyword, not a variable"),
         ("a = not b", "'not' is a keyword, not a variable"),
         ("-a < b", "unexpected '-' in relation"),
+        # the decimal grammar is ASCII digits: fullwidth and Arabic-Indic ones are not numbers
+        ("x < １２", "unexpected character '１' at position 3"),
+        ("x < 1e٣", "unexpected character '٣' at position 6"),
     ])
     def test_rejected_with_its_message(self, text, message):
         with pytest.raises(ParseError) as info:

@@ -4,6 +4,7 @@ and never re-derive the exact dimension of a dimensionless group. A basis's
 generated kernels give the reference loops' floats."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,7 +22,15 @@ from piforge.core import (
 from piforge.errors import EvaluationError, InconsistentReferenceError
 from piforge.exactlin import kernel_basis
 from piforge.harness import Counterexample, InvarianceReport, report_to_dict
-from piforge.nondim import canonical_rep, equivalent, pi_values
+from piforge.nondim import (
+    EquivalenceVerdict,
+    PiValues,
+    VerdictReason,
+    canonical_rep,
+    equivalent,
+    pi_values,
+    preimage,
+)
 from piforge.pigroups import PiBasis, pi_basis, special_basis, transition
 from piforge.units import is_consistent
 
@@ -37,7 +46,7 @@ from support import (
 )
 
 SYSTEMS = 200
-KERNELS = ("log_values", "orbit_gap")
+KERNELS = ("log_values", "orbit_gap", "reader")
 
 
 def _logs(rng, n):
@@ -307,6 +316,177 @@ class TestNoDimensionComparePerRecord:
         copies = [Quantity(x.log_magnitude, DimVector(x.dim.system, x.dim.exponents)) for x in xs]
         pi_values(basis, copies)
         assert compares[0] > before
+
+
+def _copies(dims):
+    """Equal DimVectors that are other objects than dims's."""
+    return [DimVector(w.system, w.exponents) for w in dims]
+
+
+def _stepwise_pi_values(basis, xs):
+    """`pi_values`'s two steps before the reader: `check_dims`, then the
+    groups' logs at the list of log magnitudes."""
+    core.check_dims(basis.dims, xs, "xs")
+    return PiValues(basis.log_values([x.log_magnitude for x in xs]))
+
+
+def _stepwise_equivalent(basis, xs, ys):
+    """`equivalent`'s steps before the reader: xs's `check_dims`, the
+    DIM_MISMATCH compare of ys, then the log difference list."""
+    core.check_dims(basis.dims, xs, "xs")
+    if tuple(y.dim for y in ys) != basis.dims:
+        return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
+    delta = [x.log_magnitude - y.log_magnitude for x, y in zip(xs, ys)]
+    if basis.r == 0 or basis.orbit_gap(delta) <= core.DEFAULT_TOL:
+        return EquivalenceVerdict(True, VerdictReason.EQUIVALENT)
+    sizes = [abs(v) for v in basis.log_values(delta)]
+    worst = max(range(basis.r), key=sizes.__getitem__)
+    return EquivalenceVerdict(False, VerdictReason.PI_MISMATCH, mismatch_index=worst)
+
+
+def _stepwise_canonical_rep(sb, ref, xs):
+    """`canonical_rep`'s steps before the reader: xs's `check_dims`, its
+    groups' logs at the list of its log magnitudes, then `preimage`."""
+    core.check_dims(sb.base.dims, xs, "xs")
+    return preimage(sb, ref, sb.base.log_values([x.log_magnitude for x in xs]))
+
+
+def _outcome(call, *args):
+    """What a call gives, as plain values: floats as hex, a verdict as its
+    three fields, an error as its type and text."""
+    try:
+        out = call(*args)
+    except Exception as exc:  # an error is part of the outcome
+        return type(exc).__name__, str(exc)
+    if isinstance(out, PiValues):
+        return "values", _hex(out.log_values)
+    if isinstance(out, EquivalenceVerdict):
+        return "verdict", (out.equivalent, out.reason.value, out.mismatch_index)
+    return "rep", [(q.log_magnitude.hex(), q.dim) for q in out]
+
+
+class TestRecordReader:
+    """A basis's reader (`core.record_reader`) reads bindings over its own
+    DimVector objects in one pass, and hands every other list to
+    `check_dims`: equal copies of the dims, a list of the wrong length and a
+    list with a wrong slot give `pi_values`, `equivalent` and
+    `canonical_rep` the floats, verdicts and error texts of the steps they
+    took before the reader."""
+
+    def _variants(self, rng, system, dims):
+        """Named binding lists: over the basis's dims, over equal copies,
+        rescaled and perturbed, short, long, with a wrong slot, and None,
+        which is no list at all."""
+        own_logs = _logs(rng, len(dims))
+        shift = [q.log_magnitude for q in _coherent(rng, system, dims)]
+        moved = [v + s for v, s in zip(own_logs, shift)]
+        bumped = list(own_logs)
+        bumped[rng.randrange(len(dims))] += 0.5
+        slot = rng.randrange(len(dims))
+        wrong = list(dims)
+        wrong[slot] = dims[slot] * DimVector.unit(system, system.names[0])
+        lists = {}
+        for over, ws in (("own", dims), ("copies", _copies(dims))):
+            for name, logs in (("", own_logs), ("-rescaled", moved), ("-perturbed", bumped)):
+                lists[over + name] = [Quantity(v, w) for v, w in zip(logs, ws)]
+        own = lists["own"]
+        lists.update(short=own[:-1], long=own + own[:1],
+                     wrong=[Quantity(x.log_magnitude, w) for x, w in zip(own, wrong)],
+                     none=None)
+        return lists
+
+    def test_every_branch_gives_the_stepwise_outcome(self):
+        rng = random.Random(199)
+        problems = list(seeded_systems(60))
+        for d, n in LADDER_SIZES:
+            system = core.DimSystem(tuple(f"D{i}" for i in range(d)))
+            problems += [(system, ladder_dims(rng, d, n)) for _ in range(2)]
+        seen = set()
+        for system, dims in problems:
+            sb = special_basis(dims)
+            ref = _coherent(rng, system, sb.base.dims)
+            lists = self._variants(rng, system, sb.base.dims)
+            for basis in (sb.base, sb.canonical):
+                for xs in lists.values():
+                    got = _outcome(pi_values, basis, xs)
+                    assert got == _outcome(_stepwise_pi_values, basis, xs)
+                    seen.add(got[0])
+                    for ys in lists.values():
+                        got = _outcome(equivalent, basis, xs, ys)
+                        assert got == _outcome(_stepwise_equivalent, basis, xs, ys)
+                        seen.add(got[1] if got[0] == "verdict" else got[0])
+            for xs in lists.values():
+                got = _outcome(canonical_rep, sb, ref, xs)
+                assert got == _outcome(_stepwise_canonical_rep, sb, ref, xs)
+                seen.add(got[0])
+        reasons = {v[1] if isinstance(v, tuple) else v for v in seen}
+        assert reasons == {"values", "rep", "DimensionMismatchError", "TypeError",
+                           "equivalent", "dim-mismatch", "pi-mismatch"}
+
+    def test_only_the_basis_own_dims_take_the_one_pass(self):
+        """The identity pass gives a tuple; equal copies reach `check_dims`
+        and give a list, with the same floats. `delta` gives None unless
+        both lists are over the basis's own dims."""
+        rng = random.Random(211)
+        for system, dims in seeded_systems(40):
+            basis = pi_basis(dims)
+            lists = self._variants(rng, system, basis.dims)
+            own, copies = lists["own"], lists["copies"]
+            logs, delta = basis.reader
+            assert type(logs(own, "xs")) is tuple and type(logs(copies, "xs")) is list
+            assert list(logs(own, "xs")) == logs(copies, "xs")
+            assert delta(own, lists["own-rescaled"]) is not None
+            for xs, ys in ((own, copies), (copies, own), (lists["short"], own),
+                           (own, lists["long"]), (lists["wrong"], own)):
+                assert delta(xs, ys) is None
+
+    def test_a_pickled_basis_drops_its_reader_and_builds_its_own(self):
+        """A copy's dims are other objects, so bindings over the original's
+        take its `check_dims` branch, and bindings over its own the one
+        pass: both give the original's floats."""
+        rng = random.Random(223)
+        for _, dims in seeded_systems(30):
+            basis = pi_basis(dims)
+            xs = [Quantity(v, w) for v, w in zip(_logs(rng, len(dims)), basis.dims)]
+            values = pi_values(basis, xs)
+            assert "reader" in vars(basis)
+            copy = pickle.loads(pickle.dumps(basis))
+            assert not set(KERNELS) & set(vars(copy))
+            assert pi_values(copy, xs) == values
+            own = [Quantity(x.log_magnitude, w) for x, w in zip(xs, copy.dims)]
+            assert pi_values(copy, own) == values
+            assert type(copy.reader[0](own, "xs")) is tuple
+            assert copy.reader is not basis.reader
+            assert copy.reader[0].__code__ is basis.reader[0].__code__
+
+    def test_one_reader_code_object_per_slot_count(self):
+        """The maker compiles once per slot count, never once per basis,
+        and its code holds no float: a basis's dims are the closure's data."""
+        rng = random.Random(227)
+        shapes = ((3, 6), (4, 10), (2, 6), (4, 12))
+        before = core._reader_maker.cache_info()
+        bases = [pi_basis(ladder_dims(rng, d, n)) for _ in range(3) for d, n in shapes]
+        for basis in bases:
+            basis.reader
+        after = core._reader_maker.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + len(bases)
+        assert after.misses - before.misses <= len({n for _, n in shapes})
+        again = [pi_basis(ladder_dims(rng, d, n)) for d, n in shapes]
+        for basis in again:
+            basis.reader
+        assert core._reader_maker.cache_info().misses == after.misses
+        for a in bases + again:
+            cells = dict(zip(a.reader[0].__code__.co_freevars,
+                             [c.cell_contents for c in a.reader[0].__closure__]))
+            assert cells["dims"] is a.dims
+            for b in bases:
+                same_code = a.reader[0].__code__ is b.reader[0].__code__
+                assert same_code == (len(a.dims) == len(b.dims))
+        codes = [core._reader_maker(n).__code__ for n in {n for _, n in shapes}]
+        while codes:
+            code = codes.pop()
+            assert not [c for c in code.co_consts if isinstance(c, (float, DimVector))]
+            codes += [c for c in code.co_consts if isinstance(c, type(code))]
 
 
 class TestBeyondFloatRange:

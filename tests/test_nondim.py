@@ -587,7 +587,7 @@ class TestAnchoredReference:
             copy = pickle.loads(pickle.dumps(anchored))
             assert copy == fresh and hash(copy) == hash(fresh)
             assert copy.anchor == anchored.anchor
-            assert not {"log_values", "orbit_gap"} & set(vars(copy.base))
+            assert not {"log_values", "orbit_gap", "reader"} & set(vars(copy.base))
             assert vars(copy.base)["row_space"] == rows
             assert canonical_rep(copy, list(copy.anchor[0]), xs) == rep
             assert equivalent(copy.base, xs, ys) == verdict

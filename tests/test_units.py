@@ -401,9 +401,11 @@ class TestRegistry:
             {"magnitude": ".5", "dim": "M"},
             {"magnitude": "5.", "dim": "M"},
             {"magnitude": "+5", "dim": "M"},
+            {"magnitude": "١٢", "dim": "M"},
         ],
         ids=["not-a-number", "missing", "nan", "inf", "boolean", "int-beyond-floats",
-             "underscore", "whitespace", "no-integer-part", "no-fraction-digits", "plus-sign"],
+             "underscore", "whitespace", "no-integer-part", "no-fraction-digits", "plus-sign",
+             "arabic-indic-digits"],
     )
     def test_bad_magnitude_is_parse_error(self, unit):
         from piforge.errors import ParseError
