@@ -324,15 +324,16 @@ def _copies(dims):
 
 
 def _stepwise_pi_values(basis, xs):
-    """`pi_values`'s two steps before the reader: `check_dims`, then the
-    groups' logs at the list of log magnitudes."""
+    """`pi_values` as plain steps, the reference for its reader: `check_dims`,
+    then the groups' logs at the list of log magnitudes."""
     core.check_dims(basis.dims, xs, "xs")
     return PiValues(basis.log_values([x.log_magnitude for x in xs]))
 
 
 def _stepwise_equivalent(basis, xs, ys):
-    """`equivalent`'s steps before the reader: xs's `check_dims`, the
-    DIM_MISMATCH compare of ys, then the log difference list."""
+    """`equivalent` as plain steps, the reference for its reader: xs's
+    `check_dims`, the DIM_MISMATCH compare of ys, then the log difference
+    list."""
     core.check_dims(basis.dims, xs, "xs")
     if tuple(y.dim for y in ys) != basis.dims:
         return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
@@ -345,8 +346,9 @@ def _stepwise_equivalent(basis, xs, ys):
 
 
 def _stepwise_canonical_rep(sb, ref, xs):
-    """`canonical_rep`'s steps before the reader: xs's `check_dims`, its
-    groups' logs at the list of its log magnitudes, then `preimage`."""
+    """`canonical_rep` as plain steps, the reference for its reader: xs's
+    `check_dims`, its groups' logs at the list of its log magnitudes, then
+    `preimage`."""
     core.check_dims(sb.base.dims, xs, "xs")
     return preimage(sb, ref, sb.base.log_values([x.log_magnitude for x in xs]))
 
@@ -370,8 +372,8 @@ class TestRecordReader:
     DimVector objects in one pass, and hands every other list to
     `check_dims`: equal copies of the dims, a list of the wrong length and a
     list with a wrong slot give `pi_values`, `equivalent` and
-    `canonical_rep` the floats, verdicts and error texts of the steps they
-    took before the reader."""
+    `canonical_rep` the floats, verdicts and error texts of the same calls
+    written as plain steps, `check_dims` first."""
 
     def _variants(self, rng, system, dims):
         """Named binding lists: over the basis's dims, over equal copies,
