@@ -27,7 +27,7 @@ classes of `Node`. Every walker of a relation dispatches on
 pattern costs several times as much per node, and would take an instance of
 a subclass for a node): `children`, `typecheck`, the printer and `Lowering`
 raise TypeError("not a relation node: ...") for anything else, such an
-instance included, and `harness._bounds` calls it unproven. `children`
+instance included, and `enclose.enclose` calls it unproven. `children`
 gives a node's operands, left to right, to the walks that treat every kind
 alike (`free_variables`, the parser's depth count, `harness._size`); the
 others do different work for each kind and keep their own dispatch.
@@ -44,8 +44,9 @@ else lowers a node.
 Multiplicative chains (variables, constants, *, /, ^, sqrt) stay in log
 space; sums, exp/log/sin/cos work in linear space, where non-positive values
 are legal, and only there. `SPACES` states, once, the space of each node
-kind's operands and value: `Lowering` and `harness._bounds` both read it, so
-a kind with no entry is neither lowered nor bounded. A comparison whose two
+kind's operands and value: `Lowering` and `enclose.enclose` both read it,
+so a kind with no entry is neither lowered nor enclosed, and an enclosure
+names its space by the same LOG, LINEAR and TRUTH. A comparison whose two
 sides are both in log space compares their logs, so magnitudes beyond the
 float range compare correctly; equality within relative tolerance tol becomes
 |log a - log b| <= -log1p(-tol), the same rule as |a - b| <= tol*max(a, b).
@@ -616,8 +617,8 @@ _OVERFLOW = "a value overflows the float range, about 1.8e+308"
 
 # (node class, op or function, None for a class with neither) -> (space of
 # its operands, space of its value), for each node kind with operands; a
-# variable or constant is a log magnitude. `Lowering` and `harness._bounds`
-# both read it, so a kind with no entry is neither lowered nor bounded. A
+# variable or constant is a log magnitude. `Lowering` and `enclose.enclose`
+# both read it, so a kind with no entry is neither lowered nor enclosed. A
 # comparison's sides keep their own spaces (see `Lowering.native`).
 SPACES = {
     (BinOp, "*"): (LOG, LOG),

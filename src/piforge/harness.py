@@ -19,14 +19,12 @@ differ by w, is decided again: positive factors keep the signs of its sides,
 and log factors μ move its gap log|L| - log|R| by w·μ.
 
 A relation with no mixed comparison therefore passes every trial whose drawn
-point lies in its domain. Before drawing any, one interval pass (`_bounds`,
-Moore's interval arithmetic over the box the trials draw from, each bound
-widened well past float rounding) tries to prove every such point in the
-domain; where it does, every trial passes, none is drawn, and nothing of the
-relation runs. `_bounds` converts each node's operands to the space that
-`dsl.SPACES` names, as lowering does, and like every walker here it
-dispatches on the node's exact class. The relation is typed once per spec,
-whole, and its comparisons' dimensions are read off that one handle.
+point lies in its domain. Before drawing any, one interval pass
+(`enclose.enclose`, Moore's interval arithmetic over the box the trials draw
+from, each bound widened well past float rounding) tries to prove every such
+point in the domain (`_proven`); where it does, every trial passes, none is
+drawn, and nothing of the relation runs. The relation is typed once per
+spec, whole, and its comparisons' dimensions are read off that one handle.
 
 The exact work is done once per spec, and a trial runs plain floats: where
 trials are drawn, the plan compiles one trial kernel (`_trial_kernel`). Its
@@ -74,7 +72,6 @@ from .dsl import (
     BoolOp,
     Call,
     Compare,
-    Const,
     LOG,
     Lowering,
     Not,
@@ -87,8 +84,8 @@ from .dsl import (
     evaluate,
     free_variables,
     log_eq_bound,
-    node_spaces,
 )
+from .enclose import enclose, seedable
 from .errors import (
     DimensionError,
     DimensionMismatchError,
@@ -433,113 +430,18 @@ def _block(h, k: int) -> bytes:
     return h.digest()
 
 
-# Every log bound stays within ±_LOG_LIMIT, so each conversion to linear
-# space (exp) stays finite and nonzero; each bound is widened outward by
-# _MARGIN of itself, far above the one rounding (or libm error) an operation
-# makes.
-_LOG_LIMIT = 700.0
-_MARGIN = 2.0**-40
-
-
-def _log(lo, hi):
-    lo, hi = lo - abs(lo) * _MARGIN, hi + abs(hi) * _MARGIN
-    return (True, lo, hi) if -_LOG_LIMIT <= lo and hi <= _LOG_LIMIT else None
-
-
-def _linear(lo, hi):
-    lo, hi = lo - abs(lo) * _MARGIN, hi + abs(hi) * _MARGIN
-    return (False, lo, hi) if -math.inf < lo and hi < math.inf else None
-
-
-def _to(log, b):
-    """Bounds b in log space (log) or linear space, converted as
-    `dsl.Lowering.value` converts; None where b is unproven, a truth value,
-    or may be non-positive where a log is taken."""
-    if not isinstance(b, tuple):
-        return None
-    if b[0] is log:
-        return b
-    _, lo, hi = b
-    if log:
-        return _log(math.log(lo), math.log(hi)) if lo > 0 else None
-    return _linear(math.exp(lo), math.exp(hi))
-
-
-def _bounds(node, box):
-    """What `dsl.Lowering` makes of node for variables whose log magnitudes
-    lie in box (name -> (lo, hi)), by interval arithmetic (Moore 1966): True
-    where it is a truth value defined at every point of box, (log, lo, hi)
-    where it is a quantity whose value (its log if log) lies in [lo, hi]
-    there. None where a point may leave the domain, or node is not a
-    relation node: anything unproven. `and`/`or` need both operands proven,
-    whether or not the left one decides. Each kind converts its operands
-    to the space `dsl.SPACES` gives it."""
-    kind = node.__class__
-    if kind is Var:
-        name = node.name
-        return _log(*box[name]) if name in box else None
-    if kind is Const:
-        log_value = math.log(node.value)
-        return _log(log_value, log_value)
-    entry = node_spaces(node)
-    if entry is None:
-        return None
-    log = entry[0] is LOG
-    if kind is BinOp:
-        op = node.op
-        a, b = _to(log, _bounds(node.left, box)), _to(log, _bounds(node.right, box))
-        if a is None or b is None:
-            return None
-        make = _log if entry[1] is LOG else _linear
-        if op in ("*", "+"):
-            return make(a[1] + b[1], a[2] + b[2])
-        return make(a[1] - b[2], a[2] - b[1])
-    if kind is Pow:
-        a, e = _to(log, _bounds(node.base, box)), float(node.exponent)
-        return a and _log(*sorted((a[1] * e, a[2] * e)))
-    if kind is Call:
-        func, a = node.func, _to(log, _bounds(node.arg, box))
-        if not a:
-            return None
-        if func == "sqrt":
-            return _log(a[1] * 0.5, a[2] * 0.5)
-        if func == "is_pos_int":
-            return True
-        if func == "log":
-            return a[1] > 0 and _linear(math.log(a[1]), math.log(a[2])) or None
-        if func == "exp":
-            return _to(False, _log(a[1], a[2]))
-        return False, -1.0, 1.0  # sin, cos
-    if kind is Compare:
-        # a log side within ±_LOG_LIMIT goes linear without overflow
-        sides = _bounds(node.left, box), _bounds(node.right, box)
-        return all(isinstance(b, tuple) for b in sides) or None
-    if kind is BoolOp:
-        return _bounds(node.left, box) is True and _bounds(node.right, box) is True or None
-    return _bounds(node.operand, box) is True or None  # Not
-
-
 def _proven(spec: ProblemSpec, seed_target) -> bool:
     """Whether every point a trial can draw lies in the relation's domain:
     each variable's log magnitude in _LOG_MAG_RANGE, ends included, and an
     equality-seeded one also at the log of any positive value its other side
-    takes.
-
-    A seeded relation is `v = other` with v nowhere else, so it is defined
-    wherever other is and v's linear form (exp of its log) stays finite.
-    That needs an upper bound on v's log alone: a seeded log with no lower
-    bound (other near 0) only makes exp underflow toward 0, which raises
-    nothing."""
+    takes (`enclose.seedable`)."""
     box = dict.fromkeys(spec.variable_names, _LOG_MAG_RANGE)
+    # tol moves only a truth's bounds, never whether an enclosure is None,
+    # so any tol proves the domain
     if seed_target is None:
-        return _bounds(spec.relation, box) is True
-    other = _bounds(seed_target[1], box)
-    if not isinstance(other, tuple):
-        return False
-    log, _, hi = other
-    # a log-space side is within ±_LOG_LIMIT already; a linear one seeds v
-    # with logs up to log(hi), which must stay within _LOG_LIMIT too
-    return log or hi <= 1.0 or _log(0.0, math.log(hi)) is not None
+        found = enclose(spec.relation, box, DEFAULT_TOL)
+        return found is not None and found[0] is TRUTH
+    return seedable(enclose(seed_target[1], box, DEFAULT_TOL))
 
 
 class FuzzPlan:
@@ -604,12 +506,12 @@ def fuzz_invariance(
     comparison of one dimension keeps its truth value, and a mixed one is
     decided again from its sides there (see the module docstring), so a
     relation with no mixed comparison passes every trial on which it is
-    defined. Where an interval pass proves such a relation defined at every
-    point a trial can draw, the report (every trial passed) is returned
-    without drawing any or running the relation. Typing, compiling, checks
-    and proof are done once per spec object, on its first call, and the
-    trial kernel on the first call that draws trials (`FuzzPlan`); tol is
-    the kernel's argument. trials and seed must be of type int (TypeError,
+    defined. Where the interval pass (`enclose.enclose`) proves such a
+    relation defined at every point a trial can draw, the report (every
+    trial passed) is returned without drawing any or running the relation.
+    Typing, compiling, checks and proof are done once per spec object, on
+    its first call, and the trial kernel on the first call that draws trials
+    (`FuzzPlan`); tol is the kernel's argument. trials and seed must be of type int (TypeError,
     for a bool too), and trials at least 1.
     A trial whose drawn point leaves the relation's domain (EvaluationError)
     is inapplicable; one on which a mixed comparison lies within rounding of

@@ -21,11 +21,15 @@ from piforge.dsl import (
     Call,
     Compare,
     Const,
+    LINEAR,
+    LOG,
     Not,
     Pow,
+    TRUTH,
     Var,
     compile_relation,
     evaluate,
+    log_eq_bound,
     print_relation,
     typecheck,
 )
@@ -571,10 +575,11 @@ def reference_free_variables(node) -> set[str]:
     raise TypeError(f"not a relation node: {node!r}")
 
 
-# The interval rules `harness._bounds` follows, written out here so that a
-# fault in the harness's own helpers shows: a bound widens by 2^-40 of
-# itself at each step, a log bound beyond +-700 is unproven, and so is a
-# linear bound that is not finite.
+# The interval rules `enclose.enclose` follows, written out here so that a
+# fault in its own helpers shows: a bound widens by 2^-40 of itself at each
+# step, a log bound beyond +-700 is unproven, and so is a linear bound that
+# is not finite. A truth value is (TRUTH, must, may): whether it holds at
+# every point of the box, and whether it may hold at some point.
 _REFERENCE_LOG_LIMIT = 700.0
 _REFERENCE_WIDENING = 2.0**-40
 
@@ -585,74 +590,133 @@ def _widened(lo, hi):
 
 def _reference_log(lo, hi):
     lo, hi = _widened(lo, hi)
-    return (True, lo, hi) if -_REFERENCE_LOG_LIMIT <= lo and hi <= _REFERENCE_LOG_LIMIT else None
+    return (LOG, lo, hi) if -_REFERENCE_LOG_LIMIT <= lo and hi <= _REFERENCE_LOG_LIMIT else None
 
 
 def _reference_linear(lo, hi):
     lo, hi = _widened(lo, hi)
-    return (False, lo, hi) if -math.inf < lo and hi < math.inf else None
+    return (LINEAR, lo, hi) if -math.inf < lo and hi < math.inf else None
 
 
-def _reference_to(log, b):
-    """Bounds b in log space (log) or linear space; None where b is no
-    bound, or may be non-positive where its log is taken."""
-    if not isinstance(b, tuple):
+def _reference_to(space, b):
+    """Bounds b in space, LOG or LINEAR; None where b is no bound or a
+    truth value, or may be non-positive where its log is taken."""
+    if b is None or b[0] == TRUTH:
         return None
-    space, lo, hi = b
-    if space is log:
+    if b[0] == space:
         return b
-    if log:
+    _, lo, hi = b
+    if space == LOG:
         return _reference_log(math.log(lo), math.log(hi)) if lo > 0 else None
     return _reference_linear(math.exp(lo), math.exp(hi))
 
 
-def reference_bounds(node, box):
-    """`harness._bounds` as one `match` over the node, each rule stating its
+def _abs_range(lo, hi):
+    """(least, greatest) of |v| for v in [lo, hi]."""
+    least = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    return least, max(abs(lo), abs(hi))
+
+
+def _reference_compare(op, a, b, tol):
+    """(TRUTH, must, may) of `a op b`: both sides in log space where both
+    are, else both in linear space."""
+    if a is None or b is None or TRUTH in (a[0], b[0]):
+        return None
+    space = LOG if a[0] == b[0] == LOG else LINEAR
+    (_, alo, ahi), (_, blo, bhi) = _reference_to(space, a), _reference_to(space, b)
+    match op:
+        case "<":
+            return TRUTH, ahi < blo, alo < bhi
+        case "<=":
+            return TRUTH, ahi <= blo, alo <= bhi
+    gap = _reference_linear(alo - bhi, ahi - blo)
+    if gap is None:
+        return TRUTH, False, True
+    least, greatest = _abs_range(gap[1], gap[2])
+    if space == LOG:
+        bound = log_eq_bound(tol)
+        return TRUTH, greatest <= bound, least <= bound
+    # max(|a|, |b|) is at least the larger of the two least magnitudes and
+    # at most the larger of the two greatest
+    (a_least, a_most), (b_least, b_most) = _abs_range(alo, ahi), _abs_range(blo, bhi)
+    return (TRUTH, greatest <= tol * max(a_least, b_least) * (1 - _REFERENCE_WIDENING),
+            least <= tol * max(a_most, b_most) * (1 + _REFERENCE_WIDENING))
+
+
+def _reference_is_pos_int(lo, hi, tol):
+    """(TRUTH, must, may): every point of [lo, hi] has n = round(lo) >= 1
+    for its nearest integer, or some point may; a range spanning two
+    nearest integers, one of them positive, is undecided."""
+    n = round(lo)
+    if round(hi) < 1:
+        return TRUTH, False, False
+    if round(hi) != n:
+        return TRUTH, False, True
+    least, greatest = _abs_range(lo - n, hi - n)
+    return TRUTH, greatest <= tol, least <= tol
+
+
+def reference_bounds(node, box, tol):
+    """`enclose.enclose` as one `match` over the node, each rule stating its
     own spaces. On a tree of instances of exactly the eight node classes,
-    and on anything that is no node, `_bounds` must give an equal result,
+    and on anything that is no node, `enclose` must give an equal result,
     floats equal by `==`, or raise the same error."""
     log_, linear, to = _reference_log, _reference_linear, _reference_to
+
+    def walk(node):
+        return reference_bounds(node, box, tol)
+
+    def truth(b):
+        return b if b is not None and b[0] == TRUTH else None
+
     match node:
         case Var(name) if name in box:
             return log_(*box[name])
         case Const(value, _):
             return log_(math.log(value), math.log(value))
         case BinOp("*" | "/" | "+" | "-" as op, left, right):
-            log = op in ("*", "/")
-            a, b = to(log, reference_bounds(left, box)), to(log, reference_bounds(right, box))
+            space = LOG if op in ("*", "/") else LINEAR
+            a, b = to(space, walk(left)), to(space, walk(right))
             if a is None or b is None:
                 return None
-            make = log_ if log else linear
+            make = log_ if space == LOG else linear
             if op in ("*", "+"):
                 return make(a[1] + b[1], a[2] + b[2])
             return make(a[1] - b[2], a[2] - b[1])
         case Pow(base, exponent):
-            a = to(True, reference_bounds(base, box))
+            a = to(LOG, walk(base))
             try:
                 e = float(exponent)
             except (OverflowError, TypeError):
                 return None
             return a and log_(*sorted((a[1] * e, a[2] * e)))
         case Call("sqrt", arg):
-            a = to(True, reference_bounds(arg, box))
+            a = to(LOG, walk(arg))
             return a and log_(a[1] * 0.5, a[2] * 0.5)
         case Call("is_pos_int", arg):
-            return to(False, reference_bounds(arg, box)) and True
+            a = to(LINEAR, walk(arg))
+            return a and _reference_is_pos_int(a[1], a[2], tol)
         case Call("log", arg):
-            a = to(False, reference_bounds(arg, box))
+            a = to(LINEAR, walk(arg))
             return a and a[1] > 0 and linear(math.log(a[1]), math.log(a[2])) or None
         case Call("exp", arg):
-            a = to(False, reference_bounds(arg, box))
-            return a and to(False, log_(a[1], a[2]))
+            a = to(LINEAR, walk(arg))
+            return a and to(LINEAR, log_(a[1], a[2]))
         case Call("sin" | "cos", arg):
-            return to(False, reference_bounds(arg, box)) and (False, -1.0, 1.0)
-        case Compare("=" | "<" | "<=", left, right):
-            sides = reference_bounds(left, box), reference_bounds(right, box)
-            return all(isinstance(b, tuple) for b in sides) or None
-        case BoolOp("and" | "or", left, right):
-            return reference_bounds(left, box) is True and reference_bounds(right, box) is True or None
+            return to(LINEAR, walk(arg)) and (LINEAR, -1.0, 1.0)
+        case Compare("=" | "<" | "<=" as op, left, right):
+            return _reference_compare(op, walk(left), walk(right), tol)
+        case BoolOp("and" | "or" as op, left, right):
+            a = truth(walk(left))
+            b = a and truth(walk(right))
+            if b is None:
+                return None
+            if op == "and":
+                return TRUTH, a[1] and b[1], a[2] and b[2]
+            return TRUTH, a[1] or b[1], a[2] or b[2]
         case Not(operand):
-            return reference_bounds(operand, box) is True or None
+            a = truth(walk(operand))
+            return a and (TRUTH, not a[2], not a[1])
     return None
 
 

@@ -407,6 +407,7 @@ class TestKnownFalseCounterexamples:
         ("log(x/z) + log(z/x) < 1e-15*y", 44),
         ("exp(log(x/z))*z - x < 1e-13*y", 971),
         ("(x^2/z)*z/x - x < 1e-13*y", 69),
+        ("((x + z) - x) - z < 1e-13*y", 112),
     ])
     def test_a_relation_true_everywhere_passes(self, tmp_path, relation, trial):
         spec = _write_spec(tmp_path, {"x": "L", "z": "L", "y": "T"}, relation, system=("L", "T"))
@@ -1094,9 +1095,21 @@ class TestStartupLoadsOnlyWhatRuns:
             "from piforge import cli; "
             "cli.main(['verify', '--spec', 'fixtures/mass_spring.json', '--trials', '5'])"
         )
-        assert "piforge.harness" in loaded
+        assert {"piforge.harness", "piforge.enclose"} <= loaded
         assert not loaded & {"piforge.nondim", "piforge.pigroups"}
         assert not loaded & {"dataclasses", "inspect", "hashlib"}
+
+    @pytest.mark.parametrize("argv", [
+        ["pi", "--spec", "fixtures/mass_spring.json"],
+        ["check", "--spec", "fixtures/mass_spring.json"],
+        ["consistent", "m", "s", "--registry", "fixtures/registry.json"],
+        ["equiv", "--spec", "fixtures/mass_spring.json", "fixtures/mass_spring_bindings.json",
+         "fixtures/mass_spring_bindings.json"],
+        ["nondim", "--spec", "fixtures/mass_spring.json", "fixtures/mass_spring_bindings.json"],
+    ], ids=lambda argv: argv[0])
+    def test_only_verify_loads_the_interval_pass(self, argv):
+        loaded = _loaded_after(f"from piforge import cli; assert cli.main({argv!r}) == 0")
+        assert "piforge.enclose" not in loaded
 
     @pytest.mark.parametrize("argv", [
         ["consistent", "m", "s", "--registry", "fixtures/registry.json"],

@@ -18,6 +18,7 @@ import pytest
 from piforge import core, dsl
 from piforge.core import DimSystem, DimVector, Quantity
 from piforge import harness
+from piforge.enclose import enclose
 from piforge.errors import DimensionMismatchError, EvaluationError, SpecError
 from piforge.harness import (
     InvarianceReport,
@@ -1171,7 +1172,7 @@ class TestProvenDomain:
         assert _is_proven(_line_spec("x = y + z"))
         # y^2000 overflows on most of the box, and the seeded log with it
         assert not _is_proven(_line_spec("x = y^2000 - z"))
-        # every log the proof converts stays within ±_LOG_LIMIT, a seeded one too
+        # every log the proof converts stays within ±700, a seeded one too
         assert _is_proven(_line_spec("x = 8*y^101 - z"))
         assert not _is_proven(_line_spec("x = 8*y^101 + 8*y^101 - z"))
 
@@ -1245,13 +1246,17 @@ _PROVEN_USES = {
 
 
 class TestProofGrammar:
-    """Every form of the relation grammar has a rule in `harness._bounds`,
-    and a form without one is never proven."""
+    """Every form of the relation grammar has a rule in `enclose`, as in
+    its reference, and a form without one is never proven."""
 
     def test_every_function_and_operator_has_a_rule(self):
         assert set(_PROVEN_USES) == set(dsl.FUNCTIONS) | set(dsl._BINARY)
+        box = dict.fromkeys("xyz", harness._LOG_MAG_RANGE)
         for text in _PROVEN_USES.values():
             assert _is_proven(_line_spec(text)), text
+            node = dsl.parse_relation(text)
+            for tol in (0.0, 1e-9, 0.5, 1.5):
+                assert enclose(node, box, tol) == reference_bounds(node, box, tol), text
 
     def test_every_node_class_has_a_rule(self):
         seen = set()
@@ -1284,7 +1289,8 @@ class TestProofGrammar:
     ])
     def test_what_has_no_rule_is_not_proven(self, node):
         box = dict.fromkeys("xyz", harness._LOG_MAG_RANGE)
-        assert harness._bounds(node, box) is None
+        assert enclose(node, box, 1e-9) is None
+        assert reference_bounds(node, box, 1e-9) is None
 
     def test_an_instance_of_a_subclass_of_a_node_class_is_no_node(self):
         class SubVar(dsl.Var):
@@ -1292,8 +1298,74 @@ class TestProofGrammar:
 
         box = dict.fromkeys("xyz", harness._LOG_MAG_RANGE)
         node = dsl.Compare("<", SubVar("x"), dsl.Var("y"))
-        assert reference_bounds(node, box) is True  # a `match` class pattern accepts it
-        assert harness._bounds(node, box) is None
+        # a `match` class pattern accepts it
+        assert reference_bounds(node, box, 1e-9) == (dsl.TRUTH, False, True)
+        assert enclose(node, box, 1e-9) is None
+
+
+_SPEC_FIXTURES = ("electronics", "hidden_constant", "independent_dims", "light_three_var",
+                  "mass_spring", "newton")
+
+
+class TestProofPin:
+    """`_proven`'s answer on a fixed list of specs, hashed in order. A
+    proven relation and an unproven one that passes every trial give the
+    same report, so no report digest sees a proof flip; this does."""
+
+    def test_answers_are_unchanged(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+        import corpus
+
+        rng = random.Random("proof-pin")
+        specs = [_line_spec(_relation(rng)) for _ in range(3000)]
+        specs += [_spec(name) for name in _SPEC_FIXTURES]
+        specs += [_line_spec(text) for text in (*_PROVEN_USES.values(), *(t for t, _ in _EDGES))]
+        for seed in range(40):
+            state = corpus.prepare(seed, SimpleNamespace(root=FIXTURES.parent))
+            specs += [spec for _, _, spec, _, _ in state["corpus"]]
+        answers = "".join("01"[_is_proven(spec)] for spec in specs)
+        digest = blake2b(answers.encode(), digest_size=32).hexdigest()
+        assert (len(answers), answers.count("1"), digest) == (
+            4467, 3422, "a5cc1192f046fb2dd4026206ac322dea0dfaee94c93c70b374d71b4a2b90968b")
+
+
+class TestEnclosureTruth:
+    """A truth that `enclose` decides is the compiled relation's truth
+    wherever its box reaches: on a point box, at that point, and nothing is
+    enclosed where the relation leaves the domain there; on the sampling
+    box, at every corner."""
+
+    def test_decided_truths_agree_with_the_compiled_relation(self):
+        rng = random.Random("enclosure-truth")
+        lo, hi = harness._LOG_MAG_RANGE
+        box = dict.fromkeys("xyz", (lo, hi))
+        corners = [dict(zip("xyz", c)) for c in itertools.product((lo, hi), repeat=3)]
+        seen = Counter()
+        for _ in range(3000):
+            node = _relation(rng)
+            run = dsl.compile_relation(node, _line_spec(node).env).run
+            points = [{n: rng.uniform(lo, hi) for n in "xyz"} for _ in range(3)]
+            for tol in (1e-9, 1e-3, 0.5, 1.5):
+                for logs in points:
+                    found = enclose(node, {n: (v, v) for n, v in logs.items()}, tol)
+                    try:
+                        truth = run(logs, tol)
+                    except EvaluationError:
+                        assert found is None, (dsl.print_relation(node), logs, tol)
+                        seen["raised"] += 1
+                        continue
+                    if found is not None and found[1] == found[2]:
+                        assert found[1] == truth, (dsl.print_relation(node), logs, tol)
+                        seen[truth] += 1
+                    else:
+                        seen["open"] += 1
+                found = enclose(node, box, tol)
+                if found is not None and found[1] == found[2]:
+                    for logs in corners:
+                        assert run(logs, tol) == found[1], (dsl.print_relation(node), logs, tol)
+                    seen["box", found[1]] += 1
+        for outcome in (True, False, "open", "raised", ("box", True), ("box", False)):
+            assert seen[outcome] > 200, seen
 
 
 # seeded relations with no mixed comparison, over x, y, z of dimension L:
@@ -1480,7 +1552,7 @@ class TestPlanKeptPerSpec:
         with monkeypatch.context() as patched:
             for module, name in ((dsl, "typecheck"), (dsl, "Lowering"), (harness, "Lowering"),
                                  (core, "compile_source"), (dsl, "compile_source"), (harness, "compile_source"),
-                                 (harness, "_bounds"), (harness, "_equality_seed_target"),
+                                 (harness, "enclose"), (harness, "_equality_seed_target"),
                                  (harness, "compile_relation")):
                 patched.setattr(module, name, refuse(name))
             again = [fuzz_invariance(spec, trials=100, seed=seed, tol=tol)

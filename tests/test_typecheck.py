@@ -1,7 +1,7 @@
 """`dsl.typecheck` against `reference_typecheck`, the walker over exact
 `DimVector` arithmetic: equal results, sides and errors over random
 relations from the whole grammar. Over the same relations,
-`dsl.free_variables` and `harness._bounds` against their `match`-based
+`dsl.free_variables` and `enclose.enclose` against their `match`-based
 references; and the node contract they share: a node is an instance of
 exactly one of the eight node classes."""
 
@@ -19,13 +19,17 @@ from piforge.dsl import (
     Call,
     Compare,
     Const,
+    LINEAR,
+    LOG,
     Not,
     Pow,
+    TRUTH,
     Var,
     free_variables,
     parse_relation,
     typecheck,
 )
+from piforge.enclose import enclose
 from piforge.errors import DimensionError, ParseError, PiforgeError, SystemMismatchError
 
 from support import (
@@ -200,8 +204,26 @@ def _random_relations(label, count):
         yield (spoiled(rng, node) if rng.random() < 0.35 else node), names
 
 
+TOLS = (0.0, 1e-9, 1e-3, 0.5, 1.5)
+
+
+def _bounds_kind(called):
+    """The outcome of one enclosure, as `_called` gives it: its space, a
+    truth's decision, "undefined", or the error raised. A truth's bounds
+    are bools."""
+    if called[0] == "raised":
+        return called[1]
+    found = called[2]
+    if found is None:
+        return "undefined"
+    if found[0] != TRUTH:
+        return found[0]
+    assert type(found[1]) is bool and type(found[2]) is bool, found
+    return {(True, True): "true", (False, False): "false", (False, True): "undecided"}[found[1:]]
+
+
 class TestWalkersAgainstReference:
-    """`free_variables`, `harness._bounds` and `harness._size` dispatch on
+    """`free_variables`, `enclose` and `harness._size` dispatch on
     the node's exact class; over relations from the whole grammar, spoiled
     ones and things that are no node, they agree with walkers that match
     class patterns or test `isinstance`."""
@@ -222,30 +244,36 @@ class TestWalkersAgainstReference:
     @pytest.mark.parametrize("node", NOT_NODES, ids=lambda v: type(v).__name__)
     def test_what_is_no_node(self, node):
         assert _called(free_variables, node) == _called(reference_free_variables, node)
-        assert _called(harness._bounds, node, {}) == _called(reference_bounds, node, {})
+        assert _called(enclose, node, {}, 1e-9) == _called(reference_bounds, node, {}, 1e-9)
 
     def test_bounds(self):
         rng = random.Random("bounds:boxes")
         ranges = (harness._LOG_MAG_RANGE, harness._LOG_MAG_RANGE, (-1.0, 1.0), (-400.0, 300.0),
-                  (0.5, 0.5), (-800.0, -690.0))
+                  (0.5, 0.5), (-800.0, -690.0), (1.25, 1.25), (-0.5, 0.75))
         kinds = {}
         for node, names in _random_relations("bounds", 6000):
             box = {n: rng.choice(ranges) for n in names if rng.random() < 0.9}
-            expected = _called(reference_bounds, node, box)
-            assert _called(harness._bounds, node, box) == expected, repr(node)
-            kind = expected[:2] if expected[1] is not tuple else ("returned", expected[2][0])
+            tol = rng.choice(TOLS)
+            expected = _called(reference_bounds, node, box, tol)
+            assert _called(enclose, node, box, tol) == expected, repr(node)
+            kind = _bounds_kind(expected)
             kinds[kind] = kinds.get(kind, 0) + 1
         # edges a random draw seldom lands on: a linear bound across 0 under
-        # log, a bound past the log limit, a power that flips a bound
+        # log, a bound past the log limit, a power that flips a bound, a
+        # range across a half-integer and one near an integer, sides that
+        # are one point
         for text in ("log(x0 - x0) < 1", "log(x0 + x0 - x0) < 1", "exp(x0/x0) < x0^(-1)",
-                     "x0^700 < 1", "x0^(-3) < x0", "sqrt(x0) - x0 < 1"):
+                     "x0^700 < 1", "x0^(-3) < x0", "sqrt(x0) - x0 < 1", "is_pos_int(x0/x0)",
+                     "is_pos_int(log(x0/x0 + 1) + 1.5)", "x0 + x0 = 2*x0 or not x0 <= x0",
+                     "1 <= 1 and not 1 < 1 and 1 = 1"):
+            node = parse_relation(text)
             for lo_hi in ranges:
-                box = {"x0": lo_hi}
-                node = parse_relation(text)
-                assert _called(harness._bounds, node, box) == _called(reference_bounds, node, box)
-        # each outcome: proven truth, log and linear bounds, unproven
-        for kind in (("returned", bool), ("returned", True), ("returned", False),
-                     ("returned", type(None))):
+                for tol in TOLS:
+                    box = {"x0": lo_hi}
+                    assert _called(enclose, node, box, tol) == _called(reference_bounds, node, box, tol)
+        # each outcome: decided true, decided false, undecided, log and
+        # linear bounds, unproven
+        for kind in ("true", "false", "undecided", LOG, LINEAR, "undefined"):
             assert kinds.get(kind, 0) > 50, kinds
 
 
