@@ -12,8 +12,7 @@ its exponent vector; `qty_combine` / `dim_combine` apply one to quantities or
 dimensions. `reduce_dims` makes the one exact `exactlin.Reduction` of a
 dimension list's matrix D that pi bases, `row_space` and `is_consistent` read.
 It keeps the last list it reduced with that reduction, so a later call on
-the very same `DimVector` objects, slot for slot, makes no new elimination;
-an equal list built from other objects reduces again.
+an equal list, slot for slot, makes no new elimination.
 
 `log_combine` is the one-shot float path and the reference for
 `log_values_kernel`, a straight-line function giving the same floats for a
@@ -25,13 +24,18 @@ depends on the slot count alone and is compiled once per slot count per
 process, and each caller closes it over its own rows. `record_reader`, a
 basis's third kernel, is made the same way: compiled once per slot count
 (`_reader_maker`) and closed over a basis's own dims, it reads a record's
-quantity lists into log lists by the rule "identity, else `check_dims`".
+quantity lists into log lists, and `check_dims` names what is wrong with
+any other list.
+
+Every sameness test here is plain `==` on the value classes: `errors.frozen`
+makes their `==` test `other is self` first, and a tuple compare tests
+identity before `==` slot by slot, so the very same objects cost no field
+compare, and equal copies (re-parsed literals, say) pass the same tests.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
@@ -320,9 +324,9 @@ def coordinate(x: Quantity, s: Quantity) -> float:
 def check_dims(dims, xs, label: str) -> None:
     """xs must carry the dimension tuple dims, slot for slot; else
     DimensionMismatchError, naming xs by label and the first wrong slot.
-    One tuple comparison, identity before ==, passes xs built over the very
-    DimVector objects of dims; only a list that differs somewhere, or holds
-    equal copies (quantity literals, say), goes on to the slot loop."""
+    One tuple comparison, identity before ==, passes xs over the very
+    DimVector objects of dims or over equal copies (quantity literals, say);
+    only a list that differs somewhere goes on to the slot loop."""
     if tuple([x.dim for x in xs]) == dims:
         return
     if len(xs) != len(dims):
@@ -383,16 +387,15 @@ def reduce_dims(ws) -> Reduction:
     rank) of the dimension matrix D of the nonempty sequence ws. Pivots, free
     slots, `exactlin.canonical_kernel` and `row_space` all read off it.
 
-    The last list reduced is kept with its reduction. A call whose ws holds
-    the very same DimVector objects, slot for slot (`is`, not ==), gets that
-    reduction back with no new elimination; dimensions and reductions are
-    immutable, so it is what a fresh `eliminate` would give. An equal list
-    built from other objects reduces again."""
+    The last list reduced is kept with its reduction. A call whose ws equals
+    it, slot for slot, gets that reduction back with no new elimination: a
+    reduction is a function of the matrix, and dimensions and reductions are
+    immutable, so it is what a fresh `eliminate` would give."""
     global _last_reduction
     if not ws:
         raise NotABasisError("a pi basis needs at least one dimension slot")
     kept_ws, kept = _last_reduction
-    if len(kept_ws) == len(ws) and all(map(operator.is_, kept_ws, ws)):
+    if kept_ws == tuple(ws):
         return kept
     reduction = eliminate(dimension_matrix(ws[0].system, ws))
     _last_reduction = (tuple(ws), reduction)
@@ -486,36 +489,34 @@ def orbit_gap_kernel(rows, n: int):
 def _reader_maker(n: int):
     """`make(dims)` -> `(logs, delta)` for n-slot quantity lists, compiled
     once per n per process: one unrolled pass that unpacks each list and
-    tests every slot's `dim` by `is` against dims, xs's slots before ys's.
+    compares the tuple of its slots' `dim`s with dims, xs's before ys's.
     A list that does not unpack into n slots (another length, or no
     sequence at all) leaves the pass as a wrong slot does. Like
     `_orbit_gap_maker`, the source holds slot indices only, and the table
     keeps code alone: dims is the closure's data."""
-    x, y, d = slot_names("x", n), slot_names("y", n), slot_names("d", n)
-    xs_own = " and ".join(f"x{j}.dim is d{j}" for j in range(n))
-    ys_own = " and ".join(f"y{j}.dim is d{j}" for j in range(n))
+    x, y = slot_names("x", n), slot_names("y", n)
+    xs_dims = "".join(f"x{j}.dim, " for j in range(n))
+    ys_dims = "".join(f"y{j}.dim, " for j in range(n))
     logs = "".join(f"x{j}.log_magnitude, " for j in range(n))
     deltas = "".join(f"x{j}.log_magnitude - y{j}.log_magnitude, " for j in range(n))
     lines = [
         "def make(dims):",
-        f" ({d}) = dims",
         " def logs(xs, label):",
         "  try:",
         f"   ({x}) = xs",
         "  except (ValueError, TypeError):",
         "   pass",
         "  else:",
-        f"   if {xs_own}:",
+        f"   if ({xs_dims}) == dims:",
         f"    return ({logs})",
         "  check_dims(dims, xs, label)",
-        "  return [x.log_magnitude for x in xs]",
         " def delta(xs, ys):",
         "  try:",
         f"   ({x}) = xs",
         f"   ({y}) = ys",
         "  except (ValueError, TypeError):",
         "   return None",
-        f"  if {xs_own} and {ys_own}:",
+        f"  if ({xs_dims}) == dims and ({ys_dims}) == dims:",
         f"   return [{deltas}]",
         "  return None",
         " return logs, delta",
@@ -525,15 +526,14 @@ def _reader_maker(n: int):
 
 def record_reader(dims):
     """`(logs, delta)`, the log magnitudes of quantity lists over the
-    dimension tuple dims, read in one pass when every slot's `dim` is the
-    very DimVector object of dims (identity, else `check_dims`):
+    dimension tuple dims, read in one pass when the tuple of the slots'
+    `dim`s equals dims:
 
-    - `logs(xs, label)`: the tuple of xs's log magnitudes when every slot
-      passes by identity; otherwise `check_dims(dims, xs, label)`, which
-      raises or passes equal copies, then the list of xs's log magnitudes.
+    - `logs(xs, label)`: the tuple of xs's log magnitudes when xs passes;
+      otherwise `check_dims(dims, xs, label)` raises its error.
     - `delta(xs, ys)`: the list of `x.log_magnitude - y.log_magnitude`
-      when both lists pass by identity; otherwise None, and the caller
-      checks the lists itself.
+      when both lists pass; otherwise None, and the caller checks the
+      lists itself.
 
     Its code is `_reader_maker(len(dims))`, compiled once per slot count per
     process and shared; each call closes it over its own dims."""

@@ -666,6 +666,12 @@ def log_eq_bound(tol: float) -> float:
     return -math.log1p(-tol) if tol < 1 else math.inf
 
 
+def _far_equal(a: float, b: float, tol: float) -> bool:
+    """The linear `=` rule |a - b| <= tol*max(|a|, |b|), decided exactly for
+    finite a and b whose difference overflows the float range, at a finite tol."""
+    return abs(Fraction(a) - Fraction(b)) <= Fraction(tol) * Fraction(max(abs(a), abs(b)))
+
+
 def _exp(v: float) -> float:
     try:
         return math.exp(v)
@@ -686,8 +692,8 @@ def _log_error(v: float) -> EvaluationError:
 # the globals every lowered source reads, by the names it reads them
 _GLOBALS = {
     "Error": EvaluationError, "OVERFLOW": _OVERFLOW, "exp": _exp, "log": math.log,
-    "sin": math.sin, "cos": math.cos, "eq_bound": log_eq_bound,
-    "non_positive": _non_positive, "log_error": _log_error,
+    "sin": math.sin, "cos": math.cos, "eq_bound": log_eq_bound, "far_equal": _far_equal,
+    "inf": math.inf, "non_positive": _non_positive, "log_error": _log_error,
 }
 
 
@@ -794,8 +800,11 @@ class Lowering:
                 a, b = self.value(left, LOG), self.value(right, LOG)
                 equal = f"abs({a} - {b}) <= eq_bound(tol)"
             else:
-                a, b = self.value(left, LINEAR), self.value(right, LINEAR)
-                equal = f"abs({a} - {b}) <= tol * max(abs({a}), abs({b}))"
+                # `not >` holds where tol*max is inf*0 (both sides 0); a gap
+                # past the float range, at a finite tol, is decided exactly
+                a, b, gap = self.value(left, LINEAR), self.value(right, LINEAR), self.temp()
+                equal = (f"(not {gap} > tol * max(abs({a}), abs({b}))) if ({gap} := abs({a} - {b}))"
+                         f" < inf or tol == inf else far_equal({a}, {b}, tol)")
             return space, self.let(equal if op == "=" else f"{a} {op} {b}")
         if kind is BoolOp:
             a = self.value(node.left, operand)

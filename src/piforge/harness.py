@@ -133,7 +133,7 @@ def rescale(xs: Sequence[Quantity], r: Rescaling) -> list[Quantity]:
     system, log_factors = r.system, r.log_factors
     for x in xs:
         dim = x.dim
-        if dim.system is not system and dim.system != system:
+        if dim.system != system:
             raise DimensionMismatchError("rescaling and quantities use different systems")
         out.append(Quantity(x.log_magnitude + dim.log_combine(log_factors), dim))
     return out
@@ -331,7 +331,7 @@ def _trial_kernel(plan):
     ldexp(μ_j, -_SHRINK_ROUNDS)."""
     relation, side_dims = plan.compiled.node, iter(plan.compiled.side_dims)
     low = Lowering(plan.names)
-    low.names.update(apart_bound=_apart, inf=math.inf)
+    low.names.update(apart_bound=_apart)
     seeded = other = None
     if plan.seed_target is not None:
         name, other = plan.seed_target
@@ -464,7 +464,7 @@ class FuzzPlan:
             raise SpecError("relation does not evaluate to a truth value")
         # what `rescale` would find on the variables, found before any trial
         for name, dim in zip(spec.variable_names, spec.variable_dims):
-            if dim.system is not spec.system and dim.system != spec.system:
+            if dim.system != spec.system:
                 raise DimensionMismatchError("rescaling and quantities use different systems")
             try:
                 dim._float_terms

@@ -10,26 +10,27 @@ quantities into a predicate over the r pi-values.
 
 Once a basis is built, a record costs float work only. The basis's third
 kernel, its reader (`PiBasis.reader`, from `core.record_reader`), reads a
-record's quantity lists by the rule "identity, else `check_dims`": a list
-over the basis's own DimVector objects yields its log magnitudes in one
-unrolled pass, with no DimVector compare, and any other list goes through
-`core.check_dims`, the one check of a tuple's dimensions, which names the
-first wrong slot, then the list of its logs. `pi_values`, `equivalent`
-(its `xs` error, then DIM_MISMATCH, when either list leaves the pass) and
+record's quantity lists: a list whose slots' dimensions equal the basis's
+yields its log magnitudes in one unrolled pass, and any other list gets
+the error of `core.check_dims`, the one check of a tuple's dimensions,
+which names the first wrong slot. `pi_values`, `equivalent` (its `xs`
+error, then DIM_MISMATCH, when either list leaves the pass) and
 `canonical_rep` read their bindings through it. A special basis keeps the
 last reference it was anchored at (`SpecialPiBasis.anchor`), keyed by the
-ref's Quantity objects, by `is`, and tol: a stream of `canonical_rep`
-records at one reference checks its dimensions and consistency once, not
-per record. A list of equal copies, or one edited in place, is checked
-again. The float work itself runs in the basis's other two kernels,
-straight-line functions made for each basis object on first use
-(`PiBasis.log_values`, every group's log value, and `PiBasis.orbit_gap`,
-the distance from the rescaling orbit); `log_values` gives float for
-float what the loop of `log_combine` gives. `log_values` is generated per
-basis, its exponents inlined; the orbit-gap and reader code are each
-compiled once per slot count per process and shared, while the rows, the
-dims and the groups stay per basis. A record builds no verdict object for
-an equivalent pair and no `PiValues` in `canonical_rep`.
+ref's quantities, by ==, and tol: a stream of `canonical_rep` records at
+one reference checks its dimensions and consistency once, not per record.
+A list edited in place to other values is checked again. Every sameness
+test is `==`, which `errors.frozen` makes test identity first, so the very
+same objects cost no field compare. The float work itself runs in the
+basis's other two kernels, straight-line functions made for each basis
+object on first use (`PiBasis.log_values`, every group's log value, and
+`PiBasis.orbit_gap`, the distance from the rescaling orbit); `log_values`
+gives float for float what the loop of `log_combine` gives. `log_values`
+is generated per basis, its exponents inlined; the orbit-gap and reader
+code are each compiled once per slot count per process and shared, while
+the rows, the dims and the groups stay per basis. A record builds no
+verdict object for an equivalent pair and no `PiValues` in
+`canonical_rep`.
 
 Equivalence classes and invariant sets are uncountable, so they are only ever
 represented intensionally — as verdicts and predicates, never enumerated.
@@ -38,7 +39,6 @@ represented intensionally — as verdicts and predicates, never enumerated.
 from __future__ import annotations
 
 import math
-import operator
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -118,9 +118,8 @@ def equivalent(
     delta = basis.reader[1](xs, ys)
     if delta is None:
         check_dims(basis.dims, xs, "xs")
-        if tuple([y.dim for y in ys]) != basis.dims:
-            return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
-        delta = [x.log_magnitude - y.log_magnitude for x, y in zip(xs, ys)]
+        [y.dim for y in ys]  # a ys that is no list of quantities raises here
+        return EquivalenceVerdict(False, VerdictReason.DIM_MISMATCH)
     if basis.r == 0 or basis.orbit_gap(delta) <= tol:
         return _EQUIVALENT
     sizes = list(map(abs, basis.log_values(delta)))
@@ -133,12 +132,13 @@ def _anchor(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float) -> tuple[fl
     the basis dimensions and is consistent within tol (`is_consistent`, one
     `core.reduce_dims` of ref's dimensions).
 
-    A ref that passes becomes `sb.anchor`. A call with the very same
-    Quantity objects, slot for slot (`is`, as `core.reduce_dims` matches its
-    list), and the same tol gets the kept logs with no check: quantities are
-    immutable, so they are what a fresh check would give."""
+    A ref that passes becomes `sb.anchor`. A call with equal quantities,
+    slot for slot (==, as `core.reduce_dims` matches its list), and the same
+    tol gets the kept logs with no check: the logs are a function of the
+    quantities' floats and dimensions, so they are what a fresh check would
+    give."""
     kept_ref, kept_tol, kept_log_u = sb.anchor
-    if kept_tol == tol and len(kept_ref) == len(ref) and all(map(operator.is_, kept_ref, ref)):
+    if kept_tol == tol and kept_ref == tuple(ref):
         return kept_log_u
     logs = sb.base.reader[0](ref, "ref")
     require_consistent(ref, tol, InconsistentReferenceError, "reference list")

@@ -9,24 +9,24 @@ exact invertible change of basis between any two bases.
 
 Every basis keeps the one `core.reduce_dims` that built or validated it.
 `reduce_dims` keeps the last list it reduced, so `pi_basis`, `special_basis`,
-a `PiBasis` constructor and `units.is_consistent` called in turn on the same
-DimVector objects share one elimination; an equal list of other objects
-reduces again. The groups and `row_space` read that `exactlin.Reduction`'s
-integer RREF rows. Its free slots are its `free_cols`, the non-pivot columns.
-A dimensionless product is fixed by its exponents there, so a basis's r x r
-`free_block` holds its coordinates in the special basis; `transition` reads
-two blocks. The builders keep the block they build, diagonal with integer
-entries; a public basis scans its groups for it on first use.
+a `PiBasis` constructor and `units.is_consistent` called in turn on equal
+dimension lists share one elimination. The groups and `row_space` read
+that `exactlin.Reduction`'s integer RREF rows. Its free slots are its
+`free_cols`, the non-pivot columns. A dimensionless product is fixed by its
+exponents there, so a basis's r x r `free_block` holds its coordinates in
+the special basis; `transition` reads two blocks. The builders keep the
+block they build, diagonal with integer entries; a public basis scans its
+groups for it on first use.
 
 A basis's float path runs in three kernels, `log_values` (every group's
 `log_combine`), `orbit_gap` (the distance from its `row_space`'s span)
-and `reader` (a record's quantity lists as log lists, by the rule
-"identity, else `check_dims`"), generated by `core.log_values_kernel`,
-`core.orbit_gap_kernel` and `core.record_reader` on first use and kept on
-that basis object alone; the orbit-gap and reader code are each compiled
-once per slot count and shared, over each basis's own rows and dims. The
-builders and `transition` build none, `units.is_consistent` keeps its
-closure on no basis; pickling drops them, and a copy builds its own.
+and `reader` (a record's quantity lists as log lists), generated by
+`core.log_values_kernel`, `core.orbit_gap_kernel` and `core.record_reader`
+on first use and kept on that basis object alone; the orbit-gap and reader
+code are each compiled once per slot count and shared, over each basis's
+own rows and dims. The builders and `transition` build none,
+`units.is_consistent` keeps its closure on no basis; pickling drops them,
+and a copy builds its own.
 
 The public constructors `PiBasis`, `SpecialPiBasis` and `Transition`, and
 `is_pi_basis`, validate the groups a caller hands them. The builders read
@@ -125,10 +125,10 @@ class PiBasis:
     @cached_property
     def reader(self):
         """`(logs, delta)`, the log magnitudes of a record's quantity lists
-        over `dims`, in one pass when every slot's dim is the very object
-        of `dims`, else after `check_dims`: `core.record_reader`, built on
-        first use. Its code is shared by every basis with as many slots in
-        the process; its dims are this basis's own."""
+        over `dims`, in one pass when their slots' dims equal `dims`, else
+        `check_dims`'s error: `core.record_reader`, built on first use. Its
+        code is shared by every basis with as many slots in the process; its
+        dims are this basis's own."""
         return record_reader(self.dims)
 
     def __getstate__(self):
@@ -157,11 +157,11 @@ class SpecialPiBasis:
     `anchor` is the last reference list `nondim.preimage`, `canonical_rep` or
     `nondimensionalize` checked against this basis, as (the tuple of its
     Quantity objects, tol, the free-slot logs log psi_i(ref)). Its key is the
-    ref objects by `is`, slot for slot, plus tol: a later call with the
-    same objects and tol skips the check, while a list of equal copies, or
-    one edited in place, is checked again. It starts empty and is replaced
-    whole. It is an attribute, not a field, so it takes no part in ==, hash
-    or repr.
+    ref's quantities by ==, slot for slot, plus tol: a later call with equal
+    quantities and tol skips the check, while a list edited in place to
+    other values, or another tol, is checked again. It starts empty and is
+    replaced whole. It is an attribute, not a field, so it takes no part in
+    ==, hash or repr.
     """
 
     base: PiBasis

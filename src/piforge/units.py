@@ -129,8 +129,8 @@ def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
     A clash's witness is the canonical kernel vector with the largest |log|.
 
     Rank, row space and witness read off one `core.reduce_dims` of the
-    units' dimensions, which makes no elimination when its slot holds those
-    very DimVector objects.
+    units' dimensions, which makes no elimination when its slot holds an
+    equal dimension list.
     """
     check_tol(tol)
     units = list(units)

@@ -14,10 +14,12 @@ raised is hashed as its type and text. It prints the digest with the count
 of records and of equivalent verdicts.
 
 Each seed then runs its rounds again with every problem's dims swapped for
-equal copies, other DimVector objects, so each record's bindings take the
-`check_dims` branch of the basis's reader in place of the identity pass.
-The script exits 1, naming the first such record, if any record's fields
-differ from the first run's; the digest covers the first run alone.
+equal copies, other DimVector objects, and its reference for equal copies,
+other Quantity objects over the copied dims. So each record's bindings
+compare equal to the basis's dims, not identical, and the reference equal
+to the one the special basis was anchored at in the first run. The script
+exits 1, naming the first such record, if any record's fields differ from
+the first run's; the digest covers the first run alone.
 """
 
 import argparse
@@ -67,6 +69,7 @@ def main() -> int:
             equivalents += equivalent
         for p in state["problems"]:
             p["dims"] = [core.DimVector(w.system, w.exponents) for w in p["dims"]]
+            p["ref"] = [core.Quantity(q.log_magnitude, w) for q, w in zip(p["ref"], p["dims"])]
         for (key, fields, _), (_, copied, _) in zip(outputs, _run(state, args.rounds)):
             if differs is None and copied != fields:
                 differs = (seed, *key)

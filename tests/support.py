@@ -763,6 +763,21 @@ def _to_linear(v) -> _Linear:
     return v
 
 
+def _reference_linear_equal(a: float, b: float, tol: float) -> bool:
+    """|a - b| <= tol*max(|a|, |b|) for finite a and b: the float test where
+    the gap and the bound are numbers, else from the sides' sizes. A gap past
+    the float range means opposite signs, where the rule reads
+    min(|a|, |b|) <= (tol - 1)*max(|a|, |b|), taken in Fractions; a NaN
+    bound is inf*0, both sides 0, and any tol holds for them."""
+    gap, bound = abs(a - b), tol * max(abs(a), abs(b))
+    if math.isnan(bound):
+        return a == b == 0
+    if gap != math.inf:
+        return gap <= bound
+    small, large = sorted((abs(a), abs(b)))
+    return tol == math.inf or Fraction(small) <= (Fraction(tol) - 1) * Fraction(large)
+
+
 def reference_evaluate(node, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
     """The relation evaluator as a walk over the AST through Quantity and
     exact dimensions, comparing every pair of sides in linear space. The
@@ -814,7 +829,7 @@ def _reference_run(node, bindings: dict[str, Quantity], tol: float):
             case Compare(op, left, right):
                 lv, rv = _to_linear(run(left)), _to_linear(run(right))
                 if op == "=":
-                    return abs(lv.value - rv.value) <= tol * max(abs(lv.value), abs(rv.value))
+                    return _reference_linear_equal(lv.value, rv.value, tol)
                 if op == "<":
                     return lv.value < rv.value
                 return lv.value <= rv.value

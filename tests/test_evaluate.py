@@ -7,12 +7,15 @@ then rescaled. Wherever the reference does not overflow, the verdicts must be
 identical and every quantity-valued subexpression bit-identical.
 """
 
+import functools
 import math
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from piforge import dsl
 from piforge.core import DimSystem, DimVector, Quantity
@@ -214,6 +217,63 @@ class TestLogSpaceComparisons:
         bindings = {"a": self._q(0.0), "b": self._q(math.log(3.0))}
         node = parse_relation("a + a < b")
         assert evaluate(node, bindings) is reference_evaluate(node, bindings) is True
+
+
+def _exact_linear_equal(a, b, tol):
+    """|a - b| <= tol*max(|a|, |b|) in Fractions; an infinite tol holds for
+    every pair of finite sides, 0 and 0 too."""
+    if tol == math.inf:
+        return True
+    return abs(Fraction(a) - Fraction(b)) <= Fraction(tol) * Fraction(max(abs(a), abs(b)))
+
+
+# log magnitudes whose exp is 0, subnormal, 1, 1e308 or next to the float limit
+_LOG = st.one_of(st.sampled_from([-800.0, -740.0, 0.0, math.log(1e308), math.log(1.5e308), 709.78]),
+                 st.floats(min_value=-800.0, max_value=709.78))
+_TOL = st.one_of(st.sampled_from([0.0, 1e-9, 0.5, 1.0, 1.5, 2.0, 2.5, 1e300, math.inf]),
+                 st.floats(min_value=0.0, max_value=4.0))
+
+
+class TestLinearEquality:
+    """`=` between linear sides decides |a - b| <= tol*max(|a|, |b|) as the
+    float test where its gap and bound are numbers, and exactly where the gap
+    overflows (opposite signs near the float limit) or the bound is inf*0."""
+
+    @staticmethod
+    @functools.cache
+    def _compiled(text, names):
+        one = DimVector.zero(DimSystem(("L",)))
+        return dsl.compile_relation(parse_relation(text), {n: one for n in names})
+
+    def _run(self, text, tol, **logs):
+        return self._compiled(text, tuple(logs)).run(logs, tol)
+
+    def test_opposite_sides_past_the_float_range(self):
+        # |a - b| = 2|a|, which overflows; tol*max overflows from tol 1.1 on
+        for tol, expected in ((0.5, False), (1.5, False), (1.99, False), (2.0, True),
+                              (2.5, True), (math.inf, True)):
+            got = self._run("exp(x) = sin(x/x) - exp(x)", tol, x=math.log(709.7))
+            assert got is expected, tol
+
+    def test_zero_sides_hold_at_every_tol(self):
+        for tol in (0.0, 1e-9, 1.0, math.inf):
+            assert self._run("x - x = z - z", tol, x=0.3, z=1.0) is True, tol
+
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_LOG, min_size=4, max_size=4), _TOL)
+    @example([math.log(1.5e308), -800.0, -800.0, math.log(1.5e308)], 1.5)
+    @example([math.log(1e308), -800.0, -800.0, math.log(1e308)], 1.0 + 2**-52)
+    @example([0.0, 0.0, 1.0, 1.0], math.inf)
+    def test_agrees_with_the_float_test_or_exact_arithmetic(self, logs, tol):
+        vx, vz, vy, vw = logs
+        # the sides as the lowered source computes them
+        a, b = math.exp(vx) - math.exp(vz), math.exp(vy) - math.exp(vw)
+        got = self._run("x - z = y - w", tol, x=vx, z=vz, y=vy, w=vw)
+        gap, bound = abs(a - b), tol * max(abs(a), abs(b))
+        if gap < math.inf and not math.isnan(bound):
+            assert got is (gap <= bound)
+        else:
+            assert got is _exact_linear_equal(a, b, tol)
 
 
 class TestCompiledForm:

@@ -279,8 +279,9 @@ class TestNoExactDimensionPerRecord:
 
 
 class TestNoDimensionComparePerRecord:
-    """Bindings over the basis's own DimVector objects pass every dimension
-    check on identity alone, with no DimVector.__eq__ call."""
+    """Once each reference is anchored, bindings over the basis's own
+    DimVector objects pass every dimension check on identity alone, with no
+    DimVector.__eq__ call."""
 
     @pytest.fixture
     def compares(self, monkeypatch):
@@ -304,6 +305,8 @@ class TestNoDimensionComparePerRecord:
             ys = [Quantity(x.log_magnitude + s, x.dim) for x, s in zip(xs, shift)]
             zs = [Quantity(v, w) for v, w in zip(_logs(rng, len(dims)), basis.dims)]
             records.append((basis, sb, _coherent(rng, system, basis.dims), xs, ys, zs))
+        for _, sb, ref, xs, _, _ in records:
+            canonical_rep(sb, ref, xs)
         before = compares[0]
         for basis, sb, ref, xs, ys, zs in records:
             pi_values(basis, xs)
@@ -311,7 +314,7 @@ class TestNoDimensionComparePerRecord:
             equivalent(basis, xs, zs)
             canonical_rep(sb, ref, xs)
         assert compares[0] == before
-        # the counter is wired: equal copies are compared slot by slot
+        # the counter is wired: equal copies are compared by their ==
         basis, _, _, xs, _, _ = records[0]
         copies = [Quantity(x.log_magnitude, DimVector(x.dim.system, x.dim.exponents)) for x in xs]
         pi_values(basis, copies)
@@ -368,10 +371,10 @@ def _outcome(call, *args):
 
 
 class TestRecordReader:
-    """A basis's reader (`core.record_reader`) reads bindings over its own
-    DimVector objects in one pass, and hands every other list to
-    `check_dims`: equal copies of the dims, a list of the wrong length and a
-    list with a wrong slot give `pi_values`, `equivalent` and
+    """A basis's reader (`core.record_reader`) reads bindings over its dims,
+    its own DimVector objects or equal copies, in one pass, and hands every
+    other list to `check_dims`: each of these lists, a list of the wrong
+    length and a list with a wrong slot give `pi_values`, `equivalent` and
     `canonical_rep` the floats, verdicts and error texts of the same calls
     written as plain steps, `check_dims` first."""
 
@@ -425,27 +428,28 @@ class TestRecordReader:
         assert reasons == {"values", "rep", "DimensionMismatchError", "TypeError",
                            "equivalent", "dim-mismatch", "pi-mismatch"}
 
-    def test_only_the_basis_own_dims_take_the_one_pass(self):
-        """The identity pass gives a tuple; equal copies reach `check_dims`
-        and give a list, with the same floats. `delta` gives None unless
-        both lists are over the basis's own dims."""
+    def test_own_dims_and_equal_copies_take_the_one_pass(self):
+        """The pass gives a tuple, over the basis's own dims and over equal
+        copies alike, with the same floats. `delta` gives None unless both
+        lists are over dims equal to the basis's."""
         rng = random.Random(211)
         for system, dims in seeded_systems(40):
             basis = pi_basis(dims)
             lists = self._variants(rng, system, basis.dims)
             own, copies = lists["own"], lists["copies"]
             logs, delta = basis.reader
-            assert type(logs(own, "xs")) is tuple and type(logs(copies, "xs")) is list
-            assert list(logs(own, "xs")) == logs(copies, "xs")
+            assert type(logs(own, "xs")) is tuple and type(logs(copies, "xs")) is tuple
+            assert logs(own, "xs") == logs(copies, "xs")
             assert delta(own, lists["own-rescaled"]) is not None
-            for xs, ys in ((own, copies), (copies, own), (lists["short"], own),
-                           (own, lists["long"]), (lists["wrong"], own)):
+            assert delta(own, copies) == delta(copies, own) == [0.0] * len(own)
+            for xs, ys in ((lists["short"], own), (own, lists["long"]), (lists["wrong"], own),
+                           (own, lists["wrong"])):
                 assert delta(xs, ys) is None
 
     def test_a_pickled_basis_drops_its_reader_and_builds_its_own(self):
-        """A copy's dims are other objects, so bindings over the original's
-        take its `check_dims` branch, and bindings over its own the one
-        pass: both give the original's floats."""
+        """A copy's dims are other objects, equal to the original's, so
+        bindings over either take the copy's one pass and give the
+        original's floats."""
         rng = random.Random(223)
         for _, dims in seeded_systems(30):
             basis = pi_basis(dims)
@@ -457,7 +461,7 @@ class TestRecordReader:
             assert pi_values(copy, xs) == values
             own = [Quantity(x.log_magnitude, w) for x, w in zip(xs, copy.dims)]
             assert pi_values(copy, own) == values
-            assert type(copy.reader[0](own, "xs")) is tuple
+            assert type(copy.reader[0](own, "xs")) is type(copy.reader[0](xs, "xs")) is tuple
             assert copy.reader is not basis.reader
             assert copy.reader[0].__code__ is basis.reader[0].__code__
 

@@ -456,19 +456,23 @@ class TestAnchoredReference:
         assert len(rref_calls) == 0
 
     def test_a_reference_over_equal_copies_eliminates_once(self, rref_calls):
-        """Equal copies of the basis dimensions miss the reduction slot: the
-        first anchoring reduces them once, and a call with the same list
-        finds the anchor and reduces nothing."""
+        """Equal copies of the basis dimensions hit the reduction slot: the
+        builder's one elimination serves every anchoring, a call with the
+        same list finds the anchor, and the anchor's logs are those of a
+        reference over the basis's own dimensions."""
         rng = random.Random(137)
         system, dims = next(seeded_systems(1))
         for name, use in REFERENCE_USERS.items():
             sb = special_basis(dims)
-            ref = [Quantity(q.log_magnitude, _copy(q.dim)) for q in _consistent_list(rng, system, dims)]
-            del rref_calls[:]
+            own = _consistent_list(rng, system, dims)
+            ref = [Quantity(q.log_magnitude, _copy(q.dim)) for q in own]
             use(sb, ref)
             assert len(rref_calls) == 1, name
             use(sb, ref)
             assert len(rref_calls) == 1, name
+            fresh = special_basis(dims)
+            use(fresh, own)
+            assert sb.anchor[1:] == fresh.anchor[1:], name
 
     @staticmethod
     def _spring_off_by(log_offset):
@@ -554,11 +558,19 @@ class TestAnchoredReference:
         preimage(sb, ref, [0.0] * sb.base.r)
         nondimensionalize(lambda xs: True, sb, ref)(*[1.0] * sb.base.r)
         assert len(consistency_checks) == 1
-        # another list of the same objects hits; a list of equal copies is checked
+        # another list of the same objects, or of equal copies, hits
         canonical_rep(sb, list(ref), ref)
+        copies = [Quantity(q.log_magnitude, _copy(q.dim)) for q in ref]
+        assert canonical_rep(sb, copies, ref) == canonical_rep(sb, ref, ref)
         assert len(consistency_checks) == 1
-        canonical_rep(sb, [Quantity(q.log_magnitude, q.dim) for q in ref], ref)
+        # another tol, or the list edited in place, is checked again
+        canonical_rep(sb, copies, ref, 1e-6)
         assert len(consistency_checks) == 2
+        copies[:] = _consistent_list(rng, system, dims)
+        canonical_rep(sb, copies, ref, 1e-6)
+        assert len(consistency_checks) == 3
+        with pytest.raises(ValueError):
+            canonical_rep(sb, copies, ref, math.nan)
 
     def test_each_basis_keeps_its_own_anchor(self, consistency_checks):
         rng = random.Random(149)
@@ -651,8 +663,8 @@ def _other(w: DimVector) -> DimVector:
 
 
 class TestEqualCopiesOfTheBasisDims:
-    """Bindings over equal copies of the basis dimensions take the
-    slot-by-slot path and get the answers the basis's own objects get."""
+    """Bindings over equal copies of the basis dimensions pass the same
+    tuple compare and get the answers the basis's own objects get."""
 
     def test_same_results(self):
         rng = random.Random(173)

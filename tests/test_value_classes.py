@@ -15,6 +15,7 @@ import pytest
 
 from piforge import dsl, harness, nondim, pigroups, units
 from piforge.core import Quantity, reduce_dims
+from piforge.errors import frozen
 
 from support import FIXTURES, ROOT, random_quantities, seeded_systems
 
@@ -119,6 +120,46 @@ def test_every_module_has_its_value_classes():
     names = {f"{cls.__module__}.{cls.__qualname__}" for cls in VALUE_CLASSES}
     assert len(names) == 26
     assert {"piforge.dsl._Token", "piforge.core.DimSystem", "piforge.harness.InvarianceReport"} <= names
+
+
+class _Raising:
+    """A field value whose == raises: a compare that reaches it fails."""
+
+    def __eq__(self, other):
+        raise AssertionError("a field was compared")
+
+    __hash__ = object.__hash__
+
+
+@frozen
+class _Pair:
+    left: object
+    right: object
+
+
+class TestIdentityFirst:
+    """`==` on a frozen instance tests `other is self` before any field, and
+    a tuple compare tests identity before `==` slot by slot. The reduction
+    slot, the reference anchor and the record reader compare by `==` and
+    rest on both: the very same objects cost no field compare."""
+
+    @staticmethod
+    def _instances():
+        """A test class and the library's Quantity, each over a raising field."""
+        return [_Pair(_Raising(), _Raising()), Quantity(0.0, _Raising())]
+
+    def test_an_instance_compared_with_itself_compares_no_field(self):
+        for x, other in zip(self._instances(), self._instances()):
+            assert x == x and not x != x
+            # the raising field is wired: another instance's compare reaches it
+            with pytest.raises(AssertionError, match="a field was compared"):
+                x == other
+
+    def test_a_tuple_of_instances_compared_with_itself_compares_no_field(self):
+        xs = tuple(self._instances())
+        assert xs == xs and xs == tuple(list(xs)) and not xs != tuple(list(xs))
+        with pytest.raises(AssertionError, match="a field was compared"):
+            xs == tuple(self._instances())
 
 
 @pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda c: c.__qualname__)
