@@ -16,7 +16,11 @@ an equal list, slot for slot, makes no new elimination.
 
 `log_combine` is the one-shot float path and the reference for
 `log_values_kernel`, a straight-line function giving the same floats for a
-basis that runs many records (`pigroups.PiBasis`). One generated projection
+basis that runs many records (`pigroups.PiBasis`). No generated source
+holds a float of a basis or a relation: `compile_source` compiles each
+source once per process, and each caller binds its own values to that
+code as closure cells, so bases, or relations, of one shape share their
+code. One generated projection
 (`_orbit_gap_maker`) serves both `row_space`, whose Gram-Schmidt takes each
 row's residual against the rows before it, and `orbit_gap_kernel`, the one
 path to a log vector's distance from the span of those rows: its code
@@ -39,6 +43,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
+from threading import Lock
 
 from .errors import (
     ArityMismatchError,
@@ -425,14 +430,40 @@ def row_space(reduction: Reduction) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
+# the most sources `compile_source` keeps compiled; a source depends on a
+# relation's or a basis's shape alone, so a process meets few distinct ones
+_MAKERS = 256
+# (source, name, the names it reads) -> its compiled `bind`, least recently
+# used first; each lookup and update holds the lock
+_makers: dict[tuple, object] = {}
+_makers_lock = Lock()
+
+
 def compile_source(source: str, name: str, **names):
-    """The value `name` that source defines, run with the given globals.
-    Each source (here and in `dsl` and `harness`) holds only float reprs,
-    integer indices and names made by the program, never a string from
-    outside it: a spec's text reaches a source only as a global's value."""
-    namespace = dict(names)
-    exec(source, namespace)
-    return namespace[name]
+    """The value `name` that source defines, where each of the given names
+    holds its value. Each source (here and in `dsl` and `harness`) holds
+    integers, names made by the program and the float literals 0.0, 0.5,
+    1.0 and 2**-53 only: a float of a relation or a basis (a constant,
+    an exponent, a bound) and a string from a spec reach it only as a
+    name's value. So a source depends on a shape alone, and it is compiled
+    once per process, into `bind`, a function of the names that runs it
+    and returns its `name`; the table `_makers` keeps the last `_MAKERS`
+    used. Each call binds its own values as `bind`'s arguments, closure
+    cells of the functions the source defines, never as their globals: one
+    code object run over many globals dicts loses `LOAD_GLOBAL`'s
+    specialization."""
+    key = (source, name, tuple(names))
+    with _makers_lock:
+        bind = _makers.pop(key, None)
+        if bind is None:
+            body = "".join(f"\n {line}" for line in source.splitlines())
+            namespace = {}
+            exec(f"def bind({', '.join(names)}):{body}\n return {name}", namespace)
+            bind = namespace["bind"]
+            if len(_makers) >= _MAKERS:
+                del _makers[next(iter(_makers))]
+        _makers[key] = bind
+    return bind(*names.values())
 
 
 def slot_names(prefix: str, n: int) -> str:
@@ -445,14 +476,21 @@ def log_values_kernel(vectors, n: int):
     """A function of an n-slot log list that returns the tuple of
     `v.log_combine(logs)` over the exponent vectors, float for float: one
     straight-line sum per vector, `0.0 + e*l[j] + ...` over its
-    `_float_terms` in their order, each e inlined as its float repr, which
-    reads back as that very float. The list must hold n entries. An
-    exponent beyond the float range raises EvaluationError here, as
+    `_float_terms` in their order, each e a name bound to that float, so
+    the code depends on which slots each vector reads and is shared by
+    every list of vectors with that pattern. The list must hold n entries.
+    An exponent beyond the float range raises EvaluationError here, as
     `log_combine` would."""
-    sums = "".join("0.0" + "".join(f" + {e!r}*l{j}" for j, e in v._float_terms) + ", "
-                   for v in vectors)
-    return compile_source(f"def log_values(l):\n ({slot_names('l', n)}) = l\n return ({sums})",
-                          "log_values")
+    exponents, sums = {}, []
+    for v in vectors:
+        terms = []
+        for j, e in v._float_terms:
+            name = f"e{len(exponents)}"
+            exponents[name] = e
+            terms.append(f" + {name}*l{j}")
+        sums.append(f"0.0{''.join(terms)}, ")
+    return compile_source(f"def log_values(l):\n ({slot_names('l', n)}) = l\n return ({''.join(sums)})",
+                          "log_values", **exponents)
 
 
 @cache

@@ -39,8 +39,10 @@ variable order, which `core.compile_source` compiles into a function of a
 dict of each variable's log magnitude. A spec keeps the one its fuzzer
 uses (`ProblemSpec.fuzz_plan`), and the fuzzer's trial kernel inlines the
 same lowering (`harness._trial_kernel`). `evaluate` runs such a handle, or
-compiles a bare node against its bindings' dimensions on each call; nothing
-else lowers a node.
+types and lowers a bare node against its bindings' dimensions on each call;
+nothing else lowers a node. A source holds no constant, exponent or name of
+a spec, each being a name the code is bound to, so relations that differ
+only in those share one compiled code object per process.
 Multiplicative chains (variables, constants, *, /, ^, sqrt) stay in log
 space; sums, exp/log/sin/cos work in linear space, where non-positive values
 are legal, and only there. `SPACES` states, once, the space of each node
@@ -701,8 +703,9 @@ class Lowering:
     """Straight-line Python source for typed relation nodes: one statement
     per node, in the order evaluation takes them, each operand before its
     node and left before right. `Lowering(variables)` makes each variable
-    its slot, v0, v1, ... in the order given (`slots`); a constant is its
-    log as a float repr, and any other node a fresh local t0, t1, ...
+    its slot, v0, v1, ... in the order given (`slots`); a constant's log
+    and a power's exponent are each a new name bound to that float
+    (`constant`), and any other node a fresh local t0, t1, ...
 
     Each domain check is a statement that raises the EvaluationError the
     value would: `t - t` is 0.0 for a finite t and nan, which is true, for
@@ -710,8 +713,9 @@ class Lowering:
     that is true exactly where the left one does not decide, and each of its
     statements reads `if guard: ...`: no statement nests in another, however
     deeply the relation does. The source reads the names of `_GLOBALS`, the
-    locals `tol` and those above, and globals it adds to `names`, so it
-    holds no string from a spec."""
+    locals `tol` and those above, and names it adds to `names`, so it
+    holds no string and no float from a spec, and two relations that
+    differ only in their constants and exponents lower to one source."""
 
     def __init__(self, variables):
         self.slots = {name: f"v{i}" for i, name in enumerate(variables)}
@@ -746,7 +750,7 @@ class Lowering:
         return outer
 
     def constant(self, value, prefix: str) -> str:
-        """A new global name for value."""
+        """A new name for value, which the compiled code is bound to."""
         name = f"{prefix}{len(self.names)}"
         self.names[name] = value
         return name
@@ -773,7 +777,7 @@ class Lowering:
             self.used.add(node.name)
             return LOG, self.slots[node.name]
         if kind is Const:
-            return LOG, repr(math.log(node.value))
+            return LOG, self.constant(math.log(node.value), "c")
         entry = node_spaces(node)
         if entry is None:
             raise TypeError(f"not a relation node: {node!r}")
@@ -782,7 +786,8 @@ class Lowering:
             a, b = self.value(node.left, operand), self.value(node.right, operand)
             return space, self._finite(f"{a} {'+' if node.op in ('*', '+') else '-'} {b}")
         if kind is Pow:
-            return space, self._finite(f"{self.value(node.base, operand)} * {float(node.exponent)!r}")
+            base = self.value(node.base, operand)
+            return space, self._finite(f"{base} * {self.constant(float(node.exponent), 'e')}")
         if kind is Call:
             func, a = node.func, self.value(node.arg, operand)
             if func == "sqrt":
@@ -847,8 +852,10 @@ compile_relation = CompiledRelation
 
 
 def evaluate(relation, bindings: dict[str, Quantity], tol: float = DEFAULT_TOL):
-    """Evaluate a `CompiledRelation`, or a node compiled on each call against
-    the bindings' dimensions (DimensionError where it is ill-typed there).
+    """Evaluate a `CompiledRelation`, or a node typed and lowered on each
+    call against the bindings' dimensions (DimensionError where it is
+    ill-typed there); its source is compiled once per process, on the first
+    call, and later calls on nodes of that shape reuse the code.
 
     Returns a bool for predicates, a Quantity of the relation's `type`
     otherwise. Equality compares with relative tolerance tol, |a - b| <=

@@ -27,16 +27,21 @@ drawn, and nothing of the relation runs. The relation is typed once per
 spec, whole, and its comparisons' dimensions are read off that one handle.
 
 The exact work is done once per spec, and a trial runs plain floats: where
-trials are drawn, the plan compiles one trial kernel (`_trial_kernel`). Its
+trials are drawn, the plan builds one trial kernel (`_trial_kernel`). Its
 `decide` is a straight-line function of a point's logs and log factors that
 seeds the point and decides each comparison before and after rescaling,
-every side and every constant of the decision inlined from one
-`dsl.Lowering` of the relation (partial evaluation: Jones, Gomard and
-Sestoft, 1993); its `trial` reads a point off the trial's blake2b digest
-and calls `decide`; its `shrink`, at a failing trial's point, runs
-`decide`'s lines up to the first that reads a log factor once, and the rest
-once per candidate, as it bisects the factors a mixed comparison reads.
-Compiling it takes 0.6 to 1.5 ms, once per plan, against about 3 us a trial.
+every side of the decision inlined from one `dsl.Lowering` of the relation
+(partial evaluation: Jones, Gomard and Sestoft, 1993); its `trial` reads a
+point off the trial's blake2b digest and calls `decide`; its `shrink`, at a
+failing trial's point, runs `decide`'s lines up to the first that reads a
+log factor once, and the rest once per candidate, as it bisects the factors
+a mixed comparison reads. Every float of the decision (a constant, an
+exponent, a w_j, a rounding bound, a draw range) is a name the kernel's
+code is bound to, so the source depends on the relation's shape alone:
+its nodes, and which comparisons are mixed, in which fundamentals. Its
+code is compiled once per shape per process (`core.compile_source`; 0.6
+to 1.5 ms, against about 3 us a trial), and each plan binds its own values
+to it.
 
 Passes are evidence, not proof — the verdict is necessarily one-sided, and
 the CLI report says so. A failure is meant to be definitive, but is not yet
@@ -237,19 +242,20 @@ class _Mixed:
             self.terms = None
         self.bound = (_size(node.left) + _size(node.right) + len(self.w) + 2) * math.ulp(1.0)
 
-    def decision(self, name: str, point, gap: str, spread: str, mu: str) -> str:
-        """Source of the truth value, from the point's signs and logs, the
-        gap and spread (each source of a local, slot or literal; a
-        log-space side's sign is the literal 1) and mu, the source of the
-        log factors' tuple: signs that decide alone do so; else the gap
+    def decision(self, name: str, bound: str, point, gap: str, spread: str, mu: str) -> str:
+        """Source of the truth value, from the point's signs and logs (each
+        the source of a local, a slot or a name; a log-space side's sign is
+        the literal 1), the locals gap and spread, and mu, the source of
+        the log factors' tuple: signs that decide alone do so; else the gap
         decides it, in floats where it lies beyond bound*spread from the
-        edge, and through `name.exact` otherwise. The kernel's locals near
+        edge, and through `name.exact` otherwise. name and bound are the
+        kernel's names of this comparison and its `bound`; its locals near
         and apart hold the bounds of '=' for its tol."""
         sl, ll, sr, lr = point
         exact = f"{name}.exact({sl}, {ll}, {sr}, {lr}, {mu}, tol, {spread})"
 
         def beyond(x, edge):  # x < edge, where the gap is clear of the edge
-            return f"{x} < {edge} if abs({x} - {edge}) > {self.bound!r}*{spread} else {exact}"
+            return f"{x} < {edge} if abs({x} - {edge}) > {bound}*{spread} else {exact}"
 
         positive = sl == sr == "1"
         if self.op != "=":
@@ -303,7 +309,9 @@ def _trial_kernel(plan):
     comparison is mixed, a log factor per fundamental. It seeds the equality
     target, then works out each side once, each other comparison or call
     once, and each mixed comparison before and after rescaling, its w_j·μ_j
-    terms and rounding bound inlined; `and`/`or` take their right operand
+    terms and rounding bound each read from a name bound to its float, as
+    are the draw ranges, so the source holds no float of the plan;
+    `and`/`or` take their right operand
     wherever either value needs it. It returns None where the truth value
     survives the rescaling, else (before, the seeded logs, the log factors).
     A relation with no mixed comparison is only evaluated, for its domain,
@@ -362,21 +370,21 @@ def _trial_kernel(plan):
             before = low.value(node, TRUTH)
             return before, before
         m = _Mixed(node, *dims)
-        name = low.constant(m, "m")
+        name, bound = low.constant(m, "m"), low.constant(m.bound, "b")
         sl, ll = seeded if node.left is other else _sign_and_log(low, node.left)
         sr, lr = seeded if node.right is other else _sign_and_log(low, node.right)
         point = (sl, ll, sr, lr)
         gap, spread = low.let(f"{ll} - {lr}"), low.let(f"1.0 + abs({ll}) + abs({lr})")
-        before = low.let(m.decision(name, point, gap, spread, "()"))
+        before = low.let(m.decision(name, bound, point, gap, spread, "()"))
         live.update(j for j, w in enumerate(m.w) if w)
         if split is None:
             split = len(low.lines)
         if m.terms is None:  # a w with no float form
             return before, low.let(f"{name}.exact({', '.join(point)}, ({mus}), tol, inf)")
-        moves = [low.let(f"{w!r}*f{j}") for j, w in m.terms]
+        moves = [low.let(f"{low.constant(w, 'd')}*f{j}") for j, w in m.terms]
         gap = low.let(gap + "".join(f" + {t}" for t in moves))
         spread = low.let(spread + "".join(f" + abs({t})" for t in moves))
-        return before, low.let(m.decision(name, point, gap, spread, f"({mus})"))
+        return before, low.let(m.decision(name, bound, point, gap, spread, f"({mus})"))
 
     verdict, shrink = "None", []
     if plan.mixed:
@@ -404,12 +412,13 @@ def _trial_kernel(plan):
                   "   if not moved: break", *settle, "  return mu"]
     elif seeded is None:  # a seeded `v = expr` is defined wherever expr is
         low.value(relation, TRUTH)
-    ranges = [_LOG_MAG_RANGE] * len(low.slots) + [_LOG_FACTOR_RANGE] * factors
+    ranges = ["log"] * len(low.slots) + ["factor"] * factors
     n = len(ranges)
-    draws = "".join(f"{lo!r} + {hi - lo!r}*((w{j} >> 11)*2**-53), "
-                    for j, (lo, hi) in enumerate(ranges))
+    draws = "".join(f"{r}_lo + {r}_span*((w{j} >> 11)*2**-53), " for j, r in enumerate(ranges))
     unpack = []
     if n:
+        for r, (lo, hi) in (("log", _LOG_MAG_RANGE), ("factor", _LOG_FACTOR_RANGE)):
+            low.names.update({f"{r}_lo": lo, f"{r}_span": hi - lo})
         from struct import Struct  # here, so that importing harness loads nothing more
 
         low.names.update(words=Struct(f">{n}Q").unpack_from, block=_block)

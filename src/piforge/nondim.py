@@ -25,10 +25,11 @@ same objects cost no field compare. The float work itself runs in the
 basis's other two kernels, straight-line functions made for each basis
 object on first use (`PiBasis.log_values`, every group's log value, and
 `PiBasis.orbit_gap`, the distance from the rescaling orbit); `log_values`
-gives float for float what the loop of `log_combine` gives. `log_values`
-is generated per basis, its exponents inlined; the orbit-gap and reader
-code are each compiled once per slot count per process and shared, while
-the rows, the dims and the groups stay per basis. A record builds no
+gives float for float what the loop of `log_combine` gives. No kernel's
+code holds a float of a basis: the `log_values` code is compiled once per
+pattern of the slots each group reads, the orbit-gap and reader code once
+per slot count, each once per process and shared, while the exponents,
+the rows and the dims are each basis's own closure cells. A record builds no
 verdict object for an equivalent pair and no `PiValues` in
 `canonical_rep`.
 

@@ -22,9 +22,10 @@ A basis's float path runs in three kernels, `log_values` (every group's
 `log_combine`), `orbit_gap` (the distance from its `row_space`'s span)
 and `reader` (a record's quantity lists as log lists), generated by
 `core.log_values_kernel`, `core.orbit_gap_kernel` and `core.record_reader`
-on first use and kept on that basis object alone; the orbit-gap and reader
-code are each compiled once per slot count and shared, over each basis's
-own rows and dims. The builders and `transition` build none,
+on first use and kept on that basis object alone; their code holds no
+float of a basis and is shared: `log_values`'s by every basis whose groups
+read the same slots, the orbit-gap and reader code by every basis of as
+many slots, each over the basis's own exponents, rows and dims. The builders and `transition` build none,
 `units.is_consistent` keeps its closure on no basis; pickling drops them,
 and a copy builds its own.
 

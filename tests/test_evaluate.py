@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from piforge import dsl
+from piforge import core, dsl
 from piforge.core import DimSystem, DimVector, Quantity
 from piforge.dsl import BinOp, BoolOp, Call, Compare, Not, Pow, evaluate, parse_relation
 from piforge.errors import DimensionError, EvaluationError
@@ -288,15 +288,21 @@ class TestCompiledForm:
             return original(source, name, **names)
 
         monkeypatch.setattr(dsl, "compile_source", compiled)
-        # a node is compiled on each call, and nothing is kept between calls
-        assert evaluate(node, bindings) is evaluate(node, bindings) is False
+        monkeypatch.setattr(core, "_makers", {})
+        # a node is lowered on each call, and nothing is kept between calls
+        # but the compiled code of its source, in `compile_source`'s table
+        assert evaluate(node, bindings) is False
+        binds = list(core._makers.values())
+        assert evaluate(node, bindings) is False
         assert compiled_names == ["run", "run"]
+        assert len(binds) == 1 and list(core._makers.values()) == binds
         # a compiled relation is lowered on its first run, and never again
         compiled = dsl.compile_relation(node, {"x": length})
         assert compiled_names == ["run", "run"]
         assert evaluate(compiled, bindings) is evaluate(compiled, bindings) is False
         assert compiled.run({"x": 1.0}, 1e-9) is False
         assert compiled_names == ["run"] * 3
+        assert list(core._makers.values()) == binds
         # a quantity's dimension is the compiled relation's type
         square = dsl.compile_relation(parse_relation("x*x"), {"x": length})
         assert evaluate(square, bindings) == evaluate(square.node, bindings) == Quantity(2.0, length**2)

@@ -3,6 +3,7 @@ is_consistent combine log magnitudes only, bit for bit as qty_combine does,
 and never re-derive the exact dimension of a dimensionless group. A basis's
 generated kernels give the reference loops' floats."""
 
+import itertools
 import math
 import pickle
 import random
@@ -178,7 +179,8 @@ class TestBitForBit:
         for basis in bases:
             cells = basis.orbit_gap.__closure__
             rows = dict(zip(basis.orbit_gap.__code__.co_freevars, [c.cell_contents for c in cells]))
-            assert list(rows) == ["rows"] and rows["rows"] is basis.row_space
+            assert list(rows) == ["fsum", "hypot", "rows"] and rows["rows"] is basis.row_space
+            assert rows["fsum"] is math.fsum and rows["hypot"] is math.hypot
             logs = _logs(rng, len(basis.dims))
             gap = reference_orbit_gap(basis.row_space, logs)
             assert basis.orbit_gap(logs).hex() == gap.hex()
@@ -493,6 +495,68 @@ class TestRecordReader:
             code = codes.pop()
             assert not [c for c in code.co_consts if isinstance(c, (float, DimVector))]
             codes += [c for c in code.co_consts if isinstance(c, type(code))]
+
+
+def _pattern(basis):
+    """The slot count and the slots each group of the basis reads."""
+    return len(basis.dims), tuple(tuple(j for j, e in enumerate(g.exponents) if e) for g in basis.groups)
+
+
+class TestOneLogValuesCodePerPattern:
+    """`log_values`'s source reads each exponent from a name, so its code
+    depends on the slots each group reads alone and is compiled once per
+    such pattern per process (`core.compile_source`): bases of one pattern
+    share it, each over its own exponents, and a pickled copy gets it back.
+    The table keeps the last `core._MAKERS` sources compiled."""
+
+    def test_bases_of_one_pattern_share_the_code(self):
+        rng = random.Random(229)
+        bases = [basis for d, n in ((3, 6), (4, 10)) for _ in range(4) for dims in [ladder_dims(rng, d, n)]
+                 for basis in (pi_basis(dims), special_basis(dims).base)]
+        shared = 0
+        for a in bases:
+            logs = _logs(rng, len(a.dims))
+            assert _hex(a.log_values(logs)) == _hex([reference_log_combine(g.exponents, logs) for g in a.groups])
+            code, cells = a.log_values.__code__, a.log_values.__closure__
+            exponents = [e for g in a.groups for _, e in g._float_terms]
+            assert dict(zip(code.co_freevars, [c.cell_contents for c in cells])) == {
+                f"e{k}": e for k, e in enumerate(exponents)}
+            for b in bases:
+                same = _pattern(a) == _pattern(b)
+                assert (a.log_values.__code__ is b.log_values.__code__) == same
+                shared += same and a.groups != b.groups
+        assert shared and len({_pattern(basis) for basis in bases}) > 1
+
+    def test_a_pickled_basis_gets_the_same_code_back(self):
+        for _, dims in seeded_systems(20):
+            basis = pi_basis(dims)
+            kernels = [basis.log_values, basis.orbit_gap, basis.reader[0]]
+            copy = pickle.loads(pickle.dumps(basis))
+            for kernel, again in zip(kernels, [copy.log_values, copy.orbit_gap, copy.reader[0]]):
+                assert again is not kernel and again.__code__ is kernel.__code__
+
+    def test_the_table_keeps_its_bound_and_the_results_stay_right(self, monkeypatch):
+        monkeypatch.setattr(core, "_makers", {})
+        rng, n = random.Random(239), 10
+        patterns = [p for k in (2, 3, 4) for p in itertools.combinations(range(n), k)][:core._MAKERS + 30]
+        assert len(patterns) == core._MAKERS + 30
+
+        def kernel_of(pattern):
+            """A kernel over one vector reading the pattern's slots, checked against the loop."""
+            vector = Monomial.of(*(Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) if j in pattern else 0
+                                   for j in range(n)))
+            kernel, logs = core.log_values_kernel([vector], n), _logs(rng, n)
+            assert _hex(kernel(logs)) == _hex([reference_log_combine(vector.exponents, logs)])
+            return kernel.__code__
+
+        codes = []
+        for i, pattern in enumerate(patterns):
+            codes.append(kernel_of(pattern))
+            assert len(core._makers) == min(i + 1, core._MAKERS)
+        # the first pattern was dropped and compiles again; the last is kept
+        assert kernel_of(patterns[0]) is not codes[0]
+        assert kernel_of(patterns[-1]) is codes[-1]
+        assert len(core._makers) == core._MAKERS
 
 
 class TestBeyondFloatRange:

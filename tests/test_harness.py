@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import re
 import statistics
 import sys
 import threading
+import tokenize
 import typing
 from collections import Counter
 from fractions import Fraction
@@ -1419,7 +1421,8 @@ _INVARIANT_SHAPES = ("power_lt", "seeded_eq", "sum_le", "log_sin", "bool_mix")
 
 
 def _recording_compiled(monkeypatch):
-    """The list of (name, source) of each compilation from here on."""
+    """The list of (name, source) of each `compile_source` call from here
+    on, whether its source was compiled before or not."""
     sources, original = [], core.compile_source
 
     def compiled(source, name, **names):
@@ -1630,11 +1633,12 @@ def _renamed(spec):
 
 class TestGeneratedSource:
     """Every source passed to `core.compile_source` (a relation's run and
-    sides, a trial kernel) holds no quote character, and a spec whose
-    variables are renamed compiles the very same sources: none holds a
-    variable name or the relation's text. A plan builds its trial kernel
-    once, on the first call that draws trials, whatever the tol, and never
-    where it is proven."""
+    sides, a trial kernel) holds no quote character and no float literal
+    but 0.0, 0.5 and 1.0, and a spec whose variables are renamed compiles
+    the very same sources: none holds a variable name, a constant, an
+    exponent or the relation's text. A plan builds its trial kernel once,
+    on the first call that draws trials, whatever the tol, and never where
+    it is proven."""
 
     @staticmethod
     def _specs():
@@ -1670,6 +1674,17 @@ class TestGeneratedSource:
             kernels += any(source.startswith("def kernel(") for source in sources)
         assert kernels > 30
 
+    def test_no_source_holds_a_float_of_the_spec(self, monkeypatch):
+        for spec in self._specs():
+            for source in self._compiled_sources(monkeypatch, spec):
+                numbers = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                           if tok.type == tokenize.NUMBER]
+                floats = {n for n in numbers if not n.isdigit()}
+                assert floats <= {"0.0", "0.5", "1.0"}, (spec.relation_text, floats)
+        sources = self._compiled_sources(monkeypatch, _spec("hidden_constant"))
+        assert [source.split("(")[0] for source in sources] == ["def kernel", "def run"]
+        assert not any(repr(math.log(299792458)) in source or "299792458" in source for source in sources)
+
     @pytest.mark.parametrize("label", ["hidden_constant", "mixed_lt", "unproven", "newton", "seeded_eq"])
     def test_a_plan_builds_its_kernel_once_and_a_proven_one_none(self, monkeypatch, label):
         spec = _kept_spec(label)
@@ -1682,6 +1697,97 @@ class TestGeneratedSource:
         # the tol a call passes is the kernel's argument, kept by nothing
         assert reports == [fuzz_invariance(_kept_spec(label), trials=100, seed=seed, tol=tol)
                            for seed, tol in calls]
+
+
+def _codes(spec):
+    """The code objects of the spec's trial, decide, shrink (None where it
+    has none) and compiled run."""
+    kernel = spec.fuzz_plan.kernel(1e-9)
+    return (*(f and f.__code__ for f in kernel), spec.fuzz_plan.compiled.run.__code__)
+
+
+def _same_objects(a, b) -> bool:
+    """Whether two tuples hold the very same objects: code objects compiled
+    apart from one source compare equal by ==."""
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def _mixed_in(spec):
+    """For each comparison, the fundamentals in which its sides' dimensions differ."""
+    sides = spec.fuzz_plan.compiled.side_dims
+    return tuple(tuple(w != 0 for w in (left / right).exponents) for left, right in sides)
+
+
+def _nested_codes(codes):
+    """The code objects given and every one nested in them."""
+    codes, found = list(codes), []
+    while codes:
+        found.append(codes.pop())
+        codes += [c for c in found[-1].co_consts if isinstance(c, type(found[-1]))]
+    return found
+
+
+class TestOneCodePerShape:
+    """A generated source holds no float of a relation, so its code depends
+    on the relation's shape alone and is compiled once per process
+    (`core.compile_source`): specs that differ only in their constants,
+    exponents and dimensions share the code of their trial kernels where
+    their comparisons are mixed in the same fundamentals, and the code of
+    their runs. Each plan binds its own values to it."""
+
+    @pytest.mark.parametrize("template", ["hidden_constant", "mixed_lt"])
+    def test_specs_of_one_template_share_their_code(self, template):
+        rng = random.Random(f"shape:{template}")
+        specs = [_corpus_spec(*corpus_relation(rng, template)) for _ in range(12)]
+        codes = [_codes(spec) for spec in specs]
+        assert len({id(c[3]) for c in codes}) == 1
+        assert len({_mixed_in(spec) for spec in specs}) > 1
+        apart = 0
+        for a, code_a in zip(specs, codes):
+            for b, code_b in zip(specs, codes):
+                same_shape = _mixed_in(a) == _mixed_in(b)
+                assert [x is y for x, y in zip(code_a[:3], code_b[:3])] == [same_shape] * 3
+                apart += same_shape and a != b
+        assert apart
+        for spec in specs:  # each plan's own values: its reports are the reference's
+            expected = _fingerprint(reference_fuzz, spec, 60, 2, 1e-9)
+            assert _fingerprint(fuzz_invariance, spec, 60, 2, 1e-9) == expected
+
+    def test_a_hidden_constant_of_another_value_and_power_shares_the_code(self):
+        length, time = DimVector.unit(CORPUS_SYSTEM, "L"), DimVector.unit(CORPUS_SYSTEM, "T")
+        env = {"x": length, "t": time}
+        specs = [_corpus_spec(text, env) for text in ("x = 299792458*t^1", "x = 2.5*t^3")]
+        assert _same_objects(_codes(specs[0]), _codes(specs[1]))
+        assert [fuzz_invariance(spec, 50, seed=0).counterexample is not None for spec in specs] == [True, True]
+
+    @pytest.mark.parametrize("label", ["hidden_constant", "mixed_lt", "unproven"])
+    def test_a_reparsed_or_unpickled_spec_gets_the_same_code(self, label):
+        spec = _kept_spec(label)
+        copies = [_kept_spec(label), pickle.loads(pickle.dumps(spec))]
+        assert all(copy == spec and "fuzz_plan" not in vars(copy) for copy in copies)
+        for copy in copies:
+            assert _same_objects(_codes(copy), _codes(spec))
+            assert copy.fuzz_plan.kernel is not spec.fuzz_plan.kernel
+
+    def test_no_code_in_the_table_holds_a_float_of_a_spec_or_a_basis(self):
+        for spec in TestGeneratedSource._specs():
+            try:
+                fuzz_invariance(spec, trials=20, seed=0)
+            except EvaluationError:
+                pass
+            spec.fuzz_plan.compiled.run
+        basis = pi_basis(mass_spring_dims()[1])
+        assert all(map(callable, (basis.log_values, basis.orbit_gap, *basis.reader)))
+        # the orbit-gap and reader makers, kept by their own caches, may have left the table
+        n = len(basis.dims)
+        codes = _nested_codes([*(bind.__code__ for bind in core._makers.values()),
+                               core._orbit_gap_maker(n).__code__, core._reader_maker(n).__code__])
+        names = {code.co_name for code in codes}
+        assert {"kernel", "decide", "trial", "shrink", "run", "log_values", "make", "orbit_gap", "logs"} <= names
+        fixed = {0.0, 0.5, 1.0, 2**-53}
+        for code in codes:
+            floats = [c for c in code.co_consts if isinstance(c, float)]
+            assert all(c in fixed and math.copysign(1.0, c) == 1.0 for c in floats), (code.co_name, floats)
 
 
 def _deep(kind, levels):

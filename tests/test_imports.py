@@ -171,9 +171,10 @@ def test_no_global_statement(name):
     reduction cache lives at module level: what is worked out once per
     relation or basis is kept on the handle the caller holds
     (`CompiledRelation`, `ProblemSpec.fuzz_plan`, `PiBasis`). The one
-    exception is `core.reduce_dims`'s last reduction. `core`'s table of
-    orbit-gap makers, one per slot count, holds code only, no
-    float of any basis, and needs no global statement."""
+    exception is `core.reduce_dims`'s last reduction. `core`'s tables,
+    `compile_source`'s of compiled sources and those of orbit-gap and
+    reader makers, one per slot count, hold code only, no float of any
+    relation or basis, and need no global statement."""
     tree = ast.parse((ROOT / "src" / "piforge" / name).read_text())
     found = [n for node in ast.walk(tree) if isinstance(node, ast.Global) for n in node.names]
     assert found == ALLOWED_GLOBALS.get(name, []), f"{name} has global statements for {found}"
