@@ -18,9 +18,10 @@ an equal list, slot for slot, makes no new elimination.
 `log_values_kernel`, a straight-line function giving the same floats for a
 basis that runs many records (`pigroups.PiBasis`). No generated source
 holds a float of a basis or a relation: `compile_source` compiles each
-source once per process, and each caller binds its own values to that
-code as closure cells, so bases, or relations, of one shape share their
-code. One generated projection
+source once per process, with its generator's fixed names (functions,
+classes, error texts) as the source's one globals dict, and each caller
+binds its own data to that code as closure cells, so bases, or relations,
+of one shape share their code. One generated projection
 (`_orbit_gap_maker`) serves both `row_space`, whose Gram-Schmidt takes each
 row's residual against the rows before it, and `orbit_gap_kernel`, the one
 path to a log vector's distance from the span of those rows: its code
@@ -44,6 +45,7 @@ import sys
 from fractions import Fraction
 from functools import cache, cached_property
 from threading import Lock
+from types import FunctionType
 
 from .errors import (
     ArityMismatchError,
@@ -433,13 +435,14 @@ def row_space(reduction: Reduction) -> tuple[tuple[float, ...], ...]:
 # the most sources `compile_source` keeps compiled; a source depends on a
 # relation's or a basis's shape alone, so a process meets few distinct ones
 _MAKERS = 256
-# (source, name, the names it reads) -> its compiled `bind`, least recently
-# used first; each lookup and update holds the lock
+# (source, name, the data names it reads, its generator's fixed names) -> its
+# compiled `bind`, least recently used first; each lookup and update holds
+# the lock
 _makers: dict[tuple, object] = {}
 _makers_lock = Lock()
 
 
-def compile_source(source: str, name: str, **names):
+def compile_source(source: str, name: str, fixed: dict, **names):
     """The value `name` that source defines, where each of the given names
     holds its value. Each source (here and in `dsl` and `harness`) holds
     integers, names made by the program and the float literals 0.0, 0.5,
@@ -448,18 +451,23 @@ def compile_source(source: str, name: str, **names):
     name's value. So a source depends on a shape alone, and it is compiled
     once per process, into `bind`, a function of the names that runs it
     and returns its `name`; the table `_makers` keeps the last `_MAKERS`
-    used. Each call binds its own values as `bind`'s arguments, closure
-    cells of the functions the source defines, never as their globals: one
-    code object run over many globals dicts loses `LOAD_GLOBAL`'s
-    specialization."""
-    key = (source, name, tuple(names))
+    used.
+
+    fixed is the generator's module-level dict of the names whose values
+    are the same for every binding (functions, classes, error texts), and
+    it is the one globals dict of every function the source defines: each
+    reads those names as globals, and no code object runs under a second
+    globals dict, which would lose `LOAD_GLOBAL`'s specialization. Each
+    call binds its own data, the values of the other names, as `bind`'s
+    arguments: closure cells of the functions the source defines."""
+    key = (source, name, tuple(names), id(fixed))
     with _makers_lock:
         bind = _makers.pop(key, None)
         if bind is None:
             body = "".join(f"\n {line}" for line in source.splitlines())
             namespace = {}
             exec(f"def bind({', '.join(names)}):{body}\n return {name}", namespace)
-            bind = namespace["bind"]
+            bind = FunctionType(namespace["bind"].__code__, fixed)
             if len(_makers) >= _MAKERS:
                 del _makers[next(iter(_makers))]
         _makers[key] = bind
@@ -470,6 +478,10 @@ def slot_names(prefix: str, n: int) -> str:
     """ "p0, p1, ..., " for n slots: a tuple's items, its unpacking, or a
     parameter list."""
     return "".join(f"{prefix}{j}, " for j in range(n))
+
+
+# `log_values` reads no name but its exponents, each a basis's own
+_LOG_VALUES_GLOBALS: dict = {}
 
 
 def log_values_kernel(vectors, n: int):
@@ -490,7 +502,10 @@ def log_values_kernel(vectors, n: int):
             terms.append(f" + {name}*l{j}")
         sums.append(f"0.0{''.join(terms)}, ")
     return compile_source(f"def log_values(l):\n ({slot_names('l', n)}) = l\n return ({''.join(sums)})",
-                          "log_values", **exponents)
+                          "log_values", _LOG_VALUES_GLOBALS, **exponents)
+
+
+_ORBIT_GAP_GLOBALS = {"fsum": math.fsum, "hypot": math.hypot}
 
 
 @cache
@@ -509,7 +524,7 @@ def _orbit_gap_maker(n: int):
             *(f"   v{j} -= c*u{j}" for j in range(n))]
     lines = ["def make(rows):", " def residual(v):", *body, f"  return ({v})",
              " def orbit_gap(v):", *body, f"  return hypot({v})", " return residual, orbit_gap"]
-    return compile_source("\n".join(lines), "make", fsum=math.fsum, hypot=math.hypot)
+    return compile_source("\n".join(lines), "make", _ORBIT_GAP_GLOBALS)
 
 
 def orbit_gap_kernel(rows, n: int):
@@ -521,6 +536,9 @@ def orbit_gap_kernel(rows, n: int):
     each call gets its own closure over its own rows. The vector must hold
     n entries."""
     return _orbit_gap_maker(n)(rows)[1]
+
+
+_READER_GLOBALS = {"check_dims": check_dims}
 
 
 @cache
@@ -559,7 +577,7 @@ def _reader_maker(n: int):
         "  return None",
         " return logs, delta",
     ]
-    return compile_source("\n".join(lines), "make", check_dims=check_dims)
+    return compile_source("\n".join(lines), "make", _READER_GLOBALS)
 
 
 def record_reader(dims):

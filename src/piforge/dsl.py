@@ -691,8 +691,9 @@ def _log_error(v: float) -> EvaluationError:
     return EvaluationError(f"log of non-positive value {v!r}")
 
 
-# the globals every lowered source reads, by the names it reads them
-_GLOBALS = {
+# the names every lowered source reads as its globals (`core.compile_source`),
+# the same for every relation: functions, classes and error texts
+GLOBALS = {
     "Error": EvaluationError, "OVERFLOW": _OVERFLOW, "exp": _exp, "log": math.log,
     "sin": math.sin, "cos": math.cos, "eq_bound": log_eq_bound, "far_equal": _far_equal,
     "inf": math.inf, "non_positive": _non_positive, "log_error": _log_error,
@@ -712,14 +713,14 @@ class Lowering:
     inf or nan. The right operand of `and`/`or` runs under a guard, a local
     that is true exactly where the left one does not decide, and each of its
     statements reads `if guard: ...`: no statement nests in another, however
-    deeply the relation does. The source reads the names of `_GLOBALS`, the
-    locals `tol` and those above, and names it adds to `names`, so it
-    holds no string and no float from a spec, and two relations that
+    deeply the relation does. The source reads the names of `GLOBALS`, the
+    locals `tol` and those above, and the data names it adds to `names`, so
+    it holds no string and no float from a spec, and two relations that
     differ only in their constants and exponents lower to one source."""
 
     def __init__(self, variables):
         self.slots = {name: f"v{i}" for i, name in enumerate(variables)}
-        self.names = dict(_GLOBALS)
+        self.names = {}
         self.lines: list[str] = []
         self.used: set[str] = set()  # the variables read
         self.guard: str | None = None  # None: every statement runs
@@ -845,7 +846,7 @@ class CompiledRelation:
         loads = [f" {slot} = logs[{lowering.constant(n, 'n')}]"
                  for n, slot in lowering.slots.items() if n in lowering.used]
         lines = ["def run(logs, tol):", *loads, *(f" {line}" for line in lowering.lines)]
-        return compile_source("\n".join([*lines, f" return {result}"]), "run", **lowering.names)
+        return compile_source("\n".join([*lines, f" return {result}"]), "run", GLOBALS, **lowering.names)
 
 
 compile_relation = CompiledRelation

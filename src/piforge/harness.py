@@ -37,11 +37,14 @@ failing trial's point, runs `decide`'s lines up to the first that reads a
 log factor once, and the rest once per candidate, as it bisects the factors
 a mixed comparison reads. Every float of the decision (a constant, an
 exponent, a w_j, a rounding bound, a draw range) is a name the kernel's
-code is bound to, so the source depends on the relation's shape alone:
-its nodes, and which comparisons are mixed, in which fundamentals. Its
-code is compiled once per shape per process (`core.compile_source`; 0.6
-to 1.5 ms, against about 3 us a trial), and each plan binds its own values
-to it.
+code is bound to, and a mixed comparison weighs every fundamental's log
+factor, by a w_j of 0 where its sides agree in that fundamental. So the
+source depends on the relation's structure alone: its nodes, which
+comparisons are mixed, and the system's size. Its code is compiled once
+per structure per process (`core.compile_source`; 0.7 to 1.3 ms, against
+about 3 us a trial), with the names the same for every plan (functions,
+classes, error texts) as its one globals dict, and each plan binds its
+own data to it as closure cells.
 
 Passes are evidence, not proof — the verdict is necessarily one-sided, and
 the CLI report says so. A failure is meant to be definitive, but is not yet
@@ -77,6 +80,7 @@ from .dsl import (
     BoolOp,
     Call,
     Compare,
+    GLOBALS,
     LOG,
     Lowering,
     Not,
@@ -235,9 +239,11 @@ class _Mixed:
     def __init__(self, node, left_dim, right_dim):
         self.op = node.op
         self.w = (left_dim / right_dim).exponents
-        # (j, w_j) for each nonzero w_j: a zero term moves neither gap nor spread
+        # float(w_j) for every fundamental, zeros too: each μ_j is finite, so
+        # a zero's term 0.0*μ_j is ±0.0, which moves no comparison of gap
+        # and no spread, and the kernel's source does not read which are 0
         try:
-            self.terms = tuple((j, float(w)) for j, w in enumerate(self.w) if w)
+            self.terms = tuple(map(float, self.w))
         except OverflowError:
             self.terms = None
         self.bound = (_size(node.left) + _size(node.right) + len(self.w) + 2) * math.ulp(1.0)
@@ -308,19 +314,21 @@ def _trial_kernel(plan):
     decide(*logs, *factors) takes each variable's log magnitude and, where a
     comparison is mixed, a log factor per fundamental. It seeds the equality
     target, then works out each side once, each other comparison or call
-    once, and each mixed comparison before and after rescaling, its w_j·μ_j
-    terms and rounding bound each read from a name bound to its float, as
-    are the draw ranges, so the source holds no float of the plan;
-    `and`/`or` take their right operand
-    wherever either value needs it. It returns None where the truth value
-    survives the rescaling, else (before, the seeded logs, the log factors).
-    A relation with no mixed comparison is only evaluated, for its domain,
-    a seeded `v = expr` only through expr. trial(h) is decide at the point
-    drawn from h, the blake2b hash of the trial's key: h.digest() (and,
-    past eight draws, `_block`'s further digests) unpacked as big-endian
-    64-bit words w, each log magnitude lo + (hi - lo)*((w >> 11)*2**-53)
-    over _LOG_MAG_RANGE, then each log factor over _LOG_FACTOR_RANGE. h is
-    the one seam through which a caller sets the draws.
+    once, and each mixed comparison before and after rescaling, with a
+    w_j·μ_j term for every fundamental j, 0 or not (`_Mixed.terms`); each
+    w_j and rounding bound is read from a name bound to its float, as are
+    the draw ranges, so the source holds no float of the plan and does not
+    depend on which fundamentals a comparison is mixed in; `and`/`or` take
+    their right operand wherever either value needs it. It returns None
+    where the truth value survives the rescaling, else (before, the seeded
+    logs, the log factors). A relation with no mixed comparison is only
+    evaluated, for its domain, a seeded `v = expr` only through expr.
+    trial(h) is decide at the point drawn from h, the blake2b hash of the
+    trial's key: h.digest() (and, past eight draws, `_block`'s further
+    digests) unpacked as big-endian 64-bit words w, each log magnitude
+    lo + (hi - lo)*((w >> 11)*2**-53) over _LOG_MAG_RANGE, then each log
+    factor over _LOG_FACTOR_RANGE. h is the one seam through which a caller
+    sets the draws.
 
     shrink(*logs, *factors), None for a relation with no mixed comparison,
     gives the list of log factors `_shrink` reports for a failing trial's
@@ -329,7 +337,8 @@ def _trial_kernel(plan):
     the first mixed comparison's value before rescaling), runs once: it
     does not move at a fixed point, and it passed in the trial. The suffix
     runs once per candidate, in one loop over the live factors, those with
-    w_j != 0 in some mixed comparison: for up to _SHRINK_ROUNDS rounds, each
+    w_j != 0 in some mixed comparison, a tuple bound to the name `live`, as
+    the others are to `dead`: for up to _SHRINK_ROUNDS rounds, each
     live factor in turn is halved where that keeps the truth value after
     rescaling apart from the one before; a candidate that leaves the domain
     or is undecided does not. It stops after a round that halves none. No
@@ -339,7 +348,6 @@ def _trial_kernel(plan):
     ldexp(μ_j, -_SHRINK_ROUNDS)."""
     relation, side_dims = plan.compiled.node, iter(plan.compiled.side_dims)
     low = Lowering(plan.names)
-    low.names.update(apart_bound=_apart)
     seeded = other = None
     if plan.seed_target is not None:
         name, other = plan.seed_target
@@ -381,7 +389,7 @@ def _trial_kernel(plan):
             split = len(low.lines)
         if m.terms is None:  # a w with no float form
             return before, low.let(f"{name}.exact({', '.join(point)}, ({mus}), tol, inf)")
-        moves = [low.let(f"{low.constant(w, 'd')}*f{j}") for j, w in m.terms]
+        moves = [low.let(f"{low.constant(w, 'd')}*f{j}") for j, w in enumerate(m.terms)]
         gap = low.let(gap + "".join(f" + {t}" for t in moves))
         spread = low.let(spread + "".join(f" + abs({t})" for t in moves))
         return before, low.let(m.decision(name, bound, point, gap, spread, f"({mus})"))
@@ -390,14 +398,12 @@ def _trial_kernel(plan):
     if plan.mixed:
         before, after = pair(relation)
         verdict = f"None if {before} == {after} else ({before}, ({logs}), [{mus}])"
-        dead = tuple(j for j in range(factors) if j not in live)
-        settle = [f"  for j in {dead}: mu[j] = ldexp(mu[j], -{_SHRINK_ROUNDS})"] if dead else []
-        low.names.update(Undecided=_Undecided, ldexp=math.ldexp)
+        low.names.update(live=tuple(sorted(live)), dead=tuple(j for j in range(factors) if j not in live))
         shrink = [f" def shrink({logs}{mus}):", *(f"  {line}" for line in low.lines[:split]),
                   f"  mu = [{mus}]",
                   f"  for _ in range({_SHRINK_ROUNDS}):",
                   "   moved = False",
-                  f"   for j in {tuple(sorted(live))}:",
+                  "   for j in live:",
                   "    kept = mu[j]",
                   "    if not kept: continue",
                   "    mu[j] = kept / 2",
@@ -409,7 +415,8 @@ def _trial_kernel(plan):
                   "    except (Error, Undecided):",
                   "     pass",
                   "    mu[j] = kept",
-                  "   if not moved: break", *settle, "  return mu"]
+                  "   if not moved: break",
+                  f"  for j in dead: mu[j] = ldexp(mu[j], -{_SHRINK_ROUNDS})", "  return mu"]
     elif seeded is None:  # a seeded `v = expr` is defined wherever expr is
         low.value(relation, TRUTH)
     ranges = ["log"] * len(low.slots) + ["factor"] * factors
@@ -417,18 +424,19 @@ def _trial_kernel(plan):
     draws = "".join(f"{r}_lo + {r}_span*((w{j} >> 11)*2**-53), " for j, r in enumerate(ranges))
     unpack = []
     if n:
+        # data, not globals: the ranges are read when a kernel is built
         for r, (lo, hi) in (("log", _LOG_MAG_RANGE), ("factor", _LOG_FACTOR_RANGE)):
             low.names.update({f"{r}_lo": lo, f"{r}_span": hi - lo})
         from struct import Struct  # here, so that importing harness loads nothing more
 
-        low.names.update(words=Struct(f">{n}Q").unpack_from, block=_block)
+        low.names.update(words=Struct(f">{n}Q").unpack_from)
         blocks = "".join(f" + block(h, {k})" for k in range(1, (n + 7) // 8))
         unpack = [f"  {slot_names('w', n)}= words(h.digest(){blocks})"]
     lines = ["def kernel(tol):", " near = eq_bound(tol)", " apart = apart_bound(tol)",
              f" def decide({logs}{mus}):", *(f"  {line}" for line in low.lines), f"  return {verdict}",
              " def trial(h):", *unpack, f"  return decide({draws})", *shrink,
              f" return trial, decide, {'shrink' if shrink else 'None'}"]
-    return compile_source("\n".join(lines), "kernel", **low.names)
+    return compile_source("\n".join(lines), "kernel", _KERNEL_GLOBALS, **low.names)
 
 
 def _block(h, k: int) -> bytes:
@@ -437,6 +445,12 @@ def _block(h, k: int) -> bytes:
     h = h.copy()
     h.update(b":%d" % k)
     return h.digest()
+
+
+# the names every trial kernel reads as its globals (`core.compile_source`),
+# the same for every plan: a lowered relation's, and the kernel's own
+_KERNEL_GLOBALS = {**GLOBALS, "apart_bound": _apart, "Undecided": _Undecided, "ldexp": math.ldexp,
+                   "block": _block}
 
 
 def _proven(spec: ProblemSpec, seed_target) -> bool:

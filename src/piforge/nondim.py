@@ -130,8 +130,10 @@ def equivalent(
 
 def _anchor(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float) -> tuple[float, ...]:
     """log u_i = log psi_i(ref) for each free slot's group, once ref carries
-    the basis dimensions and is consistent within tol (`is_consistent`, one
-    `core.reduce_dims` of ref's dimensions).
+    the basis dimensions and is consistent within tol (`is_consistent`). ref
+    reads through the base's reader only where its dimensions equal the
+    base's, slot for slot, so its consistency reads off the base's own
+    reduction, with no `core.reduce_dims`.
 
     A ref that passes becomes `sb.anchor`. A call with equal quantities,
     slot for slot (==, as `core.reduce_dims` matches its list), and the same
@@ -142,7 +144,7 @@ def _anchor(sb: SpecialPiBasis, ref: Sequence[Quantity], tol: float) -> tuple[fl
     if kept_tol == tol and kept_ref == tuple(ref):
         return kept_log_u
     logs = sb.base.reader[0](ref, "ref")
-    require_consistent(ref, tol, InconsistentReferenceError, "reference list")
+    require_consistent(ref, tol, InconsistentReferenceError, "reference list", sb.base.reduction)
     log_u = sb.base.log_values(logs)
     object.__setattr__(sb, "anchor", (tuple(ref), tol, log_u))
     return log_u

@@ -117,7 +117,7 @@ class UnitRegistry:
         return cls.from_dict(dsl.read_json(path, "registry", ParseError), source=str(path))
 
 
-def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
+def is_consistent(units, tol: float = DEFAULT_TOL, reduction=None) -> ConsistencyReport:
     """Decide consistency of a unit list.
 
     Every dimensionless product of powers of the units is 1 iff their log
@@ -130,14 +130,17 @@ def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
 
     Rank, row space and witness read off one `core.reduce_dims` of the
     units' dimensions, which makes no elimination when its slot holds an
-    equal dimension list.
+    equal dimension list. A caller that holds that reduction already, for
+    units it has checked to carry a basis's dimensions slot for slot,
+    passes it as reduction, and no `reduce_dims` runs.
     """
     check_tol(tol)
     units = list(units)
     if not units:
         raise EmptyListError("consistency is defined for nonempty unit lists")
     logs = [u.log_magnitude for u in units]
-    reduction = reduce_dims([u.dim for u in units])
+    if reduction is None:
+        reduction = reduce_dims([u.dim for u in units])
     if reduction.rank == len(units) or (
         orbit_gap_kernel(row_space(reduction), len(logs))(logs) <= tol
     ):
@@ -146,9 +149,10 @@ def is_consistent(units, tol: float = DEFAULT_TOL) -> ConsistencyReport:
     return ConsistencyReport(consistent=False, witness=ClashWitness(combo, combo.log_combine(logs)))
 
 
-def require_consistent(units, tol: float, error=InconsistentUnitsError, what="unit list"):
-    """Raise error, naming the clash factor, unless the unit list is consistent."""
-    report = is_consistent(units, tol=tol)
+def require_consistent(units, tol: float, error=InconsistentUnitsError, what="unit list", reduction=None):
+    """Raise error, naming the clash factor, unless the unit list is
+    consistent (`is_consistent`, which reads reduction where given)."""
+    report = is_consistent(units, tol, reduction)
     if not report.consistent:
         raise error(f"{what} clashes by factor {format_magnitude(report.witness.log_clash_factor)}")
 

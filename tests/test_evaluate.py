@@ -283,19 +283,21 @@ class TestCompiledForm:
         bindings = {"x": Quantity(1.0, length)}
         original, compiled_names = dsl.compile_source, []
 
-        def compiled(source, name, **names):
+        def compiled(source, name, fixed, **names):
             compiled_names.append(name)
-            return original(source, name, **names)
+            return original(source, name, fixed, **names)
 
         monkeypatch.setattr(dsl, "compile_source", compiled)
         monkeypatch.setattr(core, "_makers", {})
         # a node is lowered on each call, and nothing is kept between calls
-        # but the compiled code of its source, in `compile_source`'s table
+        # but the compiled code of its source, in `compile_source`'s table:
+        # its `bind`, whose globals are the lowering's fixed names
         assert evaluate(node, bindings) is False
         binds = list(core._makers.values())
         assert evaluate(node, bindings) is False
         assert compiled_names == ["run", "run"]
         assert len(binds) == 1 and list(core._makers.values()) == binds
+        assert binds[0].__globals__ is dsl.GLOBALS
         # a compiled relation is lowered on its first run, and never again
         compiled = dsl.compile_relation(node, {"x": length})
         assert compiled_names == ["run", "run"]

@@ -1394,8 +1394,8 @@ class TestSeederDecides:
             calls[0] += 1
             return original(v)
 
-        # the kernel, built on the first call, reads exp from here
-        monkeypatch.setitem(dsl._GLOBALS, "exp", counted)
+        # the kernel reads exp from its one globals dict, the harness's fixed names
+        monkeypatch.setitem(harness._KERNEL_GLOBALS, "exp", counted)
         reports = [fuzz_invariance(spec, trials=100, seed=seed) for seed in range(4)]
         monkeypatch.undo()
         # y^103 and z^103 taken to linear space for their sum, once each per
@@ -1425,9 +1425,9 @@ def _recording_compiled(monkeypatch):
     on, whether its source was compiled before or not."""
     sources, original = [], core.compile_source
 
-    def compiled(source, name, **names):
+    def compiled(source, name, fixed, **names):
         sources.append((name, source))
-        return original(source, name, **names)
+        return original(source, name, fixed, **names)
 
     for module in (core, dsl, harness):
         monkeypatch.setattr(module, "compile_source", compiled)
@@ -1435,7 +1435,7 @@ def _recording_compiled(monkeypatch):
 
 
 def _compiling_raises(monkeypatch):
-    def compiled(source, name, **names):
+    def compiled(source, name, fixed, **names):
         raise AssertionError(f"compiled {name}")
 
     for module in (core, dsl, harness):
@@ -1718,6 +1718,23 @@ def _mixed_in(spec):
     return tuple(tuple(w != 0 for w in (left / right).exponents) for left, right in sides)
 
 
+def _data_of(spec):
+    """The values a spec's trial kernel reads from its closure cells, tol
+    and its bounds left out: the draw ranges and, where a comparison is
+    mixed, each one's `_Mixed`, rounding bound and weights, and the live
+    and dead factors' tuples."""
+    trial, _, shrink = spec.fuzz_plan.kernel(1e-9)
+    data = []
+    for f in (trial, shrink):
+        if f:
+            cells = dict(zip(f.__code__.co_freevars, f.__closure__))
+            data += [c.cell_contents for name, c in cells.items() if name not in ("tol", "near", "apart", "decide")]
+    mixed = [m for m in data if isinstance(m, harness._Mixed)]
+    assert len(mixed) == sum(left != right for left, right in spec.fuzz_plan.compiled.side_dims)
+    assert all(any(value == d for d in data) for m in mixed for value in (m.bound, *map(float, m.w)))
+    return data
+
+
 def _nested_codes(codes):
     """The code objects given and every one nested in them."""
     codes, found = list(codes), []
@@ -1727,31 +1744,79 @@ def _nested_codes(codes):
     return found
 
 
+def _corpus(seed):
+    """A corpus of the benchmark's fuzz-corpus kind: the fixture relations
+    and, from the seed, 4 relations of each invariant template and 5 of
+    each other."""
+    rng = random.Random(f"corpus:{seed}")
+    specs = [_spec(name) for name in (*_INVARIANT_FIXTURES, "hidden_constant")]
+    for template in CORPUS_TEMPLATES:
+        count = 5 if template in ("hidden_constant", "mixed_lt") else 4
+        specs += [_corpus_spec(*corpus_relation(rng, template)) for _ in range(count)]
+    return specs
+
+
 class TestOneCodePerShape:
     """A generated source holds no float of a relation, so its code depends
     on the relation's shape alone and is compiled once per process
     (`core.compile_source`): specs that differ only in their constants,
-    exponents and dimensions share the code of their trial kernels where
-    their comparisons are mixed in the same fundamentals, and the code of
-    their runs. Each plan binds its own values to it."""
+    exponents and dimensions share the code of their trial kernels, whatever
+    fundamentals their comparisons are mixed in (a mixed comparison weighs
+    every fundamental's log factor, by 0 where its sides agree in it), and
+    the code of their runs. Each plan binds its own data to that code as
+    closure cells; the names fixed for every plan are the code's globals."""
 
     @pytest.mark.parametrize("template", ["hidden_constant", "mixed_lt"])
     def test_specs_of_one_template_share_their_code(self, template):
         rng = random.Random(f"shape:{template}")
         specs = [_corpus_spec(*corpus_relation(rng, template)) for _ in range(12)]
         codes = [_codes(spec) for spec in specs]
-        assert len({id(c[3]) for c in codes}) == 1
         assert len({_mixed_in(spec) for spec in specs}) > 1
-        apart = 0
-        for a, code_a in zip(specs, codes):
-            for b, code_b in zip(specs, codes):
-                same_shape = _mixed_in(a) == _mixed_in(b)
-                assert [x is y for x, y in zip(code_a[:3], code_b[:3])] == [same_shape] * 3
-                apart += same_shape and a != b
-        assert apart
+        assert all(_same_objects(code, codes[0]) for code in codes)
+        # each plan its own cells, over its own data
+        cells = [[c for f in spec.fuzz_plan.kernel(1e-9) for c in f.__closure__] for spec in specs]
+        assert all(not set(map(id, a)) & set(map(id, b)) for a, b in itertools.combinations(cells, 2))
         for spec in specs:  # each plan's own values: its reports are the reference's
             expected = _fingerprint(reference_fuzz, spec, 60, 2, 1e-9)
             assert _fingerprint(fuzz_invariance, spec, 60, 2, 1e-9) == expected
+
+    def test_two_plans_of_one_shape_differ_in_their_data_alone(self):
+        length, time = DimVector.unit(CORPUS_SYSTEM, "L"), DimVector.unit(CORPUS_SYSTEM, "T")
+        mass = DimVector.unit(CORPUS_SYSTEM, "M")
+        # mixed in L and T, then in M alone
+        specs = [_corpus_spec("x < y", {"x": length, "y": time}), _corpus_spec("x < y", {"x": mass, "y": mass**2})]
+        assert _same_objects(_codes(specs[0]), _codes(specs[1]))
+        data = []
+        for spec in specs:
+            shrink = spec.fuzz_plan.kernel(1e-9)[2]
+            data.append(dict(zip(shrink.__code__.co_freevars, [c.cell_contents for c in shrink.__closure__])))
+        assert [(d["live"], d["dead"]) for d in data] == [((1, 2), (0,)), ((0,), (1, 2))]
+        # w_j for M, L and T in turn, each a name dK, K growing as they are bound
+        weights = [[v for k, v in sorted((int(k[1:]), v) for k, v in d.items() if re.fullmatch(r"d\d+", k))]
+                   for d in data]
+        assert weights == [[0.0, 1.0, -1.0], [-1.0, 0.0, 0.0]]
+        reports = [fuzz_invariance(spec, 200, seed=3) for spec in specs]
+        assert reports[0] != reports[1]
+        for spec, report in zip(specs, reports):
+            assert report.counterexample is not None
+            assert _fingerprint(fuzz_invariance, spec, 200, 3, 1e-9) == _fingerprint(
+                reference_fuzz, spec, 200, 3, 1e-9)
+
+    def test_a_fuzz_corpus_compiles_three_kernels_and_three_runs(self, monkeypatch):
+        """Each corpus holds three relation structures that run trials: the
+        fixture `x = 299792458*t`, and the corpus's hidden-constant and
+        mixed `<` relations, which are mixed in different fundamentals."""
+        for seed in range(12):
+            specs = _corpus(seed)
+            assert len({_mixed_in(spec) for spec in specs[6:] if spec.fuzz_plan.mixed}) > 2
+            with monkeypatch.context() as patched:
+                patched.setattr(core, "_makers", {})
+                sources = _recording_compiled(patched)
+                rng = random.Random(f"corpus:{seed}:0")
+                for spec in specs:
+                    fuzz_invariance(spec, 100, seed=rng.randrange(2**31))
+            counts = Counter(name for name, _ in set(sources))
+            assert (counts["kernel"], counts["run"]) == (3, 3), seed
 
     def test_a_hidden_constant_of_another_value_and_power_shares_the_code(self):
         length, time = DimVector.unit(CORPUS_SYSTEM, "L"), DimVector.unit(CORPUS_SYSTEM, "T")
@@ -1770,24 +1835,44 @@ class TestOneCodePerShape:
             assert copy.fuzz_plan.kernel is not spec.fuzz_plan.kernel
 
     def test_no_code_in_the_table_holds_a_float_of_a_spec_or_a_basis(self):
+        """Nor does any globals dict: every function a source defines reads
+        its generator's fixed names, the same for every plan and basis, as
+        its one globals dict, and a spec's or a basis's data only through
+        its own closure cells."""
+        kernels, runs, data = [], [], []
         for spec in TestGeneratedSource._specs():
             try:
                 fuzz_invariance(spec, trials=20, seed=0)
             except EvaluationError:
                 pass
-            spec.fuzz_plan.compiled.run
+            if "kernel" in vars(spec.fuzz_plan):
+                kernels += [f for f in spec.fuzz_plan.kernel(1e-9) if f]
+                data += _data_of(spec)
+            runs.append(spec.fuzz_plan.compiled.run)
         basis = pi_basis(mass_spring_dims()[1])
         assert all(map(callable, (basis.log_values, basis.orbit_gap, *basis.reader)))
+        assert any(isinstance(d, harness._Mixed) for d in data) and any(isinstance(d, tuple) for d in data)
         # the orbit-gap and reader makers, kept by their own caches, may have left the table
         n = len(basis.dims)
-        codes = _nested_codes([*(bind.__code__ for bind in core._makers.values()),
-                               core._orbit_gap_maker(n).__code__, core._reader_maker(n).__code__])
+        binds = [*core._makers.values(), core._orbit_gap_maker(n), core._reader_maker(n)]
+        codes = _nested_codes([bind.__code__ for bind in binds])
         names = {code.co_name for code in codes}
         assert {"kernel", "decide", "trial", "shrink", "run", "log_values", "make", "orbit_gap", "logs"} <= names
         fixed = {0.0, 0.5, 1.0, 2**-53}
         for code in codes:
             floats = [c for c in code.co_consts if isinstance(c, float)]
             assert all(c in fixed and math.copysign(1.0, c) == 1.0 for c in floats), (code.co_name, floats)
+        made = [(harness._KERNEL_GLOBALS, kernels), (dsl.GLOBALS, runs),
+                (core._LOG_VALUES_GLOBALS, [basis.log_values]),
+                (core._ORBIT_GAP_GLOBALS, [basis.orbit_gap, core._orbit_gap_maker(n)]),
+                (core._READER_GLOBALS, [*basis.reader, core._reader_maker(n)])]
+        assert all(any(bind.__globals__ is generator for generator, _ in made) for bind in binds)
+        for generator, functions in made:
+            assert all(f.__globals__ is generator for f in functions)
+            for name, value in generator.items():
+                # a function, a class or an error text; the one float is inf
+                assert callable(value) or isinstance(value, str) or value == math.inf, name
+                assert not any(value is d for d in data), name
 
 
 def _deep(kind, levels):

@@ -172,8 +172,9 @@ def test_no_global_statement(name):
     relation or basis is kept on the handle the caller holds
     (`CompiledRelation`, `ProblemSpec.fuzz_plan`, `PiBasis`). The one
     exception is `core.reduce_dims`'s last reduction. `core`'s tables,
-    `compile_source`'s of compiled sources and those of orbit-gap and
-    reader makers, one per slot count, hold code only, no float of any
+    `compile_source`'s of each compiled source's `bind` and those of
+    orbit-gap and reader makers, one per slot count, hold code only, each
+    function's globals its generator's fixed names, no float of any
     relation or basis, and need no global statement."""
     tree = ast.parse((ROOT / "src" / "piforge" / name).read_text())
     found = [n for node in ast.walk(tree) if isinstance(node, ast.Global) for n in node.names]

@@ -455,6 +455,33 @@ class TestAnchoredReference:
             use(sb, ref)
         assert len(rref_calls) == 0
 
+    def test_anchoring_bases_in_turn_makes_no_elimination(self, rref_calls):
+        """A reference that reads through the base's reader carries the
+        base's dimensions, so its consistency reads off the base's own
+        reduction: anchoring one basis after another, each with the
+        `core.reduce_dims` slot holding another's list, eliminates nothing,
+        and each anchor raises or passes as a fresh check says."""
+        rng = random.Random(157)
+        cases = []
+        for system, dims in seeded_systems(60):
+            ref = _consistent_list(rng, system, dims)
+            if rng.random() < 0.5:
+                slot = rng.randrange(len(ref))
+                ref[slot] = Quantity(ref[slot].log_magnitude + rng.uniform(0.1, 3.0), dims[slot])
+            cases.append((special_basis(dims), ref, units.is_consistent(ref)))
+        assert {report.consistent for *_, report in cases} == {True, False}
+        del rref_calls[:]
+        for sb, ref, report in cases:
+            if report.consistent:
+                canonical_rep(sb, ref, ref)
+                assert sb.anchor[0] == tuple(ref)
+                continue
+            with pytest.raises(InconsistentReferenceError) as info:
+                canonical_rep(sb, ref, ref)
+            factor = format_magnitude(report.witness.log_clash_factor)
+            assert str(info.value) == f"reference list clashes by factor {factor}"
+        assert rref_calls == []
+
     def test_a_reference_over_equal_copies_eliminates_once(self, rref_calls):
         """Equal copies of the basis dimensions hit the reduction slot: the
         builder's one elimination serves every anchoring, a call with the
